@@ -95,19 +95,51 @@ def _render_command(template: str, mapping: dict[str, str]) -> str:
     return template.format_map(_Strict(mapping))
 
 
+# reserved words after which the next word still starts a command
+_SHELL_KEYWORDS = frozenset(
+    {"if", "then", "else", "elif", "fi", "while", "until", "do", "done", "esac", "!", "{", "}", "time"}
+)
+# reserved words whose clause, up to the next control operator, runs no command
+_SHELL_CLAUSE_KEYWORDS = frozenset({"for", "case", "select"})
+
+
 def _command_executables(template: str) -> list[str]:
+    """The executables a command template runs: the first word of each
+    simple command, skipping assignments, placeholders, redirection targets
+    and shell keywords. Operators inside quotes do not split commands."""
+    # non-POSIX mode keeps quotes on their words, so a quoted ';' is never
+    # taken for an operator
+    lexer = shlex.shlex(template, posix=False, punctuation_chars=True)
+    lexer.whitespace_split = True
+    try:
+        tokens = list(lexer)
+    except ValueError:
+        return []
     names = []
-    for segment in re.split(r"&&|\|\||;|\|", template):
-        try:
-            tokens = shlex.split(segment)
-        except ValueError:
+    at_command = True
+    in_clause = False
+    redirect_target = False
+    for token in tokens:
+        if all(ch in lexer.punctuation_chars for ch in token):
+            if "<" in token or ">" in token:
+                redirect_target = True
+            else:
+                at_command, in_clause = True, False
             continue
-        if not tokens:
+        if redirect_target:
+            redirect_target = False
             continue
-        head = tokens[0]
-        if "{" in head or "=" in head or head.startswith((">", "<")):
+        if not at_command or in_clause:
             continue
-        names.append(head)
+        word = "".join(shlex.split(token))
+        if word in _SHELL_CLAUSE_KEYWORDS:
+            in_clause = True
+        elif word in _SHELL_KEYWORDS or "=" in word:
+            continue
+        else:
+            at_command = False
+            if "{" not in word:
+                names.append(word)
     return names
 
 

@@ -6,12 +6,19 @@ sub-population sizes, per-population bandit strategy selection, parent
 selection (uniform for Fail, roulette for Success), prompt/complete/parse,
 evaluation, bandit rewards, then survivor selection with per-metric elites.
 
+The engine thread plans every slot of a generation in slot order (quota,
+strategy from the frozen bandit scores, parents, prompt). Each slot then
+runs as one task, draft -> parse -> evaluate (simulate, synthesize,
+feedback), with up to `max_parallel_evaluations` tasks in flight; at one
+they run inline on the engine thread. The generation waits for all of its
+slots before rewards and survivor selection.
+
 Determinism: individual ids are claimed before any fan-out, each offspring
-slot gets its own RNG stream keyed by (seed, generation, slot), evaluations
-join in slot order, and rewards are applied in slot order. With a scripted
-provider and the synthetic evaluator a fixed seed replays bit-identically
-(keep max_parallel_evaluations at 1; concurrent evaluation can reorder
-scripted feedback consumption).
+slot gets its own RNG stream keyed by (seed, generation, slot), results
+join in slot order, and rewards are applied in slot order. Draft prompts
+carry their (generation, slot) key, which the scripted provider uses to
+serve them in slot order, so with a scripted provider and the synthetic
+evaluator a fixed seed replays bit-identically at any concurrency.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import dataclasses
 import logging
 import math
 import random
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,6 +50,7 @@ from .prompts import (
     FAIL_STRATEGIES,
     SUCCESS_STRATEGIES,
     ParseError,
+    PromptBundle,
     PromptStrategy,
     allowed_strategies,
     build_evolutionary_prompt,
@@ -268,14 +277,13 @@ class EvolutionEngine:
         self._next_id += count
         return ids
 
-    def _draft_or_placeholder(
-        self,
-        ind_id: int,
-        generation: int,
-        strategy: PromptStrategy | None,
-        parent_ids: tuple[int, ...],
-        bundle,
-    ) -> Individual:
+    def _run_slot(self, ind_id: int, bundle: PromptBundle) -> Individual:
+        """One slot's task: draft, parse, then evaluate. The keyed draft
+        prompt carries the slot's generation, operator and parents. A
+        response that cannot be parsed becomes a placeholder that skips
+        evaluation."""
+        generation = bundle.key[0]
+        strategy = bundle.strategy.value if bundle.strategy else None
         text = self.provider.complete(bundle).text
         try:
             thought, code = parse_llm_response(text)
@@ -300,41 +308,59 @@ class EvolutionEngine:
                 feedback=feedback,
                 outcome=outcome,
                 fitness=float("-inf"),
-                parent_ids=parent_ids,
-                strategy=strategy.value if strategy else None,
+                parent_ids=bundle.parent_ids,
+                strategy=strategy,
                 generation_born=generation,
             )
-        return Individual(
+        drafted = Individual(
             id=ind_id,
             thought=thought,
             code=code,
-            parent_ids=parent_ids,
-            strategy=strategy.value if strategy else None,
+            parent_ids=bundle.parent_ids,
+            strategy=strategy,
             generation_born=generation,
         )
+        return evaluate(drafted, self.spec, self.evaluator, self.provider, self.weights)
 
-    def _evaluate_slots(self, slots: list[Individual]) -> list[Individual]:
-        """Evaluate unevaluated slots (parse failures already carry their
-        outcome) and join results back in slot order."""
-        todo = [(i, ind) for i, ind in enumerate(slots) if ind.outcome is None]
-        workers = min(self.cfg.max_parallel_evaluations, len(todo) or 1)
+    def _run_slots(self, slots: list[tuple[int, PromptBundle]]) -> list[Individual]:
+        """Run each (id, draft prompt) slot as one task, up to
+        max_parallel_evaluations at a time, and join the results in slot
+        order.
 
-        def work(ind: Individual) -> Individual:
-            return evaluate(ind, self.spec, self.evaluator, self.provider, self.weights)
+        Lanes take slots in slot order, and once a slot fails no lane takes
+        another, so every slot that starts runs to its end and all slots
+        before it have started: a provider that serves drafts in slot order
+        never waits on a slot that will not come.
+        """
+        lanes = min(self.cfg.max_parallel_evaluations, len(slots))
+        results: list[Individual] = [None] * len(slots)  # type: ignore[list-item]
+        pending = iter(enumerate(slots))
+        take = threading.Lock()
+        failed = threading.Event()
 
-        if workers <= 1:
-            results = [work(ind) for _, ind in todo]
+        def lane() -> None:
+            while not failed.is_set():
+                with take:
+                    j, slot = next(pending, (-1, None))
+                if slot is None:
+                    return
+                try:
+                    results[j] = self._run_slot(*slot)
+                except BaseException:
+                    failed.set()
+                    raise
+
+        if lanes <= 1:
+            lane()
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(work, [ind for _, ind in todo]))
-        out = list(slots)
-        for (i, _), evaluated in zip(todo, results):
-            out[i] = evaluated
-        for ind in out:
+            with ThreadPoolExecutor(max_workers=lanes) as pool:
+                for future in [pool.submit(lane) for _ in range(lanes)]:
+                    future.result()
+        for ind in results:
             self._consider_best(ind)
             if ind.outcome is not None and ind.outcome.sim_passed:
                 self.found_correct = True
-        return out
+        return results
 
     def _consider_best(self, ind: Individual) -> None:
         if self.best is None or _rank_key(ind) < _rank_key(self.best):
@@ -369,11 +395,11 @@ class EvolutionEngine:
         """Create and evaluate generation 0 from independent initial prompts."""
         if self.history:
             raise RuntimeError("engine already initialized")
-        slots = []
-        for ind_id in self._claim_ids(self.cfg.population_size):
-            bundle = build_initial_prompt(self.spec)
-            slots.append(self._draft_or_placeholder(ind_id, 0, None, (), bundle))
-        population = self._evaluate_slots(slots)
+        slots = [
+            (ind_id, dataclasses.replace(build_initial_prompt(self.spec), key=(0, j)))
+            for j, ind_id in enumerate(self._claim_ids(self.cfg.population_size))
+        ]
+        population = self._run_slots(slots)
         return self._emit_record(0, population, [], [])
 
     def _plan_slot(
@@ -433,12 +459,9 @@ class EvolutionEngine:
             rng = random.Random(f"{self.cfg.rng_seed}/{generation}/{j}")
             strategy, chosen, baseline = self._plan_slot(label, subpop, frozen[label], rng)
             bundle = build_evolutionary_prompt(strategy, self.spec, chosen)
-            slot = self._draft_or_placeholder(
-                ids[j], generation, strategy, tuple(p.id for p in chosen), bundle
-            )
-            slots.append(slot)
+            slots.append((ids[j], dataclasses.replace(bundle, key=(generation, j))))
             plans.append((label, strategy, baseline))
-        offspring = self._evaluate_slots(slots)
+        offspring = self._run_slots(slots)
         events = []
         for child, (label, strategy, baseline) in zip(offspring, plans):
             reward = self._reward_for(label, child, baseline)

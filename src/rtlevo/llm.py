@@ -301,13 +301,20 @@ class ScriptedProvider:
     Each call consumes the first matching non-repeat entry (FIFO among equal
     matchers); having no entries left is `exhausted`, having entries but no
     match is `unmatched`.
+
+    Keyed calls, the engine's draft prompts, are served in slot order within
+    a generation: the call keyed (g, j) waits until the one keyed (g, j-1)
+    has been served, so concurrent slots consume entries as one slot at a
+    time would. Slot 0 never waits. Unkeyed calls are served in arrival
+    order.
     """
 
     def __init__(self, entries: list[ScriptEntry]):
         if not entries:
             raise ValueError("scripted provider needs at least one entry")
         self._entries = list(entries)
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
+        self._last_key: tuple[int, int] | None = None
 
     @classmethod
     def from_script(cls, script: list[tuple[str, str]]) -> "ScriptedProvider":
@@ -339,13 +346,26 @@ class ScriptedProvider:
             return len(self._entries)
 
     def complete(self, bundle: PromptBundle) -> CompletionResult:
+        key = bundle.key
         with self._lock:
-            if not self._entries:
-                raise ScriptError("exhausted", "scripted provider has no responses left")
-            for i, entry in enumerate(self._entries):
-                if entry.matches(bundle):
-                    if not entry.repeat:
-                        del self._entries[i]
-                    return CompletionResult(text=entry.response)
+            if key is not None and key[1] > 0:
+                previous = (key[0], key[1] - 1)
+                self._lock.wait_for(lambda: self._last_key == previous)
+            try:
+                return self._consume(bundle)
+            finally:
+                # a failed call still ends its turn, so later slots go on
+                if key is not None:
+                    self._last_key = key
+                    self._lock.notify_all()
+
+    def _consume(self, bundle: PromptBundle) -> CompletionResult:
+        if not self._entries:
+            raise ScriptError("exhausted", "scripted provider has no responses left")
+        for i, entry in enumerate(self._entries):
+            if entry.matches(bundle):
+                if not entry.repeat:
+                    del self._entries[i]
+                return CompletionResult(text=entry.response)
         label = bundle.strategy.value if bundle.strategy else bundle.purpose
         raise ScriptError("unmatched", f"no script entry matches prompt ({label})")

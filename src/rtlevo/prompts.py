@@ -74,13 +74,19 @@ def allowed_strategies(label: PopulationLabel) -> tuple[PromptStrategy, ...]:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """One ready-to-send prompt: system text, user text, and provenance."""
+    """One ready-to-send prompt: system text, user text, and provenance.
+
+    `key` is the (generation, slot) of the offspring slot a draft prompt
+    belongs to, set by the engine; providers that serve calls in a fixed
+    order use it. Other prompts carry no key.
+    """
 
     system_text: str
     user_text: str
     strategy: PromptStrategy | None = None
     parent_ids: tuple[int, ...] = ()
     purpose: str = "generate"
+    key: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.purpose == "generate":

@@ -9,6 +9,8 @@ import pytest
 
 from rtlevo.evaluate import (
     DEFAULT_PASS_PATTERN,
+    DEFAULT_SIMULATOR_COMMAND,
+    DEFAULT_SYNTHESIZER_COMMAND,
     SyntheticEvaluator,
     SyntheticEvaluatorConfig,
     ToolchainConfig,
@@ -21,6 +23,7 @@ from rtlevo.evaluate import (
     preflight,
     simulate,
     synthesize,
+    _command_executables,
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights, compute_fitness
 from rtlevo.llm import CompletionResult, ProviderError, ScriptedProvider
@@ -180,6 +183,19 @@ def test_preflight_missing_executable():
     with pytest.raises(ToolEnvironmentError) as err:
         preflight(cfg)
     assert "rtlevo-no-such-tool" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "template, expected",
+    [
+        (DEFAULT_SYNTHESIZER_COMMAND, ["yosys"]),
+        (DEFAULT_SIMULATOR_COMMAND, ["iverilog", "vvp"]),
+        ("if true; then echo ok; fi", ["true", "echo"]),
+        ("X=1 tool 2>&1 | tee log; (other '{a;b}')", ["tool", "tee", "other"]),
+    ],
+)
+def test_command_executables_splits_only_on_unquoted_operators(template, expected):
+    assert _command_executables(template) == expected
 
 
 def test_preflight_checks_liberty_when_referenced(tmp_path):

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -20,7 +23,7 @@ from rtlevo.evolution import (
 )
 from rtlevo.evaluate import SyntheticEvaluator
 from rtlevo.fitness import SYNTH_FAIL_FITNESS
-from rtlevo.llm import ScriptedProvider, ScriptEntry
+from rtlevo.llm import ScriptedProvider, ScriptEntry, ScriptError
 from rtlevo.model import (
     NEG_INF,
     CircuitKind,
@@ -532,6 +535,105 @@ def test_parallel_evaluation_matches_sequential():
         )
         return json.dumps([r.to_dict() for r in result.history], sort_keys=True)
 
-    # evaluation of a fixed slot list is order-independent here: the scripted
-    # responses are already drafted sequentially before workers start
+    # slots draft concurrently; the scripted provider serves the keyed draft
+    # calls in slot order, so workers consume entries as one worker would
     assert run_with(1) == run_with(3)
+
+
+class JitteredProvider:
+    """Sleeps a seeded 0-5 ms before each call, so that concurrent slots
+    reach the inner provider in an order that changes from seed to seed."""
+
+    def __init__(self, inner, seed):
+        self.inner = inner
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+
+    def complete(self, bundle):
+        with self.lock:
+            delay = self.rng.uniform(0.0, 0.005)
+        time.sleep(delay)
+        return self.inner.complete(bundle)
+
+
+@pytest.mark.parametrize("jitter_seed", range(6))
+def test_concurrent_slots_replay_sequential_history_under_jitter(jitter_seed):
+    def run_with(workers):
+        provider = JitteredProvider(ScriptedProvider(demo_script()), f"{jitter_seed}/{workers}")
+        result = run_evolution(
+            SPEC,
+            demo_cfg(max_parallel_evaluations=workers),
+            provider,
+            SyntheticEvaluator(),
+        )
+        return json.dumps([r.to_dict() for r in result.history], sort_keys=True)
+
+    # more workers than cores, switching threads often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert run_with(1) == run_with(4)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class OverlapCounter:
+    """Counts draft calls in flight. With `hold`, the first draft call waits
+    (up to a timeout) for a second one to arrive, so overlap is observed
+    whenever the engine allows it, without depending on timing."""
+
+    def __init__(self, inner, hold):
+        self.inner = inner
+        self.hold = hold
+        self.in_flight = 0
+        self.peak = 0
+        self.cond = threading.Condition()
+
+    def complete(self, bundle):
+        if bundle.purpose != "generate":
+            return self.inner.complete(bundle)
+        with self.cond:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.cond.notify_all()
+            if self.hold:
+                self.hold = False
+                self.cond.wait_for(lambda: self.peak >= 2, timeout=10)
+        try:
+            return self.inner.complete(bundle)
+        finally:
+            with self.cond:
+                self.in_flight -= 1
+
+
+def test_failed_slot_aborts_concurrent_generation():
+    script = [
+        ScriptEntry("strategy:initial", reply("seed a", "module add2; endmodule", (0.9, 95, 1.0))),
+        ScriptEntry("purpose:feedback", "fb", repeat=True),
+    ]
+    engine = EvolutionEngine(
+        SPEC, demo_cfg(max_parallel_evaluations=3), ScriptedProvider(script), SyntheticEvaluator()
+    )
+    errors = []
+
+    def initialize():
+        try:
+            engine.initialize()
+        except ScriptError as exc:
+            errors.append(exc.kind)
+
+    runner = threading.Thread(target=initialize)
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive()
+    assert errors == ["unmatched"]
+    assert engine.history == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_slot_drafts_overlap_up_to_the_worker_bound(workers):
+    provider = OverlapCounter(ScriptedProvider(demo_script()), hold=workers > 1)
+    run_evolution(
+        SPEC, demo_cfg(max_parallel_evaluations=workers), provider, SyntheticEvaluator()
+    )
+    assert provider.peak == workers

@@ -1,6 +1,7 @@
 """Provider layer: scripted replay, HTTP client retry contract, transcripts."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -133,6 +134,53 @@ def test_scripted_unmatched_vs_exhausted():
     with pytest.raises(ScriptError) as err:
         provider.complete(bundle())
     assert err.value.kind == "exhausted"
+
+
+def keyed(slot, generation=0, **kwargs):
+    return dataclasses.replace(bundle(**kwargs), key=(generation, slot))
+
+
+def test_scripted_keyed_drafts_are_served_in_slot_order():
+    provider = ScriptedProvider.from_script(
+        [("strategy:initial", f"reply {i}") for i in range(4)]
+    )
+    got = {}
+
+    def call(slot):
+        got[slot] = provider.complete(keyed(slot)).text
+
+    late = [threading.Thread(target=call, args=(slot,)) for slot in (2, 1)]
+    for thread in late:
+        thread.start()
+        thread.join(timeout=0.1)
+        assert thread.is_alive()  # waits for its predecessor slot
+    call(0)
+    for thread in late:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert got == {0: "reply 0", 1: "reply 1", 2: "reply 2"}
+    # the next generation starts again at slot 0
+    assert provider.complete(keyed(0, generation=1)).text == "reply 3"
+
+
+def test_scripted_failed_keyed_call_still_ends_its_turn():
+    provider = ScriptedProvider.from_script([("strategy:initial", "only")])
+    assert provider.complete(keyed(0)).text == "only"
+    with pytest.raises(ScriptError):
+        provider.complete(keyed(1))
+    errors = []
+
+    def follow():
+        try:
+            provider.complete(keyed(2))
+        except ScriptError as exc:
+            errors.append(exc.kind)
+
+    follower = threading.Thread(target=follow)
+    follower.start()
+    follower.join(timeout=5)
+    assert not follower.is_alive()
+    assert errors == ["exhausted"]
 
 
 def test_scripted_from_file_renders_dict_responses(tmp_path):
