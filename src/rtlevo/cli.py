@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-import time
 from pathlib import Path
 
 import yaml
@@ -129,28 +128,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     artifacts_dir = run_dir / "artifacts" if cfg.keep_artifacts else None
     evaluator = _build_evaluator(cfg, artifacts_dir)
     try:
-        engine = EvolutionEngine(
+        result = EvolutionEngine(
             cfg.problem,
             cfg.evolution,
             provider,
             evaluator,
             record_sink=lambda record: append_generation(generations_path, record),
-        )
-        timings: dict = {}
-        started = time.perf_counter()
-        stage_start = started
-        engine.initialize()
-        timings["initialize_s"] = time.perf_counter() - stage_start
-        generation_times = []
-        for _ in range(cfg.evolution.max_generations):
-            stage_start = time.perf_counter()
-            engine.run_generation()
-            generation_times.append(time.perf_counter() - stage_start)
-        timings["generations_s"] = generation_times
-        timings["total_s"] = time.perf_counter() - started
-        result = engine.result()
+        ).run()
     finally:
-        if not cfg.keep_artifacts and isinstance(evaluator, ToolchainEvaluator):
+        if isinstance(evaluator, ToolchainEvaluator):
             evaluator.cleanup()
 
     final = {
@@ -161,7 +147,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "reference_ppa": cfg.problem.reference_ppa.to_dict(),
         "bandit_states": result.bandit_snapshots,
         "generations": len(result.history),
-        "timings": timings,
     }
     (run_dir / FINAL_REPORT_FILE).write_text(
         json.dumps(final, sort_keys=True, indent=2) + "\n", encoding="utf-8"

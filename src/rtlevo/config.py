@@ -1,9 +1,19 @@
 """Run configuration: a YAML file resolved into typed config objects.
 
-Unknown keys are errors (typos should not silently become defaults).
-Omitted hyperparameters fall back to the library defaults: N=10, λ=10,
-G=20, n=1, R=1, c=2.0, τ=1.0, sampling temperature 1.0, top_p 0.95,
-clock period 0.01 ns, weights chosen by circuit kind.
+One builder, `_build`, makes each config dataclass (EvolutionConfig,
+ProviderConfig, ToolchainConfig, FitnessWeights, PpaMetrics, ProblemSpec)
+from its YAML section. The allowed keys are the field names, each value is
+cast to its field's type (`X | None` casts as X), `null` means the field's
+default, and a value the cast or the dataclass rejects becomes a
+ConfigError naming the key. Unknown keys are errors (typos should not
+silently become defaults). Omitted hyperparameters take the dataclass
+defaults: N=10, λ=10, G=20, n=1, R=1, c=2.0, τ=1.0, sampling temperature
+1.0, top_p 0.95, clock period 0.01 ns, weights chosen by circuit kind.
+
+Explicit here: `kind`, the problem section's own key names and files, and
+`clock_period`, which defaults to `problem.target_clock_period`. Paths are
+made absolute against the config's directory, so the snapshot that
+`snapshot_dict` writes with `dataclasses.asdict` loads into the same config.
 
 Secrets never live in config files: the provider section names an
 environment variable for the API key and rejects literal key material.
@@ -11,6 +21,8 @@ environment variable for the API key and rejects literal key material.
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +36,11 @@ from .model import CircuitKind, ConfigError, PpaMetrics, ProblemSpec
 
 PROVIDER_KINDS = ("http", "scripted")
 EVALUATOR_KINDS = ("toolchain", "synthetic")
+TOP_KEYS = ("problem", "evolution", "provider", "evaluator", "output_dir", "keep_artifacts")
+PROBLEM_KEYS = (
+    "name", "description", "description_file", "testbench", "testbench_file",
+    "circuit_kind", "target_clock_period", "reference_ppa",
+)
 
 
 @dataclass(frozen=True)
@@ -40,10 +57,7 @@ class RunConfig:
     keep_artifacts: bool = False
 
     def __post_init__(self) -> None:
-        if self.provider_kind not in PROVIDER_KINDS:
-            raise ConfigError(f"provider.kind must be one of {PROVIDER_KINDS}")
-        if self.evaluator_kind not in EVALUATOR_KINDS:
-            raise ConfigError(f"evaluator.kind must be one of {EVALUATOR_KINDS}")
+        # the kinds themselves are checked where they are read, in _split_kind
         if (self.provider is None) == (self.script_path is None):
             raise ConfigError("exactly one provider must be configured")
         if (self.toolchain is None) == (self.synthetic is None):
@@ -64,6 +78,55 @@ def _require_map(value, where: str) -> dict:
     return value
 
 
+def _given(section: dict) -> dict:
+    """The section without its null values: null means the default."""
+    return {key: value for key, value in section.items() if value is not None}
+
+
+def _cast(value, cast, where: str):
+    try:
+        return cast(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _build(cls, section: dict, where: str, **resolved):
+    """An instance of the config dataclass `cls` from its YAML section.
+
+    The allowed keys are the field names of `cls`. Each non-null value is
+    cast to its field's type, and `resolved` gives the fields the caller
+    has already worked out. A ValueError or TypeError, from a cast or from
+    the dataclass's own checks, becomes a ConfigError.
+    """
+    fields = dataclasses.fields(cls)
+    hints = typing.get_type_hints(cls)
+    _check_keys(section, tuple(f.name for f in fields), where)
+    kwargs = {}
+    for key, value in _given(section).items():
+        if key not in resolved:
+            hint = hints[key]
+            # `X | None` casts as X
+            cast = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+            kwargs[key] = _cast(value, cast, f"{where}.{key}")
+    kwargs.update(resolved)
+    for field in fields:
+        if field.default is dataclasses.MISSING and field.name not in kwargs:
+            raise ConfigError(f"{where}.{field.name} is required")
+    try:
+        return cls(**kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _split_kind(section, where: str, kinds: tuple[str, ...]) -> tuple[str, dict]:
+    """The section's `kind` and the rest of its keys."""
+    section = _require_map(section, where)
+    kind = str(section.get("kind", "")).strip().lower()
+    if kind not in kinds:
+        raise ConfigError(f"{where}.kind must be one of {kinds}, got {kind!r}")
+    return kind, {key: value for key, value in section.items() if key != "kind"}
+
+
 def _read_text_field(section: dict, inline_key: str, file_key: str, base: Path, where: str) -> str:
     inline = section.get(inline_key)
     file_name = section.get(file_key)
@@ -81,24 +144,10 @@ def _read_text_field(section: dict, inline_key: str, file_key: str, base: Path, 
 
 def _load_problem(section, base: Path) -> ProblemSpec:
     section = _require_map(section, "problem")
-    _check_keys(
-        section,
-        (
-            "name",
-            "description",
-            "description_file",
-            "testbench",
-            "testbench_file",
-            "circuit_kind",
-            "target_clock_period",
-            "reference_ppa",
-        ),
-        "problem",
-    )
+    _check_keys(section, PROBLEM_KEYS, "problem")
     description = _read_text_field(section, "description", "description_file", base, "problem")
     if not description.strip():
         raise ConfigError("problem needs a description or description_file")
-    testbench = _read_text_field(section, "testbench", "testbench_file", base, "problem")
     kind_raw = str(section.get("circuit_kind", "")).strip().lower()
     try:
         circuit_kind = CircuitKind(kind_raw)
@@ -106,71 +155,27 @@ def _load_problem(section, base: Path) -> ProblemSpec:
         raise ConfigError(
             f"problem.circuit_kind must be 'combinational' or 'sequential', got {kind_raw!r}"
         ) from None
-    ref_raw = _require_map(section.get("reference_ppa"), "problem.reference_ppa")
-    _check_keys(ref_raw, ("power", "area", "effective_clock_period"), "problem.reference_ppa")
-    try:
-        reference = PpaMetrics(
-            power=float(ref_raw["power"]),
-            area=float(ref_raw["area"]),
-            effective_clock_period=float(ref_raw["effective_clock_period"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"problem.reference_ppa is missing {exc.args[0]!r}") from None
-    return ProblemSpec(
-        name=str(section.get("name", "unnamed")),
+    where = "problem.reference_ppa"
+    reference = _build(PpaMetrics, _require_map(section.get("reference_ppa"), where), where)
+    scalars = {k: v for k, v in _given(section).items() if k in ("name", "target_clock_period")}
+    return _build(
+        ProblemSpec,
+        {"name": "unnamed", "target_clock_period": 0.01, **scalars},
+        "problem",
         functional_description=description,
-        testbench_source=testbench,
+        testbench_source=_read_text_field(section, "testbench", "testbench_file", base, "problem"),
         reference_ppa=reference,
         circuit_kind=circuit_kind,
-        target_clock_period=float(section.get("target_clock_period", 0.01)),
-    )
-
-
-def _load_weights(raw) -> FitnessWeights:
-    section = _require_map(raw, "evolution.weights")
-    _check_keys(section, ("alpha", "beta", "gamma"), "evolution.weights")
-    return FitnessWeights(
-        alpha=float(section.get("alpha", 0.0)),
-        beta=float(section.get("beta", 0.0)),
-        gamma=float(section.get("gamma", 0.0)),
     )
 
 
 def _load_evolution(section) -> EvolutionConfig:
     section = _require_map(section if section is not None else {}, "evolution")
-    _check_keys(
-        section,
-        (
-            "population_size",
-            "offspring_count",
-            "max_generations",
-            "elite_per_metric",
-            "reward",
-            "exploration_c",
-            "temperature",
-            "rng_seed",
-            "weights",
-            "max_parallel_evaluations",
-        ),
-        "evolution",
-    )
-    kwargs = {}
-    for name, cast in (
-        ("population_size", int),
-        ("offspring_count", int),
-        ("max_generations", int),
-        ("elite_per_metric", int),
-        ("reward", float),
-        ("exploration_c", float),
-        ("temperature", float),
-        ("rng_seed", int),
-        ("max_parallel_evaluations", int),
-    ):
-        if name in section:
-            kwargs[name] = cast(section[name])
-    if "weights" in section and section["weights"] is not None:
-        kwargs["weights"] = _load_weights(section["weights"])
-    return EvolutionConfig(**kwargs)
+    resolved = {}
+    if section.get("weights") is not None:
+        where = "evolution.weights"
+        resolved["weights"] = _build(FitnessWeights, _require_map(section["weights"], where), where)
+    return _build(EvolutionConfig, section, "evolution", **resolved)
 
 
 def _load_provider(section, base: Path) -> tuple[str, ProviderConfig | None, str | None]:
@@ -180,103 +185,34 @@ def _load_provider(section, base: Path) -> tuple[str, ProviderConfig | None, str
             "provider.api_key is not accepted; set provider.api_key_env_var to the "
             "name of an environment variable instead"
         )
-    kind = str(section.get("kind", "")).strip().lower()
+    kind, fields = _split_kind(section, "provider", PROVIDER_KINDS)
     if kind == "http":
-        _check_keys(
-            section,
-            (
-                "kind",
-                "endpoint_url",
-                "model_name",
-                "api_key_env_var",
-                "temperature",
-                "top_p",
-                "max_retries",
-                "request_timeout",
-                "max_parallel_requests",
-                "feedback_temperature",
-                "feedback_top_p",
-            ),
-            "provider",
-        )
-        if not section.get("endpoint_url"):
+        if not fields.get("endpoint_url"):
             raise ConfigError("provider.endpoint_url is required for kind: http")
-        kwargs = {
-            "endpoint_url": str(section["endpoint_url"]),
-            "model_name": str(section.get("model_name", "")),
-            "api_key_env_var": str(section.get("api_key_env_var", "")),
-        }
-        for name, cast in (
-            ("temperature", float),
-            ("top_p", float),
-            ("max_retries", int),
-            ("request_timeout", float),
-            ("max_parallel_requests", int),
-            ("feedback_temperature", float),
-            ("feedback_top_p", float),
-        ):
-            if name in section and section[name] is not None:
-                kwargs[name] = cast(section[name])
-        return "http", ProviderConfig(**kwargs), None
-    if kind == "scripted":
-        _check_keys(section, ("kind", "script_file"), "provider")
-        script = section.get("script_file")
-        if not script:
-            raise ConfigError("provider.script_file is required for kind: scripted")
-        script_path = base / str(script)
-        if not script_path.is_file():
-            raise ConfigError(f"provider.script_file: file not found: {script_path}")
-        return "scripted", None, str(script_path)
-    raise ConfigError(f"provider.kind must be one of {PROVIDER_KINDS}, got {kind!r}")
+        return kind, _build(ProviderConfig, fields, "provider"), None
+    _check_keys(fields, ("script_file",), "provider")
+    if not fields.get("script_file"):
+        raise ConfigError("provider.script_file is required for kind: scripted")
+    script_path = base / str(fields["script_file"])
+    if not script_path.is_file():
+        raise ConfigError(f"provider.script_file: file not found: {script_path}")
+    return kind, None, str(script_path)
 
 
 def _load_evaluator(
     section, base: Path, problem: ProblemSpec
 ) -> tuple[str, ToolchainConfig | None, SyntheticEvaluatorConfig | None]:
-    section = _require_map(section, "evaluator")
-    kind = str(section.get("kind", "")).strip().lower()
-    if kind == "toolchain":
-        _check_keys(
-            section,
-            (
-                "kind",
-                "simulator_command",
-                "synthesizer_command",
-                "liberty_path",
-                "clock_period",
-                "per_stage_timeout",
-                "workdir_root",
-                "pass_pattern",
-                "area_pattern",
-                "power_pattern",
-                "slack_pattern",
-                "post_synth_command",
-            ),
-            "evaluator",
-        )
-        kwargs = {}
-        for name in (
-            "simulator_command",
-            "synthesizer_command",
-            "pass_pattern",
-            "area_pattern",
-            "power_pattern",
-            "slack_pattern",
-            "post_synth_command",
-            "workdir_root",
-        ):
-            if name in section:
-                kwargs[name] = str(section[name])
-        if "liberty_path" in section:
-            kwargs["liberty_path"] = str(base / str(section["liberty_path"]))
-        kwargs["clock_period"] = float(section.get("clock_period", problem.target_clock_period))
-        if "per_stage_timeout" in section:
-            kwargs["per_stage_timeout"] = float(section["per_stage_timeout"])
-        return "toolchain", ToolchainConfig(**kwargs), None
+    kind, fields = _split_kind(section, "evaluator", EVALUATOR_KINDS)
     if kind == "synthetic":
-        _check_keys(section, ("kind", "seed"), "evaluator")
-        return "synthetic", None, SyntheticEvaluatorConfig(seed=int(section.get("seed", 0)))
-    raise ConfigError(f"evaluator.kind must be one of {EVALUATOR_KINDS}, got {kind!r}")
+        _check_keys(fields, ("seed",), "evaluator")
+        seed = _cast(_given(fields).get("seed", 0), int, "evaluator.seed")
+        return kind, None, SyntheticEvaluatorConfig(seed=seed)
+    resolved = {}
+    if fields.get("clock_period") is None:
+        resolved["clock_period"] = problem.target_clock_period
+    if fields.get("liberty_path"):
+        resolved["liberty_path"] = str(base / str(fields["liberty_path"]))
+    return kind, _build(ToolchainConfig, fields, "evaluator", **resolved), None
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -289,12 +225,9 @@ def load_config(path: str | Path) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
     raw = _require_map(raw, "config")
-    _check_keys(
-        raw,
-        ("problem", "evolution", "provider", "evaluator", "output_dir", "keep_artifacts"),
-        "config",
-    )
-    base = path.parent
+    _check_keys(raw, TOP_KEYS, "config")
+    raw = _given(raw)
+    base = path.resolve().parent
     problem = _load_problem(raw.get("problem"), base)
     evolution = _load_evolution(raw.get("evolution"))
     provider_kind, provider, script_path = _load_provider(raw.get("provider"), base)
@@ -315,9 +248,21 @@ def load_config(path: str | Path) -> RunConfig:
 
 def snapshot_dict(cfg: RunConfig) -> dict:
     """A plain-dict image of the resolved config for persisting in the run
-    directory. Contains no secrets (keys are env-var names only)."""
+    directory; `load_config` reads it back into the same config, with the
+    weights resolved. Contains no secrets (keys are env-var names only)."""
     problem = cfg.problem
-    out = {
+    evolution = dataclasses.asdict(cfg.evolution)
+    evolution["weights"] = cfg.evolution.weights_for(problem).to_dict()
+    if cfg.provider is not None:
+        provider = {"kind": cfg.provider_kind, **dataclasses.asdict(cfg.provider)}
+    else:
+        provider = {"kind": cfg.provider_kind, "script_file": cfg.script_path}
+    if cfg.toolchain is not None:
+        evaluator = {"kind": cfg.evaluator_kind, **dataclasses.asdict(cfg.toolchain)}
+    else:
+        assert cfg.synthetic is not None
+        evaluator = {"kind": cfg.evaluator_kind, "seed": cfg.synthetic.seed}
+    return {
         "problem": {
             "name": problem.name,
             "description": problem.functional_description,
@@ -326,50 +271,9 @@ def snapshot_dict(cfg: RunConfig) -> dict:
             "target_clock_period": problem.target_clock_period,
             "reference_ppa": problem.reference_ppa.to_dict(),
         },
-        "evolution": {
-            "population_size": cfg.evolution.population_size,
-            "offspring_count": cfg.evolution.offspring_count,
-            "max_generations": cfg.evolution.max_generations,
-            "elite_per_metric": cfg.evolution.elite_per_metric,
-            "reward": cfg.evolution.reward,
-            "exploration_c": cfg.evolution.exploration_c,
-            "temperature": cfg.evolution.temperature,
-            "rng_seed": cfg.evolution.rng_seed,
-            "weights": cfg.evolution.weights_for(problem).to_dict(),
-            "max_parallel_evaluations": cfg.evolution.max_parallel_evaluations,
-        },
-        "provider": {"kind": cfg.provider_kind},
-        "evaluator": {"kind": cfg.evaluator_kind},
+        "evolution": evolution,
+        "provider": provider,
+        "evaluator": evaluator,
         "output_dir": cfg.output_dir,
         "keep_artifacts": cfg.keep_artifacts,
     }
-    if cfg.provider is not None:
-        out["provider"].update(
-            endpoint_url=cfg.provider.endpoint_url,
-            model_name=cfg.provider.model_name,
-            api_key_env_var=cfg.provider.api_key_env_var,
-            temperature=cfg.provider.temperature,
-            top_p=cfg.provider.top_p,
-            max_retries=cfg.provider.max_retries,
-            request_timeout=cfg.provider.request_timeout,
-            max_parallel_requests=cfg.provider.max_parallel_requests,
-        )
-    if cfg.script_path is not None:
-        out["provider"]["script_file"] = cfg.script_path
-    if cfg.toolchain is not None:
-        tc = cfg.toolchain
-        out["evaluator"].update(
-            simulator_command=tc.simulator_command,
-            synthesizer_command=tc.synthesizer_command,
-            liberty_path=tc.liberty_path,
-            clock_period=tc.clock_period,
-            per_stage_timeout=tc.per_stage_timeout,
-            pass_pattern=tc.pass_pattern,
-            area_pattern=tc.area_pattern,
-            power_pattern=tc.power_pattern,
-            slack_pattern=tc.slack_pattern,
-            post_synth_command=tc.post_synth_command,
-        )
-    if cfg.synthetic is not None:
-        out["evaluator"]["seed"] = cfg.synthetic.seed
-    return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-from .fitness import SYNTH_FAIL_FITNESS, FitnessWeights, effective_period, fitness_of
+from .fitness import FitnessWeights, effective_period, fitness_of
 from .llm import Provider, ProviderError, ScriptError
 from .model import EvalOutcome, Individual, PpaMetrics, ProblemSpec
 from .prompts import PromptBundle, default_templates
@@ -82,9 +82,11 @@ class ToolchainConfig:
 
     def __post_init__(self) -> None:
         if self.clock_period <= 0:
-            raise ValueError(f"clock_period must be > 0, got {self.clock_period!r}")
+            raise ValueError(f"evaluator.clock_period must be > 0, got {self.clock_period!r}")
         if self.per_stage_timeout <= 0:
-            raise ValueError(f"per_stage_timeout must be > 0, got {self.per_stage_timeout!r}")
+            raise ValueError(
+                f"evaluator.per_stage_timeout must be > 0, got {self.per_stage_timeout!r}"
+            )
 
 
 def _render_command(template: str, mapping: dict[str, str]) -> str:
@@ -197,13 +199,9 @@ def _stage_mapping(cfg: ToolchainConfig, workdir: Path) -> dict[str, str]:
     }
 
 
-def simulate(
-    code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path | None = None
-) -> tuple[bool, str]:
+def simulate(code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path) -> tuple[bool, str]:
     """Compiles code with the testbench and runs it; pass needs the success
     token in the output and a zero exit."""
-    if workdir is None:
-        workdir = Path(tempfile.mkdtemp(prefix="sim-", dir=cfg.workdir_root or None))
     workdir.mkdir(parents=True, exist_ok=True)
     mapping = _stage_mapping(cfg, workdir)
     Path(mapping["code_file"]).write_text(code, encoding="utf-8")
@@ -214,13 +212,9 @@ def simulate(
     return passed, log
 
 
-def synthesize(
-    code: str, cfg: ToolchainConfig, workdir: Path | None = None
-) -> tuple[str, bool]:
+def synthesize(code: str, cfg: ToolchainConfig, workdir: Path) -> tuple[str, bool]:
     """Runs the scripted synthesis flow; the report is {out_report} when the
     template writes it, captured output otherwise."""
-    if workdir is None:
-        workdir = Path(tempfile.mkdtemp(prefix="synth-", dir=cfg.workdir_root or None))
     workdir.mkdir(parents=True, exist_ok=True)
     mapping = _stage_mapping(cfg, workdir)
     code_file = Path(mapping["code_file"])
@@ -270,14 +264,24 @@ class Evaluator(Protocol):
 
 
 class ToolchainEvaluator:
-    """Evaluates candidates with real tools, one scratch directory per id."""
+    """Evaluates candidates with real tools, one scratch directory per id.
+
+    The directories go under `workdir_root` when it is given (kept
+    artifacts, never removed). Otherwise they go under a fresh `rtlevo-`
+    directory of the evaluator's own, made inside `config.workdir_root` or
+    the system temp directory, which cleanup() removes.
+    """
 
     def __init__(self, config: ToolchainConfig, workdir_root: str | Path | None = None):
         self.config = config
-        root = workdir_root or config.workdir_root or tempfile.mkdtemp(prefix="rtlevo-")
-        self._root = Path(root)
-        self._root.mkdir(parents=True, exist_ok=True)
         preflight(config)
+        self._owns_root = workdir_root is None
+        if workdir_root is None:
+            parent = Path(config.workdir_root or tempfile.gettempdir())
+            parent.mkdir(parents=True, exist_ok=True)
+            workdir_root = tempfile.mkdtemp(prefix="rtlevo-", dir=parent)
+        self._root = Path(workdir_root)
+        self._root.mkdir(parents=True, exist_ok=True)
 
     def _workdir(self, tag: str) -> Path:
         path = self._root / tag
@@ -329,7 +333,8 @@ class ToolchainEvaluator:
         return parse_ppa_report(report, self.config)
 
     def cleanup(self) -> None:
-        shutil.rmtree(self._root, ignore_errors=True)
+        if self._owns_root:
+            shutil.rmtree(self._root, ignore_errors=True)
 
 
 FAIL_MARKER = "BUG"
@@ -420,7 +425,7 @@ def _fallback_feedback(ind: Individual, spec: ProblemSpec) -> str:
     )
 
 
-def _feedback_prompt(ind: Individual, spec: ProblemSpec, tail_chars: int) -> str:
+def _feedback_prompt(ind: Individual, spec: ProblemSpec) -> str:
     outcome = ind.outcome
     assert outcome is not None
     if not outcome.sim_passed:
@@ -429,12 +434,12 @@ def _feedback_prompt(ind: Individual, spec: ProblemSpec, tail_chars: int) -> str
             "write concise bug-fixing feedback (what is wrong and how to fix it).\n\n"
             f"Task description:\n{spec.functional_description}\n\n"
             f"Design code:\n{ind.code}\n\n"
-            f"Simulation log (tail):\n{_log_tail(outcome.sim_log, tail_chars)}\n"
+            f"Simulation log (tail):\n{_log_tail(outcome.sim_log, FEEDBACK_LOG_TAIL_CHARS)}\n"
         )
     ref = spec.reference_ppa
     if outcome.ppa is None:
         ppa_lines = "synthesis produced no usable PPA report\n" + _log_tail(
-            outcome.synth_log, tail_chars
+            outcome.synth_log, FEEDBACK_LOG_TAIL_CHARS
         )
     else:
         gen = outcome.ppa
@@ -454,19 +459,14 @@ def _feedback_prompt(ind: Individual, spec: ProblemSpec, tail_chars: int) -> str
     )
 
 
-def generate_feedback(
-    ind: Individual,
-    spec: ProblemSpec,
-    provider: Provider,
-    tail_chars: int = FEEDBACK_LOG_TAIL_CHARS,
-) -> str:
+def generate_feedback(ind: Individual, spec: ProblemSpec, provider: Provider) -> str:
     """Asks the provider to critique an evaluated individual; provider
     failures degrade to a deterministic non-empty summary."""
     if ind.outcome is None:
         raise ValueError("generate_feedback needs an evaluated individual")
     bundle = PromptBundle(
         system_text=default_templates().system_text(),
-        user_text=_feedback_prompt(ind, spec, tail_chars),
+        user_text=_feedback_prompt(ind, spec),
         purpose="feedback",
     )
     try:
@@ -483,13 +483,11 @@ def evaluate(
     evaluator: Evaluator,
     provider: Provider,
     weights: FitnessWeights,
-    synth_fail_fitness: float = SYNTH_FAIL_FITNESS,
-    feedback_tail: int = FEEDBACK_LOG_TAIL_CHARS,
 ) -> Individual:
     """Runs the full pipeline on one individual and returns it with
     outcome, fitness, and feedback filled in."""
     outcome = evaluator.outcome_for(ind.code, spec, ind.id)
-    fitness = fitness_of(outcome, spec.reference_ppa, weights, synth_fail_fitness)
+    fitness = fitness_of(outcome, spec.reference_ppa, weights)
     evaluated = dataclasses.replace(ind, outcome=outcome, fitness=fitness)
-    feedback = generate_feedback(evaluated, spec, provider, feedback_tail)
+    feedback = generate_feedback(evaluated, spec, provider)
     return dataclasses.replace(evaluated, feedback=feedback)

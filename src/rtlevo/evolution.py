@@ -489,13 +489,3 @@ class EvolutionEngine:
         if not self.found_correct:
             logger.warning("no functionally correct design found in %s", self.spec.name)
         return self.result()
-
-
-def run_evolution(
-    spec: ProblemSpec,
-    cfg: EvolutionConfig,
-    provider: Provider,
-    evaluator: Evaluator,
-    record_sink: Callable[[GenerationRecord], None] | None = None,
-) -> RunResult:
-    return EvolutionEngine(spec, cfg, provider, evaluator, record_sink).run()

@@ -19,11 +19,12 @@ MIN_EFFECTIVE_PERIOD = 1.0e-9
 
 @dataclass(frozen=True)
 class FitnessWeights:
-    """Per-metric weights: alpha for power, beta for area, gamma for timing."""
+    """Per-metric weights: alpha for power, beta for area, gamma for timing.
+    A weight left out counts as zero."""
 
-    alpha: float
-    beta: float
-    gamma: float
+    alpha: float = 0.0
+    beta: float = 0.0
+    gamma: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
@@ -44,17 +45,15 @@ class FitnessWeights:
         return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
 
 
-def effective_period(
-    target_period: float, worst_slack: float, min_period: float = MIN_EFFECTIVE_PERIOD
-) -> float:
+def effective_period(target_period: float, worst_slack: float) -> float:
     """Achieved-period estimate at a fixed synthesis clock: target minus worst slack.
 
     Negative slack inflates the period, positive slack shrinks it; the result
-    is clamped below at `min_period`.
+    is clamped below at MIN_EFFECTIVE_PERIOD.
     """
     if target_period <= 0:
         raise ValueError(f"target_period must be > 0, got {target_period!r}")
-    return max(target_period - worst_slack, min_period)
+    return max(target_period - worst_slack, MIN_EFFECTIVE_PERIOD)
 
 
 def compute_fitness(gen: PpaMetrics, ref: PpaMetrics, weights: FitnessWeights) -> float:
@@ -76,16 +75,11 @@ def compute_fitness(gen: PpaMetrics, ref: PpaMetrics, weights: FitnessWeights) -
     )
 
 
-def fitness_of(
-    outcome: EvalOutcome,
-    ref: PpaMetrics,
-    weights: FitnessWeights,
-    synth_fail_fitness: float = SYNTH_FAIL_FITNESS,
-) -> float:
+def fitness_of(outcome: EvalOutcome, ref: PpaMetrics, weights: FitnessWeights) -> float:
     """Fitness of an evaluation outcome: -inf on simulation failure, a finite
     sentinel when synthesis produced no usable metrics, the PPA score otherwise."""
     if not outcome.sim_passed:
         return NEG_INF
     if outcome.synth_succeeded and outcome.ppa is not None:
         return compute_fitness(outcome.ppa, ref, weights)
-    return synth_fail_fitness
+    return SYNTH_FAIL_FITNESS

@@ -63,13 +63,15 @@ class ProviderConfig:
 
     def __post_init__(self) -> None:
         if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
+            raise ValueError(f"provider.temperature must be >= 0, got {self.temperature!r}")
         if not 0 < self.top_p <= 1:
-            raise ValueError(f"top_p must be in (0, 1], got {self.top_p!r}")
+            raise ValueError(f"provider.top_p must be in (0, 1], got {self.top_p!r}")
         if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
+            raise ValueError(f"provider.max_retries must be >= 0, got {self.max_retries!r}")
         if self.max_parallel_requests < 1:
-            raise ValueError("max_parallel_requests must be >= 1")
+            raise ValueError(
+                f"provider.max_parallel_requests must be >= 1, got {self.max_parallel_requests!r}"
+            )
 
     def sampling_for(self, purpose: str) -> tuple[float, float]:
         if purpose == "feedback":

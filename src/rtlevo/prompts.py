@@ -1,8 +1,7 @@
 """Prompt construction for the initial and evolutionary operators, and response parsing.
 
 Templates are plain text files with named placeholders, loaded from the
-packaged `templates/` directory by default and overridable with any
-directory of files with the same names. Available placeholders:
+packaged `templates/` directory. Available placeholders:
 
     {functional_description}                    the problem statement
     {parent_thought_N} {parent_code_N}
@@ -14,11 +13,11 @@ directory of files with the same names. Available placeholders:
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from .model import PopulationLabel, ProblemSpec, Individual
 
@@ -98,23 +97,15 @@ class PromptBundle:
 
 
 class TemplateSet:
-    """Loads and caches the prompt templates from one directory."""
+    """The packaged prompt templates, read once."""
 
     _NAMES = ("system", "initial", "fix", "simplify", "explore", "refactor", "improve", "fusion")
 
-    def __init__(self, directory: str | Path | None = None):
-        self._texts: dict[str, str] = {}
-        if directory is None:
-            base = resources.files("rtlevo").joinpath("templates")
-            for name in self._NAMES:
-                self._texts[name] = base.joinpath(f"{name}.txt").read_text(encoding="utf-8")
-        else:
-            base = Path(directory)
-            for name in self._NAMES:
-                path = base / f"{name}.txt"
-                if not path.is_file():
-                    raise FileNotFoundError(f"missing prompt template: {path}")
-                self._texts[name] = path.read_text(encoding="utf-8")
+    def __init__(self):
+        base = resources.files("rtlevo").joinpath("templates")
+        self._texts = {
+            name: base.joinpath(f"{name}.txt").read_text(encoding="utf-8") for name in self._NAMES
+        }
 
     def render(self, name: str, mapping: dict[str, str]) -> str:
         try:
@@ -128,14 +119,9 @@ class TemplateSet:
         return self._texts["system"].strip()
 
 
-_default_templates: TemplateSet | None = None
-
-
+@functools.cache
 def default_templates() -> TemplateSet:
-    global _default_templates
-    if _default_templates is None:
-        _default_templates = TemplateSet()
-    return _default_templates
+    return TemplateSet()
 
 
 def _base_mapping(spec: ProblemSpec) -> dict[str, str]:
@@ -145,9 +131,9 @@ def _base_mapping(spec: ProblemSpec) -> dict[str, str]:
     }
 
 
-def build_initial_prompt(spec: ProblemSpec, templates: TemplateSet | None = None) -> PromptBundle:
+def build_initial_prompt(spec: ProblemSpec) -> PromptBundle:
     """The parent-free prompt used once per slot to create generation 0."""
-    templates = templates or default_templates()
+    templates = default_templates()
     return PromptBundle(
         system_text=templates.system_text(),
         user_text=templates.render("initial", _base_mapping(spec)),
@@ -160,10 +146,9 @@ def build_evolutionary_prompt(
     strategy: PromptStrategy,
     spec: ProblemSpec,
     parents: list[Individual],
-    templates: TemplateSet | None = None,
 ) -> PromptBundle:
     """A strategy prompt carrying each parent's thought, code and feedback verbatim."""
-    templates = templates or default_templates()
+    templates = default_templates()
     if len(parents) != strategy.arity:
         raise ValueError(
             f"strategy {strategy.value} takes {strategy.arity} parent(s), got {len(parents)}"

@@ -24,19 +24,13 @@ class RunDirError(RuntimeError):
     """A run directory is missing records or contains corrupt ones."""
 
 
-def write_generations(path: Path, records: list[GenerationRecord]) -> None:
-    """Serialize records as line-delimited JSON under a version header.
+def append_generation(path: Path, record: GenerationRecord) -> None:
+    """Append one record as a line of JSON, writing the version header
+    first when the file is new.
 
     Keys are sorted and no timestamps are included, so identical histories
     serialize byte-identically.
     """
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n")
-        for record in records:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-
-
-def append_generation(path: Path, record: GenerationRecord) -> None:
     if not path.exists():
         with path.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps({"schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n")

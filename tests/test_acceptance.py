@@ -34,7 +34,6 @@ from rtlevo.evolution import (
     EvolutionConfig,
     EvolutionEngine,
     offspring_quota,
-    run_evolution,
     survivor_select,
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights, compute_fitness
@@ -302,7 +301,8 @@ def test_criterion_05_selection_and_elitism():
         population_size=6, offspring_count=6, max_generations=20,
         elite_per_metric=1, rng_seed=7,
     )
-    result = run_evolution(SPEC, cfg, ScriptedProvider(_scripted_world()), SyntheticEvaluator())
+    provider = ScriptedProvider(_scripted_world())
+    result = EvolutionEngine(SPEC, cfg, provider, SyntheticEvaluator()).run()
     assert len(result.history) == 21
     last = float("-inf")
     for record in result.history:
@@ -318,7 +318,7 @@ def test_criterion_06_scripted_demo_determinism(tmp_path):
     config = ROOT / "demo" / "config.yaml"
     assert config.is_file()
 
-    def run_once(out_dir: Path) -> bytes:
+    def run_once(out_dir: Path) -> dict[str, bytes]:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "rtlevo.cli", "run",
@@ -331,13 +331,23 @@ def test_criterion_06_scripted_demo_determinism(tmp_path):
             timeout=120,
         )
         assert proc.returncode == 0, proc.stdout
-        return (out_dir / "generations.jsonl").read_bytes()
+        files = {
+            name: (out_dir / name).read_bytes()
+            for name in ("generations.jsonl", "transcripts.jsonl", "final_report.json")
+        }
+        # the snapshot repeats apart from output_dir, which follows --out
+        snapshot = (out_dir / "config_snapshot.yaml").read_text(encoding="utf-8")
+        assert str(out_dir) in snapshot
+        files["config_snapshot.yaml"] = snapshot.replace(str(out_dir), "OUT").encode()
+        return files
 
     first = run_once(tmp_path / "one")
     second = run_once(tmp_path / "two")
-    assert first == second
-    assert len(first) > 0
-    ok(6, f"two demo executions wrote byte-identical generation records ({len(first)} bytes)")
+    for name, data in first.items():
+        assert len(data) > 0, name
+        assert data == second[name], f"{name} differs between two demo runs"
+    sizes = ", ".join(f"{name} {len(data)} B" for name, data in first.items())
+    ok(6, f"two demo executions wrote byte-identical run directories ({sizes})")
 
 
 # --- 7 and 8: the stochastic closed world ------------------------------------
@@ -407,7 +417,8 @@ def test_criterion_07_pass_rate_lift():
             population_size=10, offspring_count=10, max_generations=10,
             elite_per_metric=1, rng_seed=trial,
         )
-        result = run_evolution(SPEC, cfg, StochasticWorld(1000 + trial), SyntheticEvaluator())
+        world = StochasticWorld(1000 + trial)
+        result = EvolutionEngine(SPEC, cfg, world, SyntheticEvaluator()).run()
         initial_rates.append(result.history[0].success_count / 10.0)
         final_rates.append(result.history[-1].success_count / 10.0)
     mean_initial = sum(initial_rates) / len(initial_rates)
@@ -426,9 +437,9 @@ def test_criterion_08_evolution_beats_sampling():
             population_size=10, offspring_count=10, max_generations=9,
             elite_per_metric=1, rng_seed=trial,
         )  # 10 + 9 x 10 = 100 evaluations
-        evolved = run_evolution(
+        evolved = EvolutionEngine(
             SPEC, evo_cfg, StochasticWorld(2000 + trial), SyntheticEvaluator()
-        )
+        ).run()
         sample_cfg = EvolutionConfig(
             population_size=100, offspring_count=1, max_generations=1,
             elite_per_metric=0, rng_seed=trial,

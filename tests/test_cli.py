@@ -1,12 +1,14 @@
 """End-to-end command line behavior, run in-process via main(argv)."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 import yaml
 
 from rtlevo.cli import EXIT_ABORT, EXIT_FOUND, EXIT_NOT_FOUND, main
+from rtlevo.config import load_config
 
 SCRIPT_OK = """\
 - match: strategy:initial
@@ -107,7 +109,7 @@ def test_run_final_report_contents(tmp_path):
     assert final["problem"] == "add2"
     assert final["generations"] == 3  # generation 0 plus two iterations
     assert final["best"]["fitness"] > 0
-    assert "timings" in final and final["timings"]["total_s"] > 0
+    assert "timings" not in final
     assert set(final["bandit_states"]) == {"fail", "success"}
 
 
@@ -252,3 +254,100 @@ def test_config_snapshot_holds_resolved_values(tmp_path):
     )
     assert snap["evolution"]["rng_seed"] == 42
     assert snap["evolution"]["weights"] == {"alpha": 0.5, "beta": 0.5, "gamma": 0.0}
+
+
+def _with_resolved_weights(cfg):
+    evolution = dataclasses.replace(cfg.evolution, weights=cfg.evolution.weights_for(cfg.problem))
+    return dataclasses.replace(cfg, evolution=evolution)
+
+
+def test_snapshot_reloads_scripted_synthetic(tmp_path, monkeypatch):
+    # a relative config path: the snapshot must not keep paths relative to
+    # the working directory
+    write_setup(tmp_path, config_overrides={"output_dir": "run"})
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "config.yaml"]) == EXIT_FOUND
+    reloaded = load_config(tmp_path / "run" / "config_snapshot.yaml")
+    assert reloaded == _with_resolved_weights(load_config("config.yaml"))
+
+
+def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
+    monkeypatch.delenv("RTLEVO_CLI_KEY", raising=False)
+    config = write_setup(
+        tmp_path,
+        config_overrides={
+            "provider": {
+                "kind": "http",
+                "endpoint_url": "http://127.0.0.1:9/v1",
+                "api_key_env_var": "RTLEVO_CLI_KEY",
+                "feedback_temperature": 0.3,
+                "max_retries": 0,
+            },
+            "evaluator": {
+                "kind": "toolchain",
+                "simulator_command": "echo all tests passed",
+                "synthesizer_command": "cat {code_file}",
+                "liberty_path": "",
+                "workdir_root": str(tmp_path / "work"),
+            },
+        },
+    )
+    # the run aborts at its first provider call (no API key), after the
+    # snapshot is written
+    assert main(["run", "--config", str(config)]) == EXIT_ABORT
+    cfg = load_config(config)
+    assert cfg.toolchain.liberty_path == ""
+    reloaded = load_config(tmp_path / "run" / "config_snapshot.yaml")
+    assert reloaded == _with_resolved_weights(cfg)
+    assert reloaded.provider.feedback_temperature == 0.3
+    assert reloaded.toolchain.workdir_root == str(tmp_path / "work")
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"evolution.population_size": "abc"}, "evolution.population_size"),
+        ({"problem.reference_ppa.area": None}, "problem.reference_ppa.area"),
+        (
+            {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "temperature": -1}},
+            "provider.temperature",
+        ),
+    ],
+)
+def test_bad_value_is_one_error_line(tmp_path, capsys, overrides, key):
+    config = write_setup(tmp_path, config_overrides=overrides)
+    assert main(["validate-config", "--config", str(config)]) == EXIT_ABORT
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: ") and key in lines[0]
+
+
+def test_null_means_default(tmp_path, capsys):
+    config = write_setup(
+        tmp_path,
+        config_overrides={"evolution.rng_seed": None, "evolution.max_generations": None},
+    )
+    assert main(["validate-config", "--config", str(config)]) == EXIT_FOUND
+    assert "G=20" in capsys.readouterr().out
+    assert load_config(config).evolution.rng_seed == 0
+
+
+def test_toolchain_run_keeps_workdir_root_contents(tmp_path):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "notes.txt").write_text("not the run's", encoding="utf-8")
+    config = write_setup(
+        tmp_path,
+        config_overrides={
+            "evaluator": {
+                "kind": "toolchain",
+                "simulator_command": "echo all tests passed",
+                "synthesizer_command": (
+                    "printf 'Chip area: 90\\nTotal power: 0.9\\nWorst slack: 0\\n'"
+                ),
+                "workdir_root": str(work),
+            },
+        },
+    )
+    assert main(["run", "--config", str(config)]) == EXIT_FOUND
+    assert [p.name for p in work.iterdir()] == ["notes.txt"]

@@ -289,12 +289,31 @@ def test_toolchain_evaluator_preflights_on_construction(tmp_path):
 
 
 def test_toolchain_cleanup_removes_scratch(tmp_path):
-    root = tmp_path / "scratch"
-    ev = ToolchainEvaluator(fake_cfg(), workdir_root=root)
+    parent = tmp_path / "scratch"
+    ev = ToolchainEvaluator(fake_cfg(workdir_root=str(parent)))
     ev.outcome_for("x", SPEC, 5)
-    assert root.exists()
+    (own,) = parent.iterdir()
+    assert own.name.startswith("rtlevo-")
+    assert (own / "ind_000005" / "design.v").exists()
     ev.cleanup()
-    assert not root.exists()
+    assert not own.exists()
+    assert parent.is_dir()
+
+
+def test_toolchain_cleanup_keeps_given_and_unrelated_files(tmp_path):
+    parent = tmp_path / "work"
+    parent.mkdir()
+    (parent / "notes.txt").write_text("mine", encoding="utf-8")
+    ev = ToolchainEvaluator(fake_cfg(workdir_root=str(parent)))
+    ev.outcome_for("x", SPEC, 1)
+    ev.cleanup()
+    assert [p.name for p in parent.iterdir()] == ["notes.txt"]
+
+    kept = tmp_path / "artifacts"
+    ev = ToolchainEvaluator(fake_cfg(), workdir_root=kept)
+    ev.outcome_for("x", SPEC, 1)
+    ev.cleanup()
+    assert (kept / "ind_000001" / "design.v").exists()
 
 
 # --- synthetic evaluator ----------------------------------------------------
@@ -405,7 +424,7 @@ def test_feedback_prompt_for_success_carries_both_ppa():
 def test_feedback_log_tail_truncation():
     provider = RecordingProvider()
     long_log = "x" * 9000 + "the real error is here"
-    generate_feedback(failing_individual(log=long_log), SPEC, provider, tail_chars=4000)
+    generate_feedback(failing_individual(log=long_log), SPEC, provider)
     sent = provider.bundles[0].user_text
     assert "the real error is here" in sent
     assert "..." in sent

@@ -17,7 +17,6 @@ from rtlevo.evolution import (
     EvolutionEngine,
     offspring_quota,
     roulette_weights,
-    run_evolution,
     select_parents,
     survivor_select,
 )
@@ -368,7 +367,7 @@ def demo_cfg(**overrides):
 
 def run_demo(**overrides):
     provider = ScriptedProvider(demo_script())
-    return run_evolution(SPEC, demo_cfg(**overrides), provider, SyntheticEvaluator())
+    return EvolutionEngine(SPEC, demo_cfg(**overrides), provider, SyntheticEvaluator()).run()
 
 
 def test_run_shape_and_found_correct():
@@ -452,7 +451,7 @@ def test_all_fail_world_stays_honest():
         script.append(ScriptEntry(f"strategy:{name}", reply("x", "m", bug=True), repeat=True))
     script.append(ScriptEntry("purpose:feedback", "fb", repeat=True))
     provider = ScriptedProvider(script)
-    result = run_evolution(SPEC, demo_cfg(), provider, SyntheticEvaluator())
+    result = EvolutionEngine(SPEC, demo_cfg(), provider, SyntheticEvaluator()).run()
     assert result.found_correct is False
     assert result.best.fitness == NEG_INF
     for record in result.history:
@@ -520,19 +519,22 @@ def test_engine_call_order_enforced():
 def test_record_sink_streams_records():
     seen = []
     provider = ScriptedProvider(demo_script())
-    run_evolution(SPEC, demo_cfg(), provider, SyntheticEvaluator(), record_sink=seen.append)
+    engine = EvolutionEngine(
+        SPEC, demo_cfg(), provider, SyntheticEvaluator(), record_sink=seen.append
+    )
+    engine.run()
     assert [r.generation_index for r in seen] == [0, 1, 2, 3]
 
 
 def test_parallel_evaluation_matches_sequential():
     def run_with(workers):
         provider = ScriptedProvider(demo_script())
-        result = run_evolution(
+        result = EvolutionEngine(
             SPEC,
             demo_cfg(max_parallel_evaluations=workers),
             provider,
             SyntheticEvaluator(),
-        )
+        ).run()
         return json.dumps([r.to_dict() for r in result.history], sort_keys=True)
 
     # slots draft concurrently; the scripted provider serves the keyed draft
@@ -560,12 +562,12 @@ class JitteredProvider:
 def test_concurrent_slots_replay_sequential_history_under_jitter(jitter_seed):
     def run_with(workers):
         provider = JitteredProvider(ScriptedProvider(demo_script()), f"{jitter_seed}/{workers}")
-        result = run_evolution(
+        result = EvolutionEngine(
             SPEC,
             demo_cfg(max_parallel_evaluations=workers),
             provider,
             SyntheticEvaluator(),
-        )
+        ).run()
         return json.dumps([r.to_dict() for r in result.history], sort_keys=True)
 
     # more workers than cores, switching threads often
@@ -633,7 +635,7 @@ def test_failed_slot_aborts_concurrent_generation():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_slot_drafts_overlap_up_to_the_worker_bound(workers):
     provider = OverlapCounter(ScriptedProvider(demo_script()), hold=workers > 1)
-    run_evolution(
+    EvolutionEngine(
         SPEC, demo_cfg(max_parallel_evaluations=workers), provider, SyntheticEvaluator()
-    )
+    ).run()
     assert provider.peak == workers

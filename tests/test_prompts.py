@@ -13,7 +13,6 @@ from rtlevo.prompts import (
     ParseError,
     PromptBundle,
     PromptStrategy,
-    TemplateSet,
     allowed_strategies,
     build_evolutionary_prompt,
     build_initial_prompt,
@@ -193,21 +192,3 @@ def test_template_unknown_placeholder():
     templates = default_templates()
     with pytest.raises(KeyError):
         templates.render("fix", {"functional_description": "d"})
-
-
-def test_template_directory_override(tmp_path):
-    for name in (
-        "system",
-        "initial",
-        "fix",
-        "simplify",
-        "explore",
-        "refactor",
-        "improve",
-        "fusion",
-    ):
-        (tmp_path / f"{name}.txt").write_text(f"custom {name}: {{functional_description}}")
-    custom = TemplateSet(tmp_path)
-    bundle = build_initial_prompt(SPEC, templates=custom)
-    assert bundle.user_text.startswith("custom initial:")
-    assert SPEC.functional_description in bundle.user_text

@@ -19,7 +19,6 @@ from rtlevo.reporting import (
     generation_bands,
     read_generations,
     render_report,
-    write_generations,
 )
 
 REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
@@ -101,7 +100,8 @@ def test_bands_partition_every_horizon():
 
 def test_write_read_roundtrip(tmp_path):
     records = two_records()
-    write_generations(tmp_path / GENERATIONS_FILE, records)
+    for record in records:
+        append_generation(tmp_path / GENERATIONS_FILE, record)
     back = read_generations(tmp_path)
     assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
 
@@ -153,7 +153,8 @@ def test_read_empty_history(tmp_path):
 
 def test_neg_inf_survives_roundtrip(tmp_path):
     records = two_records()
-    write_generations(tmp_path / GENERATIONS_FILE, records)
+    for record in records:
+        append_generation(tmp_path / GENERATIONS_FILE, record)
     back = read_generations(tmp_path)
     assert back[0].population[1].fitness == NEG_INF
 
