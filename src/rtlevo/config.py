@@ -83,9 +83,26 @@ def _given(section: dict) -> dict:
     return {key: value for key, value in section.items() if value is not None}
 
 
+def _integer(value) -> int:
+    """`int()` without its truncation: 5.9 and true are not integers."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    """Only YAML's true and false: `bool("no")` would be True."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+_STRICT_CASTS = {int: _integer, bool: _boolean}
+
+
 def _cast(value, cast, where: str):
     try:
-        return cast(value)
+        return _STRICT_CASTS.get(cast, cast)(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -242,7 +259,7 @@ def load_config(path: str | Path) -> RunConfig:
         toolchain=toolchain,
         synthetic=synthetic,
         output_dir=str(raw.get("output_dir", "runs/latest")),
-        keep_artifacts=bool(raw.get("keep_artifacts", False)),
+        keep_artifacts=_cast(raw.get("keep_artifacts", False), bool, "keep_artifacts"),
     )
 
 

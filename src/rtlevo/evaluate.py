@@ -459,15 +459,19 @@ def _feedback_prompt(ind: Individual, spec: ProblemSpec) -> str:
     )
 
 
-def generate_feedback(ind: Individual, spec: ProblemSpec, provider: Provider) -> str:
+def generate_feedback(
+    ind: Individual, spec: ProblemSpec, provider: Provider, key: tuple[int, int] | None = None
+) -> str:
     """Asks the provider to critique an evaluated individual; provider
-    failures degrade to a deterministic non-empty summary."""
+    failures degrade to a deterministic non-empty summary. `key` is the
+    engine's call key for the feedback prompt (see PromptBundle.key)."""
     if ind.outcome is None:
         raise ValueError("generate_feedback needs an evaluated individual")
     bundle = PromptBundle(
         system_text=default_templates().system_text(),
         user_text=_feedback_prompt(ind, spec),
         purpose="feedback",
+        key=key,
     )
     try:
         text = provider.complete(bundle).text.strip()
@@ -477,17 +481,26 @@ def generate_feedback(ind: Individual, spec: ProblemSpec, provider: Provider) ->
     return text or _fallback_feedback(ind, spec)
 
 
+def critique(
+    ind: Individual, spec: ProblemSpec, provider: Provider, key: tuple[int, int] | None = None
+) -> Individual:
+    """`ind` with its feedback filled in by one `generate_feedback` call.
+
+    The call looks `generate_feedback` up in this module at call time, so
+    a wrapper set on `rtlevo.evaluate.generate_feedback` sees every
+    critique."""
+    return dataclasses.replace(ind, feedback=generate_feedback(ind, spec, provider, key))
+
+
 def evaluate(
     ind: Individual,
     spec: ProblemSpec,
     evaluator: Evaluator,
-    provider: Provider,
     weights: FitnessWeights,
 ) -> Individual:
-    """Runs the full pipeline on one individual and returns it with
-    outcome, fitness, and feedback filled in."""
+    """Runs the tools on one individual and returns it with outcome and
+    fitness filled in. Its feedback stays unset: the engine asks for a
+    critique only when the individual is first chosen as a parent."""
     outcome = evaluator.outcome_for(ind.code, spec, ind.id)
     fitness = fitness_of(outcome, spec.reference_ppa, weights)
-    evaluated = dataclasses.replace(ind, outcome=outcome, fitness=fitness)
-    feedback = generate_feedback(evaluated, spec, provider)
-    return dataclasses.replace(evaluated, feedback=feedback)
+    return dataclasses.replace(ind, outcome=outcome, fitness=fitness)

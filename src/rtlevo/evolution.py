@@ -6,34 +6,45 @@ sub-population sizes, per-population bandit strategy selection, parent
 selection (uniform for Fail, roulette for Success), prompt/complete/parse,
 evaluation, bandit rewards, then survivor selection with per-metric elites.
 
+An individual's feedback is the critique its operator prompts carry. It is
+asked for once, when a slot first chooses the individual as a parent;
+individuals never chosen keep `feedback` None, and parse-failure
+placeholders carry a fixed text and are never critiqued.
+
 The engine thread plans every slot of a generation in slot order (quota,
-strategy from the frozen bandit scores, parents, prompt). Each slot then
-runs as one task, draft -> parse -> evaluate (simulate, synthesize,
-feedback), with up to `max_parallel_evaluations` tasks in flight; at one
-they run inline on the engine thread. The generation waits for all of its
-slots before rewards and survivor selection.
+strategy from the frozen bandit scores, parents). Each slot then runs as
+one task: the critiques of the parents it is the first to choose, its
+prompt, then draft -> parse -> evaluate (simulate, synthesize), with up to
+`max_parallel_evaluations` tasks in flight; at one they run inline on the
+engine thread. A slot that shares a parent with an earlier slot waits on
+that slot's critique instead of asking again. The generation waits for all
+of its slots before rewards and survivor selection, and the critiqued
+parents replace their uncritiqued copies in the population.
 
 Determinism: individual ids are claimed before any fan-out, each offspring
 slot gets its own RNG stream keyed by (seed, generation, slot), results
-join in slot order, and rewards are applied in slot order. Draft prompts
-carry their (generation, slot) key, which the scripted provider uses to
-serve them in slot order, so with a scripted provider and the synthetic
-evaluator a fixed seed replays bit-identically at any concurrency.
+join in slot order, and rewards are applied in slot order. Every provider
+call of a generation carries a key (generation, n), numbered on the engine
+thread in slot order with each slot's critiques before its draft; the
+scripted provider serves calls in key order, so with a scripted provider
+and the synthetic evaluator a fixed seed replays bit-identically at any
+concurrency.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 import random
 import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bandit import BanditState, record_reward, select_strategy
-from .evaluate import Evaluator, evaluate
+from .evaluate import Evaluator, critique, evaluate
 from .fitness import FitnessWeights
 from .llm import Provider
 from .model import (
@@ -50,7 +61,6 @@ from .prompts import (
     FAIL_STRATEGIES,
     SUCCESS_STRATEGIES,
     ParseError,
-    PromptBundle,
     PromptStrategy,
     allowed_strategies,
     build_evolutionary_prompt,
@@ -230,6 +240,20 @@ def survivor_select(
     return elites + pool[: cfg.population_size - len(elites)]
 
 
+@dataclass(frozen=True)
+class _Slot:
+    """One planned slot: the id it fills, the key of its draft call, its
+    operator and parents (none for generation 0), and `critiques`, the
+    parents it is the first to choose with the keys of their critique
+    calls, in parent order."""
+
+    ind_id: int
+    key: tuple[int, int]
+    strategy: PromptStrategy | None = None
+    parents: tuple[Individual, ...] = ()
+    critiques: tuple[tuple[Individual, tuple[int, int]], ...] = ()
+
+
 @dataclass
 class RunResult:
     best: Individual | None
@@ -277,18 +301,32 @@ class EvolutionEngine:
         self._next_id += count
         return ids
 
-    def _run_slot(self, ind_id: int, bundle: PromptBundle) -> Individual:
-        """One slot's task: draft, parse, then evaluate. The keyed draft
-        prompt carries the slot's generation, operator and parents. A
-        response that cannot be parsed becomes a placeholder that skips
-        evaluation."""
-        generation = bundle.key[0]
-        strategy = bundle.strategy.value if bundle.strategy else None
-        text = self.provider.complete(bundle).text
+    def _run_slot(self, slot: _Slot, critiques: dict[int, Future]) -> Individual:
+        """One slot's task: the critiques it owns, then its prompt, draft,
+        parse and evaluation. `critiques` maps each parent critiqued this
+        generation to its critiqued copy. A response that cannot be parsed
+        becomes a placeholder that skips evaluation."""
+        for parent, key in slot.critiques:
+            future = critiques[parent.id]
+            try:
+                future.set_result(critique(parent, self.spec, self.provider, key))
+            except BaseException as exc:
+                future.set_exception(exc)
+                raise
+        if slot.strategy is None:
+            bundle = build_initial_prompt(self.spec)
+        else:
+            parents = [
+                critiques[p.id].result() if p.id in critiques else p for p in slot.parents
+            ]
+            bundle = build_evolutionary_prompt(slot.strategy, self.spec, parents)
+        generation = slot.key[0]
+        strategy = slot.strategy.value if slot.strategy else None
+        text = self.provider.complete(dataclasses.replace(bundle, key=slot.key)).text
         try:
             thought, code = parse_llm_response(text)
         except ParseError as exc:
-            logger.warning("individual %d: unusable response (%s)", ind_id, exc)
+            logger.warning("individual %d: unusable response (%s)", slot.ind_id, exc)
             outcome = EvalOutcome(
                 sim_passed=False,
                 synth_succeeded=False,
@@ -302,7 +340,7 @@ class EvolutionEngine:
                 "containing complete Verilog."
             )
             return Individual(
-                id=ind_id,
+                id=slot.ind_id,
                 thought=PLACEHOLDER_THOUGHT,
                 code=PLACEHOLDER_CODE,
                 feedback=feedback,
@@ -313,24 +351,24 @@ class EvolutionEngine:
                 generation_born=generation,
             )
         drafted = Individual(
-            id=ind_id,
+            id=slot.ind_id,
             thought=thought,
             code=code,
             parent_ids=bundle.parent_ids,
             strategy=strategy,
             generation_born=generation,
         )
-        return evaluate(drafted, self.spec, self.evaluator, self.provider, self.weights)
+        return evaluate(drafted, self.spec, self.evaluator, self.weights)
 
-    def _run_slots(self, slots: list[tuple[int, PromptBundle]]) -> list[Individual]:
-        """Run each (id, draft prompt) slot as one task, up to
-        max_parallel_evaluations at a time, and join the results in slot
-        order.
+    def _run_slots(self, slots: list[_Slot], critiques: dict[int, Future]) -> list[Individual]:
+        """Run each slot as one task, up to max_parallel_evaluations at a
+        time, and join the results in slot order.
 
         Lanes take slots in slot order, and once a slot fails no lane takes
         another, so every slot that starts runs to its end and all slots
-        before it have started: a provider that serves drafts in slot order
-        never waits on a slot that will not come.
+        before it have started: a slot that waits on an earlier slot's
+        critique, or a provider that serves calls in key order, never waits
+        on a slot that will not come.
         """
         lanes = min(self.cfg.max_parallel_evaluations, len(slots))
         results: list[Individual] = [None] * len(slots)  # type: ignore[list-item]
@@ -345,7 +383,7 @@ class EvolutionEngine:
                 if slot is None:
                     return
                 try:
-                    results[j] = self._run_slot(*slot)
+                    results[j] = self._run_slot(slot, critiques)
                 except BaseException:
                     failed.set()
                     raise
@@ -396,10 +434,10 @@ class EvolutionEngine:
         if self.history:
             raise RuntimeError("engine already initialized")
         slots = [
-            (ind_id, dataclasses.replace(build_initial_prompt(self.spec), key=(0, j)))
+            _Slot(ind_id, key=(0, j))
             for j, ind_id in enumerate(self._claim_ids(self.cfg.population_size))
         ]
-        population = self._run_slots(slots)
+        population = self._run_slots(slots, {})
         return self._emit_record(0, population, [], [])
 
     def _plan_slot(
@@ -449,6 +487,8 @@ class EvolutionEngine:
         # selections all read this generation's frozen scores; rewards land
         # on the live states only after every offspring is evaluated
         frozen = {label: state.copy() for label, state in self.bandits.items()}
+        calls = itertools.count()
+        critiques: dict[int, Future] = {}
         slots = []
         plans = []
         for j in range(self.cfg.offspring_count):
@@ -458,10 +498,22 @@ class EvolutionEngine:
                 label, subpop = PopulationLabel.SUCCESS, success_pop
             rng = random.Random(f"{self.cfg.rng_seed}/{generation}/{j}")
             strategy, chosen, baseline = self._plan_slot(label, subpop, frozen[label], rng)
-            bundle = build_evolutionary_prompt(strategy, self.spec, chosen)
-            slots.append((ids[j], dataclasses.replace(bundle, key=(generation, j))))
+            # the first slot to choose an uncritiqued parent asks for its
+            # critique; later slots wait on that call
+            owned = []
+            for parent in chosen:
+                if parent.feedback is None and parent.id not in critiques:
+                    critiques[parent.id] = Future()
+                    owned.append((parent, (generation, next(calls))))
+            slots.append(
+                _Slot(ids[j], (generation, next(calls)), strategy, tuple(chosen), tuple(owned))
+            )
             plans.append((label, strategy, baseline))
-        offspring = self._run_slots(slots)
+        offspring = self._run_slots(slots, critiques)
+        critiqued = {ind_id: future.result() for ind_id, future in critiques.items()}
+        parents = [critiqued.get(p.id, p) for p in parents]
+        if self.best is not None:
+            self.best = critiqued.get(self.best.id, self.best)
         events = []
         for child, (label, strategy, baseline) in zip(offspring, plans):
             reward = self._reward_for(label, child, baseline)

@@ -62,10 +62,14 @@ class ProviderConfig:
     feedback_top_p: float | None = None
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError(f"provider.temperature must be >= 0, got {self.temperature!r}")
-        if not 0 < self.top_p <= 1:
-            raise ValueError(f"provider.top_p must be in (0, 1], got {self.top_p!r}")
+        for name in ("temperature", "feedback_temperature"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"provider.{name} must be >= 0, got {value!r}")
+        for name in ("top_p", "feedback_top_p"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value <= 1:
+                raise ValueError(f"provider.{name} must be in (0, 1], got {value!r}")
         if self.max_retries < 0:
             raise ValueError(f"provider.max_retries must be >= 0, got {self.max_retries!r}")
         if self.max_parallel_requests < 1:
@@ -304,10 +308,11 @@ class ScriptedProvider:
     matchers); having no entries left is `exhausted`, having entries but no
     match is `unmatched`.
 
-    Keyed calls, the engine's draft prompts, are served in slot order within
-    a generation: the call keyed (g, j) waits until the one keyed (g, j-1)
-    has been served, so concurrent slots consume entries as one slot at a
-    time would. Slot 0 never waits. Unkeyed calls are served in arrival
+    Keyed calls, the engine's critique and draft prompts, are served in key
+    order within a generation: the call keyed (g, n) waits until the one
+    keyed (g, n-1) has been served, so concurrent slots consume entries,
+    one-shot feedback entries included, as one slot at a time would. The
+    call keyed (g, 0) never waits. Unkeyed calls are served in arrival
     order.
     """
 

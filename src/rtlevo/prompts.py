@@ -75,9 +75,11 @@ def allowed_strategies(label: PopulationLabel) -> tuple[PromptStrategy, ...]:
 class PromptBundle:
     """One ready-to-send prompt: system text, user text, and provenance.
 
-    `key` is the (generation, slot) of the offspring slot a draft prompt
-    belongs to, set by the engine; providers that serve calls in a fixed
-    order use it. Other prompts carry no key.
+    `key` is (generation, n), set by the engine on every call it makes: n
+    numbers a generation's calls in slot order, each slot's critiques of
+    the parents it is the first to choose before its draft. Providers that
+    serve calls in a fixed order use it. Prompts built outside the engine
+    carry no key.
     """
 
     system_text: str
@@ -171,14 +173,17 @@ def build_evolutionary_prompt(
 _FENCE_RE = re.compile(r"^[ \t]*```[^\n`]*\n(.*?)\n?^[ \t]*```[ \t]*$", re.DOTALL | re.MULTILINE)
 _THOUGHT_HEADER_RE = re.compile(r"^#{1,4}[ \t]*thought\b[: \t]*$", re.IGNORECASE | re.MULTILINE)
 _ANY_HEADER_RE = re.compile(r"^#{1,4}[ \t]*\S.*$", re.MULTILINE)
+_MODULE_RE = re.compile(r"\bmodule\b")
 
 
 def parse_llm_response(text: str) -> tuple[str, str]:
     """Split a raw completion into (thought, code).
 
-    The code is the first fenced block, fence markers stripped; the thought
-    is the tagged section when present, otherwise all prose preceding the
-    code block (a degraded parse, logged).
+    The code is the first fenced block, fence markers stripped; it must
+    declare a module, since the prompts ask for a complete one and the
+    testbench can instantiate nothing else. The thought is the tagged
+    section when present, otherwise all prose preceding the code block (a
+    degraded parse, logged).
     """
     fence = _FENCE_RE.search(text)
     if fence is None:
@@ -186,6 +191,8 @@ def parse_llm_response(text: str) -> tuple[str, str]:
     code = fence.group(1).strip()
     if not code:
         raise ParseError("empty_code", "response's first fenced code block is empty")
+    if not _MODULE_RE.search(code):
+        raise ParseError("no_module", "response's first fenced code block declares no module")
 
     header = _THOUGHT_HEADER_RE.search(text)
     if header is not None and header.start() < fence.start():

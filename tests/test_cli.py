@@ -9,6 +9,8 @@ import yaml
 
 from rtlevo.cli import EXIT_ABORT, EXIT_FOUND, EXIT_NOT_FOUND, main
 from rtlevo.config import load_config
+from rtlevo.evolution import PLACEHOLDER_CODE
+from rtlevo.reporting import read_generations
 
 SCRIPT_OK = """\
 - match: strategy:initial
@@ -120,9 +122,15 @@ def test_run_transcript_covers_every_call(tmp_path):
     records = [json.loads(line) for line in lines]
     generates = [r for r in records if r["purpose"] == "generate"]
     feedbacks = [r for r in records if r["purpose"] == "feedback"]
-    # 3 initial + 3 offspring x 2 generations, one feedback per evaluation
+    # 3 initial + 3 offspring x 2 generations
     assert len(generates) == 9
-    assert len(feedbacks) == 9
+    # one critique per distinct evaluated individual ever chosen as a parent
+    history = read_generations(tmp_path / "run")
+    created = list(history[0].population) + [i for r in history[1:] for i in r.offspring]
+    evaluated = {ind.id for ind in created if ind.code != PLACEHOLDER_CODE}
+    parents = {pid for ind in created for pid in ind.parent_ids}
+    assert parents & evaluated
+    assert len(feedbacks) == len(parents & evaluated)
 
 
 def test_report_renders_summary(tmp_path, capsys):
@@ -311,6 +319,19 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
         (
             {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "temperature": -1}},
             "provider.temperature",
+        ),
+        # int() would truncate these to 5 and 3
+        ({"evolution.population_size": 5.9}, "evolution.population_size"),
+        ({"evolution.offspring_count": 3.9}, "evolution.offspring_count"),
+        # bool() would read any non-empty string as true
+        ({"keep_artifacts": "no"}, "keep_artifacts"),
+        (
+            {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "feedback_temperature": -5}},
+            "provider.feedback_temperature",
+        ),
+        (
+            {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "feedback_top_p": 7}},
+            "provider.feedback_top_p",
         ),
     ],
 )

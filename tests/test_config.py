@@ -133,6 +133,38 @@ def test_bad_population_size_names_field(tmp_path):
     assert "population_size" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("evolution.population_size", 5.9),
+        ("evolution.max_generations", True),
+        ("evolution.rng_seed", float("inf")),
+        ("keep_artifacts", "false"),
+        ("keep_artifacts", 1),
+    ],
+)
+def test_non_integral_int_and_non_boolean_bool_rejected(tmp_path, key, value):
+    path = write_config(tmp_path, overrides={key: value})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert key in str(err.value)
+
+
+def test_integral_values_still_load(tmp_path):
+    path = write_config(
+        tmp_path,
+        overrides={
+            "evolution.population_size": 6.0,
+            "evolution.offspring_count": "4",
+            "keep_artifacts": True,
+        },
+    )
+    cfg = load_config(path)
+    assert cfg.evolution.population_size == 6
+    assert cfg.evolution.offspring_count == 4
+    assert cfg.keep_artifacts is True
+
+
 def test_elite_budget_checked_against_population(tmp_path):
     path = write_config(
         tmp_path,

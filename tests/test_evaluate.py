@@ -17,6 +17,7 @@ from rtlevo.evaluate import (
     ToolchainEvaluator,
     ToolEnvironmentError,
     ReportError,
+    critique,
     evaluate,
     generate_feedback,
     parse_ppa_report,
@@ -459,33 +460,31 @@ def test_feedback_scripted_passthrough():
 # --- evaluate() composition -------------------------------------------------
 
 
-def test_evaluate_fills_outcome_fitness_feedback():
+def test_evaluate_fills_outcome_and_fitness_only():
     ind = Individual(
         id=7,
         thought="t",
         code="module m; endmodule\n// PPA: power=0.5 area=50 period=0.5\n",
-        feedback="",
         outcome=None,
         fitness=None,
     )
-    provider = RecordingProvider("looks lean")
-    done = evaluate(ind, SPEC, SyntheticEvaluator(), provider, WEIGHTS)
+    done = evaluate(ind, SPEC, SyntheticEvaluator(), WEIGHTS)
     assert done.outcome is not None
     assert done.outcome.sim_passed is True
     expected = compute_fitness(done.outcome.ppa, REF, WEIGHTS)
     assert done.fitness == expected == 0.5
-    assert done.feedback == "looks lean"
+    # the critique is asked for only when the engine picks it as a parent
+    assert done.feedback is None
     assert ind.outcome is None  # input untouched
 
 
 def test_evaluate_sim_failure_is_neg_inf():
     ind = Individual(
-        id=8, thought="t", code="// BUG\nmodule m; endmodule",
-        feedback="", outcome=None, fitness=None,
+        id=8, thought="t", code="// BUG\nmodule m; endmodule", outcome=None, fitness=None,
     )
-    done = evaluate(ind, SPEC, SyntheticEvaluator(), RecordingProvider(), WEIGHTS)
+    done = evaluate(ind, SPEC, SyntheticEvaluator(), WEIGHTS)
     assert done.fitness == NEG_INF
-    assert done.feedback
+    assert done.feedback is None
 
 
 def test_evaluate_synth_fail_sentinel():
@@ -500,8 +499,16 @@ def test_evaluate_synth_fail_sentinel():
         Individual(id=9, thought="t", code="c", feedback="", outcome=None, fitness=None),
         SPEC,
         SimPassNoPpa(),
-        RecordingProvider(),
         WEIGHTS,
     )
     assert done.fitness == SYNTH_FAIL_FITNESS
     assert done.fitness > NEG_INF
+
+
+def test_critique_fills_feedback_with_keyed_call():
+    provider = RecordingProvider("the carry bit is inverted")
+    done = critique(failing_individual(), SPEC, provider, key=(3, 1))
+    assert done.feedback == "the carry bit is inverted"
+    assert done.outcome == failing_individual().outcome
+    assert provider.bundles[0].purpose == "feedback"
+    assert provider.bundles[0].key == (3, 1)

@@ -22,7 +22,7 @@ from rtlevo.evolution import (
 )
 from rtlevo.evaluate import SyntheticEvaluator
 from rtlevo.fitness import SYNTH_FAIL_FITNESS
-from rtlevo.llm import ScriptedProvider, ScriptEntry, ScriptError
+from rtlevo.llm import ProviderError, ScriptedProvider, ScriptEntry, ScriptError
 from rtlevo.model import (
     NEG_INF,
     CircuitKind,
@@ -34,6 +34,7 @@ from rtlevo.model import (
     ProblemSpec,
 )
 from rtlevo.prompts import SUCCESS_STRATEGIES, PromptStrategy, render_response
+from rtlevo.reporting import append_generation
 
 REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
 
@@ -443,12 +444,13 @@ def test_different_seed_changes_history():
 
 
 def test_all_fail_world_stays_honest():
+    broken = reply("x", "module m; endmodule", bug=True)
     script = [
-        ScriptEntry("strategy:initial", reply("x", "m", bug=True), repeat=True),
+        ScriptEntry("strategy:initial", broken, repeat=True),
         ScriptEntry("purpose:", "never matched"),
     ]
     for name in ("fix", "simplify", "explore", "refactor", "improve", "fusion"):
-        script.append(ScriptEntry(f"strategy:{name}", reply("x", "m", bug=True), repeat=True))
+        script.append(ScriptEntry(f"strategy:{name}", broken, repeat=True))
     script.append(ScriptEntry("purpose:feedback", "fb", repeat=True))
     provider = ScriptedProvider(script)
     result = EvolutionEngine(SPEC, demo_cfg(), provider, SyntheticEvaluator()).run()
@@ -639,3 +641,162 @@ def test_slot_drafts_overlap_up_to_the_worker_bound(workers):
         SPEC, demo_cfg(max_parallel_evaluations=workers), provider, SyntheticEvaluator()
     ).run()
     assert provider.peak == workers
+
+
+# --- critiques on demand ----------------------------------------------------
+
+
+def one_shot_feedback_script(count=40):
+    """demo_script with its `repeat` feedback entry replaced by `count`
+    one-shot entries, so each critique consumes a distinct reply."""
+    script = [e for e in demo_script() if e.matcher != "purpose:feedback"]
+    return script + [ScriptEntry("purpose:feedback", f"critique {n}") for n in range(count)]
+
+
+@pytest.mark.parametrize("jitter_seed", range(3))
+def test_one_shot_feedback_entries_replay_at_any_worker_count(tmp_path, jitter_seed):
+    def run_with(workers):
+        path = tmp_path / f"generations-{workers}.jsonl"
+        provider = JitteredProvider(
+            ScriptedProvider(one_shot_feedback_script()), f"{jitter_seed}/{workers}"
+        )
+        engine = EvolutionEngine(
+            SPEC,
+            demo_cfg(max_parallel_evaluations=workers),
+            provider,
+            SyntheticEvaluator(),
+            record_sink=lambda record: append_generation(path, record),
+        )
+        # a slot left waiting on a critique or a key would hang the run
+        runner = threading.Thread(target=engine.run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        return path.read_bytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        sequential = run_with(1)
+        assert b"critique " in sequential
+        assert run_with(4) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class CallLog:
+    """Records every bundle sent to the inner provider, in call order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.bundles = []
+        self.lock = threading.Lock()
+
+    def complete(self, bundle):
+        with self.lock:
+            self.bundles.append(bundle)
+        return self.inner.complete(bundle)
+
+
+def test_critique_only_for_parents_and_carried_into_child_prompt():
+    provider = CallLog(ScriptedProvider(one_shot_feedback_script()))
+    result = EvolutionEngine(SPEC, demo_cfg(), provider, SyntheticEvaluator()).run()
+    critiques = [b for b in provider.bundles if b.purpose == "feedback"]
+    history = result.history
+    created = list(history[0].population) + [i for r in history[1:] for i in r.offspring]
+    chosen = {pid for ind in created for pid in ind.parent_ids}
+    evaluated_parents = chosen & {ind.id for ind in created if ind.code != PLACEHOLDER_CODE}
+    assert len(critiques) == len(evaluated_parents) > 0
+    # every reply parses, so critique n went to the n-th parent to be
+    # chosen; every later prompt naming that parent carries it verbatim
+    feedback_of = {}
+    for bundle in provider.bundles:
+        if bundle.purpose == "feedback":
+            continue
+        for pid in bundle.parent_ids:
+            if pid not in feedback_of:
+                feedback_of[pid] = f"critique {len(feedback_of)}"
+            assert feedback_of[pid] in bundle.user_text
+    for record in result.history:
+        for ind in record.population:
+            if ind.id in feedback_of:
+                assert ind.feedback in (None, feedback_of[ind.id])
+            elif ind.code != PLACEHOLDER_CODE:
+                assert ind.feedback is None
+    assert any(
+        ind.feedback == feedback_of[ind.id]
+        for record in result.history for ind in record.population if ind.id in feedback_of
+    )
+
+
+def test_calls_of_a_generation_are_keyed_in_slot_order():
+    provider = CallLog(ScriptedProvider(demo_script()))
+    EvolutionEngine(SPEC, demo_cfg(), provider, SyntheticEvaluator()).run()
+    by_generation = {}
+    for bundle in provider.bundles:
+        assert bundle.key is not None
+        by_generation.setdefault(bundle.key[0], []).append(bundle)
+    assert sorted(by_generation) == [0, 1, 2, 3]
+    for generation, bundles in by_generation.items():
+        # one worker makes the calls in key order, with no gaps
+        assert [b.key[1] for b in bundles] == list(range(len(bundles)))
+        drafts = [b for b in bundles if b.purpose == "generate"]
+        assert len(drafts) == 4
+        # a slot's critiques come before its draft, so a generation ends on one
+        assert bundles[-1].purpose == "generate"
+
+
+def test_failed_critique_call_falls_back_to_outcome_summary():
+    class FeedbackDown:
+        """Fails every feedback call after the scripted provider has
+        served it, so the keyed calls after it still get their turn."""
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, bundle):
+            result = self.inner.complete(bundle)
+            if bundle.purpose == "feedback":
+                raise ProviderError("transient", "endpoint is down")
+            return result
+
+    provider = CallLog(FeedbackDown(ScriptedProvider(demo_script())))
+    result = EvolutionEngine(SPEC, demo_cfg(), provider, SyntheticEvaluator()).run()
+    assert len(result.history) == 4
+    drafts = [b for b in provider.bundles if b.purpose == "generate" and b.parent_ids]
+    assert drafts
+    for bundle in drafts:
+        # the fallback summaries of a failing and of a passing parent
+        assert "Simulation failed. Log tail" in bundle.user_text or "PPA vs reference" in bundle.user_text
+
+
+def test_fix_reply_repeating_a_placeholder_becomes_a_placeholder():
+    class CountingEvaluator:
+        def __init__(self):
+            self.calls = 0
+
+        def outcome_for(self, code, spec, individual_id=0):
+            self.calls += 1
+            return SyntheticEvaluator().outcome_for(code, spec, individual_id)
+
+        def reference_ppa(self, code):
+            raise AssertionError("not used")
+
+    # generation 0 is all placeholders; every operator then hands the
+    # placeholder parent's own code back
+    script = [ScriptEntry("strategy:initial", "no fence here", repeat=True)]
+    script += [
+        ScriptEntry(f"strategy:{s.value}", render_response("same", PLACEHOLDER_CODE), repeat=True)
+        for s in PromptStrategy
+    ]
+    provider = CallLog(ScriptedProvider(script))
+    evaluator = CountingEvaluator()
+    result = EvolutionEngine(SPEC, demo_cfg(), provider, evaluator).run()
+    assert evaluator.calls == 0
+    assert all(b.purpose == "generate" for b in provider.bundles)
+    assert PromptStrategy.FIX in {b.strategy for b in provider.bundles}
+    for record in result.history[1:]:
+        for child in record.offspring:
+            assert child.code == PLACEHOLDER_CODE
+            assert "declares no module" in child.feedback
+            assert child.fitness == NEG_INF

@@ -57,6 +57,15 @@ def test_provider_config_feedback_overrides():
     assert cfg.sampling_for("feedback") == (0.2, 0.5)
 
 
+def test_provider_config_feedback_sampling_range_checked():
+    for kwargs in (dict(feedback_temperature=-5.0), dict(feedback_top_p=7.0), dict(feedback_top_p=0.0)):
+        with pytest.raises(ValueError) as err:
+            ProviderConfig(**kwargs)
+        assert next(iter(kwargs)) in str(err.value)
+    # None inherits the generation sampling
+    assert ProviderConfig(temperature=0.4, top_p=0.6).sampling_for("feedback") == (0.4, 0.6)
+
+
 def test_provider_config_validation():
     with pytest.raises(ValueError):
         ProviderConfig(temperature=-0.1)

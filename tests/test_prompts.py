@@ -174,6 +174,25 @@ def test_parse_empty_code_block():
     assert err.value.code == "empty_code"
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "// placeholder: the response could not be parsed",
+        "assign sum = a + b;",
+        "submodule_x u0(.a(a));  // modules are named, not declared",
+    ],
+)
+def test_parse_code_without_module_rejected(code):
+    with pytest.raises(ParseError) as err:
+        parse_llm_response(render_response("t", code))
+    assert err.value.code == "no_module"
+
+
+def test_parse_accepts_module_after_preamble():
+    code = "`timescale 1ns/1ps\n// adder\nmodule m(input a, output y);\n  assign y = a;\nendmodule"
+    assert parse_llm_response(render_response("t", code))[1] == code
+
+
 def test_parse_missing_thought_degrades_to_prose(caplog):
     text = "I went with a simple approach here.\n\n```verilog\nmodule m; endmodule\n```"
     with caplog.at_level(logging.WARNING, logger="rtlevo.prompts"):
