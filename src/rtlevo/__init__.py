@@ -1,155 +1,4 @@
 """Evolutionary RTL generation: LLM prompt operators, dual populations,
 bandit-adapted strategy selection, and PPA-driven survivor selection."""
 
-from .bandit import (
-    UNTRIED_SCORE,
-    BanditState,
-    StrategyStats,
-    record_reward,
-    select_strategy,
-    softmax,
-    ucb_score,
-)
-from .config import RunConfig, load_config
-from .evaluate import (
-    FEEDBACK_LOG_TAIL_CHARS,
-    Evaluator,
-    ReportError,
-    SyntheticEvaluator,
-    SyntheticEvaluatorConfig,
-    ToolchainConfig,
-    ToolchainEvaluator,
-    ToolEnvironmentError,
-    evaluate,
-    generate_feedback,
-    parse_ppa_report,
-    simulate,
-    synthesize,
-)
-from .evolution import (
-    EvolutionConfig,
-    EvolutionEngine,
-    RunResult,
-    offspring_quota,
-    select_parents,
-    survivor_select,
-)
-from .fitness import (
-    MIN_EFFECTIVE_PERIOD,
-    SYNTH_FAIL_FITNESS,
-    FitnessWeights,
-    compute_fitness,
-    effective_period,
-    fitness_of,
-)
-from .llm import (
-    CompletionResult,
-    HttpChatProvider,
-    Provider,
-    ProviderConfig,
-    ProviderError,
-    ScriptedProvider,
-    ScriptEntry,
-    ScriptError,
-    TranscriptingProvider,
-    TranscriptWriter,
-)
-from .model import (
-    NEG_INF,
-    CircuitKind,
-    ConfigError,
-    EvalOutcome,
-    GenerationRecord,
-    Individual,
-    PopulationLabel,
-    PpaMetrics,
-    ProblemSpec,
-    StrategyEvent,
-    classify,
-)
-from .prompts import (
-    FAIL_STRATEGIES,
-    SUCCESS_STRATEGIES,
-    ParseError,
-    PromptBundle,
-    PromptStrategy,
-    TemplateSet,
-    allowed_strategies,
-    build_evolutionary_prompt,
-    build_initial_prompt,
-    default_templates,
-    parse_llm_response,
-    render_response,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "NEG_INF",
-    "SYNTH_FAIL_FITNESS",
-    "MIN_EFFECTIVE_PERIOD",
-    "UNTRIED_SCORE",
-    "FEEDBACK_LOG_TAIL_CHARS",
-    "FAIL_STRATEGIES",
-    "SUCCESS_STRATEGIES",
-    "CircuitKind",
-    "PopulationLabel",
-    "PpaMetrics",
-    "ProblemSpec",
-    "EvalOutcome",
-    "Individual",
-    "StrategyEvent",
-    "GenerationRecord",
-    "ConfigError",
-    "classify",
-    "FitnessWeights",
-    "compute_fitness",
-    "effective_period",
-    "fitness_of",
-    "BanditState",
-    "StrategyStats",
-    "ucb_score",
-    "record_reward",
-    "softmax",
-    "select_strategy",
-    "PromptStrategy",
-    "PromptBundle",
-    "TemplateSet",
-    "ParseError",
-    "allowed_strategies",
-    "build_initial_prompt",
-    "build_evolutionary_prompt",
-    "default_templates",
-    "parse_llm_response",
-    "render_response",
-    "Provider",
-    "ProviderConfig",
-    "ProviderError",
-    "CompletionResult",
-    "HttpChatProvider",
-    "ScriptedProvider",
-    "ScriptEntry",
-    "ScriptError",
-    "TranscriptWriter",
-    "TranscriptingProvider",
-    "Evaluator",
-    "ToolchainConfig",
-    "ToolchainEvaluator",
-    "ToolEnvironmentError",
-    "ReportError",
-    "SyntheticEvaluator",
-    "SyntheticEvaluatorConfig",
-    "simulate",
-    "synthesize",
-    "parse_ppa_report",
-    "generate_feedback",
-    "evaluate",
-    "EvolutionConfig",
-    "EvolutionEngine",
-    "RunResult",
-    "offspring_quota",
-    "select_parents",
-    "survivor_select",
-    "RunConfig",
-    "load_config",
-]

@@ -57,15 +57,12 @@ EXIT_NOT_FOUND = 2
 _ABORT_ERRORS = (ConfigError, ToolEnvironmentError, ProviderError, ScriptError, RunDirError)
 
 
-def _build_provider(cfg: RunConfig, transcript: TranscriptWriter | None) -> Provider:
+def _build_provider(cfg: RunConfig, transcript: TranscriptWriter) -> Provider:
     if cfg.provider_kind == "http":
         assert cfg.provider is not None
         return HttpChatProvider(cfg.provider, transcript=transcript)
     assert cfg.script_path is not None
-    provider: Provider = ScriptedProvider.from_file(cfg.script_path)
-    if transcript is not None:
-        provider = TranscriptingProvider(provider, transcript)
-    return provider
+    return TranscriptingProvider(ScriptedProvider.from_file(cfg.script_path), transcript)
 
 
 def _build_evaluator(cfg: RunConfig, workdir_root: Path | None) -> Evaluator:
@@ -145,7 +142,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "found_correct": result.found_correct,
         "best": result.best.to_dict() if result.best is not None else None,
         "reference_ppa": cfg.problem.reference_ppa.to_dict(),
-        "bandit_states": result.bandit_snapshots,
+        "bandit_states": result.history[-1].bandit_states,
         "generations": len(result.history),
     }
     (run_dir / FINAL_REPORT_FILE).write_text(

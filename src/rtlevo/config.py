@@ -1,14 +1,15 @@
 """Run configuration: a YAML file resolved into typed config objects.
 
 One builder, `_build`, makes each config dataclass (EvolutionConfig,
-ProviderConfig, ToolchainConfig, FitnessWeights, PpaMetrics, ProblemSpec)
-from its YAML section. The allowed keys are the field names, each value is
-cast to its field's type (`X | None` casts as X), `null` means the field's
-default, and a value the cast or the dataclass rejects becomes a
-ConfigError naming the key. Unknown keys are errors (typos should not
-silently become defaults). Omitted hyperparameters take the dataclass
-defaults: N=10, λ=10, G=20, n=1, R=1, c=2.0, τ=1.0, sampling temperature
-1.0, top_p 0.95, clock period 0.01 ns, weights chosen by circuit kind.
+ProviderConfig, ToolchainConfig, SyntheticEvaluatorConfig, FitnessWeights,
+PpaMetrics, ProblemSpec) from its YAML section. The allowed keys are the
+field names, each value is cast to its field's type (`X | None` casts as
+X), `null` means the field's default, and a value the cast or the
+dataclass rejects becomes a ConfigError naming the key. Unknown keys are
+errors (typos should not silently become defaults). Omitted
+hyperparameters take the dataclass defaults: N=10, λ=10, G=20, n=1, R=1,
+c=2.0, τ=1.0, sampling temperature 1.0, top_p 0.95, clock period 0.01 ns,
+weights chosen by circuit kind.
 
 Explicit here: `kind`, the problem section's own key names and files, and
 `clock_period`, which defaults to `problem.target_clock_period`. Paths are
@@ -221,9 +222,7 @@ def _load_evaluator(
 ) -> tuple[str, ToolchainConfig | None, SyntheticEvaluatorConfig | None]:
     kind, fields = _split_kind(section, "evaluator", EVALUATOR_KINDS)
     if kind == "synthetic":
-        _check_keys(fields, ("seed",), "evaluator")
-        seed = _cast(_given(fields).get("seed", 0), int, "evaluator.seed")
-        return kind, None, SyntheticEvaluatorConfig(seed=seed)
+        return kind, None, _build(SyntheticEvaluatorConfig, fields, "evaluator")
     resolved = {}
     if fields.get("clock_period") is None:
         resolved["clock_period"] = problem.target_clock_period
@@ -274,11 +273,7 @@ def snapshot_dict(cfg: RunConfig) -> dict:
         provider = {"kind": cfg.provider_kind, **dataclasses.asdict(cfg.provider)}
     else:
         provider = {"kind": cfg.provider_kind, "script_file": cfg.script_path}
-    if cfg.toolchain is not None:
-        evaluator = {"kind": cfg.evaluator_kind, **dataclasses.asdict(cfg.toolchain)}
-    else:
-        assert cfg.synthetic is not None
-        evaluator = {"kind": cfg.evaluator_kind, "seed": cfg.synthetic.seed}
+    evaluator = {"kind": cfg.evaluator_kind, **dataclasses.asdict(cfg.toolchain or cfg.synthetic)}
     return {
         "problem": {
             "name": problem.name,

@@ -21,7 +21,6 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -146,12 +145,13 @@ def _command_executables(template: str) -> list[str]:
 
 
 def preflight(cfg: ToolchainConfig) -> None:
-    """Checks executables and the liberty file before any individual runs."""
-    missing = []
-    for template in (cfg.simulator_command, cfg.synthesizer_command):
-        for name in _command_executables(template):
-            if shutil.which(name) is None:
-                missing.append(name)
+    """Checks every stage's executables, and the liberty file, before any
+    individual runs."""
+    stages = (cfg.simulator_command, cfg.synthesizer_command, cfg.post_synth_command)
+    missing = [
+        name for template in stages for name in _command_executables(template)
+        if shutil.which(name) is None
+    ]
     if missing:
         raise ToolEnvironmentError(
             f"required executables not found on PATH: {', '.join(sorted(set(missing)))}"
@@ -346,12 +346,10 @@ _PPA_MARKER_RE = re.compile(
 
 @dataclass(frozen=True)
 class SyntheticEvaluatorConfig:
-    """Pure stand-in rules; default pass rule is "no BUG marker in the code"
-    and default PPA comes from a `// PPA: power=.. area=.. period=..` marker
-    or, failing that, a hash of (seed, code)."""
+    """Pure stand-in rules: code passes when it has no BUG marker, and its
+    PPA comes from a `// PPA: power=.. area=.. period=..` marker or, failing
+    that, a hash of (seed, code)."""
 
-    pass_predicate: Callable[[str], bool] | None = None
-    ppa_function: Callable[[str], PpaMetrics] | None = None
     seed: int = 0
 
 
@@ -359,14 +357,7 @@ class SyntheticEvaluator:
     def __init__(self, config: SyntheticEvaluatorConfig | None = None):
         self.config = config or SyntheticEvaluatorConfig()
 
-    def _passes(self, code: str) -> bool:
-        if self.config.pass_predicate is not None:
-            return bool(self.config.pass_predicate(code))
-        return FAIL_MARKER not in code
-
     def _ppa(self, code: str) -> PpaMetrics:
-        if self.config.ppa_function is not None:
-            return self.config.ppa_function(code)
         marker = _PPA_MARKER_RE.search(code)
         if marker:
             power, area, period = (float(g) for g in marker.groups())
@@ -383,7 +374,7 @@ class SyntheticEvaluator:
         )
 
     def outcome_for(self, code: str, spec: ProblemSpec, individual_id: int = 0) -> EvalOutcome:
-        if not self._passes(code):
+        if FAIL_MARKER in code:
             return EvalOutcome(
                 sim_passed=False, synth_succeeded=False, ppa=None,
                 sim_log="synthetic simulation: FAILED (pass rule rejected the code)",
@@ -460,7 +451,7 @@ def _feedback_prompt(ind: Individual, spec: ProblemSpec) -> str:
 
 
 def generate_feedback(
-    ind: Individual, spec: ProblemSpec, provider: Provider, key: tuple[int, int] | None = None
+    ind: Individual, spec: ProblemSpec, provider: Provider, key: tuple[int, int]
 ) -> str:
     """Asks the provider to critique an evaluated individual; provider
     failures degrade to a deterministic non-empty summary. `key` is the
@@ -482,7 +473,7 @@ def generate_feedback(
 
 
 def critique(
-    ind: Individual, spec: ProblemSpec, provider: Provider, key: tuple[int, int] | None = None
+    ind: Individual, spec: ProblemSpec, provider: Provider, key: tuple[int, int]
 ) -> Individual:
     """`ind` with its feedback filled in by one `generate_feedback` call.
 

@@ -259,7 +259,6 @@ class RunResult:
     best: Individual | None
     found_correct: bool
     history: list[GenerationRecord]
-    bandit_snapshots: dict[str, dict]
 
 
 class EvolutionEngine:
@@ -527,9 +526,6 @@ class EvolutionEngine:
             best=self.best,
             found_correct=self.found_correct,
             history=list(self.history),
-            bandit_snapshots={
-                label.value: state.snapshot() for label, state in self.bandits.items()
-            },
         )
 
     def run(self) -> RunResult:

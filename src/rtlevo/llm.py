@@ -324,10 +324,6 @@ class ScriptedProvider:
         self._last_key: tuple[int, int] | None = None
 
     @classmethod
-    def from_script(cls, script: list[tuple[str, str]]) -> "ScriptedProvider":
-        return cls([ScriptEntry(matcher, response) for matcher, response in script])
-
-    @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedProvider":
         import yaml
 
@@ -347,10 +343,6 @@ class ScriptedProvider:
                 ScriptEntry(str(item["match"]), str(response), bool(item.get("repeat", False)))
             )
         return cls(entries)
-
-    def remaining(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def complete(self, bundle: PromptBundle) -> CompletionResult:
         key = bundle.key

@@ -2,6 +2,9 @@
 feedback generation."""
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import random
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from rtlevo.evaluate import (
     _command_executables,
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights, compute_fitness
-from rtlevo.llm import CompletionResult, ProviderError, ScriptedProvider
+from rtlevo.llm import CompletionResult, ProviderError, ScriptEntry, ScriptedProvider
 from rtlevo.model import NEG_INF, CircuitKind, EvalOutcome, Individual, PpaMetrics, ProblemSpec
 
 REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
@@ -42,6 +45,21 @@ SPEC = ProblemSpec(
 )
 
 WEIGHTS = FitnessWeights(alpha=0.5, beta=0.5, gamma=0.0)
+
+# the engine's call key of a feedback prompt: generation 1, first call
+KEY = (1, 0)
+
+
+def test_package_names_do_not_shadow_submodules():
+    import rtlevo
+    import rtlevo.evaluate as evaluate_module
+
+    assert inspect.ismodule(evaluate_module)
+    for info in pkgutil.iter_modules(rtlevo.__path__):
+        if info.name == "__main__":
+            continue
+        importlib.import_module(f"rtlevo.{info.name}")
+        assert inspect.ismodule(getattr(rtlevo, info.name)), info.name
 
 
 def fake_cfg(**overrides):
@@ -289,6 +307,19 @@ def test_toolchain_evaluator_preflights_on_construction(tmp_path):
         ToolchainEvaluator(cfg, workdir_root=tmp_path)
 
 
+def test_toolchain_evaluator_preflights_post_synth_stage(tmp_path):
+    cfg = fake_cfg(
+        simulator_command="true",
+        synthesizer_command="true",
+        post_synth_command="rtlevo-no-such-tool {workdir}",
+    )
+    with pytest.raises(ToolEnvironmentError) as err:
+        ToolchainEvaluator(cfg, workdir_root=tmp_path / "w")
+    assert "rtlevo-no-such-tool" in str(err.value)
+    # raised before any individual ran
+    assert not (tmp_path / "w").exists()
+
+
 def test_toolchain_cleanup_removes_scratch(tmp_path):
     parent = tmp_path / "scratch"
     ev = ToolchainEvaluator(fake_cfg(workdir_root=str(parent)))
@@ -357,17 +388,6 @@ def test_synthetic_seed_changes_hash_ppa():
     assert a != b
 
 
-def test_synthetic_callable_overrides():
-    cfg = SyntheticEvaluatorConfig(
-        pass_predicate=lambda code: "ok" in code,
-        ppa_function=lambda code: PpaMetrics(1.0, 2.0, 3.0),
-    )
-    ev = SyntheticEvaluator(cfg)
-    assert ev.outcome_for("nope", SPEC).sim_passed is False
-    outcome = ev.outcome_for("ok", SPEC)
-    assert outcome.ppa == PpaMetrics(1.0, 2.0, 3.0)
-
-
 def test_synthetic_pass_log_matches_default_pass_pattern():
     import re
 
@@ -403,7 +423,7 @@ def passing_individual():
 
 def test_feedback_prompt_for_failure_carries_context():
     provider = RecordingProvider("the carry bit is inverted")
-    text = generate_feedback(failing_individual(), SPEC, provider)
+    text = generate_feedback(failing_individual(), SPEC, provider, KEY)
     assert text == "the carry bit is inverted"
     sent = provider.bundles[0]
     assert sent.purpose == "feedback"
@@ -414,7 +434,7 @@ def test_feedback_prompt_for_failure_carries_context():
 
 def test_feedback_prompt_for_success_carries_both_ppa():
     provider = RecordingProvider("try a smaller adder")
-    generate_feedback(passing_individual(), SPEC, provider)
+    generate_feedback(passing_individual(), SPEC, provider, KEY)
     sent = provider.bundles[0]
     assert "power=0.8" in sent.user_text
     assert "area=90" in sent.user_text
@@ -425,7 +445,7 @@ def test_feedback_prompt_for_success_carries_both_ppa():
 def test_feedback_log_tail_truncation():
     provider = RecordingProvider()
     long_log = "x" * 9000 + "the real error is here"
-    generate_feedback(failing_individual(log=long_log), SPEC, provider)
+    generate_feedback(failing_individual(log=long_log), SPEC, provider, KEY)
     sent = provider.bundles[0].user_text
     assert "the real error is here" in sent
     assert "..." in sent
@@ -433,14 +453,14 @@ def test_feedback_log_tail_truncation():
 
 
 def test_feedback_provider_outage_degrades_to_fallback():
-    text = generate_feedback(failing_individual(), SPEC, FailingProvider())
+    text = generate_feedback(failing_individual(), SPEC, FailingProvider(), KEY)
     assert text
     assert "Simulation failed" in text
     assert "expected sum 2 got 3" in text
 
 
 def test_feedback_empty_reply_degrades_to_fallback():
-    text = generate_feedback(passing_individual(), SPEC, RecordingProvider(reply="  "))
+    text = generate_feedback(passing_individual(), SPEC, RecordingProvider(reply="  "), KEY)
     assert text
     assert "0.8" in text and "90" in text
 
@@ -448,12 +468,12 @@ def test_feedback_empty_reply_degrades_to_fallback():
 def test_feedback_requires_evaluated_individual():
     ind = Individual(id=1, thought="t", code="c", feedback="", outcome=None, fitness=None)
     with pytest.raises(ValueError):
-        generate_feedback(ind, SPEC, RecordingProvider())
+        generate_feedback(ind, SPEC, RecordingProvider(), KEY)
 
 
 def test_feedback_scripted_passthrough():
-    provider = ScriptedProvider.from_script([("purpose:feedback", "bug: reset polarity")])
-    text = generate_feedback(failing_individual(), SPEC, provider)
+    provider = ScriptedProvider([ScriptEntry("purpose:feedback", "bug: reset polarity")])
+    text = generate_feedback(failing_individual(), SPEC, provider, KEY)
     assert text == "bug: reset polarity"
 
 

@@ -423,7 +423,7 @@ def test_rewards_match_offspring_outcomes():
 def test_bandit_pull_totals_cover_all_offspring():
     result = run_demo()
     pulls = 0
-    for snapshot in result.bandit_snapshots.values():
+    for snapshot in result.history[-1].bandit_states.values():
         pulls += snapshot["total_pulls"]
     assert pulls == 3 * 4
 
@@ -458,7 +458,7 @@ def test_all_fail_world_stays_honest():
     assert result.best.fitness == NEG_INF
     for record in result.history:
         assert record.success_count == 0
-    success_pulls = result.bandit_snapshots["success"]["total_pulls"]
+    success_pulls = result.history[-1].bandit_states["success"]["total_pulls"]
     assert success_pulls == 0
 
 

@@ -83,8 +83,8 @@ def test_provider_config_validation():
 
 
 def test_scripted_strategy_matcher_initial_vs_operator():
-    provider = ScriptedProvider.from_script(
-        [("strategy:fix", "fixed"), ("strategy:initial", "first")]
+    provider = ScriptedProvider(
+        [ScriptEntry("strategy:fix", "fixed"), ScriptEntry("strategy:initial", "first")]
     )
     first = provider.complete(bundle())
     assert first.text == "first"
@@ -92,31 +92,38 @@ def test_scripted_strategy_matcher_initial_vs_operator():
         bundle(strategy=PromptStrategy.FIX, parents=(3,))
     )
     assert fixed.text == "fixed"
-    assert provider.remaining() == 0
+    # both one-shot entries were consumed
+    with pytest.raises(ScriptError) as err:
+        provider.complete(bundle())
+    assert err.value.kind == "exhausted"
 
 
 def test_scripted_strategy_matcher_ignores_feedback_purpose():
-    provider = ScriptedProvider.from_script(
-        [("strategy:initial", "gen"), ("purpose:feedback", "fb")]
+    provider = ScriptedProvider(
+        [ScriptEntry("strategy:initial", "gen"), ScriptEntry("purpose:feedback", "fb")]
     )
     # A feedback bundle has no strategy, but "strategy:initial" must not
     # swallow it; the purpose matcher should.
     out = provider.complete(bundle(purpose="feedback"))
     assert out.text == "fb"
-    assert provider.remaining() == 1
+    # only the feedback entry was consumed; the initial one is still served
+    with pytest.raises(ScriptError) as err:
+        provider.complete(bundle(purpose="feedback"))
+    assert err.value.kind == "unmatched"
+    assert provider.complete(bundle()).text == "gen"
 
 
 def test_scripted_substring_matcher():
-    provider = ScriptedProvider.from_script(
-        [("ripple carry", "match-a"), ("counter", "match-b")]
+    provider = ScriptedProvider(
+        [ScriptEntry("ripple carry", "match-a"), ScriptEntry("counter", "match-b")]
     )
     assert provider.complete(bundle(user="design a counter")).text == "match-b"
     assert provider.complete(bundle(user="a ripple carry adder")).text == "match-a"
 
 
 def test_scripted_fifo_consume_once():
-    provider = ScriptedProvider.from_script(
-        [("strategy:initial", "one"), ("strategy:initial", "two")]
+    provider = ScriptedProvider(
+        [ScriptEntry("strategy:initial", "one"), ScriptEntry("strategy:initial", "two")]
     )
     assert provider.complete(bundle()).text == "one"
     assert provider.complete(bundle()).text == "two"
@@ -126,16 +133,19 @@ def test_scripted_fifo_consume_once():
 
 
 def test_scripted_repeat_entry_not_consumed():
+    # a consumed entry would hand the next call to the one-shot entry behind it
     provider = ScriptedProvider(
-        [ScriptEntry("strategy:initial", "again", repeat=True)]
+        [
+            ScriptEntry("strategy:initial", "again", repeat=True),
+            ScriptEntry("strategy:initial", "never"),
+        ]
     )
     for _ in range(5):
         assert provider.complete(bundle()).text == "again"
-    assert provider.remaining() == 1
 
 
 def test_scripted_unmatched_vs_exhausted():
-    provider = ScriptedProvider.from_script([("strategy:fix", "x")])
+    provider = ScriptedProvider([ScriptEntry("strategy:fix", "x")])
     with pytest.raises(ScriptError) as err:
         provider.complete(bundle())  # entries exist, none match
     assert err.value.kind == "unmatched"
@@ -150,8 +160,8 @@ def keyed(slot, generation=0, **kwargs):
 
 
 def test_scripted_keyed_drafts_are_served_in_slot_order():
-    provider = ScriptedProvider.from_script(
-        [("strategy:initial", f"reply {i}") for i in range(4)]
+    provider = ScriptedProvider(
+        [ScriptEntry("strategy:initial", f"reply {i}") for i in range(4)]
     )
     got = {}
 
@@ -173,7 +183,7 @@ def test_scripted_keyed_drafts_are_served_in_slot_order():
 
 
 def test_scripted_failed_keyed_call_still_ends_its_turn():
-    provider = ScriptedProvider.from_script([("strategy:initial", "only")])
+    provider = ScriptedProvider([ScriptEntry("strategy:initial", "only")])
     assert provider.complete(keyed(0)).text == "only"
     with pytest.raises(ScriptError):
         provider.complete(keyed(1))
@@ -438,7 +448,7 @@ def test_transcript_records_and_redacts(tmp_path, monkeypatch):
 def test_transcripting_provider_mirrors_success_and_failure(tmp_path):
     path = tmp_path / "t.jsonl"
     writer = TranscriptWriter(path)
-    inner = ScriptedProvider.from_script([("strategy:initial", "resp")])
+    inner = ScriptedProvider([ScriptEntry("strategy:initial", "resp")])
     provider = TranscriptingProvider(inner, writer)
     assert provider.complete(bundle()).text == "resp"
     with pytest.raises(ScriptError):
@@ -490,4 +500,7 @@ def test_parallel_scripted_calls_thread_safe():
     for t in threads:
         t.join()
     assert sorted(seen) == sorted(f"resp-{i}" for i in range(n))
-    assert provider.remaining() == 0
+    # every entry was served exactly once
+    with pytest.raises(ScriptError) as err:
+        provider.complete(bundle())
+    assert err.value.kind == "exhausted"

@@ -3,7 +3,6 @@ offspring quotas, parent selection, survivor selection, bandit rewards and
 the rules for on-demand critiques."""
 from __future__ import annotations
 
-import importlib
 import random
 import statistics
 import threading
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rtlevo.evaluate as evaluate_module
 from rtlevo.bandit import BanditState, record_reward
 from rtlevo.evaluate import SyntheticEvaluator
 from rtlevo.evolution import (
@@ -28,9 +28,6 @@ from rtlevo.model import PpaMetrics
 from rtlevo.prompts import PromptStrategy
 
 from test_acceptance import SPEC, StochasticWorld, _fail, _oracle_survivors, _success
-
-# `rtlevo.evaluate` is also the name of a function the package re-exports
-evaluate_module = importlib.import_module("rtlevo.evaluate")
 
 
 @given(
