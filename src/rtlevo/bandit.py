@@ -6,9 +6,10 @@ the engine is the single writer, so no locking is done here.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Returned for strategies that have never been pulled; compares greater than
 # any finite score so callers can give them absolute priority.
@@ -25,9 +26,12 @@ class StrategyStats:
 
 @dataclass
 class BanditState:
-    """Per-population strategy statistics plus selection hyperparameters."""
+    """Per-population strategy statistics plus selection hyperparameters.
 
-    stats: dict[str, StrategyStats]
+    Its fields are the keys of the snapshot each generation record keeps.
+    """
+
+    strategies: dict[str, StrategyStats]
     total_pulls: int = 0
     exploration_c: float = 2.0
     temperature: float = 1.0
@@ -43,30 +47,14 @@ class BanditState:
         cls, names: list[str], exploration_c: float = 2.0, temperature: float = 1.0
     ) -> "BanditState":
         return cls(
-            stats={name: StrategyStats() for name in names},
+            strategies={name: StrategyStats() for name in names},
             exploration_c=exploration_c,
             temperature=temperature,
         )
 
     def copy(self) -> "BanditState":
-        return BanditState(
-            stats={name: StrategyStats(s.q_value, s.pull_count) for name, s in self.stats.items()},
-            total_pulls=self.total_pulls,
-            exploration_c=self.exploration_c,
-            temperature=self.temperature,
-        )
-
-    def snapshot(self) -> dict:
-        """Plain-dict snapshot for persistence in generation records."""
-        return {
-            "strategies": {
-                name: {"q_value": s.q_value, "pull_count": s.pull_count}
-                for name, s in self.stats.items()
-            },
-            "total_pulls": self.total_pulls,
-            "exploration_c": self.exploration_c,
-            "temperature": self.temperature,
-        }
+        strategies = {name: dataclasses.replace(s) for name, s in self.strategies.items()}
+        return dataclasses.replace(self, strategies=strategies)
 
 
 def ucb_score(stats: StrategyStats, total_pulls: int, exploration_c: float) -> float:
@@ -86,9 +74,9 @@ def record_reward(state: BanditState, strategy: str, reward: float) -> BanditSta
     After the update Q equals the exact arithmetic mean of all rewards the
     strategy has received. Returns the (mutated) state for convenience.
     """
-    stats = state.stats.get(strategy)
+    stats = state.strategies.get(strategy)
     if stats is None:
-        raise ValueError(f"unknown strategy {strategy!r}; known: {sorted(state.stats)}")
+        raise ValueError(f"unknown strategy {strategy!r}; known: {sorted(state.strategies)}")
     stats.pull_count += 1
     stats.q_value += (reward - stats.q_value) / stats.pull_count
     state.total_pulls += 1
@@ -118,13 +106,13 @@ def select_strategy(
     e.g. when an operator is infeasible this generation. Deterministic given
     the rng state.
     """
-    names = list(state.stats) if allowed is None else [n for n in state.stats if n in allowed]
+    names = [n for n in state.strategies if allowed is None or n in allowed]
     if not names:
         raise ValueError("no strategies available for selection")
-    untried = [n for n in names if state.stats[n].pull_count == 0]
+    untried = [n for n in names if state.strategies[n].pull_count == 0]
     if untried:
         return untried[rng.randrange(len(untried))]
-    scores = [ucb_score(state.stats[n], state.total_pulls, state.exploration_c) for n in names]
+    scores = [ucb_score(state.strategies[n], state.total_pulls, state.exploration_c) for n in names]
     probs = softmax(scores, state.temperature)
     draw = rng.random()
     cumulative = 0.0

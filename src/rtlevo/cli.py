@@ -28,13 +28,11 @@ from .evolution import EvolutionEngine
 from .llm import (
     HttpChatProvider,
     Provider,
-    ProviderError,
     ScriptedProvider,
-    ScriptError,
     TranscriptingProvider,
     TranscriptWriter,
 )
-from .model import ConfigError, PpaMetrics
+from .model import ConfigError, PpaMetrics, build, to_plain
 from .prompts import build_initial_prompt
 from .reporting import (
     CONFIG_SNAPSHOT_FILE,
@@ -42,7 +40,6 @@ from .reporting import (
     GENERATIONS_FILE,
     SCHEMA_VERSION,
     TRANSCRIPTS_FILE,
-    RunDirError,
     append_generation,
     read_generations,
     render_report,
@@ -54,7 +51,8 @@ EXIT_FOUND = 0
 EXIT_ABORT = 1
 EXIT_NOT_FOUND = 2
 
-_ABORT_ERRORS = (ConfigError, ToolEnvironmentError, ProviderError, ScriptError, RunDirError)
+# every error the program raises on purpose, besides these two, is a RuntimeError
+_ABORT_ERRORS = (ConfigError, ToolEnvironmentError, RuntimeError)
 
 
 def _build_provider(cfg: RunConfig, transcript: TranscriptWriter) -> Provider:
@@ -108,29 +106,28 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _dry_run(cfg)
 
     run_dir = Path(cfg.output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / CONFIG_SNAPSHOT_FILE).write_text(
-        yaml.safe_dump(snapshot_dict(cfg), sort_keys=True), encoding="utf-8"
-    )
-    generations_path = run_dir / GENERATIONS_FILE
-    generations_path.unlink(missing_ok=True)
-    (run_dir / TRANSCRIPTS_FILE).unlink(missing_ok=True)
-
     secrets = []
     if cfg.provider is not None and cfg.provider.api_key_env_var:
         secrets.append(os.environ.get(cfg.provider.api_key_env_var, ""))
     transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, redact=secrets)
-
+    # parse the script and preflight the tools before touching the run
+    # directory, so a run that cannot start leaves the previous run intact
     provider = _build_provider(cfg, transcript)
     artifacts_dir = run_dir / "artifacts" if cfg.keep_artifacts else None
     evaluator = _build_evaluator(cfg, artifacts_dir)
     try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        for name in (GENERATIONS_FILE, TRANSCRIPTS_FILE, FINAL_REPORT_FILE):
+            (run_dir / name).unlink(missing_ok=True)
+        (run_dir / CONFIG_SNAPSHOT_FILE).write_text(
+            yaml.safe_dump(snapshot_dict(cfg), sort_keys=True), encoding="utf-8"
+        )
         result = EvolutionEngine(
             cfg.problem,
             cfg.evolution,
             provider,
             evaluator,
-            record_sink=lambda record: append_generation(generations_path, record),
+            record_sink=lambda record: append_generation(run_dir / GENERATIONS_FILE, record),
         ).run()
     finally:
         if isinstance(evaluator, ToolchainEvaluator):
@@ -140,8 +137,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "schema_version": SCHEMA_VERSION,
         "problem": cfg.problem.name,
         "found_correct": result.found_correct,
-        "best": result.best.to_dict() if result.best is not None else None,
-        "reference_ppa": cfg.problem.reference_ppa.to_dict(),
+        "best": to_plain(result.best),
+        "reference_ppa": to_plain(cfg.problem.reference_ppa),
         "bandit_states": result.history[-1].bandit_states,
         "generations": len(result.history),
     }
@@ -166,10 +163,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     reference = None
     snapshot_path = run_dir / CONFIG_SNAPSHOT_FILE
     if snapshot_path.is_file():
-        snapshot = yaml.safe_load(snapshot_path.read_text(encoding="utf-8"))
         try:
-            reference = PpaMetrics.from_dict(snapshot["problem"]["reference_ppa"])
-        except (TypeError, KeyError, ValueError):
+            snapshot = yaml.safe_load(snapshot_path.read_text(encoding="utf-8"))
+            reference = build(PpaMetrics, snapshot["problem"]["reference_ppa"])
+        except (TypeError, KeyError, ValueError, yaml.YAMLError):
             logger.warning("config snapshot has no usable reference PPA")
     print(render_report(records, reference), end="")
     return EXIT_FOUND
@@ -186,12 +183,14 @@ def cmd_ref_ppa(args: argparse.Namespace) -> int:
     finally:
         if isinstance(evaluator, ToolchainEvaluator):
             evaluator.cleanup()
-    print(json.dumps(ppa.to_dict(), sort_keys=True, indent=2))
+    print(json.dumps(to_plain(ppa), sort_keys=True, indent=2))
     return EXIT_FOUND
 
 
 def cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    if cfg.script_path is not None:
+        ScriptedProvider.from_file(cfg.script_path)
     print(
         f"config OK: problem={cfg.problem.name!r} "
         f"provider={cfg.provider_kind} evaluator={cfg.evaluator_kind} "
@@ -248,9 +247,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _ABORT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ABORT
-    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ABORT
 

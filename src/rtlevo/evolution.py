@@ -56,6 +56,7 @@ from .model import (
     ProblemSpec,
     StrategyEvent,
     classify,
+    to_plain,
 )
 from .prompts import (
     FAIL_STRATEGIES,
@@ -419,9 +420,7 @@ class EvolutionEngine:
             best_so_far=self.best,
             fail_count=fail_count,
             success_count=len(population) - fail_count,
-            bandit_states={
-                label.value: state.snapshot() for label, state in self.bandits.items()
-            },
+            bandit_states={label.value: to_plain(state) for label, state in self.bandits.items()},
         )
         self.history.append(record)
         if self._record_sink is not None:

@@ -41,9 +41,6 @@ class FitnessWeights:
             return cls(0.5, 0.5, 0.0)
         return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
-
 
 def effective_period(target_period: float, worst_slack: float) -> float:
     """Achieved-period estimate at a fixed synthesis clock: target minus worst slack.

@@ -19,7 +19,9 @@ from pathlib import Path
 from typing import Protocol
 
 import requests
+import yaml
 
+from .model import ConfigError, build
 from .prompts import PromptBundle, render_response
 
 logger = logging.getLogger(__name__)
@@ -27,6 +29,9 @@ logger = logging.getLogger(__name__)
 BACKOFF_BASE_SECONDS = 1.0
 BACKOFF_FACTOR = 2.0
 BACKOFF_JITTER = 0.25
+
+# How long a scripted call waits for its predecessor; scripted replies are instant
+KEYED_WAIT_SECONDS = 30.0
 
 
 class ProviderError(RuntimeError):
@@ -39,7 +44,7 @@ class ProviderError(RuntimeError):
 
 
 class ScriptError(RuntimeError):
-    """A scripted provider had no usable entry. `kind` is unmatched or exhausted."""
+    """A scripted provider had no usable entry. `kind` is unmatched, exhausted or stalled."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
@@ -99,7 +104,8 @@ class Provider(Protocol):
 
 
 class TranscriptWriter:
-    """Appends one JSON record per completion call to a .jsonl file.
+    """Appends one JSON record per completion call to a .jsonl file in an
+    existing directory.
 
     `redact` lists secret strings (API key values) that must never reach
     disk; any occurrence is replaced before writing.
@@ -107,7 +113,6 @@ class TranscriptWriter:
 
     def __init__(self, path: str | Path, redact: list[str] | None = None):
         self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._redact = [s for s in (redact or []) if s]
 
@@ -282,12 +287,12 @@ class ScriptEntry:
       anything else       substring of the combined system+user text
     """
 
-    matcher: str
+    match: str
     response: str
     repeat: bool = False
 
     def matches(self, bundle: PromptBundle) -> bool:
-        matcher = self.matcher.strip()
+        matcher = self.match.strip()
         lowered = matcher.lower()
         if lowered.startswith("strategy:"):
             name = lowered.split(":", 1)[1].strip()
@@ -312,8 +317,9 @@ class ScriptedProvider:
     order within a generation: the call keyed (g, n) waits until the one
     keyed (g, n-1) has been served, so concurrent slots consume entries,
     one-shot feedback entries included, as one slot at a time would. The
-    call keyed (g, 0) never waits. Unkeyed calls are served in arrival
-    order.
+    call keyed (g, 0) never waits, and a wait longer than
+    KEYED_WAIT_SECONDS is a ScriptError. Unkeyed calls are served in
+    arrival order.
     """
 
     def __init__(self, entries: list[ScriptEntry]):
@@ -325,32 +331,33 @@ class ScriptedProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedProvider":
-        import yaml
-
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(raw, list):
-            raise ValueError(f"script file {path} must contain a list of entries")
+        """A provider for a YAML list of ScriptEntry mappings, whose response
+        may also be a {thought, code} mapping; a bad file is a ConfigError."""
+        try:
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"script file {path} is not valid YAML: {exc}") from None
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"script file {path} must contain a non-empty list of entries")
         entries = []
         for i, item in enumerate(raw):
-            if not isinstance(item, dict) or "match" not in item or "response" not in item:
-                raise ValueError(f"script entry {i} needs 'match' and 'response' keys")
-            response = item["response"]
-            if isinstance(response, dict):
-                response = render_response(
-                    str(response.get("thought", "")), str(response.get("code", ""))
-                )
-            entries.append(
-                ScriptEntry(str(item["match"]), str(response), bool(item.get("repeat", False)))
-            )
+            if isinstance(item, dict) and isinstance(item.get("response"), dict):
+                reply = item["response"]
+                text = render_response(str(reply.get("thought", "")), str(reply.get("code", "")))
+                item = {**item, "response": text}
+            entries.append(build(ScriptEntry, item, f"script file {path}, entry {i}"))
         return cls(entries)
 
     def complete(self, bundle: PromptBundle) -> CompletionResult:
         key = bundle.key
         with self._lock:
-            if key is not None and key[1] > 0:
-                previous = (key[0], key[1] - 1)
-                self._lock.wait_for(lambda: self._last_key == previous)
             try:
+                if key is not None and key[1] > 0:
+                    previous = (key[0], key[1] - 1)
+                    if not self._lock.wait_for(
+                        lambda: self._last_key == previous, KEYED_WAIT_SECONDS
+                    ):
+                        raise ScriptError("stalled", f"the call keyed {previous} never came")
                 return self._consume(bundle)
             finally:
                 # a failed call still ends its turn, so later slots go on

@@ -1,9 +1,17 @@
-"""Core domain types: design candidates, PPA metrics, evaluation outcomes, run history."""
+"""Core domain types: design candidates, PPA metrics, evaluation outcomes, run history.
+
+The fields of each dataclass define every record the program writes
+(`to_plain`) or reads (`build`): config sections, history, script file.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 
 NEG_INF = float("-inf")
@@ -41,21 +49,6 @@ class PpaMetrics:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"PpaMetrics.{name} must be finite and >= 0, got {value!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "power": self.power,
-            "area": self.area,
-            "effective_clock_period": self.effective_clock_period,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PpaMetrics":
-        return cls(
-            power=float(data["power"]),
-            area=float(data["area"]),
-            effective_clock_period=float(data["effective_clock_period"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -97,28 +90,6 @@ class EvalOutcome:
         if self.ppa is not None and not self.synth_succeeded:
             raise ValueError("EvalOutcome.ppa requires synth_succeeded")
 
-    def to_dict(self) -> dict:
-        return {
-            "sim_passed": self.sim_passed,
-            "synth_succeeded": self.synth_succeeded,
-            "ppa": self.ppa.to_dict() if self.ppa is not None else None,
-            "sim_log": self.sim_log,
-            "synth_log": self.synth_log,
-            "post_synth_functional": self.post_synth_functional,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalOutcome":
-        ppa = data.get("ppa")
-        return cls(
-            sim_passed=bool(data["sim_passed"]),
-            synth_succeeded=bool(data["synth_succeeded"]),
-            ppa=PpaMetrics.from_dict(ppa) if ppa is not None else None,
-            sim_log=str(data["sim_log"]),
-            synth_log=str(data["synth_log"]),
-            post_synth_functional=data.get("post_synth_functional"),
-        )
-
 
 @dataclass(frozen=True)
 class Individual:
@@ -154,35 +125,6 @@ class Individual:
         if (self.strategy is None) != (len(self.parent_ids) == 0):
             raise ValueError("Individual.strategy and parent_ids must be set together")
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "thought": self.thought,
-            "code": self.code,
-            "feedback": self.feedback,
-            "outcome": self.outcome.to_dict() if self.outcome is not None else None,
-            "fitness": self.fitness,
-            "parent_ids": list(self.parent_ids),
-            "strategy": self.strategy,
-            "generation_born": self.generation_born,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Individual":
-        outcome = data.get("outcome")
-        fitness = data.get("fitness")
-        return cls(
-            id=int(data["id"]),
-            thought=str(data["thought"]),
-            code=str(data["code"]),
-            feedback=data.get("feedback"),
-            outcome=EvalOutcome.from_dict(outcome) if outcome is not None else None,
-            fitness=float(fitness) if fitness is not None else None,
-            parent_ids=tuple(int(p) for p in data.get("parent_ids", [])),
-            strategy=data.get("strategy"),
-            generation_born=int(data.get("generation_born", 0)),
-        )
-
 
 def classify(ind: Individual) -> PopulationLabel:
     """Assign the Fail/Success population label from the simulation verdict.
@@ -202,17 +144,6 @@ class StrategyEvent:
     label: PopulationLabel
     strategy: str
     reward: float
-
-    def to_dict(self) -> dict:
-        return {"label": self.label.value, "strategy": self.strategy, "reward": self.reward}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StrategyEvent":
-        return cls(
-            label=PopulationLabel(data["label"]),
-            strategy=str(data["strategy"]),
-            reward=float(data["reward"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -240,30 +171,119 @@ class GenerationRecord:
         if self.fail_count + self.success_count != len(self.population):
             raise ValueError("fail_count + success_count must equal the population size")
 
-    def to_dict(self) -> dict:
-        return {
-            "generation_index": self.generation_index,
-            "population": [ind.to_dict() for ind in self.population],
-            "offspring": [ind.to_dict() for ind in self.offspring],
-            "strategy_events": [ev.to_dict() for ev in self.strategy_events],
-            "best_so_far": self.best_so_far.to_dict() if self.best_so_far else None,
-            "fail_count": self.fail_count,
-            "success_count": self.success_count,
-            "bandit_states": self.bandit_states,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenerationRecord":
-        best = data.get("best_so_far")
-        return cls(
-            generation_index=int(data["generation_index"]),
-            population=tuple(Individual.from_dict(d) for d in data["population"]),
-            offspring=tuple(Individual.from_dict(d) for d in data.get("offspring", [])),
-            strategy_events=tuple(
-                StrategyEvent.from_dict(d) for d in data.get("strategy_events", [])
-            ),
-            best_so_far=Individual.from_dict(best) if best is not None else None,
-            fail_count=int(data["fail_count"]),
-            success_count=int(data["success_count"]),
-            bandit_states=dict(data.get("bandit_states", {})),
+# --- persistence ------------------------------------------------------------
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _integer(value) -> int:
+    """`int()` without its truncation: 5.9 and true are not integers."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    """Only true and false: `bool("no")` would be True."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+_STRICT_CASTS = {int: _integer, bool: _boolean}
+
+
+@functools.cache
+def _table(cls) -> tuple[tuple[str, object, bool, bool], ...]:
+    """(name, type, required, scalar) for each field of the dataclass `cls`,
+    worked out once per class; a scalar field's values are written as they are."""
+    hints = typing.get_type_hints(cls)
+    table = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        scalar = all(t in _SCALARS for t in typing.get_args(hint) or (hint,))
+        table.append((f.name, hint, required, scalar))
+    return tuple(table)
+
+
+def check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
+    unknown = sorted(str(k) for k in section if k not in allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) in {where}: {', '.join(unknown)}; allowed: {', '.join(allowed)}"
         )
+
+
+def require_map(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    return value
+
+
+def read_value(hint, value, where: str):
+    """`value` read as type `hint`, which `X | None` reads as X."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        hint = next(t for t in typing.get_args(hint) if t is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return build(hint, value, where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(read_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    try:
+        return _STRICT_CASTS.get(hint, hint)(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def build(cls, data, where: str = "", **resolved):
+    """An instance of the dataclass `cls` from a mapping of its fields.
+
+    The allowed keys are the field names of `cls`. Each non-null value is
+    read as its field's type: nested dataclasses and `tuple[X, ...]` lists
+    recursively, enums by value, integers and booleans strictly. Null means
+    the field's default, or None for a required field whose type admits
+    it. `resolved` gives fields the caller has already worked out. Every
+    error, the dataclass's own checks included, is a ConfigError; `where`
+    prefixes the key path it names.
+    """
+    require_map(data, where or "record")
+    table = _table(cls)
+    check_keys(data, tuple(name for name, *_ in table), where or "record")
+    kwargs = {}
+    for name, hint, required, _ in table:
+        path = f"{where}.{name}" if where else name
+        value = data.get(name)
+        if name in resolved:
+            kwargs[name] = resolved[name]
+        elif value is not None:
+            kwargs[name] = read_value(hint, value, path)
+        elif required:
+            if name not in data or type(None) not in typing.get_args(hint):
+                raise ConfigError(f"{path} is required")
+            kwargs[name] = None
+    try:
+        return cls(**kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def to_plain(value):
+    """`value` as JSON-ready data: a tuple becomes a list, an enum its value, a
+    dict a dict of plain values, and a dataclass (any other non-scalar) its fields."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, (tuple, list)):
+        return [to_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: to_plain(v) for key, v in value.items()}
+    if isinstance(value, enum.Enum):
+        return value.value
+    return {
+        name: getattr(value, name) if scalar else to_plain(getattr(value, name))
+        for name, _, _, scalar in _table(type(value))
+    }

@@ -6,7 +6,7 @@ import json
 import math
 from pathlib import Path
 
-from .model import GenerationRecord, Individual, PpaMetrics
+from .model import GenerationRecord, Individual, PpaMetrics, build, to_plain
 
 SCHEMA_VERSION = 1
 
@@ -28,17 +28,19 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
     """Append one record as a line of JSON, writing the version header
     first when the file is new.
 
-    Keys are sorted and no timestamps are included, so identical histories
-    serialize byte-identically.
+    The keys are the record's dataclass fields, sorted, and no timestamps
+    are included, so identical histories serialize byte-identically.
     """
     if not path.exists():
         with path.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps({"schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n")
     with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+        fh.write(json.dumps(to_plain(record), sort_keys=True) + "\n")
 
 
 def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
+    """Every record of a run's history, read with the loader that reads the
+    config; a corrupt record is a RunDirError naming it and its key path."""
     path = Path(run_dir) / GENERATIONS_FILE
     if not path.is_file():
         raise RunDirError(f"{path} not found; is this a run directory?")
@@ -56,8 +58,8 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
             if not line.strip():
                 continue
             try:
-                records.append(GenerationRecord.from_dict(json.loads(line)))
-            except (ValueError, TypeError, KeyError) as exc:
+                records.append(build(GenerationRecord, json.loads(line)))
+            except ValueError as exc:
                 raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
     if not records:
         raise RunDirError(f"{path}: contains no generation records")

@@ -143,7 +143,7 @@ def test_criterion_03_bandit_math():
         rewards = [rng.uniform(0, 1) for _ in range(rng.randrange(1, 30))]
         for r in rewards:
             record_reward(state, "s", r)
-        assert abs(state.stats["s"].q_value - math.fsum(rewards) / len(rewards)) <= 1e-12
+        assert abs(state.strategies["s"].q_value - math.fsum(rewards) / len(rewards)) <= 1e-12
 
     # (b) closed-form score
     score = ucb_score(StrategyStats(q_value=0.5, pull_count=4), total_pulls=10, exploration_c=2.0)
@@ -186,7 +186,7 @@ def test_criterion_04_bandit_adaptation():
         name = select_strategy(state, rng)
         p_success = 0.9 if name == "fix" else 0.1
         record_reward(state, name, 1.0 if rng.random() < p_success else 0.0)
-    scores = [ucb_score(state.stats[n], state.total_pulls, state.exploration_c) for n in names]
+    scores = [ucb_score(state.strategies[n], state.total_pulls, state.exploration_c) for n in names]
     probs = dict(zip(names, softmax(scores, state.temperature)))
     for name in names[1:]:
         assert probs["fix"] > probs[name], probs

@@ -14,6 +14,7 @@ from rtlevo.bandit import (
     softmax,
     ucb_score,
 )
+from rtlevo.model import to_plain
 
 
 def test_q_is_exact_arithmetic_mean():
@@ -24,8 +25,8 @@ def test_q_is_exact_arithmetic_mean():
         for r in rewards:
             record_reward(state, "a", r)
         mean = sum(rewards) / len(rewards)
-        assert abs(state.stats["a"].q_value - mean) <= 1e-12
-        assert state.stats["a"].pull_count == len(rewards)
+        assert abs(state.strategies["a"].q_value - mean) <= 1e-12
+        assert state.strategies["a"].pull_count == len(rewards)
         assert state.total_pulls == len(rewards)
 
 
@@ -102,7 +103,7 @@ def test_select_respects_allowed_subset():
 def test_selection_frequency_matches_softmax():
     # engineered scores [1, 0]: Q values 1 and 0, one pull each, c=0
     state = BanditState(
-        stats={"hi": StrategyStats(1.0, 1), "lo": StrategyStats(0.0, 1)},
+        strategies={"hi": StrategyStats(1.0, 1), "lo": StrategyStats(0.0, 1)},
         total_pulls=2,
         exploration_c=0.0,
         temperature=1.0,
@@ -117,13 +118,13 @@ def test_copy_and_snapshot_are_detached():
     state = BanditState.for_strategies(["a", "b"], exploration_c=1.5, temperature=0.7)
     record_reward(state, "a", 1.0)
     frozen = state.copy()
-    snap = state.snapshot()
+    snap = to_plain(state)
     record_reward(state, "a", 0.0)
-    assert frozen.stats["a"].q_value == 1.0
+    assert frozen.strategies["a"].q_value == 1.0
     assert frozen.total_pulls == 1
     assert snap["strategies"]["a"] == {"q_value": 1.0, "pull_count": 1}
     assert snap["exploration_c"] == 1.5 and snap["temperature"] == 0.7
-    assert state.stats["a"].q_value == 0.5
+    assert state.strategies["a"].q_value == 0.5
 
 
 def test_state_hyperparameter_validation():

@@ -145,6 +145,19 @@ def test_report_renders_summary(tmp_path, capsys):
     assert "gen 0" in out
 
 
+@pytest.mark.parametrize(
+    "snapshot", ["problem: [unclosed\n", "problem: {reference_ppa: {power: no}}\n", "[]\n"]
+)
+def test_report_without_a_usable_snapshot_omits_percentages(tmp_path, capsys, snapshot):
+    config = write_setup(tmp_path)
+    main(["run", "--config", str(config)])
+    (tmp_path / "run" / "config_snapshot.yaml").write_text(snapshot, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "run")]) == EXIT_FOUND
+    out = capsys.readouterr().out
+    assert "Reference PPA unavailable" in out and "Power improv." not in out
+
+
 def test_validate_config_ok(tmp_path, capsys):
     config = write_setup(tmp_path)
     assert main(["validate-config", "--config", str(config)]) == EXIT_FOUND
@@ -372,3 +385,53 @@ def test_toolchain_run_keeps_workdir_root_contents(tmp_path):
     )
     assert main(["run", "--config", str(config)]) == EXIT_FOUND
     assert [p.name for p in work.iterdir()] == ["notes.txt"]
+
+
+def test_run_that_cannot_start_keeps_the_previous_run(tmp_path, capsys):
+    config = write_setup(tmp_path)
+    assert main(["run", "--config", str(config)]) == EXIT_FOUND
+    run_dir = tmp_path / "run"
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    broken = write_setup(
+        tmp_path,
+        config_overrides={
+            "evaluator": {"kind": "toolchain", "simulator_command": "rtlevo-no-such-sim {code_file}"}
+        },
+    )
+    assert main(["run", "--config", str(broken)]) == EXIT_ABORT
+    assert "rtlevo-no-such-sim" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    assert main(["report", str(run_dir)]) == EXIT_FOUND
+
+
+def test_run_aborted_midway_leaves_no_stale_report(tmp_path):
+    config = write_setup(tmp_path)
+    assert main(["run", "--config", str(config)]) == EXIT_FOUND
+    # generation 0 completes, then the first operator prompt has no reply
+    initial_only = SCRIPT_OK.split("- match: strategy:fix")[0]
+    config = write_setup(tmp_path, script=initial_only)
+    assert main(["run", "--config", str(config)]) == EXIT_ABORT
+    run_dir = tmp_path / "run"
+    assert len(read_generations(run_dir)) == 1
+    assert not (run_dir / "final_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "script, key",
+    [
+        ("- {response: hi}\n", "entry 0.match is required"),
+        ("[]\n", "non-empty list"),
+        ("- match: [unclosed\n", "not valid YAML"),
+        ("- {match: 'purpose:feedback', response: hi, repeat: 'no'}\n", "entry 0.repeat"),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "validate-config"])
+def test_bad_script_is_one_error_line(tmp_path, capsys, script, key, command):
+    config = write_setup(tmp_path, script=script)
+    assert main([command, "--config", str(config)]) == EXIT_ABORT
+    # a YAML error's message spans lines; only its first says error:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[:1]
+    assert lines[0].startswith("error: script file ") and key in lines[0]
+    assert not (tmp_path / "run").exists()

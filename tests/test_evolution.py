@@ -22,6 +22,7 @@ from rtlevo.evolution import (
 )
 from rtlevo.evaluate import SyntheticEvaluator
 from rtlevo.fitness import SYNTH_FAIL_FITNESS
+from rtlevo import llm
 from rtlevo.llm import ProviderError, ScriptedProvider, ScriptEntry, ScriptError
 from rtlevo.model import (
     NEG_INF,
@@ -32,6 +33,7 @@ from rtlevo.model import (
     PopulationLabel,
     PpaMetrics,
     ProblemSpec,
+    to_plain,
 )
 from rtlevo.prompts import SUCCESS_STRATEGIES, PromptStrategy, render_response
 from rtlevo.reporting import append_generation
@@ -430,7 +432,7 @@ def test_bandit_pull_totals_cover_all_offspring():
 
 def test_runs_are_deterministic():
     def materialize(result):
-        return json.dumps([r.to_dict() for r in result.history], sort_keys=True)
+        return json.dumps([to_plain(r) for r in result.history], sort_keys=True)
 
     assert materialize(run_demo()) == materialize(run_demo())
 
@@ -438,8 +440,8 @@ def test_runs_are_deterministic():
 def test_different_seed_changes_history():
     a = run_demo(rng_seed=5)
     b = run_demo(rng_seed=6)
-    da = json.dumps([r.to_dict() for r in a.history], sort_keys=True)
-    db = json.dumps([r.to_dict() for r in b.history], sort_keys=True)
+    da = json.dumps([to_plain(r) for r in a.history], sort_keys=True)
+    db = json.dumps([to_plain(r) for r in b.history], sort_keys=True)
     assert da != db
 
 
@@ -537,7 +539,7 @@ def test_parallel_evaluation_matches_sequential():
             provider,
             SyntheticEvaluator(),
         ).run()
-        return json.dumps([r.to_dict() for r in result.history], sort_keys=True)
+        return json.dumps([to_plain(r) for r in result.history], sort_keys=True)
 
     # slots draft concurrently; the scripted provider serves the keyed draft
     # calls in slot order, so workers consume entries as one worker would
@@ -570,7 +572,7 @@ def test_concurrent_slots_replay_sequential_history_under_jitter(jitter_seed):
             provider,
             SyntheticEvaluator(),
         ).run()
-        return json.dumps([r.to_dict() for r in result.history], sort_keys=True)
+        return json.dumps([to_plain(r) for r in result.history], sort_keys=True)
 
     # more workers than cores, switching threads often
     interval = sys.getswitchinterval()
@@ -634,6 +636,49 @@ def test_failed_slot_aborts_concurrent_generation():
     assert engine.history == []
 
 
+class FailingFirstCritique:
+    """Raises on generation 1's first call, a critique, without passing it
+    on, and records the kind of every ScriptError the inner provider raises."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.script_errors = []
+
+    def complete(self, bundle):
+        if bundle.key == (1, 0):
+            assert bundle.purpose == "feedback"
+            time.sleep(0.3)
+            raise RuntimeError("critique failed")
+        try:
+            return self.inner.complete(bundle)
+        except ScriptError as exc:
+            self.script_errors.append(exc.kind)
+            raise
+
+
+def test_keyed_call_whose_predecessor_never_comes_stalls(monkeypatch):
+    monkeypatch.setattr(llm, "KEYED_WAIT_SECONDS", 1.0)
+    provider = FailingFirstCritique(ScriptedProvider(demo_script()))
+    engine = EvolutionEngine(
+        SPEC, demo_cfg(max_parallel_evaluations=2), provider, SyntheticEvaluator()
+    )
+    errors = []
+
+    def run():
+        try:
+            engine.run()
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    # slot 1 waits for slot 0's draft, which never comes
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive()
+    assert errors == ["critique failed"]
+    assert provider.script_errors == ["stalled"]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_slot_drafts_overlap_up_to_the_worker_bound(workers):
     provider = OverlapCounter(ScriptedProvider(demo_script()), hold=workers > 1)
@@ -649,7 +694,7 @@ def test_slot_drafts_overlap_up_to_the_worker_bound(workers):
 def one_shot_feedback_script(count=40):
     """demo_script with its `repeat` feedback entry replaced by `count`
     one-shot entries, so each critique consumes a distinct reply."""
-    script = [e for e in demo_script() if e.matcher != "purpose:feedback"]
+    script = [e for e in demo_script() if e.match != "purpose:feedback"]
     return script + [ScriptEntry("purpose:feedback", f"critique {n}") for n in range(count)]
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rtlevo.model import (
     NEG_INF,
@@ -15,7 +17,9 @@ from rtlevo.model import (
     PpaMetrics,
     ProblemSpec,
     StrategyEvent,
+    build,
     classify,
+    to_plain,
 )
 
 PPA = PpaMetrics(power=1.0, area=100.0, effective_clock_period=0.5)
@@ -44,7 +48,7 @@ def test_ppa_metrics_rejects_negative_and_non_finite():
 
 
 def test_ppa_metrics_roundtrip():
-    assert PpaMetrics.from_dict(PPA.to_dict()) == PPA
+    assert build(PpaMetrics, to_plain(PPA)) == PPA
 
 
 def test_problem_spec_validation():
@@ -115,9 +119,9 @@ def test_individual_json_roundtrip_with_neg_inf():
         parent_ids=(3,),
         generation_born=2,
     )
-    encoded = json.dumps(failed.to_dict(), sort_keys=True)
+    encoded = json.dumps(to_plain(failed), sort_keys=True)
     assert "-Infinity" in encoded
-    again = Individual.from_dict(json.loads(encoded))
+    again = build(Individual, json.loads(encoded))
     assert again == failed
 
 
@@ -133,9 +137,80 @@ def test_generation_record_roundtrip_and_count_invariant():
         success_count=2,
         bandit_states={"fail": {"total_pulls": 0}},
     )
-    again = GenerationRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+    again = build(GenerationRecord, json.loads(json.dumps(to_plain(record))))
     assert again == record
     with pytest.raises(ValueError):
         GenerationRecord(
             generation_index=0, population=pop, fail_count=0, success_count=1
         )
+
+
+# --- the one format: to_plain and build ------------------------------------
+
+texts = st.text(max_size=12)  # any code point, so non-ASCII too
+finite = st.floats(allow_nan=False, allow_infinity=False)
+ppas = st.builds(PpaMetrics, *[st.floats(0, 1e6, allow_nan=False)] * 3)
+
+
+@st.composite
+def outcomes(draw):
+    synth = draw(st.booleans())
+    return EvalOutcome(
+        sim_passed=draw(st.booleans()),
+        synth_succeeded=synth,
+        ppa=draw(st.none() | ppas) if synth else None,
+        sim_log=draw(texts),
+        synth_log=draw(texts),
+        post_synth_functional=draw(st.sampled_from([None, True, False])),
+    )
+
+
+@st.composite
+def individuals(draw):
+    outcome = draw(st.none() | outcomes())
+    if outcome is None:
+        fitness = None
+    else:
+        fitness = draw(finite) if outcome.sim_passed else NEG_INF
+    parent_ids = tuple(draw(st.lists(st.integers(0, 2**40), max_size=2)))
+    return Individual(
+        id=draw(st.integers(0, 2**40)),
+        thought=draw(texts),
+        code=draw(texts),
+        feedback=draw(st.none() | texts),
+        outcome=outcome,
+        fitness=fitness,
+        parent_ids=parent_ids,
+        strategy=draw(texts) if parent_ids else None,
+        generation_born=draw(st.integers(0, 1000)),
+    )
+
+
+@st.composite
+def records(draw):
+    population = tuple(draw(st.lists(individuals(), min_size=1, max_size=3)))
+    fail_count = draw(st.integers(0, len(population)))
+    return GenerationRecord(
+        generation_index=draw(st.integers(0, 1000)),
+        population=population,
+        offspring=tuple(draw(st.lists(individuals(), max_size=2))),
+        strategy_events=tuple(draw(st.lists(
+            st.builds(StrategyEvent, st.sampled_from(PopulationLabel), texts, finite), max_size=2
+        ))),
+        best_so_far=draw(st.none() | individuals()),
+        fail_count=fail_count,
+        success_count=len(population) - fail_count,
+        bandit_states=draw(st.dictionaries(
+            st.sampled_from(["fail", "success"]), st.dictionaries(texts, st.integers())
+        )),
+    )
+
+
+@given(individuals())
+def test_individual_survives_json(ind):
+    assert build(Individual, json.loads(json.dumps(to_plain(ind)))) == ind
+
+
+@given(records())
+def test_generation_record_survives_json(record):
+    assert build(GenerationRecord, json.loads(json.dumps(to_plain(record)))) == record

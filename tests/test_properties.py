@@ -108,11 +108,11 @@ def test_incremental_reward_mean_equals_arithmetic_mean(pulls):
     assert state.total_pulls == len(pulls)
     for name in ("fix", "explore"):
         rewards = [r for n, r in pulls if n == name]
-        stats = state.stats[name]
+        stats = state.strategies[name]
         assert stats.pull_count == len(rewards)
         if rewards:
             assert stats.q_value == pytest.approx(statistics.fmean(rewards), rel=1e-9, abs=1e-9)
-    assert state.stats["improve"].pull_count == 0
+    assert state.strategies["improve"].pull_count == 0
 
 
 class _CritiquingWorld:

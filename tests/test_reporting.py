@@ -5,12 +5,16 @@ import json
 
 import pytest
 
+from rtlevo.bandit import BanditState, record_reward
 from rtlevo.model import (
     NEG_INF,
     EvalOutcome,
     GenerationRecord,
     Individual,
+    PopulationLabel,
     PpaMetrics,
+    StrategyEvent,
+    to_plain,
 )
 from rtlevo.reporting import (
     GENERATIONS_FILE,
@@ -103,7 +107,7 @@ def test_write_read_roundtrip(tmp_path):
     for record in records:
         append_generation(tmp_path / GENERATIONS_FILE, record)
     back = read_generations(tmp_path)
-    assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
+    assert [to_plain(r) for r in back] == [to_plain(r) for r in records]
 
 
 def test_append_writes_header_once(tmp_path):
@@ -206,3 +210,94 @@ def test_report_band_membership():
     band_lines = [l for l in out.splitlines() if l.strip().startswith("gens")]
     assert any("0.9" in l for l in band_lines if "0-2" in l)
     assert any("0.5" in l for l in band_lines if "6-10" in l)
+
+
+# --- the one format ---------------------------------------------------------
+
+# A record with every field set, written by `append_generation` before the
+# format was defined by the dataclass fields; a renamed field changes it.
+FULL_RECORD_LINE = (
+    '{"bandit_states": {"fail": {"exploration_c": 1.5, '
+    '"strategies": {"fusion": {"pull_count": 0, "q_value": 0.0}, '
+    '"improve": {"pull_count": 1, "q_value": 1.0}}, "temperature": 0.7, '
+    '"total_pulls": 1}}, "best_so_far": {"code": "module add2; endmodule", '
+    '"feedback": null, "fitness": 0.25, "generation_born": 1, "id": 1, '
+    '"outcome": {"post_synth_functional": false, "ppa": {"area": 80.0, '
+    '"effective_clock_period": 1.0, "power": 0.7}, "sim_log": "all tests passed", '
+    '"sim_passed": true, "synth_log": "Chip area: 80", "synth_succeeded": true}, '
+    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}, '
+    '"fail_count": 1, "generation_index": 1, '
+    '"offspring": [{"code": "module add2; endmodule", "feedback": null, "fitness": 0.25, '
+    '"generation_born": 1, "id": 1, "outcome": {"post_synth_functional": false, '
+    '"ppa": {"area": 80.0, "effective_clock_period": 1.0, "power": 0.7}, '
+    '"sim_log": "all tests passed", "sim_passed": true, "synth_log": "Chip area: 80", '
+    '"synth_succeeded": true}, "parent_ids": [0], "strategy": "fix", '
+    '"thought": "\\u0394: ripple \\u2192 lookahead"}], '
+    '"population": [{"code": "module add2; endmodule // BUG", "feedback": "carry is lost", '
+    '"fitness": -Infinity, "generation_born": 0, "id": 0, '
+    '"outcome": {"post_synth_functional": null, "ppa": null, "sim_log": "FAIL: 1+1 != 2", '
+    '"sim_passed": false, "synth_log": "", "synth_succeeded": false}, "parent_ids": [], '
+    '"strategy": null, "thought": "no carry"}, {"code": "module add2; endmodule", '
+    '"feedback": null, "fitness": 0.25, "generation_born": 1, "id": 1, '
+    '"outcome": {"post_synth_functional": false, "ppa": {"area": 80.0, '
+    '"effective_clock_period": 1.0, "power": 0.7}, "sim_log": "all tests passed", '
+    '"sim_passed": true, "synth_log": "Chip area: 80", "synth_succeeded": true}, '
+    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}], '
+    '"strategy_events": [{"label": "fail", "reward": 1.0, "strategy": "fix"}], '
+    '"success_count": 1}'
+)
+
+
+def full_record():
+    state = BanditState.for_strategies(["improve", "fusion"], exploration_c=1.5, temperature=0.7)
+    record_reward(state, "improve", 1.0)
+    failed = Individual(
+        id=0, thought="no carry", code="module add2; endmodule // BUG", feedback="carry is lost",
+        outcome=EvalOutcome(False, False, None, sim_log="FAIL: 1+1 != 2"), fitness=NEG_INF,
+    )
+    child = Individual(
+        id=1, thought="Δ: ripple → lookahead", code="module add2; endmodule",
+        outcome=EvalOutcome(
+            True, True, PpaMetrics(0.7, 80.0, 1.0), sim_log="all tests passed",
+            synth_log="Chip area: 80", post_synth_functional=False,
+        ),
+        fitness=0.25, parent_ids=(0,), strategy="fix", generation_born=1,
+    )
+    return GenerationRecord(
+        generation_index=1, population=(failed, child), offspring=(child,),
+        strategy_events=(StrategyEvent(PopulationLabel.FAIL, "fix", 1.0),),
+        best_so_far=child, fail_count=1, success_count=1,
+        bandit_states={"fail": to_plain(state)},
+    )
+
+
+def test_record_line_is_pinned(tmp_path):
+    append_generation(tmp_path / GENERATIONS_FILE, full_record())
+    lines = (tmp_path / GENERATIONS_FILE).read_text(encoding="utf-8").splitlines()
+    assert lines[1] == FULL_RECORD_LINE
+    assert read_generations(tmp_path) == [full_record()]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["population"][1]["outcome"].update(sim_passed="no"),
+         "population[1].outcome.sim_passed: expected true or false, got 'no'"),
+        (lambda d: d["offspring"][0].update(parent_ids=[0.5]),
+         "offspring[0].parent_ids[0]: expected an integer, got 0.5"),
+        (lambda d: d["strategy_events"][0].update(label="neutral"),
+         "strategy_events[0].label: 'neutral' is not a valid PopulationLabel"),
+        (lambda d: d["best_so_far"]["outcome"].pop("sim_log"),
+         "best_so_far.outcome.sim_log is required"),
+        (lambda d: d["population"][0].update(extra=1), "unknown key(s) in population[0]: extra"),
+    ],
+)
+def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
+    data = json.loads(FULL_RECORD_LINE)
+    edit(data)
+    (tmp_path / GENERATIONS_FILE).write_text(
+        '{"schema_version": 1}\n' + json.dumps(data) + "\n", encoding="utf-8"
+    )
+    with pytest.raises(RunDirError) as err:
+        read_generations(tmp_path)
+    assert "generation record 0 is corrupt: " + message in str(err.value)
