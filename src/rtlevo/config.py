@@ -24,8 +24,6 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .evaluate import SyntheticEvaluatorConfig, ToolchainConfig
 from .evolution import EvolutionConfig
 from .llm import ProviderConfig
@@ -37,6 +35,7 @@ from .model import (
     build,
     check_keys,
     read_value,
+    read_yaml,
     require_map,
     to_plain,
 )
@@ -166,11 +165,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from None
-    raw = require_map(raw, "config")
+    raw = require_map(read_yaml(path, "config"), "config")
     check_keys(raw, TOP_KEYS, "config")
     raw = _given(raw)
     base = path.resolve().parent

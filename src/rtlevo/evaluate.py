@@ -16,11 +16,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
+import os
 import re
+import selectors
 import shlex
 import shutil
+import signal
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -33,6 +37,15 @@ from .prompts import PromptBundle, default_templates
 logger = logging.getLogger(__name__)
 
 FEEDBACK_LOG_TAIL_CHARS = 4000
+# A stored sim or synth log longer than LOG_CLIP_CHARS keeps its first
+# LOG_HEAD_CHARS characters, one cut marker line and the tail that feedback
+# reads; a clipped log is never longer than LOG_CLIP_CHARS.
+LOG_HEAD_CHARS = 1000
+LOG_CLIP_CHARS = LOG_HEAD_CHARS + 100 + FEEDBACK_LOG_TAIL_CHARS
+# A running stage's output is kept whole up to CAPTURE_BYTES, and beyond
+# that as its first and last CAPTURE_BYTES // 2 bytes around a cut marker,
+# so a runaway stage cannot fill memory and any ordinary report stays whole.
+CAPTURE_BYTES = 1 << 20
 
 DEFAULT_SIMULATOR_COMMAND = (
     "iverilog -g2012 -o {out_exe} {code_file} {testbench_file} && vvp {out_exe}"
@@ -162,24 +175,72 @@ def preflight(cfg: ToolchainConfig) -> None:
             raise ToolEnvironmentError(f"liberty file not readable: {cfg.liberty_path!r}")
 
 
+def _cut_marker(cut: int, unit: str) -> str:
+    return f"\n[... {cut} {unit} cut ...]\n"
+
+
+def _capture(proc: subprocess.Popen, deadline: float) -> tuple[bytes, bool]:
+    """The process's output, bounded by CAPTURE_BYTES, read until EOF or
+    the deadline; True when the deadline came first."""
+    half = CAPTURE_BYTES // 2
+    head = bytearray()
+    tail = bytearray()
+    total = 0
+    fd = proc.stdout.fileno()
+    timed_out = False
+    with selectors.DefaultSelector() as selector:
+        selector.register(fd, selectors.EVENT_READ)
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not selector.select(remaining):
+                timed_out = True
+                break
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                break
+            total += len(chunk)
+            room = half - len(head)
+            head += chunk[:room]
+            tail += chunk[room:]
+            if len(tail) > 2 * half:
+                del tail[:-half]
+    if total <= CAPTURE_BYTES:
+        return bytes(head + tail), timed_out
+    cut = total - len(head) - half
+    return bytes(head) + _cut_marker(cut, "bytes").encode() + bytes(tail[-half:]), timed_out
+
+
 def _run_shell(command: str, timeout: float, cwd: Path) -> tuple[int, str]:
-    try:
-        proc = subprocess.run(
-            command,
-            shell=True,
-            cwd=cwd,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            timeout=timeout,
-            text=True,
-            errors="replace",
-        )
-    except subprocess.TimeoutExpired as exc:
-        captured = exc.stdout or ""
-        if isinstance(captured, bytes):
-            captured = captured.decode(errors="replace")
+    """Runs `command` in a session of its own, whose processes are all
+    killed when the stage outlives `timeout`; its log keeps a bounded head
+    and tail (`_capture`)."""
+    with subprocess.Popen(
+        command,
+        shell=True,
+        cwd=cwd,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        start_new_session=True,
+    ) as proc:
+        try:
+            deadline = time.monotonic() + timeout
+            raw, timed_out = _capture(proc, deadline)
+            if not timed_out:
+                try:
+                    proc.wait(max(deadline - time.monotonic(), 0))
+                except subprocess.TimeoutExpired:
+                    timed_out = True
+        finally:
+            if proc.returncode is None:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+    # newlines as text mode reads them
+    captured = raw.decode(errors="replace").replace("\r\n", "\n").replace("\r", "\n")
+    if timed_out:
         return -1, f"{captured}\nTIMEOUT: stage exceeded {timeout:g}s and was killed"
-    log = proc.stdout or f"(no output, exit status {proc.returncode})"
+    log = captured or f"(no output, exit status {proc.returncode})"
     if proc.returncode == 127:
         raise ToolEnvironmentError(f"command not found while running: {command}\n{log}")
     return proc.returncode, log
@@ -393,6 +454,20 @@ class SyntheticEvaluator:
         return self._ppa(code)
 
 
+def clip_log(log: str) -> str:
+    """`log` as an outcome stores it: whole when it holds at most
+    LOG_CLIP_CHARS characters; otherwise stripped, and cut to its first
+    LOG_HEAD_CHARS characters, a marker line and its last
+    FEEDBACK_LOG_TAIL_CHARS characters, which is all `_log_tail` reads."""
+    if len(log) <= LOG_CLIP_CHARS:
+        return log
+    text = log.strip()
+    if len(text) <= LOG_CLIP_CHARS:
+        return text
+    cut = len(text) - LOG_HEAD_CHARS - FEEDBACK_LOG_TAIL_CHARS
+    return text[:LOG_HEAD_CHARS] + _cut_marker(cut, "characters") + text[-FEEDBACK_LOG_TAIL_CHARS:]
+
+
 def _log_tail(log: str, tail_chars: int) -> str:
     text = log.strip() or "(log is empty)"
     if len(text) <= tail_chars:
@@ -490,8 +565,12 @@ def evaluate(
     weights: FitnessWeights,
 ) -> Individual:
     """Runs the tools on one individual and returns it with outcome and
-    fitness filled in. Its feedback stays unset: the engine asks for a
-    critique only when the individual is first chosen as a parent."""
+    fitness filled in, its logs clipped (`clip_log`). Its feedback stays
+    unset: the engine asks for a critique only when the individual is first
+    chosen as a parent."""
     outcome = evaluator.outcome_for(ind.code, spec, ind.id)
+    sim_log, synth_log = clip_log(outcome.sim_log), clip_log(outcome.synth_log)
+    if (sim_log, synth_log) != (outcome.sim_log, outcome.synth_log):
+        outcome = dataclasses.replace(outcome, sim_log=sim_log, synth_log=synth_log)
     fitness = fitness_of(outcome, spec.reference_ppa, weights)
     return dataclasses.replace(ind, outcome=outcome, fitness=fitness)

@@ -19,9 +19,8 @@ from pathlib import Path
 from typing import Protocol
 
 import requests
-import yaml
 
-from .model import ConfigError, build
+from .model import ConfigError, build, read_yaml
 from .prompts import PromptBundle, render_response
 
 logger = logging.getLogger(__name__)
@@ -333,10 +332,7 @@ class ScriptedProvider:
     def from_file(cls, path: str | Path) -> "ScriptedProvider":
         """A provider for a YAML list of ScriptEntry mappings, whose response
         may also be a {thought, code} mapping; a bad file is a ConfigError."""
-        try:
-            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"script file {path} is not valid YAML: {exc}") from None
+        raw = read_yaml(path, f"script file {path}")
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"script file {path} must contain a non-empty list of entries")
         entries = []

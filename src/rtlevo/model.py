@@ -2,6 +2,7 @@
 
 The fields of each dataclass define every record the program writes
 (`to_plain`) or reads (`build`): config sections, history, script file.
+`read_yaml` reads the YAML files among them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import math
 import types
 import typing
 from dataclasses import dataclass, field
+from pathlib import Path
+
+import yaml
 
 NEG_INF = float("-inf")
 
@@ -192,7 +196,21 @@ def _boolean(value) -> bool:
     return value
 
 
-_STRICT_CASTS = {int: _integer, bool: _boolean}
+def _number(value) -> float:
+    """An int or a float: `float("0.5")` and `float(True)` would read."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _string(value) -> str:
+    """Only a string: `str({"a": 1})` would read."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+_STRICT_CASTS = {int: _integer, bool: _boolean, float: _number, str: _string}
 
 
 @functools.cache
@@ -236,7 +254,7 @@ def read_value(hint, value, where: str):
         return tuple(read_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     try:
         return _STRICT_CASTS.get(hint, hint)(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -245,11 +263,11 @@ def build(cls, data, where: str = "", **resolved):
 
     The allowed keys are the field names of `cls`. Each non-null value is
     read as its field's type: nested dataclasses and `tuple[X, ...]` lists
-    recursively, enums by value, integers and booleans strictly. Null means
-    the field's default, or None for a required field whose type admits
-    it. `resolved` gives fields the caller has already worked out. Every
-    error, the dataclass's own checks included, is a ConfigError; `where`
-    prefixes the key path it names.
+    recursively, enums by value, and integers, booleans, numbers and
+    strings strictly. Null means the field's default, or None for a
+    required field whose type admits it. `resolved` gives fields the
+    caller has already worked out. Every error, the dataclass's own checks
+    included, is a ConfigError; `where` prefixes the key path it names.
     """
     require_map(data, where or "record")
     table = _table(cls)
@@ -270,6 +288,20 @@ def build(cls, data, where: str = "", **resolved):
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def read_yaml(path: str | Path, what: str):
+    """The YAML document in `path`. A syntax error is a one-line ConfigError
+    naming `what` and, where PyYAML gives one, the line and column."""
+    try:
+        return yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        if mark is not None and problem is not None:
+            detail = f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
+        else:
+            detail = " ".join(str(exc).split())
+        raise ConfigError(f"{what} is not valid YAML: {detail}") from None
 
 
 def to_plain(value):

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -430,8 +432,42 @@ def test_run_aborted_midway_leaves_no_stale_report(tmp_path):
 def test_bad_script_is_one_error_line(tmp_path, capsys, script, key, command):
     config = write_setup(tmp_path, script=script)
     assert main([command, "--config", str(config)]) == EXIT_ABORT
-    # a YAML error's message spans lines; only its first says error:
     lines = capsys.readouterr().err.strip().splitlines()
-    assert [line for line in lines if line.startswith("error:")] == lines[:1]
+    assert len(lines) == 1, lines
     assert lines[0].startswith("error: script file ") and key in lines[0]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate-config"])
+def test_bad_config_yaml_is_one_error_line(tmp_path, capsys, command):
+    config = tmp_path / "config.yaml"
+    config.write_text("problem:\n  name: [add2\nevolution: {}\n", encoding="utf-8")
+    assert main([command, "--config", str(config)]) == EXIT_ABORT
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: config is not valid YAML: ")
+    assert "at line 3, column 1" in lines[0]
+
+
+# sha256 of the demo's deterministic outputs and of its `rtlevo report` text;
+# a change to any of them changes the behaviour the demo pins down
+DEMO_DIGESTS = {
+    "generations.jsonl": "e994ddf3c9d175719119ebf0f1d38b935d2f6db7aaa6926623809bc3a78ca220",
+    "transcripts.jsonl": "ad0fbf0a818eecf7cf91e8833275b3386d818b331178d8d7a12cdead2591f0f6",
+    "final_report.json": "f84f0bee184ba9787c4384b1c7e707a0b80e43288315c31ce367cdc0ceea241e",
+    "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
+}
+
+
+def test_demo_outputs_are_pinned(tmp_path, capsys):
+    demo = Path(__file__).resolve().parents[1] / "demo" / "config.yaml"
+    out = tmp_path / "demo"
+    assert main(["run", "--config", str(demo), "--out", str(out)]) == EXIT_FOUND
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_FOUND
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("generations.jsonl", "transcripts.jsonl", "final_report.json")
+    }
+    got["report"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == DEMO_DIGESTS

@@ -165,6 +165,42 @@ def test_integral_values_still_load(tmp_path):
     assert cfg.keep_artifacts is True
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("problem.reference_ppa.power", "0.5"),
+        ("problem.reference_ppa.area", True),
+        # float() would raise OverflowError, not a ConfigError
+        pytest.param("problem.reference_ppa.power", 10**400, id="power-10**400"),
+        ("problem.target_clock_period", "0.01"),
+        ("evolution.exploration_c", False),
+        ("problem.name", 7),
+    ],
+)
+def test_non_numeric_float_and_non_string_str_rejected(tmp_path, key, value):
+    path = write_config(tmp_path, overrides={key: value})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert key in str(err.value)
+
+
+def test_numbers_and_strings_still_load(tmp_path):
+    path = write_config(
+        tmp_path,
+        overrides={
+            "problem.reference_ppa.area": 100,
+            "provider": {
+                "kind": "http", "endpoint_url": "http://x/v1", "model_name": "m",
+                "temperature": 1,
+            },
+        },
+    )
+    cfg = load_config(path)
+    assert cfg.problem.reference_ppa.area == 100.0
+    assert cfg.provider.temperature == 1.0 and isinstance(cfg.provider.temperature, float)
+    assert cfg.provider.model_name == "m"
+
+
 def test_elite_budget_checked_against_population(tmp_path):
     path = write_config(
         tmp_path,

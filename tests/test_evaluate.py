@@ -6,14 +6,17 @@ import importlib
 import inspect
 import pkgutil
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from rtlevo.evaluate import (
+    CAPTURE_BYTES,
     DEFAULT_PASS_PATTERN,
     DEFAULT_SIMULATOR_COMMAND,
     DEFAULT_SYNTHESIZER_COMMAND,
+    LOG_CLIP_CHARS,
     SyntheticEvaluator,
     SyntheticEvaluatorConfig,
     ToolchainConfig,
@@ -28,6 +31,7 @@ from rtlevo.evaluate import (
     simulate,
     synthesize,
     _command_executables,
+    _run_shell,
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights, compute_fitness
 from rtlevo.llm import CompletionResult, ProviderError, ScriptEntry, ScriptedProvider
@@ -161,6 +165,44 @@ def test_stage_timeout_is_reported_not_raised(tmp_path):
     passed, log = simulate("x", SPEC, cfg, tmp_path / "t")
     assert passed is False
     assert "TIMEOUT" in log
+
+
+def test_runaway_stage_log_is_bounded_and_ends_with_timeout(tmp_path):
+    returncode, log = _run_shell("yes runaway", 0.3, tmp_path)
+    assert returncode == -1
+    assert len(log.encode()) <= CAPTURE_BYTES + 200
+    assert log.startswith("runaway\nrunaway\n")
+    assert "bytes cut ...]" in log
+    assert log.endswith("\nTIMEOUT: stage exceeded 0.3s and was killed")
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_timed_out_stage_leaves_no_process_behind(tmp_path):
+    returncode, log = _run_shell("sleep 30 & echo $! > pid; wait", 0.3, tmp_path)
+    assert returncode == -1 and "TIMEOUT:" in log
+    pid = int((tmp_path / "pid").read_text())
+    deadline = time.monotonic() + 5
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid)
+
+
+def test_long_finite_output_keeps_its_true_last_line(tmp_path):
+    # about 3.9 MB of output, more than CAPTURE_BYTES
+    returncode, log = _run_shell("seq 1 600000", 10.0, tmp_path)
+    assert returncode == 0
+    assert len(log.encode()) <= CAPTURE_BYTES + 200
+    assert log.startswith("1\n2\n3\n")
+    assert "bytes cut ...]" in log
+    assert log.splitlines()[-1] == "600000"
 
 
 def test_missing_tool_at_runtime_is_environment_error(tmp_path):
@@ -480,6 +522,19 @@ def test_feedback_scripted_passthrough():
 # --- evaluate() composition -------------------------------------------------
 
 
+class FixedOutcome:
+    """An evaluator whose every outcome is the given one."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def outcome_for(self, code, spec, individual_id=0):
+        return self.outcome
+
+    def reference_ppa(self, code):
+        raise AssertionError("not used")
+
+
 def test_evaluate_fills_outcome_and_fitness_only():
     ind = Individual(
         id=7,
@@ -508,21 +563,30 @@ def test_evaluate_sim_failure_is_neg_inf():
 
 
 def test_evaluate_synth_fail_sentinel():
-    class SimPassNoPpa:
-        def outcome_for(self, code, spec, individual_id=0):
-            return EvalOutcome(True, False, None, sim_log="all tests passed")
-
-        def reference_ppa(self, code):
-            raise AssertionError("not used")
-
     done = evaluate(
         Individual(id=9, thought="t", code="c", feedback="", outcome=None, fitness=None),
         SPEC,
-        SimPassNoPpa(),
+        FixedOutcome(EvalOutcome(True, False, None, sim_log="all tests passed")),
         WEIGHTS,
     )
     assert done.fitness == SYNTH_FAIL_FITNESS
     assert done.fitness > NEG_INF
+
+
+def test_evaluate_keeps_short_logs_and_clips_long_ones():
+    ind = Individual(id=10, thought="t", code="c", outcome=None, fitness=None)
+    short = EvalOutcome(False, False, None, sim_log="FAIL: 1+1 != 2")
+    assert evaluate(ind, SPEC, FixedOutcome(short), WEIGHTS).outcome is short
+
+    sim_log = "  compiling\n" + "cycle ok\n" * 3000 + "FAIL: 1+1 != 2\n\n"
+    synth_log = "Chip area: 80\n" * 1000
+    outcome = EvalOutcome(True, False, None, sim_log=sim_log, synth_log=synth_log)
+    done = evaluate(ind, SPEC, FixedOutcome(outcome), WEIGHTS).outcome
+    for raw, kept in ((sim_log, done.sim_log), (synth_log, done.synth_log)):
+        text = raw.strip()
+        assert kept == text[:1000] + f"\n[... {len(text) - 5000} characters cut ...]\n" + text[-4000:]
+        assert len(kept) <= LOG_CLIP_CHARS
+    assert (done.sim_passed, done.synth_succeeded, done.ppa) == (True, False, None)
 
 
 def test_critique_fills_feedback_with_keyed_call():

@@ -1,8 +1,9 @@
 """Property tests of the search's invariants over generated inputs:
-offspring quotas, parent selection, survivor selection, bandit rewards and
-the rules for on-demand critiques."""
+offspring quotas, parent selection, survivor selection, bandit rewards,
+the rules for on-demand critiques and the clipping of stored logs."""
 from __future__ import annotations
 
+import dataclasses
 import random
 import statistics
 import threading
@@ -13,7 +14,15 @@ from hypothesis import strategies as st
 
 import rtlevo.evaluate as evaluate_module
 from rtlevo.bandit import BanditState, record_reward
-from rtlevo.evaluate import SyntheticEvaluator
+from rtlevo.evaluate import (
+    FEEDBACK_LOG_TAIL_CHARS,
+    LOG_CLIP_CHARS,
+    LOG_HEAD_CHARS,
+    SyntheticEvaluator,
+    _feedback_prompt,
+    _log_tail,
+    clip_log,
+)
 from rtlevo.evolution import (
     PLACEHOLDER_CODE,
     EvolutionConfig,
@@ -24,7 +33,7 @@ from rtlevo.evolution import (
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS
 from rtlevo.llm import CompletionResult
-from rtlevo.model import PpaMetrics
+from rtlevo.model import EvalOutcome, PpaMetrics
 from rtlevo.prompts import PromptStrategy
 
 from test_acceptance import SPEC, StochasticWorld, _fail, _oracle_survivors, _success
@@ -185,3 +194,89 @@ def test_only_chosen_parents_are_critiqued_once(seed, population, workers):
         for ind in [*record.population, *record.offspring]:
             if ind.id not in chosen and ind.id not in placeholders:
                 assert ind.feedback is None
+
+
+@st.composite
+def _logs(draw):
+    """Short logs, whitespace-heavy logs and long logs of any code point."""
+    pieces = draw(st.lists(st.text(), max_size=5))
+    repeat = draw(st.sampled_from([1, 3, 300, 3000]))
+    pad = draw(st.sampled_from(["", " ", "\n", " \t\r\n\x0b"]))
+    left = draw(st.integers(0, 6000))
+    right = draw(st.integers(0, 6000))
+    return pad * left + "".join(pieces) * repeat + pad * right
+
+
+@given(log=_logs())
+def test_clipped_log_reads_as_the_whole_log(log):
+    clipped = clip_log(log)
+    for tail_chars in (FEEDBACK_LOG_TAIL_CHARS, 500):
+        assert _log_tail(clipped, tail_chars) == _log_tail(log, tail_chars)
+    assert clip_log(clipped) == clipped
+    assert len(clipped) <= min(len(log), LOG_CLIP_CHARS)
+    if clipped not in (log, log.strip()):
+        cut = len(log.strip()) - LOG_HEAD_CHARS - FEEDBACK_LOG_TAIL_CHARS
+        assert clipped.count(f"\n[... {cut} characters cut ...]\n") == 1
+
+
+class _PaddedLogEvaluator:
+    """SyntheticEvaluator verdicts with logs of about 30 KB. One passing
+    design in three fails synthesis, so its critique quotes the synth log;
+    the outcomes it returned are kept by individual id."""
+
+    def __init__(self):
+        self.inner = SyntheticEvaluator()
+        self.outcomes: dict[int, EvalOutcome] = {}
+
+    def outcome_for(self, code, spec, individual_id=0):
+        base = self.inner.outcome_for(code, spec, individual_id)
+        body = "".join(f"  cycle {i:05d} id={individual_id}\n" for i in range(1500))
+        outcome = dataclasses.replace(base, sim_log=f"\n {base.sim_log}\n{body}{base.sim_log}\n\n")
+        if base.sim_passed and individual_id % 3 == 0:
+            outcome = EvalOutcome(
+                True, False, None, sim_log=outcome.sim_log,
+                synth_log=f"{body}ERROR: no cell for id={individual_id}\n",
+            )
+        self.outcomes[individual_id] = outcome
+        return outcome
+
+    def reference_ppa(self, code):
+        return self.inner.reference_ppa(code)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_critique_prompt_is_built_as_from_the_unclipped_outcome(workers):
+    # at this seed both a failed simulation and a failed synthesis are critiqued
+    seed = 9
+    provider = _CritiquingWorld(seed)
+    sent: list[str] = []
+    complete = provider.complete
+
+    def recording(bundle):
+        if bundle.purpose == "feedback":
+            with provider.lock:
+                sent.append(bundle.user_text)
+        return complete(bundle)
+
+    provider.complete = recording
+    evaluator = _PaddedLogEvaluator()
+    cfg = EvolutionConfig(
+        population_size=5, offspring_count=5, max_generations=4,
+        elite_per_metric=1, rng_seed=seed, max_parallel_evaluations=workers,
+    )
+    result = EvolutionEngine(SPEC, cfg, provider, evaluator).run()
+
+    created = list(result.history[0].population)
+    created += [ind for record in result.history[1:] for ind in record.offspring]
+    evaluated = [ind for ind in created if ind.code != PLACEHOLDER_CODE]
+    assert all(len(ind.outcome.sim_log) <= LOG_CLIP_CHARS for ind in evaluated)
+    # each design's code is unique, so a prompt names the individual it critiques
+    critiqued = [ind for ind in evaluated if f"Design code:\n{ind.code}\n\n" in "".join(sent)]
+    assert len(critiqued) == len(sent) > 0
+    unclipped = sorted(
+        _feedback_prompt(dataclasses.replace(ind, outcome=evaluator.outcomes[ind.id]), SPEC)
+        for ind in critiqued
+    )
+    assert sorted(sent) == unclipped
+    assert any("Simulation log (tail):" in text for text in sent)
+    assert any("synthesis produced no usable PPA report" in text for text in sent)

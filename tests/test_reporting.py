@@ -290,6 +290,16 @@ def test_record_line_is_pinned(tmp_path):
         (lambda d: d["best_so_far"]["outcome"].pop("sim_log"),
          "best_so_far.outcome.sim_log is required"),
         (lambda d: d["population"][0].update(extra=1), "unknown key(s) in population[0]: extra"),
+        # float() and str() would read these
+        (lambda d: d["offspring"][0]["outcome"]["ppa"].update(power="0.5"),
+         "offspring[0].outcome.ppa.power: expected a number, got '0.5'"),
+        (lambda d: d["best_so_far"]["outcome"]["ppa"].update(area=True),
+         "best_so_far.outcome.ppa.area: expected a number, got True"),
+        (lambda d: d["population"][1].update(fitness="0.25"),
+         "population[1].fitness: expected a number, got '0.25'"),
+        (lambda d: d["population"][0]["outcome"].update(sim_log={"a": 1}),
+         "population[0].outcome.sim_log: expected a string, got {'a': 1}"),
+        (lambda d: d["population"][0].update(code=7), "population[0].code: expected a string, got 7"),
     ],
 )
 def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
