@@ -17,10 +17,11 @@ from pathlib import Path
 
 import yaml
 
-from .config import RunConfig, load_config, snapshot_dict
+from .config import EVALUATORS, PROVIDERS, RunConfig, kind_of, load_config, snapshot_dict
 from .evaluate import (
     Evaluator,
     SyntheticEvaluator,
+    ToolchainConfig,
     ToolchainEvaluator,
     ToolEnvironmentError,
 )
@@ -28,6 +29,8 @@ from .evolution import EvolutionEngine
 from .llm import (
     HttpChatProvider,
     Provider,
+    ProviderConfig,
+    ScriptConfig,
     ScriptedProvider,
     TranscriptingProvider,
     TranscriptWriter,
@@ -56,19 +59,16 @@ _ABORT_ERRORS = (ConfigError, ToolEnvironmentError, RuntimeError)
 
 
 def _build_provider(cfg: RunConfig, transcript: TranscriptWriter) -> Provider:
-    if cfg.provider_kind == "http":
-        assert cfg.provider is not None
-        return HttpChatProvider(cfg.provider, transcript=transcript)
-    assert cfg.script_path is not None
-    return TranscriptingProvider(ScriptedProvider.from_file(cfg.script_path), transcript)
+    if isinstance(cfg.provider, ScriptConfig):
+        inner = ScriptedProvider.from_file(cfg.provider.script_file)
+        return TranscriptingProvider(inner, transcript)
+    return HttpChatProvider(cfg.provider, transcript=transcript)
 
 
 def _build_evaluator(cfg: RunConfig, workdir_root: Path | None) -> Evaluator:
-    if cfg.evaluator_kind == "toolchain":
-        assert cfg.toolchain is not None
-        return ToolchainEvaluator(cfg.toolchain, workdir_root=workdir_root)
-    assert cfg.synthetic is not None
-    return SyntheticEvaluator(cfg.synthetic)
+    if isinstance(cfg.evaluator, ToolchainConfig):
+        return ToolchainEvaluator(cfg.evaluator, workdir_root=workdir_root)
+    return SyntheticEvaluator(cfg.evaluator)
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -107,7 +107,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     run_dir = Path(cfg.output_dir)
     secrets = []
-    if cfg.provider is not None and cfg.provider.api_key_env_var:
+    if isinstance(cfg.provider, ProviderConfig) and cfg.provider.api_key_env_var:
         secrets.append(os.environ.get(cfg.provider.api_key_env_var, ""))
     transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, redact=secrets)
     # parse the script and preflight the tools before touching the run
@@ -189,11 +189,12 @@ def cmd_ref_ppa(args: argparse.Namespace) -> int:
 
 def cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if cfg.script_path is not None:
-        ScriptedProvider.from_file(cfg.script_path)
+    if isinstance(cfg.provider, ScriptConfig):
+        ScriptedProvider.from_file(cfg.provider.script_file)
     print(
         f"config OK: problem={cfg.problem.name!r} "
-        f"provider={cfg.provider_kind} evaluator={cfg.evaluator_kind} "
+        f"provider={kind_of(cfg.provider, PROVIDERS)} "
+        f"evaluator={kind_of(cfg.evaluator, EVALUATORS)} "
         f"N={cfg.evolution.population_size} lambda={cfg.evolution.offspring_count} "
         f"G={cfg.evolution.max_generations}"
     )

@@ -2,17 +2,19 @@
 
 `model.build`, which also reads the run history, makes each config
 dataclass (EvolutionConfig with its FitnessWeights, ProviderConfig,
-ToolchainConfig, SyntheticEvaluatorConfig, PpaMetrics, ProblemSpec) from
-its YAML section, under its rules for keys, null values and strict types;
-unknown keys are errors, so typos do not silently become defaults.
-Omitted hyperparameters take the dataclass defaults: N=10, λ=10, G=20, n=1,
-R=1, c=2.0, τ=1.0, sampling temperature 1.0, top_p 0.95, clock period
-0.01 ns, weights chosen by circuit kind.
+ScriptConfig, ToolchainConfig, SyntheticEvaluatorConfig, PpaMetrics,
+ProblemSpec) from its YAML section, under its rules for keys, null values
+and strict types; unknown keys are errors, so typos do not silently become
+defaults. Omitted hyperparameters take the dataclass defaults: N=10, λ=10,
+G=20, n=1, R=1, c=2.0, τ=1.0, sampling temperature 1.0, top_p 0.95, clock
+period 0.01 ns, weights chosen by circuit kind.
 
-Explicit here: `kind`, the problem section's own key names and files, and
-`clock_period`, which defaults to `problem.target_clock_period`. Paths are
-made absolute against the config's directory, so the snapshot that
-`snapshot_dict` writes with `model.to_plain` loads into the same config.
+Explicit here: `kind`, which names the provider's or the evaluator's
+dataclass (PROVIDERS, EVALUATORS), the problem section's own key names and
+files, and `clock_period`, which defaults to `problem.target_clock_period`.
+Paths are made absolute against the config's directory, so the snapshot
+that `snapshot_dict` writes with `model.to_plain` loads into the same
+config.
 
 Secrets never live in config files: the provider section names an
 environment variable for the API key and rejects literal key material.
@@ -26,7 +28,7 @@ from pathlib import Path
 
 from .evaluate import SyntheticEvaluatorConfig, ToolchainConfig
 from .evolution import EvolutionConfig
-from .llm import ProviderConfig
+from .llm import ProviderConfig, ScriptConfig
 from .model import (
     CircuitKind,
     ConfigError,
@@ -40,34 +42,29 @@ from .model import (
     to_plain,
 )
 
-PROVIDER_KINDS = ("http", "scripted")
-EVALUATOR_KINDS = ("toolchain", "synthetic")
 TOP_KEYS = ("problem", "evolution", "provider", "evaluator", "output_dir", "keep_artifacts")
 PROBLEM_KEYS = (
     "name", "description", "description_file", "testbench", "testbench_file",
     "circuit_kind", "target_clock_period", "reference_ppa",
 )
+# each section's `kind` names the dataclass that reads the rest of it
+PROVIDERS = {"http": ProviderConfig, "scripted": ScriptConfig}
+EVALUATORS = {"toolchain": ToolchainConfig, "synthetic": SyntheticEvaluatorConfig}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     problem: ProblemSpec
     evolution: EvolutionConfig
-    provider_kind: str
-    provider: ProviderConfig | None
-    script_path: str | None
-    evaluator_kind: str
-    toolchain: ToolchainConfig | None
-    synthetic: SyntheticEvaluatorConfig | None
+    provider: ProviderConfig | ScriptConfig
+    evaluator: ToolchainConfig | SyntheticEvaluatorConfig
     output_dir: str
     keep_artifacts: bool = False
 
-    def __post_init__(self) -> None:
-        # the kinds themselves are checked where they are read, in _split_kind
-        if (self.provider is None) == (self.script_path is None):
-            raise ConfigError("exactly one provider must be configured")
-        if (self.toolchain is None) == (self.synthetic is None):
-            raise ConfigError("exactly one evaluator must be configured")
+
+def kind_of(section, kinds: dict) -> str:
+    """The `kind` in `kinds` (PROVIDERS or EVALUATORS) of a config section."""
+    return next(kind for kind, cls in kinds.items() if isinstance(section, cls))
 
 
 def _given(section: dict) -> dict:
@@ -75,13 +72,18 @@ def _given(section: dict) -> dict:
     return {key: value for key, value in section.items() if value is not None}
 
 
-def _split_kind(section, where: str, kinds: tuple[str, ...]) -> tuple[str, dict]:
-    """The section's `kind` and the rest of its keys."""
+def _split_kind(section, where: str, kinds: dict) -> tuple[type, dict]:
+    """The dataclass the section's `kind` names, and the rest of its keys."""
     section = require_map(section, where)
     kind = str(section.get("kind", "")).strip().lower()
     if kind not in kinds:
-        raise ConfigError(f"{where}.kind must be one of {kinds}, got {kind!r}")
-    return kind, {key: value for key, value in section.items() if key != "kind"}
+        raise ConfigError(f"{where}.kind must be one of {tuple(kinds)}, got {kind!r}")
+    return kinds[kind], {key: value for key, value in section.items() if key != "kind"}
+
+
+def _path(fields: dict, key: str, base: Path) -> dict:
+    """`key`, when given, made absolute against the config's directory."""
+    return {key: str(base / str(fields[key]))} if fields.get(key) else {}
 
 
 def _read_text_field(section: dict, inline_key: str, file_key: str, base: Path, where: str) -> str:
@@ -125,39 +127,34 @@ def _load_problem(section, base: Path) -> ProblemSpec:
     )
 
 
-def _load_provider(section, base: Path) -> tuple[str, ProviderConfig | None, str | None]:
+def _load_provider(section, base: Path) -> ProviderConfig | ScriptConfig:
     section = require_map(section, "provider")
     if "api_key" in section:
         raise ConfigError(
             "provider.api_key is not accepted; set provider.api_key_env_var to the "
             "name of an environment variable instead"
         )
-    kind, fields = _split_kind(section, "provider", PROVIDER_KINDS)
-    if kind == "http":
-        if not fields.get("endpoint_url"):
-            raise ConfigError("provider.endpoint_url is required for kind: http")
-        return kind, build(ProviderConfig, fields, "provider"), None
-    check_keys(fields, ("script_file",), "provider")
-    if not fields.get("script_file"):
-        raise ConfigError("provider.script_file is required for kind: scripted")
-    script_path = base / str(fields["script_file"])
-    if not script_path.is_file():
-        raise ConfigError(f"provider.script_file: file not found: {script_path}")
-    return kind, None, str(script_path)
+    cls, fields = _split_kind(section, "provider", PROVIDERS)
+    if cls is ScriptConfig:
+        script = build(ScriptConfig, fields, "provider", **_path(fields, "script_file", base))
+        if not Path(script.script_file).is_file():
+            raise ConfigError(f"provider.script_file: file not found: {script.script_file}")
+        return script
+    if not fields.get("endpoint_url"):
+        raise ConfigError("provider.endpoint_url is required for kind: http")
+    return build(ProviderConfig, fields, "provider")
 
 
 def _load_evaluator(
     section, base: Path, problem: ProblemSpec
-) -> tuple[str, ToolchainConfig | None, SyntheticEvaluatorConfig | None]:
-    kind, fields = _split_kind(section, "evaluator", EVALUATOR_KINDS)
-    if kind == "synthetic":
-        return kind, None, build(SyntheticEvaluatorConfig, fields, "evaluator")
+) -> ToolchainConfig | SyntheticEvaluatorConfig:
+    cls, fields = _split_kind(section, "evaluator", EVALUATORS)
     resolved = {}
-    if fields.get("clock_period") is None:
-        resolved["clock_period"] = problem.target_clock_period
-    if fields.get("liberty_path"):
-        resolved["liberty_path"] = str(base / str(fields["liberty_path"]))
-    return kind, build(ToolchainConfig, fields, "evaluator", **resolved), None
+    if cls is ToolchainConfig:
+        if fields.get("clock_period") is None:
+            resolved["clock_period"] = problem.target_clock_period
+        resolved.update(_path(fields, "liberty_path", base))
+    return build(cls, fields, "evaluator", **resolved)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -171,17 +168,11 @@ def load_config(path: str | Path) -> RunConfig:
     base = path.resolve().parent
     problem = _load_problem(raw.get("problem"), base)
     evolution = build(EvolutionConfig, raw.get("evolution", {}), "evolution")
-    provider_kind, provider, script_path = _load_provider(raw.get("provider"), base)
-    evaluator_kind, toolchain, synthetic = _load_evaluator(raw.get("evaluator"), base, problem)
     return RunConfig(
         problem=problem,
         evolution=evolution,
-        provider_kind=provider_kind,
-        provider=provider,
-        script_path=script_path,
-        evaluator_kind=evaluator_kind,
-        toolchain=toolchain,
-        synthetic=synthetic,
+        provider=_load_provider(raw.get("provider"), base),
+        evaluator=_load_evaluator(raw.get("evaluator"), base, problem),
         output_dir=str(raw.get("output_dir", "runs/latest")),
         keep_artifacts=read_value(bool, raw.get("keep_artifacts", False), "keep_artifacts"),
     )
@@ -193,11 +184,6 @@ def snapshot_dict(cfg: RunConfig) -> dict:
     weights resolved. Contains no secrets (keys are env-var names only)."""
     problem = cfg.problem
     evolution = dataclasses.replace(cfg.evolution, weights=cfg.evolution.weights_for(problem))
-    if cfg.provider is not None:
-        provider = {"kind": cfg.provider_kind, **to_plain(cfg.provider)}
-    else:
-        provider = {"kind": cfg.provider_kind, "script_file": cfg.script_path}
-    evaluator = {"kind": cfg.evaluator_kind, **to_plain(cfg.toolchain or cfg.synthetic)}
     return {
         "problem": {
             "name": problem.name,
@@ -208,8 +194,8 @@ def snapshot_dict(cfg: RunConfig) -> dict:
             "reference_ppa": to_plain(problem.reference_ppa),
         },
         "evolution": to_plain(evolution),
-        "provider": provider,
-        "evaluator": evaluator,
+        "provider": {"kind": kind_of(cfg.provider, PROVIDERS), **to_plain(cfg.provider)},
+        "evaluator": {"kind": kind_of(cfg.evaluator, EVALUATORS), **to_plain(cfg.evaluator)},
         "output_dir": cfg.output_dir,
         "keep_artifacts": cfg.keep_artifacts,
     }

@@ -48,6 +48,7 @@ from .evaluate import Evaluator, critique, evaluate
 from .fitness import FitnessWeights
 from .llm import Provider
 from .model import (
+    NEG_INF,
     ConfigError,
     EvalOutcome,
     GenerationRecord,
@@ -63,7 +64,6 @@ from .prompts import (
     SUCCESS_STRATEGIES,
     ParseError,
     PromptStrategy,
-    allowed_strategies,
     build_evolutionary_prompt,
     build_initial_prompt,
     parse_llm_response,
@@ -243,13 +243,15 @@ def survivor_select(
 
 @dataclass(frozen=True)
 class _Slot:
-    """One planned slot: the id it fills, the key of its draft call, its
-    operator and parents (none for generation 0), and `critiques`, the
-    parents it is the first to choose with the keys of their critique
-    calls, in parent order."""
+    """One planned slot: the id it fills, the key of its draft call, the
+    population whose bandit chose its operator, the operator and parents
+    (none of these for generation 0), and `critiques`, the parents it is
+    the first to choose with the keys of their critique calls, in parent
+    order."""
 
     ind_id: int
     key: tuple[int, int]
+    label: PopulationLabel | None = None
     strategy: PromptStrategy | None = None
     parents: tuple[Individual, ...] = ()
     critiques: tuple[tuple[Individual, tuple[int, int]], ...] = ()
@@ -258,8 +260,13 @@ class _Slot:
 @dataclass
 class RunResult:
     best: Individual | None
-    found_correct: bool
     history: list[GenerationRecord]
+
+    @property
+    def found_correct(self) -> bool:
+        """Whether some individual passed simulation: only those that failed
+        it have fitness -inf, and the best outranks every other."""
+        return self.best is not None and self.best.fitness != NEG_INF
 
 
 class EvolutionEngine:
@@ -292,7 +299,6 @@ class EvolutionEngine:
         }
         self.history: list[GenerationRecord] = []
         self.best: Individual | None = None
-        self.found_correct = False
         self._next_id = 0
         self._record_sink = record_sink
 
@@ -345,7 +351,7 @@ class EvolutionEngine:
                 code=PLACEHOLDER_CODE,
                 feedback=feedback,
                 outcome=outcome,
-                fitness=float("-inf"),
+                fitness=NEG_INF,
                 parent_ids=bundle.parent_ids,
                 strategy=strategy,
                 generation_born=generation,
@@ -396,8 +402,6 @@ class EvolutionEngine:
                     future.result()
         for ind in results:
             self._consider_best(ind)
-            if ind.outcome is not None and ind.outcome.sim_passed:
-                self.found_correct = True
         return results
 
     def _consider_best(self, ind: Individual) -> None:
@@ -439,35 +443,27 @@ class EvolutionEngine:
         return self._emit_record(0, population, [], [])
 
     def _plan_slot(
-        self,
-        label: PopulationLabel,
-        subpop: list[Individual],
-        frozen: BanditState,
-        rng: random.Random,
-    ) -> tuple[PromptStrategy, list[Individual], float | None]:
-        allowed = [s.value for s in allowed_strategies(label)]
-        name = select_strategy(frozen, rng, allowed)
-        strategy = PromptStrategy(name)
-        if strategy is PromptStrategy.FUSION and len(subpop) < 2:
-            reduced = [n for n in allowed if n != PromptStrategy.FUSION.value]
-            name = select_strategy(frozen, rng, reduced)
+        self, subpop: list[Individual], frozen: BanditState, rng: random.Random
+    ) -> tuple[PromptStrategy, list[Individual]]:
+        """An operator from the population's frozen bandit, whose arms are
+        that population's operators, and its parents."""
+        name = select_strategy(frozen, rng)
+        if name == PromptStrategy.FUSION.value and len(subpop) < 2:
+            name = select_strategy(frozen, rng, [n for n in frozen.strategies if n != name])
             logger.info(
                 "fusion infeasible with %d success member(s); resampled %s", len(subpop), name
             )
-            strategy = PromptStrategy(name)
-        parents = select_parents(subpop, strategy, rng)
-        baseline = None
-        if label is PopulationLabel.SUCCESS:
-            baseline = max(p.fitness for p in parents)
-        return strategy, parents, baseline
+        strategy = PromptStrategy(name)
+        return strategy, select_parents(subpop, strategy, rng)
 
-    def _reward_for(self, label: PopulationLabel, child: Individual, baseline: float | None) -> float:
+    def _reward_for(self, slot: _Slot, child: Individual) -> float:
+        """A Fail-population child earns the reward by passing simulation, a
+        Success-population child by beating the fitness of its best parent."""
         assert child.outcome is not None and child.fitness is not None
-        if label is PopulationLabel.FAIL:
+        if slot.label is PopulationLabel.FAIL:
             improved = child.outcome.sim_passed
         else:
-            assert baseline is not None
-            improved = child.fitness > baseline
+            improved = child.fitness > max(p.fitness for p in slot.parents)
         return self.cfg.reward if improved else 0.0
 
     def run_generation(self) -> GenerationRecord:
@@ -488,14 +484,13 @@ class EvolutionEngine:
         calls = itertools.count()
         critiques: dict[int, Future] = {}
         slots = []
-        plans = []
         for j in range(self.cfg.offspring_count):
             if j < quota_fail:
                 label, subpop = PopulationLabel.FAIL, fail_pop
             else:
                 label, subpop = PopulationLabel.SUCCESS, success_pop
             rng = random.Random(f"{self.cfg.rng_seed}/{generation}/{j}")
-            strategy, chosen, baseline = self._plan_slot(label, subpop, frozen[label], rng)
+            strategy, chosen = self._plan_slot(subpop, frozen[label], rng)
             # the first slot to choose an uncritiqued parent asks for its
             # critique; later slots wait on that call
             owned = []
@@ -503,29 +498,23 @@ class EvolutionEngine:
                 if parent.feedback is None and parent.id not in critiques:
                     critiques[parent.id] = Future()
                     owned.append((parent, (generation, next(calls))))
-            slots.append(
-                _Slot(ids[j], (generation, next(calls)), strategy, tuple(chosen), tuple(owned))
-            )
-            plans.append((label, strategy, baseline))
+            key = (generation, next(calls))
+            slots.append(_Slot(ids[j], key, label, strategy, tuple(chosen), tuple(owned)))
         offspring = self._run_slots(slots, critiques)
         critiqued = {ind_id: future.result() for ind_id, future in critiques.items()}
         parents = [critiqued.get(p.id, p) for p in parents]
         if self.best is not None:
             self.best = critiqued.get(self.best.id, self.best)
         events = []
-        for child, (label, strategy, baseline) in zip(offspring, plans):
-            reward = self._reward_for(label, child, baseline)
-            record_reward(self.bandits[label], strategy.value, reward)
-            events.append(StrategyEvent(label=label, strategy=strategy.value, reward=reward))
+        for child, slot in zip(offspring, slots):
+            reward = self._reward_for(slot, child)
+            record_reward(self.bandits[slot.label], slot.strategy.value, reward)
+            events.append(StrategyEvent(slot.label, slot.strategy.value, reward))
         survivors = survivor_select(parents, offspring, self.cfg)
         return self._emit_record(generation, survivors, offspring, events)
 
     def result(self) -> RunResult:
-        return RunResult(
-            best=self.best,
-            found_correct=self.found_correct,
-            history=list(self.history),
-        )
+        return RunResult(best=self.best, history=list(self.history))
 
     def run(self) -> RunResult:
         """Initialize, iterate max_generations times, return the all-time best."""
@@ -533,6 +522,7 @@ class EvolutionEngine:
             self.initialize()
         for _ in range(self.cfg.max_generations):
             self.run_generation()
-        if not self.found_correct:
+        result = self.result()
+        if not result.found_correct:
             logger.warning("no functionally correct design found in %s", self.spec.name)
-        return self.result()
+        return result

@@ -91,6 +91,17 @@ class ProviderConfig:
 
 
 @dataclass(frozen=True)
+class ScriptConfig:
+    """A scripted provider's config: the YAML file of its replies."""
+
+    script_file: str
+
+    def __post_init__(self) -> None:
+        if not self.script_file:
+            raise ValueError("provider.script_file is required")
+
+
+@dataclass(frozen=True)
 class CompletionResult:
     text: str
     usage: dict | None = None
@@ -171,17 +182,12 @@ class HttpChatProvider:
 
     _TRANSIENT_STATUS = frozenset({429, 500, 502, 503, 504})
 
-    def __init__(
-        self,
-        config: ProviderConfig,
-        transcript: TranscriptWriter | None = None,
-        session: requests.Session | None = None,
-    ):
+    def __init__(self, config: ProviderConfig, transcript: TranscriptWriter | None = None):
         if not config.endpoint_url:
             raise ValueError("HttpChatProvider requires endpoint_url")
         self.config = config
         self._transcript = transcript
-        self._session = session or requests.Session()
+        self._session = requests.Session()
         self._semaphore = threading.BoundedSemaphore(config.max_parallel_requests)
 
     def _api_key(self) -> str:

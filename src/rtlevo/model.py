@@ -183,10 +183,12 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _integer(value) -> int:
-    """`int()` without its truncation: 5.9 and true are not integers."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    """An int, or a float with no fraction: `int()` would read 5.9, "4" and true."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _boolean(value) -> bool:

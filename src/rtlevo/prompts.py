@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .model import PopulationLabel, ProblemSpec, Individual
+from .model import ProblemSpec, Individual
 
 logger = logging.getLogger(__name__)
 
@@ -62,13 +62,6 @@ SUCCESS_STRATEGIES: tuple[PromptStrategy, ...] = (
     PromptStrategy.IMPROVE,
     PromptStrategy.FUSION,
 )
-
-
-def allowed_strategies(label: PopulationLabel) -> tuple[PromptStrategy, ...]:
-    """The five operators available to one population, in canonical order."""
-    if label is PopulationLabel.FAIL:
-        return FAIL_STRATEGIES
-    return SUCCESS_STRATEGIES
 
 
 @dataclass(frozen=True)

@@ -160,13 +160,30 @@ def test_report_without_a_usable_snapshot_omits_percentages(tmp_path, capsys, sn
     assert "Reference PPA unavailable" in out and "Power improv." not in out
 
 
-def test_validate_config_ok(tmp_path, capsys):
-    config = write_setup(tmp_path)
+SECTIONS = {
+    "scripted": {"kind": "scripted", "script_file": "script.yaml"},
+    "http": {"kind": "http", "endpoint_url": "https://example.invalid/v1"},
+    "synthetic": {"kind": "synthetic"},
+    "toolchain": {
+        "kind": "toolchain",
+        "simulator_command": "echo all tests passed",
+        "synthesizer_command": "cat {code_file}",
+    },
+}
+
+
+@pytest.mark.parametrize("evaluator", ["synthetic", "toolchain"])
+@pytest.mark.parametrize("provider", ["scripted", "http"])
+def test_validate_config_ok(tmp_path, capsys, provider, evaluator):
+    config = write_setup(
+        tmp_path,
+        config_overrides={"provider": SECTIONS[provider], "evaluator": SECTIONS[evaluator]},
+    )
     assert main(["validate-config", "--config", str(config)]) == EXIT_FOUND
     out = capsys.readouterr().out
     assert "config OK" in out
     assert "N=3" in out
-    assert "provider=scripted" in out
+    assert f" provider={provider} evaluator={evaluator} " in out
 
 
 def test_unknown_config_key_aborts(tmp_path, capsys):
@@ -319,11 +336,11 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
     # snapshot is written
     assert main(["run", "--config", str(config)]) == EXIT_ABORT
     cfg = load_config(config)
-    assert cfg.toolchain.liberty_path == ""
+    assert cfg.evaluator.liberty_path == ""
     reloaded = load_config(tmp_path / "run" / "config_snapshot.yaml")
     assert reloaded == _with_resolved_weights(cfg)
     assert reloaded.provider.feedback_temperature == 0.3
-    assert reloaded.toolchain.workdir_root == str(tmp_path / "work")
+    assert reloaded.evaluator.workdir_root == str(tmp_path / "work")
 
 
 @pytest.mark.parametrize(
@@ -449,13 +466,15 @@ def test_bad_config_yaml_is_one_error_line(tmp_path, capsys, command):
     assert "at line 3, column 1" in lines[0]
 
 
-# sha256 of the demo's deterministic outputs and of its `rtlevo report` text;
-# a change to any of them changes the behaviour the demo pins down
+# sha256 of the demo's deterministic outputs, of its `rtlevo report` text and
+# of its config_snapshot.yaml with the two paths in it masked; a change to any
+# of them changes the behaviour the demo pins down
 DEMO_DIGESTS = {
     "generations.jsonl": "e994ddf3c9d175719119ebf0f1d38b935d2f6db7aaa6926623809bc3a78ca220",
     "transcripts.jsonl": "ad0fbf0a818eecf7cf91e8833275b3386d818b331178d8d7a12cdead2591f0f6",
     "final_report.json": "f84f0bee184ba9787c4384b1c7e707a0b80e43288315c31ce367cdc0ceea241e",
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
+    "config_snapshot.yaml": "3deec6eb182461f82622de71b67768cfcd586002ef738ec2e7dca268a6ed4a74",
 }
 
 
@@ -470,4 +489,10 @@ def test_demo_outputs_are_pinned(tmp_path, capsys):
         for name in ("generations.jsonl", "transcripts.jsonl", "final_report.json")
     }
     got["report"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    snapshot = (out / "config_snapshot.yaml").read_text(encoding="utf-8")
+    assert f"\noutput_dir: {out}\n" in snapshot
+    script = demo.parent / "script.yaml"
+    assert f"\n  script_file: {script}\n" in snapshot
+    masked = snapshot.replace(str(out), "<output_dir>").replace(str(script), "<script_file>")
+    got["config_snapshot.yaml"] = hashlib.sha256(masked.encode()).hexdigest()
     assert got == DEMO_DIGESTS

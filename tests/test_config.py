@@ -7,6 +7,8 @@ import pytest
 import yaml
 
 from rtlevo.config import load_config, snapshot_dict
+from rtlevo.evaluate import SyntheticEvaluatorConfig, ToolchainConfig
+from rtlevo.llm import ProviderConfig
 from rtlevo.model import CircuitKind, ConfigError
 
 BASE = {
@@ -141,6 +143,7 @@ def test_bad_population_size_names_field(tmp_path):
         ("evolution.rng_seed", float("inf")),
         ("keep_artifacts", "false"),
         ("keep_artifacts", 1),
+        ("evolution.offspring_count", "4"),
     ],
 )
 def test_non_integral_int_and_non_boolean_bool_rejected(tmp_path, key, value):
@@ -155,13 +158,11 @@ def test_integral_values_still_load(tmp_path):
         tmp_path,
         overrides={
             "evolution.population_size": 6.0,
-            "evolution.offspring_count": "4",
             "keep_artifacts": True,
         },
     )
     cfg = load_config(path)
     assert cfg.evolution.population_size == 6
-    assert cfg.evolution.offspring_count == 4
     assert cfg.keep_artifacts is True
 
 
@@ -273,11 +274,10 @@ def test_http_provider_defaults_and_overrides(tmp_path):
         },
     )
     cfg = load_config(path)
-    assert cfg.provider_kind == "http"
+    assert isinstance(cfg.provider, ProviderConfig)
     assert cfg.provider.temperature == 1.0
     assert cfg.provider.top_p == 0.95
     assert cfg.provider.api_key_env_var == "MY_KEY"
-    assert cfg.script_path is None
 
     path2 = write_config(
         tmp_path,
@@ -316,18 +316,17 @@ def test_toolchain_clock_defaults_to_problem_target(tmp_path):
         },
     )
     cfg = load_config(path)
-    assert cfg.evaluator_kind == "toolchain"
-    assert cfg.toolchain.clock_period == 2.5
-    assert cfg.toolchain.liberty_path.endswith("cells.lib")
-    assert str(tmp_path) in cfg.toolchain.liberty_path
+    assert isinstance(cfg.evaluator, ToolchainConfig)
+    assert cfg.evaluator.clock_period == 2.5
+    assert cfg.evaluator.liberty_path.endswith("cells.lib")
+    assert str(tmp_path) in cfg.evaluator.liberty_path
 
 
 def test_synthetic_evaluator_seed(tmp_path):
     path = write_config(tmp_path, overrides={"evaluator": {"kind": "synthetic", "seed": 9}})
     cfg = load_config(path)
-    assert cfg.evaluator_kind == "synthetic"
-    assert cfg.synthetic.seed == 9
-    assert cfg.toolchain is None
+    assert isinstance(cfg.evaluator, SyntheticEvaluatorConfig)
+    assert cfg.evaluator.seed == 9
 
 
 def test_evaluator_kind_required(tmp_path):

@@ -15,6 +15,7 @@ from rtlevo.evolution import (
     PLACEHOLDER_THOUGHT,
     EvolutionConfig,
     EvolutionEngine,
+    _Slot,
     offspring_quota,
     roulette_weights,
     select_parents,
@@ -35,7 +36,7 @@ from rtlevo.model import (
     ProblemSpec,
     to_plain,
 )
-from rtlevo.prompts import SUCCESS_STRATEGIES, PromptStrategy, render_response
+from rtlevo.prompts import FAIL_STRATEGIES, SUCCESS_STRATEGIES, PromptStrategy, render_response
 from rtlevo.reporting import append_generation
 
 REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
@@ -422,6 +423,18 @@ def test_rewards_match_offspring_outcomes():
             assert event.reward == expected, (g, child.id, event.strategy)
 
 
+def test_each_population_draws_only_its_own_operators():
+    operators = {PopulationLabel.FAIL: FAIL_STRATEGIES, PopulationLabel.SUCCESS: SUCCESS_STRATEGIES}
+    provider = ScriptedProvider(demo_script())
+    engine = EvolutionEngine(SPEC, demo_cfg(max_generations=4), provider, SyntheticEvaluator())
+    for label, strategies in operators.items():
+        assert list(engine.bandits[label].strategies) == [s.value for s in strategies]
+    events = [e for record in engine.run().history for e in record.strategy_events]
+    assert {e.label for e in events} == set(operators)
+    for event in events:
+        assert PromptStrategy(event.strategy) in operators[event.label]
+
+
 def test_bandit_pull_totals_cover_all_offspring():
     result = run_demo()
     pulls = 0
@@ -502,12 +515,13 @@ def test_fusion_infeasible_resamples_other_strategy():
     only = success_ind(1, 0.3)
     for trial in range(20):
         rng = random.Random(trial)
-        strategy, parents, baseline = engine._plan_slot(
-            PopulationLabel.SUCCESS, [only], frozen, rng
-        )
+        strategy, parents = engine._plan_slot([only], frozen, rng)
         assert strategy is not PromptStrategy.FUSION
         assert parents == [only]
-        assert baseline == 0.3
+        # a Success child is rewarded for beating its best parent's fitness
+        slot = _Slot(9, (1, 0), PopulationLabel.SUCCESS, strategy, tuple(parents))
+        assert engine._reward_for(slot, success_ind(2, 0.3)) == 0.0
+        assert engine._reward_for(slot, success_ind(3, 0.31)) == 1.0
 
 
 def test_engine_call_order_enforced():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rtlevo.model import CircuitKind, EvalOutcome, Individual, PopulationLabel, PpaMetrics, ProblemSpec
+from rtlevo.model import CircuitKind, EvalOutcome, Individual, PpaMetrics, ProblemSpec
 from rtlevo.prompts import (
     FAIL_STRATEGIES,
     FALLBACK_THOUGHT,
@@ -13,7 +13,6 @@ from rtlevo.prompts import (
     ParseError,
     PromptBundle,
     PromptStrategy,
-    allowed_strategies,
     build_evolutionary_prompt,
     build_initial_prompt,
     default_templates,
@@ -51,8 +50,6 @@ def test_strategy_sets():
     both = set(FAIL_STRATEGIES) & set(SUCCESS_STRATEGIES)
     assert union == set(PromptStrategy)
     assert len(both) == 4
-    assert allowed_strategies(PopulationLabel.FAIL) == FAIL_STRATEGIES
-    assert allowed_strategies(PopulationLabel.SUCCESS) == SUCCESS_STRATEGIES
 
 
 def test_arity():

@@ -1,6 +1,7 @@
 """Property tests of the search's invariants over generated inputs:
 offspring quotas, parent selection, survivor selection, bandit rewards,
-the rules for on-demand critiques and the clipping of stored logs."""
+the rules for on-demand critiques, the found-correct verdict and the
+clipping of stored logs."""
 from __future__ import annotations
 
 import dataclasses
@@ -9,7 +10,7 @@ import statistics
 import threading
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rtlevo.evaluate as evaluate_module
@@ -194,6 +195,32 @@ def test_only_chosen_parents_are_critiqued_once(seed, population, workers):
         for ind in [*record.population, *record.offspring]:
             if ind.id not in chosen and ind.id not in placeholders:
                 assert ind.feedback is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    population=st.integers(1, 6),
+    offspring=st.integers(1, 6),
+    generations=st.integers(1, 3),
+    p_initial_fail=st.sampled_from([0.0, 0.7, 1.0]),
+    p_fix_repair=st.sampled_from([0.0, 0.5]),
+)
+@example(
+    seed=0, population=4, offspring=4, generations=3, p_initial_fail=1.0, p_fix_repair=0.0
+)
+def test_found_correct_means_some_individual_passed(
+    seed, population, offspring, generations, p_initial_fail, p_fix_repair
+):
+    cfg = EvolutionConfig(
+        population_size=population, offspring_count=offspring, max_generations=generations,
+        elite_per_metric=0, rng_seed=seed,
+    )
+    world = StochasticWorld(seed, p_initial_fail, p_fix_repair)
+    result = EvolutionEngine(SPEC, cfg, world, SyntheticEvaluator()).run()
+    created = list(result.history[0].population)
+    created += [ind for record in result.history[1:] for ind in record.offspring]
+    assert result.found_correct == any(ind.outcome.sim_passed for ind in created)
 
 
 @st.composite
