@@ -75,15 +75,17 @@ def _given(section: dict) -> dict:
 def _split_kind(section, where: str, kinds: dict) -> tuple[type, dict]:
     """The dataclass the section's `kind` names, and the rest of its keys."""
     section = require_map(section, where)
-    kind = str(section.get("kind", "")).strip().lower()
+    kind = read_value(str, _given(section).get("kind", ""), f"{where}.kind").strip().lower()
     if kind not in kinds:
         raise ConfigError(f"{where}.kind must be one of {tuple(kinds)}, got {kind!r}")
     return kinds[kind], {key: value for key, value in section.items() if key != "kind"}
 
 
-def _path(fields: dict, key: str, base: Path) -> dict:
+def _path(fields: dict, key: str, base: Path, where: str) -> dict:
     """`key`, when given, made absolute against the config's directory."""
-    return {key: str(base / str(fields[key]))} if fields.get(key) else {}
+    if not fields.get(key):
+        return {}
+    return {key: str(base / read_value(str, fields[key], f"{where}.{key}"))}
 
 
 def _read_text_field(section: dict, inline_key: str, file_key: str, base: Path, where: str) -> str:
@@ -92,9 +94,9 @@ def _read_text_field(section: dict, inline_key: str, file_key: str, base: Path, 
     if inline is not None and file_name is not None:
         raise ConfigError(f"{where}: give {inline_key} or {file_key}, not both")
     if inline is not None:
-        return str(inline)
+        return read_value(str, inline, f"{where}.{inline_key}")
     if file_name is not None:
-        path = base / str(file_name)
+        path = base / read_value(str, file_name, f"{where}.{file_key}")
         if not path.is_file():
             raise ConfigError(f"{where}.{file_key}: file not found: {path}")
         return path.read_text(encoding="utf-8")
@@ -107,7 +109,8 @@ def _load_problem(section, base: Path) -> ProblemSpec:
     description = _read_text_field(section, "description", "description_file", base, "problem")
     if not description.strip():
         raise ConfigError("problem needs a description or description_file")
-    kind_raw = str(section.get("circuit_kind", "")).strip().lower()
+    given = _given(section)
+    kind_raw = read_value(str, given.get("circuit_kind", ""), "problem.circuit_kind").strip().lower()
     try:
         circuit_kind = CircuitKind(kind_raw)
     except ValueError:
@@ -115,7 +118,7 @@ def _load_problem(section, base: Path) -> ProblemSpec:
             f"problem.circuit_kind must be 'combinational' or 'sequential', got {kind_raw!r}"
         ) from None
     reference = build(PpaMetrics, section.get("reference_ppa"), "problem.reference_ppa")
-    scalars = {k: v for k, v in _given(section).items() if k in ("name", "target_clock_period")}
+    scalars = {k: v for k, v in given.items() if k in ("name", "target_clock_period")}
     return build(
         ProblemSpec,
         {"name": "unnamed", "target_clock_period": 0.01, **scalars},
@@ -136,7 +139,8 @@ def _load_provider(section, base: Path) -> ProviderConfig | ScriptConfig:
         )
     cls, fields = _split_kind(section, "provider", PROVIDERS)
     if cls is ScriptConfig:
-        script = build(ScriptConfig, fields, "provider", **_path(fields, "script_file", base))
+        resolved = _path(fields, "script_file", base, "provider")
+        script = build(ScriptConfig, fields, "provider", **resolved)
         if not Path(script.script_file).is_file():
             raise ConfigError(f"provider.script_file: file not found: {script.script_file}")
         return script
@@ -153,7 +157,7 @@ def _load_evaluator(
     if cls is ToolchainConfig:
         if fields.get("clock_period") is None:
             resolved["clock_period"] = problem.target_clock_period
-        resolved.update(_path(fields, "liberty_path", base))
+        resolved.update(_path(fields, "liberty_path", base, "evaluator"))
     return build(cls, fields, "evaluator", **resolved)
 
 
@@ -173,7 +177,7 @@ def load_config(path: str | Path) -> RunConfig:
         evolution=evolution,
         provider=_load_provider(raw.get("provider"), base),
         evaluator=_load_evaluator(raw.get("evaluator"), base, problem),
-        output_dir=str(raw.get("output_dir", "runs/latest")),
+        output_dir=read_value(str, raw.get("output_dir", "runs/latest"), "output_dir"),
         keep_artifacts=read_value(bool, raw.get("keep_artifacts", False), "keep_artifacts"),
     )
 

@@ -6,9 +6,10 @@ Two interchangeable evaluators produce an EvalOutcome from code text:
   user-editable command templates.
 * SyntheticEvaluator is a pure, seeded stand-in for tool-free tests.
 
-Per-individual tool failures become Fail outcomes; a broken environment
-(missing executable, unreadable liberty file) raises ToolEnvironmentError
-and aborts the whole run instead.
+A command template or pattern that cannot run fails the config's load.
+Per-individual tool failures and unusable reports become outcomes; a broken
+environment (missing executable, unreadable liberty file) raises
+ToolEnvironmentError and aborts the whole run instead.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Protocol
 
 from .fitness import FitnessWeights, effective_period, fitness_of
 from .llm import Provider, ProviderError, ScriptError
-from .model import EvalOutcome, Individual, PpaMetrics, ProblemSpec
+from .model import ConfigError, EvalOutcome, Individual, PpaMetrics, ProblemSpec
 from .prompts import PromptBundle, default_templates
 
 logger = logging.getLogger(__name__)
@@ -68,7 +69,7 @@ class ToolEnvironmentError(OSError):
     """The tool environment is unusable (missing executable or library file)."""
 
 
-class ReportError(ValueError):
+class ReportError(RuntimeError):
     """A synthesis report could not be parsed. `field` names the culprit."""
 
     def __init__(self, field: str, message: str):
@@ -94,19 +95,23 @@ class ToolchainConfig:
 
     def __post_init__(self) -> None:
         if self.clock_period <= 0:
-            raise ValueError(f"evaluator.clock_period must be > 0, got {self.clock_period!r}")
+            raise ConfigError(f"evaluator.clock_period must be > 0, got {self.clock_period!r}")
         if self.per_stage_timeout <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"evaluator.per_stage_timeout must be > 0, got {self.per_stage_timeout!r}"
             )
-
-
-def _render_command(template: str, mapping: dict[str, str]) -> str:
-    class _Strict(dict):
-        def __missing__(self, key: str) -> str:
-            raise KeyError(f"unknown command placeholder {{{key}}}")
-
-    return template.format_map(_Strict(mapping))
+        # templates render and patterns compile here: a config that cannot run fails to load
+        mapping = _stage_mapping(self, Path())
+        for name, value in vars(self).items():
+            try:
+                if name.endswith("_command"):
+                    value.format_map(mapping)
+                elif name.endswith("_pattern"):
+                    re.compile(value)
+            except KeyError as exc:
+                raise ConfigError(f"evaluator.{name}: unknown placeholder {{{exc.args[0]}}}") from None
+            except (ValueError, LookupError, AttributeError, re.error) as exc:
+                raise ConfigError(f"evaluator.{name}: {exc}") from None
 
 
 # reserved words after which the next word still starts a command
@@ -169,10 +174,9 @@ def preflight(cfg: ToolchainConfig) -> None:
         raise ToolEnvironmentError(
             f"required executables not found on PATH: {', '.join(sorted(set(missing)))}"
         )
-    if "{liberty}" in cfg.synthesizer_command:
-        liberty = Path(cfg.liberty_path)
-        if not cfg.liberty_path or not liberty.is_file():
-            raise ToolEnvironmentError(f"liberty file not readable: {cfg.liberty_path!r}")
+    # an empty liberty_path is Path("."), never a file
+    if "{liberty}" in cfg.synthesizer_command and not Path(cfg.liberty_path).is_file():
+        raise ToolEnvironmentError(f"liberty file not readable: {cfg.liberty_path!r}")
 
 
 def _cut_marker(cut: int, unit: str) -> str:
@@ -260,62 +264,73 @@ def _stage_mapping(cfg: ToolchainConfig, workdir: Path) -> dict[str, str]:
     }
 
 
-def simulate(code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path) -> tuple[bool, str]:
-    """Compiles code with the testbench and runs it; pass needs the success
-    token in the output and a zero exit."""
-    workdir.mkdir(parents=True, exist_ok=True)
+def _stage(
+    name: str, template: str, cfg: ToolchainConfig, workdir: Path, keep_log: bool, **inputs: str
+) -> tuple[int, str]:
+    """Runs one tool stage: writes `inputs` (placeholder name to text) into
+    `workdir`, making it, then runs the rendered template; with `keep_log`,
+    its captured output also goes to `{workdir}/{name}.log`."""
     mapping = _stage_mapping(cfg, workdir)
-    Path(mapping["code_file"]).write_text(code, encoding="utf-8")
-    Path(mapping["testbench_file"]).write_text(spec.testbench_source, encoding="utf-8")
-    command = _render_command(cfg.simulator_command, mapping)
-    returncode, log = _run_shell(command, cfg.per_stage_timeout, workdir)
-    passed = returncode == 0 and re.search(cfg.pass_pattern, log) is not None
-    return passed, log
+    if inputs:
+        workdir.mkdir(parents=True, exist_ok=True)
+    for placeholder, text in inputs.items():
+        Path(mapping[placeholder]).write_text(text, encoding="utf-8")
+    returncode, log = _run_shell(template.format_map(mapping), cfg.per_stage_timeout, workdir)
+    if keep_log:
+        (workdir / f"{name}.log").write_text(log, encoding="utf-8")
+    return returncode, log
 
 
-def synthesize(code: str, cfg: ToolchainConfig, workdir: Path) -> tuple[str, bool]:
-    """Runs the scripted synthesis flow; the report is {out_report} when the
-    template writes it, captured output otherwise."""
-    workdir.mkdir(parents=True, exist_ok=True)
-    mapping = _stage_mapping(cfg, workdir)
-    code_file = Path(mapping["code_file"])
-    if not code_file.exists():
-        code_file.write_text(code, encoding="utf-8")
-    command = _render_command(cfg.synthesizer_command, mapping)
-    returncode, log = _run_shell(command, cfg.per_stage_timeout, workdir)
-    report_file = Path(mapping["out_report"])
-    report = log
-    if report_file.exists():
-        body = report_file.read_text(encoding="utf-8", errors="replace")
-        if body.strip():
-            report = body
-    return report, returncode == 0
+def _passed(returncode: int, log: str, cfg: ToolchainConfig) -> bool:
+    """The sim and post-synth pass rule: exit zero and a `pass_pattern` match."""
+    return returncode == 0 and re.search(cfg.pass_pattern, log) is not None
 
 
-def _extract(pattern: str, raw: str, field: str) -> float:
+def simulate(
+    code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path, keep_log: bool = False
+) -> tuple[bool, str]:
+    """Writes code and the testbench into `workdir`, compiles and runs them."""
+    inputs = {"code_file": code, "testbench_file": spec.testbench_source}
+    returncode, log = _stage("sim", cfg.simulator_command, cfg, workdir, keep_log, **inputs)
+    return _passed(returncode, log, cfg), log
+
+
+def synthesize(
+    code: str, cfg: ToolchainConfig, workdir: Path, keep_log: bool = False
+) -> tuple[str, bool]:
+    """Runs the scripted synthesis flow on the design simulation wrote, if
+    any; the report is {out_report} when the template writes it, captured
+    output otherwise."""
+    inputs = {} if (workdir / "design.v").exists() else {"code_file": code}
+    returncode, log = _stage("synth", cfg.synthesizer_command, cfg, workdir, keep_log, **inputs)
+    report_file = workdir / "synth.rpt"
+    body = report_file.read_text(encoding="utf-8", errors="replace") if report_file.exists() else ""
+    return (body if body.strip() else log), returncode == 0
+
+
+def _extract(raw: str, cfg: ToolchainConfig, field: str) -> float:
+    pattern = getattr(cfg, f"{field}_pattern")
     match = re.search(pattern, raw)
     if match is None:
-        raise ReportError(field, f"report is missing a {field} line")
+        raise ReportError(field, f"report has no line matching evaluator.{field}_pattern {pattern!r}")
     group = next((g for g in match.groups() if g is not None), match.group(0))
     try:
         return float(group)
     except ValueError:
-        raise ReportError(field, f"unparseable {field} value {group!r}") from None
+        raise ReportError(field, f"unparseable {field} value {group!r} in report") from None
 
 
 def parse_ppa_report(raw: str, cfg: ToolchainConfig) -> PpaMetrics:
-    area = _extract(cfg.area_pattern, raw, "area")
-    power = _extract(cfg.power_pattern, raw, "power")
-    slack = _extract(cfg.slack_pattern, raw, "slack")
-    if area < 0:
-        raise ReportError("area", f"negative area {area} in report")
-    if power < 0:
-        raise ReportError("power", f"negative power {power} in report")
-    return PpaMetrics(
-        power=power,
-        area=area,
-        effective_clock_period=effective_period(cfg.clock_period, slack),
-    )
+    """The report's PPA; a value that is missing, unparseable or out of
+    PpaMetrics's range is a ReportError naming its metric."""
+    area, power, slack = (_extract(raw, cfg, field) for field in ("area", "power", "slack"))
+    period = effective_period(cfg.clock_period, slack)
+    try:
+        return PpaMetrics(power=power, area=area, effective_clock_period=period)
+    except ValueError as exc:
+        # PpaMetrics names the metric first: "PpaMetrics.area must be ..."
+        metric = str(exc).split()[0].removeprefix("PpaMetrics.")
+        raise ReportError(metric, f"unusable report: {exc}") from None
 
 
 class Evaluator(Protocol):
@@ -328,64 +343,47 @@ class ToolchainEvaluator:
     """Evaluates candidates with real tools, one scratch directory per id.
 
     The directories go under `workdir_root` when it is given (kept
-    artifacts, never removed). Otherwise they go under a fresh `rtlevo-`
-    directory of the evaluator's own, made inside `config.workdir_root` or
-    the system temp directory, which cleanup() removes.
+    artifacts, never removed, with each stage's output in `<stage>.log`).
+    Otherwise they go under a fresh `rtlevo-` directory of the evaluator's
+    own, made inside `config.workdir_root` or the system temp directory,
+    which cleanup() removes.
     """
 
     def __init__(self, config: ToolchainConfig, workdir_root: str | Path | None = None):
         self.config = config
         preflight(config)
-        self._owns_root = workdir_root is None
+        self._kept = workdir_root is not None
         if workdir_root is None:
             parent = Path(config.workdir_root or tempfile.gettempdir())
             parent.mkdir(parents=True, exist_ok=True)
             workdir_root = tempfile.mkdtemp(prefix="rtlevo-", dir=parent)
         self._root = Path(workdir_root)
-        self._root.mkdir(parents=True, exist_ok=True)
-
-    def _workdir(self, tag: str) -> Path:
-        path = self._root / tag
-        path.mkdir(parents=True, exist_ok=True)
-        return path
 
     def outcome_for(self, code: str, spec: ProblemSpec, individual_id: int) -> EvalOutcome:
-        workdir = self._workdir(f"ind_{individual_id:06d}")
-        passed, sim_log = simulate(code, spec, self.config, workdir)
+        cfg, workdir = self.config, self._root / f"ind_{individual_id:06d}"
+        passed, sim_log = simulate(code, spec, cfg, workdir, self._kept)
         if not passed:
             return EvalOutcome(sim_passed=False, synth_succeeded=False, ppa=None, sim_log=sim_log)
-        report, ok = synthesize(code, self.config, workdir)
-        if not ok:
-            return EvalOutcome(
-                sim_passed=True, synth_succeeded=False, ppa=None,
-                sim_log=sim_log, synth_log=report,
-            )
-        post_synth = self._post_synth_check(spec, workdir)
+        report, ok = synthesize(code, cfg, workdir, self._kept)
+        post_synth = None
+        if ok and cfg.post_synth_command:
+            returncode, log = _stage("post_synth", cfg.post_synth_command, cfg, workdir, self._kept)
+            post_synth = _passed(returncode, log, cfg)
+            if not post_synth:
+                logger.warning("individual %d: gate-level re-sim failed\n%s", individual_id, log[-500:])
         ppa = None
-        if post_synth is not False:
+        if ok and post_synth is not False:
             try:
-                ppa = parse_ppa_report(report, self.config)
+                ppa = parse_ppa_report(report, cfg)
             except ReportError as exc:
-                logger.warning("individual %d: unusable synthesis report (%s)", individual_id, exc)
+                logger.warning("individual %d: %s; withholding PPA", individual_id, exc)
         return EvalOutcome(
-            sim_passed=True, synth_succeeded=True, ppa=ppa,
+            sim_passed=True, synth_succeeded=ok, ppa=ppa,
             sim_log=sim_log, synth_log=report, post_synth_functional=post_synth,
         )
 
-    def _post_synth_check(self, spec: ProblemSpec, workdir: Path) -> bool | None:
-        if not self.config.post_synth_command:
-            return None
-        mapping = _stage_mapping(self.config, workdir)
-        command = _render_command(self.config.post_synth_command, mapping)
-        returncode, log = _run_shell(command, self.config.per_stage_timeout, workdir)
-        ok = returncode == 0 and re.search(self.config.pass_pattern, log) is not None
-        if not ok:
-            logger.warning("gate-level re-simulation failed; withholding PPA\n%s", log[-500:])
-        return ok
-
     def reference_ppa(self, code: str) -> PpaMetrics:
-        workdir = self._workdir("reference")
-        report, ok = synthesize(code, self.config, workdir)
+        report, ok = synthesize(code, self.config, self._root / "reference")
         if not ok:
             raise RuntimeError(
                 "reference design failed to synthesize; problem is PPA-ineligible\n"
@@ -394,7 +392,7 @@ class ToolchainEvaluator:
         return parse_ppa_report(report, self.config)
 
     def cleanup(self) -> None:
-        if self._owns_root:
+        if not self._kept:
             shutil.rmtree(self._root, ignore_errors=True)
 
 

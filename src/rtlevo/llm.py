@@ -211,6 +211,17 @@ class HttpChatProvider:
             "top_p": top_p,
         }
         headers = {"Authorization": f"Bearer {self._api_key()}"}
+        try:
+            result = self._post(payload, headers)
+        except ProviderError as exc:
+            if self._transcript:
+                self._transcript.record(bundle, None, error=str(exc))
+            raise
+        if self._transcript:
+            self._transcript.record(bundle, result)
+        return result
+
+    def _post(self, payload: dict, headers: dict) -> CompletionResult:
         start = time.monotonic()
         last_error = "no attempt made"
         attempts = self.config.max_retries + 1
@@ -227,23 +238,14 @@ class HttpChatProvider:
                     last_error = f"request failed: {exc}"
                 else:
                     if response.status_code in (401, 403):
-                        error = ProviderError(
+                        raise ProviderError(
                             "auth", f"authentication rejected (HTTP {response.status_code})", attempt
                         )
-                        self._record_failure(bundle, error)
-                        raise error
                     if response.status_code == 200:
-                        result = self._parse_body(bundle, response, attempt, start)
-                        if self._transcript:
-                            self._transcript.record(bundle, result)
-                        return result
+                        return self._parse_body(response, attempt, start)
                     last_error = f"HTTP {response.status_code}"
                     if response.status_code not in self._TRANSIENT_STATUS:
-                        error = ProviderError(
-                            "protocol", f"unexpected response: {last_error}", attempt
-                        )
-                        self._record_failure(bundle, error)
-                        raise error
+                        raise ProviderError("protocol", f"unexpected response: {last_error}", attempt)
                 if attempt < attempts:
                     delay = BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1)
                     delay += random.uniform(0, BACKOFF_JITTER)
@@ -252,22 +254,16 @@ class HttpChatProvider:
                         last_error, attempt, self.config.max_retries, delay,
                     )
                     time.sleep(delay)
-        error = ProviderError("transient", f"exhausted retries: {last_error}", attempts)
-        self._record_failure(bundle, error)
-        raise error
+        raise ProviderError("transient", f"exhausted retries: {last_error}", attempts)
 
-    def _parse_body(
-        self, bundle: PromptBundle, response: requests.Response, attempt: int, start: float
-    ) -> CompletionResult:
+    def _parse_body(self, response: requests.Response, attempt: int, start: float) -> CompletionResult:
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError("message content is not a string")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            error = ProviderError("protocol", f"malformed response body: {exc}", attempt)
-            self._record_failure(bundle, error)
-            raise error from None
+            raise ProviderError("protocol", f"malformed response body: {exc}", attempt) from None
         usage = body.get("usage") if isinstance(body.get("usage"), dict) else None
         return CompletionResult(
             text=text,
@@ -275,10 +271,6 @@ class HttpChatProvider:
             latency=time.monotonic() - start,
             attempt_count=attempt,
         )
-
-    def _record_failure(self, bundle: PromptBundle, error: Exception) -> None:
-        if self._transcript:
-            self._transcript.record(bundle, None, error=str(error))
 
 
 @dataclass

@@ -252,6 +252,64 @@ def test_ref_ppa_missing_design_aborts(tmp_path, capsys):
     assert "ghost.v" in capsys.readouterr().err
 
 
+def _toolchain(tmp_path, **overrides):
+    """A toolchain evaluator section whose stages are plain shell commands."""
+    return {
+        "evaluator": {
+            "kind": "toolchain",
+            "simulator_command": "echo all tests passed",
+            "synthesizer_command": "printf 'Chip area: 90\\nTotal power: 0.9\\nWorst slack: 0\\n'",
+            "workdir_root": str(tmp_path / "work"),
+            **overrides,
+        }
+    }
+
+
+def test_ref_ppa_report_without_power_is_one_error_line(tmp_path, capsys):
+    no_power = _toolchain(tmp_path, synthesizer_command="printf 'Chip area: 90\\nWorst slack: 0\\n'")
+    config = write_setup(tmp_path, config_overrides=no_power)
+    design = tmp_path / "golden.v"
+    design.write_text("module add2; endmodule\n", encoding="utf-8")
+    assert main(["ref-ppa", str(design), "--config", str(config)]) == EXIT_ABORT
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: report has no line matching evaluator.power_pattern ")
+
+
+def test_run_keeps_an_out_of_range_report_as_the_designs_outcome(tmp_path, caplog):
+    infinite = "printf 'Chip area: 1e999\\nTotal power: 0.9\\nWorst slack: 0\\n'"
+    config = write_setup(tmp_path, config_overrides=_toolchain(tmp_path, synthesizer_command=infinite))
+    assert main(["run", "--config", str(config)]) == EXIT_FOUND
+    records = read_generations(tmp_path / "run")
+    assert len(records) == 3
+    passed = [ind for r in records for ind in r.offspring + r.population if ind.outcome.sim_passed]
+    assert passed and all(ind.outcome.ppa is None for ind in passed)
+    assert "unusable report: PpaMetrics.area must be finite" in caplog.text
+
+
+def test_keep_artifacts_keeps_stage_logs(tmp_path):
+    config = write_setup(tmp_path, config_overrides=_toolchain(tmp_path))
+    assert main(["run", "--config", str(config), "--keep-artifacts"]) == EXIT_FOUND
+    first = tmp_path / "run" / "artifacts" / "ind_000000"
+    assert (first / "sim.log").read_text(encoding="utf-8") == "all tests passed\n"
+    assert (first / "synth.log").read_text(encoding="utf-8").startswith("Chip area: 90\n")
+    assert not (first / "post_synth.log").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("simulator_command", "echo {bogus}"), ("pass_pattern", "(unclosed")]
+)
+@pytest.mark.parametrize("command", ["run", "validate-config"])
+def test_evaluator_that_cannot_run_is_one_error_line(tmp_path, capsys, key, value, command):
+    config = write_setup(tmp_path, config_overrides=_toolchain(tmp_path, **{key: value}))
+    assert main([command, "--config", str(config)]) == EXIT_ABORT
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: evaluator.{key}: ")
+    # the config failed to load: no run directory, so no provider call
+    assert not (tmp_path / "run").exists()
+
+
 def test_seed_override_changes_run(tmp_path):
     config = write_setup(tmp_path)
     main(["run", "--config", str(config), "--out", str(tmp_path / "a"), "--seed", "1"])

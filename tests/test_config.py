@@ -176,10 +176,18 @@ def test_integral_values_still_load(tmp_path):
         ("problem.target_clock_period", "0.01"),
         ("evolution.exploration_c", False),
         ("problem.name", 7),
+        # str() would read these as the text "5"
+        ("problem.description", 5),
+        ("output_dir", 5),
+        ("evaluator.liberty_path", 5),
+        ("problem.circuit_kind", 5),
     ],
 )
 def test_non_numeric_float_and_non_string_str_rejected(tmp_path, key, value):
-    path = write_config(tmp_path, overrides={key: value})
+    overrides = {key: value}
+    if key.startswith("evaluator."):
+        overrides = {"evaluator.kind": "toolchain", **overrides}
+    path = write_config(tmp_path, overrides=overrides)
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert key in str(err.value)
@@ -248,6 +256,30 @@ def test_provider_kind_required(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert "http" in str(err.value) and "scripted" in str(err.value)
+
+
+@pytest.mark.parametrize("section", ["provider", "evaluator"])
+def test_null_kind_reads_as_missing(tmp_path, section):
+    path = write_config(tmp_path, overrides={f"{section}.kind": None})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    # str(None) would name a kind 'none' that the config never gave
+    assert str(err.value).startswith(f"{section}.kind must be one of ")
+    assert str(err.value).endswith("got ''")
+
+
+def test_kinds_ignore_case_and_surrounding_space(tmp_path):
+    path = write_config(
+        tmp_path,
+        overrides={
+            "provider.kind": "Scripted",
+            "evaluator.kind": " SYNTHETIC ",
+            "problem.circuit_kind": "Sequential",
+        },
+    )
+    cfg = load_config(path)
+    assert isinstance(cfg.evaluator, SyntheticEvaluatorConfig)
+    assert cfg.problem.circuit_kind is CircuitKind.SEQUENTIAL
 
 
 def test_scripted_missing_file(tmp_path):

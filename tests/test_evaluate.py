@@ -35,7 +35,15 @@ from rtlevo.evaluate import (
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights, compute_fitness
 from rtlevo.llm import CompletionResult, ProviderError, ScriptEntry, ScriptedProvider
-from rtlevo.model import NEG_INF, CircuitKind, EvalOutcome, Individual, PpaMetrics, ProblemSpec
+from rtlevo.model import (
+    NEG_INF,
+    CircuitKind,
+    ConfigError,
+    EvalOutcome,
+    Individual,
+    PpaMetrics,
+    ProblemSpec,
+)
 
 REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
 
@@ -136,6 +144,20 @@ def test_parse_ppa_report_negative_area_rejected():
     assert err.value.field == "area"
 
 
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ("Chip area: 1e999\nPower: 1\nWorst slack: 0\n", "area"),
+        ("Chip area: 10\nPower: 1\nWorst slack: -1e999\n", "effective_clock_period"),
+    ],
+)
+def test_parse_ppa_report_infinite_value_is_report_error(raw, field):
+    with pytest.raises(ReportError) as err:
+        parse_ppa_report(raw, fake_cfg())
+    assert err.value.field == field
+    assert isinstance(err.value, RuntimeError)
+
+
 # --- shell stages -----------------------------------------------------------
 
 
@@ -232,11 +254,27 @@ def test_synthesize_falls_back_to_stdout(tmp_path):
     assert "42.18" in report
 
 
-def test_unknown_placeholder_raises(tmp_path):
-    cfg = fake_cfg(simulator_command="echo {not_a_placeholder}")
-    with pytest.raises(KeyError) as err:
-        simulate("x", SPEC, cfg, tmp_path / "p")
-    assert "not_a_placeholder" in str(err.value)
+def test_unknown_placeholder_raises():
+    with pytest.raises(ConfigError) as err:
+        fake_cfg(simulator_command="echo {not_a_placeholder}")
+    assert "evaluator.simulator_command" in str(err.value)
+    assert "{not_a_placeholder}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("synthesizer_command", "echo {"),
+        ("post_synth_command", "echo {0}"),
+        ("pass_pattern", "(unclosed"),
+        ("area_pattern", "[0-9"),
+        ("slack_pattern", "*"),
+    ],
+)
+def test_template_or_pattern_that_cannot_run_fails_at_construction(key, value):
+    with pytest.raises(ConfigError) as err:
+        fake_cfg(**{key: value})
+    assert str(err.value).startswith(f"evaluator.{key}: ")
 
 
 def test_preflight_missing_executable():
@@ -388,6 +426,30 @@ def test_toolchain_cleanup_keeps_given_and_unrelated_files(tmp_path):
     ev.outcome_for("x", SPEC, 1)
     ev.cleanup()
     assert (kept / "ind_000001" / "design.v").exists()
+
+
+def test_kept_workdir_holds_each_stage_log_whole(tmp_path):
+    cfg = fake_cfg(
+        simulator_command="seq 1 3000; echo all tests passed",
+        post_synth_command="echo gate level: all tests passed",
+    )
+    ev = ToolchainEvaluator(cfg, workdir_root=tmp_path)
+    ind = evaluate(Individual(id=2, thought="t", code="x"), SPEC, ev, WEIGHTS)
+    workdir = tmp_path / "ind_000002"
+    sim_log = (workdir / "sim.log").read_text(encoding="utf-8")
+    assert len(ind.outcome.sim_log) <= LOG_CLIP_CHARS < len(sim_log)
+    assert "\n1500\n" in sim_log and "1500" not in ind.outcome.sim_log
+    assert "Chip area for module top: 42.18" in (workdir / "synth.log").read_text(encoding="utf-8")
+    assert (workdir / "post_synth.log").read_text(encoding="utf-8").startswith("gate level")
+
+
+def test_scratch_workdir_gets_no_stage_logs(tmp_path):
+    parent = tmp_path / "scratch"
+    ev = ToolchainEvaluator(fake_cfg(workdir_root=str(parent)))
+    ev.outcome_for("x", SPEC, 1)
+    (own,) = parent.iterdir()
+    assert sorted(p.name for p in (own / "ind_000001").iterdir()) == ["design.v", "tb.v"]
+    ev.cleanup()
 
 
 # --- synthetic evaluator ----------------------------------------------------

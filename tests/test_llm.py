@@ -461,22 +461,39 @@ def test_transcripting_provider_mirrors_success_and_failure(tmp_path):
     assert "exhausted" in lines[1]["error"] or "no responses" in lines[1]["error"]
 
 
-def test_http_records_failures_to_transcript(tmp_path, monkeypatch, fast_backoff):
-    endpoint = _FakeEndpoint([(401, "{}")])
+@pytest.mark.parametrize(
+    "plan, response, error",
+    [
+        ([(200, _ok("fine"))], "fine", None),
+        ([(401, "{}")], None, "authentication rejected (HTTP 401)"),
+        ([(418, "{}")], None, "unexpected response: HTTP 418"),
+        (
+            [(200, json.dumps({"choices": []}))],
+            None,
+            "malformed response body: list index out of range",
+        ),
+        ([(503, "{}"), (503, "{}")], None, "exhausted retries: HTTP 503"),
+    ],
+    ids=["success", "auth", "protocol", "malformed", "transient"],
+)
+def test_http_writes_one_transcript_entry_per_call(
+    tmp_path, monkeypatch, fast_backoff, plan, response, error
+):
+    endpoint = _FakeEndpoint(plan)
     try:
         monkeypatch.setenv("RTLEVO_TEST_KEY", "sk-secret-value")
         cfg = ProviderConfig(
-            endpoint_url=endpoint.url,
-            model_name="m",
-            api_key_env_var="RTLEVO_TEST_KEY",
+            endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY", max_retries=1
         )
         path = tmp_path / "t.jsonl"
         provider = HttpChatProvider(cfg, transcript=TranscriptWriter(path))
-        with pytest.raises(ProviderError):
+        try:
             provider.complete(bundle())
-        lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
-        assert len(lines) == 1
-        assert "authentication rejected" in lines[1 - 1]["error"]
+        except ProviderError:
+            assert error is not None
+        (entry,) = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert (entry["response"], entry["error"]) == (response, error)
+        assert entry["attempt_count"] == (1 if response else None)
     finally:
         endpoint.close()
 
