@@ -8,6 +8,7 @@ environment, exhausted provider).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -71,6 +72,18 @@ def _build_evaluator(cfg: RunConfig, workdir_root: Path | None) -> Evaluator:
     return SyntheticEvaluator(cfg.evaluator)
 
 
+@contextlib.contextmanager
+def _evaluator(cfg: RunConfig, workdir_root: Path | None):
+    """The evaluator `_build_evaluator` makes, which preflights the tools,
+    with its scratch directories removed on exit."""
+    evaluator = _build_evaluator(cfg, workdir_root)
+    try:
+        yield evaluator
+    finally:
+        if isinstance(evaluator, ToolchainEvaluator):
+            evaluator.cleanup()
+
+
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     evolution = cfg.evolution
     if args.seed is not None:
@@ -110,12 +123,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if isinstance(cfg.provider, ProviderConfig) and cfg.provider.api_key_env_var:
         secrets.append(os.environ.get(cfg.provider.api_key_env_var, ""))
     transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, redact=secrets)
-    # parse the script and preflight the tools before touching the run
-    # directory, so a run that cannot start leaves the previous run intact
+    # parse the script, read the API key and preflight the tools before
+    # touching the run directory, so a run that cannot start leaves the
+    # previous run intact; validate-config makes the same checks
     provider = _build_provider(cfg, transcript)
     artifacts_dir = run_dir / "artifacts" if cfg.keep_artifacts else None
-    evaluator = _build_evaluator(cfg, artifacts_dir)
-    try:
+    with _evaluator(cfg, artifacts_dir) as evaluator:
         run_dir.mkdir(parents=True, exist_ok=True)
         for name in (GENERATIONS_FILE, TRANSCRIPTS_FILE, FINAL_REPORT_FILE):
             (run_dir / name).unlink(missing_ok=True)
@@ -129,9 +142,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             evaluator,
             record_sink=lambda record: append_generation(run_dir / GENERATIONS_FILE, record),
         ).run()
-    finally:
-        if isinstance(evaluator, ToolchainEvaluator):
-            evaluator.cleanup()
 
     final = {
         "schema_version": SCHEMA_VERSION,
@@ -177,20 +187,18 @@ def cmd_ref_ppa(args: argparse.Namespace) -> int:
     design = Path(args.design)
     if not design.is_file():
         raise ConfigError(f"reference design not found: {design}")
-    evaluator = _build_evaluator(cfg, None)
-    try:
+    with _evaluator(cfg, None) as evaluator:
         ppa = evaluator.reference_ppa(design.read_text(encoding="utf-8"))
-    finally:
-        if isinstance(evaluator, ToolchainEvaluator):
-            evaluator.cleanup()
     print(json.dumps(to_plain(ppa), sort_keys=True, indent=2))
     return EXIT_FOUND
 
 
 def cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if isinstance(cfg.provider, ScriptConfig):
-        ScriptedProvider.from_file(cfg.provider.script_file)
+    # what `run` checks before it starts: the script, the API key, the tools
+    _build_provider(cfg, TranscriptWriter(Path(cfg.output_dir) / TRANSCRIPTS_FILE))
+    with _evaluator(cfg, None):
+        pass
     print(
         f"config OK: problem={cfg.problem.name!r} "
         f"provider={kind_of(cfg.provider, PROVIDERS)} "

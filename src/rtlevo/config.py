@@ -1,19 +1,19 @@
 """Run configuration: a YAML file resolved into typed config objects.
 
-`model.build`, which also reads the run history, makes each config
-dataclass (EvolutionConfig with its FitnessWeights, ProviderConfig,
-ScriptConfig, ToolchainConfig, SyntheticEvaluatorConfig, PpaMetrics,
-ProblemSpec) from its YAML section, under its rules for keys, null values
-and strict types; unknown keys are errors, so typos do not silently become
-defaults. Omitted hyperparameters take the dataclass defaults: N=10, λ=10,
-G=20, n=1, R=1, c=2.0, τ=1.0, sampling temperature 1.0, top_p 0.95, clock
-period 0.01 ns, weights chosen by circuit kind.
+The fields of RunConfig and of the dataclasses it holds (ProblemSpec with
+its PpaMetrics, EvolutionConfig with its FitnessWeights, ProviderConfig or
+ScriptConfig, ToolchainConfig or SyntheticEvaluatorConfig) are the config
+file's keys; `model.build` reads each section under its rules for keys,
+null values and strict types. Unknown keys are errors, so typos do not
+silently become defaults, and omitted keys take the dataclass defaults.
 
-Explicit here: `kind`, which names the provider's or the evaluator's
-dataclass (PROVIDERS, EVALUATORS), the problem section's own key names and
-files, and `clock_period`, which defaults to `problem.target_clock_period`.
-Paths are made absolute against the config's directory, so the snapshot
-that `snapshot_dict` writes with `model.to_plain` loads into the same
+What the dataclasses cannot say is resolved here: each section's `kind`,
+which names the provider's or the evaluator's dataclass (PROVIDERS,
+EVALUATORS); the problem's `description` and `testbench`, each given
+inline or as a `description_file` or `testbench_file`; the case-insensitive
+`circuit_kind`; and the evaluator's `clock_period`, which defaults to
+`problem.target_clock_period`. Paths are made absolute against the config's
+directory, so the snapshot that `snapshot_dict` writes loads into the same
 config.
 
 Secrets never live in config files: the provider section names an
@@ -42,14 +42,13 @@ from .model import (
     to_plain,
 )
 
-TOP_KEYS = ("problem", "evolution", "provider", "evaluator", "output_dir", "keep_artifacts")
-PROBLEM_KEYS = (
-    "name", "description", "description_file", "testbench", "testbench_file",
-    "circuit_kind", "target_clock_period", "reference_ppa",
-)
 # each section's `kind` names the dataclass that reads the rest of it
 PROVIDERS = {"http": ProviderConfig, "scripted": ScriptConfig}
 EVALUATORS = {"toolchain": ToolchainConfig, "synthetic": SyntheticEvaluatorConfig}
+# the path field of each section dataclass that has one
+PATHS = {ScriptConfig: "script_file", ToolchainConfig: "liberty_path"}
+# problem texts that may instead be read from the file `<key>_file` names
+TEXTS = ("description", "testbench")
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class RunConfig:
     evolution: EvolutionConfig
     provider: ProviderConfig | ScriptConfig
     evaluator: ToolchainConfig | SyntheticEvaluatorConfig
-    output_dir: str
+    output_dir: str = "runs/latest"
     keep_artifacts: bool = False
 
 
@@ -72,93 +71,60 @@ def _given(section: dict) -> dict:
     return {key: value for key, value in section.items() if value is not None}
 
 
-def _split_kind(section, where: str, kinds: dict) -> tuple[type, dict]:
-    """The dataclass the section's `kind` names, and the rest of its keys."""
+def _lower(section: dict, key: str, where: str) -> str:
+    """`key`'s string trimmed and lower-cased; null or missing reads as ''."""
+    return read_value(str, _given(section).get(key, ""), f"{where}.{key}").strip().lower()
+
+
+def _load_section(section, where: str, kinds: dict, base: Path, **defaults):
+    """The dataclass the section's `kind` names, built from the rest of its
+    keys, with its path made absolute and `defaults` for the keys it omits."""
     section = require_map(section, where)
-    kind = read_value(str, _given(section).get("kind", ""), f"{where}.kind").strip().lower()
+    kind = _lower(section, "kind", where)
     if kind not in kinds:
         raise ConfigError(f"{where}.kind must be one of {tuple(kinds)}, got {kind!r}")
-    return kinds[kind], {key: value for key, value in section.items() if key != "kind"}
+    fields = {key: value for key, value in section.items() if key != "kind"}
+    resolved = {key: value for key, value in defaults.items() if fields.get(key) is None}
+    path_key = PATHS.get(kinds[kind])
+    if fields.get(path_key):
+        resolved[path_key] = str(base / read_value(str, fields[path_key], f"{where}.{path_key}"))
+    return build(kinds[kind], fields, where, **resolved)
 
 
-def _path(fields: dict, key: str, base: Path, where: str) -> dict:
-    """`key`, when given, made absolute against the config's directory."""
-    if not fields.get(key):
-        return {}
-    return {key: str(base / read_value(str, fields[key], f"{where}.{key}"))}
-
-
-def _read_text_field(section: dict, inline_key: str, file_key: str, base: Path, where: str) -> str:
-    inline = section.get(inline_key)
-    file_name = section.get(file_key)
+def _read_text(section: dict, key: str, base: Path) -> str:
+    """The problem's `key` text, given inline or in the file `<key>_file`."""
+    inline, file_name = section.get(key), section.get(f"{key}_file")
     if inline is not None and file_name is not None:
-        raise ConfigError(f"{where}: give {inline_key} or {file_key}, not both")
+        raise ConfigError(f"problem: give {key} or {key}_file, not both")
     if inline is not None:
-        return read_value(str, inline, f"{where}.{inline_key}")
-    if file_name is not None:
-        path = base / read_value(str, file_name, f"{where}.{file_key}")
-        if not path.is_file():
-            raise ConfigError(f"{where}.{file_key}: file not found: {path}")
-        return path.read_text(encoding="utf-8")
-    return ""
+        return read_value(str, inline, f"problem.{key}")
+    if file_name is None:
+        return ""
+    path = base / read_value(str, file_name, f"problem.{key}_file")
+    if not path.is_file():
+        raise ConfigError(f"problem.{key}_file: file not found: {path}")
+    return path.read_text(encoding="utf-8")
 
 
 def _load_problem(section, base: Path) -> ProblemSpec:
     section = require_map(section, "problem")
-    check_keys(section, PROBLEM_KEYS, "problem")
-    description = _read_text_field(section, "description", "description_file", base, "problem")
-    if not description.strip():
-        raise ConfigError("problem needs a description or description_file")
-    given = _given(section)
-    kind_raw = read_value(str, given.get("circuit_kind", ""), "problem.circuit_kind").strip().lower()
+    allowed = []
+    for field in dataclasses.fields(ProblemSpec):
+        allowed += [field.name, f"{field.name}_file"] if field.name in TEXTS else [field.name]
+    check_keys(section, tuple(allowed), "problem")
+    texts = {key: _read_text(section, key, base) for key in TEXTS}
+    kind = _lower(section, "circuit_kind", "problem")
     try:
-        circuit_kind = CircuitKind(kind_raw)
+        circuit_kind = CircuitKind(kind)
     except ValueError:
         raise ConfigError(
-            f"problem.circuit_kind must be 'combinational' or 'sequential', got {kind_raw!r}"
+            f"problem.circuit_kind must be 'combinational' or 'sequential', got {kind!r}"
         ) from None
     reference = build(PpaMetrics, section.get("reference_ppa"), "problem.reference_ppa")
-    scalars = {k: v for k, v in given.items() if k in ("name", "target_clock_period")}
+    fields = {key: value for key, value in section.items() if not key.endswith("_file")}
     return build(
-        ProblemSpec,
-        {"name": "unnamed", "target_clock_period": 0.01, **scalars},
-        "problem",
-        functional_description=description,
-        testbench_source=_read_text_field(section, "testbench", "testbench_file", base, "problem"),
-        reference_ppa=reference,
-        circuit_kind=circuit_kind,
+        ProblemSpec, fields, "problem", circuit_kind=circuit_kind, reference_ppa=reference, **texts
     )
-
-
-def _load_provider(section, base: Path) -> ProviderConfig | ScriptConfig:
-    section = require_map(section, "provider")
-    if "api_key" in section:
-        raise ConfigError(
-            "provider.api_key is not accepted; set provider.api_key_env_var to the "
-            "name of an environment variable instead"
-        )
-    cls, fields = _split_kind(section, "provider", PROVIDERS)
-    if cls is ScriptConfig:
-        resolved = _path(fields, "script_file", base, "provider")
-        script = build(ScriptConfig, fields, "provider", **resolved)
-        if not Path(script.script_file).is_file():
-            raise ConfigError(f"provider.script_file: file not found: {script.script_file}")
-        return script
-    if not fields.get("endpoint_url"):
-        raise ConfigError("provider.endpoint_url is required for kind: http")
-    return build(ProviderConfig, fields, "provider")
-
-
-def _load_evaluator(
-    section, base: Path, problem: ProblemSpec
-) -> ToolchainConfig | SyntheticEvaluatorConfig:
-    cls, fields = _split_kind(section, "evaluator", EVALUATORS)
-    resolved = {}
-    if cls is ToolchainConfig:
-        if fields.get("clock_period") is None:
-            resolved["clock_period"] = problem.target_clock_period
-        resolved.update(_path(fields, "liberty_path", base, "evaluator"))
-    return build(cls, fields, "evaluator", **resolved)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -167,18 +133,26 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     raw = require_map(read_yaml(path, "config"), "config")
-    check_keys(raw, TOP_KEYS, "config")
-    raw = _given(raw)
-    base = path.resolve().parent
+    # checked here so that an unknown key is named as the config's
+    check_keys(raw, tuple(f.name for f in dataclasses.fields(RunConfig)), "config")
+    raw, base = _given(raw), path.resolve().parent
     problem = _load_problem(raw.get("problem"), base)
     evolution = build(EvolutionConfig, raw.get("evolution", {}), "evolution")
-    return RunConfig(
+    if "api_key" in require_map(raw.get("provider"), "provider"):
+        raise ConfigError(
+            "provider.api_key is not accepted; set provider.api_key_env_var to the "
+            "name of an environment variable instead"
+        )
+    return build(
+        RunConfig,
+        raw,
         problem=problem,
         evolution=evolution,
-        provider=_load_provider(raw.get("provider"), base),
-        evaluator=_load_evaluator(raw.get("evaluator"), base, problem),
-        output_dir=read_value(str, raw.get("output_dir", "runs/latest"), "output_dir"),
-        keep_artifacts=read_value(bool, raw.get("keep_artifacts", False), "keep_artifacts"),
+        provider=_load_section(raw["provider"], "provider", PROVIDERS, base),
+        evaluator=_load_section(
+            raw.get("evaluator"), "evaluator", EVALUATORS, base,
+            clock_period=problem.target_clock_period,
+        ),
     )
 
 
@@ -186,20 +160,8 @@ def snapshot_dict(cfg: RunConfig) -> dict:
     """A plain-dict image of the resolved config for persisting in the run
     directory; `load_config` reads it back into the same config, with the
     weights resolved. Contains no secrets (keys are env-var names only)."""
-    problem = cfg.problem
-    evolution = dataclasses.replace(cfg.evolution, weights=cfg.evolution.weights_for(problem))
-    return {
-        "problem": {
-            "name": problem.name,
-            "description": problem.functional_description,
-            "testbench": problem.testbench_source,
-            "circuit_kind": problem.circuit_kind.value,
-            "target_clock_period": problem.target_clock_period,
-            "reference_ppa": to_plain(problem.reference_ppa),
-        },
-        "evolution": to_plain(evolution),
-        "provider": {"kind": kind_of(cfg.provider, PROVIDERS), **to_plain(cfg.provider)},
-        "evaluator": {"kind": kind_of(cfg.evaluator, EVALUATORS), **to_plain(cfg.evaluator)},
-        "output_dir": cfg.output_dir,
-        "keep_artifacts": cfg.keep_artifacts,
-    }
+    evolution = dataclasses.replace(cfg.evolution, weights=cfg.evolution.weights_for(cfg.problem))
+    snapshot = to_plain(dataclasses.replace(cfg, evolution=evolution))
+    snapshot["provider"]["kind"] = kind_of(cfg.provider, PROVIDERS)
+    snapshot["evaluator"]["kind"] = kind_of(cfg.evaluator, EVALUATORS)
+    return snapshot

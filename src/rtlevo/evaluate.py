@@ -290,7 +290,7 @@ def simulate(
     code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path, keep_log: bool = False
 ) -> tuple[bool, str]:
     """Writes code and the testbench into `workdir`, compiles and runs them."""
-    inputs = {"code_file": code, "testbench_file": spec.testbench_source}
+    inputs = {"code_file": code, "testbench_file": spec.testbench}
     returncode, log = _stage("sim", cfg.simulator_command, cfg, workdir, keep_log, **inputs)
     return _passed(returncode, log, cfg), log
 
@@ -385,10 +385,8 @@ class ToolchainEvaluator:
     def reference_ppa(self, code: str) -> PpaMetrics:
         report, ok = synthesize(code, self.config, self._root / "reference")
         if not ok:
-            raise RuntimeError(
-                "reference design failed to synthesize; problem is PPA-ineligible\n"
-                + report[-2000:]
-            )
+            logger.error("reference synthesis output (tail):\n%s", report[-2000:])
+            raise RuntimeError("reference design failed to synthesize; problem is PPA-ineligible")
         return parse_ppa_report(report, self.config)
 
     def cleanup(self) -> None:
@@ -496,7 +494,7 @@ def _feedback_prompt(ind: Individual, spec: ProblemSpec) -> str:
         return (
             "A Verilog design failed its testbench. Analyze the error log and "
             "write concise bug-fixing feedback (what is wrong and how to fix it).\n\n"
-            f"Task description:\n{spec.functional_description}\n\n"
+            f"Task description:\n{spec.description}\n\n"
             f"Design code:\n{ind.code}\n\n"
             f"Simulation log (tail):\n{_log_tail(outcome.sim_log, FEEDBACK_LOG_TAIL_CHARS)}\n"
         )
@@ -517,7 +515,7 @@ def _feedback_prompt(ind: Individual, spec: ProblemSpec) -> str:
         "A Verilog design passed its testbench. Review its PPA against the "
         "reference design and suggest concrete improvements (smaller area, "
         "lower power, better timing) that preserve functionality.\n\n"
-        f"Task description:\n{spec.functional_description}\n\n"
+        f"Task description:\n{spec.description}\n\n"
         f"Design code:\n{ind.code}\n\n"
         f"PPA results:\n{ppa_lines}\n"
     )

@@ -2,8 +2,9 @@
 
 Both expose a single method, complete(bundle) -> CompletionResult, so the
 engine never knows which one it is talking to. Every call can be mirrored
-to a transcript sink for replay and audit; API keys are resolved from an
-environment variable at call time and never persisted.
+to a transcript sink for replay and audit; the HTTP client reads its API
+key from an environment variable once, when it is built, and never
+persists it.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ class ProviderConfig:
     feedback_top_p: float | None = None
 
     def __post_init__(self) -> None:
+        if not self.endpoint_url:
+            raise ValueError("provider.endpoint_url is required for kind: http")
         for name in ("temperature", "feedback_temperature"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -99,6 +102,8 @@ class ScriptConfig:
     def __post_init__(self) -> None:
         if not self.script_file:
             raise ValueError("provider.script_file is required")
+        if not Path(self.script_file).is_file():
+            raise ValueError(f"provider.script_file: file not found: {self.script_file}")
 
 
 @dataclass(frozen=True)
@@ -178,26 +183,22 @@ class HttpChatProvider:
 
     Sends {model, messages, temperature, top_p}; retries 429/5xx/timeouts
     with exponential backoff and jitter; treats 401/403 as non-retriable.
+    An unset or empty key variable is an `auth` ProviderError at
+    construction, before any request.
     """
 
     _TRANSIENT_STATUS = frozenset({429, 500, 502, 503, 504})
 
     def __init__(self, config: ProviderConfig, transcript: TranscriptWriter | None = None):
-        if not config.endpoint_url:
-            raise ValueError("HttpChatProvider requires endpoint_url")
+        name = config.api_key_env_var
+        key = os.environ.get(name, "") if name else ""
+        if not key:
+            raise ProviderError("auth", f"API key environment variable {name!r} is unset or empty")
         self.config = config
+        self._headers = {"Authorization": f"Bearer {key}"}
         self._transcript = transcript
         self._session = requests.Session()
         self._semaphore = threading.BoundedSemaphore(config.max_parallel_requests)
-
-    def _api_key(self) -> str:
-        name = self.config.api_key_env_var
-        key = os.environ.get(name, "") if name else ""
-        if not key:
-            raise ProviderError(
-                "auth", f"API key environment variable {name!r} is unset or empty"
-            )
-        return key
 
     def complete(self, bundle: PromptBundle) -> CompletionResult:
         temperature, top_p = self.config.sampling_for(bundle.purpose)
@@ -210,9 +211,8 @@ class HttpChatProvider:
             "temperature": temperature,
             "top_p": top_p,
         }
-        headers = {"Authorization": f"Bearer {self._api_key()}"}
         try:
-            result = self._post(payload, headers)
+            result = self._post(payload)
         except ProviderError as exc:
             if self._transcript:
                 self._transcript.record(bundle, None, error=str(exc))
@@ -221,7 +221,7 @@ class HttpChatProvider:
             self._transcript.record(bundle, result)
         return result
 
-    def _post(self, payload: dict, headers: dict) -> CompletionResult:
+    def _post(self, payload: dict) -> CompletionResult:
         start = time.monotonic()
         last_error = "no attempt made"
         attempts = self.config.max_retries + 1
@@ -231,7 +231,7 @@ class HttpChatProvider:
                     response = self._session.post(
                         self.config.endpoint_url,
                         json=payload,
-                        headers=headers,
+                        headers=self._headers,
                         timeout=self.config.request_timeout,
                     )
                 except requests.RequestException as exc:

@@ -55,20 +55,23 @@ class PpaMetrics:
                 raise ValueError(f"PpaMetrics.{name} must be finite and >= 0, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ProblemSpec:
-    """One design problem: what to build, how to check it, what to beat."""
+    """One design problem: what to build, how to check it, what to beat.
 
-    name: str
-    functional_description: str
-    testbench_source: str
-    reference_ppa: PpaMetrics
+    The fields are the config's `problem` keys, in the order an unknown-key
+    error lists them."""
+
+    name: str = "unnamed"
+    description: str
+    testbench: str = ""
     circuit_kind: CircuitKind
-    target_clock_period: float
+    target_clock_period: float = 0.01
+    reference_ppa: PpaMetrics
 
     def __post_init__(self) -> None:
-        if not self.functional_description.strip():
-            raise ConfigError("problem.functional_description must be non-empty")
+        if not self.description.strip():
+            raise ConfigError("problem needs a description or description_file")
         if self.target_clock_period <= 0:
             raise ConfigError(
                 f"problem.target_clock_period must be > 0, got {self.target_clock_period!r}"

@@ -121,8 +121,8 @@ def default_templates() -> TemplateSet:
 
 def _base_mapping(spec: ProblemSpec) -> dict[str, str]:
     return {
-        "functional_description": spec.functional_description,
-        "testbench": spec.testbench_source,
+        "functional_description": spec.description,
+        "testbench": spec.testbench,
     }
 
 

@@ -61,8 +61,8 @@ REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
 
 SPEC = ProblemSpec(
     name="add2",
-    functional_description="a two bit adder named add2 with carry out",
-    testbench_source="",
+    description="a two bit adder named add2 with carry out",
+    testbench="",
     reference_ppa=REF,
     circuit_kind=CircuitKind.COMBINATIONAL,
     target_clock_period=0.01,
@@ -511,8 +511,8 @@ def test_criterion_10_real_toolchain_integration(tmp_path):
 
     spec = ProblemSpec(
         name="add2",
-        functional_description="a two bit adder",
-        testbench_source=testbench,
+        description="a two bit adder",
+        testbench=testbench,
         reference_ppa=REF,
         circuit_kind=CircuitKind.COMBINATIONAL,
         target_clock_period=clock,

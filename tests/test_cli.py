@@ -11,7 +11,7 @@ import yaml
 
 from rtlevo.cli import EXIT_ABORT, EXIT_FOUND, EXIT_NOT_FOUND, main
 from rtlevo.config import load_config
-from rtlevo.evolution import PLACEHOLDER_CODE
+from rtlevo.evolution import PLACEHOLDER_CODE, EvolutionEngine
 from rtlevo.reporting import read_generations
 
 SCRIPT_OK = """\
@@ -162,7 +162,9 @@ def test_report_without_a_usable_snapshot_omits_percentages(tmp_path, capsys, sn
 
 SECTIONS = {
     "scripted": {"kind": "scripted", "script_file": "script.yaml"},
-    "http": {"kind": "http", "endpoint_url": "https://example.invalid/v1"},
+    "http": {
+        "kind": "http", "endpoint_url": "https://example.invalid/v1", "api_key_env_var": "RTLEVO_CLI_KEY"
+    },
     "synthetic": {"kind": "synthetic"},
     "toolchain": {
         "kind": "toolchain",
@@ -174,7 +176,8 @@ SECTIONS = {
 
 @pytest.mark.parametrize("evaluator", ["synthetic", "toolchain"])
 @pytest.mark.parametrize("provider", ["scripted", "http"])
-def test_validate_config_ok(tmp_path, capsys, provider, evaluator):
+def test_validate_config_ok(tmp_path, capsys, monkeypatch, provider, evaluator):
+    monkeypatch.setenv("RTLEVO_CLI_KEY", "sk-test")
     config = write_setup(
         tmp_path,
         config_overrides={"provider": SECTIONS[provider], "evaluator": SECTIONS[evaluator]},
@@ -245,6 +248,15 @@ def test_ref_ppa_prints_json(tmp_path, capsys):
     assert ppa == {"power": 0.33, "area": 44.0, "effective_clock_period": 0.9}
 
 
+def test_ref_ppa_needs_no_api_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("RTLEVO_CLI_UNSET_KEY", raising=False)
+    config = write_setup(tmp_path, config_overrides=CANNOT_START["unset-key"][0])
+    design = tmp_path / "golden.v"
+    design.write_text("module add2; endmodule\n// PPA: power=0.33 area=44 period=0.9\n", encoding="utf-8")
+    assert main(["ref-ppa", str(design), "--config", str(config)]) == EXIT_FOUND
+    assert json.loads(capsys.readouterr().out)["area"] == 44.0
+
+
 def test_ref_ppa_missing_design_aborts(tmp_path, capsys):
     config = write_setup(tmp_path)
     code = main(["ref-ppa", str(tmp_path / "ghost.v"), "--config", str(config)])
@@ -274,6 +286,17 @@ def test_ref_ppa_report_without_power_is_one_error_line(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith("error: report has no line matching evaluator.power_pattern ")
+
+
+def test_ref_ppa_failed_synthesis_is_one_error_line(tmp_path, capsys, caplog):
+    failing = "echo first synth line; echo second synth line; false"
+    config = write_setup(tmp_path, config_overrides=_toolchain(tmp_path, synthesizer_command=failing))
+    design = tmp_path / "golden.v"
+    design.write_text("module add2; endmodule\n", encoding="utf-8")
+    assert main(["ref-ppa", str(design), "--config", str(config)]) == EXIT_ABORT
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: reference design failed to synthesize; problem is PPA-ineligible"]
+    assert "first synth line\nsecond synth line" in caplog.text
 
 
 def test_run_keeps_an_out_of_range_report_as_the_designs_outcome(tmp_path, caplog):
@@ -370,7 +393,7 @@ def test_snapshot_reloads_scripted_synthetic(tmp_path, monkeypatch):
 
 
 def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
-    monkeypatch.delenv("RTLEVO_CLI_KEY", raising=False)
+    monkeypatch.setenv("RTLEVO_CLI_KEY", "sk-test")
     config = write_setup(
         tmp_path,
         config_overrides={
@@ -390,8 +413,11 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
             },
         },
     )
-    # the run aborts at its first provider call (no API key), after the
-    # snapshot is written
+    # the run stops after writing its snapshot, before any provider call
+    def stop(engine):
+        raise RuntimeError("stopped before the first call")
+
+    monkeypatch.setattr(EvolutionEngine, "run", stop)
     assert main(["run", "--config", str(config)]) == EXIT_ABORT
     cfg = load_config(config)
     assert cfg.evaluator.liberty_path == ""
@@ -464,22 +490,52 @@ def test_toolchain_run_keeps_workdir_root_contents(tmp_path):
     assert [p.name for p in work.iterdir()] == ["notes.txt"]
 
 
-def test_run_that_cannot_start_keeps_the_previous_run(tmp_path, capsys):
+# configs that load but cannot start a run, and a word of the error each gives
+CANNOT_START = {
+    "missing-tool": (
+        {"evaluator": {"kind": "toolchain", "simulator_command": "rtlevo-no-such-sim {code_file}"}},
+        "rtlevo-no-such-sim",
+    ),
+    "unset-key": (
+        {
+            "provider": {
+                "kind": "http",
+                "endpoint_url": "http://127.0.0.1:9/v1",
+                "api_key_env_var": "RTLEVO_CLI_UNSET_KEY",
+            }
+        },
+        "RTLEVO_CLI_UNSET_KEY",
+    ),
+}
+
+
+def test_run_that_cannot_start_keeps_the_previous_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("RTLEVO_CLI_UNSET_KEY", raising=False)
     config = write_setup(tmp_path)
     assert main(["run", "--config", str(config)]) == EXIT_FOUND
     run_dir = tmp_path / "run"
     before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert len(before) == 4
     capsys.readouterr()
-    broken = write_setup(
-        tmp_path,
-        config_overrides={
-            "evaluator": {"kind": "toolchain", "simulator_command": "rtlevo-no-such-sim {code_file}"}
-        },
-    )
-    assert main(["run", "--config", str(broken)]) == EXIT_ABORT
-    assert "rtlevo-no-such-sim" in capsys.readouterr().err
-    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    for overrides, word in CANNOT_START.values():
+        broken = write_setup(tmp_path, config_overrides=overrides)
+        assert main(["run", "--config", str(broken)]) == EXIT_ABORT
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and word in lines[0], lines
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
     assert main(["report", str(run_dir)]) == EXIT_FOUND
+
+
+@pytest.mark.parametrize("case", sorted(CANNOT_START))
+def test_validate_config_checks_what_run_checks(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.delenv("RTLEVO_CLI_UNSET_KEY", raising=False)
+    overrides, word = CANNOT_START[case]
+    config = write_setup(tmp_path, config_overrides=overrides)
+    assert main(["validate-config", "--config", str(config)]) == EXIT_ABORT
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: ") and word in lines[0]
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_aborted_midway_leaves_no_stale_report(tmp_path):

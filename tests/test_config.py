@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+from pathlib import Path
 
 import pytest
 import yaml
@@ -109,7 +110,7 @@ def test_description_file_resolved_relative_to_config(tmp_path):
         drop=("problem.description",),
     )
     cfg = load_config(path)
-    assert cfg.problem.functional_description == "a four bit counter"
+    assert cfg.problem.description == "a four bit counter"
 
 
 def test_description_inline_and_file_conflict(tmp_path):
@@ -408,3 +409,16 @@ def test_snapshot_contains_no_secrets(tmp_path, monkeypatch):
     assert snap["provider"]["api_key_env_var"] == "MY_KEY"
     assert snap["evolution"]["weights"] == {"alpha": 0.5, "beta": 0.5, "gamma": 0.0}
     assert snap["problem"]["name"] == "add2"
+
+
+def test_readme_full_surface_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Full surface:", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "tb_add2.v").write_text("module tb_add2; endmodule\n", encoding="utf-8")
+    path = tmp_path / "config.yaml"
+    path.write_text(block, encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.problem.testbench == "module tb_add2; endmodule\n"
+    assert isinstance(cfg.provider, ProviderConfig)
+    assert isinstance(cfg.evaluator, ToolchainConfig)
+    assert cfg.evaluator.liberty_path == str(tmp_path / "cells.lib")

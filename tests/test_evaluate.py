@@ -49,8 +49,8 @@ REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
 
 SPEC = ProblemSpec(
     name="add2",
-    functional_description="a two bit adder named add2 with carry out",
-    testbench_source="// tb placeholder\n",
+    description="a two bit adder named add2 with carry out",
+    testbench="// tb placeholder\n",
     reference_ppa=REF,
     circuit_kind=CircuitKind.COMBINATIONAL,
     target_clock_period=0.01,
@@ -179,7 +179,7 @@ def test_simulate_writes_design_and_testbench(tmp_path):
     workdir = tmp_path / "w"
     simulate("module add2; endmodule", SPEC, fake_cfg(), workdir)
     assert (workdir / "design.v").read_text(encoding="utf-8") == "module add2; endmodule"
-    assert (workdir / "tb.v").read_text(encoding="utf-8") == SPEC.testbench_source
+    assert (workdir / "tb.v").read_text(encoding="utf-8") == SPEC.testbench
 
 
 def test_stage_timeout_is_reported_not_raised(tmp_path):
@@ -531,7 +531,7 @@ def test_feedback_prompt_for_failure_carries_context():
     assert text == "the carry bit is inverted"
     sent = provider.bundles[0]
     assert sent.purpose == "feedback"
-    assert SPEC.functional_description in sent.user_text
+    assert SPEC.description in sent.user_text
     assert "// broken" in sent.user_text
     assert "expected carry 1 got 0" in sent.user_text
 

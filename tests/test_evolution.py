@@ -43,8 +43,8 @@ REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
 
 SPEC = ProblemSpec(
     name="add2",
-    functional_description="a two bit adder named add2 with carry out",
-    testbench_source="",
+    description="a two bit adder named add2 with carry out",
+    testbench="",
     reference_ppa=REF,
     circuit_kind=CircuitKind.COMBINATIONAL,
     target_clock_period=0.01,

@@ -41,9 +41,12 @@ def bundle(
 
 # --- ProviderConfig ---------------------------------------------------------
 
+# the config of an http provider needs an endpoint; nothing is sent to it
+URL = "http://127.0.0.1:9/v1"
+
 
 def test_provider_config_defaults():
-    cfg = ProviderConfig()
+    cfg = ProviderConfig(endpoint_url=URL)
     assert cfg.temperature == 1.0
     assert cfg.top_p == 0.95
     assert cfg.max_retries == 3
@@ -52,7 +55,7 @@ def test_provider_config_defaults():
 
 
 def test_provider_config_feedback_overrides():
-    cfg = ProviderConfig(feedback_temperature=0.2, feedback_top_p=0.5)
+    cfg = ProviderConfig(endpoint_url=URL, feedback_temperature=0.2, feedback_top_p=0.5)
     assert cfg.sampling_for("generate") == (1.0, 0.95)
     assert cfg.sampling_for("feedback") == (0.2, 0.5)
 
@@ -60,23 +63,24 @@ def test_provider_config_feedback_overrides():
 def test_provider_config_feedback_sampling_range_checked():
     for kwargs in (dict(feedback_temperature=-5.0), dict(feedback_top_p=7.0), dict(feedback_top_p=0.0)):
         with pytest.raises(ValueError) as err:
-            ProviderConfig(**kwargs)
+            ProviderConfig(endpoint_url=URL, **kwargs)
         assert next(iter(kwargs)) in str(err.value)
     # None inherits the generation sampling
-    assert ProviderConfig(temperature=0.4, top_p=0.6).sampling_for("feedback") == (0.4, 0.6)
+    inherited = ProviderConfig(endpoint_url=URL, temperature=0.4, top_p=0.6)
+    assert inherited.sampling_for("feedback") == (0.4, 0.6)
 
 
 def test_provider_config_validation():
     with pytest.raises(ValueError):
-        ProviderConfig(temperature=-0.1)
+        ProviderConfig(endpoint_url=URL, temperature=-0.1)
     with pytest.raises(ValueError):
-        ProviderConfig(top_p=0.0)
+        ProviderConfig(endpoint_url=URL, top_p=0.0)
     with pytest.raises(ValueError):
-        ProviderConfig(top_p=1.5)
+        ProviderConfig(endpoint_url=URL, top_p=1.5)
     with pytest.raises(ValueError):
-        ProviderConfig(max_retries=-1)
+        ProviderConfig(endpoint_url=URL, max_retries=-1)
     with pytest.raises(ValueError):
-        ProviderConfig(max_parallel_requests=0)
+        ProviderConfig(endpoint_url=URL, max_parallel_requests=0)
 
 
 # --- ScriptedProvider -------------------------------------------------------
@@ -385,9 +389,9 @@ def test_http_missing_api_key_fails_before_any_request(monkeypatch):
             model_name="m",
             api_key_env_var="RTLEVO_TEST_KEY",
         )
-        provider = HttpChatProvider(cfg)
+        # the key is read once, when the provider is built
         with pytest.raises(ProviderError) as err:
-            provider.complete(bundle())
+            HttpChatProvider(cfg)
         assert err.value.kind == "auth"
         assert "RTLEVO_TEST_KEY" in str(err.value)
         assert endpoint.requests == []
@@ -419,7 +423,8 @@ def test_http_unexpected_status_is_protocol_error(monkeypatch, fast_backoff):
 
 
 def test_http_requires_endpoint_url():
-    with pytest.raises(ValueError):
+    # the config rejects a missing endpoint, so no provider is built without one
+    with pytest.raises(ValueError, match="provider.endpoint_url is required"):
         HttpChatProvider(ProviderConfig())
 
 

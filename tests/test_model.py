@@ -52,13 +52,14 @@ def test_ppa_metrics_roundtrip():
 
 
 def test_problem_spec_validation():
+    comb = CircuitKind.COMBINATIONAL
     with pytest.raises(ConfigError):
-        ProblemSpec("x", "   ", "", PPA, CircuitKind.COMBINATIONAL, 0.01)
+        ProblemSpec(description="   ", reference_ppa=PPA, circuit_kind=comb)
     with pytest.raises(ConfigError):
-        ProblemSpec("x", "desc", "", PPA, CircuitKind.COMBINATIONAL, 0.0)
+        ProblemSpec(description="desc", reference_ppa=PPA, circuit_kind=comb, target_clock_period=0.0)
     zero_ref = PpaMetrics(0.0, 1.0, 1.0)
     with pytest.raises(ConfigError):
-        ProblemSpec("x", "desc", "", zero_ref, CircuitKind.COMBINATIONAL, 0.01)
+        ProblemSpec(description="desc", reference_ppa=zero_ref, circuit_kind=comb)
 
 
 def test_outcome_ppa_requires_synth_success():

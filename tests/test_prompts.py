@@ -22,8 +22,8 @@ from rtlevo.prompts import (
 
 SPEC = ProblemSpec(
     name="mod",
-    functional_description="a 4-entry FIFO with synchronous reset",
-    testbench_source="",
+    description="a 4-entry FIFO with synchronous reset",
+    testbench="",
     reference_ppa=PpaMetrics(1.0, 100.0, 1.0),
     circuit_kind=CircuitKind.SEQUENTIAL,
     target_clock_period=0.01,
@@ -59,7 +59,7 @@ def test_arity():
 
 def test_initial_prompt_embeds_description():
     bundle = build_initial_prompt(SPEC)
-    assert SPEC.functional_description in bundle.user_text
+    assert SPEC.description in bundle.user_text
     assert bundle.strategy is None
     assert bundle.parent_ids == ()
     # the output-format contract asks for exactly one fenced block
@@ -74,7 +74,7 @@ def test_evolutionary_prompt_carries_parent_verbatim():
         assert parent.thought in bundle.user_text
         assert parent.code in bundle.user_text
         assert parent.feedback in bundle.user_text
-        assert SPEC.functional_description in bundle.user_text
+        assert SPEC.description in bundle.user_text
         assert bundle.parent_ids == (7,)
         assert bundle.strategy is strategy
 

@@ -1,7 +1,7 @@
 """Property tests of the search's invariants over generated inputs:
 offspring quotas, parent selection, survivor selection, bandit rewards,
-the rules for on-demand critiques, the found-correct verdict and the
-clipping of stored logs."""
+the rules for on-demand critiques, the found-correct verdict, the
+clipping of stored logs and the config snapshot's round trip."""
 from __future__ import annotations
 
 import dataclasses
@@ -10,16 +10,22 @@ import statistics
 import threading
 
 import pytest
+import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rtlevo.evaluate as evaluate_module
 from rtlevo.bandit import BanditState, record_reward
+from rtlevo.config import RunConfig, load_config, snapshot_dict
 from rtlevo.evaluate import (
+    DEFAULT_PASS_PATTERN,
+    DEFAULT_SIMULATOR_COMMAND,
     FEEDBACK_LOG_TAIL_CHARS,
     LOG_CLIP_CHARS,
     LOG_HEAD_CHARS,
     SyntheticEvaluator,
+    SyntheticEvaluatorConfig,
+    ToolchainConfig,
     _feedback_prompt,
     _log_tail,
     clip_log,
@@ -32,9 +38,9 @@ from rtlevo.evolution import (
     select_parents,
     survivor_select,
 )
-from rtlevo.fitness import SYNTH_FAIL_FITNESS
-from rtlevo.llm import CompletionResult
-from rtlevo.model import EvalOutcome, PpaMetrics
+from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights
+from rtlevo.llm import CompletionResult, ProviderConfig, ScriptConfig
+from rtlevo.model import CircuitKind, EvalOutcome, PpaMetrics, ProblemSpec
 from rtlevo.prompts import PromptStrategy
 
 from test_acceptance import SPEC, StochasticWorld, _fail, _oracle_survivors, _success
@@ -307,3 +313,86 @@ def test_critique_prompt_is_built_as_from_the_unclipped_outcome(workers):
     assert sorted(sent) == unclipped
     assert any("Simulation log (tail):" in text for text in sent)
     assert any("synthesis produced no usable PPA report" in text for text in sent)
+
+
+_POSITIVE = st.floats(min_value=1e-9, max_value=1e9)
+_UNIT = st.floats(min_value=1e-6, max_value=1.0)
+
+
+@st.composite
+def _run_configs(draw, directory, provider_kind, evaluator_kind):
+    """A RunConfig of the given kinds, with every field drawn within its
+    range; its paths are absolute, as loading makes them."""
+    problem = ProblemSpec(
+        name=draw(st.text()),
+        description=draw(st.text(min_size=1).filter(str.strip)),
+        testbench=draw(st.text()),
+        circuit_kind=draw(st.sampled_from(CircuitKind)),
+        target_clock_period=draw(_POSITIVE),
+        reference_ppa=PpaMetrics(draw(_POSITIVE), draw(_POSITIVE), draw(_POSITIVE)),
+    )
+    population = draw(st.integers(1, 60))
+    weights = st.builds(FitnessWeights, _UNIT, _UNIT, st.floats(0.0, 1.0))
+    evolution = EvolutionConfig(
+        population_size=population,
+        offspring_count=draw(st.integers(1, 60)),
+        max_generations=draw(st.integers(1, 100)),
+        elite_per_metric=draw(st.integers(0, population // 3)),
+        reward=draw(st.floats(-1e6, 1e6)),
+        exploration_c=draw(st.floats(0.0, 1e3)),
+        temperature=draw(_POSITIVE),
+        rng_seed=draw(st.integers(0, 2**63)),
+        weights=draw(st.none() | weights),
+        max_parallel_evaluations=draw(st.integers(1, 16)),
+    )
+    if provider_kind == "http":
+        provider = ProviderConfig(
+            endpoint_url=draw(st.text(min_size=1)),
+            model_name=draw(st.text()),
+            api_key_env_var=draw(st.text()),
+            temperature=draw(st.floats(0.0, 2.0)),
+            top_p=draw(_UNIT),
+            max_retries=draw(st.integers(0, 10)),
+            request_timeout=draw(_POSITIVE),
+            max_parallel_requests=draw(st.integers(1, 16)),
+            feedback_temperature=draw(st.none() | st.floats(0.0, 2.0)),
+            feedback_top_p=draw(st.none() | _UNIT),
+        )
+    else:
+        provider = ScriptConfig(str(directory / "script.yaml"))
+    if evaluator_kind == "toolchain":
+        no_braces = st.text().map(lambda text: text.replace("{", "").replace("}", ""))
+        evaluator = ToolchainConfig(
+            simulator_command=draw(st.sampled_from([DEFAULT_SIMULATOR_COMMAND, "echo {code_file}"])),
+            synthesizer_command=draw(no_braces),
+            liberty_path=draw(st.sampled_from(["", str(directory / "cells.lib")])),
+            clock_period=draw(_POSITIVE),
+            per_stage_timeout=draw(_POSITIVE),
+            workdir_root=draw(st.text()),
+            pass_pattern=draw(st.sampled_from([DEFAULT_PASS_PATTERN, r"\bok\b"])),
+            post_synth_command=draw(no_braces),
+        )
+    else:
+        evaluator = SyntheticEvaluatorConfig(seed=draw(st.integers(-(2**31), 2**63)))
+    return RunConfig(
+        problem, evolution, provider, evaluator,
+        output_dir=draw(st.text()), keep_artifacts=draw(st.booleans()),
+    )
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("snapshots")
+    (directory / "script.yaml").write_text("- {match: x, response: y}\n", encoding="utf-8")
+    return directory
+
+
+@pytest.mark.parametrize("evaluator_kind", ["toolchain", "synthetic"])
+@pytest.mark.parametrize("provider_kind", ["http", "scripted"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_written_snapshot_loads_into_the_same_config(config_dir, data, provider_kind, evaluator_kind):
+    cfg = data.draw(_run_configs(config_dir, provider_kind, evaluator_kind))
+    path = config_dir / "config_snapshot.yaml"
+    path.write_text(yaml.safe_dump(snapshot_dict(cfg), sort_keys=True), encoding="utf-8")
+    assert snapshot_dict(load_config(path)) == snapshot_dict(cfg)
