@@ -28,7 +28,7 @@ class StrategyStats:
 class BanditState:
     """Per-population strategy statistics plus selection hyperparameters.
 
-    Its fields are the keys of the snapshot each generation record keeps.
+    Each generation record holds one per population, read back by its fields.
     """
 
     strategies: dict[str, StrategyStats]

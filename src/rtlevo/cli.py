@@ -149,7 +149,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "found_correct": result.found_correct,
         "best": to_plain(result.best),
         "reference_ppa": to_plain(cfg.problem.reference_ppa),
-        "bandit_states": result.history[-1].bandit_states,
+        "bandit_states": to_plain(result.history[-1].bandit_states),
         "generations": len(result.history),
     }
     (run_dir / FINAL_REPORT_FILE).write_text(

@@ -25,7 +25,9 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import threading
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -43,7 +45,7 @@ FEEDBACK_LOG_TAIL_CHARS = 4000
 # reads; a clipped log is never longer than LOG_CLIP_CHARS.
 LOG_HEAD_CHARS = 1000
 LOG_CLIP_CHARS = LOG_HEAD_CHARS + 100 + FEEDBACK_LOG_TAIL_CHARS
-# A running stage's output is kept whole up to CAPTURE_BYTES, and beyond
+# A stage's output or report is kept whole up to CAPTURE_BYTES, and beyond
 # that as its first and last CAPTURE_BYTES // 2 bytes around a cut marker,
 # so a runaway stage cannot fill memory and any ordinary report stays whole.
 CAPTURE_BYTES = 1 << 20
@@ -183,35 +185,43 @@ def _cut_marker(cut: int, unit: str) -> str:
     return f"\n[... {cut} {unit} cut ...]\n"
 
 
-def _capture(proc: subprocess.Popen, deadline: float) -> tuple[bytes, bool]:
-    """The process's output, bounded by CAPTURE_BYTES, read until EOF or
-    the deadline; True when the deadline came first."""
+def _bounded(chunks: Iterable[bytes]) -> str:
+    """The chunks joined, whole up to CAPTURE_BYTES and beyond that their
+    first and last CAPTURE_BYTES // 2 bytes around a cut marker, decoded
+    with newlines as text mode reads them."""
     half = CAPTURE_BYTES // 2
-    head = bytearray()
-    tail = bytearray()
-    total = 0
+    head, tail, total = bytearray(), bytearray(), 0
+    for chunk in chunks:
+        total += len(chunk)
+        room = half - len(head)
+        head += chunk[:room]
+        tail += chunk[room:]
+        if len(tail) > 2 * half:
+            del tail[:-half]
+    if total > CAPTURE_BYTES:
+        tail[:-half] = _cut_marker(total - len(head) - half, "bytes").encode()
+    return (head + tail).decode(errors="replace").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _capture(proc: subprocess.Popen, deadline: float) -> tuple[str, bool]:
+    """The process's output, `_bounded`, read until EOF or the deadline;
+    True when the deadline came first."""
     fd = proc.stdout.fileno()
     timed_out = False
-    with selectors.DefaultSelector() as selector:
-        selector.register(fd, selectors.EVENT_READ)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not selector.select(remaining):
-                timed_out = True
-                break
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:
-                break
-            total += len(chunk)
-            room = half - len(head)
-            head += chunk[:room]
-            tail += chunk[room:]
-            if len(tail) > 2 * half:
-                del tail[:-half]
-    if total <= CAPTURE_BYTES:
-        return bytes(head + tail), timed_out
-    cut = total - len(head) - half
-    return bytes(head) + _cut_marker(cut, "bytes").encode() + bytes(tail[-half:]), timed_out
+
+    def chunks():
+        nonlocal timed_out
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while (remaining := deadline - time.monotonic()) > 0 and selector.select(remaining):
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    return
+                yield chunk
+        timed_out = True
+
+    log = _bounded(chunks())
+    return log, timed_out
 
 
 def _run_shell(command: str, timeout: float, cwd: Path) -> tuple[int, str]:
@@ -228,7 +238,7 @@ def _run_shell(command: str, timeout: float, cwd: Path) -> tuple[int, str]:
     ) as proc:
         try:
             deadline = time.monotonic() + timeout
-            raw, timed_out = _capture(proc, deadline)
+            captured, timed_out = _capture(proc, deadline)
             if not timed_out:
                 try:
                     proc.wait(max(deadline - time.monotonic(), 0))
@@ -240,8 +250,6 @@ def _run_shell(command: str, timeout: float, cwd: Path) -> tuple[int, str]:
                     os.killpg(proc.pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
-    # newlines as text mode reads them
-    captured = raw.decode(errors="replace").replace("\r\n", "\n").replace("\r", "\n")
     if timed_out:
         return -1, f"{captured}\nTIMEOUT: stage exceeded {timeout:g}s and was killed"
     log = captured or f"(no output, exit status {proc.returncode})"
@@ -303,8 +311,10 @@ def synthesize(
     output otherwise."""
     inputs = {} if (workdir / "design.v").exists() else {"code_file": code}
     returncode, log = _stage("synth", cfg.synthesizer_command, cfg, workdir, keep_log, **inputs)
-    report_file = workdir / "synth.rpt"
-    body = report_file.read_text(encoding="utf-8", errors="replace") if report_file.exists() else ""
+    report_file, body = workdir / "synth.rpt", ""
+    if report_file.exists():
+        with report_file.open("rb") as fh:
+            body = _bounded(iter(lambda: fh.read(1 << 16), b""))
     return (body if body.strip() else log), returncode == 0
 
 
@@ -345,22 +355,28 @@ class ToolchainEvaluator:
     The directories go under `workdir_root` when it is given (kept
     artifacts, never removed, with each stage's output in `<stage>.log`).
     Otherwise they go under a fresh `rtlevo-` directory of the evaluator's
-    own, made inside `config.workdir_root` or the system temp directory,
-    which cleanup() removes.
+    own, made on first use inside `config.workdir_root` or the system temp
+    directory, which cleanup() removes.
     """
 
     def __init__(self, config: ToolchainConfig, workdir_root: str | Path | None = None):
         self.config = config
         preflight(config)
         self._kept = workdir_root is not None
-        if workdir_root is None:
-            parent = Path(config.workdir_root or tempfile.gettempdir())
-            parent.mkdir(parents=True, exist_ok=True)
-            workdir_root = tempfile.mkdtemp(prefix="rtlevo-", dir=parent)
-        self._root = Path(workdir_root)
+        self._root = Path(workdir_root) if self._kept else None
+        # lanes evaluate concurrently; the first of them makes the one directory
+        self._root_lock = threading.Lock()
+
+    def _workdir(self, name: str) -> Path:
+        with self._root_lock:
+            if self._root is None:
+                parent = Path(self.config.workdir_root or tempfile.gettempdir())
+                parent.mkdir(parents=True, exist_ok=True)
+                self._root = Path(tempfile.mkdtemp(prefix="rtlevo-", dir=parent))
+        return self._root / name
 
     def outcome_for(self, code: str, spec: ProblemSpec, individual_id: int) -> EvalOutcome:
-        cfg, workdir = self.config, self._root / f"ind_{individual_id:06d}"
+        cfg, workdir = self.config, self._workdir(f"ind_{individual_id:06d}")
         passed, sim_log = simulate(code, spec, cfg, workdir, self._kept)
         if not passed:
             return EvalOutcome(sim_passed=False, synth_succeeded=False, ppa=None, sim_log=sim_log)
@@ -383,14 +399,14 @@ class ToolchainEvaluator:
         )
 
     def reference_ppa(self, code: str) -> PpaMetrics:
-        report, ok = synthesize(code, self.config, self._root / "reference")
+        report, ok = synthesize(code, self.config, self._workdir("reference"))
         if not ok:
             logger.error("reference synthesis output (tail):\n%s", report[-2000:])
             raise RuntimeError("reference design failed to synthesize; problem is PPA-ineligible")
         return parse_ppa_report(report, self.config)
 
     def cleanup(self) -> None:
-        if not self._kept:
+        if not self._kept and self._root is not None:
             shutil.rmtree(self._root, ignore_errors=True)
 
 

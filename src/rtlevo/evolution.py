@@ -21,13 +21,17 @@ that slot's critique instead of asking again. The generation waits for all
 of its slots before rewards and survivor selection, and the critiqued
 parents replace their uncritiqued copies in the population.
 
-Determinism: individual ids are claimed before any fan-out, each offspring
-slot gets its own RNG stream keyed by (seed, generation, slot), results
-join in slot order, and rewards are applied in slot order. Every provider
-call of a generation carries a key (generation, n), numbered on the engine
-thread in slot order with each slot's critiques before its draft; the
-scripted provider serves calls in key order, so with a scripted provider
-and the synthetic evaluator a fixed seed replays bit-identically at any
+The engine keeps no state beside its history: each generation reads only
+the last record and writes the next. Its bandit states are the frozen
+scores; rewards land on copies, written into the new record.
+
+Determinism: ids follow from the generation index, each offspring slot
+gets its own RNG stream keyed by (seed, generation, slot), results join in
+slot order, and rewards are applied in slot order. Every provider call of
+a generation carries a key (generation, n), numbered on the engine thread
+in slot order with each slot's critiques before its draft; the scripted
+provider serves calls in key order, so with a scripted provider and the
+synthetic evaluator a fixed seed replays bit-identically at any
 concurrency.
 """
 
@@ -57,7 +61,6 @@ from .model import (
     ProblemSpec,
     StrategyEvent,
     classify,
-    to_plain,
 )
 from .prompts import (
     FAIL_STRATEGIES,
@@ -165,16 +168,6 @@ def roulette_weights(subpop: list[Individual]) -> list[float]:
     return [f - lowest + ROULETTE_EPSILON for f in fitnesses]
 
 
-def _roulette_index(weights: list[float], rng: random.Random) -> int:
-    target = rng.random() * sum(weights)
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if target < acc:
-            return i
-    return len(weights) - 1
-
-
 def select_parents(
     subpop: list[Individual], strategy: PromptStrategy, rng: random.Random
 ) -> list[Individual]:
@@ -201,7 +194,7 @@ def select_parents(
     weights = roulette_weights(pool)
     chosen = []
     for _ in range(arity):
-        idx = _roulette_index(weights, rng)
+        idx = rng.choices(range(len(weights)), weights)[0]
         chosen.append(pool.pop(idx))
         weights.pop(idx)
     return chosen
@@ -259,18 +252,24 @@ class _Slot:
 
 @dataclass
 class RunResult:
-    best: Individual | None
     history: list[GenerationRecord]
+
+    @property
+    def best(self) -> Individual | None:
+        """The all-time best, which the last record holds."""
+        return self.history[-1].best_so_far if self.history else None
 
     @property
     def found_correct(self) -> bool:
         """Whether some individual passed simulation: only those that failed
         it have fitness -inf, and the best outranks every other."""
-        return self.best is not None and self.best.fitness != NEG_INF
+        best = self.history[-1].best_so_far if self.history else None
+        return best is not None and best.fitness != NEG_INF
 
 
 class EvolutionEngine:
-    """Drives one run: id assignment, the generation loop, bandits, history.
+    """Drives one run: the generation loop over its history, whose last
+    record is the whole search state.
 
     `record_sink`, when given, receives each GenerationRecord as soon as it
     is final, for streaming persistence.
@@ -289,23 +288,8 @@ class EvolutionEngine:
         self.provider = provider
         self.evaluator = evaluator
         self.weights = cfg.weights_for(spec)
-        self.bandits: dict[PopulationLabel, BanditState] = {
-            PopulationLabel.FAIL: BanditState.for_strategies(
-                [s.value for s in FAIL_STRATEGIES], cfg.exploration_c, cfg.temperature
-            ),
-            PopulationLabel.SUCCESS: BanditState.for_strategies(
-                [s.value for s in SUCCESS_STRATEGIES], cfg.exploration_c, cfg.temperature
-            ),
-        }
         self.history: list[GenerationRecord] = []
-        self.best: Individual | None = None
-        self._next_id = 0
         self._record_sink = record_sink
-
-    def _claim_ids(self, count: int) -> list[int]:
-        ids = list(range(self._next_id, self._next_id + count))
-        self._next_id += count
-        return ids
 
     def _run_slot(self, slot: _Slot, critiques: dict[int, Future]) -> Individual:
         """One slot's task: the critiques it owns, then its prompt, draft,
@@ -400,13 +384,7 @@ class EvolutionEngine:
             with ThreadPoolExecutor(max_workers=lanes) as pool:
                 for future in [pool.submit(lane) for _ in range(lanes)]:
                     future.result()
-        for ind in results:
-            self._consider_best(ind)
         return results
-
-    def _consider_best(self, ind: Individual) -> None:
-        if self.best is None or _rank_key(ind) < _rank_key(self.best):
-            self.best = ind
 
     def _emit_record(
         self,
@@ -414,6 +392,8 @@ class EvolutionEngine:
         population: list[Individual],
         offspring: list[Individual],
         events: list[StrategyEvent],
+        best: Individual,
+        bandit_states: dict[str, BanditState],
     ) -> GenerationRecord:
         fail_count = sum(1 for ind in population if classify(ind) is PopulationLabel.FAIL)
         record = GenerationRecord(
@@ -421,10 +401,10 @@ class EvolutionEngine:
             population=tuple(population),
             offspring=tuple(offspring),
             strategy_events=tuple(events),
-            best_so_far=self.best,
+            best_so_far=best,
             fail_count=fail_count,
             success_count=len(population) - fail_count,
-            bandit_states={label.value: to_plain(state) for label, state in self.bandits.items()},
+            bandit_states=bandit_states,
         )
         self.history.append(record)
         if self._record_sink is not None:
@@ -432,21 +412,25 @@ class EvolutionEngine:
         return record
 
     def initialize(self) -> GenerationRecord:
-        """Create and evaluate generation 0 from independent initial prompts."""
+        """Create and evaluate generation 0 from independent initial prompts;
+        its record holds both populations' fresh bandit states."""
         if self.history:
             raise RuntimeError("engine already initialized")
-        slots = [
-            _Slot(ind_id, key=(0, j))
-            for j, ind_id in enumerate(self._claim_ids(self.cfg.population_size))
-        ]
+        slots = [_Slot(j, key=(0, j)) for j in range(self.cfg.population_size)]
         population = self._run_slots(slots, {})
-        return self._emit_record(0, population, [], [])
+        states = {
+            label.value: BanditState.for_strategies(
+                [s.value for s in operators], self.cfg.exploration_c, self.cfg.temperature
+            )
+            for label, operators in zip(PopulationLabel, (FAIL_STRATEGIES, SUCCESS_STRATEGIES))
+        }
+        return self._emit_record(0, population, [], [], min(population, key=_rank_key), states)
 
     def _plan_slot(
         self, subpop: list[Individual], frozen: BanditState, rng: random.Random
     ) -> tuple[PromptStrategy, list[Individual]]:
-        """An operator from the population's frozen bandit, whose arms are
-        that population's operators, and its parents."""
+        """An operator from the population's frozen bandit state, whose arms
+        are that population's operators, and its parents."""
         name = select_strategy(frozen, rng)
         if name == PromptStrategy.FUSION.value and len(subpop) < 2:
             name = select_strategy(frozen, rng, [n for n in frozen.strategies if n != name])
@@ -467,20 +451,19 @@ class EvolutionEngine:
         return self.cfg.reward if improved else 0.0
 
     def run_generation(self) -> GenerationRecord:
-        """One full iteration: quotas, offspring, evaluation, rewards, survivors."""
+        """One full iteration from the last record: quotas, offspring,
+        evaluation, rewards, survivors, and the next record."""
         if not self.history:
             raise RuntimeError("call initialize() before run_generation()")
-        generation = len(self.history)
-        parents = list(self.history[-1].population)
+        last = self.history[-1]
+        generation = last.generation_index + 1
+        parents = list(last.population)
         fail_pop = [p for p in parents if classify(p) is PopulationLabel.FAIL]
         success_pop = [p for p in parents if classify(p) is PopulationLabel.SUCCESS]
         quota_fail, _ = offspring_quota(
             len(fail_pop), len(success_pop), self.cfg.offspring_count
         )
-        ids = self._claim_ids(self.cfg.offspring_count)
-        # selections all read this generation's frozen scores; rewards land
-        # on the live states only after every offspring is evaluated
-        frozen = {label: state.copy() for label, state in self.bandits.items()}
+        first_id = self.cfg.population_size + (generation - 1) * self.cfg.offspring_count
         calls = itertools.count()
         critiques: dict[int, Future] = {}
         slots = []
@@ -490,7 +473,7 @@ class EvolutionEngine:
             else:
                 label, subpop = PopulationLabel.SUCCESS, success_pop
             rng = random.Random(f"{self.cfg.rng_seed}/{generation}/{j}")
-            strategy, chosen = self._plan_slot(subpop, frozen[label], rng)
+            strategy, chosen = self._plan_slot(subpop, last.bandit_states[label.value], rng)
             # the first slot to choose an uncritiqued parent asks for its
             # critique; later slots wait on that call
             owned = []
@@ -499,22 +482,23 @@ class EvolutionEngine:
                     critiques[parent.id] = Future()
                     owned.append((parent, (generation, next(calls))))
             key = (generation, next(calls))
-            slots.append(_Slot(ids[j], key, label, strategy, tuple(chosen), tuple(owned)))
+            slots.append(_Slot(first_id + j, key, label, strategy, tuple(chosen), tuple(owned)))
         offspring = self._run_slots(slots, critiques)
         critiqued = {ind_id: future.result() for ind_id, future in critiques.items()}
         parents = [critiqued.get(p.id, p) for p in parents]
-        if self.best is not None:
-            self.best = critiqued.get(self.best.id, self.best)
+        bandit_states = {name: state.copy() for name, state in last.bandit_states.items()}
         events = []
         for child, slot in zip(offspring, slots):
             reward = self._reward_for(slot, child)
-            record_reward(self.bandits[slot.label], slot.strategy.value, reward)
+            record_reward(bandit_states[slot.label.value], slot.strategy.value, reward)
             events.append(StrategyEvent(slot.label, slot.strategy.value, reward))
         survivors = survivor_select(parents, offspring, self.cfg)
-        return self._emit_record(generation, survivors, offspring, events)
+        best = critiqued.get(last.best_so_far.id, last.best_so_far)
+        best = min([best, *offspring], key=_rank_key)
+        return self._emit_record(generation, survivors, offspring, events, best, bandit_states)
 
     def result(self) -> RunResult:
-        return RunResult(best=self.best, history=list(self.history))
+        return RunResult(history=list(self.history))
 
     def run(self) -> RunResult:
         """Initialize, iterate max_generations times, return the all-time best."""

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import yaml
 
+from .bandit import BanditState
+
 NEG_INF = float("-inf")
 
 
@@ -158,9 +160,9 @@ class GenerationRecord:
     """Immutable snapshot of one generation of the evolutionary loop.
 
     `population` is the population entering the next generation (for
-    generation 0, the initial population). `bandit_states` is a serialized
-    snapshot of both populations' strategy statistics after this
-    generation's rewards, kept for replay and inspection.
+    generation 0, the initial population). `bandit_states` holds each
+    population's strategy statistics after this generation's rewards, keyed
+    by its label; the next generation selects its operators from them.
     """
 
     generation_index: int
@@ -170,7 +172,7 @@ class GenerationRecord:
     best_so_far: Individual | None = None
     fail_count: int = 0
     success_count: int = 0
-    bandit_states: dict = field(default_factory=dict)
+    bandit_states: dict[str, BanditState] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.generation_index < 0:
@@ -247,11 +249,14 @@ def require_map(value, where: str) -> dict:
 
 
 def read_value(hint, value, where: str):
-    """`value` read as type `hint`, which `X | None` reads as X."""
+    """`value` read as type `hint`: `X | None` as X, `dict[str, X]` as a map of X."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         hint = next(t for t in typing.get_args(hint) if t is not type(None))
     if dataclasses.is_dataclass(hint):
         return build(hint, value, where)
+    if typing.get_origin(hint) is dict:
+        item, mapping = typing.get_args(hint)[1], require_map(value, where)
+        return {key: read_value(item, v, f"{where}.{key}") for key, v in mapping.items()}
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
@@ -267,7 +272,7 @@ def build(cls, data, where: str = "", **resolved):
     """An instance of the dataclass `cls` from a mapping of its fields.
 
     The allowed keys are the field names of `cls`. Each non-null value is
-    read as its field's type: nested dataclasses and `tuple[X, ...]` lists
+    read as its field's type: dataclasses, `tuple[X, ...]` and `dict[str, X]`
     recursively, enums by value, and integers, booleans, numbers and
     strings strictly. Null means the field's default, or None for a
     required field whose type admits it. `resolved` gives fields the

@@ -122,16 +122,10 @@ def _ppa_section(best: Individual, reference: PpaMetrics | None) -> list[str]:
 
 def _bandit_section(record: GenerationRecord) -> list[str]:
     lines = []
-    for label in sorted(record.bandit_states):
-        state = record.bandit_states[label]
-        lines.append(f"{label} population (total pulls {state.get('total_pulls', 0)}):")
-        strategies = state.get("strategies", {})
-        for name in sorted(strategies):
-            stats = strategies[name]
-            lines.append(
-                f"  {name:<10} pulls={stats.get('pull_count', 0):<4} "
-                f"Q={stats.get('q_value', 0.0):.4f}"
-            )
+    for label, state in sorted(record.bandit_states.items()):
+        lines.append(f"{label} population (total pulls {state.total_pulls}):")
+        for name, stats in sorted(state.strategies.items()):
+            lines.append(f"  {name:<10} pulls={stats.pull_count:<4} Q={stats.q_value:.4f}")
     return lines
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -233,6 +235,20 @@ def test_report_on_missing_dir_aborts(tmp_path, capsys):
     code = main(["report", str(tmp_path / "nowhere")])
     assert code == EXIT_ABORT
     assert "error:" in capsys.readouterr().err
+
+
+def test_report_on_corrupt_bandit_states_is_one_error_line(tmp_path, capsys):
+    main(["run", "--config", str(write_setup(tmp_path))])
+    path = tmp_path / "run" / "generations.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    last = json.loads(lines[-1])
+    last["bandit_states"] = {"fail": 3}
+    path.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "run")]) == EXIT_ABORT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "generation record 2 is corrupt: bandit_states.fail must be a mapping" in err[0]
 
 
 def test_ref_ppa_prints_json(tmp_path, capsys):
@@ -488,6 +504,37 @@ def test_toolchain_run_keeps_workdir_root_contents(tmp_path):
     )
     assert main(["run", "--config", str(config)]) == EXIT_FOUND
     assert [p.name for p in work.iterdir()] == ["notes.txt"]
+
+
+def test_validate_config_leaves_no_directory_behind(tmp_path, capsys):
+    deep = tmp_path / "wr" / "deep"
+    config = write_setup(tmp_path, config_overrides=_toolchain(tmp_path, workdir_root=str(deep)))
+    assert main(["validate-config", "--config", str(config)]) == EXIT_FOUND
+    assert "config OK" in capsys.readouterr().out
+    assert not (tmp_path / "wr").exists()
+
+
+def test_parallel_toolchain_run_makes_one_scratch_directory(tmp_path, monkeypatch):
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def slow_mkdtemp(*args, **kwargs):
+        # widen the window in which a second lane could make its own
+        time.sleep(0.05)
+        made.append(mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", slow_mkdtemp)
+    overrides = {
+        **_toolchain(tmp_path),
+        "evolution.population_size": 4,
+        "evolution.offspring_count": 4,
+        "evolution.max_parallel_evaluations": 4,
+    }
+    config = write_setup(tmp_path, config_overrides=overrides)
+    assert main(["run", "--config", str(config)]) == EXIT_FOUND
+    assert len(made) == 1 and Path(made[0]).name.startswith("rtlevo-")
+    assert list((tmp_path / "work").iterdir()) == []
 
 
 # configs that load but cannot start a run, and a word of the error each gives

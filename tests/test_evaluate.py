@@ -248,6 +248,24 @@ def test_synthesize_prefers_report_file(tmp_path):
     assert ppa.area == 7.5
 
 
+def test_synthesize_reads_a_long_report_file_bounded(tmp_path):
+    # 3 MiB of filler lines, then the three metrics
+    metrics = "Chip area for module top: 7.5\nPower: 0.25\nWorst slack: 0.0\n"
+    cfg = fake_cfg(
+        synthesizer_command=(
+            "yes filler | head -c 3145728 > {out_report}; printf 'Chip area for module top: "
+            "7.5\\nPower: 0.25\\nWorst slack: 0.0\\n' >> {out_report}"
+        )
+    )
+    report, ok = synthesize("module m; endmodule", cfg, tmp_path / "s")
+    assert ok is True
+    marker = f"\n[... {3145728 + len(metrics) - CAPTURE_BYTES} bytes cut ...]\n"
+    assert marker in report
+    assert len(report.encode()) <= CAPTURE_BYTES + len(marker)
+    assert report.startswith("filler\nfiller\n") and report.endswith(metrics)
+    assert parse_ppa_report(report, cfg) == PpaMetrics(0.25, 7.5, 0.01)
+
+
 def test_synthesize_falls_back_to_stdout(tmp_path):
     report, ok = synthesize("module m; endmodule", fake_cfg(), tmp_path / "s2")
     assert ok is True

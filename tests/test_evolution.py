@@ -426,10 +426,14 @@ def test_rewards_match_offspring_outcomes():
 def test_each_population_draws_only_its_own_operators():
     operators = {PopulationLabel.FAIL: FAIL_STRATEGIES, PopulationLabel.SUCCESS: SUCCESS_STRATEGIES}
     provider = ScriptedProvider(demo_script())
-    engine = EvolutionEngine(SPEC, demo_cfg(max_generations=4), provider, SyntheticEvaluator())
+    history = EvolutionEngine(
+        SPEC, demo_cfg(max_generations=4), provider, SyntheticEvaluator()
+    ).run().history
     for label, strategies in operators.items():
-        assert list(engine.bandits[label].strategies) == [s.value for s in strategies]
-    events = [e for record in engine.run().history for e in record.strategy_events]
+        assert list(history[0].bandit_states[label.value].strategies) == [
+            s.value for s in strategies
+        ]
+    events = [e for record in history for e in record.strategy_events]
     assert {e.label for e in events} == set(operators)
     for event in events:
         assert PromptStrategy(event.strategy) in operators[event.label]
@@ -439,7 +443,7 @@ def test_bandit_pull_totals_cover_all_offspring():
     result = run_demo()
     pulls = 0
     for snapshot in result.history[-1].bandit_states.values():
-        pulls += snapshot["total_pulls"]
+        pulls += snapshot.total_pulls
     assert pulls == 3 * 4
 
 
@@ -473,7 +477,7 @@ def test_all_fail_world_stays_honest():
     assert result.best.fitness == NEG_INF
     for record in result.history:
         assert record.success_count == 0
-    success_pulls = result.history[-1].bandit_states["success"]["total_pulls"]
+    success_pulls = result.history[-1].bandit_states["success"].total_pulls
     assert success_pulls == 0
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rtlevo.bandit import BanditState, StrategyStats
 from rtlevo.model import (
     NEG_INF,
     CircuitKind,
@@ -136,7 +137,7 @@ def test_generation_record_roundtrip_and_count_invariant():
         best_so_far=pop[0],
         fail_count=0,
         success_count=2,
-        bandit_states={"fail": {"total_pulls": 0}},
+        bandit_states={"fail": BanditState(strategies={})},
     )
     again = build(GenerationRecord, json.loads(json.dumps(to_plain(record))))
     assert again == record
@@ -187,6 +188,15 @@ def individuals(draw):
     )
 
 
+bandit_states = st.builds(
+    BanditState,
+    strategies=st.dictionaries(texts, st.builds(StrategyStats, finite, st.integers(0, 2**40))),
+    total_pulls=st.integers(0, 2**40),
+    exploration_c=st.floats(0, 1e6, allow_nan=False),
+    temperature=st.floats(1e-6, 1e6, allow_nan=False),
+)
+
+
 @st.composite
 def records(draw):
     population = tuple(draw(st.lists(individuals(), min_size=1, max_size=3)))
@@ -201,9 +211,7 @@ def records(draw):
         best_so_far=draw(st.none() | individuals()),
         fail_count=fail_count,
         success_count=len(population) - fail_count,
-        bandit_states=draw(st.dictionaries(
-            st.sampled_from(["fail", "success"]), st.dictionaries(texts, st.integers())
-        )),
+        bandit_states=draw(st.dictionaries(st.sampled_from(["fail", "success"]), bandit_states)),
     )
 
 

@@ -1,7 +1,8 @@
 """Property tests of the search's invariants over generated inputs:
 offspring quotas, parent selection, survivor selection, bandit rewards,
-the rules for on-demand critiques, the found-correct verdict, the
-clipping of stored logs and the config snapshot's round trip."""
+bandit scores frozen within a generation, the rules for on-demand
+critiques, the found-correct verdict, the clipping of stored logs and the
+config snapshot's round trip."""
 from __future__ import annotations
 
 import dataclasses
@@ -35,12 +36,13 @@ from rtlevo.evolution import (
     EvolutionConfig,
     EvolutionEngine,
     offspring_quota,
+    roulette_weights,
     select_parents,
     survivor_select,
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights
 from rtlevo.llm import CompletionResult, ProviderConfig, ScriptConfig
-from rtlevo.model import CircuitKind, EvalOutcome, PpaMetrics, ProblemSpec
+from rtlevo.model import CircuitKind, EvalOutcome, PpaMetrics, ProblemSpec, to_plain
 from rtlevo.prompts import PromptStrategy
 
 from test_acceptance import SPEC, StochasticWorld, _fail, _oracle_survivors, _success
@@ -72,6 +74,41 @@ def test_fusion_parents_are_distinct(fitnesses, passing, seed):
     chosen = select_parents(pop, PromptStrategy.FUSION, random.Random(seed))
     assert len(chosen) == 2
     assert chosen[0].id != chosen[1].id
+
+
+def _roulette_by_loop(subpop, arity, rng):
+    """Roulette parents as select_parents drew them before it called
+    `random.choices`: the first index whose left-to-right cumulative weight
+    exceeds the draw. `choices` bisects the same sums, so the two agree
+    where `sum` adds left to right, as it does up to CPython 3.11."""
+    pool, weights = list(subpop), roulette_weights(subpop)
+    chosen = []
+    for _ in range(arity):
+        target = rng.random() * sum(weights)
+        acc = 0.0
+        idx = len(weights) - 1
+        for i, w in enumerate(weights):
+            acc += w
+            if target < acc:
+                idx = i
+                break
+        chosen.append(pool.pop(idx))
+        weights.pop(idx)
+    return chosen
+
+
+@given(
+    fitnesses=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=2, max_size=12),
+    strategy=st.sampled_from([PromptStrategy.IMPROVE, PromptStrategy.FUSION]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roulette_parents_match_the_cumulative_sum_loop(fitnesses, strategy, seed):
+    pop = [_success(i, f) for i, f in enumerate(fitnesses)]
+    rng, reference = random.Random(seed), random.Random(seed)
+    chosen = select_parents(pop, strategy, rng)
+    assert chosen == _roulette_by_loop(pop, strategy.arity, reference)
+    # one draw per parent on both sides
+    assert rng.getstate() == reference.getstate()
 
 
 # coarse values, so that ties in every metric and in fitness are common
@@ -201,6 +238,32 @@ def test_only_chosen_parents_are_critiqued_once(seed, population, workers):
         for ind in [*record.population, *record.offspring]:
             if ind.id not in chosen and ind.id not in placeholders:
                 assert ind.feedback is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    population=st.integers(2, 6),
+    workers=st.sampled_from([1, 4]),
+)
+def test_bandit_scores_are_frozen_within_a_generation(seed, population, workers):
+    written = []
+    cfg = EvolutionConfig(
+        population_size=population, offspring_count=population, max_generations=3,
+        elite_per_metric=0, rng_seed=seed, max_parallel_evaluations=workers,
+    )
+    engine = EvolutionEngine(
+        SPEC, cfg, _CritiquingWorld(seed), SyntheticEvaluator(),
+        record_sink=lambda record: written.append(to_plain(record.bandit_states)),
+    )
+    history = engine.run().history
+    # later generations selected from these states and left them as written
+    assert [to_plain(record.bandit_states) for record in history] == written
+    for last, record in zip(history, history[1:]):
+        quotas = offspring_quota(last.fail_count, last.success_count, cfg.offspring_count)
+        for label, quota in zip(("fail", "success"), quotas):
+            pulls = record.bandit_states[label].total_pulls
+            assert pulls == last.bandit_states[label].total_pulls + quota
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rtlevo.bandit import BanditState, record_reward
+from rtlevo.bandit import BanditState, StrategyStats, record_reward
 from rtlevo.model import (
     NEG_INF,
     EvalOutcome,
@@ -57,11 +57,10 @@ def record(gen, population, best, offspring=()):
         fail_count=fails,
         success_count=len(population) - fails,
         bandit_states={
-            "fail": {"total_pulls": 0, "strategies": {}},
-            "success": {
-                "total_pulls": 2,
-                "strategies": {"improve": {"q_value": 0.5, "pull_count": 2}},
-            },
+            "fail": BanditState(strategies={}),
+            "success": BanditState(
+                strategies={"improve": StrategyStats(q_value=0.5, pull_count=2)}, total_pulls=2
+            ),
         },
     )
 
@@ -267,7 +266,7 @@ def full_record():
         generation_index=1, population=(failed, child), offspring=(child,),
         strategy_events=(StrategyEvent(PopulationLabel.FAIL, "fix", 1.0),),
         best_so_far=child, fail_count=1, success_count=1,
-        bandit_states={"fail": to_plain(state)},
+        bandit_states={"fail": state},
     )
 
 
@@ -300,6 +299,8 @@ def test_record_line_is_pinned(tmp_path):
         (lambda d: d["population"][0]["outcome"].update(sim_log={"a": 1}),
          "population[0].outcome.sim_log: expected a string, got {'a': 1}"),
         (lambda d: d["population"][0].update(code=7), "population[0].code: expected a string, got 7"),
+        (lambda d: d["bandit_states"]["fail"]["strategies"]["improve"].update(q_value="x"),
+         "bandit_states.fail.strategies.improve.q_value: expected a number, got 'x'"),
     ],
 )
 def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
