@@ -364,7 +364,7 @@ class ToolchainEvaluator:
         preflight(config)
         self._kept = workdir_root is not None
         self._root = Path(workdir_root) if self._kept else None
-        # lanes evaluate concurrently; the first of them makes the one directory
+        # evaluations run concurrently; the first of them makes the one directory
         self._root_lock = threading.Lock()
 
     def _workdir(self, name: str) -> Path:

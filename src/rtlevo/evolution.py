@@ -12,14 +12,17 @@ individuals never chosen keep `feedback` None, and parse-failure
 placeholders carry a fixed text and are never critiqued.
 
 The engine thread plans every slot of a generation in slot order (quota,
-strategy from the frozen bandit scores, parents). Each slot then runs as
-one task: the critiques of the parents it is the first to choose, its
-prompt, then draft -> parse -> evaluate (simulate, synthesize), with up to
-`max_parallel_evaluations` tasks in flight; at one they run inline on the
-engine thread. A slot that shares a parent with an earlier slot waits on
-that slot's critique instead of asking again. The generation waits for all
-of its slots before rewards and survivor selection, and the critiqued
-parents replace their uncritiqued copies in the population.
+strategy from the frozen bandit scores, parents). Each slot then runs in
+two halves: the LLM half (the critiques of the parents it is the first to
+choose, its prompt, draft and parse) and the tool half (simulate,
+synthesize). At `max_parallel_evaluations` = k >= 2, k slots draft while up
+to k others are evaluated: each drafting lane hands its parsed individual
+to a k-worker evaluation pool and takes the next slot at once. At k = 1
+slots run one at a time, inline on the engine thread. A slot that shares a
+parent with an earlier slot waits on that slot's critique instead of
+asking again. The generation waits for all of its slots before rewards and
+survivor selection, and the critiqued parents replace their uncritiqued
+copies in the population.
 
 The engine keeps no state beside its history: each generation reads only
 the last record and writes the next. Its bandit states are the frozen
@@ -291,11 +294,12 @@ class EvolutionEngine:
         self.history: list[GenerationRecord] = []
         self._record_sink = record_sink
 
-    def _run_slot(self, slot: _Slot, critiques: dict[int, Future]) -> Individual:
-        """One slot's task: the critiques it owns, then its prompt, draft,
-        parse and evaluation. `critiques` maps each parent critiqued this
-        generation to its critiqued copy. A response that cannot be parsed
-        becomes a placeholder that skips evaluation."""
+    def _draft(self, slot: _Slot, critiques: dict[int, Future]) -> Individual:
+        """A slot's LLM half: the critiques it owns, then its prompt, draft
+        and parse. `critiques` maps each parent critiqued this generation to
+        its critiqued copy. The drafted individual has no outcome yet; a
+        response that cannot be parsed becomes a placeholder that arrives
+        already scored and skips evaluation."""
         for parent, key in slot.critiques:
             future = critiques[parent.id]
             try:
@@ -340,7 +344,7 @@ class EvolutionEngine:
                 strategy=strategy,
                 generation_born=generation,
             )
-        drafted = Individual(
+        return Individual(
             id=slot.ind_id,
             thought=thought,
             code=code,
@@ -348,23 +352,48 @@ class EvolutionEngine:
             strategy=strategy,
             generation_born=generation,
         )
+
+    def _evaluate(self, drafted: Individual) -> Individual:
+        """A slot's tool half: simulate and synthesize a drafted individual;
+        a placeholder passes through."""
+        if drafted.outcome is not None:
+            return drafted
         return evaluate(drafted, self.spec, self.evaluator, self.weights)
 
     def _run_slots(self, slots: list[_Slot], critiques: dict[int, Future]) -> list[Individual]:
-        """Run each slot as one task, up to max_parallel_evaluations at a
-        time, and join the results in slot order.
+        """Draft and evaluate every slot and join the results in slot order.
 
-        Lanes take slots in slot order, and once a slot fails no lane takes
-        another, so every slot that starts runs to its end and all slots
-        before it have started: a slot that waits on an earlier slot's
-        critique, or a provider that serves calls in key order, never waits
-        on a slot that will not come.
+        At max_parallel_evaluations = 1 each slot runs inline on the engine
+        thread, one at a time. At k >= 2, k drafting lanes take slots in slot
+        order and hand each drafted individual to a k-worker evaluation pool
+        before taking the next slot, so up to k slots draft (critiques,
+        draft, parse) while up to k others are evaluated.
+
+        Once a draft or an evaluation fails no lane takes another slot and
+        no queued evaluation starts, so every slot that starts drafting runs
+        its draft to the end and all slots before it have started: a slot
+        that waits on an earlier slot's critique, or a provider that serves
+        calls in key order, never waits on a slot that will not come. The
+        error is raised only after every submitted evaluation has finished,
+        so no tool stage is still running when the caller cleans up.
         """
         lanes = min(self.cfg.max_parallel_evaluations, len(slots))
+        if lanes <= 1:
+            return [self._evaluate(self._draft(slot, critiques)) for slot in slots]
         results: list[Individual] = [None] * len(slots)  # type: ignore[list-item]
         pending = iter(enumerate(slots))
         take = threading.Lock()
         failed = threading.Event()
+        evaluations: list[Future] = []
+
+        def evaluate_slot(j: int, drafted: Individual) -> None:
+            if failed.is_set():
+                return
+            try:
+                results[j] = self._evaluate(drafted)
+            except BaseException:
+                failed.set()
+                raise
 
         def lane() -> None:
             while not failed.is_set():
@@ -373,17 +402,17 @@ class EvolutionEngine:
                 if slot is None:
                     return
                 try:
-                    results[j] = self._run_slot(slot, critiques)
+                    drafted = self._draft(slot, critiques)
                 except BaseException:
                     failed.set()
                     raise
+                evaluations.append(evaluator_pool.submit(evaluate_slot, j, drafted))
 
-        if lanes <= 1:
-            lane()
-        else:
-            with ThreadPoolExecutor(max_workers=lanes) as pool:
-                for future in [pool.submit(lane) for _ in range(lanes)]:
-                    future.result()
+        with ThreadPoolExecutor(max_workers=lanes) as evaluator_pool:
+            with ThreadPoolExecutor(max_workers=lanes) as draft_pool:
+                drafters = [draft_pool.submit(lane) for _ in range(lanes)]
+        for future in [*drafters, *evaluations]:
+            future.result()
         return results
 
     def _emit_record(

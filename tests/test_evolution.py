@@ -21,7 +21,7 @@ from rtlevo.evolution import (
     select_parents,
     survivor_select,
 )
-from rtlevo.evaluate import SyntheticEvaluator
+from rtlevo.evaluate import SyntheticEvaluator, ToolEnvironmentError
 from rtlevo.fitness import SYNTH_FAIL_FITNESS
 from rtlevo import llm
 from rtlevo.llm import ProviderError, ScriptedProvider, ScriptEntry, ScriptError
@@ -704,6 +704,185 @@ def test_slot_drafts_overlap_up_to_the_worker_bound(workers):
         SPEC, demo_cfg(max_parallel_evaluations=workers), provider, SyntheticEvaluator()
     ).run()
     assert provider.peak == workers
+
+
+class PipelineProbe:
+    """Provider and evaluator at once: counts draft calls and evaluations in
+    flight, the most drafts seen in flight beside an evaluation, and the
+    threads evaluations ran on.
+
+    With `hold` = k, overlap is observed whenever the engine allows it,
+    without depending on timing: every draft but generation 0's first waits
+    (up to a timeout) for a release, and the first evaluation gives it once
+    k drafts of later slots are in flight."""
+
+    def __init__(self, hold=0):
+        self.provider = ScriptedProvider(demo_script())
+        self.evaluator = SyntheticEvaluator()
+        self.hold = hold
+        self.released = not hold
+        self.cond = threading.Condition()
+        self.drafts = self.evaluations = 0
+        self.peak_drafts = self.peak_evaluations = 0
+        self.overlap = 0
+        self.evaluation_threads = set()
+
+    def _count(self):
+        self.peak_drafts = max(self.peak_drafts, self.drafts)
+        self.peak_evaluations = max(self.peak_evaluations, self.evaluations)
+        if self.evaluations:
+            self.overlap = max(self.overlap, self.drafts)
+        self.cond.notify_all()
+
+    def complete(self, bundle):
+        if bundle.purpose != "generate":
+            return self.provider.complete(bundle)
+        with self.cond:
+            self.drafts += 1
+            self._count()
+            if bundle.key != (0, 0):
+                self.cond.wait_for(lambda: self.released, timeout=10)
+        try:
+            return self.provider.complete(bundle)
+        finally:
+            with self.cond:
+                self.drafts -= 1
+
+    def outcome_for(self, code, spec, individual_id=0):
+        with self.cond:
+            self.evaluations += 1
+            self.evaluation_threads.add(threading.get_ident())
+            self._count()
+            if not self.released:
+                self.cond.wait_for(lambda: self.drafts >= self.hold, timeout=10)
+                self._count()
+                self.released = True
+        try:
+            return self.evaluator.outcome_for(code, spec, individual_id)
+        finally:
+            with self.cond:
+                self.evaluations -= 1
+
+    def reference_ppa(self, code):
+        return self.evaluator.reference_ppa(code)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_drafts_overlap_evaluations_within_the_worker_bound(workers):
+    probe = PipelineProbe(hold=workers)
+    EvolutionEngine(SPEC, demo_cfg(max_parallel_evaluations=workers), probe, probe).run()
+    # k drafts in flight beside an evaluation: the lane that handed slot 0
+    # off drafts again at once
+    assert probe.overlap == workers
+    assert probe.peak_drafts <= workers
+    assert 1 <= probe.peak_evaluations <= workers
+
+
+def test_one_worker_evaluates_inline_without_overlap():
+    probe = PipelineProbe()
+    EvolutionEngine(SPEC, demo_cfg(max_parallel_evaluations=1), probe, probe).run()
+    assert probe.evaluation_threads == {threading.get_ident()}
+    assert probe.overlap == 0
+    assert probe.peak_drafts == probe.peak_evaluations == 1
+
+
+class JitteredEvaluator:
+    """Sleeps a seeded 0-5 ms before each evaluation, so that evaluations
+    of concurrent slots finish in an order that changes from seed to seed."""
+
+    def __init__(self, seed):
+        self.inner = SyntheticEvaluator()
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+
+    def outcome_for(self, code, spec, individual_id=0):
+        with self.lock:
+            delay = self.rng.uniform(0.0, 0.005)
+        time.sleep(delay)
+        return self.inner.outcome_for(code, spec, individual_id)
+
+    def reference_ppa(self, code):
+        return self.inner.reference_ppa(code)
+
+
+@pytest.mark.parametrize("jitter_seed", range(6))
+def test_pipelined_slots_replay_sequential_history_under_evaluation_jitter(
+    tmp_path, jitter_seed
+):
+    def run_with(workers):
+        path = tmp_path / f"generations-{workers}.jsonl"
+        result = EvolutionEngine(
+            SPEC,
+            demo_cfg(max_parallel_evaluations=workers),
+            ScriptedProvider(demo_script()),
+            JitteredEvaluator(f"{jitter_seed}/{workers}"),
+            record_sink=lambda record: append_generation(path, record),
+        ).run()
+        history = json.dumps([to_plain(r) for r in result.history], sort_keys=True)
+        return history, path.read_bytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert run_with(1) == run_with(4)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class FailingEvaluation:
+    """Raises ToolEnvironmentError for one individual once another
+    evaluation is in flight (or after a timeout); every other evaluation
+    takes a while. Counts evaluations in flight."""
+
+    def __init__(self, failing_id):
+        self.inner = SyntheticEvaluator()
+        self.failing_id = failing_id
+        self.cond = threading.Condition()
+        self.in_flight = 0
+
+    def outcome_for(self, code, spec, individual_id=0):
+        with self.cond:
+            self.in_flight += 1
+            self.cond.notify_all()
+        try:
+            if individual_id == self.failing_id:
+                with self.cond:
+                    self.cond.wait_for(lambda: self.in_flight >= 2, timeout=10)
+                raise ToolEnvironmentError("synthesizer vanished")
+            time.sleep(0.2)
+            return self.inner.outcome_for(code, spec, individual_id)
+        finally:
+            with self.cond:
+                self.in_flight -= 1
+
+    def reference_ppa(self, code):
+        return self.inner.reference_ppa(code)
+
+
+def test_failed_evaluation_aborts_after_every_stage_has_finished():
+    cfg = demo_cfg(max_parallel_evaluations=2)
+    # the second offspring of generation 1
+    evaluator = FailingEvaluation(failing_id=cfg.population_size + 1)
+    seen = []
+    engine = EvolutionEngine(
+        SPEC, cfg, ScriptedProvider(demo_script()), evaluator, record_sink=seen.append
+    )
+    errors = []
+
+    def run():
+        try:
+            engine.run()
+        except ToolEnvironmentError as exc:
+            errors.append((str(exc), evaluator.in_flight))
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive()
+    # nothing was left running under the caller's cleanup
+    assert errors == [("synthesizer vanished", 0)]
+    assert [r.generation_index for r in seen] == [0]
+    assert len(engine.history) == 1
 
 
 # --- critiques on demand ----------------------------------------------------
