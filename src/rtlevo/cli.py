@@ -188,7 +188,7 @@ def cmd_ref_ppa(args: argparse.Namespace) -> int:
     if not design.is_file():
         raise ConfigError(f"reference design not found: {design}")
     with _evaluator(cfg, None) as evaluator:
-        ppa = evaluator.reference_ppa(design.read_text(encoding="utf-8"))
+        ppa = evaluator.reference_ppa(design.read_text(encoding="utf-8"), cfg.problem)
     print(json.dumps(to_plain(ppa), sort_keys=True, indent=2))
     return EXIT_FOUND
 

@@ -10,9 +10,8 @@ silently become defaults, and omitted keys take the dataclass defaults.
 What the dataclasses cannot say is resolved here: each section's `kind`,
 which names the provider's or the evaluator's dataclass (PROVIDERS,
 EVALUATORS); the problem's `description` and `testbench`, each given
-inline or as a `description_file` or `testbench_file`; the case-insensitive
-`circuit_kind`; and the evaluator's `clock_period`, which defaults to
-`problem.target_clock_period`. Paths are made absolute against the config's
+inline or as a `description_file` or `testbench_file`; and the
+case-insensitive `circuit_kind`. Paths are made absolute against the config's
 directory, so the snapshot that `snapshot_dict` writes loads into the same
 config.
 
@@ -76,19 +75,18 @@ def _lower(section: dict, key: str, where: str) -> str:
     return read_value(str, _given(section).get(key, ""), f"{where}.{key}").strip().lower()
 
 
-def _load_section(section, where: str, kinds: dict, base: Path, **defaults):
+def _load_section(section, where: str, kinds: dict, base: Path):
     """The dataclass the section's `kind` names, built from the rest of its
-    keys, with its path made absolute and `defaults` for the keys it omits."""
+    keys, with its path made absolute."""
     section = require_map(section, where)
     kind = _lower(section, "kind", where)
     if kind not in kinds:
         raise ConfigError(f"{where}.kind must be one of {tuple(kinds)}, got {kind!r}")
     fields = {key: value for key, value in section.items() if key != "kind"}
-    resolved = {key: value for key, value in defaults.items() if fields.get(key) is None}
     path_key = PATHS.get(kinds[kind])
     if fields.get(path_key):
-        resolved[path_key] = str(base / read_value(str, fields[path_key], f"{where}.{path_key}"))
-    return build(kinds[kind], fields, where, **resolved)
+        fields[path_key] = str(base / read_value(str, fields[path_key], f"{where}.{path_key}"))
+    return build(kinds[kind], fields, where)
 
 
 def _read_text(section: dict, key: str, base: Path) -> str:
@@ -149,10 +147,7 @@ def load_config(path: str | Path) -> RunConfig:
         problem=problem,
         evolution=evolution,
         provider=_load_section(raw["provider"], "provider", PROVIDERS, base),
-        evaluator=_load_section(
-            raw.get("evaluator"), "evaluator", EVALUATORS, base,
-            clock_period=problem.target_clock_period,
-        ),
+        evaluator=_load_section(raw.get("evaluator"), "evaluator", EVALUATORS, base),
     )
 
 

@@ -84,7 +84,6 @@ class ToolchainConfig:
     simulator_command: str = DEFAULT_SIMULATOR_COMMAND
     synthesizer_command: str = DEFAULT_SYNTHESIZER_COMMAND
     liberty_path: str = ""
-    clock_period: float = 0.01
     per_stage_timeout: float = 120.0
     workdir_root: str = ""
     pass_pattern: str = DEFAULT_PASS_PATTERN
@@ -96,14 +95,12 @@ class ToolchainConfig:
     post_synth_command: str = ""
 
     def __post_init__(self) -> None:
-        if self.clock_period <= 0:
-            raise ConfigError(f"evaluator.clock_period must be > 0, got {self.clock_period!r}")
         if self.per_stage_timeout <= 0:
             raise ConfigError(
                 f"evaluator.per_stage_timeout must be > 0, got {self.per_stage_timeout!r}"
             )
         # templates render and patterns compile here: a config that cannot run fails to load
-        mapping = _stage_mapping(self, Path())
+        mapping = _stage_mapping(self, 1.0, Path())  # any clock renders the same placeholders
         for name, value in vars(self).items():
             try:
                 if name.endswith("_command"):
@@ -258,13 +255,13 @@ def _run_shell(command: str, timeout: float, cwd: Path) -> tuple[int, str]:
     return proc.returncode, log
 
 
-def _stage_mapping(cfg: ToolchainConfig, workdir: Path) -> dict[str, str]:
+def _stage_mapping(cfg: ToolchainConfig, clock_period: float, workdir: Path) -> dict[str, str]:
     return {
         "code_file": str(workdir / "design.v"),
         "testbench_file": str(workdir / "tb.v"),
         "liberty": cfg.liberty_path,
-        "clock_ns": f"{cfg.clock_period:g}",
-        "clock_ps": f"{cfg.clock_period * 1000.0:g}",
+        "clock_ns": f"{clock_period:g}",
+        "clock_ps": f"{clock_period * 1000.0:g}",
         "out_exe": str(workdir / "sim.out"),
         "out_report": str(workdir / "synth.rpt"),
         "out_netlist": str(workdir / "netlist.v"),
@@ -273,12 +270,13 @@ def _stage_mapping(cfg: ToolchainConfig, workdir: Path) -> dict[str, str]:
 
 
 def _stage(
-    name: str, template: str, cfg: ToolchainConfig, workdir: Path, keep_log: bool, **inputs: str
+    name: str, template: str, cfg: ToolchainConfig, clock_period: float, workdir: Path,
+    keep_log: bool, **inputs: str,
 ) -> tuple[int, str]:
     """Runs one tool stage: writes `inputs` (placeholder name to text) into
-    `workdir`, making it, then runs the rendered template; with `keep_log`,
-    its captured output also goes to `{workdir}/{name}.log`."""
-    mapping = _stage_mapping(cfg, workdir)
+    `workdir`, making it, then runs the template rendered at `clock_period`;
+    with `keep_log`, its captured output also goes to `{workdir}/{name}.log`."""
+    mapping = _stage_mapping(cfg, clock_period, workdir)
     if inputs:
         workdir.mkdir(parents=True, exist_ok=True)
     for placeholder, text in inputs.items():
@@ -299,18 +297,22 @@ def simulate(
 ) -> tuple[bool, str]:
     """Writes code and the testbench into `workdir`, compiles and runs them."""
     inputs = {"code_file": code, "testbench_file": spec.testbench}
-    returncode, log = _stage("sim", cfg.simulator_command, cfg, workdir, keep_log, **inputs)
+    returncode, log = _stage(
+        "sim", cfg.simulator_command, cfg, spec.target_clock_period, workdir, keep_log, **inputs
+    )
     return _passed(returncode, log, cfg), log
 
 
 def synthesize(
-    code: str, cfg: ToolchainConfig, workdir: Path, keep_log: bool = False
+    code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path, keep_log: bool = False
 ) -> tuple[str, bool]:
-    """Runs the scripted synthesis flow on the design simulation wrote, if
-    any; the report is {out_report} when the template writes it, captured
-    output otherwise."""
+    """Runs the scripted synthesis flow at the problem's target clock on the
+    design simulation wrote, if any; the report is {out_report} when the
+    template writes it, captured output otherwise."""
     inputs = {} if (workdir / "design.v").exists() else {"code_file": code}
-    returncode, log = _stage("synth", cfg.synthesizer_command, cfg, workdir, keep_log, **inputs)
+    returncode, log = _stage(
+        "synth", cfg.synthesizer_command, cfg, spec.target_clock_period, workdir, keep_log, **inputs
+    )
     report_file, body = workdir / "synth.rpt", ""
     if report_file.exists():
         with report_file.open("rb") as fh:
@@ -330,11 +332,12 @@ def _extract(raw: str, cfg: ToolchainConfig, field: str) -> float:
         raise ReportError(field, f"unparseable {field} value {group!r} in report") from None
 
 
-def parse_ppa_report(raw: str, cfg: ToolchainConfig) -> PpaMetrics:
-    """The report's PPA; a value that is missing, unparseable or out of
-    PpaMetrics's range is a ReportError naming its metric."""
+def parse_ppa_report(raw: str, cfg: ToolchainConfig, clock_period: float) -> PpaMetrics:
+    """The report's PPA from synthesis at `clock_period`; a value that is
+    missing, unparseable or out of PpaMetrics's range is a ReportError naming
+    its metric."""
     area, power, slack = (_extract(raw, cfg, field) for field in ("area", "power", "slack"))
-    period = effective_period(cfg.clock_period, slack)
+    period = effective_period(clock_period, slack)
     try:
         return PpaMetrics(power=power, area=area, effective_clock_period=period)
     except ValueError as exc:
@@ -346,7 +349,7 @@ def parse_ppa_report(raw: str, cfg: ToolchainConfig) -> PpaMetrics:
 class Evaluator(Protocol):
     def outcome_for(self, code: str, spec: ProblemSpec, individual_id: int) -> EvalOutcome: ...
 
-    def reference_ppa(self, code: str) -> PpaMetrics: ...
+    def reference_ppa(self, code: str, spec: ProblemSpec) -> PpaMetrics: ...
 
 
 class ToolchainEvaluator:
@@ -377,20 +380,23 @@ class ToolchainEvaluator:
 
     def outcome_for(self, code: str, spec: ProblemSpec, individual_id: int) -> EvalOutcome:
         cfg, workdir = self.config, self._workdir(f"ind_{individual_id:06d}")
+        clock = spec.target_clock_period
         passed, sim_log = simulate(code, spec, cfg, workdir, self._kept)
         if not passed:
             return EvalOutcome(sim_passed=False, synth_succeeded=False, ppa=None, sim_log=sim_log)
-        report, ok = synthesize(code, cfg, workdir, self._kept)
+        report, ok = synthesize(code, spec, cfg, workdir, self._kept)
         post_synth = None
         if ok and cfg.post_synth_command:
-            returncode, log = _stage("post_synth", cfg.post_synth_command, cfg, workdir, self._kept)
+            returncode, log = _stage(
+                "post_synth", cfg.post_synth_command, cfg, clock, workdir, self._kept
+            )
             post_synth = _passed(returncode, log, cfg)
             if not post_synth:
                 logger.warning("individual %d: gate-level re-sim failed\n%s", individual_id, log[-500:])
         ppa = None
         if ok and post_synth is not False:
             try:
-                ppa = parse_ppa_report(report, cfg)
+                ppa = parse_ppa_report(report, cfg, clock)
             except ReportError as exc:
                 logger.warning("individual %d: %s; withholding PPA", individual_id, exc)
         return EvalOutcome(
@@ -398,12 +404,12 @@ class ToolchainEvaluator:
             sim_log=sim_log, synth_log=report, post_synth_functional=post_synth,
         )
 
-    def reference_ppa(self, code: str) -> PpaMetrics:
-        report, ok = synthesize(code, self.config, self._workdir("reference"))
+    def reference_ppa(self, code: str, spec: ProblemSpec) -> PpaMetrics:
+        report, ok = synthesize(code, spec, self.config, self._workdir("reference"))
         if not ok:
             logger.error("reference synthesis output (tail):\n%s", report[-2000:])
             raise RuntimeError("reference design failed to synthesize; problem is PPA-ineligible")
-        return parse_ppa_report(report, self.config)
+        return parse_ppa_report(report, self.config, spec.target_clock_period)
 
     def cleanup(self) -> None:
         if not self._kept and self._root is not None:
@@ -462,7 +468,7 @@ class SyntheticEvaluator:
             ),
         )
 
-    def reference_ppa(self, code: str) -> PpaMetrics:
+    def reference_ppa(self, code: str, spec: ProblemSpec) -> PpaMetrics:
         return self._ppa(code)
 
 

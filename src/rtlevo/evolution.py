@@ -91,7 +91,6 @@ class EvolutionConfig:
     offspring_count: int = 10
     max_generations: int = 20
     elite_per_metric: int = 1
-    reward: float = 1.0
     exploration_c: float = 2.0
     temperature: float = 1.0
     rng_seed: int = 0
@@ -116,8 +115,6 @@ class EvolutionConfig:
                 "evolution.elite_per_metric must satisfy 0 <= 3*n <= population_size, "
                 f"got n={self.elite_per_metric!r} with N={self.population_size!r}"
             )
-        if not math.isfinite(self.reward):
-            raise ConfigError(f"evolution.reward must be finite, got {self.reward!r}")
         if self.exploration_c < 0:
             raise ConfigError(f"evolution.exploration_c must be >= 0, got {self.exploration_c!r}")
         if self.temperature <= 0:
@@ -470,14 +467,14 @@ class EvolutionEngine:
         return strategy, select_parents(subpop, strategy, rng)
 
     def _reward_for(self, slot: _Slot, child: Individual) -> float:
-        """A Fail-population child earns the reward by passing simulation, a
-        Success-population child by beating the fitness of its best parent."""
+        """1.0 for a success and 0.0 otherwise: a Fail-population child succeeds by
+        passing simulation, a Success-population child by beating its best parent's fitness."""
         assert child.outcome is not None and child.fitness is not None
         if slot.label is PopulationLabel.FAIL:
             improved = child.outcome.sim_passed
         else:
             improved = child.fitness > max(p.fitness for p in slot.parents)
-        return self.cfg.reward if improved else 0.0
+        return 1.0 if improved else 0.0
 
     def run_generation(self) -> GenerationRecord:
         """One full iteration from the last record: quotas, offspring,

@@ -528,7 +528,6 @@ def test_criterion_10_real_toolchain_integration(tmp_path):
     cfg = ToolchainConfig(
         synthesizer_command=synth,
         liberty_path=str(liberty),
-        clock_period=clock,
         per_stage_timeout=60.0,
     )
     evaluator = ToolchainEvaluator(cfg, workdir_root=tmp_path)

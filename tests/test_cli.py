@@ -465,6 +465,12 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
             {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "feedback_top_p": 7}},
             "provider.feedback_top_p",
         ),
+        # not settings: a reward is 1 or 0, and the clock is problem.target_clock_period
+        ({"evolution.reward": 1.0}, "unknown key(s) in evolution: reward;"),
+        (
+            {"evaluator": {"kind": "toolchain", "clock_period": 2.5}},
+            "unknown key(s) in evaluator: clock_period;",
+        ),
     ],
 )
 def test_bad_value_is_one_error_line(tmp_path, capsys, overrides, key):
@@ -635,7 +641,7 @@ DEMO_DIGESTS = {
     "transcripts.jsonl": "ad0fbf0a818eecf7cf91e8833275b3386d818b331178d8d7a12cdead2591f0f6",
     "final_report.json": "f84f0bee184ba9787c4384b1c7e707a0b80e43288315c31ce367cdc0ceea241e",
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
-    "config_snapshot.yaml": "3deec6eb182461f82622de71b67768cfcd586002ef738ec2e7dca268a6ed4a74",
+    "config_snapshot.yaml": "dddf850ef1f023637003f19695b6e4f5699fd2ddd530ae9f3024f7543e7fa9f4",
 }
 
 

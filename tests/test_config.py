@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 from pathlib import Path
 
 import pytest
 import yaml
 
 from rtlevo.config import load_config, snapshot_dict
-from rtlevo.evaluate import SyntheticEvaluatorConfig, ToolchainConfig
+from rtlevo.evaluate import SyntheticEvaluatorConfig, ToolchainConfig, ToolchainEvaluator
+from rtlevo.evolution import EvolutionConfig
 from rtlevo.llm import ProviderConfig
 from rtlevo.model import CircuitKind, ConfigError
 
@@ -61,7 +63,6 @@ def test_defaults_fill_in(tmp_path):
     assert ev.offspring_count == 10
     assert ev.max_generations == 20
     assert ev.elite_per_metric == 1
-    assert ev.reward == 1.0
     assert ev.exploration_c == 2.0
     assert ev.temperature == 1.0
     assert ev.rng_seed == 0
@@ -339,20 +340,30 @@ def test_http_requires_endpoint(tmp_path):
     assert "endpoint_url" in str(err.value)
 
 
-def test_toolchain_clock_defaults_to_problem_target(tmp_path):
+def test_toolchain_clock_is_problem_target(tmp_path):
     (tmp_path / "cells.lib").write_text("library(t){}", encoding="utf-8")
+    synth = "echo clock_ps={clock_ps} && printf 'Chip area: 1\\nPower: 1\\nWorst slack: 0\\n'"
     path = write_config(
         tmp_path,
         overrides={
             "problem.target_clock_period": 2.5,
-            "evaluator": {"kind": "toolchain", "liberty_path": "cells.lib"},
+            "evaluator": {
+                "kind": "toolchain",
+                "liberty_path": "cells.lib",
+                "simulator_command": "echo all tests passed",
+                "synthesizer_command": synth,
+            },
         },
     )
     cfg = load_config(path)
     assert isinstance(cfg.evaluator, ToolchainConfig)
-    assert cfg.evaluator.clock_period == 2.5
-    assert cfg.evaluator.liberty_path.endswith("cells.lib")
-    assert str(tmp_path) in cfg.evaluator.liberty_path
+    assert cfg.evaluator.liberty_path == str(tmp_path / "cells.lib")
+    evaluator = ToolchainEvaluator(cfg.evaluator, workdir_root=tmp_path / "work")
+    outcome = evaluator.outcome_for("module add2; endmodule", cfg.problem, 0)
+    # the synthesis clock is the problem's target, in ps for the template
+    assert "clock_ps=2500\n" in outcome.synth_log
+    # zero slack: the effective period is the target itself
+    assert outcome.ppa.effective_clock_period == cfg.problem.target_clock_period == 2.5
 
 
 def test_synthetic_evaluator_seed(tmp_path):
@@ -422,3 +433,12 @@ def test_readme_full_surface_block_loads(tmp_path):
     assert isinstance(cfg.provider, ProviderConfig)
     assert isinstance(cfg.evaluator, ToolchainConfig)
     assert cfg.evaluator.liberty_path == str(tmp_path / "cells.lib")
+    # the block shows every setting of these sections; unknown keys fail the load above
+    raw = yaml.safe_load(block)
+    for section, cls in (
+        ("evolution", EvolutionConfig),
+        ("provider", ProviderConfig),
+        ("evaluator", ToolchainConfig),
+    ):
+        fields = {field.name for field in dataclasses.fields(cls)}
+        assert fields <= set(raw[section]), (section, sorted(fields - set(raw[section])))

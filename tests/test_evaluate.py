@@ -82,7 +82,6 @@ def fake_cfg(**overrides):
             "printf 'Chip area for module top: 42.18\\n"
             "Total power: 0.0031\\nWorst slack: -0.37\\n'"
         ),
-        clock_period=0.01,
         per_stage_timeout=10.0,
     )
     fields.update(overrides)
@@ -116,7 +115,7 @@ def test_parse_ppa_report_defaults():
         "Total internal power: 0.0031\n"
         "Worst slack: -0.37\n"
     )
-    ppa = parse_ppa_report(raw, fake_cfg())
+    ppa = parse_ppa_report(raw, fake_cfg(), 0.01)
     assert ppa.area == 42.18
     assert ppa.power == 0.0031
     # negative slack stretches the usable period past the target clock
@@ -125,14 +124,14 @@ def test_parse_ppa_report_defaults():
 
 def test_parse_ppa_report_positive_slack():
     raw = "Chip area for module top: 10\nPower: 2.5\nWorst slack: 0.004\n"
-    ppa = parse_ppa_report(raw, fake_cfg())
+    ppa = parse_ppa_report(raw, fake_cfg(), 0.01)
     assert abs(ppa.effective_clock_period - 0.006) < 1e-12
 
 
 def test_parse_ppa_report_missing_power_names_field():
     raw = "Chip area for module top: 10\nWorst slack: 0.0\n"
     with pytest.raises(ReportError) as err:
-        parse_ppa_report(raw, fake_cfg())
+        parse_ppa_report(raw, fake_cfg(), 0.01)
     assert err.value.field == "power"
 
 
@@ -140,7 +139,7 @@ def test_parse_ppa_report_negative_area_rejected():
     cfg = fake_cfg(area_pattern=r"area:\s*(-?[0-9.]+)")
     raw = "area: -5\nPower: 1\nWorst slack: 0\n"
     with pytest.raises(ReportError) as err:
-        parse_ppa_report(raw, cfg)
+        parse_ppa_report(raw, cfg, 0.01)
     assert err.value.field == "area"
 
 
@@ -153,7 +152,7 @@ def test_parse_ppa_report_negative_area_rejected():
 )
 def test_parse_ppa_report_infinite_value_is_report_error(raw, field):
     with pytest.raises(ReportError) as err:
-        parse_ppa_report(raw, fake_cfg())
+        parse_ppa_report(raw, fake_cfg(), 0.01)
     assert err.value.field == field
     assert isinstance(err.value, RuntimeError)
 
@@ -240,11 +239,11 @@ def test_synthesize_prefers_report_file(tmp_path):
             "Worst slack: 0.0\\n' > {out_report} && echo noise on stdout"
         )
     )
-    report, ok = synthesize("module m; endmodule", cfg, tmp_path / "s")
+    report, ok = synthesize("module m; endmodule", SPEC, cfg, tmp_path / "s")
     assert ok is True
     assert "7.5" in report
     assert "noise" not in report
-    ppa = parse_ppa_report(report, cfg)
+    ppa = parse_ppa_report(report, cfg, 0.01)
     assert ppa.area == 7.5
 
 
@@ -257,17 +256,17 @@ def test_synthesize_reads_a_long_report_file_bounded(tmp_path):
             "7.5\\nPower: 0.25\\nWorst slack: 0.0\\n' >> {out_report}"
         )
     )
-    report, ok = synthesize("module m; endmodule", cfg, tmp_path / "s")
+    report, ok = synthesize("module m; endmodule", SPEC, cfg, tmp_path / "s")
     assert ok is True
     marker = f"\n[... {3145728 + len(metrics) - CAPTURE_BYTES} bytes cut ...]\n"
     assert marker in report
     assert len(report.encode()) <= CAPTURE_BYTES + len(marker)
     assert report.startswith("filler\nfiller\n") and report.endswith(metrics)
-    assert parse_ppa_report(report, cfg) == PpaMetrics(0.25, 7.5, 0.01)
+    assert parse_ppa_report(report, cfg, 0.01) == PpaMetrics(0.25, 7.5, 0.01)
 
 
 def test_synthesize_falls_back_to_stdout(tmp_path):
-    report, ok = synthesize("module m; endmodule", fake_cfg(), tmp_path / "s2")
+    report, ok = synthesize("module m; endmodule", SPEC, fake_cfg(), tmp_path / "s2")
     assert ok is True
     assert "42.18" in report
 
@@ -325,8 +324,6 @@ def test_preflight_checks_liberty_when_referenced(tmp_path):
 
 
 def test_toolchain_config_validation():
-    with pytest.raises(ValueError):
-        ToolchainConfig(clock_period=0.0)
     with pytest.raises(ValueError):
         ToolchainConfig(per_stage_timeout=-1.0)
 
@@ -389,14 +386,14 @@ def test_toolchain_post_synth_gate(tmp_path):
 
 def test_toolchain_reference_ppa_and_failure(tmp_path):
     ev = ToolchainEvaluator(fake_cfg(), workdir_root=tmp_path / "r1")
-    ppa = ev.reference_ppa("module ref; endmodule")
+    ppa = ev.reference_ppa("module ref; endmodule", SPEC)
     assert ppa.area == 42.18
     bad = ToolchainEvaluator(
         fake_cfg(synthesizer_command="echo fatal && false"),
         workdir_root=tmp_path / "r2",
     )
     with pytest.raises(RuntimeError):
-        bad.reference_ppa("module ref; endmodule")
+        bad.reference_ppa("module ref; endmodule", SPEC)
 
 
 def test_toolchain_evaluator_preflights_on_construction(tmp_path):
@@ -487,7 +484,7 @@ def test_synthetic_ppa_marker_is_exact():
     outcome = ev.outcome_for(code, SPEC)
     assert outcome.sim_passed is True
     assert outcome.ppa == PpaMetrics(power=0.8, area=90.0, effective_clock_period=1.25)
-    assert ev.reference_ppa(code) == outcome.ppa
+    assert ev.reference_ppa(code, SPEC) == outcome.ppa
 
 
 def test_synthetic_hash_fallback_deterministic_and_bounded():
@@ -495,8 +492,8 @@ def test_synthetic_hash_fallback_deterministic_and_bounded():
     rng = random.Random(11)
     for _ in range(50):
         code = f"module m_{rng.randrange(10**9)}; endmodule"
-        a = ev.reference_ppa(code)
-        b = ev.reference_ppa(code)
+        a = ev.reference_ppa(code, SPEC)
+        b = ev.reference_ppa(code, SPEC)
         assert a == b
         assert 0.5 <= a.power < 1.5
         assert 50.0 <= a.area < 150.0
@@ -505,8 +502,8 @@ def test_synthetic_hash_fallback_deterministic_and_bounded():
 
 def test_synthetic_seed_changes_hash_ppa():
     code = "module m; endmodule"
-    a = SyntheticEvaluator(SyntheticEvaluatorConfig(seed=1)).reference_ppa(code)
-    b = SyntheticEvaluator(SyntheticEvaluatorConfig(seed=2)).reference_ppa(code)
+    a = SyntheticEvaluator(SyntheticEvaluatorConfig(seed=1)).reference_ppa(code, SPEC)
+    b = SyntheticEvaluator(SyntheticEvaluatorConfig(seed=2)).reference_ppa(code, SPEC)
     assert a != b
 
 
@@ -611,7 +608,7 @@ class FixedOutcome:
     def outcome_for(self, code, spec, individual_id=0):
         return self.outcome
 
-    def reference_ppa(self, code):
+    def reference_ppa(self, code, spec):
         raise AssertionError("not used")
 
 

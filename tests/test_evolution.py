@@ -317,7 +317,6 @@ def test_evolution_config_validation_names_fields():
         (dict(max_generations=0), "max_generations"),
         (dict(elite_per_metric=-1), "elite_per_metric"),
         (dict(population_size=5, elite_per_metric=2), "elite_per_metric"),
-        (dict(reward=float("nan")), "reward"),
         (dict(exploration_c=-0.5), "exploration_c"),
         (dict(temperature=0.0), "temperature"),
         (dict(max_parallel_evaluations=0), "max_parallel_evaluations"),
@@ -408,7 +407,6 @@ def test_ids_unique_and_contiguous():
 
 def test_rewards_match_offspring_outcomes():
     result = run_demo(max_generations=4)
-    cfg_reward = 1.0
     for g in range(1, len(result.history)):
         prev = {ind.id: ind for ind in result.history[g - 1].population}
         record = result.history[g]
@@ -416,10 +414,10 @@ def test_rewards_match_offspring_outcomes():
         for child, event in zip(record.offspring, record.strategy_events):
             assert event.strategy == child.strategy
             if event.label is PopulationLabel.FAIL:
-                expected = cfg_reward if child.outcome.sim_passed else 0.0
+                expected = 1.0 if child.outcome.sim_passed else 0.0
             else:
                 baseline = max(prev[pid].fitness for pid in child.parent_ids)
-                expected = cfg_reward if child.fitness > baseline else 0.0
+                expected = 1.0 if child.fitness > baseline else 0.0
             assert event.reward == expected, (g, child.id, event.strategy)
 
 
@@ -491,8 +489,8 @@ def test_parse_failure_becomes_placeholder_without_evaluation():
             self.calls += 1
             return self.inner.outcome_for(code, spec, individual_id)
 
-        def reference_ppa(self, code):
-            return self.inner.reference_ppa(code)
+        def reference_ppa(self, code, spec):
+            return self.inner.reference_ppa(code, spec)
 
     provider = ScriptedProvider(
         [ScriptEntry("strategy:initial", "no fence anywhere in this text", repeat=True)]
@@ -763,8 +761,8 @@ class PipelineProbe:
             with self.cond:
                 self.evaluations -= 1
 
-    def reference_ppa(self, code):
-        return self.evaluator.reference_ppa(code)
+    def reference_ppa(self, code, spec):
+        return self.evaluator.reference_ppa(code, spec)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -801,8 +799,8 @@ class JitteredEvaluator:
         time.sleep(delay)
         return self.inner.outcome_for(code, spec, individual_id)
 
-    def reference_ppa(self, code):
-        return self.inner.reference_ppa(code)
+    def reference_ppa(self, code, spec):
+        return self.inner.reference_ppa(code, spec)
 
 
 @pytest.mark.parametrize("jitter_seed", range(6))
@@ -855,8 +853,8 @@ class FailingEvaluation:
             with self.cond:
                 self.in_flight -= 1
 
-    def reference_ppa(self, code):
-        return self.inner.reference_ppa(code)
+    def reference_ppa(self, code, spec):
+        return self.inner.reference_ppa(code, spec)
 
 
 def test_failed_evaluation_aborts_after_every_stage_has_finished():
@@ -1021,7 +1019,7 @@ def test_fix_reply_repeating_a_placeholder_becomes_a_placeholder():
             self.calls += 1
             return SyntheticEvaluator().outcome_for(code, spec, individual_id)
 
-        def reference_ppa(self, code):
+        def reference_ppa(self, code, spec):
             raise AssertionError("not used")
 
     # generation 0 is all placeholders; every operator then hands the

@@ -266,6 +266,39 @@ def test_bandit_scores_are_frozen_within_a_generation(seed, population, workers)
             assert pulls == last.bandit_states[label].total_pulls + quota
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    population=st.integers(1, 6),
+    offspring=st.integers(1, 6),
+    generations=st.integers(1, 4),
+    workers=st.sampled_from([1, 3]),
+)
+def test_bandit_states_replay_zero_one_rewards(seed, population, offspring, generations, workers):
+    cfg = EvolutionConfig(
+        population_size=population, offspring_count=offspring, max_generations=generations,
+        elite_per_metric=0, rng_seed=seed, max_parallel_evaluations=workers,
+    )
+    history = EvolutionEngine(SPEC, cfg, _CritiquingWorld(seed), SyntheticEvaluator()).run().history
+    replayed = {
+        label: BanditState.for_strategies(list(state.strategies), cfg.exploration_c, cfg.temperature)
+        for label, state in history[0].bandit_states.items()
+    }
+    wins = {(label, name): 0 for label, state in replayed.items() for name in state.strategies}
+    for record in history:
+        for event in record.strategy_events:
+            # a float, so the history writes 1.0 and 0.0
+            assert type(event.reward) is float and event.reward in (0.0, 1.0)
+            record_reward(replayed[event.label.value], event.strategy, event.reward)
+            wins[event.label.value, event.strategy] += event.reward == 1.0
+        assert record.bandit_states == replayed
+    # so each arm's Q is its success rate
+    for (label, name), won in wins.items():
+        stats = replayed[label].strategies[name]
+        if stats.pull_count:
+            assert stats.q_value == pytest.approx(won / stats.pull_count, abs=1e-12)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -336,8 +369,8 @@ class _PaddedLogEvaluator:
         self.outcomes[individual_id] = outcome
         return outcome
 
-    def reference_ppa(self, code):
-        return self.inner.reference_ppa(code)
+    def reference_ppa(self, code, spec):
+        return self.inner.reference_ppa(code, spec)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -401,7 +434,6 @@ def _run_configs(draw, directory, provider_kind, evaluator_kind):
         offspring_count=draw(st.integers(1, 60)),
         max_generations=draw(st.integers(1, 100)),
         elite_per_metric=draw(st.integers(0, population // 3)),
-        reward=draw(st.floats(-1e6, 1e6)),
         exploration_c=draw(st.floats(0.0, 1e3)),
         temperature=draw(_POSITIVE),
         rng_seed=draw(st.integers(0, 2**63)),
@@ -429,7 +461,6 @@ def _run_configs(draw, directory, provider_kind, evaluator_kind):
             simulator_command=draw(st.sampled_from([DEFAULT_SIMULATOR_COMMAND, "echo {code_file}"])),
             synthesizer_command=draw(no_braces),
             liberty_path=draw(st.sampled_from(["", str(directory / "cells.lib")])),
-            clock_period=draw(_POSITIVE),
             per_stage_timeout=draw(_POSITIVE),
             workdir_root=draw(st.text()),
             pass_pattern=draw(st.sampled_from([DEFAULT_PASS_PATTERN, r"\bok\b"])),
