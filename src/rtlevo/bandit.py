@@ -26,35 +26,25 @@ class StrategyStats:
 
 @dataclass
 class BanditState:
-    """Per-population strategy statistics plus selection hyperparameters.
+    """Per-population strategy statistics.
 
-    Each generation record holds one per population, read back by its fields.
+    Each generation record holds one per population, read back by its
+    fields. The selection constants c and T are run settings, passed to
+    `select_strategy`, not state.
     """
 
     strategies: dict[str, StrategyStats]
-    total_pulls: int = 0
-    exploration_c: float = 2.0
-    temperature: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature!r}")
-        if self.exploration_c < 0:
-            raise ValueError(f"exploration_c must be >= 0, got {self.exploration_c!r}")
+    @property
+    def total_pulls(self) -> int:
+        return sum(s.pull_count for s in self.strategies.values())
 
     @classmethod
-    def for_strategies(
-        cls, names: list[str], exploration_c: float = 2.0, temperature: float = 1.0
-    ) -> "BanditState":
-        return cls(
-            strategies={name: StrategyStats() for name in names},
-            exploration_c=exploration_c,
-            temperature=temperature,
-        )
+    def for_strategies(cls, names: list[str]) -> "BanditState":
+        return cls(strategies={name: StrategyStats() for name in names})
 
     def copy(self) -> "BanditState":
-        strategies = {name: dataclasses.replace(s) for name, s in self.strategies.items()}
-        return dataclasses.replace(self, strategies=strategies)
+        return BanditState({name: dataclasses.replace(s) for name, s in self.strategies.items()})
 
 
 def ucb_score(stats: StrategyStats, total_pulls: int, exploration_c: float) -> float:
@@ -79,7 +69,6 @@ def record_reward(state: BanditState, strategy: str, reward: float) -> BanditSta
         raise ValueError(f"unknown strategy {strategy!r}; known: {sorted(state.strategies)}")
     stats.pull_count += 1
     stats.q_value += (reward - stats.q_value) / stats.pull_count
-    state.total_pulls += 1
     return state
 
 
@@ -98,9 +87,12 @@ def softmax(scores: list[float], temperature: float) -> list[float]:
 def select_strategy(
     state: BanditState,
     rng: random.Random,
+    exploration_c: float,
+    temperature: float,
     allowed: list[str] | None = None,
 ) -> str:
-    """Pick a strategy: untried ones first (uniformly), then softmax over UCB scores.
+    """Pick a strategy: untried ones first (uniformly), then softmax at
+    `temperature` over UCB scores with constant `exploration_c`.
 
     `allowed` restricts the choice to a subset of the state's strategies,
     e.g. when an operator is infeasible this generation. Deterministic given
@@ -112,8 +104,9 @@ def select_strategy(
     untried = [n for n in names if state.strategies[n].pull_count == 0]
     if untried:
         return untried[rng.randrange(len(untried))]
-    scores = [ucb_score(state.strategies[n], state.total_pulls, state.exploration_c) for n in names]
-    probs = softmax(scores, state.temperature)
+    total = state.total_pulls
+    scores = [ucb_score(state.strategies[n], total, exploration_c) for n in names]
+    probs = softmax(scores, temperature)
     draw = rng.random()
     cumulative = 0.0
     for name, p in zip(names, probs):

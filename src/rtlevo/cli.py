@@ -69,7 +69,7 @@ def _build_provider(cfg: RunConfig, transcript: TranscriptWriter) -> Provider:
 def _build_evaluator(cfg: RunConfig, workdir_root: Path | None) -> Evaluator:
     if isinstance(cfg.evaluator, ToolchainConfig):
         return ToolchainEvaluator(cfg.evaluator, workdir_root=workdir_root)
-    return SyntheticEvaluator(cfg.evaluator)
+    return SyntheticEvaluator()
 
 
 @contextlib.contextmanager

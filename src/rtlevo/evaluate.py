@@ -4,7 +4,8 @@ Two interchangeable evaluators produce an EvalOutcome from code text:
 
 * ToolchainEvaluator shells out to a real simulator and synthesizer via
   user-editable command templates.
-* SyntheticEvaluator is a pure, seeded stand-in for tool-free tests.
+* SyntheticEvaluator is a pure stand-in for tool-free tests, which reads
+  its verdict and PPA from markers in the code.
 
 A command template or pattern that cannot run fails the config's load.
 Per-individual tool failures and unusable reports become outcomes; a broken
@@ -15,7 +16,6 @@ ToolEnvironmentError and aborts the whole run instead.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import logging
 import os
 import re
@@ -423,53 +423,45 @@ _PPA_MARKER_RE = re.compile(
 )
 
 
+def _ppa_marker(code: str) -> PpaMetrics | None:
+    marker = _PPA_MARKER_RE.search(code)
+    if marker is None:
+        return None
+    power, area, period = (float(g) for g in marker.groups())
+    return PpaMetrics(power=power, area=area, effective_clock_period=period)
+
+
 @dataclass(frozen=True)
 class SyntheticEvaluatorConfig:
-    """Pure stand-in rules: code passes when it has no BUG marker, and its
-    PPA comes from a `// PPA: power=.. area=.. period=..` marker or, failing
-    that, a hash of (seed, code)."""
-
-    seed: int = 0
+    """The `kind: synthetic` section, which takes no other key: code passes
+    when it has no BUG marker, and its PPA is read from a
+    `// PPA: power=.. area=.. period=..` marker."""
 
 
 class SyntheticEvaluator:
-    def __init__(self, config: SyntheticEvaluatorConfig | None = None):
-        self.config = config or SyntheticEvaluatorConfig()
-
-    def _ppa(self, code: str) -> PpaMetrics:
-        marker = _PPA_MARKER_RE.search(code)
-        if marker:
-            power, area, period = (float(g) for g in marker.groups())
-            return PpaMetrics(power=power, area=area, effective_clock_period=period)
-        digest = hashlib.sha256(f"{self.config.seed}:{code}".encode()).digest()
-        u = [
-            int.from_bytes(digest[8 * i : 8 * i + 8], "big") / 2**64
-            for i in range(3)
-        ]
-        return PpaMetrics(
-            power=0.5 + u[0],
-            area=50.0 + 100.0 * u[1],
-            effective_clock_period=0.5 + u[2],
-        )
-
     def outcome_for(self, code: str, spec: ProblemSpec, individual_id: int = 0) -> EvalOutcome:
         if FAIL_MARKER in code:
             return EvalOutcome(
                 sim_passed=False, synth_succeeded=False, ppa=None,
                 sim_log="synthetic simulation: FAILED (pass rule rejected the code)",
             )
-        ppa = self._ppa(code)
-        return EvalOutcome(
-            sim_passed=True, synth_succeeded=True, ppa=ppa,
-            sim_log="synthetic simulation: all tests passed",
-            synth_log=(
+        ppa = _ppa_marker(code)
+        synth_log = "synthetic synthesis: no PPA marker"
+        if ppa is not None:
+            synth_log = (
                 f"synthetic synthesis: power={ppa.power:.6g} area={ppa.area:.6g} "
                 f"period={ppa.effective_clock_period:.6g}"
-            ),
+            )
+        return EvalOutcome(
+            sim_passed=True, synth_succeeded=True, ppa=ppa,
+            sim_log="synthetic simulation: all tests passed", synth_log=synth_log,
         )
 
     def reference_ppa(self, code: str, spec: ProblemSpec) -> PpaMetrics:
-        return self._ppa(code)
+        ppa = _ppa_marker(code)
+        if ppa is None:
+            raise RuntimeError("reference design has no '// PPA:' marker to read")
+        return ppa
 
 
 def clip_log(log: str) -> str:

@@ -421,15 +421,12 @@ class EvolutionEngine:
         best: Individual,
         bandit_states: dict[str, BanditState],
     ) -> GenerationRecord:
-        fail_count = sum(1 for ind in population if classify(ind) is PopulationLabel.FAIL)
         record = GenerationRecord(
             generation_index=generation,
             population=tuple(population),
             offspring=tuple(offspring),
             strategy_events=tuple(events),
             best_so_far=best,
-            fail_count=fail_count,
-            success_count=len(population) - fail_count,
             bandit_states=bandit_states,
         )
         self.history.append(record)
@@ -445,9 +442,7 @@ class EvolutionEngine:
         slots = [_Slot(j, key=(0, j)) for j in range(self.cfg.population_size)]
         population = self._run_slots(slots, {})
         states = {
-            label.value: BanditState.for_strategies(
-                [s.value for s in operators], self.cfg.exploration_c, self.cfg.temperature
-            )
+            label.value: BanditState.for_strategies([s.value for s in operators])
             for label, operators in zip(PopulationLabel, (FAIL_STRATEGIES, SUCCESS_STRATEGIES))
         }
         return self._emit_record(0, population, [], [], min(population, key=_rank_key), states)
@@ -457,9 +452,10 @@ class EvolutionEngine:
     ) -> tuple[PromptStrategy, list[Individual]]:
         """An operator from the population's frozen bandit state, whose arms
         are that population's operators, and its parents."""
-        name = select_strategy(frozen, rng)
+        c, t = self.cfg.exploration_c, self.cfg.temperature
+        name = select_strategy(frozen, rng, c, t)
         if name == PromptStrategy.FUSION.value and len(subpop) < 2:
-            name = select_strategy(frozen, rng, [n for n in frozen.strategies if n != name])
+            name = select_strategy(frozen, rng, c, t, [n for n in frozen.strategies if n != name])
             logger.info(
                 "fusion infeasible with %d success member(s); resampled %s", len(subpop), name
             )

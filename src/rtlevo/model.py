@@ -170,15 +170,16 @@ class GenerationRecord:
     offspring: tuple[Individual, ...] = ()
     strategy_events: tuple[StrategyEvent, ...] = ()
     best_so_far: Individual | None = None
-    fail_count: int = 0
-    success_count: int = 0
     bandit_states: dict[str, BanditState] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.generation_index < 0:
             raise ValueError("GenerationRecord.generation_index must be >= 0")
-        if self.fail_count + self.success_count != len(self.population):
-            raise ValueError("fail_count + success_count must equal the population size")
+
+    @property
+    def success_count(self) -> int:
+        """Members of `population` that passed simulation."""
+        return sum(1 for ind in self.population if ind.outcome and ind.outcome.sim_passed)
 
 
 # --- persistence ------------------------------------------------------------

@@ -6,8 +6,6 @@ packaged `templates/` directory. Available placeholders:
     {functional_description}                    the problem statement
     {parent_thought_N} {parent_code_N}
     {parent_feedback_N}                         N = 1..arity of the strategy
-    {testbench}                                 testbench source (not used by
-                                                the default templates)
 """
 
 from __future__ import annotations
@@ -119,19 +117,12 @@ def default_templates() -> TemplateSet:
     return TemplateSet()
 
 
-def _base_mapping(spec: ProblemSpec) -> dict[str, str]:
-    return {
-        "functional_description": spec.description,
-        "testbench": spec.testbench,
-    }
-
-
 def build_initial_prompt(spec: ProblemSpec) -> PromptBundle:
     """The parent-free prompt used once per slot to create generation 0."""
     templates = default_templates()
     return PromptBundle(
         system_text=templates.system_text(),
-        user_text=templates.render("initial", _base_mapping(spec)),
+        user_text=templates.render("initial", {"functional_description": spec.description}),
         strategy=None,
         parent_ids=(),
     )
@@ -148,7 +139,7 @@ def build_evolutionary_prompt(
         raise ValueError(
             f"strategy {strategy.value} takes {strategy.arity} parent(s), got {len(parents)}"
         )
-    mapping = _base_mapping(spec)
+    mapping = {"functional_description": spec.description}
     for n, parent in enumerate(parents, start=1):
         if parent.feedback is None or not parent.feedback.strip():
             raise ValueError(f"parent {parent.id} has no feedback; evaluate it first")

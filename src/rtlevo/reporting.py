@@ -8,7 +8,10 @@ from pathlib import Path
 
 from .model import GenerationRecord, Individual, PpaMetrics, build, to_plain
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# keys a version-1 record holds that version 2 derives: from the config
+# (exploration_c, temperature), or from the record itself (the rest)
+V1_DERIVED_KEYS = ("fail_count", "success_count", "total_pulls", "exploration_c", "temperature")
 
 GENERATIONS_FILE = "generations.jsonl"
 TRANSCRIPTS_FILE = "transcripts.jsonl"
@@ -38,9 +41,18 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
         fh.write(json.dumps(to_plain(record), sort_keys=True) + "\n")
 
 
+def _drop_v1_derived(obj: dict) -> dict:
+    for key in V1_DERIVED_KEYS:
+        obj.pop(key, None)
+    return obj
+
+
 def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
     """Every record of a run's history, read with the loader that reads the
-    config; a corrupt record is a RunDirError naming it and its key path."""
+    config; a corrupt record is a RunDirError naming it and its key path.
+
+    A version-1 history reads with its `V1_DERIVED_KEYS` dropped; every
+    other key is read as strictly as in version 2."""
     path = Path(run_dir) / GENERATIONS_FILE
     if not path.is_file():
         raise RunDirError(f"{path} not found; is this a run directory?")
@@ -52,13 +64,14 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
             version = header["schema_version"]
         except (ValueError, TypeError, KeyError):
             raise RunDirError(f"{path}: missing or corrupt schema header") from None
-        if version != SCHEMA_VERSION:
+        if version not in (1, SCHEMA_VERSION):
             raise RunDirError(f"{path}: unsupported schema_version {version!r}")
+        hook = _drop_v1_derived if version == 1 else None
         for i, line in enumerate(fh):
             if not line.strip():
                 continue
             try:
-                records.append(build(GenerationRecord, json.loads(line)))
+                records.append(build(GenerationRecord, json.loads(line, object_hook=hook)))
             except ValueError as exc:
                 raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
     if not records:

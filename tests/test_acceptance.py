@@ -139,7 +139,7 @@ def test_criterion_03_bandit_math():
     # (a) Q is the exact running mean
     rng = random.Random(5)
     for _ in range(200):
-        state = BanditState.for_strategies(["s"], 2.0, 1.0)
+        state = BanditState.for_strategies(["s"])
         rewards = [rng.uniform(0, 1) for _ in range(rng.randrange(1, 30))]
         for r in rewards:
             record_reward(state, "s", r)
@@ -160,15 +160,10 @@ def test_criterion_03_bandit_math():
             assert abs(p - q) <= 1e-12
 
     # (d) empirical frequency at scores [1, 0], tau=1
-    state = BanditState(
-        {"hi": StrategyStats(1.0, 1), "lo": StrategyStats(0.0, 1)},
-        total_pulls=2,
-        exploration_c=0.0,
-        temperature=1.0,
-    )
+    state = BanditState({"hi": StrategyStats(1.0, 1), "lo": StrategyStats(0.0, 1)})
     draw_rng = random.Random(123)
     draws = 100_000
-    hits = sum(1 for _ in range(draws) if select_strategy(state, draw_rng) == "hi")
+    hits = sum(1 for _ in range(draws) if select_strategy(state, draw_rng, 0.0, 1.0) == "hi")
     freq = hits / draws
     assert abs(freq - 0.7311) <= 0.01
     ok(3, f"Q exact mean; UCB 2.017427 +/- 1e-5; softmax stable; P(first)={freq:.4f}")
@@ -180,14 +175,15 @@ def test_criterion_03_bandit_math():
 def test_criterion_04_bandit_adaptation():
     started = time.perf_counter()
     names = ["fix", "simplify", "explore", "refactor", "improve"]
-    state = BanditState.for_strategies(names, 2.0, 1.0)
+    state = BanditState.for_strategies(names)
     rng = random.Random(7)
     for _ in range(200):
-        name = select_strategy(state, rng)
+        name = select_strategy(state, rng, 2.0, 1.0)
         p_success = 0.9 if name == "fix" else 0.1
         record_reward(state, name, 1.0 if rng.random() < p_success else 0.0)
-    scores = [ucb_score(state.strategies[n], state.total_pulls, state.exploration_c) for n in names]
-    probs = dict(zip(names, softmax(scores, state.temperature)))
+    assert state.total_pulls == 200
+    scores = [ucb_score(state.strategies[n], state.total_pulls, 2.0) for n in names]
+    probs = dict(zip(names, softmax(scores, 1.0)))
     for name in names[1:]:
         assert probs["fix"] > probs[name], probs
     elapsed = time.perf_counter() - started

@@ -85,7 +85,7 @@ def test_untried_strategies_selected_first():
     state = BanditState.for_strategies(["a", "b", "c"])
     record_reward(state, "a", 1.0)
     rng = random.Random(0)
-    picks = {select_strategy(state, rng) for _ in range(50)}
+    picks = {select_strategy(state, rng, 2.0, 1.0) for _ in range(50)}
     assert picks == {"b", "c"}
 
 
@@ -94,41 +94,32 @@ def test_select_respects_allowed_subset():
     for name in ("a", "b", "c"):
         record_reward(state, name, 0.5)
     rng = random.Random(0)
-    picks = {select_strategy(state, rng, allowed=["b", "c"]) for _ in range(100)}
+    picks = {select_strategy(state, rng, 2.0, 1.0, allowed=["b", "c"]) for _ in range(100)}
     assert picks <= {"b", "c"}
     with pytest.raises(ValueError):
-        select_strategy(state, rng, allowed=["nope"])
+        select_strategy(state, rng, 2.0, 1.0, allowed=["nope"])
 
 
 def test_selection_frequency_matches_softmax():
     # engineered scores [1, 0]: Q values 1 and 0, one pull each, c=0
-    state = BanditState(
-        strategies={"hi": StrategyStats(1.0, 1), "lo": StrategyStats(0.0, 1)},
-        total_pulls=2,
-        exploration_c=0.0,
-        temperature=1.0,
-    )
+    state = BanditState(strategies={"hi": StrategyStats(1.0, 1), "lo": StrategyStats(0.0, 1)})
+    assert state.total_pulls == 2
     rng = random.Random(123)
     draws = 20_000
-    hits = sum(1 for _ in range(draws) if select_strategy(state, rng) == "hi")
+    hits = sum(1 for _ in range(draws) if select_strategy(state, rng, 0.0, 1.0) == "hi")
     assert hits / draws == pytest.approx(0.7311, abs=0.01)
 
 
 def test_copy_and_snapshot_are_detached():
-    state = BanditState.for_strategies(["a", "b"], exploration_c=1.5, temperature=0.7)
+    state = BanditState.for_strategies(["a", "b"])
     record_reward(state, "a", 1.0)
     frozen = state.copy()
     snap = to_plain(state)
     record_reward(state, "a", 0.0)
     assert frozen.strategies["a"].q_value == 1.0
     assert frozen.total_pulls == 1
-    assert snap["strategies"]["a"] == {"q_value": 1.0, "pull_count": 1}
-    assert snap["exploration_c"] == 1.5 and snap["temperature"] == 0.7
+    # the state is its arms' statistics and nothing else
+    assert snap == {
+        "strategies": {"a": {"q_value": 1.0, "pull_count": 1}, "b": {"q_value": 0.0, "pull_count": 0}}
+    }
     assert state.strategies["a"].q_value == 0.5
-
-
-def test_state_hyperparameter_validation():
-    with pytest.raises(ValueError):
-        BanditState.for_strategies(["a"], temperature=0.0)
-    with pytest.raises(ValueError):
-        BanditState.for_strategies(["a"], exploration_c=-1.0)

@@ -315,6 +315,15 @@ def test_ref_ppa_failed_synthesis_is_one_error_line(tmp_path, capsys, caplog):
     assert "first synth line\nsecond synth line" in caplog.text
 
 
+def test_ref_ppa_synthetic_without_marker_is_one_error_line(tmp_path, capsys):
+    config = write_setup(tmp_path)
+    design = tmp_path / "golden.v"
+    design.write_text("module add2; endmodule\n", encoding="utf-8")
+    assert main(["ref-ppa", str(design), "--config", str(config)]) == EXIT_ABORT
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: reference design has no '// PPA:' marker to read"]
+
+
 def test_run_keeps_an_out_of_range_report_as_the_designs_outcome(tmp_path, caplog):
     infinite = "printf 'Chip area: 1e999\\nTotal power: 0.9\\nWorst slack: 0\\n'"
     config = write_setup(tmp_path, config_overrides=_toolchain(tmp_path, synthesizer_command=infinite))
@@ -471,6 +480,8 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
             {"evaluator": {"kind": "toolchain", "clock_period": 2.5}},
             "unknown key(s) in evaluator: clock_period;",
         ),
+        # the synthetic evaluator reads its PPA only from markers in the code
+        ({"evaluator": {"kind": "synthetic", "seed": 1}}, "unknown key(s) in evaluator: seed;"),
     ],
 )
 def test_bad_value_is_one_error_line(tmp_path, capsys, overrides, key):
@@ -637,12 +648,14 @@ def test_bad_config_yaml_is_one_error_line(tmp_path, capsys, command):
 # of its config_snapshot.yaml with the two paths in it masked; a change to any
 # of them changes the behaviour the demo pins down
 DEMO_DIGESTS = {
-    "generations.jsonl": "e994ddf3c9d175719119ebf0f1d38b935d2f6db7aaa6926623809bc3a78ca220",
+    "generations.jsonl": "a24df3675c30aa5c6842b15406b4825a6c88b28424090bf4c5dddbab3f793357",
     "transcripts.jsonl": "ad0fbf0a818eecf7cf91e8833275b3386d818b331178d8d7a12cdead2591f0f6",
-    "final_report.json": "f84f0bee184ba9787c4384b1c7e707a0b80e43288315c31ce367cdc0ceea241e",
+    "final_report.json": "7e6f91cd9e2bc6890da35977fae529af7c6dae7e4841bbfbf28663ee53d1b869",
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
-    "config_snapshot.yaml": "dddf850ef1f023637003f19695b6e4f5699fd2ddd530ae9f3024f7543e7fa9f4",
+    "config_snapshot.yaml": "b167ceff9f16c2330c34e8e2a62be6fae108b384deb386bca9765981d4e28708",
 }
+# sha256 of the demo's generations.jsonl as schema 1 wrote it
+DEMO_V1_GENERATIONS_DIGEST = "e994ddf3c9d175719119ebf0f1d38b935d2f6db7aaa6926623809bc3a78ca220"
 
 
 def test_demo_outputs_are_pinned(tmp_path, capsys):
@@ -663,3 +676,35 @@ def test_demo_outputs_are_pinned(tmp_path, capsys):
     masked = snapshot.replace(str(out), "<output_dir>").replace(str(script), "<script_file>")
     got["config_snapshot.yaml"] = hashlib.sha256(masked.encode()).hexdigest()
     assert got == DEMO_DIGESTS
+
+
+def _as_schema_1(path: Path, exploration_c: float, temperature: float) -> None:
+    """Rewrite a history as schema 1 wrote it, with the keys schema 2 derives."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    out = [json.dumps({"schema_version": 1})]
+    for line in lines[1:]:
+        record = json.loads(line)
+        passed = sum(ind["outcome"]["sim_passed"] for ind in record["population"])
+        record["success_count"] = passed
+        record["fail_count"] = len(record["population"]) - passed
+        for state in record["bandit_states"].values():
+            state["total_pulls"] = sum(s["pull_count"] for s in state["strategies"].values())
+            state.update(exploration_c=exploration_c, temperature=temperature)
+        out.append(json.dumps(record, sort_keys=True))
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def test_report_reads_a_schema_1_history_alike(tmp_path, capsys):
+    demo = Path(__file__).resolve().parents[1] / "demo" / "config.yaml"
+    out = tmp_path / "demo"
+    assert main(["run", "--config", str(demo), "--out", str(out)]) == EXIT_FOUND
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_FOUND
+    v2_text = capsys.readouterr().out
+    evolution = load_config(demo).evolution
+    _as_schema_1(out / "generations.jsonl", evolution.exploration_c, evolution.temperature)
+    # the rewrite is byte for byte the history schema 1 wrote for the demo
+    v1_bytes = (out / "generations.jsonl").read_bytes()
+    assert hashlib.sha256(v1_bytes).hexdigest() == DEMO_V1_GENERATIONS_DIGEST
+    assert main(["report", str(out)]) == EXIT_FOUND
+    assert capsys.readouterr().out == v2_text

@@ -367,10 +367,12 @@ def test_toolchain_clock_is_problem_target(tmp_path):
 
 
 def test_synthetic_evaluator_seed(tmp_path):
+    # the synthetic evaluator reads only markers in the code, so it takes no seed
+    path = write_config(tmp_path, overrides={"evaluator": {"kind": "synthetic"}})
+    assert load_config(path).evaluator == SyntheticEvaluatorConfig()
     path = write_config(tmp_path, overrides={"evaluator": {"kind": "synthetic", "seed": 9}})
-    cfg = load_config(path)
-    assert isinstance(cfg.evaluator, SyntheticEvaluatorConfig)
-    assert cfg.evaluator.seed == 9
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in evaluator: seed;"):
+        load_config(path)
 
 
 def test_evaluator_kind_required(tmp_path):

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from rtlevo.bandit import BanditState, record_reward
+from rtlevo.bandit import BanditState, record_reward, select_strategy
 from rtlevo.evolution import (
     PLACEHOLDER_CODE,
     PLACEHOLDER_THOUGHT,
@@ -379,7 +379,7 @@ def test_run_shape_and_found_correct():
     assert len(result.history) == 4  # generation 0 plus three iterations
     for record in result.history:
         assert len(record.population) == 4
-        assert record.fail_count + record.success_count == 4
+        assert record.success_count == sum(ind.outcome.sim_passed for ind in record.population)
     assert len(result.history[0].offspring) == 0
     for record in result.history[1:]:
         assert len(record.offspring) == 4
@@ -510,7 +510,7 @@ def test_parse_failure_becomes_placeholder_without_evaluation():
 def test_fusion_infeasible_resamples_other_strategy():
     provider = ScriptedProvider(demo_script())
     engine = EvolutionEngine(SPEC, demo_cfg(), provider, SyntheticEvaluator())
-    frozen = BanditState.for_strategies([s.value for s in SUCCESS_STRATEGIES], 2.0, 1.0)
+    frozen = BanditState.for_strategies([s.value for s in SUCCESS_STRATEGIES])
     for strategy in SUCCESS_STRATEGIES:
         if strategy is not PromptStrategy.FUSION:
             record_reward(frozen, strategy.value, 0.0)
@@ -524,6 +524,24 @@ def test_fusion_infeasible_resamples_other_strategy():
         slot = _Slot(9, (1, 0), PopulationLabel.SUCCESS, strategy, tuple(parents))
         assert engine._reward_for(slot, success_ind(2, 0.3)) == 0.0
         assert engine._reward_for(slot, success_ind(3, 0.31)) == 1.0
+
+
+def test_plan_slot_selects_with_the_configured_constants():
+    # the bandit state holds no constants: c and T come from the run's config
+    cfg = demo_cfg(exploration_c=0.3, temperature=0.05)
+    engine = EvolutionEngine(SPEC, cfg, ScriptedProvider(demo_script()), SyntheticEvaluator())
+    frozen = BanditState.for_strategies([s.value for s in SUCCESS_STRATEGIES])
+    for n, strategy in enumerate(SUCCESS_STRATEGIES):
+        for k in range(n + 1):
+            record_reward(frozen, strategy.value, float(k % 2))
+    subpop = [success_ind(1, 0.3), success_ind(2, 0.4)]
+    picks, default_picks = [], []
+    for trial in range(50):
+        strategy, _ = engine._plan_slot(subpop, frozen, random.Random(trial))
+        picks.append(strategy.value)
+        assert strategy.value == select_strategy(frozen, random.Random(trial), 0.3, 0.05)
+        default_picks.append(select_strategy(frozen, random.Random(trial), 2.0, 1.0))
+    assert picks != default_picks
 
 
 def test_engine_call_order_enforced():

@@ -135,16 +135,17 @@ def test_generation_record_roundtrip_and_count_invariant():
         offspring=(make_individual(id=2, strategy="improve", parent_ids=(0,)),),
         strategy_events=(StrategyEvent(PopulationLabel.SUCCESS, "improve", 1.0),),
         best_so_far=pop[0],
-        fail_count=0,
-        success_count=2,
         bandit_states={"fail": BanditState(strategies={})},
     )
-    again = build(GenerationRecord, json.loads(json.dumps(to_plain(record))))
+    plain = to_plain(record)
+    again = build(GenerationRecord, json.loads(json.dumps(plain)))
     assert again == record
-    with pytest.raises(ValueError):
-        GenerationRecord(
-            generation_index=0, population=pop, fail_count=0, success_count=1
-        )
+    # the pass count is derived from the population, so the record does not store it
+    assert record.success_count == 2 and "success_count" not in plain
+    failed = make_individual(
+        id=3, outcome=EvalOutcome(False, False, None, sim_log="fail"), fitness=NEG_INF
+    )
+    assert GenerationRecord(generation_index=0, population=(*pop, failed)).success_count == 2
 
 
 # --- the one format: to_plain and build ------------------------------------
@@ -191,26 +192,19 @@ def individuals(draw):
 bandit_states = st.builds(
     BanditState,
     strategies=st.dictionaries(texts, st.builds(StrategyStats, finite, st.integers(0, 2**40))),
-    total_pulls=st.integers(0, 2**40),
-    exploration_c=st.floats(0, 1e6, allow_nan=False),
-    temperature=st.floats(1e-6, 1e6, allow_nan=False),
 )
 
 
 @st.composite
 def records(draw):
-    population = tuple(draw(st.lists(individuals(), min_size=1, max_size=3)))
-    fail_count = draw(st.integers(0, len(population)))
     return GenerationRecord(
         generation_index=draw(st.integers(0, 1000)),
-        population=population,
+        population=tuple(draw(st.lists(individuals(), min_size=1, max_size=3))),
         offspring=tuple(draw(st.lists(individuals(), max_size=2))),
         strategy_events=tuple(draw(st.lists(
             st.builds(StrategyEvent, st.sampled_from(PopulationLabel), texts, finite), max_size=2
         ))),
         best_so_far=draw(st.none() | individuals()),
-        fail_count=fail_count,
-        success_count=len(population) - fail_count,
         bandit_states=draw(st.dictionaries(st.sampled_from(["fail", "success"]), bandit_states)),
     )
 

@@ -155,7 +155,7 @@ def test_survivor_select_matches_brute_force_oracle(data):
     )
 )
 def test_incremental_reward_mean_equals_arithmetic_mean(pulls):
-    state = BanditState.for_strategies(["fix", "explore", "improve"], 2.0, 1.0)
+    state = BanditState.for_strategies(["fix", "explore", "improve"])
     for name, reward in pulls:
         record_reward(state, name, reward)
     assert state.total_pulls == len(pulls)
@@ -260,7 +260,8 @@ def test_bandit_scores_are_frozen_within_a_generation(seed, population, workers)
     # later generations selected from these states and left them as written
     assert [to_plain(record.bandit_states) for record in history] == written
     for last, record in zip(history, history[1:]):
-        quotas = offspring_quota(last.fail_count, last.success_count, cfg.offspring_count)
+        passed = last.success_count
+        quotas = offspring_quota(len(last.population) - passed, passed, cfg.offspring_count)
         for label, quota in zip(("fail", "success"), quotas):
             pulls = record.bandit_states[label].total_pulls
             assert pulls == last.bandit_states[label].total_pulls + quota
@@ -281,7 +282,7 @@ def test_bandit_states_replay_zero_one_rewards(seed, population, offspring, gene
     )
     history = EvolutionEngine(SPEC, cfg, _CritiquingWorld(seed), SyntheticEvaluator()).run().history
     replayed = {
-        label: BanditState.for_strategies(list(state.strategies), cfg.exploration_c, cfg.temperature)
+        label: BanditState.for_strategies(list(state.strategies))
         for label, state in history[0].bandit_states.items()
     }
     wins = {(label, name): 0 for label, state in replayed.items() for name in state.strategies}
@@ -467,7 +468,7 @@ def _run_configs(draw, directory, provider_kind, evaluator_kind):
             post_synth_command=draw(no_braces),
         )
     else:
-        evaluator = SyntheticEvaluatorConfig(seed=draw(st.integers(-(2**31), 2**63)))
+        evaluator = SyntheticEvaluatorConfig()
     return RunConfig(
         problem, evolution, provider, evaluator,
         output_dir=draw(st.text()), keep_artifacts=draw(st.booleans()),

@@ -47,20 +47,15 @@ def ind(id, fitness, ppa=None, gen=0, sim=True, strategy=None, post_synth=None):
 
 
 def record(gen, population, best, offspring=()):
-    fails = sum(1 for p in population if not p.outcome.sim_passed)
     return GenerationRecord(
         generation_index=gen,
         population=tuple(population),
         offspring=tuple(offspring),
         strategy_events=(),
         best_so_far=best,
-        fail_count=fails,
-        success_count=len(population) - fails,
         bandit_states={
             "fail": BanditState(strategies={}),
-            "success": BanditState(
-                strategies={"improve": StrategyStats(q_value=0.5, pull_count=2)}, total_pulls=2
-            ),
+            "success": BanditState(strategies={"improve": StrategyStats(q_value=0.5, pull_count=2)}),
         },
     )
 
@@ -115,7 +110,7 @@ def test_append_writes_header_once(tmp_path):
         append_generation(path, rec)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
-    assert json.loads(lines[0]) == {"schema_version": 1}
+    assert json.loads(lines[0]) == {"schema_version": 2}
 
 
 def test_read_missing_file(tmp_path):
@@ -213,9 +208,9 @@ def test_report_band_membership():
 
 # --- the one format ---------------------------------------------------------
 
-# A record with every field set, written by `append_generation` before the
-# format was defined by the dataclass fields; a renamed field changes it.
-FULL_RECORD_LINE = (
+# A record with every field set, as schema 1 wrote it: each bandit state
+# also held c, T and its total pulls, and the record its two counts.
+FULL_RECORD_LINE_V1 = (
     '{"bandit_states": {"fail": {"exploration_c": 1.5, '
     '"strategies": {"fusion": {"pull_count": 0, "q_value": 0.0}, '
     '"improve": {"pull_count": 1, "q_value": 1.0}}, "temperature": 0.7, '
@@ -246,9 +241,40 @@ FULL_RECORD_LINE = (
     '"success_count": 1}'
 )
 
+# The same record as schema 2 writes it, from the dataclass fields; a renamed
+# field changes it.
+FULL_RECORD_LINE = (
+    '{"bandit_states": {"fail": {"strategies": {"fusion": {"pull_count": 0, "q_value": 0.0}, '
+    '"improve": {"pull_count": 1, "q_value": 1.0}}}}, '
+    '"best_so_far": {"code": "module add2; endmodule", '
+    '"feedback": null, "fitness": 0.25, "generation_born": 1, "id": 1, '
+    '"outcome": {"post_synth_functional": false, "ppa": {"area": 80.0, '
+    '"effective_clock_period": 1.0, "power": 0.7}, "sim_log": "all tests passed", '
+    '"sim_passed": true, "synth_log": "Chip area: 80", "synth_succeeded": true}, '
+    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}, '
+    '"generation_index": 1, '
+    '"offspring": [{"code": "module add2; endmodule", "feedback": null, "fitness": 0.25, '
+    '"generation_born": 1, "id": 1, "outcome": {"post_synth_functional": false, '
+    '"ppa": {"area": 80.0, "effective_clock_period": 1.0, "power": 0.7}, '
+    '"sim_log": "all tests passed", "sim_passed": true, "synth_log": "Chip area: 80", '
+    '"synth_succeeded": true}, "parent_ids": [0], "strategy": "fix", '
+    '"thought": "\\u0394: ripple \\u2192 lookahead"}], '
+    '"population": [{"code": "module add2; endmodule // BUG", "feedback": "carry is lost", '
+    '"fitness": -Infinity, "generation_born": 0, "id": 0, '
+    '"outcome": {"post_synth_functional": null, "ppa": null, "sim_log": "FAIL: 1+1 != 2", '
+    '"sim_passed": false, "synth_log": "", "synth_succeeded": false}, "parent_ids": [], '
+    '"strategy": null, "thought": "no carry"}, {"code": "module add2; endmodule", '
+    '"feedback": null, "fitness": 0.25, "generation_born": 1, "id": 1, '
+    '"outcome": {"post_synth_functional": false, "ppa": {"area": 80.0, '
+    '"effective_clock_period": 1.0, "power": 0.7}, "sim_log": "all tests passed", '
+    '"sim_passed": true, "synth_log": "Chip area: 80", "synth_succeeded": true}, '
+    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}], '
+    '"strategy_events": [{"label": "fail", "reward": 1.0, "strategy": "fix"}]}'
+)
+
 
 def full_record():
-    state = BanditState.for_strategies(["improve", "fusion"], exploration_c=1.5, temperature=0.7)
+    state = BanditState.for_strategies(["improve", "fusion"])
     record_reward(state, "improve", 1.0)
     failed = Individual(
         id=0, thought="no carry", code="module add2; endmodule // BUG", feedback="carry is lost",
@@ -265,8 +291,7 @@ def full_record():
     return GenerationRecord(
         generation_index=1, population=(failed, child), offspring=(child,),
         strategy_events=(StrategyEvent(PopulationLabel.FAIL, "fix", 1.0),),
-        best_so_far=child, fail_count=1, success_count=1,
-        bandit_states={"fail": state},
+        best_so_far=child, bandit_states={"fail": state},
     )
 
 
@@ -275,6 +300,17 @@ def test_record_line_is_pinned(tmp_path):
     lines = (tmp_path / GENERATIONS_FILE).read_text(encoding="utf-8").splitlines()
     assert lines[1] == FULL_RECORD_LINE
     assert read_generations(tmp_path) == [full_record()]
+    (tmp_path / GENERATIONS_FILE).write_text(
+        '{"schema_version": 1}\n' + FULL_RECORD_LINE_V1 + "\n", encoding="utf-8"
+    )
+    assert read_generations(tmp_path) == [full_record()]
+    # only schema 1 may carry the derived keys
+    (tmp_path / GENERATIONS_FILE).write_text(
+        '{"schema_version": 2}\n' + FULL_RECORD_LINE_V1 + "\n", encoding="utf-8"
+    )
+    with pytest.raises(RunDirError) as err:
+        read_generations(tmp_path)
+    assert "generation record 0 is corrupt: unknown key(s) in record: fail_count" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -304,11 +340,13 @@ def test_record_line_is_pinned(tmp_path):
     ],
 )
 def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
-    data = json.loads(FULL_RECORD_LINE)
-    edit(data)
-    (tmp_path / GENERATIONS_FILE).write_text(
-        '{"schema_version": 1}\n' + json.dumps(data) + "\n", encoding="utf-8"
-    )
-    with pytest.raises(RunDirError) as err:
-        read_generations(tmp_path)
-    assert "generation record 0 is corrupt: " + message in str(err.value)
+    for version, line in ((1, FULL_RECORD_LINE_V1), (2, FULL_RECORD_LINE)):
+        data = json.loads(line)
+        edit(data)
+        (tmp_path / GENERATIONS_FILE).write_text(
+            json.dumps({"schema_version": version}) + "\n" + json.dumps(data) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RunDirError) as err:
+            read_generations(tmp_path)
+        assert "generation record 0 is corrupt: " + message in str(err.value)
