@@ -33,9 +33,9 @@ from pathlib import Path
 from typing import Protocol
 
 from .fitness import FitnessWeights, effective_period, fitness_of
-from .llm import Provider, ProviderError, ScriptError
+from .llm import Provider, ProviderError
 from .model import ConfigError, EvalOutcome, Individual, PpaMetrics, ProblemSpec
-from .prompts import PromptBundle, default_templates
+from .prompts import PromptBundle, system_text
 
 logger = logging.getLogger(__name__)
 
@@ -544,14 +544,14 @@ def generate_feedback(
     if ind.outcome is None:
         raise ValueError("generate_feedback needs an evaluated individual")
     bundle = PromptBundle(
-        system_text=default_templates().system_text(),
+        system_text=system_text(),
         user_text=_feedback_prompt(ind, spec),
         purpose="feedback",
         key=key,
     )
     try:
         text = provider.complete(bundle).text.strip()
-    except (ProviderError, ScriptError) as exc:
+    except ProviderError as exc:
         logger.warning("feedback call failed (%s); using fallback text", exc)
         text = ""
     return text or _fallback_feedback(ind, spec)

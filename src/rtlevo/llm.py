@@ -1,10 +1,12 @@
 """Completion providers: a chat-completion HTTP client and a deterministic scripted double.
 
 Both expose a single method, complete(bundle) -> CompletionResult, so the
-engine never knows which one it is talking to. Every call can be mirrored
-to a transcript sink for replay and audit; the HTTP client reads its API
-key from an environment variable once, when it is built, and never
-persists it.
+engine never knows which one it is talking to, and both fail with a
+ProviderError. Every call can be recorded, result or error, in a
+transcript for replay and audit (`TranscriptWriter.call`). Drafts and
+critiques are sampled alike, with the provider's one temperature and
+top_p. The HTTP client reads its API key from an environment variable
+once, when it is built, and never persists it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol
 
 import requests
 
@@ -35,20 +37,16 @@ KEYED_WAIT_SECONDS = 30.0
 
 
 class ProviderError(RuntimeError):
-    """A completion backend failed. `kind` is one of transient/auth/protocol."""
+    """A completion backend failed after `attempt_count` attempts.
+
+    `kind` is transient, auth or protocol for the HTTP client, and
+    unmatched, exhausted or stalled for a scripted provider.
+    """
 
     def __init__(self, kind: str, message: str, attempt_count: int = 1):
         super().__init__(message)
         self.kind = kind
         self.attempt_count = attempt_count
-
-
-class ScriptError(RuntimeError):
-    """A scripted provider had no usable entry. `kind` is unmatched, exhausted or stalled."""
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
 
 
 @dataclass(frozen=True)
@@ -61,36 +59,20 @@ class ProviderConfig:
     max_retries: int = 3
     request_timeout: float = 120.0
     max_parallel_requests: int = 4
-    # feedback calls reuse the generation sampling parameters unless these
-    # are set
-    feedback_temperature: float | None = None
-    feedback_top_p: float | None = None
 
     def __post_init__(self) -> None:
         if not self.endpoint_url:
             raise ValueError("provider.endpoint_url is required for kind: http")
-        for name in ("temperature", "feedback_temperature"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"provider.{name} must be >= 0, got {value!r}")
-        for name in ("top_p", "feedback_top_p"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value <= 1:
-                raise ValueError(f"provider.{name} must be in (0, 1], got {value!r}")
+        if self.temperature < 0:
+            raise ValueError(f"provider.temperature must be >= 0, got {self.temperature!r}")
+        if not 0 < self.top_p <= 1:
+            raise ValueError(f"provider.top_p must be in (0, 1], got {self.top_p!r}")
         if self.max_retries < 0:
             raise ValueError(f"provider.max_retries must be >= 0, got {self.max_retries!r}")
         if self.max_parallel_requests < 1:
             raise ValueError(
                 f"provider.max_parallel_requests must be >= 1, got {self.max_parallel_requests!r}"
             )
-
-    def sampling_for(self, purpose: str) -> tuple[float, float]:
-        if purpose == "feedback":
-            return (
-                self.temperature if self.feedback_temperature is None else self.feedback_temperature,
-                self.top_p if self.feedback_top_p is None else self.feedback_top_p,
-            )
-        return self.temperature, self.top_p
 
 
 @dataclass(frozen=True)
@@ -137,12 +119,29 @@ class TranscriptWriter:
                 value = value.replace(secret, "[REDACTED]")
         return value
 
+    def call(
+        self, bundle: PromptBundle, complete: Callable[[], CompletionResult]
+    ) -> CompletionResult:
+        """Runs `complete()`, the call for `bundle`, and records its result or
+        its error before re-raising it; a ProviderError keeps its attempt count."""
+        try:
+            result = complete()
+        except Exception as exc:
+            attempts = exc.attempt_count if isinstance(exc, ProviderError) else None
+            self.record(bundle, None, str(exc), attempts)
+            raise
+        self.record(bundle, result)
+        return result
+
     def record(
         self,
         bundle: PromptBundle,
         result: CompletionResult | None,
         error: str | None = None,
+        attempt_count: int | None = None,
     ) -> None:
+        """Appends one entry; a failed call has no result, only its error
+        and, when known, its attempt count."""
         entry = {
             "purpose": bundle.purpose,
             "strategy": bundle.strategy.value if bundle.strategy else None,
@@ -152,7 +151,7 @@ class TranscriptWriter:
             "response": result.text if result else None,
             "usage": result.usage if result else None,
             "latency": result.latency if result else None,
-            "attempt_count": result.attempt_count if result else None,
+            "attempt_count": result.attempt_count if result else attempt_count,
             "error": error,
         }
         entry = {key: self._scrub(value) for key, value in entry.items()}
@@ -169,13 +168,7 @@ class TranscriptingProvider:
         self._transcript = transcript
 
     def complete(self, bundle: PromptBundle) -> CompletionResult:
-        try:
-            result = self._inner.complete(bundle)
-        except Exception as exc:
-            self._transcript.record(bundle, None, error=str(exc))
-            raise
-        self._transcript.record(bundle, result)
-        return result
+        return self._transcript.call(bundle, lambda: self._inner.complete(bundle))
 
 
 class HttpChatProvider:
@@ -201,25 +194,18 @@ class HttpChatProvider:
         self._semaphore = threading.BoundedSemaphore(config.max_parallel_requests)
 
     def complete(self, bundle: PromptBundle) -> CompletionResult:
-        temperature, top_p = self.config.sampling_for(bundle.purpose)
         payload = {
             "model": self.config.model_name,
             "messages": [
                 {"role": "system", "content": bundle.system_text},
                 {"role": "user", "content": bundle.user_text},
             ],
-            "temperature": temperature,
-            "top_p": top_p,
+            "temperature": self.config.temperature,
+            "top_p": self.config.top_p,
         }
-        try:
-            result = self._post(payload)
-        except ProviderError as exc:
-            if self._transcript:
-                self._transcript.record(bundle, None, error=str(exc))
-            raise
-        if self._transcript:
-            self._transcript.record(bundle, result)
-        return result
+        if self._transcript is None:
+            return self._post(payload)
+        return self._transcript.call(bundle, lambda: self._post(payload))
 
     def _post(self, payload: dict) -> CompletionResult:
         start = time.monotonic()
@@ -315,8 +301,8 @@ class ScriptedProvider:
     keyed (g, n-1) has been served, so concurrent slots consume entries,
     one-shot feedback entries included, as one slot at a time would. The
     call keyed (g, 0) never waits, and a wait longer than
-    KEYED_WAIT_SECONDS is a ScriptError. Unkeyed calls are served in
-    arrival order.
+    KEYED_WAIT_SECONDS is a `stalled` ProviderError. Unkeyed calls are
+    served in arrival order.
     """
 
     def __init__(self, entries: list[ScriptEntry]):
@@ -351,7 +337,7 @@ class ScriptedProvider:
                     if not self._lock.wait_for(
                         lambda: self._last_key == previous, KEYED_WAIT_SECONDS
                     ):
-                        raise ScriptError("stalled", f"the call keyed {previous} never came")
+                        raise ProviderError("stalled", f"the call keyed {previous} never came")
                 return self._consume(bundle)
             finally:
                 # a failed call still ends its turn, so later slots go on
@@ -361,11 +347,11 @@ class ScriptedProvider:
 
     def _consume(self, bundle: PromptBundle) -> CompletionResult:
         if not self._entries:
-            raise ScriptError("exhausted", "scripted provider has no responses left")
+            raise ProviderError("exhausted", "scripted provider has no responses left")
         for i, entry in enumerate(self._entries):
             if entry.matches(bundle):
                 if not entry.repeat:
                     del self._entries[i]
                 return CompletionResult(text=entry.response)
         label = bundle.strategy.value if bundle.strategy else bundle.purpose
-        raise ScriptError("unmatched", f"no script entry matches prompt ({label})")
+        raise ProviderError("unmatched", f"no script entry matches prompt ({label})")

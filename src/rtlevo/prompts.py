@@ -1,7 +1,9 @@
 """Prompt construction for the initial and evolutionary operators, and response parsing.
 
-Templates are plain text files with named placeholders, loaded from the
-packaged `templates/` directory. Available placeholders:
+Templates are plain text files with named placeholders in the packaged
+`templates/` directory, each read once, on first use; `render` fills one
+in and `system_text` gives the shared system prompt. Available
+placeholders:
 
     {functional_description}                    the problem statement
     {parent_thought_N} {parent_code_N}
@@ -89,40 +91,30 @@ class PromptBundle:
                 )
 
 
-class TemplateSet:
-    """The packaged prompt templates, read once."""
-
-    _NAMES = ("system", "initial", "fix", "simplify", "explore", "refactor", "improve", "fusion")
-
-    def __init__(self):
-        base = resources.files("rtlevo").joinpath("templates")
-        self._texts = {
-            name: base.joinpath(f"{name}.txt").read_text(encoding="utf-8") for name in self._NAMES
-        }
-
-    def render(self, name: str, mapping: dict[str, str]) -> str:
-        try:
-            return self._texts[name].format_map(mapping)
-        except KeyError as exc:
-            raise KeyError(
-                f"template {name!r} references unknown placeholder {exc.args[0]!r}"
-            ) from None
-
-    def system_text(self) -> str:
-        return self._texts["system"].strip()
-
-
 @functools.cache
-def default_templates() -> TemplateSet:
-    return TemplateSet()
+def _template(name: str) -> str:
+    return (resources.files("rtlevo") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def render(name: str, mapping: dict[str, str]) -> str:
+    """The template `name` with its placeholders filled from `mapping`."""
+    try:
+        return _template(name).format_map(mapping)
+    except KeyError as exc:
+        raise KeyError(
+            f"template {name!r} references unknown placeholder {exc.args[0]!r}"
+        ) from None
+
+
+def system_text() -> str:
+    return _template("system").strip()
 
 
 def build_initial_prompt(spec: ProblemSpec) -> PromptBundle:
     """The parent-free prompt used once per slot to create generation 0."""
-    templates = default_templates()
     return PromptBundle(
-        system_text=templates.system_text(),
-        user_text=templates.render("initial", {"functional_description": spec.description}),
+        system_text=system_text(),
+        user_text=render("initial", {"functional_description": spec.description}),
         strategy=None,
         parent_ids=(),
     )
@@ -134,7 +126,6 @@ def build_evolutionary_prompt(
     parents: list[Individual],
 ) -> PromptBundle:
     """A strategy prompt carrying each parent's thought, code and feedback verbatim."""
-    templates = default_templates()
     if len(parents) != strategy.arity:
         raise ValueError(
             f"strategy {strategy.value} takes {strategy.arity} parent(s), got {len(parents)}"
@@ -147,8 +138,8 @@ def build_evolutionary_prompt(
         mapping[f"parent_code_{n}"] = parent.code
         mapping[f"parent_feedback_{n}"] = parent.feedback
     return PromptBundle(
-        system_text=templates.system_text(),
-        user_text=templates.render(strategy.value, mapping),
+        system_text=system_text(),
+        user_text=render(strategy.value, mapping),
         strategy=strategy,
         parent_ids=tuple(p.id for p in parents),
     )

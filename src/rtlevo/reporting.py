@@ -106,6 +106,11 @@ def _synthesized_individuals(records: list[GenerationRecord]) -> list[Individual
 def _ppa_section(best: Individual, reference: PpaMetrics | None) -> list[str]:
     lines = []
     outcome = best.outcome
+    # checked first: the evaluator withholds PPA when the gate-level check
+    # fails, though a record read from disk may hold both
+    gate_failed = outcome is not None and outcome.post_synth_functional is False
+    if gate_failed:
+        lines.append("Gate-level re-simulation failed; no improvement is claimed.")
     if outcome is None or outcome.ppa is None:
         lines.append("No synthesized PPA for the best individual.")
         return lines
@@ -121,8 +126,7 @@ def _ppa_section(best: Individual, reference: PpaMetrics | None) -> list[str]:
         f"PPA (reference): power={reference.power:.6g} area={reference.area:.6g} "
         f"period={reference.effective_clock_period:.6g}"
     )
-    if outcome.post_synth_functional is False:
-        lines.append("Gate-level re-simulation failed; improvement percentages omitted.")
+    if gate_failed:
         return lines
     lines.append(f"Power improv. {_improvement(reference.power, gen.power):.1f}%")
     lines.append(f"Area improv. {_improvement(reference.area, gen.area):.1f}%")

@@ -426,7 +426,7 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
                 "kind": "http",
                 "endpoint_url": "http://127.0.0.1:9/v1",
                 "api_key_env_var": "RTLEVO_CLI_KEY",
-                "feedback_temperature": 0.3,
+                "temperature": 0.3,
                 "max_retries": 0,
             },
             "evaluator": {
@@ -448,7 +448,7 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
     assert cfg.evaluator.liberty_path == ""
     reloaded = load_config(tmp_path / "run" / "config_snapshot.yaml")
     assert reloaded == _with_resolved_weights(cfg)
-    assert reloaded.provider.feedback_temperature == 0.3
+    assert reloaded.provider.temperature == 0.3
     assert reloaded.evaluator.workdir_root == str(tmp_path / "work")
 
 
@@ -466,13 +466,14 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
         ({"evolution.offspring_count": 3.9}, "evolution.offspring_count"),
         # bool() would read any non-empty string as true
         ({"keep_artifacts": "no"}, "keep_artifacts"),
+        # critiques sample like drafts, with provider.temperature and top_p
         (
-            {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "feedback_temperature": -5}},
-            "provider.feedback_temperature",
+            {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "feedback_temperature": 0.3}},
+            "unknown key(s) in provider: feedback_temperature;",
         ),
         (
-            {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "feedback_top_p": 7}},
-            "provider.feedback_top_p",
+            {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "feedback_top_p": 0.7}},
+            "unknown key(s) in provider: feedback_top_p;",
         ),
         # not settings: a reward is 1 or 0, and the clock is problem.target_clock_period
         ({"evolution.reward": 1.0}, "unknown key(s) in evolution: reward;"),

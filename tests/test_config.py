@@ -322,7 +322,6 @@ def test_http_provider_defaults_and_overrides(tmp_path):
                 "temperature": 0.4,
                 "top_p": 0.8,
                 "max_retries": 5,
-                "feedback_temperature": 0.1,
             }
         },
     )
@@ -330,7 +329,6 @@ def test_http_provider_defaults_and_overrides(tmp_path):
     assert cfg2.provider.temperature == 0.4
     assert cfg2.provider.top_p == 0.8
     assert cfg2.provider.max_retries == 5
-    assert cfg2.provider.sampling_for("feedback") == (0.1, 0.8)
 
 
 def test_http_requires_endpoint(tmp_path):

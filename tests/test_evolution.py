@@ -24,7 +24,7 @@ from rtlevo.evolution import (
 from rtlevo.evaluate import SyntheticEvaluator, ToolEnvironmentError
 from rtlevo.fitness import SYNTH_FAIL_FITNESS
 from rtlevo import llm
-from rtlevo.llm import ProviderError, ScriptedProvider, ScriptEntry, ScriptError
+from rtlevo.llm import ProviderError, ScriptedProvider, ScriptEntry
 from rtlevo.model import (
     NEG_INF,
     CircuitKind,
@@ -659,7 +659,7 @@ def test_failed_slot_aborts_concurrent_generation():
     def initialize():
         try:
             engine.initialize()
-        except ScriptError as exc:
+        except ProviderError as exc:
             errors.append(exc.kind)
 
     runner = threading.Thread(target=initialize)
@@ -672,7 +672,7 @@ def test_failed_slot_aborts_concurrent_generation():
 
 class FailingFirstCritique:
     """Raises on generation 1's first call, a critique, without passing it
-    on, and records the kind of every ScriptError the inner provider raises."""
+    on, and records the kind of every ProviderError the inner provider raises."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -685,7 +685,7 @@ class FailingFirstCritique:
             raise RuntimeError("critique failed")
         try:
             return self.inner.complete(bundle)
-        except ScriptError as exc:
+        except ProviderError as exc:
             self.script_errors.append(exc.kind)
             raise
 

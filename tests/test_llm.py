@@ -15,7 +15,6 @@ from rtlevo.llm import (
     ProviderConfig,
     ProviderError,
     ScriptEntry,
-    ScriptError,
     ScriptedProvider,
     TranscriptingProvider,
     TranscriptWriter,
@@ -50,24 +49,6 @@ def test_provider_config_defaults():
     assert cfg.temperature == 1.0
     assert cfg.top_p == 0.95
     assert cfg.max_retries == 3
-    assert cfg.sampling_for("generate") == (1.0, 0.95)
-    assert cfg.sampling_for("feedback") == (1.0, 0.95)
-
-
-def test_provider_config_feedback_overrides():
-    cfg = ProviderConfig(endpoint_url=URL, feedback_temperature=0.2, feedback_top_p=0.5)
-    assert cfg.sampling_for("generate") == (1.0, 0.95)
-    assert cfg.sampling_for("feedback") == (0.2, 0.5)
-
-
-def test_provider_config_feedback_sampling_range_checked():
-    for kwargs in (dict(feedback_temperature=-5.0), dict(feedback_top_p=7.0), dict(feedback_top_p=0.0)):
-        with pytest.raises(ValueError) as err:
-            ProviderConfig(endpoint_url=URL, **kwargs)
-        assert next(iter(kwargs)) in str(err.value)
-    # None inherits the generation sampling
-    inherited = ProviderConfig(endpoint_url=URL, temperature=0.4, top_p=0.6)
-    assert inherited.sampling_for("feedback") == (0.4, 0.6)
 
 
 def test_provider_config_validation():
@@ -97,7 +78,7 @@ def test_scripted_strategy_matcher_initial_vs_operator():
     )
     assert fixed.text == "fixed"
     # both one-shot entries were consumed
-    with pytest.raises(ScriptError) as err:
+    with pytest.raises(ProviderError) as err:
         provider.complete(bundle())
     assert err.value.kind == "exhausted"
 
@@ -111,7 +92,7 @@ def test_scripted_strategy_matcher_ignores_feedback_purpose():
     out = provider.complete(bundle(purpose="feedback"))
     assert out.text == "fb"
     # only the feedback entry was consumed; the initial one is still served
-    with pytest.raises(ScriptError) as err:
+    with pytest.raises(ProviderError) as err:
         provider.complete(bundle(purpose="feedback"))
     assert err.value.kind == "unmatched"
     assert provider.complete(bundle()).text == "gen"
@@ -131,7 +112,7 @@ def test_scripted_fifo_consume_once():
     )
     assert provider.complete(bundle()).text == "one"
     assert provider.complete(bundle()).text == "two"
-    with pytest.raises(ScriptError) as err:
+    with pytest.raises(ProviderError) as err:
         provider.complete(bundle())
     assert err.value.kind == "exhausted"
 
@@ -150,11 +131,11 @@ def test_scripted_repeat_entry_not_consumed():
 
 def test_scripted_unmatched_vs_exhausted():
     provider = ScriptedProvider([ScriptEntry("strategy:fix", "x")])
-    with pytest.raises(ScriptError) as err:
+    with pytest.raises(ProviderError) as err:
         provider.complete(bundle())  # entries exist, none match
     assert err.value.kind == "unmatched"
     provider.complete(bundle(strategy=PromptStrategy.FIX, parents=(1,)))
-    with pytest.raises(ScriptError) as err:
+    with pytest.raises(ProviderError) as err:
         provider.complete(bundle())
     assert err.value.kind == "exhausted"
 
@@ -189,14 +170,14 @@ def test_scripted_keyed_drafts_are_served_in_slot_order():
 def test_scripted_failed_keyed_call_still_ends_its_turn():
     provider = ScriptedProvider([ScriptEntry("strategy:initial", "only")])
     assert provider.complete(keyed(0)).text == "only"
-    with pytest.raises(ScriptError):
+    with pytest.raises(ProviderError):
         provider.complete(keyed(1))
     errors = []
 
     def follow():
         try:
             provider.complete(keyed(2))
-        except ScriptError as exc:
+        except ProviderError as exc:
             errors.append(exc.kind)
 
     follower = threading.Thread(target=follow)
@@ -329,16 +310,14 @@ def test_http_success_payload_shape(monkeypatch):
         endpoint.close()
 
 
-def test_http_feedback_sampling_overrides(monkeypatch):
-    endpoint = _FakeEndpoint([(200, _ok("fb"))])
+def test_http_feedback_samples_like_a_draft(monkeypatch):
+    endpoint = _FakeEndpoint([(200, _ok("draft")), (200, _ok("fb"))])
     try:
-        provider = _http_provider(
-            endpoint, monkeypatch, feedback_temperature=0.3, feedback_top_p=0.7
-        )
+        provider = _http_provider(endpoint, monkeypatch, temperature=0.3, top_p=0.7)
+        provider.complete(bundle())
         provider.complete(bundle(purpose="feedback"))
-        payload = endpoint.requests[0]["payload"]
-        assert payload["temperature"] == 0.3
-        assert payload["top_p"] == 0.7
+        for sent in endpoint.requests:
+            assert (sent["payload"]["temperature"], sent["payload"]["top_p"]) == (0.3, 0.7)
     finally:
         endpoint.close()
 
@@ -456,7 +435,7 @@ def test_transcripting_provider_mirrors_success_and_failure(tmp_path):
     inner = ScriptedProvider([ScriptEntry("strategy:initial", "resp")])
     provider = TranscriptingProvider(inner, writer)
     assert provider.complete(bundle()).text == "resp"
-    with pytest.raises(ScriptError):
+    with pytest.raises(ProviderError):
         provider.complete(bundle())
     lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
     assert len(lines) == 2
@@ -464,25 +443,40 @@ def test_transcripting_provider_mirrors_success_and_failure(tmp_path):
     assert lines[0]["strategy"] is None
     assert lines[1]["response"] is None
     assert "exhausted" in lines[1]["error"] or "no responses" in lines[1]["error"]
+    assert lines[1]["attempt_count"] == 1
+
+
+def test_transcript_failure_outside_provider_error_has_no_attempt_count(tmp_path):
+    class Broken:
+        def complete(self, bundle):
+            raise RuntimeError("bug")
+
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(RuntimeError):
+        TranscriptingProvider(Broken(), TranscriptWriter(path)).complete(bundle())
+    (entry,) = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
+    assert (entry["error"], entry["attempt_count"]) == ("bug", None)
 
 
 @pytest.mark.parametrize(
-    "plan, response, error",
+    "plan, response, error, attempts",
     [
-        ([(200, _ok("fine"))], "fine", None),
-        ([(401, "{}")], None, "authentication rejected (HTTP 401)"),
-        ([(418, "{}")], None, "unexpected response: HTTP 418"),
+        ([(200, _ok("fine"))], "fine", None, 1),
+        ([(401, "{}")], None, "authentication rejected (HTTP 401)", 1),
+        ([(418, "{}")], None, "unexpected response: HTTP 418", 1),
         (
             [(200, json.dumps({"choices": []}))],
             None,
             "malformed response body: list index out of range",
+            1,
         ),
-        ([(503, "{}"), (503, "{}")], None, "exhausted retries: HTTP 503"),
+        # max_retries + 1 attempts
+        ([(503, "{}"), (503, "{}")], None, "exhausted retries: HTTP 503", 2),
     ],
     ids=["success", "auth", "protocol", "malformed", "transient"],
 )
 def test_http_writes_one_transcript_entry_per_call(
-    tmp_path, monkeypatch, fast_backoff, plan, response, error
+    tmp_path, monkeypatch, fast_backoff, plan, response, error, attempts
 ):
     endpoint = _FakeEndpoint(plan)
     try:
@@ -498,7 +492,7 @@ def test_http_writes_one_transcript_entry_per_call(
             assert error is not None
         (entry,) = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert (entry["response"], entry["error"]) == (response, error)
-        assert entry["attempt_count"] == (1 if response else None)
+        assert entry["attempt_count"] == attempts
     finally:
         endpoint.close()
 
@@ -523,6 +517,6 @@ def test_parallel_scripted_calls_thread_safe():
         t.join()
     assert sorted(seen) == sorted(f"resp-{i}" for i in range(n))
     # every entry was served exactly once
-    with pytest.raises(ScriptError) as err:
+    with pytest.raises(ProviderError) as err:
         provider.complete(bundle())
     assert err.value.kind == "exhausted"

@@ -15,8 +15,8 @@ from rtlevo.prompts import (
     PromptStrategy,
     build_evolutionary_prompt,
     build_initial_prompt,
-    default_templates,
     parse_llm_response,
+    render,
     render_response,
 )
 
@@ -205,6 +205,5 @@ def test_parse_nothing_before_code_uses_fallback_thought():
 
 
 def test_template_unknown_placeholder():
-    templates = default_templates()
-    with pytest.raises(KeyError):
-        templates.render("fix", {"functional_description": "d"})
+    with pytest.raises(KeyError, match="unknown placeholder 'parent_thought_1'"):
+        render("fix", {"functional_description": "d"})

@@ -451,8 +451,6 @@ def _run_configs(draw, directory, provider_kind, evaluator_kind):
             max_retries=draw(st.integers(0, 10)),
             request_timeout=draw(_POSITIVE),
             max_parallel_requests=draw(st.integers(1, 16)),
-            feedback_temperature=draw(st.none() | st.floats(0.0, 2.0)),
-            feedback_top_p=draw(st.none() | _UNIT),
         )
     else:
         provider = ScriptConfig(str(directory / "script.yaml"))

@@ -1,6 +1,7 @@
 """Run directory persistence and the text report."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -190,6 +191,19 @@ def test_report_post_synth_failure_withholds_percentages():
     star = ind(3, 0.25, PpaMetrics(0.7, 80.0, 1.0), post_synth=False)
     out = render_report([record(0, [star], star)], REF)
     assert "Gate-level re-simulation failed" in out
+    assert "improv." not in out
+
+
+def test_report_names_gate_level_failure_of_withheld_ppa():
+    # what the toolchain evaluator writes: synthesis ran, the gate-level
+    # check failed, so no PPA
+    star = ind(3, -1e9, None, post_synth=False)
+    star = dataclasses.replace(
+        star, outcome=dataclasses.replace(star.outcome, synth_succeeded=True)
+    )
+    out = render_report([record(0, [star], star)], REF)
+    assert "Gate-level re-simulation failed" in out
+    assert "No synthesized PPA for the best individual." in out
     assert "improv." not in out
 
 
