@@ -21,8 +21,8 @@ to a k-worker evaluation pool and takes the next slot at once. At k = 1
 slots run one at a time, inline on the engine thread. A slot that shares a
 parent with an earlier slot waits on that slot's critique instead of
 asking again. The generation waits for all of its slots before rewards and
-survivor selection, and the critiqued parents replace their uncritiqued
-copies in the population.
+survivor selection; the critiqued parents replace their uncritiqued
+copies in the population, and the record lists the critiques it asked for.
 
 The engine keeps no state beside its history: each generation reads only
 the last record and writes the next. Its bandit states are the frozen
@@ -57,6 +57,7 @@ from .llm import Provider
 from .model import (
     NEG_INF,
     ConfigError,
+    Critique,
     EvalOutcome,
     GenerationRecord,
     Individual,
@@ -420,6 +421,7 @@ class EvolutionEngine:
         events: list[StrategyEvent],
         best: Individual,
         bandit_states: dict[str, BanditState],
+        critiques: tuple[Critique, ...] = (),
     ) -> GenerationRecord:
         record = GenerationRecord(
             generation_index=generation,
@@ -428,6 +430,7 @@ class EvolutionEngine:
             strategy_events=tuple(events),
             best_so_far=best,
             bandit_states=bandit_states,
+            critiques=critiques,
         )
         self.history.append(record)
         if self._record_sink is not None:
@@ -517,7 +520,11 @@ class EvolutionEngine:
         survivors = survivor_select(parents, offspring, self.cfg)
         best = critiqued.get(last.best_so_far.id, last.best_so_far)
         best = min([best, *offspring], key=_rank_key)
-        return self._emit_record(generation, survivors, offspring, events, best, bandit_states)
+        # in call-key order: slots were planned, and their critiques keyed, in slot order
+        asked = tuple(Critique(ind.id, ind.feedback) for ind in critiqued.values())
+        return self._emit_record(
+            generation, survivors, offspring, events, best, bandit_states, asked
+        )
 
     def result(self) -> RunResult:
         return RunResult(history=list(self.history))

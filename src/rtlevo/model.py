@@ -156,6 +156,14 @@ class StrategyEvent:
 
 
 @dataclass(frozen=True)
+class Critique:
+    """The feedback one generation asked for on an earlier individual."""
+
+    id: int
+    feedback: str
+
+
+@dataclass(frozen=True)
 class GenerationRecord:
     """Immutable snapshot of one generation of the evolutionary loop.
 
@@ -163,6 +171,9 @@ class GenerationRecord:
     generation 0, the initial population). `bandit_states` holds each
     population's strategy statistics after this generation's rewards, keyed
     by its label; the next generation selects its operators from them.
+    `critiques` are the critiques this generation asked for, in call-key
+    order; the critiqued individuals in `population` and `best_so_far`
+    carry them as their feedback.
     """
 
     generation_index: int
@@ -171,6 +182,7 @@ class GenerationRecord:
     strategy_events: tuple[StrategyEvent, ...] = ()
     best_so_far: Individual | None = None
     bandit_states: dict[str, BanditState] = field(default_factory=dict)
+    critiques: tuple[Critique, ...] = ()
 
     def __post_init__(self) -> None:
         if self.generation_index < 0:

@@ -2,16 +2,32 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
 import math
 from pathlib import Path
 
-from .model import GenerationRecord, Individual, PpaMetrics, build, to_plain
+from .model import (
+    ConfigError,
+    Critique,
+    GenerationRecord,
+    Individual,
+    PpaMetrics,
+    build,
+    read_value,
+    require_map,
+    to_plain,
+)
 
-SCHEMA_VERSION = 2
+logger = logging.getLogger(__name__)
+
+SCHEMA_VERSION = 3
 # keys a version-1 record holds that version 2 derives: from the config
 # (exploration_c, temperature), or from the record itself (the rest)
 V1_DERIVED_KEYS = ("fail_count", "success_count", "total_pulls", "exploration_c", "temperature")
+# the record fields that hold individuals, in the order version 3 scans them
+INDIVIDUAL_FIELDS = ("population", "offspring", "best_so_far")
 
 GENERATIONS_FILE = "generations.jsonl"
 TRANSCRIPTS_FILE = "transcripts.jsonl"
@@ -31,14 +47,36 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
     """Append one record as a line of JSON, writing the version header
     first when the file is new.
 
+    Each individual is written in full once, at its first mention in the
+    file: in the line of the generation it was born in, at its first
+    mention there, scanning `population`, `offspring`, then `best_so_far`.
+    Every other mention is the reference `{"id": n}`, and a critique asked
+    for later lives in the `critiques` of the generation that asked for it.
     The keys are the record's dataclass fields, sorted, and no timestamps
     are included, so identical histories serialize byte-identically.
     """
+    written: set[int] = set()
+
+    def entry(ind: Individual) -> dict:
+        if ind.generation_born != record.generation_index or ind.id in written:
+            return {"id": ind.id}
+        written.add(ind.id)
+        return to_plain(ind)
+
+    line = {
+        f.name: to_plain(getattr(record, f.name))
+        for f in dataclasses.fields(record)
+        if f.name not in INDIVIDUAL_FIELDS
+    }
+    line["population"] = [entry(ind) for ind in record.population]
+    line["offspring"] = [entry(ind) for ind in record.offspring]
+    best = record.best_so_far
+    line["best_so_far"] = None if best is None else entry(best)
     if not path.exists():
         with path.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps({"schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n")
     with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(to_plain(record), sort_keys=True) + "\n")
+        fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 def _drop_v1_derived(obj: dict) -> dict:
@@ -47,16 +85,58 @@ def _drop_v1_derived(obj: dict) -> dict:
     return obj
 
 
+def _v3_record(data, individuals: dict[int, Individual]) -> GenerationRecord:
+    """A version-3 record, read against `individuals`, every individual
+    read so far by id. The record's critiques update those first; then each
+    full entry is read into it and each reference resolved from it."""
+    require_map(data, "record")
+    value = data.get("critiques")
+    critiques = () if value is None else read_value(tuple[Critique, ...], value, "critiques")
+    for i, critique in enumerate(critiques):
+        if critique.id not in individuals:
+            raise ConfigError(f"critiques[{i}].id: no earlier entry defines individual {critique.id}")
+        individuals[critique.id] = dataclasses.replace(
+            individuals[critique.id], feedback=critique.feedback
+        )
+
+    def resolve(entry, where: str) -> Individual:
+        if isinstance(entry, dict) and entry.keys() == {"id"}:
+            ind_id = read_value(int, entry["id"], f"{where}.id")
+            if ind_id not in individuals:
+                raise ConfigError(f"{where}: no earlier entry defines individual {ind_id}")
+            return individuals[ind_id]
+        ind = build(Individual, entry, where)
+        individuals[ind.id] = ind
+        return ind
+
+    resolved = {}
+    for name in ("population", "offspring"):
+        entries = data.get(name)
+        if entries is None:
+            continue
+        if not isinstance(entries, list):
+            raise ConfigError(f"{name}: expected a list, got {entries!r}")
+        resolved[name] = tuple(resolve(e, f"{name}[{i}]") for i, e in enumerate(entries))
+    if data.get("best_so_far") is not None:
+        resolved["best_so_far"] = resolve(data["best_so_far"], "best_so_far")
+    return build(GenerationRecord, data, critiques=critiques, **resolved)
+
+
 def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
     """Every record of a run's history, read with the loader that reads the
     config; a corrupt record is a RunDirError naming it and its key path.
 
     A version-1 history reads with its `V1_DERIVED_KEYS` dropped; every
-    other key is read as strictly as in version 2."""
+    other key is read as strictly as in version 2. A version-3 history
+    reads into one `Individual` per id, shared by the records that mention
+    it; a reference to an id no earlier entry defines is corrupt. A last
+    line with no newline that does not parse, as a killed write leaves it,
+    is dropped with a warning."""
     path = Path(run_dir) / GENERATIONS_FILE
     if not path.is_file():
         raise RunDirError(f"{path} not found; is this a run directory?")
     records = []
+    individuals: dict[int, Individual] = {}
     with path.open("r", encoding="utf-8") as fh:
         header_line = fh.readline()
         try:
@@ -64,14 +144,28 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
             version = header["schema_version"]
         except (ValueError, TypeError, KeyError):
             raise RunDirError(f"{path}: missing or corrupt schema header") from None
-        if version not in (1, SCHEMA_VERSION):
+        if version not in (1, 2, SCHEMA_VERSION):
             raise RunDirError(f"{path}: unsupported schema_version {version!r}")
         hook = _drop_v1_derived if version == 1 else None
         for i, line in enumerate(fh):
             if not line.strip():
                 continue
             try:
-                records.append(build(GenerationRecord, json.loads(line, object_hook=hook)))
+                data = json.loads(line, object_hook=hook)
+            except ValueError as exc:
+                if not line.endswith("\n"):
+                    logger.warning(
+                        "%s: dropped generation record %d, cut short by an interrupted write",
+                        path,
+                        i,
+                    )
+                    break
+                raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
+            try:
+                if version == SCHEMA_VERSION:
+                    records.append(_v3_record(data, individuals))
+                else:
+                    records.append(build(GenerationRecord, data))
             except ValueError as exc:
                 raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
     if not records:

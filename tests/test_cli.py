@@ -14,6 +14,7 @@ import yaml
 from rtlevo.cli import EXIT_ABORT, EXIT_FOUND, EXIT_NOT_FOUND, main
 from rtlevo.config import load_config
 from rtlevo.evolution import PLACEHOLDER_CODE, EvolutionEngine
+from rtlevo.model import to_plain
 from rtlevo.reporting import read_generations
 
 SCRIPT_OK = """\
@@ -649,13 +650,14 @@ def test_bad_config_yaml_is_one_error_line(tmp_path, capsys, command):
 # of its config_snapshot.yaml with the two paths in it masked; a change to any
 # of them changes the behaviour the demo pins down
 DEMO_DIGESTS = {
-    "generations.jsonl": "a24df3675c30aa5c6842b15406b4825a6c88b28424090bf4c5dddbab3f793357",
+    "generations.jsonl": "f47f93d3c00d230a6492c0fa6f55a225f8d3d22545ff90f041a856273a0589d7",
     "transcripts.jsonl": "ad0fbf0a818eecf7cf91e8833275b3386d818b331178d8d7a12cdead2591f0f6",
-    "final_report.json": "7e6f91cd9e2bc6890da35977fae529af7c6dae7e4841bbfbf28663ee53d1b869",
+    "final_report.json": "ded93be4684818290129caaefe3a613d094fb94f8a3660595c34dff120d9d20d",
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
     "config_snapshot.yaml": "b167ceff9f16c2330c34e8e2a62be6fae108b384deb386bca9765981d4e28708",
 }
-# sha256 of the demo's generations.jsonl as schema 1 wrote it
+# sha256 of the demo's generations.jsonl as schemas 2 and 1 wrote it
+DEMO_V2_GENERATIONS_DIGEST = "a24df3675c30aa5c6842b15406b4825a6c88b28424090bf4c5dddbab3f793357"
 DEMO_V1_GENERATIONS_DIGEST = "e994ddf3c9d175719119ebf0f1d38b935d2f6db7aaa6926623809bc3a78ca220"
 
 
@@ -679,8 +681,19 @@ def test_demo_outputs_are_pinned(tmp_path, capsys):
     assert got == DEMO_DIGESTS
 
 
+def _as_schema_2(path: Path) -> None:
+    """Rewrite a history as schema 2 wrote it: every mention of an individual
+    in full, and no critiques of a record's own."""
+    out = [json.dumps({"schema_version": 2})]
+    for record in read_generations(path.parent):
+        plain = to_plain(record)
+        del plain["critiques"]
+        out.append(json.dumps(plain, sort_keys=True))
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
 def _as_schema_1(path: Path, exploration_c: float, temperature: float) -> None:
-    """Rewrite a history as schema 1 wrote it, with the keys schema 2 derives."""
+    """Rewrite a schema-2 history as schema 1 wrote it, with the keys schema 2 derives."""
     lines = path.read_text(encoding="utf-8").splitlines()
     out = [json.dumps({"schema_version": 1})]
     for line in lines[1:]:
@@ -701,11 +714,30 @@ def test_report_reads_a_schema_1_history_alike(tmp_path, capsys):
     assert main(["run", "--config", str(demo), "--out", str(out)]) == EXIT_FOUND
     capsys.readouterr()
     assert main(["report", str(out)]) == EXIT_FOUND
-    v2_text = capsys.readouterr().out
-    evolution = load_config(demo).evolution
-    _as_schema_1(out / "generations.jsonl", evolution.exploration_c, evolution.temperature)
-    # the rewrite is byte for byte the history schema 1 wrote for the demo
-    v1_bytes = (out / "generations.jsonl").read_bytes()
-    assert hashlib.sha256(v1_bytes).hexdigest() == DEMO_V1_GENERATIONS_DIGEST
+    v3_text = capsys.readouterr().out
+    history = out / "generations.jsonl"
+    # each rewrite is byte for byte the history that schema wrote for the demo,
+    # and reports alike
+    _as_schema_2(history)
+    assert hashlib.sha256(history.read_bytes()).hexdigest() == DEMO_V2_GENERATIONS_DIGEST
     assert main(["report", str(out)]) == EXIT_FOUND
-    assert capsys.readouterr().out == v2_text
+    assert capsys.readouterr().out == v3_text
+    evolution = load_config(demo).evolution
+    _as_schema_1(history, evolution.exploration_c, evolution.temperature)
+    assert hashlib.sha256(history.read_bytes()).hexdigest() == DEMO_V1_GENERATIONS_DIGEST
+    assert main(["report", str(out)]) == EXIT_FOUND
+    assert capsys.readouterr().out == v3_text
+
+
+def test_report_on_a_dangling_reference_is_one_error_line(tmp_path, capsys):
+    main(["run", "--config", str(write_setup(tmp_path))])
+    path = tmp_path / "run" / "generations.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    last = json.loads(lines[-1])
+    last["population"][1] = {"id": 99}
+    path.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "run")]) == EXIT_ABORT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "generation record 2 is corrupt: population[1]: no earlier entry defines individual 99" in err[0]

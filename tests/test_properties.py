@@ -1,14 +1,17 @@
 """Property tests of the search's invariants over generated inputs:
 offspring quotas, parent selection, survivor selection, bandit rewards,
 bandit scores frozen within a generation, the rules for on-demand
-critiques, the found-correct verdict, the clipping of stored logs and the
-config snapshot's round trip."""
+critiques, the found-correct verdict, the history read back as written,
+the clipping of stored logs and the config snapshot's round trip."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 import statistics
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 import yaml
@@ -44,8 +47,10 @@ from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights
 from rtlevo.llm import CompletionResult, ProviderConfig, ScriptConfig
 from rtlevo.model import CircuitKind, EvalOutcome, PpaMetrics, ProblemSpec, to_plain
 from rtlevo.prompts import PromptStrategy
+from rtlevo.reporting import GENERATIONS_FILE, append_generation, read_generations
 
 from test_acceptance import SPEC, StochasticWorld, _fail, _oracle_survivors, _success
+from test_evolution import JitteredProvider
 
 
 @given(
@@ -324,6 +329,42 @@ def test_found_correct_means_some_individual_passed(
     created = list(result.history[0].population)
     created += [ind for record in result.history[1:] for ind in record.offspring]
     assert result.found_correct == any(ind.outcome.sim_passed for ind in created)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    population=st.integers(1, 6),
+    offspring=st.integers(1, 6),
+    generations=st.integers(1, 4),
+    elites=st.integers(0, 2),
+    workers=st.sampled_from([1, 3]),
+)
+def test_history_reads_back_as_written_with_each_individual_once(
+    seed, population, offspring, generations, elites, workers
+):
+    cfg = EvolutionConfig(
+        population_size=population, offspring_count=offspring, max_generations=generations,
+        elite_per_metric=min(elites, population // 3), rng_seed=seed,
+        max_parallel_evaluations=workers,
+    )
+    provider = JitteredProvider(_CritiquingWorld(seed), f"{seed}/{workers}")
+    with tempfile.TemporaryDirectory() as run_dir:
+        path = Path(run_dir) / GENERATIONS_FILE
+        engine = EvolutionEngine(
+            SPEC, cfg, provider, SyntheticEvaluator(),
+            record_sink=lambda record: append_generation(path, record),
+        )
+        history = engine.run().history
+        assert read_generations(run_dir) == history
+        text = path.read_text(encoding="utf-8")
+    created = list(history[0].population)
+    created += [ind for record in history[1:] for ind in record.offspring]
+    # a code string is written once per individual that has it: placeholders
+    # share theirs, every other draft is unique
+    for code in {ind.code for ind in created}:
+        holders = sum(ind.code == code for ind in created)
+        assert text.count(f'"code": {json.dumps(code)}') == holders
 
 
 @st.composite

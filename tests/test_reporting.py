@@ -9,6 +9,7 @@ import pytest
 from rtlevo.bandit import BanditState, StrategyStats, record_reward
 from rtlevo.model import (
     NEG_INF,
+    Critique,
     EvalOutcome,
     GenerationRecord,
     Individual,
@@ -111,7 +112,7 @@ def test_append_writes_header_once(tmp_path):
         append_generation(path, rec)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
-    assert json.loads(lines[0]) == {"schema_version": 2}
+    assert json.loads(lines[0]) == {"schema_version": 3}
 
 
 def test_read_missing_file(tmp_path):
@@ -255,9 +256,10 @@ FULL_RECORD_LINE_V1 = (
     '"success_count": 1}'
 )
 
-# The same record as schema 2 writes it, from the dataclass fields; a renamed
-# field changes it.
-FULL_RECORD_LINE = (
+# The same record as schema 2 wrote it, from the dataclass fields: every
+# mention of an individual in full, its critique only in the copies that
+# carry it.
+FULL_RECORD_LINE_V2 = (
     '{"bandit_states": {"fail": {"strategies": {"fusion": {"pull_count": 0, "q_value": 0.0}, '
     '"improve": {"pull_count": 1, "q_value": 1.0}}}}, '
     '"best_so_far": {"code": "module add2; endmodule", '
@@ -287,13 +289,42 @@ FULL_RECORD_LINE = (
 )
 
 
+# The same record as schema 3 writes it after `generation_zero()`, from the
+# dataclass fields; a renamed field changes it. Individual 0 was written in
+# full in generation 0, so here it is a reference and its critique.
+FULL_RECORD_LINE = (
+    '{"bandit_states": {"fail": {"strategies": {"fusion": {"pull_count": 0, "q_value": 0.0}, '
+    '"improve": {"pull_count": 1, "q_value": 1.0}}}}, "best_so_far": {"id": 1}, '
+    '"critiques": [{"feedback": "carry is lost", "id": 0}], "generation_index": 1, '
+    '"offspring": [{"id": 1}], "population": [{"id": 0}, {"code": "module add2; endmodule", '
+    '"feedback": null, "fitness": 0.25, "generation_born": 1, "id": 1, '
+    '"outcome": {"post_synth_functional": false, "ppa": {"area": 80.0, '
+    '"effective_clock_period": 1.0, "power": 0.7}, "sim_log": "all tests passed", '
+    '"sim_passed": true, "synth_log": "Chip area: 80", "synth_succeeded": true}, '
+    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}], '
+    '"strategy_events": [{"label": "fail", "reward": 1.0, "strategy": "fix"}]}'
+)
+
+
+def _failed(feedback=None):
+    return Individual(
+        id=0, thought="no carry", code="module add2; endmodule // BUG", feedback=feedback,
+        outcome=EvalOutcome(False, False, None, sim_log="FAIL: 1+1 != 2"), fitness=NEG_INF,
+    )
+
+
+def generation_zero():
+    """The generation `full_record` follows: individual 0, not yet critiqued."""
+    return GenerationRecord(
+        generation_index=0, population=(_failed(),), best_so_far=_failed(),
+        bandit_states={"fail": BanditState.for_strategies(["improve", "fusion"])},
+    )
+
+
 def full_record():
     state = BanditState.for_strategies(["improve", "fusion"])
     record_reward(state, "improve", 1.0)
-    failed = Individual(
-        id=0, thought="no carry", code="module add2; endmodule // BUG", feedback="carry is lost",
-        outcome=EvalOutcome(False, False, None, sim_log="FAIL: 1+1 != 2"), fitness=NEG_INF,
-    )
+    failed = _failed(feedback="carry is lost")
     child = Individual(
         id=1, thought="Δ: ripple → lookahead", code="module add2; endmodule",
         outcome=EvalOutcome(
@@ -306,22 +337,27 @@ def full_record():
         generation_index=1, population=(failed, child), offspring=(child,),
         strategy_events=(StrategyEvent(PopulationLabel.FAIL, "fix", 1.0),),
         best_so_far=child, bandit_states={"fail": state},
+        critiques=(Critique(0, "carry is lost"),),
     )
 
 
 def test_record_line_is_pinned(tmp_path):
-    append_generation(tmp_path / GENERATIONS_FILE, full_record())
-    lines = (tmp_path / GENERATIONS_FILE).read_text(encoding="utf-8").splitlines()
-    assert lines[1] == FULL_RECORD_LINE
-    assert read_generations(tmp_path) == [full_record()]
-    (tmp_path / GENERATIONS_FILE).write_text(
-        '{"schema_version": 1}\n' + FULL_RECORD_LINE_V1 + "\n", encoding="utf-8"
-    )
-    assert read_generations(tmp_path) == [full_record()]
+    path = tmp_path / GENERATIONS_FILE
+    for rec in (generation_zero(), full_record()):
+        append_generation(path, rec)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2] == FULL_RECORD_LINE
+    back = read_generations(tmp_path)
+    assert back == [generation_zero(), full_record()]
+    # one object per individual, shared by the records that mention it
+    assert back[1].offspring[0] is back[1].population[1] is back[1].best_so_far
+    # schemas 1 and 2 read as the same record, with no critiques of its own
+    uncritiqued = dataclasses.replace(full_record(), critiques=())
+    for version, line in ((1, FULL_RECORD_LINE_V1), (2, FULL_RECORD_LINE_V2)):
+        path.write_text(f'{{"schema_version": {version}}}\n{line}\n', encoding="utf-8")
+        assert read_generations(tmp_path) == [uncritiqued]
     # only schema 1 may carry the derived keys
-    (tmp_path / GENERATIONS_FILE).write_text(
-        '{"schema_version": 2}\n' + FULL_RECORD_LINE_V1 + "\n", encoding="utf-8"
-    )
+    path.write_text('{"schema_version": 2}\n' + FULL_RECORD_LINE_V1 + "\n", encoding="utf-8")
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
     assert "generation record 0 is corrupt: unknown key(s) in record: fail_count" in str(err.value)
@@ -354,7 +390,7 @@ def test_record_line_is_pinned(tmp_path):
     ],
 )
 def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
-    for version, line in ((1, FULL_RECORD_LINE_V1), (2, FULL_RECORD_LINE)):
+    for version, line in ((1, FULL_RECORD_LINE_V1), (2, FULL_RECORD_LINE_V2)):
         data = json.loads(line)
         edit(data)
         (tmp_path / GENERATIONS_FILE).write_text(
@@ -364,3 +400,58 @@ def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
         with pytest.raises(RunDirError) as err:
             read_generations(tmp_path)
         assert "generation record 0 is corrupt: " + message in str(err.value)
+
+
+def _v3_history(tmp_path, edit=None, tail=""):
+    """generation_zero() and full_record() written as schema 3, the second
+    line edited by `edit`, then `tail` appended as it is."""
+    path = tmp_path / GENERATIONS_FILE
+    append_generation(path, generation_zero())
+    data = json.loads(FULL_RECORD_LINE)
+    if edit is not None:
+        edit(data)
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, sort_keys=True) + "\n" + tail)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["population"].__setitem__(0, {"id": 7}),
+         "population[0]: no earlier entry defines individual 7"),
+        # a reference resolves only to an entry before it in the scan order
+        (lambda d: d.update(population=[{"id": 0}, {"id": 1}], offspring=d["population"][1:]),
+         "population[1]: no earlier entry defines individual 1"),
+        (lambda d: d["best_so_far"].update(id=2), "best_so_far: no earlier entry defines individual 2"),
+        (lambda d: d["offspring"][0].update(id="1"), "offspring[0].id: expected an integer, got '1'"),
+        (lambda d: d["critiques"][0].update(id=1),
+         "critiques[0].id: no earlier entry defines individual 1"),
+        (lambda d: d["critiques"][0].update(feedback=3),
+         "critiques[0].feedback: expected a string, got 3"),
+        (lambda d: d["population"][1]["outcome"].update(sim_passed="no"),
+         "population[1].outcome.sim_passed: expected true or false, got 'no'"),
+    ],
+)
+def test_corrupt_v3_entry_names_record_and_key_path(tmp_path, edit, message):
+    _v3_history(tmp_path, edit)
+    with pytest.raises(RunDirError) as err:
+        read_generations(tmp_path)
+    assert "generation record 1 is corrupt: " + message in str(err.value)
+
+
+def test_torn_last_line_is_dropped_with_a_warning(tmp_path, caplog):
+    # a write killed partway through leaves a last line with no newline
+    _v3_history(tmp_path, tail=FULL_RECORD_LINE[:100])
+    with caplog.at_level("WARNING"):
+        assert read_generations(tmp_path) == [generation_zero(), full_record()]
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "dropped generation record 2" in warnings[0].getMessage()
+
+
+@pytest.mark.parametrize("tail", [FULL_RECORD_LINE[:100] + "\n", FULL_RECORD_LINE[:100] + "\n{}\n"])
+def test_cut_line_with_a_newline_is_corrupt(tmp_path, tail):
+    _v3_history(tmp_path, tail=tail)
+    with pytest.raises(RunDirError) as err:
+        read_generations(tmp_path)
+    assert "generation record 2 is corrupt" in str(err.value)
