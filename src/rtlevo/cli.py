@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -127,11 +128,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     # touching the run directory, so a run that cannot start leaves the
     # previous run intact; validate-config makes the same checks
     provider = _build_provider(cfg, transcript)
-    artifacts_dir = run_dir / "artifacts" if cfg.keep_artifacts else None
-    with _evaluator(cfg, artifacts_dir) as evaluator:
+    artifacts_dir = run_dir / "artifacts"
+    with _evaluator(cfg, artifacts_dir if cfg.keep_artifacts else None) as evaluator:
         run_dir.mkdir(parents=True, exist_ok=True)
         for name in (GENERATIONS_FILE, TRANSCRIPTS_FILE, FINAL_REPORT_FILE):
             (run_dir / name).unlink(missing_ok=True)
+        # a stage reads the files an earlier run left in a kept workdir
+        if artifacts_dir.exists():
+            shutil.rmtree(artifacts_dir)
         (run_dir / CONFIG_SNAPSHOT_FILE).write_text(
             yaml.safe_dump(snapshot_dict(cfg), sort_keys=True), encoding="utf-8"
         )

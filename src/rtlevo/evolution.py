@@ -297,14 +297,16 @@ class EvolutionEngine:
         and parse. `critiques` maps each parent critiqued this generation to
         its critiqued copy. The drafted individual has no outcome yet; a
         response that cannot be parsed becomes a placeholder that arrives
-        already scored and skips evaluation."""
-        for parent, key in slot.critiques:
-            future = critiques[parent.id]
-            try:
-                future.set_result(critique(parent, self.spec, self.provider, key))
-            except BaseException as exc:
-                future.set_exception(exc)
-                raise
+        already scored and skips evaluation. A failed critique fails every
+        critique the slot owns, so no slot waits on one that never comes."""
+        try:
+            for parent, key in slot.critiques:
+                critiques[parent.id].set_result(critique(parent, self.spec, self.provider, key))
+        except BaseException as exc:
+            for parent, _ in slot.critiques:
+                if not critiques[parent.id].done():
+                    critiques[parent.id].set_exception(exc)
+            raise
         if slot.strategy is None:
             bundle = build_initial_prompt(self.spec)
         else:

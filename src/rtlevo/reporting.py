@@ -23,10 +23,7 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 3
-# keys a version-1 record holds that version 2 derives: from the config
-# (exploration_c, temperature), or from the record itself (the rest)
-V1_DERIVED_KEYS = ("fail_count", "success_count", "total_pulls", "exploration_c", "temperature")
-# the record fields that hold individuals, in the order version 3 scans them
+# the record fields that hold individuals, in the order they are scanned
 INDIVIDUAL_FIELDS = ("population", "offspring", "best_so_far")
 
 GENERATIONS_FILE = "generations.jsonl"
@@ -52,6 +49,8 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
     mention there, scanning `population`, `offspring`, then `best_so_far`.
     Every other mention is the reference `{"id": n}`, and a critique asked
     for later lives in the `critiques` of the generation that asked for it.
+    So the file must start with generation 0 and take every record after
+    it in order: the reader rejects a reference no earlier line defines.
     The keys are the record's dataclass fields, sorted, and no timestamps
     are included, so identical histories serialize byte-identically.
     """
@@ -79,16 +78,10 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
         fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
-def _drop_v1_derived(obj: dict) -> dict:
-    for key in V1_DERIVED_KEYS:
-        obj.pop(key, None)
-    return obj
-
-
-def _v3_record(data, individuals: dict[int, Individual]) -> GenerationRecord:
-    """A version-3 record, read against `individuals`, every individual
-    read so far by id. The record's critiques update those first; then each
-    full entry is read into it and each reference resolved from it."""
+def _record(data, individuals: dict[int, Individual]) -> GenerationRecord:
+    """A record, read against `individuals`, every individual read so far
+    by id. The record's critiques update those first; then each full entry
+    is read into it and each reference resolved from it."""
     require_map(data, "record")
     value = data.get("critiques")
     critiques = () if value is None else read_value(tuple[Critique, ...], value, "critiques")
@@ -126,12 +119,11 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
     """Every record of a run's history, read with the loader that reads the
     config; a corrupt record is a RunDirError naming it and its key path.
 
-    A version-1 history reads with its `V1_DERIVED_KEYS` dropped; every
-    other key is read as strictly as in version 2. A version-3 history
-    reads into one `Individual` per id, shared by the records that mention
-    it; a reference to an id no earlier entry defines is corrupt. A last
-    line with no newline that does not parse, as a killed write leaves it,
-    is dropped with a warning."""
+    Only `SCHEMA_VERSION` reads; a header naming any other version is a
+    RunDirError. The history reads into one `Individual` per id, shared by
+    the records that mention it; a reference to an id no earlier entry
+    defines is corrupt. A last line with no newline that does not parse, as
+    a killed write leaves it, is dropped with a warning."""
     path = Path(run_dir) / GENERATIONS_FILE
     if not path.is_file():
         raise RunDirError(f"{path} not found; is this a run directory?")
@@ -144,14 +136,13 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
             version = header["schema_version"]
         except (ValueError, TypeError, KeyError):
             raise RunDirError(f"{path}: missing or corrupt schema header") from None
-        if version not in (1, 2, SCHEMA_VERSION):
+        if version != SCHEMA_VERSION:
             raise RunDirError(f"{path}: unsupported schema_version {version!r}")
-        hook = _drop_v1_derived if version == 1 else None
         for i, line in enumerate(fh):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line, object_hook=hook)
+                data = json.loads(line)
             except ValueError as exc:
                 if not line.endswith("\n"):
                     logger.warning(
@@ -162,10 +153,7 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
                     break
                 raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
             try:
-                if version == SCHEMA_VERSION:
-                    records.append(_v3_record(data, individuals))
-                else:
-                    records.append(build(GenerationRecord, data))
+                records.append(_record(data, individuals))
             except ValueError as exc:
                 raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
     if not records:

@@ -14,7 +14,6 @@ import yaml
 from rtlevo.cli import EXIT_ABORT, EXIT_FOUND, EXIT_NOT_FOUND, main
 from rtlevo.config import load_config
 from rtlevo.evolution import PLACEHOLDER_CODE, EvolutionEngine
-from rtlevo.model import to_plain
 from rtlevo.reporting import read_generations
 
 SCRIPT_OK = """\
@@ -345,6 +344,19 @@ def test_keep_artifacts_keeps_stage_logs(tmp_path):
     assert not (first / "post_synth.log").exists()
 
 
+def test_run_clears_the_artifacts_an_earlier_run_kept(tmp_path):
+    # the first synthesizer writes its report file, the second prints to stdout
+    writes = "printf 'Chip area: 5\\nTotal power: 0.5\\nWorst slack: 0\\n' > {out_report}"
+    prints = "printf 'Chip area: 99\\nTotal power: 0.9\\nWorst slack: 0\\n'"
+    for synthesizer in (writes, prints):
+        overrides = _toolchain(tmp_path, synthesizer_command=synthesizer)
+        config = write_setup(tmp_path, config_overrides=overrides)
+        assert main(["run", "--config", str(config), "--keep-artifacts"]) == EXIT_FOUND
+    records = read_generations(tmp_path / "run")
+    areas = {ind.outcome.ppa.area for r in records for ind in r.population + r.offspring}
+    assert areas == {99.0}
+
+
 @pytest.mark.parametrize(
     "key, value", [("simulator_command", "echo {bogus}"), ("pass_pattern", "(unclosed")]
 )
@@ -656,9 +668,6 @@ DEMO_DIGESTS = {
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
     "config_snapshot.yaml": "b167ceff9f16c2330c34e8e2a62be6fae108b384deb386bca9765981d4e28708",
 }
-# sha256 of the demo's generations.jsonl as schemas 2 and 1 wrote it
-DEMO_V2_GENERATIONS_DIGEST = "a24df3675c30aa5c6842b15406b4825a6c88b28424090bf4c5dddbab3f793357"
-DEMO_V1_GENERATIONS_DIGEST = "e994ddf3c9d175719119ebf0f1d38b935d2f6db7aaa6926623809bc3a78ca220"
 
 
 def test_demo_outputs_are_pinned(tmp_path, capsys):
@@ -681,52 +690,19 @@ def test_demo_outputs_are_pinned(tmp_path, capsys):
     assert got == DEMO_DIGESTS
 
 
-def _as_schema_2(path: Path) -> None:
-    """Rewrite a history as schema 2 wrote it: every mention of an individual
-    in full, and no critiques of a record's own."""
-    out = [json.dumps({"schema_version": 2})]
-    for record in read_generations(path.parent):
-        plain = to_plain(record)
-        del plain["critiques"]
-        out.append(json.dumps(plain, sort_keys=True))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
-
-
-def _as_schema_1(path: Path, exploration_c: float, temperature: float) -> None:
-    """Rewrite a schema-2 history as schema 1 wrote it, with the keys schema 2 derives."""
+def test_report_on_an_earlier_schema_is_one_error_line(tmp_path, capsys):
+    main(["run", "--config", str(write_setup(tmp_path))])
+    path = tmp_path / "run" / "generations.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines()
-    out = [json.dumps({"schema_version": 1})]
-    for line in lines[1:]:
-        record = json.loads(line)
-        passed = sum(ind["outcome"]["sim_passed"] for ind in record["population"])
-        record["success_count"] = passed
-        record["fail_count"] = len(record["population"]) - passed
-        for state in record["bandit_states"].values():
-            state["total_pulls"] = sum(s["pull_count"] for s in state["strategies"].values())
-            state.update(exploration_c=exploration_c, temperature=temperature)
-        out.append(json.dumps(record, sort_keys=True))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
-
-
-def test_report_reads_a_schema_1_history_alike(tmp_path, capsys):
-    demo = Path(__file__).resolve().parents[1] / "demo" / "config.yaml"
-    out = tmp_path / "demo"
-    assert main(["run", "--config", str(demo), "--out", str(out)]) == EXIT_FOUND
+    lines[0] = json.dumps({"schema_version": 2})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
-    assert main(["report", str(out)]) == EXIT_FOUND
-    v3_text = capsys.readouterr().out
-    history = out / "generations.jsonl"
-    # each rewrite is byte for byte the history that schema wrote for the demo,
-    # and reports alike
-    _as_schema_2(history)
-    assert hashlib.sha256(history.read_bytes()).hexdigest() == DEMO_V2_GENERATIONS_DIGEST
-    assert main(["report", str(out)]) == EXIT_FOUND
-    assert capsys.readouterr().out == v3_text
-    evolution = load_config(demo).evolution
-    _as_schema_1(history, evolution.exploration_c, evolution.temperature)
-    assert hashlib.sha256(history.read_bytes()).hexdigest() == DEMO_V1_GENERATIONS_DIGEST
-    assert main(["report", str(out)]) == EXIT_FOUND
-    assert capsys.readouterr().out == v3_text
+    assert main(["report", str(tmp_path / "run")]) == EXIT_ABORT
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "unsupported schema_version 2" in err[0]
+    assert captured.out == ""
 
 
 def test_report_on_a_dangling_reference_is_one_error_line(tmp_path, capsys):

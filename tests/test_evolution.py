@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -711,6 +712,50 @@ def test_keyed_call_whose_predecessor_never_comes_stalls(monkeypatch):
     assert not runner.is_alive()
     assert errors == ["critique failed"]
     assert provider.script_errors == ["stalled"]
+
+
+class FullDisk:
+    """Fails every call with the OSError a transcript write to a full disk
+    raises, which no critique falls back from, after a pause that lets the
+    other lane start its slot."""
+
+    def complete(self, bundle):
+        time.sleep(0.3)
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_critique_fails_every_critique_its_slot_owns():
+    engine = EvolutionEngine(
+        SPEC, demo_cfg(max_parallel_evaluations=2), FullDisk(), SyntheticEvaluator()
+    )
+    first, second = success_ind(0, 0.2), success_ind(1, 0.3)
+    # slot 0 owns both critiques; slot 1, on the other lane, waits on the second
+    owned = ((first, (1, 0)), (second, (1, 1)))
+    slots = [
+        _Slot(4, (1, 2), PopulationLabel.SUCCESS, PromptStrategy.FUSION, (first, second), owned),
+        _Slot(5, (1, 3), PopulationLabel.SUCCESS, PromptStrategy.IMPROVE, (second,)),
+    ]
+    critiques = {0: Future(), 1: Future()}
+    errors = []
+
+    def run():
+        try:
+            engine._run_slots(slots, critiques)
+        except OSError as exc:
+            errors.append(exc.strerror)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    try:
+        runner.join(timeout=5)
+        assert not runner.is_alive()
+        assert errors == ["No space left on device"]
+        assert all(isinstance(f.exception(timeout=0), OSError) for f in critiques.values())
+    finally:
+        # free a lane left waiting, so a failure cannot hang the session's exit
+        for future in critiques.values():
+            if not future.done():
+                future.set_exception(RuntimeError("left unresolved"))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

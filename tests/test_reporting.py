@@ -123,7 +123,7 @@ def test_read_missing_file(tmp_path):
 
 def test_read_corrupt_record_numbered(tmp_path):
     path = tmp_path / GENERATIONS_FILE
-    path.write_text('{"schema_version": 1}\n{"nope": true}\n', encoding="utf-8")
+    path.write_text('{"schema_version": 3}\n{"nope": true}\n', encoding="utf-8")
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
     assert "record 0" in str(err.value)
@@ -138,15 +138,17 @@ def test_read_bad_header(tmp_path):
 
 def test_read_unsupported_version(tmp_path):
     path = tmp_path / GENERATIONS_FILE
-    path.write_text('{"schema_version": 99}\n', encoding="utf-8")
-    with pytest.raises(RunDirError) as err:
-        read_generations(tmp_path)
-    assert "99" in str(err.value)
+    # schemas 1 and 2 were written by earlier versions of the program
+    for version in (1, 2, 99):
+        path.write_text(f'{{"schema_version": {version}}}\n{FULL_RECORD_LINE}\n', encoding="utf-8")
+        with pytest.raises(RunDirError) as err:
+            read_generations(tmp_path)
+        assert f"unsupported schema_version {version}" in str(err.value)
 
 
 def test_read_empty_history(tmp_path):
     path = tmp_path / GENERATIONS_FILE
-    path.write_text('{"schema_version": 1}\n', encoding="utf-8")
+    path.write_text('{"schema_version": 3}\n', encoding="utf-8")
     with pytest.raises(RunDirError):
         read_generations(tmp_path)
 
@@ -223,74 +225,8 @@ def test_report_band_membership():
 
 # --- the one format ---------------------------------------------------------
 
-# A record with every field set, as schema 1 wrote it: each bandit state
-# also held c, T and its total pulls, and the record its two counts.
-FULL_RECORD_LINE_V1 = (
-    '{"bandit_states": {"fail": {"exploration_c": 1.5, '
-    '"strategies": {"fusion": {"pull_count": 0, "q_value": 0.0}, '
-    '"improve": {"pull_count": 1, "q_value": 1.0}}, "temperature": 0.7, '
-    '"total_pulls": 1}}, "best_so_far": {"code": "module add2; endmodule", '
-    '"feedback": null, "fitness": 0.25, "generation_born": 1, "id": 1, '
-    '"outcome": {"post_synth_functional": false, "ppa": {"area": 80.0, '
-    '"effective_clock_period": 1.0, "power": 0.7}, "sim_log": "all tests passed", '
-    '"sim_passed": true, "synth_log": "Chip area: 80", "synth_succeeded": true}, '
-    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}, '
-    '"fail_count": 1, "generation_index": 1, '
-    '"offspring": [{"code": "module add2; endmodule", "feedback": null, "fitness": 0.25, '
-    '"generation_born": 1, "id": 1, "outcome": {"post_synth_functional": false, '
-    '"ppa": {"area": 80.0, "effective_clock_period": 1.0, "power": 0.7}, '
-    '"sim_log": "all tests passed", "sim_passed": true, "synth_log": "Chip area: 80", '
-    '"synth_succeeded": true}, "parent_ids": [0], "strategy": "fix", '
-    '"thought": "\\u0394: ripple \\u2192 lookahead"}], '
-    '"population": [{"code": "module add2; endmodule // BUG", "feedback": "carry is lost", '
-    '"fitness": -Infinity, "generation_born": 0, "id": 0, '
-    '"outcome": {"post_synth_functional": null, "ppa": null, "sim_log": "FAIL: 1+1 != 2", '
-    '"sim_passed": false, "synth_log": "", "synth_succeeded": false}, "parent_ids": [], '
-    '"strategy": null, "thought": "no carry"}, {"code": "module add2; endmodule", '
-    '"feedback": null, "fitness": 0.25, "generation_born": 1, "id": 1, '
-    '"outcome": {"post_synth_functional": false, "ppa": {"area": 80.0, '
-    '"effective_clock_period": 1.0, "power": 0.7}, "sim_log": "all tests passed", '
-    '"sim_passed": true, "synth_log": "Chip area: 80", "synth_succeeded": true}, '
-    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}], '
-    '"strategy_events": [{"label": "fail", "reward": 1.0, "strategy": "fix"}], '
-    '"success_count": 1}'
-)
-
-# The same record as schema 2 wrote it, from the dataclass fields: every
-# mention of an individual in full, its critique only in the copies that
-# carry it.
-FULL_RECORD_LINE_V2 = (
-    '{"bandit_states": {"fail": {"strategies": {"fusion": {"pull_count": 0, "q_value": 0.0}, '
-    '"improve": {"pull_count": 1, "q_value": 1.0}}}}, '
-    '"best_so_far": {"code": "module add2; endmodule", '
-    '"feedback": null, "fitness": 0.25, "generation_born": 1, "id": 1, '
-    '"outcome": {"post_synth_functional": false, "ppa": {"area": 80.0, '
-    '"effective_clock_period": 1.0, "power": 0.7}, "sim_log": "all tests passed", '
-    '"sim_passed": true, "synth_log": "Chip area: 80", "synth_succeeded": true}, '
-    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}, '
-    '"generation_index": 1, '
-    '"offspring": [{"code": "module add2; endmodule", "feedback": null, "fitness": 0.25, '
-    '"generation_born": 1, "id": 1, "outcome": {"post_synth_functional": false, '
-    '"ppa": {"area": 80.0, "effective_clock_period": 1.0, "power": 0.7}, '
-    '"sim_log": "all tests passed", "sim_passed": true, "synth_log": "Chip area: 80", '
-    '"synth_succeeded": true}, "parent_ids": [0], "strategy": "fix", '
-    '"thought": "\\u0394: ripple \\u2192 lookahead"}], '
-    '"population": [{"code": "module add2; endmodule // BUG", "feedback": "carry is lost", '
-    '"fitness": -Infinity, "generation_born": 0, "id": 0, '
-    '"outcome": {"post_synth_functional": null, "ppa": null, "sim_log": "FAIL: 1+1 != 2", '
-    '"sim_passed": false, "synth_log": "", "synth_succeeded": false}, "parent_ids": [], '
-    '"strategy": null, "thought": "no carry"}, {"code": "module add2; endmodule", '
-    '"feedback": null, "fitness": 0.25, "generation_born": 1, "id": 1, '
-    '"outcome": {"post_synth_functional": false, "ppa": {"area": 80.0, '
-    '"effective_clock_period": 1.0, "power": 0.7}, "sim_log": "all tests passed", '
-    '"sim_passed": true, "synth_log": "Chip area: 80", "synth_succeeded": true}, '
-    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}], '
-    '"strategy_events": [{"label": "fail", "reward": 1.0, "strategy": "fix"}]}'
-)
-
-
-# The same record as schema 3 writes it after `generation_zero()`, from the
-# dataclass fields; a renamed field changes it. Individual 0 was written in
+# `full_record()`, a record with every field set, as schema 3 writes it after
+# `generation_zero()`, from the dataclass fields; a renamed field changes it. Individual 0 was written in
 # full in generation 0, so here it is a reference and its critique.
 FULL_RECORD_LINE = (
     '{"bandit_states": {"fail": {"strategies": {"fusion": {"pull_count": 0, "q_value": 0.0}, '
@@ -351,55 +287,6 @@ def test_record_line_is_pinned(tmp_path):
     assert back == [generation_zero(), full_record()]
     # one object per individual, shared by the records that mention it
     assert back[1].offspring[0] is back[1].population[1] is back[1].best_so_far
-    # schemas 1 and 2 read as the same record, with no critiques of its own
-    uncritiqued = dataclasses.replace(full_record(), critiques=())
-    for version, line in ((1, FULL_RECORD_LINE_V1), (2, FULL_RECORD_LINE_V2)):
-        path.write_text(f'{{"schema_version": {version}}}\n{line}\n', encoding="utf-8")
-        assert read_generations(tmp_path) == [uncritiqued]
-    # only schema 1 may carry the derived keys
-    path.write_text('{"schema_version": 2}\n' + FULL_RECORD_LINE_V1 + "\n", encoding="utf-8")
-    with pytest.raises(RunDirError) as err:
-        read_generations(tmp_path)
-    assert "generation record 0 is corrupt: unknown key(s) in record: fail_count" in str(err.value)
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda d: d["population"][1]["outcome"].update(sim_passed="no"),
-         "population[1].outcome.sim_passed: expected true or false, got 'no'"),
-        (lambda d: d["offspring"][0].update(parent_ids=[0.5]),
-         "offspring[0].parent_ids[0]: expected an integer, got 0.5"),
-        (lambda d: d["strategy_events"][0].update(label="neutral"),
-         "strategy_events[0].label: 'neutral' is not a valid PopulationLabel"),
-        (lambda d: d["best_so_far"]["outcome"].pop("sim_log"),
-         "best_so_far.outcome.sim_log is required"),
-        (lambda d: d["population"][0].update(extra=1), "unknown key(s) in population[0]: extra"),
-        # float() and str() would read these
-        (lambda d: d["offspring"][0]["outcome"]["ppa"].update(power="0.5"),
-         "offspring[0].outcome.ppa.power: expected a number, got '0.5'"),
-        (lambda d: d["best_so_far"]["outcome"]["ppa"].update(area=True),
-         "best_so_far.outcome.ppa.area: expected a number, got True"),
-        (lambda d: d["population"][1].update(fitness="0.25"),
-         "population[1].fitness: expected a number, got '0.25'"),
-        (lambda d: d["population"][0]["outcome"].update(sim_log={"a": 1}),
-         "population[0].outcome.sim_log: expected a string, got {'a': 1}"),
-        (lambda d: d["population"][0].update(code=7), "population[0].code: expected a string, got 7"),
-        (lambda d: d["bandit_states"]["fail"]["strategies"]["improve"].update(q_value="x"),
-         "bandit_states.fail.strategies.improve.q_value: expected a number, got 'x'"),
-    ],
-)
-def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
-    for version, line in ((1, FULL_RECORD_LINE_V1), (2, FULL_RECORD_LINE_V2)):
-        data = json.loads(line)
-        edit(data)
-        (tmp_path / GENERATIONS_FILE).write_text(
-            json.dumps({"schema_version": version}) + "\n" + json.dumps(data) + "\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(RunDirError) as err:
-            read_generations(tmp_path)
-        assert "generation record 0 is corrupt: " + message in str(err.value)
 
 
 def _v3_history(tmp_path, edit=None, tail=""):
@@ -433,6 +320,55 @@ def _v3_history(tmp_path, edit=None, tail=""):
     ],
 )
 def test_corrupt_v3_entry_names_record_and_key_path(tmp_path, edit, message):
+    _v3_history(tmp_path, edit)
+    with pytest.raises(RunDirError) as err:
+        read_generations(tmp_path)
+    assert "generation record 1 is corrupt: " + message in str(err.value)
+
+
+def _full_at(data, where):
+    """Move the line's one full entry, individual 1, to `where` (each other
+    mention a reference) and return it."""
+    full, ref = data["population"][1], {"id": 1}
+    data.update({
+        "population[0]": dict(population=[full, {"id": 0}], offspring=[ref], best_so_far=ref),
+        "population[1]": {},
+        "offspring[0]": dict(population=[{"id": 0}], offspring=[full], best_so_far=ref),
+        "best_so_far": dict(population=[{"id": 0}], offspring=[], best_so_far=full),
+    }[where])
+    return full
+
+
+# a full entry is read strictly wherever in the scan order it stands
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: _full_at(d, "population[1]")["outcome"].update(sim_passed="no"),
+         "population[1].outcome.sim_passed: expected true or false, got 'no'"),
+        (lambda d: _full_at(d, "offspring[0]").update(parent_ids=[0.5]),
+         "offspring[0].parent_ids[0]: expected an integer, got 0.5"),
+        (lambda d: d["strategy_events"][0].update(label="neutral"),
+         "strategy_events[0].label: 'neutral' is not a valid PopulationLabel"),
+        (lambda d: _full_at(d, "best_so_far")["outcome"].pop("sim_log"),
+         "best_so_far.outcome.sim_log is required"),
+        (lambda d: _full_at(d, "population[0]").update(extra=1),
+         "unknown key(s) in population[0]: extra"),
+        # float() and str() would read these
+        (lambda d: _full_at(d, "offspring[0]")["outcome"]["ppa"].update(power="0.5"),
+         "offspring[0].outcome.ppa.power: expected a number, got '0.5'"),
+        (lambda d: _full_at(d, "best_so_far")["outcome"]["ppa"].update(area=True),
+         "best_so_far.outcome.ppa.area: expected a number, got True"),
+        (lambda d: _full_at(d, "population[1]").update(fitness="0.25"),
+         "population[1].fitness: expected a number, got '0.25'"),
+        (lambda d: _full_at(d, "population[0]")["outcome"].update(sim_log={"a": 1}),
+         "population[0].outcome.sim_log: expected a string, got {'a': 1}"),
+        (lambda d: _full_at(d, "population[0]").update(code=7),
+         "population[0].code: expected a string, got 7"),
+        (lambda d: d["bandit_states"]["fail"]["strategies"]["improve"].update(q_value="x"),
+         "bandit_states.fail.strategies.improve.q_value: expected a number, got 'x'"),
+    ],
+)
+def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
     _v3_history(tmp_path, edit)
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
