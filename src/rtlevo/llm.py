@@ -6,23 +6,28 @@ ProviderError. Every call can be recorded, result or error, in a
 transcript for replay and audit (`TranscriptWriter.call`). Drafts and
 critiques are sampled alike, with the provider's one temperature and
 top_p. The HTTP client reads its API key from an environment variable
-once, when it is built, and never persists it.
+once, when it is built, and never persists it. It speaks HTTP/1.1 through
+the stdlib's `http.client`, keeping idle connections open for the next call.
 """
 
 from __future__ import annotations
 
+import base64
+import functools
 import json
 import logging
 import os
 import random
+import re
+import select
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
-import requests
-
+from . import __version__
 from .model import ConfigError, build, read_yaml
 from .prompts import PromptBundle, render_response
 
@@ -63,6 +68,22 @@ class ProviderConfig:
     def __post_init__(self) -> None:
         if not self.endpoint_url:
             raise ValueError("provider.endpoint_url is required for kind: http")
+        try:
+            url = urllib.parse.urlsplit(self.endpoint_url)
+            url.port  # a port that is not a number in range raises ValueError
+        except ValueError:
+            url = None
+        # http.client sends the URL as it is, so it must need no quoting
+        if (
+            url is None
+            or url.scheme not in ("http", "https")
+            or not url.hostname
+            or not re.fullmatch(r"[!-~]+", self.endpoint_url)
+        ):
+            raise ValueError(
+                "provider.endpoint_url must be an http or https URL with a host, "
+                f"in ASCII without spaces, got {self.endpoint_url!r}"
+            )
         if self.temperature < 0:
             raise ValueError(f"provider.temperature must be >= 0, got {self.temperature!r}")
         if not 0 < self.top_p <= 1:
@@ -175,23 +196,77 @@ class HttpChatProvider:
     """Client for any chat-completion-shaped HTTP endpoint.
 
     Sends {model, messages, temperature, top_p}; retries 429/5xx/timeouts
-    with exponential backoff and jitter; treats 401/403 as non-retriable.
+    with exponential backoff and jitter; treats 401/403 as non-retriable
+    and any other status, a redirect included, as a protocol error.
     An unset or empty key variable is an `auth` ProviderError at
     construction, before any request.
+
+    Connections are kept alive between calls, one per request in flight.
+    HTTPS certificates are verified against the system trust store, and
+    HTTP_PROXY, HTTPS_PROXY and NO_PROXY are honoured: an https endpoint is
+    reached through a CONNECT tunnel, an http one by sending the proxy the
+    absolute URL.
     """
 
     _TRANSIENT_STATUS = frozenset({429, 500, 502, 503, 504})
 
     def __init__(self, config: ProviderConfig, transcript: TranscriptWriter | None = None):
+        # imported here: http.client and ssl cost a process about 6 MB and
+        # 20 ms, which only a run with an http provider needs to pay
+        import http.client
+        import ssl
+        import urllib.request
+
         name = config.api_key_env_var
         key = os.environ.get(name, "") if name else ""
         if not key:
             raise ProviderError("auth", f"API key environment variable {name!r} is unset or empty")
         self.config = config
-        self._headers = {"Authorization": f"Bearer {key}"}
+        self._headers = {
+            "Authorization": f"Bearer {key}",
+            "Content-Type": "application/json",
+            "User-Agent": f"rtlevo/{__version__}",
+        }
         self._transcript = transcript
-        self._session = requests.Session()
         self._semaphore = threading.BoundedSemaphore(config.max_parallel_requests)
+        self._idle: list = []
+        self._idle_lock = threading.Lock()
+        self._request_errors = (OSError, http.client.HTTPException)
+
+        url = urllib.parse.urlsplit(config.endpoint_url)
+        https = url.scheme == "https"
+        self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        address = (url.hostname, url.port)
+        self._tunnel = None
+        proxy = None
+        if not urllib.request.proxy_bypass(url.netloc):
+            proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy:
+            try:
+                via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+                address = (via.hostname, via.port or 80)
+            except ValueError:
+                address = (None, None)
+            if not address[0]:
+                raise ProviderError("protocol", f"the {url.scheme} proxy {proxy!r} is not a valid URL")
+            proxy_headers = {}
+            if via.username:
+                user = urllib.parse.unquote(via.username)
+                secret = urllib.parse.unquote(via.password or "")
+                token = base64.b64encode(f"{user}:{secret}".encode()).decode("ascii")
+                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if https:
+                self._tunnel = (url.hostname, url.port or 443, proxy_headers)
+            else:
+                self._target = config.endpoint_url
+                self._headers.update(proxy_headers)
+        if https:
+            connection = functools.partial(
+                http.client.HTTPSConnection, context=ssl.create_default_context()
+            )
+        else:
+            connection = http.client.HTTPConnection
+        self._connection = functools.partial(connection, *address, timeout=config.request_timeout)
 
     def complete(self, bundle: PromptBundle) -> CompletionResult:
         payload = {
@@ -209,28 +284,22 @@ class HttpChatProvider:
 
     def _post(self, payload: dict) -> CompletionResult:
         start = time.monotonic()
+        body = json.dumps(payload).encode("utf-8")
         last_error = "no attempt made"
         attempts = self.config.max_retries + 1
         with self._semaphore:
             for attempt in range(1, attempts + 1):
                 try:
-                    response = self._session.post(
-                        self.config.endpoint_url,
-                        json=payload,
-                        headers=self._headers,
-                        timeout=self.config.request_timeout,
-                    )
-                except requests.RequestException as exc:
+                    status, data = self._request(body)
+                except self._request_errors as exc:
                     last_error = f"request failed: {exc}"
                 else:
-                    if response.status_code in (401, 403):
-                        raise ProviderError(
-                            "auth", f"authentication rejected (HTTP {response.status_code})", attempt
-                        )
-                    if response.status_code == 200:
-                        return self._parse_body(response, attempt, start)
-                    last_error = f"HTTP {response.status_code}"
-                    if response.status_code not in self._TRANSIENT_STATUS:
+                    if status in (401, 403):
+                        raise ProviderError("auth", f"authentication rejected (HTTP {status})", attempt)
+                    if status == 200:
+                        return self._parse_body(data, attempt, start)
+                    last_error = f"HTTP {status}"
+                    if status not in self._TRANSIENT_STATUS:
                         raise ProviderError("protocol", f"unexpected response: {last_error}", attempt)
                 if attempt < attempts:
                     delay = BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1)
@@ -242,9 +311,44 @@ class HttpChatProvider:
                     time.sleep(delay)
         raise ProviderError("transient", f"exhausted retries: {last_error}", attempts)
 
-    def _parse_body(self, response: requests.Response, attempt: int, start: float) -> CompletionResult:
+    def _request(self, body: bytes) -> tuple[int, bytes]:
+        """One POST of `body` on an idle connection, or a new one: its
+        status and whole response body. The connection is kept for the
+        next call unless the server said it closes it."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connection()
+            if self._tunnel is not None:
+                conn.set_tunnel(*self._tunnel)
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            # an idle connection has nothing to read unless the server has
+            # closed it; close it too, and the request below reconnects
+            conn.close()
         try:
-            body = response.json()
+            conn.request("POST", self._target, body, self._headers)
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return response.status, data
+
+    def close(self) -> None:
+        """Closes the idle connections; a later call opens a new one."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _parse_body(self, data: bytes, attempt: int, start: float) -> CompletionResult:
+        try:
+            body = json.loads(data)
             text = body["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError("message content is not a string")

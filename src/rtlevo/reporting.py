@@ -51,9 +51,17 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
     for later lives in the `critiques` of the generation that asked for it.
     So the file must start with generation 0 and take every record after
     it in order: the reader rejects a reference no earlier line defines.
-    The keys are the record's dataclass fields, sorted, and no timestamps
-    are included, so identical histories serialize byte-identically.
+    A new file for any other generation is a ValueError, and nothing is
+    written. The keys are the record's dataclass fields, sorted, and no
+    timestamps are included, so identical histories serialize
+    byte-identically.
     """
+    new_file = not path.exists()
+    if new_file and record.generation_index != 0:
+        raise ValueError(
+            f"a new history must start at generation 0, not {record.generation_index}: "
+            "its references would name individuals no line defines"
+        )
     written: set[int] = set()
 
     def entry(ind: Individual) -> dict:
@@ -71,7 +79,7 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
     line["offspring"] = [entry(ind) for ind in record.offspring]
     best = record.best_so_far
     line["best_so_far"] = None if best is None else entry(best)
-    if not path.exists():
+    if new_file:
         with path.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps({"schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n")
     with path.open("a", encoding="utf-8") as fh:

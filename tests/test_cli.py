@@ -1,9 +1,12 @@
 """End-to-end command line behavior, run in-process via main(argv)."""
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -496,6 +499,23 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
         ),
         # the synthetic evaluator reads its PPA only from markers in the code
         ({"evaluator": {"kind": "synthetic", "seed": 1}}, "unknown key(s) in evaluator: seed;"),
+        # an endpoint needs an http or https scheme, a host and a valid port,
+        # and http.client sends it unquoted
+        *(
+            (
+                {"provider": {"kind": "http", "endpoint_url": url, "api_key_env_var": "K"}},
+                f"provider.endpoint_url must be an http or https URL with a host, "
+                f"in ASCII without spaces, got {url!r}",
+            )
+            for url in (
+                "api.example.com/v1/chat/completions",
+                "ftp://api.example.com/v1",
+                "http:///v1",
+                "https://api.example.com:99999/v1",
+                "https://api.example.com/v1 chat",
+                "https://api.example.com/v1/ch\u00e4t",
+            )
+        ),
     ],
 )
 def test_bad_value_is_one_error_line(tmp_path, capsys, overrides, key):
@@ -656,6 +676,47 @@ def test_bad_config_yaml_is_one_error_line(tmp_path, capsys, command):
     assert len(lines) == 1, lines
     assert lines[0].startswith("error: config is not valid YAML: ")
     assert "at line 3, column 1" in lines[0]
+
+
+@pytest.mark.parametrize("command", ["run", "validate-config"])
+def test_endpoint_without_a_scheme_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # it once failed only at the first call, after about 7 s of retries
+    monkeypatch.setenv("RTLEVO_CLI_KEY", "sk-test")
+    config = write_setup(
+        tmp_path,
+        config_overrides={
+            "provider": {
+                "kind": "http",
+                "endpoint_url": "127.0.0.1:9/v1/chat/completions",
+                "api_key_env_var": "RTLEVO_CLI_KEY",
+            }
+        },
+    )
+    start = time.monotonic()
+    assert main([command, "--config", str(config)]) == EXIT_ABORT
+    assert time.monotonic() - start < 1.0
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: provider.endpoint_url must be an http or https URL")
+    assert not (tmp_path / "run").exists()
+
+
+def _top_level_modules(code: str) -> set[str]:
+    """The top-level names in sys.modules after a fresh interpreter runs `code`."""
+    probe = f"{code}\nimport sys\nprint(sorted({{name.split('.')[0] for name in sys.modules}}))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    return set(ast.literal_eval(out))
+
+
+def test_cli_imports_no_third_party_module_but_yaml():
+    # what `site` preloads (e.g. a .pth hook) is the interpreter's, not ours
+    extra = _top_level_modules("import rtlevo.cli") - _top_level_modules("pass")
+    extra -= set(sys.stdlib_module_names) | {"rtlevo", "yaml", "_yaml"}
+    # the Cython runtime that PyYAML's compiled `_yaml` registers, when it has one
+    extra = {name for name in extra if not name.startswith(("_cython_", "cython_runtime"))}
+    assert not extra, sorted(extra)
 
 
 # sha256 of the demo's deterministic outputs, of its `rtlevo report` text and

@@ -484,7 +484,9 @@ def _run_configs(draw, directory, provider_kind, evaluator_kind):
     )
     if provider_kind == "http":
         provider = ProviderConfig(
-            endpoint_url=draw(st.text(min_size=1)),
+            endpoint_url=draw(
+                st.from_regex(r"https?://[a-z0-9.-]+(:[0-9]{1,4})?(/[!-~]*)?", fullmatch=True)
+            ),
             model_name=draw(st.text()),
             api_key_env_var=draw(st.text()),
             temperature=draw(st.floats(0.0, 2.0)),

@@ -115,6 +115,13 @@ def test_append_writes_header_once(tmp_path):
     assert json.loads(lines[0]) == {"schema_version": 3}
 
 
+def test_new_history_must_start_at_generation_0(tmp_path):
+    path = tmp_path / GENERATIONS_FILE
+    with pytest.raises(ValueError, match="must start at generation 0, not 1"):
+        append_generation(path, two_records()[1])
+    assert not path.exists()
+
+
 def test_read_missing_file(tmp_path):
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
