@@ -2,7 +2,7 @@
 
 Exit codes for `run`: 0 when a functionally correct design was found,
 2 when the run finished without one, 1 on abort (bad config, broken tool
-environment, exhausted provider).
+environment, a failed provider call).
 """
 
 from __future__ import annotations

@@ -32,10 +32,10 @@ Determinism: ids follow from the generation index, each offspring slot
 gets its own RNG stream keyed by (seed, generation, slot), results join in
 slot order, and rewards are applied in slot order. Every provider call of
 a generation carries a key (generation, n), numbered on the engine thread
-in slot order with each slot's critiques before its draft; the scripted
-provider serves calls in key order, so with a scripted provider and the
-synthetic evaluator a fixed seed replays bit-identically at any
-concurrency.
+in slot order with each slot's critiques before its draft. A scripted
+provider's reply is a function of the call, its key included, so with a
+scripted provider and the synthetic evaluator a fixed seed replays
+bit-identically at any concurrency.
 """
 
 from __future__ import annotations
@@ -372,8 +372,8 @@ class EvolutionEngine:
         Once a draft or an evaluation fails no lane takes another slot and
         no queued evaluation starts, so every slot that starts drafting runs
         its draft to the end and all slots before it have started: a slot
-        that waits on an earlier slot's critique, or a provider that serves
-        calls in key order, never waits on a slot that will not come. The
+        that waits on an earlier slot's critique never waits on a slot that
+        will not come. The
         error is raised only after every submitted evaluation has finished,
         so no tool stage is still running when the caller cleans up.
         """

@@ -37,15 +37,12 @@ BACKOFF_BASE_SECONDS = 1.0
 BACKOFF_FACTOR = 2.0
 BACKOFF_JITTER = 0.25
 
-# How long a scripted call waits for its predecessor; scripted replies are instant
-KEYED_WAIT_SECONDS = 30.0
-
 
 class ProviderError(RuntimeError):
     """A completion backend failed after `attempt_count` attempts.
 
     `kind` is transient, auth or protocol for the HTTP client, and
-    unmatched, exhausted or stalled for a scripted provider.
+    unmatched for a scripted provider.
     """
 
     def __init__(self, kind: str, message: str, attempt_count: int = 1):
@@ -363,11 +360,13 @@ class HttpChatProvider:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptEntry:
-    """One scripted response; `repeat` entries are matched without being consumed.
+    """One scripted response and the matcher that selects it.
 
     Matcher forms:
+      "call:<G>/<N>"      the engine's call keyed (G, N): the call numbered
+                          N of generation G, critiques and drafts alike
       "strategy:<name>"   generation prompts for that operator ("initial"
                           matches the parent-free initial prompt)
       "purpose:<p>"       any bundle with that purpose (e.g. "feedback")
@@ -376,45 +375,36 @@ class ScriptEntry:
 
     match: str
     response: str
-    repeat: bool = False
+
+    def __post_init__(self) -> None:
+        kind, _, value = self.match.strip().lower().partition(":")
+        if kind == "call" and not re.fullmatch(r"\s*\d+/\d+", value):
+            raise ValueError(f"script entry {self.match!r} must name a call key as call:G/N")
 
     def matches(self, bundle: PromptBundle) -> bool:
         matcher = self.match.strip()
-        lowered = matcher.lower()
-        if lowered.startswith("strategy:"):
-            name = lowered.split(":", 1)[1].strip()
-            if bundle.purpose != "generate":
-                return False
-            if name == "initial":
-                return bundle.strategy is None
-            return bundle.strategy is not None and bundle.strategy.value == name
-        if lowered.startswith("purpose:"):
-            return bundle.purpose == lowered.split(":", 1)[1].strip()
+        kind, _, value = matcher.lower().partition(":")
+        value = value.strip()
+        if kind == "call":
+            return bundle.key == tuple(map(int, value.split("/")))
+        if kind == "strategy":
+            name = bundle.strategy.value if bundle.strategy else "initial"
+            return bundle.purpose == "generate" and name == value
+        if kind == "purpose":
+            return bundle.purpose == value
         return matcher in bundle.user_text or matcher in bundle.system_text
 
 
 class ScriptedProvider:
-    """Deterministic provider that replays a scripted list of responses.
-
-    Each call consumes the first matching non-repeat entry (FIFO among equal
-    matchers); having no entries left is `exhausted`, having entries but no
-    match is `unmatched`.
-
-    Keyed calls, the engine's critique and draft prompts, are served in key
-    order within a generation: the call keyed (g, n) waits until the one
-    keyed (g, n-1) has been served, so concurrent slots consume entries,
-    one-shot feedback entries included, as one slot at a time would. The
-    call keyed (g, 0) never waits, and a wait longer than
-    KEYED_WAIT_SECONDS is a `stalled` ProviderError. Unkeyed calls are
-    served in arrival order.
-    """
+    """Deterministic provider whose reply is a function of the call alone:
+    the response of the first entry that matches it, or an `unmatched`
+    ProviderError. Entries are never used up, so a reply depends neither on
+    earlier calls nor on the thread or order a call arrives in."""
 
     def __init__(self, entries: list[ScriptEntry]):
         if not entries:
             raise ValueError("scripted provider needs at least one entry")
-        self._entries = list(entries)
-        self._lock = threading.Condition()
-        self._last_key: tuple[int, int] | None = None
+        self._entries = tuple(entries)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedProvider":
@@ -433,29 +423,8 @@ class ScriptedProvider:
         return cls(entries)
 
     def complete(self, bundle: PromptBundle) -> CompletionResult:
-        key = bundle.key
-        with self._lock:
-            try:
-                if key is not None and key[1] > 0:
-                    previous = (key[0], key[1] - 1)
-                    if not self._lock.wait_for(
-                        lambda: self._last_key == previous, KEYED_WAIT_SECONDS
-                    ):
-                        raise ProviderError("stalled", f"the call keyed {previous} never came")
-                return self._consume(bundle)
-            finally:
-                # a failed call still ends its turn, so later slots go on
-                if key is not None:
-                    self._last_key = key
-                    self._lock.notify_all()
-
-    def _consume(self, bundle: PromptBundle) -> CompletionResult:
-        if not self._entries:
-            raise ProviderError("exhausted", "scripted provider has no responses left")
-        for i, entry in enumerate(self._entries):
+        for entry in self._entries:
             if entry.matches(bundle):
-                if not entry.repeat:
-                    del self._entries[i]
                 return CompletionResult(text=entry.response)
         label = bundle.strategy.value if bundle.strategy else bundle.purpose
         raise ProviderError("unmatched", f"no script entry matches prompt ({label})")

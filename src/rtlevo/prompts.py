@@ -70,9 +70,9 @@ class PromptBundle:
 
     `key` is (generation, n), set by the engine on every call it makes: n
     numbers a generation's calls in slot order, each slot's critiques of
-    the parents it is the first to choose before its draft. Providers that
-    serve calls in a fixed order use it. Prompts built outside the engine
-    carry no key.
+    the parents it is the first to choose before its draft. A scripted
+    provider's `call:G/N` entries match it. Prompts built outside the
+    engine carry no key.
     """
 
     system_text: str

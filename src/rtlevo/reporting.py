@@ -6,6 +6,8 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import re
 from pathlib import Path
 
 from .model import (
@@ -25,6 +27,7 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 3
 # the record fields that hold individuals, in the order they are scanned
 INDIVIDUAL_FIELDS = ("population", "offspring", "best_so_far")
+_GENERATION_INDEX = re.compile(rb'"generation_index": (\d+),')
 
 GENERATIONS_FILE = "generations.jsonl"
 TRANSCRIPTS_FILE = "transcripts.jsonl"
@@ -51,16 +54,19 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
     for later lives in the `critiques` of the generation that asked for it.
     So the file must start with generation 0 and take every record after
     it in order: the reader rejects a reference no earlier line defines.
-    A new file for any other generation is a ValueError, and nothing is
-    written. The keys are the record's dataclass fields, sorted, and no
-    timestamps are included, so identical histories serialize
-    byte-identically.
+    A new file for any other generation, or a record that does not follow
+    the file's last one, is a ValueError, and nothing is written. The keys
+    are the record's dataclass fields, sorted, and no timestamps are
+    included, so identical histories serialize byte-identically.
     """
     new_file = not path.exists()
-    if new_file and record.generation_index != 0:
+    last = -1 if new_file else _last_generation(path)
+    if record.generation_index != last + 1:
         raise ValueError(
             f"a new history must start at generation 0, not {record.generation_index}: "
             "its references would name individuals no line defines"
+            if new_file
+            else f"{path} ends at generation {last}, not {record.generation_index - 1}"
         )
     written: set[int] = set()
 
@@ -84,6 +90,28 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
             fh.write(json.dumps({"schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n")
     with path.open("a", encoding="utf-8") as fh:
         fh.write(json.dumps(line, sort_keys=True) + "\n")
+
+
+def _last_generation(path: Path) -> int:
+    """The generation index of a history's last record, -1 for a header
+    alone; a torn last line is a ValueError. The file is searched a block at
+    a time back from its end for the last `"generation_index": N,`, which
+    is the last record's own: keys are sorted, only a record has that key,
+    and JSON escapes every quote inside a string."""
+    with path.open("rb") as fh:
+        end = pos = fh.seek(0, os.SEEK_END)
+        while pos > 0:
+            start = max(pos - (1 << 16), 0)
+            fh.seek(start)
+            # overlap the block after it, which may hold the rest of a match
+            data = fh.read(pos - start + 32)
+            if pos == end and not data.endswith(b"\n"):
+                raise ValueError(f"the last line of {path} is torn")
+            found = _GENERATION_INDEX.findall(data)
+            if found:
+                return int(found[-1])
+            pos = start
+    return -1
 
 
 def _record(data, individuals: dict[int, Individual]) -> GenerationRecord:

@@ -235,16 +235,16 @@ def _oracle_survivors(parents, offspring, elite_n, pop_size):
 
 def _scripted_world():
     return [
-        ScriptEntry("strategy:initial", render_response("a", "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0")),
-        ScriptEntry("strategy:initial", render_response("b", "module add2; endmodule\n// PPA: power=0.95 area=98 period=1.0")),
-        ScriptEntry("strategy:initial", render_response("bad", "module add2; endmodule\n// BUG"), repeat=True),
-        ScriptEntry("strategy:fix", render_response("patch", "module add2; endmodule\n// PPA: power=0.8 area=90 period=1.0"), repeat=True),
-        ScriptEntry("strategy:simplify", render_response("shrink", "module add2; endmodule\n// PPA: power=0.7 area=80 period=1.0"), repeat=True),
-        ScriptEntry("strategy:explore", render_response("wild", "module add2; endmodule\n// BUG"), repeat=True),
-        ScriptEntry("strategy:refactor", render_response("rewrite", "module add2; endmodule\n// PPA: power=1.2 area=120 period=1.0"), repeat=True),
-        ScriptEntry("strategy:improve", render_response("tune", "module add2; endmodule\n// PPA: power=0.5 area=50 period=1.0"), repeat=True),
-        ScriptEntry("strategy:fusion", render_response("merge", "module add2; endmodule\n// PPA: power=0.4 area=40 period=1.0"), repeat=True),
-        ScriptEntry("purpose:feedback", "fb", repeat=True),
+        ScriptEntry("call:0/0", render_response("a", "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0")),
+        ScriptEntry("call:0/1", render_response("b", "module add2; endmodule\n// PPA: power=0.95 area=98 period=1.0")),
+        ScriptEntry("strategy:initial", render_response("bad", "module add2; endmodule\n// BUG")),
+        ScriptEntry("strategy:fix", render_response("patch", "module add2; endmodule\n// PPA: power=0.8 area=90 period=1.0")),
+        ScriptEntry("strategy:simplify", render_response("shrink", "module add2; endmodule\n// PPA: power=0.7 area=80 period=1.0")),
+        ScriptEntry("strategy:explore", render_response("wild", "module add2; endmodule\n// BUG")),
+        ScriptEntry("strategy:refactor", render_response("rewrite", "module add2; endmodule\n// PPA: power=1.2 area=120 period=1.0")),
+        ScriptEntry("strategy:improve", render_response("tune", "module add2; endmodule\n// PPA: power=0.5 area=50 period=1.0")),
+        ScriptEntry("strategy:fusion", render_response("merge", "module add2; endmodule\n// PPA: power=0.4 area=40 period=1.0")),
+        ScriptEntry("purpose:feedback", "fb"),
     ]
 
 

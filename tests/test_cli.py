@@ -28,37 +28,27 @@ SCRIPT_OK = """\
         assign s = a + b;
       endmodule
       // PPA: power=0.9 area=95 period=1.0
-  repeat: true
 - match: strategy:fix
   response: {thought: patch, code: "module add2; endmodule\\n// PPA: power=0.8 area=90 period=1.0"}
-  repeat: true
 - match: strategy:simplify
   response: {thought: shrink, code: "module add2; endmodule\\n// PPA: power=0.7 area=80 period=1.0"}
-  repeat: true
 - match: strategy:explore
   response: {thought: wild, code: "module add2; endmodule\\n// PPA: power=0.95 area=99 period=1.0"}
-  repeat: true
 - match: strategy:refactor
   response: {thought: rewrite, code: "module add2; endmodule\\n// PPA: power=0.85 area=92 period=1.0"}
-  repeat: true
 - match: strategy:improve
   response: {thought: tune, code: "module add2; endmodule\\n// PPA: power=0.5 area=50 period=1.0"}
-  repeat: true
 - match: strategy:fusion
   response: {thought: merge, code: "module add2; endmodule\\n// PPA: power=0.4 area=40 period=1.0"}
-  repeat: true
 - match: purpose:feedback
   response: consider a carry-save structure
-  repeat: true
 """
 
 SCRIPT_ALL_FAIL = """\
 - match: "purpose:generate"
   response: "## Thought\\nbroken\\n\\n## Code\\n```verilog\\nmodule add2; endmodule // BUG\\n```"
-  repeat: true
 - match: "purpose:feedback"
   response: still broken
-  repeat: true
 """
 
 
@@ -654,7 +644,9 @@ def test_run_aborted_midway_leaves_no_stale_report(tmp_path):
         ("- {response: hi}\n", "entry 0.match is required"),
         ("[]\n", "non-empty list"),
         ("- match: [unclosed\n", "not valid YAML"),
-        ("- {match: 'purpose:feedback', response: hi, repeat: 'no'}\n", "entry 0.repeat"),
+        # a key that scripts named while entries could be used up
+        ("- {match: 'purpose:feedback', response: hi, repeat: 'no'}\n", "entry 0: repeat; allowed"),
+        ("- {match: 'call:x', response: hi}\n", "'call:x' must name a call key"),
     ],
 )
 @pytest.mark.parametrize("command", ["run", "validate-config"])
@@ -663,7 +655,9 @@ def test_bad_script_is_one_error_line(tmp_path, capsys, script, key, command):
     assert main([command, "--config", str(config)]) == EXIT_ABORT
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1, lines
-    assert lines[0].startswith("error: script file ") and key in lines[0]
+    # an unknown key is named after the entry's place, and an entry's own
+    # check names the entry by its matcher
+    assert lines[0].startswith("error: ") and "script " in lines[0] and key in lines[0]
     assert not (tmp_path / "run").exists()
 
 
@@ -731,10 +725,17 @@ DEMO_DIGESTS = {
 }
 
 
-def test_demo_outputs_are_pinned(tmp_path, capsys):
+def _run_demo(out, workers, capsys):
+    """Runs and reports the demo at `workers` through a copy of its config:
+    the sha256 of each output DEMO_DIGESTS pins, and the transcript's lines."""
     demo = Path(__file__).resolve().parents[1] / "demo" / "config.yaml"
-    out = tmp_path / "demo"
-    assert main(["run", "--config", str(demo), "--out", str(out)]) == EXIT_FOUND
+    raw = yaml.safe_load(demo.read_text(encoding="utf-8"))
+    raw["evolution"]["max_parallel_evaluations"] = workers
+    for section, key in (("problem", "description_file"), ("provider", "script_file")):
+        raw[section][key] = str(demo.parent / raw[section][key])
+    config = out.with_suffix(".yaml")
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_FOUND
     capsys.readouterr()
     assert main(["report", str(out)]) == EXIT_FOUND
     got = {
@@ -748,7 +749,21 @@ def test_demo_outputs_are_pinned(tmp_path, capsys):
     assert f"\n  script_file: {script}\n" in snapshot
     masked = snapshot.replace(str(out), "<output_dir>").replace(str(script), "<script_file>")
     got["config_snapshot.yaml"] = hashlib.sha256(masked.encode()).hexdigest()
-    assert got == DEMO_DIGESTS
+    return got, (out / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_demo_outputs_are_pinned(tmp_path, capsys, workers):
+    got, transcript = _run_demo(tmp_path / "demo", workers, capsys)
+    if workers == 1:
+        assert got == DEMO_DIGESTS
+        return
+    # the snapshot records the worker count, and transcript entries are
+    # written as calls complete; everything else is as at 1 worker
+    pinned = ("generations.jsonl", "final_report.json", "report")
+    assert {name: got[name] for name in pinned} == {name: DEMO_DIGESTS[name] for name in pinned}
+    _, sequential = _run_demo(tmp_path / "sequential", 1, capsys)
+    assert sorted(transcript) == sorted(sequential)
 
 
 def test_report_on_an_earlier_schema_is_one_error_line(tmp_path, capsys):

@@ -48,7 +48,7 @@ def write_config(tmp_path, overrides=None, drop=(), script=True):
         del node[leaf]
     if script:
         (tmp_path / "script.yaml").write_text(
-            "- match: strategy:initial\n  response: hi\n  repeat: true\n",
+            "- match: strategy:initial\n  response: hi\n",
             encoding="utf-8",
         )
     path = tmp_path / "config.yaml"

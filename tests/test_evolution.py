@@ -24,7 +24,6 @@ from rtlevo.evolution import (
 )
 from rtlevo.evaluate import SyntheticEvaluator, ToolEnvironmentError
 from rtlevo.fitness import SYNTH_FAIL_FITNESS
-from rtlevo import llm
 from rtlevo.llm import ProviderError, ScriptedProvider, ScriptEntry
 from rtlevo.model import (
     NEG_INF,
@@ -341,19 +340,19 @@ def reply(thought, code, ppa=None, bug=False):
 
 
 def demo_script():
-    """Small closed world: two seeds pass, the rest fail, operators have
-    fixed outcomes so every run is predictable."""
+    """Small closed world: generation 0's first two drafts pass, the rest
+    fail, operators have fixed outcomes so every run is predictable."""
     return [
-        ScriptEntry("strategy:initial", reply("seed a", "module add2; endmodule", (0.9, 95, 1.0))),
-        ScriptEntry("strategy:initial", reply("seed b", "module add2; endmodule", (0.95, 98, 1.0))),
-        ScriptEntry("strategy:initial", reply("seed bad", "module add2; endmodule", bug=True), repeat=True),
-        ScriptEntry("strategy:fix", reply("patch", "module add2; endmodule", (0.8, 90, 1.0)), repeat=True),
-        ScriptEntry("strategy:simplify", reply("shrink", "module add2; endmodule", (0.7, 80, 1.0)), repeat=True),
-        ScriptEntry("strategy:explore", reply("wild", "module add2; endmodule", bug=True), repeat=True),
-        ScriptEntry("strategy:refactor", reply("rewrite", "module add2; endmodule", (1.2, 120, 1.0)), repeat=True),
-        ScriptEntry("strategy:improve", reply("tune", "module add2; endmodule", (0.5, 50, 1.0)), repeat=True),
-        ScriptEntry("strategy:fusion", reply("merge", "module add2; endmodule", (0.4, 40, 1.0)), repeat=True),
-        ScriptEntry("purpose:feedback", "fb", repeat=True),
+        ScriptEntry("call:0/0", reply("seed a", "module add2; endmodule", (0.9, 95, 1.0))),
+        ScriptEntry("call:0/1", reply("seed b", "module add2; endmodule", (0.95, 98, 1.0))),
+        ScriptEntry("strategy:initial", reply("seed bad", "module add2; endmodule", bug=True)),
+        ScriptEntry("strategy:fix", reply("patch", "module add2; endmodule", (0.8, 90, 1.0))),
+        ScriptEntry("strategy:simplify", reply("shrink", "module add2; endmodule", (0.7, 80, 1.0))),
+        ScriptEntry("strategy:explore", reply("wild", "module add2; endmodule", bug=True)),
+        ScriptEntry("strategy:refactor", reply("rewrite", "module add2; endmodule", (1.2, 120, 1.0))),
+        ScriptEntry("strategy:improve", reply("tune", "module add2; endmodule", (0.5, 50, 1.0))),
+        ScriptEntry("strategy:fusion", reply("merge", "module add2; endmodule", (0.4, 40, 1.0))),
+        ScriptEntry("purpose:feedback", "fb"),
     ]
 
 
@@ -464,12 +463,12 @@ def test_different_seed_changes_history():
 def test_all_fail_world_stays_honest():
     broken = reply("x", "module m; endmodule", bug=True)
     script = [
-        ScriptEntry("strategy:initial", broken, repeat=True),
+        ScriptEntry("strategy:initial", broken),
         ScriptEntry("purpose:", "never matched"),
     ]
     for name in ("fix", "simplify", "explore", "refactor", "improve", "fusion"):
-        script.append(ScriptEntry(f"strategy:{name}", broken, repeat=True))
-    script.append(ScriptEntry("purpose:feedback", "fb", repeat=True))
+        script.append(ScriptEntry(f"strategy:{name}", broken))
+    script.append(ScriptEntry("purpose:feedback", "fb"))
     provider = ScriptedProvider(script)
     result = EvolutionEngine(SPEC, demo_cfg(), provider, SyntheticEvaluator()).run()
     assert result.found_correct is False
@@ -494,7 +493,7 @@ def test_parse_failure_becomes_placeholder_without_evaluation():
             return self.inner.reference_ppa(code, spec)
 
     provider = ScriptedProvider(
-        [ScriptEntry("strategy:initial", "no fence anywhere in this text", repeat=True)]
+        [ScriptEntry("strategy:initial", "no fence anywhere in this text")]
     )
     evaluator = CountingEvaluator()
     engine = EvolutionEngine(SPEC, demo_cfg(), provider, evaluator)
@@ -576,8 +575,8 @@ def test_parallel_evaluation_matches_sequential():
         ).run()
         return json.dumps([to_plain(r) for r in result.history], sort_keys=True)
 
-    # slots draft concurrently; the scripted provider serves the keyed draft
-    # calls in slot order, so workers consume entries as one worker would
+    # slots draft concurrently; a scripted reply is a function of its call,
+    # so the order the calls arrive in does not matter
     assert run_with(1) == run_with(3)
 
 
@@ -649,8 +648,8 @@ class OverlapCounter:
 
 def test_failed_slot_aborts_concurrent_generation():
     script = [
-        ScriptEntry("strategy:initial", reply("seed a", "module add2; endmodule", (0.9, 95, 1.0))),
-        ScriptEntry("purpose:feedback", "fb", repeat=True),
+        ScriptEntry("call:0/0", reply("seed a", "module add2; endmodule", (0.9, 95, 1.0))),
+        ScriptEntry("purpose:feedback", "fb"),
     ]
     engine = EvolutionEngine(
         SPEC, demo_cfg(max_parallel_evaluations=3), ScriptedProvider(script), SyntheticEvaluator()
@@ -691,8 +690,7 @@ class FailingFirstCritique:
             raise
 
 
-def test_keyed_call_whose_predecessor_never_comes_stalls(monkeypatch):
-    monkeypatch.setattr(llm, "KEYED_WAIT_SECONDS", 1.0)
+def test_keyed_call_whose_predecessor_never_comes_does_not_wait():
     provider = FailingFirstCritique(ScriptedProvider(demo_script()))
     engine = EvolutionEngine(
         SPEC, demo_cfg(max_parallel_evaluations=2), provider, SyntheticEvaluator()
@@ -705,13 +703,14 @@ def test_keyed_call_whose_predecessor_never_comes_stalls(monkeypatch):
         except RuntimeError as exc:
             errors.append(str(exc))
 
-    # slot 1 waits for slot 0's draft, which never comes
+    # slot 0's draft never comes; slot 1's calls, on the other lane, are
+    # served without waiting for it
     runner = threading.Thread(target=run, daemon=True)
     runner.start()
-    runner.join(timeout=10)
+    runner.join(timeout=5)
     assert not runner.is_alive()
     assert errors == ["critique failed"]
-    assert provider.script_errors == ["stalled"]
+    assert provider.script_errors == []
 
 
 class FullDisk:
@@ -949,11 +948,19 @@ def test_failed_evaluation_aborts_after_every_stage_has_finished():
 # --- critiques on demand ----------------------------------------------------
 
 
-def one_shot_feedback_script(count=40):
-    """demo_script with its `repeat` feedback entry replaced by `count`
-    one-shot entries, so each critique consumes a distinct reply."""
+# the keys of a demo_cfg() run's critique calls, in key order
+CRITIQUE_KEYS = ((1, 0), (1, 2), (1, 4), (1, 6), (2, 0), (2, 3), (3, 0), (3, 4))
+
+
+def per_critique_script():
+    """demo_script with its feedback entry replaced by one `call:G/N` entry
+    per critique of a demo_cfg() run, so each critique gets a distinct
+    reply; a feedback bundle never matches a `strategy:` entry, so these
+    entries, placed after them, catch only critiques."""
     script = [e for e in demo_script() if e.match != "purpose:feedback"]
-    return script + [ScriptEntry("purpose:feedback", f"critique {n}") for n in range(count)]
+    return script + [
+        ScriptEntry(f"call:{g}/{n}", f"critique {i}") for i, (g, n) in enumerate(CRITIQUE_KEYS)
+    ]
 
 
 @pytest.mark.parametrize("jitter_seed", range(3))
@@ -961,7 +968,7 @@ def test_one_shot_feedback_entries_replay_at_any_worker_count(tmp_path, jitter_s
     def run_with(workers):
         path = tmp_path / f"generations-{workers}.jsonl"
         provider = JitteredProvider(
-            ScriptedProvider(one_shot_feedback_script()), f"{jitter_seed}/{workers}"
+            ScriptedProvider(per_critique_script()), f"{jitter_seed}/{workers}"
         )
         engine = EvolutionEngine(
             SPEC,
@@ -970,7 +977,7 @@ def test_one_shot_feedback_entries_replay_at_any_worker_count(tmp_path, jitter_s
             SyntheticEvaluator(),
             record_sink=lambda record: append_generation(path, record),
         )
-        # a slot left waiting on a critique or a key would hang the run
+        # a slot left waiting on a critique would hang the run
         runner = threading.Thread(target=engine.run, daemon=True)
         runner.start()
         runner.join(timeout=60)
@@ -1002,7 +1009,7 @@ class CallLog:
 
 
 def test_critique_only_for_parents_and_carried_into_child_prompt():
-    provider = CallLog(ScriptedProvider(one_shot_feedback_script()))
+    provider = CallLog(ScriptedProvider(per_critique_script()))
     result = EvolutionEngine(SPEC, demo_cfg(), provider, SyntheticEvaluator()).run()
     critiques = [b for b in provider.bundles if b.purpose == "feedback"]
     history = result.history
@@ -1051,17 +1058,15 @@ def test_calls_of_a_generation_are_keyed_in_slot_order():
 
 def test_failed_critique_call_falls_back_to_outcome_summary():
     class FeedbackDown:
-        """Fails every feedback call after the scripted provider has
-        served it, so the keyed calls after it still get their turn."""
+        """Fails every feedback call."""
 
         def __init__(self, inner):
             self.inner = inner
 
         def complete(self, bundle):
-            result = self.inner.complete(bundle)
             if bundle.purpose == "feedback":
                 raise ProviderError("transient", "endpoint is down")
-            return result
+            return self.inner.complete(bundle)
 
     provider = CallLog(FeedbackDown(ScriptedProvider(demo_script())))
     result = EvolutionEngine(SPEC, demo_cfg(), provider, SyntheticEvaluator()).run()
@@ -1087,9 +1092,9 @@ def test_fix_reply_repeating_a_placeholder_becomes_a_placeholder():
 
     # generation 0 is all placeholders; every operator then hands the
     # placeholder parent's own code back
-    script = [ScriptEntry("strategy:initial", "no fence here", repeat=True)]
+    script = [ScriptEntry("strategy:initial", "no fence here")]
     script += [
-        ScriptEntry(f"strategy:{s.value}", render_response("same", PLACEHOLDER_CODE), repeat=True)
+        ScriptEntry(f"strategy:{s.value}", render_response("same", PLACEHOLDER_CODE))
         for s in PromptStrategy
     ]
     provider = CallLog(ScriptedProvider(script))

@@ -82,10 +82,8 @@ def test_scripted_strategy_matcher_initial_vs_operator():
         bundle(strategy=PromptStrategy.FIX, parents=(3,))
     )
     assert fixed.text == "fixed"
-    # both one-shot entries were consumed
-    with pytest.raises(ProviderError) as err:
-        provider.complete(bundle())
-    assert err.value.kind == "exhausted"
+    # entries are not used up
+    assert provider.complete(bundle()).text == "first"
 
 
 def test_scripted_strategy_matcher_ignores_feedback_purpose():
@@ -94,12 +92,8 @@ def test_scripted_strategy_matcher_ignores_feedback_purpose():
     )
     # A feedback bundle has no strategy, but "strategy:initial" must not
     # swallow it; the purpose matcher should.
-    out = provider.complete(bundle(purpose="feedback"))
-    assert out.text == "fb"
-    # only the feedback entry was consumed; the initial one is still served
-    with pytest.raises(ProviderError) as err:
-        provider.complete(bundle(purpose="feedback"))
-    assert err.value.kind == "unmatched"
+    assert provider.complete(bundle(purpose="feedback")).text == "fb"
+    assert provider.complete(bundle(purpose="feedback")).text == "fb"
     assert provider.complete(bundle()).text == "gen"
 
 
@@ -111,85 +105,44 @@ def test_scripted_substring_matcher():
     assert provider.complete(bundle(user="a ripple carry adder")).text == "match-a"
 
 
-def test_scripted_fifo_consume_once():
-    provider = ScriptedProvider(
-        [ScriptEntry("strategy:initial", "one"), ScriptEntry("strategy:initial", "two")]
-    )
-    assert provider.complete(bundle()).text == "one"
-    assert provider.complete(bundle()).text == "two"
-    with pytest.raises(ProviderError) as err:
-        provider.complete(bundle())
-    assert err.value.kind == "exhausted"
-
-
-def test_scripted_repeat_entry_not_consumed():
-    # a consumed entry would hand the next call to the one-shot entry behind it
-    provider = ScriptedProvider(
-        [
-            ScriptEntry("strategy:initial", "again", repeat=True),
-            ScriptEntry("strategy:initial", "never"),
-        ]
-    )
-    for _ in range(5):
-        assert provider.complete(bundle()).text == "again"
-
-
 def test_scripted_unmatched_vs_exhausted():
     provider = ScriptedProvider([ScriptEntry("strategy:fix", "x")])
     with pytest.raises(ProviderError) as err:
         provider.complete(bundle())  # entries exist, none match
     assert err.value.kind == "unmatched"
-    provider.complete(bundle(strategy=PromptStrategy.FIX, parents=(1,)))
-    with pytest.raises(ProviderError) as err:
-        provider.complete(bundle())
-    assert err.value.kind == "exhausted"
+    # a served entry is never exhausted
+    for _ in range(3):
+        assert provider.complete(bundle(strategy=PromptStrategy.FIX, parents=(1,))).text == "x"
 
 
 def keyed(slot, generation=0, **kwargs):
     return dataclasses.replace(bundle(**kwargs), key=(generation, slot))
 
 
-def test_scripted_keyed_drafts_are_served_in_slot_order():
+def test_scripted_call_matcher_matches_the_call_key():
     provider = ScriptedProvider(
-        [ScriptEntry("strategy:initial", f"reply {i}") for i in range(4)]
+        [
+            ScriptEntry("call:0/1", "second call"),
+            ScriptEntry(" CALL: 2/0 ", "generation 2"),
+            ScriptEntry("strategy:initial", "any draft"),
+            ScriptEntry("call:0/2", "shadowed by the entry above"),
+        ]
     )
-    got = {}
-
-    def call(slot):
-        got[slot] = provider.complete(keyed(slot)).text
-
-    late = [threading.Thread(target=call, args=(slot,)) for slot in (2, 1)]
-    for thread in late:
-        thread.start()
-        thread.join(timeout=0.1)
-        assert thread.is_alive()  # waits for its predecessor slot
-    call(0)
-    for thread in late:
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-    assert got == {0: "reply 0", 1: "reply 1", 2: "reply 2"}
-    # the next generation starts again at slot 0
-    assert provider.complete(keyed(0, generation=1)).text == "reply 3"
+    assert provider.complete(keyed(1)).text == "second call"
+    assert provider.complete(keyed(1, purpose="feedback")).text == "second call"
+    assert provider.complete(keyed(0, generation=2)).text == "generation 2"
+    # first match wins; an unkeyed call matches no call: entry
+    for call in (keyed(0), keyed(1, generation=1), keyed(2), bundle()):
+        assert provider.complete(call).text == "any draft"
+    with pytest.raises(ProviderError) as err:
+        provider.complete(keyed(3, purpose="feedback"))
+    assert err.value.kind == "unmatched"
 
 
-def test_scripted_failed_keyed_call_still_ends_its_turn():
-    provider = ScriptedProvider([ScriptEntry("strategy:initial", "only")])
-    assert provider.complete(keyed(0)).text == "only"
-    with pytest.raises(ProviderError):
-        provider.complete(keyed(1))
-    errors = []
-
-    def follow():
-        try:
-            provider.complete(keyed(2))
-        except ProviderError as exc:
-            errors.append(exc.kind)
-
-    follower = threading.Thread(target=follow)
-    follower.start()
-    follower.join(timeout=5)
-    assert not follower.is_alive()
-    assert errors == ["exhausted"]
+@pytest.mark.parametrize("match", ["call:x", "call:1", "call:-1/0", "call:0/-1", "call:1/2/3", "call:"])
+def test_scripted_call_matcher_must_name_a_key(match):
+    with pytest.raises(ValueError, match="must name a call key"):
+        ScriptEntry(match, "never served")
 
 
 def test_scripted_from_file_renders_dict_responses(tmp_path):
@@ -200,8 +153,7 @@ def test_scripted_from_file_renders_dict_responses(tmp_path):
         "    thought: keep it small\n"
         "    code: module t; endmodule\n"
         "- match: purpose:feedback\n"
-        "  response: plain text feedback\n"
-        "  repeat: true\n",
+        "  response: plain text feedback\n",
         encoding="utf-8",
     )
     provider = ScriptedProvider.from_file(script)
@@ -291,7 +243,10 @@ class _FakeEndpoint:
                 outer.dropped.release()
 
         self.server = Server(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # shutdown() waits out one poll of serve_forever, 0.5 s by default
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self.thread.start()
 
     @property
@@ -624,13 +579,13 @@ def test_transcripting_provider_mirrors_success_and_failure(tmp_path):
     provider = TranscriptingProvider(inner, writer)
     assert provider.complete(bundle()).text == "resp"
     with pytest.raises(ProviderError):
-        provider.complete(bundle())
+        provider.complete(bundle(purpose="feedback"))
     lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
     assert len(lines) == 2
     assert lines[0]["response"] == "resp"
     assert lines[0]["strategy"] is None
     assert lines[1]["response"] is None
-    assert "exhausted" in lines[1]["error"] or "no responses" in lines[1]["error"]
+    assert lines[1]["error"] == "no script entry matches prompt (feedback)"
     assert lines[1]["attempt_count"] == 1
 
 
@@ -688,23 +643,19 @@ def test_http_writes_one_transcript_entry_per_call(
 def test_parallel_scripted_calls_thread_safe():
     n = 40
     provider = ScriptedProvider(
-        [ScriptEntry("strategy:initial", f"resp-{i}") for i in range(n)]
+        [ScriptEntry(f"call:0/{i}", f"resp-{i}") for i in range(n)]
     )
-    seen = []
+    seen = {}
     lock = threading.Lock()
 
-    def worker():
-        result = provider.complete(bundle())
+    def worker(i):
+        result = provider.complete(keyed(i))
         with lock:
-            seen.append(result.text)
+            seen[i] = result.text
 
-    threads = [threading.Thread(target=worker) for _ in range(n)]
+    threads = [threading.Thread(target=worker, args=(i,)) for i in reversed(range(n))]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert sorted(seen) == sorted(f"resp-{i}" for i in range(n))
-    # every entry was served exactly once
-    with pytest.raises(ProviderError) as err:
-        provider.complete(bundle())
-    assert err.value.kind == "exhausted"
+    assert seen == {i: f"resp-{i}" for i in range(n)}

@@ -1,8 +1,9 @@
 """Property tests of the search's invariants over generated inputs:
 offspring quotas, parent selection, survivor selection, bandit rewards,
 bandit scores frozen within a generation, the rules for on-demand
-critiques, the found-correct verdict, the history read back as written,
-the clipping of stored logs and the config snapshot's round trip."""
+critiques, the found-correct verdict, scripted replies that do not
+depend on call order, the history read back as written, the clipping of
+stored logs and the config snapshot's round trip."""
 from __future__ import annotations
 
 import dataclasses
@@ -44,9 +45,16 @@ from rtlevo.evolution import (
     survivor_select,
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights
-from rtlevo.llm import CompletionResult, ProviderConfig, ScriptConfig
+from rtlevo.llm import (
+    CompletionResult,
+    ProviderConfig,
+    ProviderError,
+    ScriptConfig,
+    ScriptedProvider,
+    ScriptEntry,
+)
 from rtlevo.model import CircuitKind, EvalOutcome, PpaMetrics, ProblemSpec, to_plain
-from rtlevo.prompts import PromptStrategy
+from rtlevo.prompts import PromptBundle, PromptStrategy
 from rtlevo.reporting import GENERATIONS_FILE, append_generation, read_generations
 
 from test_acceptance import SPEC, StochasticWorld, _fail, _oracle_survivors, _success
@@ -329,6 +337,77 @@ def test_found_correct_means_some_individual_passed(
     created = list(result.history[0].population)
     created += [ind for record in result.history[1:] for ind in record.offspring]
     assert result.found_correct == any(ind.outcome.sim_passed for ind in created)
+
+
+_CALL_KEYS = st.tuples(st.integers(0, 2), st.integers(0, 4))
+_TOPICS = ["an adder", "a counter", "a carry chain"]
+
+
+@st.composite
+def _script_entries(draw):
+    matcher = st.one_of(
+        _CALL_KEYS.map(lambda key: f"call:{key[0]}/{key[1]}"),
+        st.sampled_from(["initial", *(s.value for s in PromptStrategy)]).map("strategy:{}".format),
+        st.sampled_from(["generate", "feedback"]).map("purpose:{}".format),
+        st.sampled_from([topic.split()[-1] for topic in _TOPICS]),
+    )
+    matches = draw(st.lists(matcher, min_size=1, max_size=8))
+    return [ScriptEntry(match, f"reply {i}") for i, match in enumerate(matches)]
+
+
+@st.composite
+def _bundles(draw):
+    strategy = None
+    if draw(st.booleans()):
+        purpose = "generate"
+        strategy = draw(st.none() | st.sampled_from(list(PromptStrategy)))
+    else:
+        purpose = "feedback"
+    return PromptBundle(
+        system_text="you are an engineer",
+        user_text=f"design {draw(st.sampled_from(_TOPICS))}",
+        strategy=strategy,
+        parent_ids=tuple(range(strategy.arity if strategy else 0)),
+        purpose=purpose,
+        key=draw(st.none() | _CALL_KEYS),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    entries=_script_entries(),
+    bundles=st.lists(_bundles(), min_size=1, max_size=12),
+    order=st.randoms(use_true_random=False),
+)
+# an entry that one call could use up would give the second pass another reply
+@example(
+    entries=[ScriptEntry("purpose:generate", "reply 0"), ScriptEntry("adder", "reply 1")],
+    bundles=[PromptBundle("you are an engineer", "design an adder")],
+    order=random.Random(0),
+)
+def test_scripted_replies_do_not_depend_on_call_order(entries, bundles, order):
+    provider = ScriptedProvider(entries)
+
+    def reply(bundle):
+        try:
+            return provider.complete(bundle).text
+        except ProviderError as exc:
+            return exc.kind
+
+    in_order = [reply(bundle) for bundle in bundles]
+    # the same provider again, each call on its own thread, started shuffled
+    got = [None] * len(bundles)
+
+    def call(i):
+        got[i] = reply(bundles[i])
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(bundles))]
+    order.shuffle(threads)
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=5)
+    assert got == in_order
 
 
 @settings(max_examples=20, deadline=None)

@@ -296,6 +296,45 @@ def test_record_line_is_pinned(tmp_path):
     assert back[1].offspring[0] is back[1].population[1] is back[1].best_so_far
 
 
+def test_append_out_of_order_raises_and_writes_nothing(tmp_path):
+    path = tmp_path / GENERATIONS_FILE
+    append_generation(path, generation_zero())
+    record = full_record()
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="ends at generation 0, not 1"):
+        append_generation(path, dataclasses.replace(record, generation_index=2))
+    assert path.read_bytes() == before
+    # a last line longer than one read block
+    child = record.offspring[0]
+    child = dataclasses.replace(
+        child, outcome=dataclasses.replace(child.outcome, sim_log="x" * 200_000)
+    )
+    append_generation(path, dataclasses.replace(record, offspring=(child,), best_so_far=child))
+    before = path.read_bytes()
+    for index in (1, 3):
+        with pytest.raises(ValueError, match=f"ends at generation 1, not {index - 1}"):
+            append_generation(path, dataclasses.replace(record, generation_index=index))
+    assert path.read_bytes() == before
+    # a write killed part-way: the next line would be glued onto it
+    torn = before + b'{"bandit_states": {}, "best_so_far": null, "generation_index": 2'
+    path.write_bytes(torn)
+    with pytest.raises(ValueError, match="is torn"):
+        append_generation(path, dataclasses.replace(record, generation_index=2))
+    assert path.read_bytes() == torn
+
+
+def test_append_finds_the_last_index_across_a_read_block_boundary(tmp_path):
+    path = tmp_path / GENERATIONS_FILE
+    record = dataclasses.replace(full_record(), generation_index=9)
+    # the history is read back in 64 KiB blocks; these pads move the index
+    # across the first block's start, a byte at a time
+    for pad in range((1 << 16) - 60, (1 << 16) + 5):
+        line = f'{{"generation_index": 12345, "offspring": "{"x" * pad}"}}\n'
+        path.write_text('{"schema_version": 3}\n' + line, encoding="utf-8")
+        with pytest.raises(ValueError, match="ends at generation 12345, not 8"):
+            append_generation(path, record)
+
+
 def _v3_history(tmp_path, edit=None, tail=""):
     """generation_zero() and full_record() written as schema 3, the second
     line edited by `edit`, then `tail` appended as it is."""
