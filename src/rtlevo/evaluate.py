@@ -41,7 +41,8 @@ logger = logging.getLogger(__name__)
 
 FEEDBACK_LOG_TAIL_CHARS = 4000
 # A stored sim or synth log longer than LOG_CLIP_CHARS keeps its first
-# LOG_HEAD_CHARS characters, one cut marker line and the tail that feedback
+# LOG_HEAD_CHARS characters, one cut marker line and, for the one log a
+# critique of its outcome quotes (`_critiqued_log`), the tail that feedback
 # reads; a clipped log is never longer than LOG_CLIP_CHARS.
 LOG_HEAD_CHARS = 1000
 LOG_CLIP_CHARS = LOG_HEAD_CHARS + 100 + FEEDBACK_LOG_TAIL_CHARS
@@ -464,18 +465,30 @@ class SyntheticEvaluator:
         return ppa
 
 
-def clip_log(log: str) -> str:
+def clip_log(log: str, tail_chars: int = FEEDBACK_LOG_TAIL_CHARS) -> str:
     """`log` as an outcome stores it: whole when it holds at most
     LOG_CLIP_CHARS characters; otherwise stripped, and cut to its first
-    LOG_HEAD_CHARS characters, a marker line and its last
-    FEEDBACK_LOG_TAIL_CHARS characters, which is all `_log_tail` reads."""
+    LOG_HEAD_CHARS characters, a marker line and its last `tail_chars`
+    (at most FEEDBACK_LOG_TAIL_CHARS) characters, which is all `_log_tail`
+    reads of it."""
     if len(log) <= LOG_CLIP_CHARS:
         return log
     text = log.strip()
     if len(text) <= LOG_CLIP_CHARS:
         return text
-    cut = len(text) - LOG_HEAD_CHARS - FEEDBACK_LOG_TAIL_CHARS
-    return text[:LOG_HEAD_CHARS] + _cut_marker(cut, "characters") + text[-FEEDBACK_LOG_TAIL_CHARS:]
+    cut = len(text) - LOG_HEAD_CHARS - tail_chars
+    return text[:LOG_HEAD_CHARS] + _cut_marker(cut, "characters") + text[len(text) - tail_chars:]
+
+
+def _critiqued_log(outcome: EvalOutcome) -> str | None:
+    """The name of the one log a critique of `outcome` quotes: a failed
+    simulation's sim log, or the synth log of a pass without PPA. A pass
+    with PPA is critiqued from its numbers alone, so None."""
+    if not outcome.sim_passed:
+        return "sim_log"
+    if outcome.ppa is None:
+        return "synth_log"
+    return None
 
 
 def _log_tail(log: str, tail_chars: int) -> str:
@@ -488,9 +501,10 @@ def _log_tail(log: str, tail_chars: int) -> str:
 def _fallback_feedback(ind: Individual, spec: ProblemSpec) -> str:
     outcome = ind.outcome
     assert outcome is not None
-    if not outcome.sim_passed:
+    quoted = _critiqued_log(outcome)
+    if quoted == "sim_log":
         return "Simulation failed. Log tail:\n" + _log_tail(outcome.sim_log, 500)
-    if outcome.ppa is None:
+    if quoted == "synth_log":
         return "Simulation passed but synthesis produced no usable PPA report."
     gen, ref = outcome.ppa, spec.reference_ppa
     return (
@@ -504,7 +518,8 @@ def _fallback_feedback(ind: Individual, spec: ProblemSpec) -> str:
 def _feedback_prompt(ind: Individual, spec: ProblemSpec) -> str:
     outcome = ind.outcome
     assert outcome is not None
-    if not outcome.sim_passed:
+    quoted = _critiqued_log(outcome)
+    if quoted == "sim_log":
         return (
             "A Verilog design failed its testbench. Analyze the error log and "
             "write concise bug-fixing feedback (what is wrong and how to fix it).\n\n"
@@ -513,7 +528,7 @@ def _feedback_prompt(ind: Individual, spec: ProblemSpec) -> str:
             f"Simulation log (tail):\n{_log_tail(outcome.sim_log, FEEDBACK_LOG_TAIL_CHARS)}\n"
         )
     ref = spec.reference_ppa
-    if outcome.ppa is None:
+    if quoted == "synth_log":
         ppa_lines = "synthesis produced no usable PPA report\n" + _log_tail(
             outcome.synth_log, FEEDBACK_LOG_TAIL_CHARS
         )
@@ -575,11 +590,16 @@ def evaluate(
     weights: FitnessWeights,
 ) -> Individual:
     """Runs the tools on one individual and returns it with outcome and
-    fitness filled in, its logs clipped (`clip_log`). Its feedback stays
-    unset: the engine asks for a critique only when the individual is first
-    chosen as a parent."""
+    fitness filled in, its logs clipped (`clip_log`): only the log a
+    critique quotes keeps its tail. Its feedback stays unset: the engine
+    asks for a critique only when the individual is first chosen as a
+    parent."""
     outcome = evaluator.outcome_for(ind.code, spec, ind.id)
-    sim_log, synth_log = clip_log(outcome.sim_log), clip_log(outcome.synth_log)
+    quoted = _critiqued_log(outcome)
+    sim_log, synth_log = (
+        clip_log(getattr(outcome, name), FEEDBACK_LOG_TAIL_CHARS if name == quoted else 0)
+        for name in ("sim_log", "synth_log")
+    )
     if (sim_log, synth_log) != (outcome.sim_log, outcome.synth_log):
         outcome = dataclasses.replace(outcome, sim_log=sim_log, synth_log=synth_log)
     fitness = fitness_of(outcome, spec.reference_ppa, weights)

@@ -64,7 +64,7 @@ class ProviderConfig:
 
     def __post_init__(self) -> None:
         if not self.endpoint_url:
-            raise ValueError("provider.endpoint_url is required for kind: http")
+            raise ConfigError("provider.endpoint_url is required for kind: http")
         try:
             url = urllib.parse.urlsplit(self.endpoint_url)
             url.port  # a port that is not a number in range raises ValueError
@@ -77,18 +77,18 @@ class ProviderConfig:
             or not url.hostname
             or not re.fullmatch(r"[!-~]+", self.endpoint_url)
         ):
-            raise ValueError(
+            raise ConfigError(
                 "provider.endpoint_url must be an http or https URL with a host, "
                 f"in ASCII without spaces, got {self.endpoint_url!r}"
             )
         if self.temperature < 0:
-            raise ValueError(f"provider.temperature must be >= 0, got {self.temperature!r}")
+            raise ConfigError(f"provider.temperature must be >= 0, got {self.temperature!r}")
         if not 0 < self.top_p <= 1:
-            raise ValueError(f"provider.top_p must be in (0, 1], got {self.top_p!r}")
+            raise ConfigError(f"provider.top_p must be in (0, 1], got {self.top_p!r}")
         if self.max_retries < 0:
-            raise ValueError(f"provider.max_retries must be >= 0, got {self.max_retries!r}")
+            raise ConfigError(f"provider.max_retries must be >= 0, got {self.max_retries!r}")
         if self.max_parallel_requests < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"provider.max_parallel_requests must be >= 1, got {self.max_parallel_requests!r}"
             )
 
@@ -101,9 +101,9 @@ class ScriptConfig:
 
     def __post_init__(self) -> None:
         if not self.script_file:
-            raise ValueError("provider.script_file is required")
+            raise ConfigError("provider.script_file is required")
         if not Path(self.script_file).is_file():
-            raise ValueError(f"provider.script_file: file not found: {self.script_file}")
+            raise ConfigError(f"provider.script_file: file not found: {self.script_file}")
 
 
 @dataclass(frozen=True)
@@ -379,7 +379,7 @@ class ScriptEntry:
     def __post_init__(self) -> None:
         kind, _, value = self.match.strip().lower().partition(":")
         if kind == "call" and not re.fullmatch(r"\s*\d+/\d+", value):
-            raise ValueError(f"script entry {self.match!r} must name a call key as call:G/N")
+            raise ValueError(f"match {self.match!r} must name a call key as call:G/N")
 
     def matches(self, bundle: PromptBundle) -> bool:
         matcher = self.match.strip()

@@ -290,7 +290,10 @@ def build(cls, data, where: str = "", **resolved):
     strings strictly. Null means the field's default, or None for a
     required field whose type admits it. `resolved` gives fields the
     caller has already worked out. Every error, the dataclass's own checks
-    included, is a ConfigError; `where` prefixes the key path it names.
+    included, is a ConfigError; `where` prefixes the key path it names. A
+    check that raises ConfigError names its own path, as a config section's
+    do; any other ValueError is prefixed with `where`, so the check of a
+    list entry names the entry.
     """
     require_map(data, where or "record")
     table = _table(cls)
@@ -309,8 +312,10 @@ def build(cls, data, where: str = "", **resolved):
             kwargs[name] = None
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def read_yaml(path: str | Path, what: str):

@@ -655,9 +655,11 @@ def test_bad_script_is_one_error_line(tmp_path, capsys, script, key, command):
     assert main([command, "--config", str(config)]) == EXIT_ABORT
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1, lines
-    # an unknown key is named after the entry's place, and an entry's own
-    # check names the entry by its matcher
-    assert lines[0].startswith("error: ") and "script " in lines[0] and key in lines[0]
+    # the line names the script file, and the entry when one entry is at fault
+    where = f"script file {tmp_path / 'script.yaml'}"
+    if key not in ("non-empty list", "not valid YAML"):
+        where += ", entry 0"
+    assert lines[0].startswith("error: ") and where in lines[0] and key in lines[0], lines[0]
     assert not (tmp_path / "run").exists()
 
 

@@ -2,6 +2,7 @@
 feedback generation."""
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -650,13 +651,30 @@ def test_evaluate_keeps_short_logs_and_clips_long_ones():
 
     sim_log = "  compiling\n" + "cycle ok\n" * 3000 + "FAIL: 1+1 != 2\n\n"
     synth_log = "Chip area: 80\n" * 1000
-    outcome = EvalOutcome(True, False, None, sim_log=sim_log, synth_log=synth_log)
-    done = evaluate(ind, SPEC, FixedOutcome(outcome), WEIGHTS).outcome
-    for raw, kept in ((sim_log, done.sim_log), (synth_log, done.synth_log)):
-        text = raw.strip()
-        assert kept == text[:1000] + f"\n[... {len(text) - 5000} characters cut ...]\n" + text[-4000:]
-        assert len(kept) <= LOG_CLIP_CHARS
-    assert (done.sim_passed, done.synth_succeeded, done.ppa) == (True, False, None)
+    sim_text, synth_text = sim_log.strip(), synth_log.strip()
+    # a long log keeps its head, a marker and the tail a critique quotes
+    sim_tail = sim_text[:1000] + f"\n[... {len(sim_text) - 5000} characters cut ...]\n" + sim_text[-4000:]
+    synth_tail = (
+        synth_text[:1000] + f"\n[... {len(synth_text) - 5000} characters cut ...]\n" + synth_text[-4000:]
+    )
+    # and a long log that no critique of its outcome quotes keeps no tail
+    sim_head = sim_text[:1000] + f"\n[... {len(sim_text) - 1000} characters cut ...]\n"
+    synth_head = synth_text[:1000] + f"\n[... {len(synth_text) - 1000} characters cut ...]\n"
+    ppa = PpaMetrics(power=0.8, area=80.0, effective_clock_period=1.0)
+    cases = [
+        # a failed simulation: its critique quotes the sim log
+        (EvalOutcome(False, False, None, sim_log=sim_log, synth_log=synth_log), sim_tail, synth_head),
+        # a pass without PPA: its critique quotes the synth log
+        (EvalOutcome(True, False, None, sim_log=sim_log, synth_log=synth_log), sim_head, synth_tail),
+        (EvalOutcome(True, True, None, sim_log=sim_log, synth_log=synth_log), sim_head, synth_tail),
+        # a pass with PPA: its critique quotes neither
+        (EvalOutcome(True, True, ppa, sim_log=sim_log, synth_log=synth_log), sim_head, synth_head),
+    ]
+    for outcome, sim_kept, synth_kept in cases:
+        done = evaluate(ind, SPEC, FixedOutcome(outcome), WEIGHTS).outcome
+        assert (done.sim_log, done.synth_log) == (sim_kept, synth_kept)
+        assert max(len(done.sim_log), len(done.synth_log)) <= LOG_CLIP_CHARS
+        assert dataclasses.replace(done, sim_log=sim_log, synth_log=synth_log) == outcome
 
 
 def test_critique_fills_feedback_with_keyed_call():

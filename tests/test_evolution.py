@@ -1,6 +1,7 @@
 """Population mechanics and the generation loop."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import sys
@@ -37,7 +38,7 @@ from rtlevo.model import (
     to_plain,
 )
 from rtlevo.prompts import FAIL_STRATEGIES, SUCCESS_STRATEGIES, PromptStrategy, render_response
-from rtlevo.reporting import append_generation
+from rtlevo.reporting import GENERATIONS_FILE, append_generation, read_generations
 
 REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
 
@@ -887,6 +888,50 @@ def test_pipelined_slots_replay_sequential_history_under_evaluation_jitter(
         assert run_with(1) == run_with(4)
     finally:
         sys.setswitchinterval(interval)
+
+
+class PaddedLogs:
+    """SyntheticEvaluator verdicts with each log padded to about 12 KB, as a
+    real simulator's and synthesizer's output would be. Each log ends in a
+    line that names it and its individual."""
+
+    def __init__(self):
+        self.inner = SyntheticEvaluator()
+
+    def outcome_for(self, code, spec, individual_id=0):
+        base = self.inner.outcome_for(code, spec, individual_id)
+        body = "cycle ok\n" * 1400
+        return dataclasses.replace(
+            base,
+            sim_log=f"{base.sim_log}\n{body}[end of sim log {individual_id}]",
+            synth_log=f"{base.synth_log}\n{body}[end of synth log {individual_id}]",
+        )
+
+    def reference_ppa(self, code, spec):
+        return self.inner.reference_ppa(code, spec)
+
+
+def test_history_keeps_only_the_log_tails_a_critique_quotes(tmp_path):
+    # generation 0: two passes with PPA, one without, and one failure
+    script = [ScriptEntry("call:0/2", reply("seed c", "module add2; endmodule"))] + demo_script()
+    path = tmp_path / GENERATIONS_FILE
+    EvolutionEngine(
+        SPEC, demo_cfg(), ScriptedProvider(script), PaddedLogs(),
+        record_sink=lambda record: append_generation(path, record),
+    ).run()
+    text = path.read_text(encoding="utf-8")
+    history = read_generations(tmp_path)
+    created = list(history[0].population) + [ind for r in history[1:] for ind in r.offspring]
+    kinds = set()
+    for ind in created:
+        outcome = ind.outcome
+        kind = "sim" if not outcome.sim_passed else "synth" if outcome.ppa is None else None
+        kinds.add(kind)
+        for log in ("sim", "synth"):
+            tail = f"[end of {log} log {ind.id}]"
+            assert (tail in text) == (log == kind), (ind.id, log, kind)
+            assert getattr(outcome, f"{log}_log").endswith(tail) == (log == kind)
+    assert kinds == {"sim", "synth", None}
 
 
 class FailingEvaluation:

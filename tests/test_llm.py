@@ -24,6 +24,7 @@ from rtlevo.llm import (
     TranscriptingProvider,
     TranscriptWriter,
 )
+from rtlevo.model import ConfigError
 from rtlevo.prompts import PromptBundle, PromptStrategy
 
 
@@ -174,6 +175,14 @@ def test_scripted_from_file_rejects_bad_shapes(tmp_path):
     missing_key.write_text("- match: x\n", encoding="utf-8")
     with pytest.raises(ValueError):
         ScriptedProvider.from_file(missing_key)
+
+
+def test_scripted_from_file_names_the_entry_its_own_check_rejects(tmp_path):
+    script = tmp_path / "script.yaml"
+    script.write_text("- {match: hi, response: a}\n- {match: 'call:x', response: b}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        ScriptedProvider.from_file(script)
+    assert str(err.value) == f"script file {script}, entry 1: match 'call:x' must name a call key as call:G/N"
 
 
 def test_scripted_empty_rejected():

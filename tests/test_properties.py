@@ -183,23 +183,29 @@ def test_incremental_reward_mean_equals_arithmetic_mean(pulls):
 
 class _CritiquingWorld:
     """StochasticWorld drafts, about one in eight of them unparsable, and a
-    distinct critique text per feedback call."""
+    distinct critique text per feedback call. Each reply draws from a
+    stream seeded by the call's key and prompt, so, like a scripted reply,
+    it does not depend on the order in which concurrent calls arrive."""
 
     def __init__(self, seed):
+        self.seed = seed
         self.world = StochasticWorld(seed)
-        self.rng = random.Random(seed)
         self.critiques = 0
         self.drafts = []
         self.lock = threading.Lock()
 
     def complete(self, bundle):
+        generation, n = bundle.key
         with self.lock:
             if bundle.purpose == "feedback":
                 self.critiques += 1
-                return CompletionResult(text=f"critique #{self.critiques}")
+                return CompletionResult(text=f"critique of call {generation}/{n}")
             self.drafts.append(bundle)
-            if self.rng.random() < 0.125:
+            rng = random.Random(f"{self.seed}/{generation}/{n}/{bundle.user_text}")
+            if rng.random() < 0.125:
                 return CompletionResult(text="no code block in this reply")
+            # the world draws from the call's stream and names its module by the call
+            self.world.rng, self.world.counter = rng, generation * 10_000 + n
             return self.world.complete(bundle)
 
 
@@ -467,6 +473,16 @@ def test_clipped_log_reads_as_the_whole_log(log):
     if clipped not in (log, log.strip()):
         cut = len(log.strip()) - LOG_HEAD_CHARS - FEEDBACK_LOG_TAIL_CHARS
         assert clipped.count(f"\n[... {cut} characters cut ...]\n") == 1
+    # a log that no critique of its outcome quotes keeps no tail: a long
+    # one is its head and the marker alone
+    headed = clip_log(log, 0)
+    assert clip_log(headed, 0) == headed
+    if clipped in (log, log.strip()):
+        assert headed == clipped
+    else:
+        text = log.strip()
+        marker = f"\n[... {len(text) - LOG_HEAD_CHARS} characters cut ...]\n"
+        assert headed == text[:LOG_HEAD_CHARS] + marker
 
 
 class _PaddedLogEvaluator:

@@ -421,6 +421,25 @@ def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
     assert "generation record 1 is corrupt: " + message in str(err.value)
 
 
+# an individual's own checks name the entry that fails them
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: _full_at(d, "offspring[0]")["outcome"]["ppa"].update(area=-1.0),
+         "offspring[0].outcome.ppa: PpaMetrics.area must be finite and >= 0, got -1.0"),
+        (lambda d: _full_at(d, "population[1]")["outcome"].update(synth_succeeded=False),
+         "population[1].outcome: EvalOutcome.ppa requires synth_succeeded"),
+        (lambda d: _full_at(d, "best_so_far").update(generation_born=-1),
+         "best_so_far: Individual.generation_born must be >= 0"),
+    ],
+)
+def test_failed_entry_check_names_record_and_entry(tmp_path, edit, message):
+    _v3_history(tmp_path, edit)
+    with pytest.raises(RunDirError) as err:
+        read_generations(tmp_path)
+    assert "generation record 1 is corrupt: " + message in str(err.value)
+
+
 def test_torn_last_line_is_dropped_with_a_warning(tmp_path, caplog):
     # a write killed partway through leaves a last line with no newline
     _v3_history(tmp_path, tail=FULL_RECORD_LINE[:100])
