@@ -45,6 +45,7 @@ from .reporting import (
     GENERATIONS_FILE,
     SCHEMA_VERSION,
     TRANSCRIPTS_FILE,
+    HistoryWriter,
     append_generation,
     read_generations,
     render_report,
@@ -124,12 +125,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     if isinstance(cfg.provider, ProviderConfig) and cfg.provider.api_key_env_var:
         secrets.append(os.environ.get(cfg.provider.api_key_env_var, ""))
     transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, redact=secrets)
+    history = HistoryWriter(run_dir / GENERATIONS_FILE)
     # parse the script, read the API key and preflight the tools before
     # touching the run directory, so a run that cannot start leaves the
-    # previous run intact; validate-config makes the same checks
+    # previous run intact; validate-config makes the same checks. Each
+    # writer opens its file at its first line and is closed on every exit.
     provider = _build_provider(cfg, transcript)
     artifacts_dir = run_dir / "artifacts"
-    with _evaluator(cfg, artifacts_dir if cfg.keep_artifacts else None) as evaluator:
+    with (
+        transcript,
+        history,
+        _evaluator(cfg, artifacts_dir if cfg.keep_artifacts else None) as evaluator,
+    ):
         run_dir.mkdir(parents=True, exist_ok=True)
         for name in (GENERATIONS_FILE, TRANSCRIPTS_FILE, FINAL_REPORT_FILE):
             (run_dir / name).unlink(missing_ok=True)
@@ -144,7 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             cfg.evolution,
             provider,
             evaluator,
-            record_sink=lambda record: append_generation(run_dir / GENERATIONS_FILE, record),
+            record_sink=lambda record: append_generation(history, record),
         ).run()
 
     final = {

@@ -120,7 +120,9 @@ class Provider(Protocol):
 
 class TranscriptWriter:
     """Appends one JSON record per completion call to a .jsonl file in an
-    existing directory.
+    existing directory. The file is opened at the first record and held
+    until `close`; each record goes out in one write and a flush, so a run
+    killed at any point leaves whole lines.
 
     `redact` lists secret strings (API key values) that must never reach
     disk; any occurrence is replaced before writing.
@@ -130,6 +132,19 @@ class TranscriptWriter:
         self._path = Path(path)
         self._lock = threading.Lock()
         self._redact = [s for s in (redact or []) if s]
+        self._fh = None
+
+    def __enter__(self) -> TranscriptWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def _scrub(self, value):
         if isinstance(value, str):
@@ -172,10 +187,14 @@ class TranscriptWriter:
             "attempt_count": result.attempt_count if result else attempt_count,
             "error": error,
         }
-        entry = {key: self._scrub(value) for key, value in entry.items()}
-        line = json.dumps(entry, sort_keys=True, ensure_ascii=False)
-        with self._lock, self._path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        if self._redact:
+            entry = {key: self._scrub(value) for key, value in entry.items()}
+        line = json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n"
+        with self._lock:
+            if self._fh is None:
+                self._fh = self._path.open("a", encoding="utf-8")
+            self._fh.write(line)
+            self._fh.flush()
 
 
 class TranscriptingProvider:

@@ -43,9 +43,69 @@ class RunDirError(RuntimeError):
     """A run directory is missing records or contains corrupt ones."""
 
 
-def append_generation(path: Path, record: GenerationRecord) -> None:
-    """Append one record as a line of JSON, writing the version header
-    first when the file is new.
+class HistoryWriter:
+    """A run's history file, opened at its first record and held until
+    `close`.
+
+    A missing or empty file is new: it must start at generation 0, and its
+    first write is the version header and that record together. An
+    existing file is continued: its last generation index is read once,
+    when it is opened, and a torn last line is a ValueError. After that,
+    each record must follow the last one written. Each line goes out in one
+    write and a flush, so a run killed at any point leaves whole lines.
+    """
+
+    def __init__(self, path: str | Path):
+        self._path = Path(path)
+        self._fh = None
+        self._last = -1
+
+    def __enter__(self) -> HistoryWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def write(self, index: int, line: str) -> None:
+        """Appends `line`, the record of generation `index`. A record that
+        does not follow the last one is a ValueError, and nothing is
+        written; a new file is not even created."""
+        header = "" if self._fh is not None else self._open(index)
+        if index != self._last + 1:
+            raise ValueError(f"{self._path} ends at generation {self._last}, not {index - 1}")
+        self._fh.write(f"{header}{line}\n".encode("utf-8"))
+        self._fh.flush()
+        self._last = index
+
+    def _open(self, index: int) -> str:
+        """Opens the file for the record of generation `index` and returns
+        the header its first write must carry: none for an existing file."""
+        try:
+            new = self._path.stat().st_size == 0
+        except FileNotFoundError:
+            new = True
+        if new and index != 0:
+            raise ValueError(
+                f"a new history must start at generation 0, not {index}: "
+                "its references would name individuals no line defines"
+            )
+        fh = self._path.open("a+b")
+        try:
+            self._last = -1 if new else _last_generation(fh)
+        except BaseException:
+            fh.close()
+            raise
+        self._fh = fh
+        return json.dumps({"schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n" if new else ""
+
+
+def append_generation(history: HistoryWriter, record: GenerationRecord) -> None:
+    """Append one record to `history` as a line of JSON.
 
     Each individual is written in full once, at its first mention in the
     file: in the line of the generation it was born in, at its first
@@ -54,20 +114,10 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
     for later lives in the `critiques` of the generation that asked for it.
     So the file must start with generation 0 and take every record after
     it in order: the reader rejects a reference no earlier line defines.
-    A new file for any other generation, or a record that does not follow
-    the file's last one, is a ValueError, and nothing is written. The keys
-    are the record's dataclass fields, sorted, and no timestamps are
-    included, so identical histories serialize byte-identically.
+    `HistoryWriter.write` refuses any other record. The keys are the
+    record's dataclass fields, sorted, and no timestamps are included, so
+    identical histories serialize byte-identically.
     """
-    new_file = not path.exists()
-    last = -1 if new_file else _last_generation(path)
-    if record.generation_index != last + 1:
-        raise ValueError(
-            f"a new history must start at generation 0, not {record.generation_index}: "
-            "its references would name individuals no line defines"
-            if new_file
-            else f"{path} ends at generation {last}, not {record.generation_index - 1}"
-        )
     written: set[int] = set()
 
     def entry(ind: Individual) -> dict:
@@ -85,32 +135,28 @@ def append_generation(path: Path, record: GenerationRecord) -> None:
     line["offspring"] = [entry(ind) for ind in record.offspring]
     best = record.best_so_far
     line["best_so_far"] = None if best is None else entry(best)
-    if new_file:
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n")
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(line, sort_keys=True) + "\n")
+    history.write(record.generation_index, json.dumps(line, sort_keys=True))
 
 
-def _last_generation(path: Path) -> int:
-    """The generation index of a history's last record, -1 for a header
-    alone; a torn last line is a ValueError. The file is searched a block at
-    a time back from its end for the last `"generation_index": N,`, which
-    is the last record's own: keys are sorted, only a record has that key,
-    and JSON escapes every quote inside a string."""
-    with path.open("rb") as fh:
-        end = pos = fh.seek(0, os.SEEK_END)
-        while pos > 0:
-            start = max(pos - (1 << 16), 0)
-            fh.seek(start)
-            # overlap the block after it, which may hold the rest of a match
-            data = fh.read(pos - start + 32)
-            if pos == end and not data.endswith(b"\n"):
-                raise ValueError(f"the last line of {path} is torn")
-            found = _GENERATION_INDEX.findall(data)
-            if found:
-                return int(found[-1])
-            pos = start
+def _last_generation(fh) -> int:
+    """The generation index of the last record in `fh`, a history opened
+    for binary reading; -1 for a header alone, and a torn last line is a
+    ValueError. The file is searched a block at a time back
+    from its end for the last `"generation_index": N,`, which is the last
+    record's own: keys are sorted, only a record has that key, and JSON
+    escapes every quote inside a string."""
+    end = pos = fh.seek(0, os.SEEK_END)
+    while pos > 0:
+        start = max(pos - (1 << 16), 0)
+        fh.seek(start)
+        # overlap the block after it, which may hold the rest of a match
+        data = fh.read(pos - start + 32)
+        if pos == end and not data.endswith(b"\n"):
+            raise ValueError(f"the last line of {fh.name} is torn")
+        found = _GENERATION_INDEX.findall(data)
+        if found:
+            return int(found[-1])
+        pos = start
     return -1
 
 

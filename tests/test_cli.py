@@ -3,21 +3,25 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
 import hashlib
 import json
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
 import pytest
 import yaml
 
+from rtlevo import cli
 from rtlevo.cli import EXIT_ABORT, EXIT_FOUND, EXIT_NOT_FOUND, main
 from rtlevo.config import load_config
 from rtlevo.evolution import PLACEHOLDER_CODE, EvolutionEngine
-from rtlevo.reporting import read_generations
+from rtlevo.llm import TranscriptWriter
+from rtlevo.reporting import GENERATIONS_FILE, TRANSCRIPTS_FILE, read_generations
 
 SCRIPT_OK = """\
 - match: strategy:initial
@@ -636,6 +640,138 @@ def test_run_aborted_midway_leaves_no_stale_report(tmp_path):
     run_dir = tmp_path / "run"
     assert len(read_generations(run_dir)) == 1
     assert not (run_dir / "final_report.json").exists()
+
+
+# --- the two append-only files ----------------------------------------------
+
+
+def _watch_opens(monkeypatch):
+    """The handles opened on a run's two append-only files, with the name of
+    each, as `Path.open` hands them out; both writers open through it."""
+    opened = []
+    path_open = Path.open
+
+    def watched(self, *args, **kwargs):
+        fh = path_open(self, *args, **kwargs)
+        if self.name in (GENERATIONS_FILE, TRANSCRIPTS_FILE):
+            opened.append((self.name, fh))
+        return fh
+
+    monkeypatch.setattr(Path, "open", watched)
+    return opened
+
+
+def _wrap_script(monkeypatch, wrap):
+    """Makes `run` build `wrap(provider)` around the scripted provider its
+    config names."""
+    from_file = cli.ScriptedProvider.from_file
+    monkeypatch.setattr(
+        cli.ScriptedProvider, "from_file", staticmethod(lambda path: wrap(from_file(path)))
+    )
+
+
+class _Interrupting:
+    """A provider interrupted, as by Ctrl-C, at the first call of generation 1."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def complete(self, bundle):
+        if bundle.key[0] == 1:
+            raise KeyboardInterrupt
+        return self.inner.complete(bundle)
+
+
+@pytest.mark.parametrize("ending", ["found", "unmatched", "interrupted"])
+def test_a_run_opens_each_file_once_and_closes_it_on_every_exit(
+    tmp_path, monkeypatch, capsys, ending
+):
+    opened = _watch_opens(monkeypatch)
+    # each ending comes after generation 0 has written to both files
+    script = SCRIPT_OK.split("- match: strategy:fix")[0] if ending == "unmatched" else SCRIPT_OK
+    config = write_setup(
+        tmp_path, script=script, config_overrides={"evolution.max_generations": 3}
+    )
+    if ending == "interrupted":
+        _wrap_script(monkeypatch, _Interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(config)])
+    else:
+        want = EXIT_FOUND if ending == "found" else EXIT_ABORT
+        assert main(["run", "--config", str(config)]) == want
+    assert sorted(name for name, _ in opened) == [GENERATIONS_FILE, TRANSCRIPTS_FILE]
+    assert all(fh.closed for _, fh in opened)
+    # an unclosed handle would warn when collected, and warnings are errors
+    gc.collect()
+    assert len(read_generations(tmp_path / "run")) == (4 if ending == "found" else 1)
+
+
+def test_validate_config_writes_no_transcript(tmp_path, capsys):
+    config = write_setup(tmp_path)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    assert main(["validate-config", "--config", str(config)]) == EXIT_FOUND
+    assert list(run_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_finished_call_and_generation_is_a_whole_line_on_disk(
+    tmp_path, monkeypatch, workers
+):
+    run_dir = tmp_path / "run"
+    lock = threading.Lock()
+    recorded = []
+    seen = []
+    record = TranscriptWriter.record
+
+    def counted(self, *args, **kwargs):
+        # a call has finished once its entry is recorded
+        with lock:
+            record(self, *args, **kwargs)
+            recorded.append(args[0].key)
+
+    def read(name):
+        """A run file's bytes, read through a handle of its own."""
+        path = run_dir / name
+        if not path.exists():
+            return None
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    class Checking:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, bundle):
+            with lock:
+                seen.append(
+                    (bundle.key, len(recorded), read(TRANSCRIPTS_FILE), read(GENERATIONS_FILE))
+                )
+            return self.inner.complete(bundle)
+
+    def whole_lines(data):
+        assert data.endswith(b"\n")
+        return [json.loads(line) for line in data.splitlines()]
+
+    monkeypatch.setattr(TranscriptWriter, "record", counted)
+    _wrap_script(monkeypatch, Checking)
+    config = write_setup(tmp_path, config_overrides={
+        "evolution.population_size": 4, "evolution.offspring_count": 4,
+        "evolution.max_generations": 3, "evolution.max_parallel_evaluations": workers,
+    })
+    assert main(["run", "--config", str(config)]) == EXIT_FOUND
+    assert len(seen) == len(recorded) > 4 * 4
+    for (generation, _), finished, transcript, history in seen:
+        assert finished == (0 if transcript is None else len(whole_lines(transcript)))
+        # the calls of generation g come after the records of 0..g-1
+        if generation == 0:
+            assert history is None
+        else:
+            header, *records = whole_lines(history)
+            assert header == {"schema_version": 3}
+            assert [r["generation_index"] for r in records] == list(range(generation))
+    assert len(whole_lines(read(TRANSCRIPTS_FILE))) == len(recorded)
+    assert len(read_generations(run_dir)) == 4
 
 
 @pytest.mark.parametrize(

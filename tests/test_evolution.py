@@ -38,7 +38,7 @@ from rtlevo.model import (
     to_plain,
 )
 from rtlevo.prompts import FAIL_STRATEGIES, SUCCESS_STRATEGIES, PromptStrategy, render_response
-from rtlevo.reporting import GENERATIONS_FILE, append_generation, read_generations
+from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation, read_generations
 
 REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
 
@@ -872,13 +872,14 @@ def test_pipelined_slots_replay_sequential_history_under_evaluation_jitter(
 ):
     def run_with(workers):
         path = tmp_path / f"generations-{workers}.jsonl"
-        result = EvolutionEngine(
-            SPEC,
-            demo_cfg(max_parallel_evaluations=workers),
-            ScriptedProvider(demo_script()),
-            JitteredEvaluator(f"{jitter_seed}/{workers}"),
-            record_sink=lambda record: append_generation(path, record),
-        ).run()
+        with HistoryWriter(path) as writer:
+            result = EvolutionEngine(
+                SPEC,
+                demo_cfg(max_parallel_evaluations=workers),
+                ScriptedProvider(demo_script()),
+                JitteredEvaluator(f"{jitter_seed}/{workers}"),
+                record_sink=lambda record: append_generation(writer, record),
+            ).run()
         history = json.dumps([to_plain(r) for r in result.history], sort_keys=True)
         return history, path.read_bytes()
 
@@ -915,10 +916,11 @@ def test_history_keeps_only_the_log_tails_a_critique_quotes(tmp_path):
     # generation 0: two passes with PPA, one without, and one failure
     script = [ScriptEntry("call:0/2", reply("seed c", "module add2; endmodule"))] + demo_script()
     path = tmp_path / GENERATIONS_FILE
-    EvolutionEngine(
-        SPEC, demo_cfg(), ScriptedProvider(script), PaddedLogs(),
-        record_sink=lambda record: append_generation(path, record),
-    ).run()
+    with HistoryWriter(path) as writer:
+        EvolutionEngine(
+            SPEC, demo_cfg(), ScriptedProvider(script), PaddedLogs(),
+            record_sink=lambda record: append_generation(writer, record),
+        ).run()
     text = path.read_text(encoding="utf-8")
     history = read_generations(tmp_path)
     created = list(history[0].population) + [ind for r in history[1:] for ind in r.offspring]
@@ -1015,18 +1017,19 @@ def test_one_shot_feedback_entries_replay_at_any_worker_count(tmp_path, jitter_s
         provider = JitteredProvider(
             ScriptedProvider(per_critique_script()), f"{jitter_seed}/{workers}"
         )
-        engine = EvolutionEngine(
-            SPEC,
-            demo_cfg(max_parallel_evaluations=workers),
-            provider,
-            SyntheticEvaluator(),
-            record_sink=lambda record: append_generation(path, record),
-        )
-        # a slot left waiting on a critique would hang the run
-        runner = threading.Thread(target=engine.run, daemon=True)
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive()
+        with HistoryWriter(path) as writer:
+            engine = EvolutionEngine(
+                SPEC,
+                demo_cfg(max_parallel_evaluations=workers),
+                provider,
+                SyntheticEvaluator(),
+                record_sink=lambda record: append_generation(writer, record),
+            )
+            # a slot left waiting on a critique would hang the run
+            runner = threading.Thread(target=engine.run, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
         return path.read_bytes()
 
     interval = sys.getswitchinterval()

@@ -564,12 +564,12 @@ def test_http_requires_endpoint_url():
 
 def test_transcript_records_and_redacts(tmp_path, monkeypatch):
     path = tmp_path / "transcripts.jsonl"
-    writer = TranscriptWriter(path, redact=["sk-secret-value"])
-    writer.record(
-        bundle(user="the key is sk-secret-value ok"),
-        CompletionResult(text="echo sk-secret-value back"),
-    )
-    writer.record(bundle(purpose="feedback"), None, error="boom sk-secret-value")
+    with TranscriptWriter(path, redact=["sk-secret-value"]) as writer:
+        writer.record(
+            bundle(user="the key is sk-secret-value ok"),
+            CompletionResult(text="echo sk-secret-value back"),
+        )
+        writer.record(bundle(purpose="feedback"), None, error="boom sk-secret-value")
     raw = path.read_text(encoding="utf-8")
     assert "sk-secret-value" not in raw
     lines = [json.loads(line) for line in raw.splitlines()]
@@ -583,12 +583,12 @@ def test_transcript_records_and_redacts(tmp_path, monkeypatch):
 
 def test_transcripting_provider_mirrors_success_and_failure(tmp_path):
     path = tmp_path / "t.jsonl"
-    writer = TranscriptWriter(path)
     inner = ScriptedProvider([ScriptEntry("strategy:initial", "resp")])
-    provider = TranscriptingProvider(inner, writer)
-    assert provider.complete(bundle()).text == "resp"
-    with pytest.raises(ProviderError):
-        provider.complete(bundle(purpose="feedback"))
+    with TranscriptWriter(path) as writer:
+        provider = TranscriptingProvider(inner, writer)
+        assert provider.complete(bundle()).text == "resp"
+        with pytest.raises(ProviderError):
+            provider.complete(bundle(purpose="feedback"))
     lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
     assert len(lines) == 2
     assert lines[0]["response"] == "resp"
@@ -604,8 +604,8 @@ def test_transcript_failure_outside_provider_error_has_no_attempt_count(tmp_path
             raise RuntimeError("bug")
 
     path = tmp_path / "t.jsonl"
-    with pytest.raises(RuntimeError):
-        TranscriptingProvider(Broken(), TranscriptWriter(path)).complete(bundle())
+    with TranscriptWriter(path) as writer, pytest.raises(RuntimeError):
+        TranscriptingProvider(Broken(), writer).complete(bundle())
     (entry,) = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
     assert (entry["error"], entry["attempt_count"]) == ("bug", None)
 
@@ -637,11 +637,12 @@ def test_http_writes_one_transcript_entry_per_call(
             endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY", max_retries=1
         )
         path = tmp_path / "t.jsonl"
-        provider = HttpChatProvider(cfg, transcript=TranscriptWriter(path))
-        try:
-            provider.complete(bundle())
-        except ProviderError:
-            assert error is not None
+        with TranscriptWriter(path) as writer:
+            provider = HttpChatProvider(cfg, transcript=writer)
+            try:
+                provider.complete(bundle())
+            except ProviderError:
+                assert error is not None
         (entry,) = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert (entry["response"], entry["error"]) == (response, error)
         assert entry["attempt_count"] == attempts

@@ -55,7 +55,7 @@ from rtlevo.llm import (
 )
 from rtlevo.model import CircuitKind, EvalOutcome, PpaMetrics, ProblemSpec, to_plain
 from rtlevo.prompts import PromptBundle, PromptStrategy
-from rtlevo.reporting import GENERATIONS_FILE, append_generation, read_generations
+from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation, read_generations
 
 from test_acceptance import SPEC, StochasticWorld, _fail, _oracle_survivors, _success
 from test_evolution import JitteredProvider
@@ -436,11 +436,12 @@ def test_history_reads_back_as_written_with_each_individual_once(
     provider = JitteredProvider(_CritiquingWorld(seed), f"{seed}/{workers}")
     with tempfile.TemporaryDirectory() as run_dir:
         path = Path(run_dir) / GENERATIONS_FILE
-        engine = EvolutionEngine(
-            SPEC, cfg, provider, SyntheticEvaluator(),
-            record_sink=lambda record: append_generation(path, record),
-        )
-        history = engine.run().history
+        with HistoryWriter(path) as writer:
+            engine = EvolutionEngine(
+                SPEC, cfg, provider, SyntheticEvaluator(),
+                record_sink=lambda record: append_generation(writer, record),
+            )
+            history = engine.run().history
         assert read_generations(run_dir) == history
         text = path.read_text(encoding="utf-8")
     created = list(history[0].population)

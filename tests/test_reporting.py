@@ -20,6 +20,7 @@ from rtlevo.model import (
 )
 from rtlevo.reporting import (
     GENERATIONS_FILE,
+    HistoryWriter,
     RunDirError,
     append_generation,
     generation_bands,
@@ -28,6 +29,12 @@ from rtlevo.reporting import (
 )
 
 REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
+
+
+def write_history(path, records):
+    with HistoryWriter(path) as history:
+        for record in records:
+            append_generation(history, record)
 
 
 def ind(id, fitness, ppa=None, gen=0, sim=True, strategy=None, post_synth=None):
@@ -100,16 +107,14 @@ def test_bands_partition_every_horizon():
 
 def test_write_read_roundtrip(tmp_path):
     records = two_records()
-    for record in records:
-        append_generation(tmp_path / GENERATIONS_FILE, record)
+    write_history(tmp_path / GENERATIONS_FILE, records)
     back = read_generations(tmp_path)
     assert [to_plain(r) for r in back] == [to_plain(r) for r in records]
 
 
 def test_append_writes_header_once(tmp_path):
     path = tmp_path / GENERATIONS_FILE
-    for rec in two_records():
-        append_generation(path, rec)
+    write_history(path, two_records())
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
     assert json.loads(lines[0]) == {"schema_version": 3}
@@ -117,9 +122,35 @@ def test_append_writes_header_once(tmp_path):
 
 def test_new_history_must_start_at_generation_0(tmp_path):
     path = tmp_path / GENERATIONS_FILE
-    with pytest.raises(ValueError, match="must start at generation 0, not 1"):
-        append_generation(path, two_records()[1])
+    with HistoryWriter(path) as history:
+        with pytest.raises(ValueError, match="must start at generation 0, not 1"):
+            append_generation(history, two_records()[1])
     assert not path.exists()
+
+
+def test_an_empty_history_file_is_new(tmp_path):
+    path = tmp_path / GENERATIONS_FILE
+    path.touch()
+    records = two_records()
+    with HistoryWriter(path) as history:
+        with pytest.raises(ValueError, match="must start at generation 0, not 1"):
+            append_generation(history, records[1])
+        for record in records:
+            append_generation(history, record)
+    assert path.read_text(encoding="utf-8").splitlines()[0] == '{"schema_version": 3}'
+    assert [to_plain(r) for r in read_generations(tmp_path)] == [to_plain(r) for r in records]
+
+
+def test_a_history_is_continued_from_its_last_record(tmp_path):
+    path = tmp_path / GENERATIONS_FILE
+    records = two_records()
+    write_history(path, records[:1])
+    with HistoryWriter(path) as history:
+        with pytest.raises(ValueError, match="ends at generation 0, not -1"):
+            append_generation(history, records[0])
+        append_generation(history, records[1])
+    assert path.read_text(encoding="utf-8").count("schema_version") == 1
+    assert [to_plain(r) for r in read_generations(tmp_path)] == [to_plain(r) for r in records]
 
 
 def test_read_missing_file(tmp_path):
@@ -162,8 +193,7 @@ def test_read_empty_history(tmp_path):
 
 def test_neg_inf_survives_roundtrip(tmp_path):
     records = two_records()
-    for record in records:
-        append_generation(tmp_path / GENERATIONS_FILE, record)
+    write_history(tmp_path / GENERATIONS_FILE, records)
     back = read_generations(tmp_path)
     assert back[0].population[1].fitness == NEG_INF
 
@@ -286,8 +316,7 @@ def full_record():
 
 def test_record_line_is_pinned(tmp_path):
     path = tmp_path / GENERATIONS_FILE
-    for rec in (generation_zero(), full_record()):
-        append_generation(path, rec)
+    write_history(path, (generation_zero(), full_record()))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[2] == FULL_RECORD_LINE
     back = read_generations(tmp_path)
@@ -298,28 +327,37 @@ def test_record_line_is_pinned(tmp_path):
 
 def test_append_out_of_order_raises_and_writes_nothing(tmp_path):
     path = tmp_path / GENERATIONS_FILE
-    append_generation(path, generation_zero())
     record = full_record()
-    before = path.read_bytes()
-    with pytest.raises(ValueError, match="ends at generation 0, not 1"):
-        append_generation(path, dataclasses.replace(record, generation_index=2))
-    assert path.read_bytes() == before
-    # a last line longer than one read block
-    child = record.offspring[0]
-    child = dataclasses.replace(
-        child, outcome=dataclasses.replace(child.outcome, sim_log="x" * 200_000)
-    )
-    append_generation(path, dataclasses.replace(record, offspring=(child,), best_so_far=child))
-    before = path.read_bytes()
-    for index in (1, 3):
-        with pytest.raises(ValueError, match=f"ends at generation 1, not {index - 1}"):
-            append_generation(path, dataclasses.replace(record, generation_index=index))
+    with HistoryWriter(path) as history:
+        append_generation(history, generation_zero())
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="ends at generation 0, not 1"):
+            append_generation(history, dataclasses.replace(record, generation_index=2))
+        assert path.read_bytes() == before
+        # a last line longer than one read block
+        child = record.offspring[0]
+        child = dataclasses.replace(
+            child, outcome=dataclasses.replace(child.outcome, sim_log="x" * 200_000)
+        )
+        append_generation(
+            history, dataclasses.replace(record, offspring=(child,), best_so_far=child)
+        )
+        before = path.read_bytes()
+        for index in (1, 3):
+            with pytest.raises(ValueError, match=f"ends at generation 1, not {index - 1}"):
+                append_generation(history, dataclasses.replace(record, generation_index=index))
+    # a new writer reads the index back from the file's last line
+    with HistoryWriter(path) as history:
+        for index in (1, 3):
+            with pytest.raises(ValueError, match=f"ends at generation 1, not {index - 1}"):
+                append_generation(history, dataclasses.replace(record, generation_index=index))
     assert path.read_bytes() == before
     # a write killed part-way: the next line would be glued onto it
     torn = before + b'{"bandit_states": {}, "best_so_far": null, "generation_index": 2'
     path.write_bytes(torn)
-    with pytest.raises(ValueError, match="is torn"):
-        append_generation(path, dataclasses.replace(record, generation_index=2))
+    with HistoryWriter(path) as history:
+        with pytest.raises(ValueError, match="is torn"):
+            append_generation(history, dataclasses.replace(record, generation_index=2))
     assert path.read_bytes() == torn
 
 
@@ -331,15 +369,16 @@ def test_append_finds_the_last_index_across_a_read_block_boundary(tmp_path):
     for pad in range((1 << 16) - 60, (1 << 16) + 5):
         line = f'{{"generation_index": 12345, "offspring": "{"x" * pad}"}}\n'
         path.write_text('{"schema_version": 3}\n' + line, encoding="utf-8")
-        with pytest.raises(ValueError, match="ends at generation 12345, not 8"):
-            append_generation(path, record)
+        with HistoryWriter(path) as history:
+            with pytest.raises(ValueError, match="ends at generation 12345, not 8"):
+                append_generation(history, record)
 
 
 def _v3_history(tmp_path, edit=None, tail=""):
     """generation_zero() and full_record() written as schema 3, the second
     line edited by `edit`, then `tail` appended as it is."""
     path = tmp_path / GENERATIONS_FILE
-    append_generation(path, generation_zero())
+    write_history(path, [generation_zero()])
     data = json.loads(FULL_RECORD_LINE)
     if edit is not None:
         edit(data)
