@@ -129,12 +129,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     # parse the script, read the API key and preflight the tools before
     # touching the run directory, so a run that cannot start leaves the
     # previous run intact; validate-config makes the same checks. Each
-    # writer opens its file at its first line and is closed on every exit.
+    # writer opens its file at its first line and is closed on every exit,
+    # as are an http provider's kept-alive connections.
     provider = _build_provider(cfg, transcript)
+    connections = (
+        contextlib.closing(provider)
+        if isinstance(provider, HttpChatProvider)
+        else contextlib.nullcontext()
+    )
     artifacts_dir = run_dir / "artifacts"
     with (
         transcript,
         history,
+        connections,
         _evaluator(cfg, artifacts_dir if cfg.keep_artifacts else None) as evaluator,
     ):
         run_dir.mkdir(parents=True, exist_ok=True)

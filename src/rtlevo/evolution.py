@@ -7,22 +7,21 @@ selection (uniform for Fail, roulette for Success), prompt/complete/parse,
 evaluation, bandit rewards, then survivor selection with per-metric elites.
 
 An individual's feedback is the critique its operator prompts carry. It is
-asked for once, when a slot first chooses the individual as a parent;
-individuals never chosen keep `feedback` None, and parse-failure
-placeholders carry a fixed text and are never critiqued.
+asked for once, by the first slot to need the individual as a parent,
+while any other slot that chose it waits for that call; individuals never
+chosen keep `feedback` None, and parse-failure placeholders carry a fixed
+text and are never critiqued.
 
 The engine thread plans every slot of a generation in slot order (quota,
 strategy from the frozen bandit scores, parents). Each slot then runs in
-two halves: the LLM half (the critiques of the parents it is the first to
-choose, its prompt, draft and parse) and the tool half (simulate,
-synthesize). At `max_parallel_evaluations` = k >= 2, k slots draft while up
-to k others are evaluated: each drafting lane hands its parsed individual
-to a k-worker evaluation pool and takes the next slot at once. At k = 1
-slots run one at a time, inline on the engine thread. A slot that shares a
-parent with an earlier slot waits on that slot's critique instead of
-asking again. The generation waits for all of its slots before rewards and
-survivor selection; the critiqued parents replace their uncritiqued
-copies in the population, and the record lists the critiques it asked for.
+two halves: the LLM half (its parents' critiques, its prompt, draft and
+parse) and the tool half (simulate, synthesize). At
+`max_parallel_evaluations` = k >= 2 the slots queue in slot order on k
+drafting workers and their drafts on k evaluation workers; at k = 1 they
+run one at a time on the engine thread. The generation waits for all of
+its slots before rewards and survivor selection; the critiqued parents
+replace their uncritiqued copies in the population, and the record lists
+the critiques it asked for.
 
 The engine keeps no state beside its history: each generation reads only
 the last record and writes the next. Its bandit states are the frozen
@@ -237,18 +236,39 @@ def survivor_select(
 
 @dataclass(frozen=True)
 class _Slot:
-    """One planned slot: the id it fills, the key of its draft call, the
-    population whose bandit chose its operator, the operator and parents
-    (none of these for generation 0), and `critiques`, the parents it is
-    the first to choose with the keys of their critique calls, in parent
-    order."""
+    """One planned slot: the id it fills, the key of its draft call, and
+    the population whose bandit chose its operator, the operator and the
+    parents (none of these for generation 0)."""
 
     ind_id: int
     key: tuple[int, int]
     label: PopulationLabel | None = None
     strategy: PromptStrategy | None = None
     parents: tuple[Individual, ...] = ()
-    critiques: tuple[tuple[Individual, tuple[int, int]], ...] = ()
+
+
+@dataclass(eq=False)
+class _Critique:
+    """A parent's one critique call of a generation, keyed at plan time.
+    The first slot to need it makes the call under `lock`; the others wait
+    on the lock and take its `result`: the critiqued copy, or the exception
+    the call raised, which they re-raise without asking again."""
+
+    parent: Individual
+    key: tuple[int, int]
+    lock: threading.Lock = dataclasses.field(default_factory=threading.Lock)
+    result: Individual | BaseException | None = None
+
+    def critiqued(self, spec: ProblemSpec, provider: Provider) -> Individual:
+        with self.lock:
+            if self.result is None:
+                try:
+                    self.result = critique(self.parent, spec, provider, self.key)
+                except BaseException as exc:
+                    self.result = exc
+        if isinstance(self.result, BaseException):
+            raise self.result
+        return self.result
 
 
 @dataclass
@@ -292,26 +312,17 @@ class EvolutionEngine:
         self.history: list[GenerationRecord] = []
         self._record_sink = record_sink
 
-    def _draft(self, slot: _Slot, critiques: dict[int, Future]) -> Individual:
-        """A slot's LLM half: the critiques it owns, then its prompt, draft
-        and parse. `critiques` maps each parent critiqued this generation to
-        its critiqued copy. The drafted individual has no outcome yet; a
-        response that cannot be parsed becomes a placeholder that arrives
-        already scored and skips evaluation. A failed critique fails every
-        critique the slot owns, so no slot waits on one that never comes."""
-        try:
-            for parent, key in slot.critiques:
-                critiques[parent.id].set_result(critique(parent, self.spec, self.provider, key))
-        except BaseException as exc:
-            for parent, _ in slot.critiques:
-                if not critiques[parent.id].done():
-                    critiques[parent.id].set_exception(exc)
-            raise
+    def _draft(self, slot: _Slot, critiques: dict[int, _Critique]) -> Individual:
+        """A slot's LLM half: its parents' critiques, from `critiques` by
+        parent id, then its prompt, draft and parse. The drafted individual
+        has no outcome yet; an unparsable response becomes a placeholder that
+        arrives already scored and skips evaluation."""
         if slot.strategy is None:
             bundle = build_initial_prompt(self.spec)
         else:
             parents = [
-                critiques[p.id].result() if p.id in critiques else p for p in slot.parents
+                critiques[p.id].critiqued(self.spec, self.provider) if p.id in critiques else p
+                for p in slot.parents
             ]
             bundle = build_evolutionary_prompt(slot.strategy, self.spec, parents)
         generation = slot.key[0]
@@ -360,60 +371,37 @@ class EvolutionEngine:
             return drafted
         return evaluate(drafted, self.spec, self.evaluator, self.weights)
 
-    def _run_slots(self, slots: list[_Slot], critiques: dict[int, Future]) -> list[Individual]:
-        """Draft and evaluate every slot and join the results in slot order.
-
-        At max_parallel_evaluations = 1 each slot runs inline on the engine
-        thread, one at a time. At k >= 2, k drafting lanes take slots in slot
-        order and hand each drafted individual to a k-worker evaluation pool
-        before taking the next slot, so up to k slots draft (critiques,
-        draft, parse) while up to k others are evaluated.
-
-        Once a draft or an evaluation fails no lane takes another slot and
-        no queued evaluation starts, so every slot that starts drafting runs
-        its draft to the end and all slots before it have started: a slot
-        that waits on an earlier slot's critique never waits on a slot that
-        will not come. The
-        error is raised only after every submitted evaluation has finished,
-        so no tool stage is still running when the caller cleans up.
-        """
-        lanes = min(self.cfg.max_parallel_evaluations, len(slots))
-        if lanes <= 1:
+    def _run_slots(self, slots: list[_Slot], critiques: dict[int, _Critique]) -> list[Individual]:
+        """Draft and evaluate every slot and join the results in slot order:
+        one at a time on the engine thread at max_parallel_evaluations = 1;
+        at k >= 2 queued in slot order on a k-worker drafting pool, each of
+        whose tasks queues its individual on a k-worker evaluation pool.
+        Once a half fails no further half starts, and the error is raised
+        only after every running half has finished, so no tool stage is
+        still running when the caller cleans up."""
+        workers = min(self.cfg.max_parallel_evaluations, len(slots))
+        if workers <= 1:
             return [self._evaluate(self._draft(slot, critiques)) for slot in slots]
-        results: list[Individual] = [None] * len(slots)  # type: ignore[list-item]
-        pending = iter(enumerate(slots))
-        take = threading.Lock()
         failed = threading.Event()
-        evaluations: list[Future] = []
 
-        def evaluate_slot(j: int, drafted: Individual) -> None:
-            if failed.is_set():
-                return
-            try:
-                results[j] = self._evaluate(drafted)
-            except BaseException:
-                failed.set()
-                raise
-
-        def lane() -> None:
-            while not failed.is_set():
-                with take:
-                    j, slot = next(pending, (-1, None))
-                if slot is None:
-                    return
+        def guarded(half, *args):
+            if not failed.is_set():
                 try:
-                    drafted = self._draft(slot, critiques)
+                    return half(*args)
                 except BaseException:
                     failed.set()
                     raise
-                evaluations.append(evaluator_pool.submit(evaluate_slot, j, drafted))
 
-        with ThreadPoolExecutor(max_workers=lanes) as evaluator_pool:
-            with ThreadPoolExecutor(max_workers=lanes) as draft_pool:
-                drafters = [draft_pool.submit(lane) for _ in range(lanes)]
-        for future in [*drafters, *evaluations]:
-            future.result()
-        return results
+        def draft(slot: _Slot) -> Future | None:
+            drafted = guarded(self._draft, slot, critiques)
+            return drafted and evaluations.submit(guarded, self._evaluate, drafted)
+
+        with ThreadPoolExecutor(max_workers=workers) as evaluations:
+            with ThreadPoolExecutor(max_workers=workers) as drafts:
+                queued = [drafts.submit(draft, slot) for slot in slots]
+        # a skipped half's None never reaches the caller: the failure raises first
+        evaluated = [future.result() for future in queued]
+        return [future.result() for future in evaluated if future]
 
     def _emit_record(
         self,
@@ -492,7 +480,7 @@ class EvolutionEngine:
         )
         first_id = self.cfg.population_size + (generation - 1) * self.cfg.offspring_count
         calls = itertools.count()
-        critiques: dict[int, Future] = {}
+        critiques: dict[int, _Critique] = {}
         slots = []
         for j in range(self.cfg.offspring_count):
             if j < quota_fail:
@@ -501,17 +489,14 @@ class EvolutionEngine:
                 label, subpop = PopulationLabel.SUCCESS, success_pop
             rng = random.Random(f"{self.cfg.rng_seed}/{generation}/{j}")
             strategy, chosen = self._plan_slot(subpop, last.bandit_states[label.value], rng)
-            # the first slot to choose an uncritiqued parent asks for its
-            # critique; later slots wait on that call
-            owned = []
+            # keyed at the first slot to choose the parent, made by the first to need it
             for parent in chosen:
                 if parent.feedback is None and parent.id not in critiques:
-                    critiques[parent.id] = Future()
-                    owned.append((parent, (generation, next(calls))))
+                    critiques[parent.id] = _Critique(parent, (generation, next(calls)))
             key = (generation, next(calls))
-            slots.append(_Slot(first_id + j, key, label, strategy, tuple(chosen), tuple(owned)))
+            slots.append(_Slot(first_id + j, key, label, strategy, tuple(chosen)))
         offspring = self._run_slots(slots, critiques)
-        critiqued = {ind_id: future.result() for ind_id, future in critiques.items()}
+        critiqued = {ind_id: shared.result for ind_id, shared in critiques.items()}
         parents = [critiqued.get(p.id, p) for p in parents]
         bandit_states = {name: state.copy() for name, state in last.bandit_states.items()}
         events = []

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,9 @@ from rtlevo.cli import EXIT_ABORT, EXIT_FOUND, EXIT_NOT_FOUND, main
 from rtlevo.config import load_config
 from rtlevo.evolution import PLACEHOLDER_CODE, EvolutionEngine
 from rtlevo.llm import TranscriptWriter
+from rtlevo.prompts import render_response
 from rtlevo.reporting import GENERATIONS_FILE, TRANSCRIPTS_FILE, read_generations
+from test_llm import _FakeEndpoint, _ok
 
 SCRIPT_OK = """\
 - match: strategy:initial
@@ -704,6 +707,36 @@ def test_a_run_opens_each_file_once_and_closes_it_on_every_exit(
     # an unclosed handle would warn when collected, and warnings are errors
     gc.collect()
     assert len(read_generations(tmp_path / "run")) == (4 if ending == "found" else 1)
+
+
+def test_http_run_closes_its_kept_alive_connections(tmp_path, monkeypatch, capsys):
+    # every draft passes and every critique is this text too; an unparsable
+    # reply would be logged with its exception, whose frames keep the
+    # provider alive for as long as the log record is kept
+    code = "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0"
+    endpoint = _FakeEndpoint([(200, _ok(render_response("chain", code)))] * 20, keep_alive=True)
+    monkeypatch.setenv("RTLEVO_CLI_KEY", "sk-test")
+    config = write_setup(
+        tmp_path,
+        config_overrides={
+            "evolution.max_generations": 1,
+            "provider": {
+                "kind": "http",
+                "endpoint_url": endpoint.url,
+                "api_key_env_var": "RTLEVO_CLI_KEY",
+            },
+        },
+    )
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(config)]) == EXIT_FOUND
+            gc.collect()
+    finally:
+        endpoint.close()
+    assert 6 <= len(endpoint.requests) < 20
+    # an idle connection left open warns once its provider is collected
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_validate_config_writes_no_transcript(tmp_path, capsys):

@@ -7,7 +7,6 @@ import random
 import sys
 import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 
@@ -17,6 +16,7 @@ from rtlevo.evolution import (
     PLACEHOLDER_THOUGHT,
     EvolutionConfig,
     EvolutionEngine,
+    _Critique,
     _Slot,
     offspring_quota,
     roulette_weights,
@@ -717,25 +717,32 @@ def test_keyed_call_whose_predecessor_never_comes_does_not_wait():
 class FullDisk:
     """Fails every call with the OSError a transcript write to a full disk
     raises, which no critique falls back from, after a pause that lets the
-    other lane start its slot."""
+    other worker start its slot. Records the key of every call."""
+
+    def __init__(self):
+        self.keys = []
+        self.lock = threading.Lock()
 
     def complete(self, bundle):
+        with self.lock:
+            self.keys.append(bundle.key)
         time.sleep(0.3)
         raise OSError(28, "No space left on device")
 
 
-def test_failed_critique_fails_every_critique_its_slot_owns():
+def test_failed_critique_is_asked_once_and_fails_every_slot_that_needs_it():
+    provider = FullDisk()
     engine = EvolutionEngine(
-        SPEC, demo_cfg(max_parallel_evaluations=2), FullDisk(), SyntheticEvaluator()
+        SPEC, demo_cfg(max_parallel_evaluations=2), provider, SyntheticEvaluator()
     )
     first, second = success_ind(0, 0.2), success_ind(1, 0.3)
-    # slot 0 owns both critiques; slot 1, on the other lane, waits on the second
-    owned = ((first, (1, 0)), (second, (1, 1)))
+    # both slots need the first parent's critique, and whichever asks for it
+    # first, the other waits on that call
+    critiques = {0: _Critique(first, (1, 0)), 1: _Critique(second, (1, 2))}
     slots = [
-        _Slot(4, (1, 2), PopulationLabel.SUCCESS, PromptStrategy.FUSION, (first, second), owned),
-        _Slot(5, (1, 3), PopulationLabel.SUCCESS, PromptStrategy.IMPROVE, (second,)),
+        _Slot(4, (1, 1), PopulationLabel.SUCCESS, PromptStrategy.IMPROVE, (first,)),
+        _Slot(5, (1, 3), PopulationLabel.SUCCESS, PromptStrategy.FUSION, (first, second)),
     ]
-    critiques = {0: Future(), 1: Future()}
     errors = []
 
     def run():
@@ -746,16 +753,14 @@ def test_failed_critique_fails_every_critique_its_slot_owns():
 
     runner = threading.Thread(target=run, daemon=True)
     runner.start()
-    try:
-        runner.join(timeout=5)
-        assert not runner.is_alive()
-        assert errors == ["No space left on device"]
-        assert all(isinstance(f.exception(timeout=0), OSError) for f in critiques.values())
-    finally:
-        # free a lane left waiting, so a failure cannot hang the session's exit
-        for future in critiques.values():
-            if not future.done():
-                future.set_exception(RuntimeError("left unresolved"))
+    runner.join(timeout=5)
+    assert not runner.is_alive()
+    assert errors == ["No space left on device"]
+    # one call for the shared critique, and none for the critique after it
+    assert provider.keys == [(1, 0)]
+    assert isinstance(critiques[0].result, OSError)
+    assert critiques[1].result is None
+    assert not any(shared.lock.locked() for shared in critiques.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1054,6 +1059,30 @@ class CallLog:
         with self.lock:
             self.bundles.append(bundle)
         return self.inner.complete(bundle)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("jitter_seed", range(3))
+def test_every_call_key_reaches_the_provider_once_at_any_worker_count(workers, jitter_seed):
+    def keys_with(workers):
+        provider = CallLog(
+            JitteredProvider(ScriptedProvider(per_critique_script()), f"{jitter_seed}/{workers}")
+        )
+        EvolutionEngine(
+            SPEC, demo_cfg(max_parallel_evaluations=workers), provider, SyntheticEvaluator()
+        ).run()
+        return [bundle.key for bundle in provider.bundles]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        keys = keys_with(workers)
+    finally:
+        sys.setswitchinterval(interval)
+    # a critique that slots of two workers need is still asked for once
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(keys_with(1))
+    assert set(CRITIQUE_KEYS) < set(keys)
 
 
 def test_critique_only_for_parents_and_carried_into_child_prompt():
