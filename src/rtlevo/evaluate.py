@@ -399,7 +399,7 @@ class ToolchainEvaluator:
             try:
                 ppa = parse_ppa_report(report, cfg, clock)
             except ReportError as exc:
-                logger.warning("individual %d: %s; withholding PPA", individual_id, exc)
+                logger.warning("individual %d: %s; withholding PPA", individual_id, str(exc))
         return EvalOutcome(
             sim_passed=True, synth_succeeded=ok, ppa=ppa,
             sim_log=sim_log, synth_log=report, post_synth_functional=post_synth,
@@ -567,7 +567,7 @@ def generate_feedback(
     try:
         text = provider.complete(bundle).text.strip()
     except ProviderError as exc:
-        logger.warning("feedback call failed (%s); using fallback text", exc)
+        logger.warning("feedback call failed (%s); using fallback text", str(exc))
         text = ""
     return text or _fallback_feedback(ind, spec)
 

@@ -46,7 +46,7 @@ import math
 import random
 import threading
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .bandit import BanditState, record_reward, select_strategy
@@ -331,7 +331,7 @@ class EvolutionEngine:
         try:
             thought, code = parse_llm_response(text)
         except ParseError as exc:
-            logger.warning("individual %d: unusable response (%s)", slot.ind_id, exc)
+            logger.warning("individual %d: unusable response (%s)", slot.ind_id, str(exc))
             outcome = EvalOutcome(
                 sim_passed=False,
                 synth_succeeded=False,
@@ -376,9 +376,10 @@ class EvolutionEngine:
         one at a time on the engine thread at max_parallel_evaluations = 1;
         at k >= 2 queued in slot order on a k-worker drafting pool, each of
         whose tasks queues its individual on a k-worker evaluation pool.
-        Once a half fails no further half starts, and the error is raised
-        only after every running half has finished, so no tool stage is
-        still running when the caller cleans up."""
+        Once a half fails, or Ctrl-C interrupts the engine thread's wait, no
+        further half starts, and the error is raised only after every
+        running half has finished, so no tool stage is still running when
+        the caller cleans up."""
         workers = min(self.cfg.max_parallel_evaluations, len(slots))
         if workers <= 1:
             return [self._evaluate(self._draft(slot, critiques)) for slot in slots]
@@ -398,7 +399,12 @@ class EvolutionEngine:
 
         with ThreadPoolExecutor(max_workers=workers) as evaluations:
             with ThreadPoolExecutor(max_workers=workers) as drafts:
-                queued = [drafts.submit(draft, slot) for slot in slots]
+                try:
+                    queued = [drafts.submit(draft, slot) for slot in slots]
+                    wait(queued)
+                except BaseException:
+                    failed.set()
+                    raise
         # a skipped half's None never reaches the caller: the failure raises first
         evaluated = [future.result() for future in queued]
         return [future.result() for future in evaluated if future]

@@ -6,8 +6,6 @@ import dataclasses
 import json
 import logging
 import math
-import os
-import re
 from pathlib import Path
 
 from .model import (
@@ -27,7 +25,6 @@ logger = logging.getLogger(__name__)
 SCHEMA_VERSION = 3
 # the record fields that hold individuals, in the order they are scanned
 INDIVIDUAL_FIELDS = ("population", "offspring", "best_so_far")
-_GENERATION_INDEX = re.compile(rb'"generation_index": (\d+),')
 
 GENERATIONS_FILE = "generations.jsonl"
 TRANSCRIPTS_FILE = "transcripts.jsonl"
@@ -44,15 +41,14 @@ class RunDirError(RuntimeError):
 
 
 class HistoryWriter:
-    """A run's history file, opened at its first record and held until
+    """A run's history file, started new at its first record and held until
     `close`.
 
-    A missing or empty file is new: it must start at generation 0, and its
-    first write is the version header and that record together. An
-    existing file is continued: its last generation index is read once,
-    when it is opened, and a torn last line is a ValueError. After that,
-    each record must follow the last one written. Each line goes out in one
-    write and a flush, so a run killed at any point leaves whole lines.
+    The first record must be generation 0: it opens the file for writing,
+    replacing any earlier history there, and its write carries the version
+    header too. Each later record must follow the last one written. Each
+    line goes out in one write and a flush, so a run killed at any point
+    leaves whole lines; a write after `close` is a ValueError.
     """
 
     def __init__(self, path: str | Path):
@@ -69,39 +65,24 @@ class HistoryWriter:
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
-            self._fh = None
 
     def write(self, index: int, line: str) -> None:
-        """Appends `line`, the record of generation `index`. A record that
-        does not follow the last one is a ValueError, and nothing is
-        written; a new file is not even created."""
-        header = "" if self._fh is not None else self._open(index)
+        """Writes `line`, the record of generation `index`. A record out of
+        order is a ValueError, and nothing is written; a first record other
+        than generation 0 does not even create the file."""
         if index != self._last + 1:
+            if self._fh is None:
+                raise ValueError(
+                    f"a new history must start at generation 0, not {index}: "
+                    "its references would name individuals no line defines"
+                )
             raise ValueError(f"{self._path} ends at generation {self._last}, not {index - 1}")
-        self._fh.write(f"{header}{line}\n".encode("utf-8"))
+        if self._fh is None:
+            self._fh = self._path.open("wb")
+            line = json.dumps({"schema_version": SCHEMA_VERSION}) + "\n" + line
+        self._fh.write(f"{line}\n".encode("utf-8"))
         self._fh.flush()
         self._last = index
-
-    def _open(self, index: int) -> str:
-        """Opens the file for the record of generation `index` and returns
-        the header its first write must carry: none for an existing file."""
-        try:
-            new = self._path.stat().st_size == 0
-        except FileNotFoundError:
-            new = True
-        if new and index != 0:
-            raise ValueError(
-                f"a new history must start at generation 0, not {index}: "
-                "its references would name individuals no line defines"
-            )
-        fh = self._path.open("a+b")
-        try:
-            self._last = -1 if new else _last_generation(fh)
-        except BaseException:
-            fh.close()
-            raise
-        self._fh = fh
-        return json.dumps({"schema_version": SCHEMA_VERSION}, sort_keys=True) + "\n" if new else ""
 
 
 def append_generation(history: HistoryWriter, record: GenerationRecord) -> None:
@@ -136,28 +117,6 @@ def append_generation(history: HistoryWriter, record: GenerationRecord) -> None:
     best = record.best_so_far
     line["best_so_far"] = None if best is None else entry(best)
     history.write(record.generation_index, json.dumps(line, sort_keys=True))
-
-
-def _last_generation(fh) -> int:
-    """The generation index of the last record in `fh`, a history opened
-    for binary reading; -1 for a header alone, and a torn last line is a
-    ValueError. The file is searched a block at a time back
-    from its end for the last `"generation_index": N,`, which is the last
-    record's own: keys are sorted, only a record has that key, and JSON
-    escapes every quote inside a string."""
-    end = pos = fh.seek(0, os.SEEK_END)
-    while pos > 0:
-        start = max(pos - (1 << 16), 0)
-        fh.seek(start)
-        # overlap the block after it, which may hold the rest of a match
-        data = fh.read(pos - start + 32)
-        if pos == end and not data.endswith(b"\n"):
-            raise ValueError(f"the last line of {fh.name} is torn")
-        found = _GENERATION_INDEX.findall(data)
-        if found:
-            return int(found[-1])
-        pos = start
-    return -1
 
 
 def _record(data, individuals: dict[int, Individual]) -> GenerationRecord:

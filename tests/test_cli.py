@@ -710,9 +710,6 @@ def test_a_run_opens_each_file_once_and_closes_it_on_every_exit(
 
 
 def test_http_run_closes_its_kept_alive_connections(tmp_path, monkeypatch, capsys):
-    # every draft passes and every critique is this text too; an unparsable
-    # reply would be logged with its exception, whose frames keep the
-    # provider alive for as long as the log record is kept
     code = "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0"
     endpoint = _FakeEndpoint([(200, _ok(render_response("chain", code)))] * 20, keep_alive=True)
     monkeypatch.setenv("RTLEVO_CLI_KEY", "sk-test")

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import logging
+import os
 import random
+import signal
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -763,6 +768,45 @@ def test_failed_critique_is_asked_once_and_fails_every_slot_that_needs_it():
     assert not any(shared.lock.locked() for shared in critiques.values())
 
 
+class InterruptAtThirdCall:
+    """Sleeps 50 ms in every call, and at the third sends this process the
+    SIGINT that Ctrl-C sends. Counts the calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, bundle):
+        with self.lock:
+            self.calls += 1
+            if self.calls == 3:
+                os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(0.05)
+        return self.inner.complete(bundle)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX SIGINT")
+def test_ctrl_c_starts_no_further_slot_of_a_concurrent_generation():
+    provider = InterruptAtThirdCall(ScriptedProvider(demo_script()))
+    engine = EvolutionEngine(
+        SPEC,
+        demo_cfg(population_size=16, max_parallel_evaluations=2),
+        provider,
+        SyntheticEvaluator(),
+    )
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            engine.initialize()
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    # time for every queued draft to run, had any been left running
+    time.sleep(16 * 0.05)
+    # the calls in flight at the interrupt and none after them
+    assert provider.calls <= 4
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_slot_drafts_overlap_up_to_the_worker_bound(workers):
     provider = OverlapCounter(ScriptedProvider(demo_script()), hold=workers > 1)
@@ -1153,6 +1197,23 @@ def test_failed_critique_call_falls_back_to_outcome_summary():
     for bundle in drafts:
         # the fallback summaries of a failing and of a passing parent
         assert "Simulation failed. Log tail" in bundle.user_text or "PPA vs reference" in bundle.user_text
+
+
+def test_logged_failures_keep_no_provider_alive(caplog):
+    # an unparsable draft and failing critiques, logged under a handler that
+    # keeps its records: an exception kept by a record would keep its
+    # traceback, whose frames hold the engine and its provider
+    script = [e for e in demo_script() if e.match not in ("strategy:initial", "purpose:feedback")]
+    script.append(ScriptEntry("strategy:initial", "no fence here"))
+    provider = ScriptedProvider(script)
+    alive = weakref.ref(provider)
+    with caplog.at_level(logging.WARNING):
+        EvolutionEngine(SPEC, demo_cfg(), provider, SyntheticEvaluator()).run()
+    assert "unusable response" in caplog.text
+    assert "feedback call failed" in caplog.text
+    del provider
+    gc.collect()
+    assert alive() is None
 
 
 def test_fix_reply_repeating_a_placeholder_becomes_a_placeholder():
