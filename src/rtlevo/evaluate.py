@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import os
 import re
 import selectors
@@ -96,9 +97,9 @@ class ToolchainConfig:
     post_synth_command: str = ""
 
     def __post_init__(self) -> None:
-        if self.per_stage_timeout <= 0:
+        if not 0 < self.per_stage_timeout < math.inf:
             raise ConfigError(
-                f"evaluator.per_stage_timeout must be > 0, got {self.per_stage_timeout!r}"
+                f"evaluator.per_stage_timeout must be in (0, inf), got {self.per_stage_timeout!r}"
             )
         # templates render and patterns compile here: a config that cannot run fails to load
         mapping = _stage_mapping(self, 1.0, Path())  # any clock renders the same placeholders
@@ -498,56 +499,46 @@ def _log_tail(log: str, tail_chars: int) -> str:
     return "..." + text[-tail_chars:]
 
 
-def _fallback_feedback(ind: Individual, spec: ProblemSpec) -> str:
+def _critique_texts(ind: Individual, spec: ProblemSpec) -> tuple[str, str]:
+    """The critique prompt for an evaluated individual, and the stand-in
+    its feedback takes when the call fails or replies with nothing."""
     outcome = ind.outcome
-    assert outcome is not None
     quoted = _critiqued_log(outcome)
+    design = f"Task description:\n{spec.description}\n\nDesign code:\n{ind.code}\n\n"
     if quoted == "sim_log":
-        return "Simulation failed. Log tail:\n" + _log_tail(outcome.sim_log, 500)
-    if quoted == "synth_log":
-        return "Simulation passed but synthesis produced no usable PPA report."
-    gen, ref = outcome.ppa, spec.reference_ppa
-    return (
-        "Design is functionally correct. "
-        f"PPA vs reference: power {gen.power:.6g} / {ref.power:.6g}, "
-        f"area {gen.area:.6g} / {ref.area:.6g}, "
-        f"period {gen.effective_clock_period:.6g} / {ref.effective_clock_period:.6g}."
-    )
-
-
-def _feedback_prompt(ind: Individual, spec: ProblemSpec) -> str:
-    outcome = ind.outcome
-    assert outcome is not None
-    quoted = _critiqued_log(outcome)
-    if quoted == "sim_log":
-        return (
+        prompt = (
             "A Verilog design failed its testbench. Analyze the error log and "
             "write concise bug-fixing feedback (what is wrong and how to fix it).\n\n"
-            f"Task description:\n{spec.description}\n\n"
-            f"Design code:\n{ind.code}\n\n"
-            f"Simulation log (tail):\n{_log_tail(outcome.sim_log, FEEDBACK_LOG_TAIL_CHARS)}\n"
+            f"{design}Simulation log (tail):\n"
+            f"{_log_tail(outcome.sim_log, FEEDBACK_LOG_TAIL_CHARS)}\n"
         )
-    ref = spec.reference_ppa
+        return prompt, "Simulation failed. Log tail:\n" + _log_tail(outcome.sim_log, 500)
     if quoted == "synth_log":
         ppa_lines = "synthesis produced no usable PPA report\n" + _log_tail(
             outcome.synth_log, FEEDBACK_LOG_TAIL_CHARS
         )
+        stand_in = "Simulation passed but synthesis produced no usable PPA report."
     else:
-        gen = outcome.ppa
+        gen, ref = outcome.ppa, spec.reference_ppa
         ppa_lines = (
             f"generated: power={gen.power:.6g} area={gen.area:.6g} "
             f"period={gen.effective_clock_period:.6g}\n"
             f"reference: power={ref.power:.6g} area={ref.area:.6g} "
             f"period={ref.effective_clock_period:.6g}"
         )
-    return (
+        stand_in = (
+            "Design is functionally correct. "
+            f"PPA vs reference: power {gen.power:.6g} / {ref.power:.6g}, "
+            f"area {gen.area:.6g} / {ref.area:.6g}, "
+            f"period {gen.effective_clock_period:.6g} / {ref.effective_clock_period:.6g}."
+        )
+    prompt = (
         "A Verilog design passed its testbench. Review its PPA against the "
         "reference design and suggest concrete improvements (smaller area, "
         "lower power, better timing) that preserve functionality.\n\n"
-        f"Task description:\n{spec.description}\n\n"
-        f"Design code:\n{ind.code}\n\n"
-        f"PPA results:\n{ppa_lines}\n"
+        f"{design}PPA results:\n{ppa_lines}\n"
     )
+    return prompt, stand_in
 
 
 def generate_feedback(
@@ -558,18 +549,16 @@ def generate_feedback(
     engine's call key for the feedback prompt (see PromptBundle.key)."""
     if ind.outcome is None:
         raise ValueError("generate_feedback needs an evaluated individual")
+    prompt, stand_in = _critique_texts(ind, spec)
     bundle = PromptBundle(
-        system_text=system_text(),
-        user_text=_feedback_prompt(ind, spec),
-        purpose="feedback",
-        key=key,
+        system_text=system_text(), user_text=prompt, purpose="feedback", key=key
     )
     try:
         text = provider.complete(bundle).text.strip()
     except ProviderError as exc:
         logger.warning("feedback call failed (%s); using fallback text", str(exc))
         text = ""
-    return text or _fallback_feedback(ind, spec)
+    return text or stand_in
 
 
 def critique(

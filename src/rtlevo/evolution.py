@@ -115,8 +115,10 @@ class EvolutionConfig:
                 "evolution.elite_per_metric must satisfy 0 <= 3*n <= population_size, "
                 f"got n={self.elite_per_metric!r} with N={self.population_size!r}"
             )
-        if self.exploration_c < 0:
-            raise ConfigError(f"evolution.exploration_c must be >= 0, got {self.exploration_c!r}")
+        if not 0 <= self.exploration_c < math.inf:
+            raise ConfigError(
+                f"evolution.exploration_c must be in [0, inf), got {self.exploration_c!r}"
+            )
         if self.temperature <= 0:
             raise ConfigError(f"evolution.temperature must be > 0, got {self.temperature!r}")
         if self.max_parallel_evaluations < 1:
@@ -325,43 +327,32 @@ class EvolutionEngine:
                 for p in slot.parents
             ]
             bundle = build_evolutionary_prompt(slot.strategy, self.spec, parents)
-        generation = slot.key[0]
-        strategy = slot.strategy.value if slot.strategy else None
         text = self.provider.complete(dataclasses.replace(bundle, key=slot.key)).text
         try:
             thought, code = parse_llm_response(text)
+            feedback = outcome = fitness = None
         except ParseError as exc:
             logger.warning("individual %d: unusable response (%s)", slot.ind_id, str(exc))
-            outcome = EvalOutcome(
-                sim_passed=False,
-                synth_succeeded=False,
-                ppa=None,
-                sim_log=f"response parsing failed before simulation: {exc}",
-                synth_log="",
-            )
+            thought, code, fitness = PLACEHOLDER_THOUGHT, PLACEHOLDER_CODE, NEG_INF
             feedback = (
                 f"The previous response was rejected: {exc}. Reply with a "
                 "'## Thought' section and exactly one fenced code block "
                 "containing complete Verilog."
             )
-            return Individual(
-                id=slot.ind_id,
-                thought=PLACEHOLDER_THOUGHT,
-                code=PLACEHOLDER_CODE,
-                feedback=feedback,
-                outcome=outcome,
-                fitness=NEG_INF,
-                parent_ids=bundle.parent_ids,
-                strategy=strategy,
-                generation_born=generation,
+            outcome = EvalOutcome(
+                sim_passed=False, synth_succeeded=False, ppa=None,
+                sim_log=f"response parsing failed before simulation: {exc}",
             )
         return Individual(
             id=slot.ind_id,
             thought=thought,
             code=code,
+            feedback=feedback,
+            outcome=outcome,
+            fitness=fitness,
             parent_ids=bundle.parent_ids,
-            strategy=strategy,
-            generation_born=generation,
+            strategy=slot.strategy.value if slot.strategy else None,
+            generation_born=slot.key[0],
         )
 
     def _evaluate(self, drafted: Individual) -> Individual:

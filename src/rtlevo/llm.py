@@ -3,11 +3,12 @@
 Both expose a single method, complete(bundle) -> CompletionResult, so the
 engine never knows which one it is talking to, and both fail with a
 ProviderError. Every call can be recorded, result or error, in a
-transcript for replay and audit (`TranscriptWriter.call`). Drafts and
-critiques are sampled alike, with the provider's one temperature and
-top_p. The HTTP client reads its API key from an environment variable
-once, when it is built, and never persists it. It speaks HTTP/1.1 through
-the stdlib's `http.client`, keeping idle connections open for the next call.
+transcript for audit (`TranscriptWriter.call`), not replay: its entries
+carry no call key. Drafts and critiques are sampled alike, with the
+provider's one temperature and top_p. The HTTP client reads its API key
+from an environment variable once, when it is built, and never persists
+it. It speaks HTTP/1.1 through the stdlib's `http.client`, keeping idle
+connections open for the next call.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import base64
 import functools
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -81,12 +83,16 @@ class ProviderConfig:
                 "provider.endpoint_url must be an http or https URL with a host, "
                 f"in ASCII without spaces, got {self.endpoint_url!r}"
             )
-        if self.temperature < 0:
-            raise ConfigError(f"provider.temperature must be >= 0, got {self.temperature!r}")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"provider.temperature must be in [0, inf), got {self.temperature!r}")
         if not 0 < self.top_p <= 1:
             raise ConfigError(f"provider.top_p must be in (0, 1], got {self.top_p!r}")
         if self.max_retries < 0:
             raise ConfigError(f"provider.max_retries must be >= 0, got {self.max_retries!r}")
+        if not 0 < self.request_timeout < math.inf:
+            raise ConfigError(
+                f"provider.request_timeout must be in (0, inf), got {self.request_timeout!r}"
+            )
         if self.max_parallel_requests < 1:
             raise ConfigError(
                 f"provider.max_parallel_requests must be >= 1, got {self.max_parallel_requests!r}"
@@ -174,7 +180,8 @@ class TranscriptWriter:
         attempt_count: int | None = None,
     ) -> None:
         """Appends one entry; a failed call has no result, only its error
-        and, when known, its attempt count."""
+        and, when known, its attempt count. An HTTP result's `latency` runs
+        from the call's start, waits for a request slot and retries included."""
         entry = {
             "purpose": bundle.purpose,
             "strategy": bundle.strategy.value if bundle.strategy else None,

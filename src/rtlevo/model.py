@@ -74,9 +74,9 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not self.description.strip():
             raise ConfigError("problem needs a description or description_file")
-        if self.target_clock_period <= 0:
+        if not 0 < self.target_clock_period < math.inf:
             raise ConfigError(
-                f"problem.target_clock_period must be > 0, got {self.target_clock_period!r}"
+                f"problem.target_clock_period must be in (0, inf), got {self.target_clock_period!r}"
             )
         ref = self.reference_ppa
         for name in ("power", "area", "effective_clock_period"):
@@ -217,8 +217,9 @@ def _boolean(value) -> bool:
 
 
 def _number(value) -> float:
-    """An int or a float: `float("0.5")` and `float(True)` would read."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """An int or a float other than NaN: `float("0.5")` and `float(True)`
+    would read, and no setting or record holds NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
 

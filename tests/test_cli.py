@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -513,6 +514,38 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
                 "https://api.example.com/v1/ch\u00e4t",
             )
         ),
+        # a request timeout of zero or less fails every request, and NaN or
+        # infinity in a float setting loads but cannot run
+        *(
+            (
+                {"provider": {"kind": "http", "endpoint_url": "http://x/v1", key: value}},
+                f"provider.{key}",
+            )
+            for key, value in (
+                ("request_timeout", -1),
+                ("request_timeout", 0),
+                ("request_timeout", math.inf),
+                ("temperature", math.nan),
+                ("temperature", math.inf),
+            )
+        ),
+        *(
+            (
+                {"evaluator": {**SECTIONS["toolchain"], "per_stage_timeout": value}},
+                "evaluator.per_stage_timeout",
+            )
+            for value in (math.nan, math.inf)
+        ),
+        *(
+            ({key: value}, key)
+            for key, value in (
+                ("evolution.exploration_c", math.nan),
+                ("evolution.exploration_c", math.inf),
+                ("evolution.temperature", math.nan),
+                ("problem.target_clock_period", math.nan),
+                ("problem.target_clock_period", math.inf),
+            )
+        ),
     ],
 )
 def test_bad_value_is_one_error_line(tmp_path, capsys, overrides, key):
@@ -521,6 +554,13 @@ def test_bad_value_is_one_error_line(tmp_path, capsys, overrides, key):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith("error: ") and key in lines[0]
+
+
+def test_infinite_operator_temperature_loads(tmp_path, capsys):
+    # a NaN setting is refused, but an infinite temperature makes the operator choice uniform
+    config = write_setup(tmp_path, config_overrides={"evolution.temperature": math.inf})
+    assert main(["validate-config", "--config", str(config)]) == EXIT_FOUND
+    assert load_config(config).evolution.temperature == math.inf
 
 
 def test_null_means_default(tmp_path, capsys):

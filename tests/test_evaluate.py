@@ -565,11 +565,38 @@ def test_feedback_log_tail_truncation():
     assert "x" * 5000 not in sent
 
 
-def test_feedback_provider_outage_degrades_to_fallback():
-    text = generate_feedback(failing_individual(), SPEC, FailingProvider(), KEY)
-    assert text
-    assert "Simulation failed" in text
-    assert "expected sum 2 got 3" in text
+def synth_failed_individual():
+    return Individual(
+        id=6,
+        thought="t",
+        code="module add2; // no netlist\nendmodule",
+        feedback="",
+        outcome=EvalOutcome(True, False, None, sim_log="all tests passed", synth_log="boom"),
+        fitness=SYNTH_FAIL_FITNESS,
+    )
+
+
+@pytest.mark.parametrize(
+    "individual, fallback",
+    [
+        (
+            failing_individual,
+            "Simulation failed. Log tail:\nexpected sum 2 got 3\nexpected carry 1 got 0",
+        ),
+        (
+            synth_failed_individual,
+            "Simulation passed but synthesis produced no usable PPA report.",
+        ),
+        (
+            passing_individual,
+            "Design is functionally correct. PPA vs reference: power 0.8 / 1, "
+            "area 90 / 100, period 1 / 1.",
+        ),
+    ],
+    ids=["sim_failed", "no_ppa", "ppa"],
+)
+def test_feedback_provider_outage_degrades_to_fallback(individual, fallback):
+    assert generate_feedback(individual(), SPEC, FailingProvider(), KEY) == fallback
 
 
 def test_feedback_empty_reply_degrades_to_fallback():

@@ -498,19 +498,45 @@ def test_parse_failure_becomes_placeholder_without_evaluation():
         def reference_ppa(self, code, spec):
             return self.inner.reference_ppa(code, spec)
 
-    provider = ScriptedProvider(
-        [ScriptEntry("strategy:initial", "no fence anywhere in this text")]
+    class RecordingProvider(ScriptedProvider):
+        def complete(self, bundle):
+            drafts[bundle.key] = bundle
+            return super().complete(bundle)
+
+    drafts = {}
+    provider = RecordingProvider(
+        [ScriptEntry("purpose:generate", "no fence anywhere in this text")]
     )
     evaluator = CountingEvaluator()
     engine = EvolutionEngine(SPEC, demo_cfg(), provider, evaluator)
     record = engine.initialize()
+    # generation 1 drafts from placeholders, which carry feedback: no critique calls
+    offspring = engine.run_generation().offspring
     assert evaluator.calls == 0
-    for ind in record.population:
+    for ind in [*record.population, *offspring]:
         assert ind.code == PLACEHOLDER_CODE
         assert ind.thought == PLACEHOLDER_THOUGHT
         assert ind.fitness == NEG_INF
-        assert "rejected" in ind.feedback
-        assert ind.outcome.sim_passed is False
+        assert ind.feedback == (
+            "The previous response was rejected: response contains no fenced "
+            "code block. Reply with a '## Thought' section and exactly one "
+            "fenced code block containing complete Verilog."
+        )
+        assert ind.outcome == EvalOutcome(
+            sim_passed=False,
+            synth_succeeded=False,
+            ppa=None,
+            sim_log="response parsing failed before simulation: "
+            "response contains no fenced code block",
+        )
+    population_ids = {ind.id for ind in record.population}
+    for j, ind in enumerate(offspring):
+        bundle = drafts[(1, j)]
+        assert ind.id == demo_cfg().population_size + j
+        assert ind.parent_ids == bundle.parent_ids
+        assert ind.parent_ids and set(ind.parent_ids) <= population_ids
+        assert ind.strategy == bundle.strategy.value
+        assert ind.generation_born == 1
 
 
 def test_fusion_infeasible_resamples_other_strategy():

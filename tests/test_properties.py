@@ -31,7 +31,7 @@ from rtlevo.evaluate import (
     SyntheticEvaluator,
     SyntheticEvaluatorConfig,
     ToolchainConfig,
-    _feedback_prompt,
+    _critique_texts,
     _log_tail,
     clip_log,
 )
@@ -541,7 +541,7 @@ def test_critique_prompt_is_built_as_from_the_unclipped_outcome(workers):
     critiqued = [ind for ind in evaluated if f"Design code:\n{ind.code}\n\n" in "".join(sent)]
     assert len(critiqued) == len(sent) > 0
     unclipped = sorted(
-        _feedback_prompt(dataclasses.replace(ind, outcome=evaluator.outcomes[ind.id]), SPEC)
+        _critique_texts(dataclasses.replace(ind, outcome=evaluator.outcomes[ind.id]), SPEC)[0]
         for ind in critiqued
     )
     assert sorted(sent) == unclipped
