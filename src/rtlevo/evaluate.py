@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import math
 import os
 import re
 import selectors
@@ -35,7 +34,15 @@ from typing import Protocol
 
 from .fitness import FitnessWeights, effective_period, fitness_of
 from .llm import Provider, ProviderError
-from .model import ConfigError, EvalOutcome, Individual, PpaMetrics, ProblemSpec
+from .model import (
+    MAX_WAIT_SECONDS,
+    ConfigError,
+    EvalOutcome,
+    Individual,
+    PpaMetrics,
+    ProblemSpec,
+    check_range,
+)
 from .prompts import PromptBundle, system_text
 
 logger = logging.getLogger(__name__)
@@ -97,10 +104,9 @@ class ToolchainConfig:
     post_synth_command: str = ""
 
     def __post_init__(self) -> None:
-        if not 0 < self.per_stage_timeout < math.inf:
-            raise ConfigError(
-                f"evaluator.per_stage_timeout must be in (0, inf), got {self.per_stage_timeout!r}"
-            )
+        check_range(
+            "evaluator.per_stage_timeout", self.per_stage_timeout, f"(0, {MAX_WAIT_SECONDS}]"
+        )
         # templates render and patterns compile here: a config that cannot run fails to load
         mapping = _stage_mapping(self, 1.0, Path())  # any clock renders the same placeholders
         for name, value in vars(self).items():

@@ -63,6 +63,7 @@ from .model import (
     PopulationLabel,
     ProblemSpec,
     StrategyEvent,
+    check_range,
     classify,
 )
 from .prompts import (
@@ -98,34 +99,16 @@ class EvolutionConfig:
     max_parallel_evaluations: int = 1
 
     def __post_init__(self) -> None:
-        if self.population_size < 1:
-            raise ConfigError(
-                f"evolution.population_size must be >= 1, got {self.population_size!r}"
-            )
-        if self.offspring_count < 1:
-            raise ConfigError(
-                f"evolution.offspring_count must be >= 1, got {self.offspring_count!r}"
-            )
-        if self.max_generations < 1:
-            raise ConfigError(
-                f"evolution.max_generations must be >= 1, got {self.max_generations!r}"
-            )
+        for name in ("population_size", "offspring_count", "max_generations"):
+            check_range(f"evolution.{name}", getattr(self, name), "[1, inf)")
         if not 0 <= 3 * self.elite_per_metric <= self.population_size:
             raise ConfigError(
                 "evolution.elite_per_metric must satisfy 0 <= 3*n <= population_size, "
                 f"got n={self.elite_per_metric!r} with N={self.population_size!r}"
             )
-        if not 0 <= self.exploration_c < math.inf:
-            raise ConfigError(
-                f"evolution.exploration_c must be in [0, inf), got {self.exploration_c!r}"
-            )
-        if self.temperature <= 0:
-            raise ConfigError(f"evolution.temperature must be > 0, got {self.temperature!r}")
-        if self.max_parallel_evaluations < 1:
-            raise ConfigError(
-                "evolution.max_parallel_evaluations must be >= 1, "
-                f"got {self.max_parallel_evaluations!r}"
-            )
+        check_range("evolution.exploration_c", self.exploration_c, "[0, inf)")
+        check_range("evolution.temperature", self.temperature, "(0, inf]")
+        check_range("evolution.max_parallel_evaluations", self.max_parallel_evaluations, "[1, inf)")
 
     def weights_for(self, spec: ProblemSpec) -> FitnessWeights:
         return self.weights or FitnessWeights.for_circuit_kind(spec.circuit_kind)

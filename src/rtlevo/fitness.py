@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .model import CircuitKind, ConfigError, EvalOutcome, NEG_INF, PpaMetrics
+from .model import CircuitKind, ConfigError, EvalOutcome, NEG_INF, PpaMetrics, check_range
 
 # Finite sentinel for candidates that pass simulation but yield no usable
 # synthesis metrics: keeps them in the Success population while ranking them
@@ -28,9 +27,7 @@ class FitnessWeights:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ConfigError(f"weights.{name} must be finite and >= 0, got {value!r}")
+            check_range(f"weights.{name}", getattr(self, name), "[0, inf)")
         if self.alpha + self.beta + self.gamma <= 0:
             raise ConfigError("weights must not all be zero")
 
@@ -48,8 +45,6 @@ def effective_period(target_period: float, worst_slack: float) -> float:
     Negative slack inflates the period, positive slack shrinks it; the result
     is clamped below at MIN_EFFECTIVE_PERIOD.
     """
-    if target_period <= 0:
-        raise ValueError(f"target_period must be > 0, got {target_period!r}")
     return max(target_period - worst_slack, MIN_EFFECTIVE_PERIOD)
 
 
@@ -60,9 +55,6 @@ def compute_fitness(gen: PpaMetrics, ref: PpaMetrics, weights: FitnessWeights) -
     period, so higher is better and a candidate identical to the reference
     scores exactly zero.
     """
-    for name in ("power", "area", "effective_clock_period"):
-        if getattr(ref, name) <= 0:
-            raise ConfigError(f"reference {name} must be > 0 to compute fitness")
     return (
         weights.alpha * (ref.power - gen.power) / ref.power
         + weights.beta * (ref.area - gen.area) / ref.area

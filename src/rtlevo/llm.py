@@ -17,7 +17,6 @@ import base64
 import functools
 import json
 import logging
-import math
 import os
 import random
 import re
@@ -30,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from . import __version__
-from .model import ConfigError, build, read_yaml
+from .model import MAX_WAIT_SECONDS, ConfigError, build, check_range, read_yaml
 from .prompts import PromptBundle, render_response
 
 logger = logging.getLogger(__name__)
@@ -83,20 +82,11 @@ class ProviderConfig:
                 "provider.endpoint_url must be an http or https URL with a host, "
                 f"in ASCII without spaces, got {self.endpoint_url!r}"
             )
-        if not 0 <= self.temperature < math.inf:
-            raise ConfigError(f"provider.temperature must be in [0, inf), got {self.temperature!r}")
-        if not 0 < self.top_p <= 1:
-            raise ConfigError(f"provider.top_p must be in (0, 1], got {self.top_p!r}")
-        if self.max_retries < 0:
-            raise ConfigError(f"provider.max_retries must be >= 0, got {self.max_retries!r}")
-        if not 0 < self.request_timeout < math.inf:
-            raise ConfigError(
-                f"provider.request_timeout must be in (0, inf), got {self.request_timeout!r}"
-            )
-        if self.max_parallel_requests < 1:
-            raise ConfigError(
-                f"provider.max_parallel_requests must be >= 1, got {self.max_parallel_requests!r}"
-            )
+        check_range("provider.temperature", self.temperature, "[0, inf)")
+        check_range("provider.top_p", self.top_p, "(0, 1]")
+        check_range("provider.max_retries", self.max_retries, "[0, inf)")
+        check_range("provider.request_timeout", self.request_timeout, f"(0, {MAX_WAIT_SECONDS}]")
+        check_range("provider.max_parallel_requests", self.max_parallel_requests, "[1, inf)")
 
 
 @dataclass(frozen=True)

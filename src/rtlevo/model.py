@@ -22,9 +22,25 @@ from .bandit import BanditState
 
 NEG_INF = float("-inf")
 
+# The longest timeout, in seconds, the program can wait for: the selector
+# a tool stage waits in takes at most 2**31 - 1 ms (epoll on Linux) and
+# raises OverflowError above it. `socket.settimeout`, which an http request
+# waits in, takes up to `threading.TIMEOUT_MAX`, which is longer.
+MAX_WAIT_SECONDS = 2_147_483
+
 
 class ConfigError(ValueError):
     """A configuration value violates its documented bounds or schema."""
+
+
+def check_range(where: str, value, interval: str) -> None:
+    """Raise ConfigError unless `value` lies in `interval`, written as the
+    error prints it: "[1, inf)", "(0, 1]". NaN lies in no interval."""
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    below = value <= high if interval[-1] == "]" else value < high
+    if not (above and below):
+        raise ConfigError(f"{where} must be in {interval}, got {value!r}")
 
 
 class CircuitKind(enum.Enum):
@@ -74,14 +90,10 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not self.description.strip():
             raise ConfigError("problem needs a description or description_file")
-        if not 0 < self.target_clock_period < math.inf:
-            raise ConfigError(
-                f"problem.target_clock_period must be in (0, inf), got {self.target_clock_period!r}"
-            )
+        check_range("problem.target_clock_period", self.target_clock_period, "(0, inf)")
         ref = self.reference_ppa
         for name in ("power", "area", "effective_clock_period"):
-            if getattr(ref, name) <= 0:
-                raise ConfigError(f"problem.reference_ppa.{name} must be > 0")
+            check_range(f"problem.reference_ppa.{name}", getattr(ref, name), "(0, inf)")
 
 
 @dataclass(frozen=True)

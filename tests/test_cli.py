@@ -23,6 +23,7 @@ from rtlevo.cli import EXIT_ABORT, EXIT_FOUND, EXIT_NOT_FOUND, main
 from rtlevo.config import load_config
 from rtlevo.evolution import PLACEHOLDER_CODE, EvolutionEngine
 from rtlevo.llm import TranscriptWriter
+from rtlevo.model import MAX_WAIT_SECONDS
 from rtlevo.prompts import render_response
 from rtlevo.reporting import GENERATIONS_FILE, TRANSCRIPTS_FILE, read_generations
 from test_llm import _FakeEndpoint, _ok
@@ -546,6 +547,38 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
                 ("problem.target_clock_period", math.inf),
             )
         ),
+        # every other number out of its range is one error line too
+        *(
+            ({key: value}, key)
+            for key, value in (
+                ("evolution.max_parallel_evaluations", 0),
+                ("evolution.temperature", 0),
+                ("problem.reference_ppa.power", 0),
+            )
+        ),
+        *(
+            (
+                {"provider": {"kind": "http", "endpoint_url": "http://x/v1", key: value}},
+                f"provider.{key}",
+            )
+            for key, value in (
+                ("top_p", 0),
+                ("top_p", 1.5),
+                ("max_retries", -1),
+                ("max_parallel_requests", 0),
+            )
+        ),
+        # the weights check names the key without its section
+        ({"evolution.weights.alpha": -0.1}, "error: weights.alpha"),
+        # a finite timeout beyond the longest wait select() takes loads but cannot run
+        (
+            {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "request_timeout": 10**7}},
+            "provider.request_timeout must be in (0, 2147483], got 10000000.0",
+        ),
+        (
+            {"evaluator": {**SECTIONS["toolchain"], "per_stage_timeout": 10**7}},
+            "evaluator.per_stage_timeout must be in (0, 2147483], got 10000000.0",
+        ),
     ],
 )
 def test_bad_value_is_one_error_line(tmp_path, capsys, overrides, key):
@@ -561,6 +594,37 @@ def test_infinite_operator_temperature_loads(tmp_path, capsys):
     config = write_setup(tmp_path, config_overrides={"evolution.temperature": math.inf})
     assert main(["validate-config", "--config", str(config)]) == EXIT_FOUND
     assert load_config(config).evolution.temperature == math.inf
+
+
+def test_closed_edges_load_and_the_longest_timeouts_run(tmp_path, capsys, monkeypatch):
+    code = "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0"
+    endpoint = _FakeEndpoint([(200, _ok(render_response("chain", code)))] * 20)
+    monkeypatch.setenv("RTLEVO_CLI_KEY", "sk-test")
+    edges = {
+        "top_p": 1,
+        "max_retries": 0,
+        "temperature": 0,
+        "request_timeout": MAX_WAIT_SECONDS,
+    }
+    config = write_setup(
+        tmp_path,
+        config_overrides={
+            "evolution.max_generations": 1,
+            "evolution.exploration_c": 0,
+            "provider": {**SECTIONS["http"], "endpoint_url": endpoint.url, **edges},
+            **_toolchain(tmp_path, per_stage_timeout=MAX_WAIT_SECONDS),
+        },
+    )
+    try:
+        assert main(["validate-config", "--config", str(config)]) == EXIT_FOUND
+        assert main(["run", "--config", str(config)]) == EXIT_FOUND
+    finally:
+        endpoint.close()
+    cfg = load_config(config)
+    assert cfg.evaluator.per_stage_timeout == cfg.provider.request_timeout == MAX_WAIT_SECONDS
+    assert (cfg.provider.top_p, cfg.provider.max_retries, cfg.provider.temperature) == (1, 0, 0)
+    assert cfg.evolution.exploration_c == 0
+    assert endpoint.requests
 
 
 def test_null_means_default(tmp_path, capsys):

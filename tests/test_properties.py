@@ -53,7 +53,14 @@ from rtlevo.llm import (
     ScriptedProvider,
     ScriptEntry,
 )
-from rtlevo.model import CircuitKind, EvalOutcome, PpaMetrics, ProblemSpec, to_plain
+from rtlevo.model import (
+    MAX_WAIT_SECONDS,
+    CircuitKind,
+    EvalOutcome,
+    PpaMetrics,
+    ProblemSpec,
+    to_plain,
+)
 from rtlevo.prompts import PromptBundle, PromptStrategy
 from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation, read_generations
 
@@ -550,6 +557,7 @@ def test_critique_prompt_is_built_as_from_the_unclipped_outcome(workers):
 
 
 _POSITIVE = st.floats(min_value=1e-9, max_value=1e9)
+_TIMEOUT = st.floats(min_value=0.0, max_value=MAX_WAIT_SECONDS, exclude_min=True)
 _UNIT = st.floats(min_value=1e-6, max_value=1.0)
 
 
@@ -588,7 +596,7 @@ def _run_configs(draw, directory, provider_kind, evaluator_kind):
             temperature=draw(st.floats(0.0, 2.0)),
             top_p=draw(_UNIT),
             max_retries=draw(st.integers(0, 10)),
-            request_timeout=draw(_POSITIVE),
+            request_timeout=draw(_TIMEOUT),
             max_parallel_requests=draw(st.integers(1, 16)),
         )
     else:
@@ -599,7 +607,7 @@ def _run_configs(draw, directory, provider_kind, evaluator_kind):
             simulator_command=draw(st.sampled_from([DEFAULT_SIMULATOR_COMMAND, "echo {code_file}"])),
             synthesizer_command=draw(no_braces),
             liberty_path=draw(st.sampled_from(["", str(directory / "cells.lib")])),
-            per_stage_timeout=draw(_POSITIVE),
+            per_stage_timeout=draw(_TIMEOUT),
             workdir_root=draw(st.text()),
             pass_pattern=draw(st.sampled_from([DEFAULT_PASS_PATTERN, r"\bok\b"])),
             post_synth_command=draw(no_braces),
