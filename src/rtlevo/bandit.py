@@ -1,7 +1,10 @@
 """Adaptive strategy selection: UCB scores, incremental averages, softmax sampling.
 
 Each population keeps its own independent state over its own strategy set;
-the engine is the single writer, so no locking is done here.
+the engine is the single writer, so no locking is done here. The engine
+also supplies every input these functions assume: known arm names, a
+non-empty choice, and the exploration constant and temperature that
+`EvolutionConfig` has range-checked.
 """
 
 from __future__ import annotations
@@ -10,10 +13,6 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass
-
-# Returned for strategies that have never been pulled; compares greater than
-# any finite score so callers can give them absolute priority.
-UNTRIED_SCORE = math.inf
 
 
 @dataclass
@@ -50,11 +49,9 @@ class BanditState:
 def ucb_score(stats: StrategyStats, total_pulls: int, exploration_c: float) -> float:
     """Upper-confidence-bound score: Q + c * sqrt(ln(T) / k).
 
-    Undefined at zero pulls, so untried strategies (or a fresh state) get
-    `UNTRIED_SCORE`, which outranks every finite score.
+    Defined for a pulled strategy only (k >= 1, so T >= 1): `select_strategy`
+    picks an untried strategy before it scores any.
     """
-    if stats.pull_count == 0 or total_pulls == 0:
-        return UNTRIED_SCORE
     return stats.q_value + exploration_c * math.sqrt(math.log(total_pulls) / stats.pull_count)
 
 
@@ -64,20 +61,15 @@ def record_reward(state: BanditState, strategy: str, reward: float) -> BanditSta
     After the update Q equals the exact arithmetic mean of all rewards the
     strategy has received. Returns the (mutated) state for convenience.
     """
-    stats = state.strategies.get(strategy)
-    if stats is None:
-        raise ValueError(f"unknown strategy {strategy!r}; known: {sorted(state.strategies)}")
+    stats = state.strategies[strategy]
     stats.pull_count += 1
     stats.q_value += (reward - stats.q_value) / stats.pull_count
     return state
 
 
 def softmax(scores: list[float], temperature: float) -> list[float]:
-    """Temperature-scaled softmax, stabilized by max subtraction."""
-    if not scores:
-        raise ValueError("softmax requires at least one score")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be > 0, got {temperature!r}")
+    """Temperature-scaled softmax, stabilized by max subtraction; the
+    temperature is in (0, inf], where inf gives the uniform distribution."""
     top = max(scores)
     exps = [math.exp((s - top) / temperature) for s in scores]
     total = sum(exps)
@@ -99,8 +91,6 @@ def select_strategy(
     the rng state.
     """
     names = [n for n in state.strategies if allowed is None or n in allowed]
-    if not names:
-        raise ValueError("no strategies available for selection")
     untried = [n for n in names if state.strategies[n].pull_count == 0]
     if untried:
         return untried[rng.randrange(len(untried))]

@@ -553,8 +553,6 @@ def generate_feedback(
     """Asks the provider to critique an evaluated individual; provider
     failures degrade to a deterministic non-empty summary. `key` is the
     engine's call key for the feedback prompt (see PromptBundle.key)."""
-    if ind.outcome is None:
-        raise ValueError("generate_feedback needs an evaluated individual")
     prompt, stand_in = _critique_texts(ind, spec)
     bundle = PromptBundle(
         system_text=system_text(), user_text=prompt, purpose="feedback", key=key

@@ -118,19 +118,14 @@ def offspring_quota(fail_count: int, success_count: int, offspring_count: int) -
     """Split the offspring budget proportionally to sub-population sizes.
 
     Largest-remainder rounding keeps the quotas summing to the budget; an
-    exact remainder tie goes to the Fail side.
+    exact remainder tie goes to the Fail side. The counts split a population
+    of at least one member, and the budget is at least one (EvolutionConfig).
     """
-    if fail_count < 0 or success_count < 0:
-        raise ValueError("sub-population counts must be >= 0")
-    total = fail_count + success_count
-    if total == 0:
-        raise ValueError("cannot split offspring over an empty population")
-    if offspring_count < 1:
-        raise ValueError(f"offspring_count must be >= 1, got {offspring_count!r}")
     if fail_count == 0:
         return 0, offspring_count
     if success_count == 0:
         return offspring_count, 0
+    total = fail_count + success_count
     exact_fail = offspring_count * fail_count / total
     exact_success = offspring_count * success_count / total
     quota_fail = math.floor(exact_fail)
@@ -144,13 +139,9 @@ def offspring_quota(fail_count: int, success_count: int, offspring_count: int) -
 
 
 def roulette_weights(subpop: list[Individual]) -> list[float]:
-    fitnesses = []
-    for ind in subpop:
-        if ind.fitness is None or not math.isfinite(ind.fitness):
-            raise ValueError(f"roulette needs finite fitness; individual {ind.id} has {ind.fitness!r}")
-        fitnesses.append(ind.fitness)
-    lowest = min(fitnesses)
-    return [f - lowest + ROULETTE_EPSILON for f in fitnesses]
+    """Success members' fitness, which is finite, shifted above zero."""
+    lowest = min(ind.fitness for ind in subpop)
+    return [ind.fitness - lowest + ROULETTE_EPSILON for ind in subpop]
 
 
 def select_parents(
@@ -158,15 +149,10 @@ def select_parents(
 ) -> list[Individual]:
     """Draw `strategy.arity` parents: uniformly from a Fail sub-population,
     fitness-proportionally (after the shift transform) from a Success one.
-    Two-parent draws are always distinct."""
-    if not subpop:
-        raise ValueError("cannot select parents from an empty sub-population")
+    Two-parent draws are always distinct. The engine draws only from a
+    side its quota gives a slot, so `subpop` is never empty, and it
+    resamples Fusion when the side has fewer than two members."""
     arity = strategy.arity
-    if arity > len(subpop):
-        raise ValueError(
-            f"strategy {strategy.value} needs {arity} distinct parents, "
-            f"sub-population has {len(subpop)}"
-        )
     label = classify(subpop[0])
     if label is PopulationLabel.FAIL:
         pool = list(subpop)
@@ -187,7 +173,6 @@ def select_parents(
 
 def _rank_key(ind: Individual) -> tuple[float, int, int]:
     # descending fitness, then younger generation, then lower id
-    assert ind.fitness is not None
     return (-ind.fitness, -ind.generation_born, ind.id)
 
 
@@ -196,10 +181,6 @@ def survivor_select(
 ) -> list[Individual]:
     """Next population: per-metric best synthesized parents first (deduplicated),
     the rest by fitness rank over parents and offspring together."""
-    if len(parents) != cfg.population_size:
-        raise ValueError(
-            f"expected {cfg.population_size} parents, got {len(parents)}"
-        )
     elites: list[Individual] = []
     if cfg.elite_per_metric > 0:
         synthesized = [
@@ -269,8 +250,7 @@ class RunResult:
     def found_correct(self) -> bool:
         """Whether some individual passed simulation: only those that failed
         it have fitness -inf, and the best outranks every other."""
-        best = self.history[-1].best_so_far if self.history else None
-        return best is not None and best.fitness != NEG_INF
+        return self.best is not None and self.best.fitness != NEG_INF
 
 
 class EvolutionEngine:
@@ -383,25 +363,7 @@ class EvolutionEngine:
         evaluated = [future.result() for future in queued]
         return [future.result() for future in evaluated if future]
 
-    def _emit_record(
-        self,
-        generation: int,
-        population: list[Individual],
-        offspring: list[Individual],
-        events: list[StrategyEvent],
-        best: Individual,
-        bandit_states: dict[str, BanditState],
-        critiques: tuple[Critique, ...] = (),
-    ) -> GenerationRecord:
-        record = GenerationRecord(
-            generation_index=generation,
-            population=tuple(population),
-            offspring=tuple(offspring),
-            strategy_events=tuple(events),
-            best_so_far=best,
-            bandit_states=bandit_states,
-            critiques=critiques,
-        )
+    def _emit(self, record: GenerationRecord) -> GenerationRecord:
         self.history.append(record)
         if self._record_sink is not None:
             self._record_sink(record)
@@ -409,16 +371,18 @@ class EvolutionEngine:
 
     def initialize(self) -> GenerationRecord:
         """Create and evaluate generation 0 from independent initial prompts;
-        its record holds both populations' fresh bandit states."""
-        if self.history:
-            raise RuntimeError("engine already initialized")
+        its record holds both populations' fresh bandit states. Called once,
+        before any `run_generation`, as `run` does."""
         slots = [_Slot(j, key=(0, j)) for j in range(self.cfg.population_size)]
         population = self._run_slots(slots, {})
         states = {
             label.value: BanditState.for_strategies([s.value for s in operators])
             for label, operators in zip(PopulationLabel, (FAIL_STRATEGIES, SUCCESS_STRATEGIES))
         }
-        return self._emit_record(0, population, [], [], min(population, key=_rank_key), states)
+        best = min(population, key=_rank_key)
+        return self._emit(
+            GenerationRecord(0, tuple(population), best_so_far=best, bandit_states=states)
+        )
 
     def _plan_slot(
         self, subpop: list[Individual], frozen: BanditState, rng: random.Random
@@ -438,7 +402,6 @@ class EvolutionEngine:
     def _reward_for(self, slot: _Slot, child: Individual) -> float:
         """1.0 for a success and 0.0 otherwise: a Fail-population child succeeds by
         passing simulation, a Success-population child by beating its best parent's fitness."""
-        assert child.outcome is not None and child.fitness is not None
         if slot.label is PopulationLabel.FAIL:
             improved = child.outcome.sim_passed
         else:
@@ -448,8 +411,6 @@ class EvolutionEngine:
     def run_generation(self) -> GenerationRecord:
         """One full iteration from the last record: quotas, offspring,
         evaluation, rewards, survivors, and the next record."""
-        if not self.history:
-            raise RuntimeError("call initialize() before run_generation()")
         last = self.history[-1]
         generation = last.generation_index + 1
         parents = list(last.population)
@@ -478,28 +439,27 @@ class EvolutionEngine:
         offspring = self._run_slots(slots, critiques)
         critiqued = {ind_id: shared.result for ind_id, shared in critiques.items()}
         parents = [critiqued.get(p.id, p) for p in parents]
-        bandit_states = {name: state.copy() for name, state in last.bandit_states.items()}
+        states = {name: state.copy() for name, state in last.bandit_states.items()}
         events = []
         for child, slot in zip(offspring, slots):
             reward = self._reward_for(slot, child)
-            record_reward(bandit_states[slot.label.value], slot.strategy.value, reward)
+            record_reward(states[slot.label.value], slot.strategy.value, reward)
             events.append(StrategyEvent(slot.label, slot.strategy.value, reward))
         survivors = survivor_select(parents, offspring, self.cfg)
         best = critiqued.get(last.best_so_far.id, last.best_so_far)
         best = min([best, *offspring], key=_rank_key)
         # in call-key order: slots were planned, and their critiques keyed, in slot order
         asked = tuple(Critique(ind.id, ind.feedback) for ind in critiqued.values())
-        return self._emit_record(
-            generation, survivors, offspring, events, best, bandit_states, asked
-        )
+        return self._emit(GenerationRecord(
+            generation, tuple(survivors), tuple(offspring), tuple(events), best, states, asked
+        ))
 
     def result(self) -> RunResult:
         return RunResult(history=list(self.history))
 
     def run(self) -> RunResult:
         """Initialize, iterate max_generations times, return the all-time best."""
-        if not self.history:
-            self.initialize()
+        self.initialize()
         for _ in range(self.cfg.max_generations):
             self.run_generation()
         result = self.result()

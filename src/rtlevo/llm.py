@@ -118,7 +118,8 @@ class TranscriptWriter:
     """Appends one JSON record per completion call to a .jsonl file in an
     existing directory. The file is opened at the first record and held
     until `close`; each record goes out in one write and a flush, so a run
-    killed at any point leaves whole lines.
+    killed at any point leaves whole lines; a record after `close` is a
+    ValueError.
 
     `redact` lists secret strings (API key values) that must never reach
     disk; any occurrence is replaced before writing.
@@ -140,7 +141,6 @@ class TranscriptWriter:
         with self._lock:
             if self._fh is not None:
                 self._fh.close()
-                self._fh = None
 
     def _scrub(self, value):
         if isinstance(value, str):

@@ -153,8 +153,6 @@ def classify(ind: Individual) -> PopulationLabel:
     Classification looks only at pre-synthesis simulation: a design that
     simulates correctly but fails synthesis still counts as Success.
     """
-    if ind.outcome is None:
-        raise ValueError(f"cannot classify unevaluated individual {ind.id}")
     return PopulationLabel.SUCCESS if ind.outcome.sim_passed else PopulationLabel.FAIL
 
 

@@ -29,10 +29,6 @@ FALLBACK_THOUGHT = "(no design strategy stated)"
 class ParseError(ValueError):
     """A model response could not be split into a (thought, code) pair."""
 
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
 
 class PromptStrategy(enum.Enum):
     FIX = "fix"
@@ -125,11 +121,8 @@ def build_evolutionary_prompt(
     spec: ProblemSpec,
     parents: list[Individual],
 ) -> PromptBundle:
-    """A strategy prompt carrying each parent's thought, code and feedback verbatim."""
-    if len(parents) != strategy.arity:
-        raise ValueError(
-            f"strategy {strategy.value} takes {strategy.arity} parent(s), got {len(parents)}"
-        )
+    """A strategy prompt carrying each parent's thought, code and feedback
+    verbatim, for the `strategy.arity` parents the engine's plan draws."""
     mapping = {"functional_description": spec.description}
     for n, parent in enumerate(parents, start=1):
         if parent.feedback is None or not parent.feedback.strip():
@@ -162,12 +155,12 @@ def parse_llm_response(text: str) -> tuple[str, str]:
     """
     fence = _FENCE_RE.search(text)
     if fence is None:
-        raise ParseError("no_code", "response contains no fenced code block")
+        raise ParseError("response contains no fenced code block")
     code = fence.group(1).strip()
     if not code:
-        raise ParseError("empty_code", "response's first fenced code block is empty")
+        raise ParseError("response's first fenced code block is empty")
     if not _MODULE_RE.search(code):
-        raise ParseError("no_module", "response's first fenced code block declares no module")
+        raise ParseError("response's first fenced code block declares no module")
 
     header = _THOUGHT_HEADER_RE.search(text)
     if header is not None and header.start() < fence.start():

@@ -475,13 +475,11 @@ def test_criterion_09_response_parsing():
         assert thought_back == thought
         assert code_back == code
 
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError, match="no fenced code block"):
         parse_llm_response("I think the design should use a ripple carry.")
-    assert err.value.code == "no_code"
 
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError, match="code block is empty"):
         parse_llm_response("## Thought\nok\n\n## Code\n```verilog\n\n```\n")
-    assert err.value.code == "empty_code"
 
     # missing thought section degrades instead of failing
     thought, code = parse_llm_response("```verilog\nmodule t; endmodule\n```")

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from rtlevo.bandit import (
-    UNTRIED_SCORE,
     BanditState,
     StrategyStats,
     record_reward,
@@ -37,18 +36,6 @@ def test_ucb_closed_form():
     assert got == pytest.approx(2.017427, abs=1e-5)
 
 
-def test_ucb_untried_gets_priority_score():
-    assert ucb_score(StrategyStats(), total_pulls=5, exploration_c=2.0) == UNTRIED_SCORE
-    assert ucb_score(StrategyStats(0.5, 3), total_pulls=0, exploration_c=2.0) == UNTRIED_SCORE
-    assert UNTRIED_SCORE > 1e300
-
-
-def test_record_reward_unknown_strategy():
-    state = BanditState.for_strategies(["a"])
-    with pytest.raises(ValueError):
-        record_reward(state, "zzz", 1.0)
-
-
 def test_softmax_sums_to_one_and_is_shift_invariant():
     rng = random.Random(11)
     for _ in range(200):
@@ -74,13 +61,6 @@ def test_softmax_temperature_sharpens():
     assert 0.5 < hot[0] < 0.6
 
 
-def test_softmax_input_validation():
-    with pytest.raises(ValueError):
-        softmax([], 1.0)
-    with pytest.raises(ValueError):
-        softmax([1.0], 0.0)
-
-
 def test_untried_strategies_selected_first():
     state = BanditState.for_strategies(["a", "b", "c"])
     record_reward(state, "a", 1.0)
@@ -96,8 +76,6 @@ def test_select_respects_allowed_subset():
     rng = random.Random(0)
     picks = {select_strategy(state, rng, 2.0, 1.0, allowed=["b", "c"]) for _ in range(100)}
     assert picks <= {"b", "c"}
-    with pytest.raises(ValueError):
-        select_strategy(state, rng, 2.0, 1.0, allowed=["nope"])
 
 
 def test_selection_frequency_matches_softmax():

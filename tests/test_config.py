@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from rtlevo.config import load_config, snapshot_dict
+from rtlevo.config import RunConfig, load_config, snapshot_dict
 from rtlevo.evaluate import SyntheticEvaluatorConfig, ToolchainConfig, ToolchainEvaluator
 from rtlevo.evolution import EvolutionConfig
-from rtlevo.llm import ProviderConfig
-from rtlevo.model import CircuitKind, ConfigError
+from rtlevo.fitness import FitnessWeights
+from rtlevo.llm import ProviderConfig, ScriptConfig
+from rtlevo.model import CircuitKind, ConfigError, PpaMetrics, ProblemSpec
 
 BASE = {
     "problem": {
@@ -433,12 +434,21 @@ def test_readme_full_surface_block_loads(tmp_path):
     assert isinstance(cfg.provider, ProviderConfig)
     assert isinstance(cfg.evaluator, ToolchainConfig)
     assert cfg.evaluator.liberty_path == str(tmp_path / "cells.lib")
-    # the block shows every setting of these sections; unknown keys fail the load above
+    # the block names every setting, as itself or its `_file` form; an unknown
+    # key fails the load above, so no setting can be added or removed unseen
     raw = yaml.safe_load(block)
     for section, cls in (
-        ("evolution", EvolutionConfig),
-        ("provider", ProviderConfig),
-        ("evaluator", ToolchainConfig),
+        (raw, RunConfig),
+        (raw["problem"], ProblemSpec),
+        (raw["problem"]["reference_ppa"], PpaMetrics),
+        (raw["evolution"], EvolutionConfig),
+        (raw["evolution"]["weights"], FitnessWeights),
+        (raw["provider"], ProviderConfig),
+        (raw["evaluator"], ToolchainConfig),
     ):
-        fields = {field.name for field in dataclasses.fields(cls)}
-        assert fields <= set(raw[section]), (section, sorted(fields - set(raw[section])))
+        names = [field.name for field in dataclasses.fields(cls)]
+        missing = [name for name in names if not {name, f"{name}_file"} & set(section)]
+        assert not missing, (cls.__name__, missing)
+    # the scripted provider's one setting is named in a comment
+    for field in dataclasses.fields(ScriptConfig):
+        assert f"{field.name}: " in block, field.name

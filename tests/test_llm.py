@@ -581,6 +581,15 @@ def test_transcript_records_and_redacts(tmp_path, monkeypatch):
     assert lines[1]["error"] == "boom [REDACTED]"
 
 
+def test_transcript_record_after_close_is_refused(tmp_path):
+    path = tmp_path / "transcripts.jsonl"
+    with TranscriptWriter(path) as writer:
+        writer.record(bundle(), CompletionResult(text="first"))
+    with pytest.raises(ValueError, match="closed file"):
+        writer.record(bundle(), CompletionResult(text="late"))
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+
 def test_transcripting_provider_mirrors_success_and_failure(tmp_path):
     path = tmp_path / "t.jsonl"
     inner = ScriptedProvider([ScriptEntry("strategy:initial", "resp")])

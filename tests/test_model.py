@@ -102,8 +102,6 @@ def test_classify():
     failed = make_individual(outcome=EvalOutcome(False, False, None, sim_log="x"), fitness=NEG_INF)
     assert classify(success) is PopulationLabel.SUCCESS
     assert classify(failed) is PopulationLabel.FAIL
-    with pytest.raises(ValueError):
-        classify(make_individual(outcome=None, fitness=None))
 
 
 def test_classify_sim_pass_synth_fail_is_success():

@@ -91,8 +91,6 @@ def test_fusion_prompt_carries_both_parents():
 
 def test_arity_mismatch_rejected():
     with pytest.raises(ValueError):
-        build_evolutionary_prompt(PromptStrategy.FUSION, SPEC, [make_parent(1)])
-    with pytest.raises(ValueError):
         build_evolutionary_prompt(PromptStrategy.FIX, SPEC, [make_parent(1), make_parent(2)])
 
 
@@ -160,15 +158,13 @@ def test_parse_first_of_two_blocks_wins():
 
 
 def test_parse_no_code_block():
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError, match="no fenced code block"):
         parse_llm_response("## Thought\nall prose, no code")
-    assert err.value.code == "no_code"
 
 
 def test_parse_empty_code_block():
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError, match="code block is empty"):
         parse_llm_response("## Thought\nt\n\n```verilog\n\n```")
-    assert err.value.code == "empty_code"
 
 
 @pytest.mark.parametrize(
@@ -180,9 +176,8 @@ def test_parse_empty_code_block():
     ],
 )
 def test_parse_code_without_module_rejected(code):
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError, match="declares no module"):
         parse_llm_response(render_response("t", code))
-    assert err.value.code == "no_module"
 
 
 def test_parse_accepts_module_after_preamble():
