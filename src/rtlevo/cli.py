@@ -12,7 +12,6 @@ import contextlib
 import dataclasses
 import json
 import logging
-import os
 import shutil
 import sys
 from pathlib import Path
@@ -31,7 +30,6 @@ from .evolution import EvolutionEngine
 from .llm import (
     HttpChatProvider,
     Provider,
-    ProviderConfig,
     ScriptConfig,
     ScriptedProvider,
     TranscriptingProvider,
@@ -121,16 +119,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _dry_run(cfg)
 
     run_dir = Path(cfg.output_dir)
-    secrets = []
-    if isinstance(cfg.provider, ProviderConfig) and cfg.provider.api_key_env_var:
-        secrets.append(os.environ.get(cfg.provider.api_key_env_var, ""))
-    transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, redact=secrets)
+    transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE)
     history = HistoryWriter(run_dir / GENERATIONS_FILE)
     # parse the script, read the API key and preflight the tools before
     # touching the run directory, so a run that cannot start leaves the
     # previous run intact; validate-config makes the same checks. Each
-    # writer opens its file at its first line and is closed on every exit,
-    # as are an http provider's kept-alive connections.
+    # writer starts its file new at its first line and is closed on every
+    # exit, as are an http provider's kept-alive connections.
     provider = _build_provider(cfg, transcript)
     connections = (
         contextlib.closing(provider)

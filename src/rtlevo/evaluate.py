@@ -7,10 +7,12 @@ Two interchangeable evaluators produce an EvalOutcome from code text:
 * SyntheticEvaluator is a pure stand-in for tool-free tests, which reads
   its verdict and PPA from markers in the code.
 
-A command template or pattern that cannot run fails the config's load.
-Per-individual tool failures and unusable reports become outcomes; a broken
-environment (missing executable, unreadable liberty file) raises
-ToolEnvironmentError and aborts the whole run instead.
+A command template or pattern that cannot run fails the config's load,
+and a template the shell cannot split fails the preflight that
+`validate-config` and `run` make before any call. Per-individual tool
+failures and unusable reports become outcomes; a broken environment
+(missing executable, unreadable liberty file) raises ToolEnvironmentError
+and aborts the whole run instead.
 """
 
 from __future__ import annotations
@@ -81,11 +83,8 @@ class ToolEnvironmentError(OSError):
 
 
 class ReportError(RuntimeError):
-    """A synthesis report could not be parsed. `field` names the culprit."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
+    """A synthesis report could not be parsed; the message names the metric
+    and, for a missing line, its pattern."""
 
 
 @dataclass(frozen=True)
@@ -132,25 +131,24 @@ _SHELL_CLAUSE_KEYWORDS = frozenset({"for", "case", "select"})
 def _command_executables(template: str) -> list[str]:
     """The executables a command template runs: the first word of each
     simple command, skipping assignments, placeholders, redirection targets
-    and shell keywords. Operators inside quotes do not split commands."""
+    and shell keywords. Operators inside quotes do not split commands. A
+    template the shell cannot split, such as one with an unclosed quote, is
+    a ValueError."""
     # non-POSIX mode keeps quotes on their words, so a quoted ';' is never
     # taken for an operator
     lexer = shlex.shlex(template, posix=False, punctuation_chars=True)
     lexer.whitespace_split = True
-    try:
-        tokens = list(lexer)
-    except ValueError:
-        return []
     names = []
     at_command = True
     in_clause = False
     redirect_target = False
-    for token in tokens:
+    for token in lexer:
         if all(ch in lexer.punctuation_chars for ch in token):
             if "<" in token or ">" in token:
                 redirect_target = True
             else:
-                at_command, in_clause = True, False
+                # a case branch's ';;' is followed by the next pattern, up to its ')'
+                at_command, in_clause = True, token == ";;"
             continue
         if redirect_target:
             redirect_target = False
@@ -170,13 +168,24 @@ def _command_executables(template: str) -> list[str]:
 
 
 def preflight(cfg: ToolchainConfig) -> None:
-    """Checks every stage's executables, and the liberty file, before any
-    individual runs."""
-    stages = (cfg.simulator_command, cfg.synthesizer_command, cfg.post_synth_command)
-    missing = [
-        name for template in stages for name in _command_executables(template)
-        if shutil.which(name) is None
-    ]
+    """Checks every stage's template and executables, and the liberty file,
+    before any individual runs. A template the shell cannot split is a
+    ConfigError naming its key. A name not on PATH may still be a builtin
+    of `/bin/sh`, which runs the stages (`cd`, `read`), so the shell is
+    asked about those names, in one process."""
+    missing = []
+    for key in ("simulator_command", "synthesizer_command", "post_synth_command"):
+        try:
+            names = _command_executables(getattr(cfg, key))
+        except ValueError as exc:
+            raise ConfigError(f"evaluator.{key}: {exc}") from None
+        missing += [name for name in names if shutil.which(name) is None]
+    if missing:
+        script = 'for name do command -v "$name" >/dev/null || echo "$name"; done'
+        shell = subprocess.run(
+            ["/bin/sh", "-c", script, "sh", *missing], capture_output=True, text=True
+        )
+        missing = shell.stdout.splitlines()
     if missing:
         raise ToolEnvironmentError(
             f"required executables not found on PATH: {', '.join(sorted(set(missing)))}"
@@ -332,12 +341,12 @@ def _extract(raw: str, cfg: ToolchainConfig, field: str) -> float:
     pattern = getattr(cfg, f"{field}_pattern")
     match = re.search(pattern, raw)
     if match is None:
-        raise ReportError(field, f"report has no line matching evaluator.{field}_pattern {pattern!r}")
+        raise ReportError(f"report has no line matching evaluator.{field}_pattern {pattern!r}")
     group = next((g for g in match.groups() if g is not None), match.group(0))
     try:
         return float(group)
     except ValueError:
-        raise ReportError(field, f"unparseable {field} value {group!r} in report") from None
+        raise ReportError(f"unparseable {field} value {group!r} in report") from None
 
 
 def parse_ppa_report(raw: str, cfg: ToolchainConfig, clock_period: float) -> PpaMetrics:
@@ -349,9 +358,7 @@ def parse_ppa_report(raw: str, cfg: ToolchainConfig, clock_period: float) -> Ppa
     try:
         return PpaMetrics(power=power, area=area, effective_clock_period=period)
     except ValueError as exc:
-        # PpaMetrics names the metric first: "PpaMetrics.area must be ..."
-        metric = str(exc).split()[0].removeprefix("PpaMetrics.")
-        raise ReportError(metric, f"unusable report: {exc}") from None
+        raise ReportError(f"unusable report: {exc}") from None
 
 
 class Evaluator(Protocol):
@@ -454,12 +461,7 @@ class SyntheticEvaluator:
                 sim_log="synthetic simulation: FAILED (pass rule rejected the code)",
             )
         ppa = _ppa_marker(code)
-        synth_log = "synthetic synthesis: no PPA marker"
-        if ppa is not None:
-            synth_log = (
-                f"synthetic synthesis: power={ppa.power:.6g} area={ppa.area:.6g} "
-                f"period={ppa.effective_clock_period:.6g}"
-            )
+        synth_log = f"synthetic synthesis: {ppa or 'no PPA marker'}"
         return EvalOutcome(
             sim_passed=True, synth_succeeded=True, ppa=ppa,
             sim_log="synthetic simulation: all tests passed", synth_log=synth_log,
@@ -526,12 +528,7 @@ def _critique_texts(ind: Individual, spec: ProblemSpec) -> tuple[str, str]:
         stand_in = "Simulation passed but synthesis produced no usable PPA report."
     else:
         gen, ref = outcome.ppa, spec.reference_ppa
-        ppa_lines = (
-            f"generated: power={gen.power:.6g} area={gen.area:.6g} "
-            f"period={gen.effective_clock_period:.6g}\n"
-            f"reference: power={ref.power:.6g} area={ref.area:.6g} "
-            f"period={ref.effective_clock_period:.6g}"
-        )
+        ppa_lines = f"generated: {gen}\nreference: {ref}"
         stand_in = (
             "Design is functionally correct. "
             f"PPA vs reference: power {gen.power:.6g} / {ref.power:.6g}, "

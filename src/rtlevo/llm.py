@@ -6,8 +6,9 @@ ProviderError. Every call can be recorded, result or error, in a
 transcript for audit (`TranscriptWriter.call`), not replay: its entries
 carry no call key. Drafts and critiques are sampled alike, with the
 provider's one temperature and top_p. The HTTP client reads its API key
-from an environment variable once, when it is built, and never persists
-it. It speaks HTTP/1.1 through the stdlib's `http.client`, keeping idle
+from an environment variable once, when it is built, and registers it
+with its transcript, which redacts it, so the key is never persisted. It
+speaks HTTP/1.1 through the stdlib's `http.client`, keeping idle
 connections open for the next call.
 """
 
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from . import __version__
-from .model import MAX_WAIT_SECONDS, ConfigError, build, check_range, read_yaml
+from .model import MAX_WAIT_SECONDS, ConfigError, LineFile, build, check_range, read_yaml
 from .prompts import PromptBundle, render_response
 
 logger = logging.getLogger(__name__)
@@ -114,33 +115,21 @@ class Provider(Protocol):
     def complete(self, bundle: PromptBundle) -> CompletionResult: ...
 
 
-class TranscriptWriter:
-    """Appends one JSON record per completion call to a .jsonl file in an
-    existing directory. The file is opened at the first record and held
-    until `close`; each record goes out in one write and a flush, so a run
-    killed at any point leaves whole lines; a record after `close` is a
-    ValueError.
+class TranscriptWriter(LineFile):
+    """One JSON entry per completion call, a line of a .jsonl file in an
+    existing directory (`LineFile`: started new at the first entry).
 
-    `redact` lists secret strings (API key values) that must never reach
+    A secret registered with `redact` (an API key value) never reaches
     disk; any occurrence is replaced before writing.
     """
 
-    def __init__(self, path: str | Path, redact: list[str] | None = None):
-        self._path = Path(path)
-        self._lock = threading.Lock()
-        self._redact = [s for s in (redact or []) if s]
-        self._fh = None
+    def __init__(self, path: str | Path):
+        super().__init__(path)
+        self._redact: list[str] = []
 
-    def __enter__(self) -> TranscriptWriter:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
+    def redact(self, secret: str) -> None:
+        if secret:
+            self._redact.append(secret)
 
     def _scrub(self, value):
         if isinstance(value, str):
@@ -186,12 +175,7 @@ class TranscriptWriter:
         }
         if self._redact:
             entry = {key: self._scrub(value) for key, value in entry.items()}
-        line = json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n"
-        with self._lock:
-            if self._fh is None:
-                self._fh = self._path.open("a", encoding="utf-8")
-            self._fh.write(line)
-            self._fh.flush()
+        self.write_line(json.dumps(entry, sort_keys=True, ensure_ascii=False))
 
 
 class TranscriptingProvider:
@@ -234,6 +218,8 @@ class HttpChatProvider:
         key = os.environ.get(name, "") if name else ""
         if not key:
             raise ProviderError("auth", f"API key environment variable {name!r} is unset or empty")
+        if transcript is not None:
+            transcript.redact(key)
         self.config = config
         self._headers = {
             "Authorization": f"Bearer {key}",

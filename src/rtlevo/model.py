@@ -2,7 +2,8 @@
 
 The fields of each dataclass define every record the program writes
 (`to_plain`) or reads (`build`): config sections, history, script file.
-`read_yaml` reads the YAML files among them.
+`read_yaml` reads the YAML files among them, and `LineFile` writes the
+lines of both JSONL files.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import dataclasses
 import enum
 import functools
 import math
+import threading
 import types
 import typing
 from dataclasses import dataclass, field
@@ -71,6 +73,12 @@ class PpaMetrics:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"PpaMetrics.{name} must be finite and >= 0, got {value!r}")
+
+    def __str__(self) -> str:
+        return (
+            f"power={self.power:.6g} area={self.area:.6g} "
+            f"period={self.effective_clock_period:.6g}"
+        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -341,6 +349,42 @@ def read_yaml(path: str | Path, what: str):
         else:
             detail = " ".join(str(exc).split())
         raise ConfigError(f"{what} is not valid YAML: {detail}") from None
+
+
+class LineFile:
+    """A file of lines, started new at its first line and held until `close`.
+
+    Each line goes out in one write and a flush under a lock, so a run
+    killed at any point leaves whole lines and threads never interleave
+    theirs; a line after `close` is a ValueError.
+    """
+
+    def __init__(self, path: str | Path):
+        self._path = Path(path)
+        self._lock = threading.Lock()
+        self._fh = None
+        self._closed = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            if self._fh is not None:
+                self._fh.close()
+
+    def write_line(self, text: str) -> None:
+        with self._lock:
+            if self._closed:
+                raise ValueError(f"cannot write a line to closed file {self._path}")
+            if self._fh is None:
+                self._fh = self._path.open("wb")
+            self._fh.write(f"{text}\n".encode("utf-8"))
+            self._fh.flush()
 
 
 def to_plain(value):

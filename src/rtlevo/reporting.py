@@ -13,6 +13,7 @@ from .model import (
     Critique,
     GenerationRecord,
     Individual,
+    LineFile,
     PpaMetrics,
     build,
     read_value,
@@ -40,48 +41,30 @@ class RunDirError(RuntimeError):
     """A run directory is missing records or contains corrupt ones."""
 
 
-class HistoryWriter:
-    """A run's history file, started new at its first record and held until
-    `close`.
+class HistoryWriter(LineFile):
+    """A run's history file (`LineFile`: started new at its first line,
+    replacing any earlier history there).
 
-    The first record must be generation 0: it opens the file for writing,
-    replacing any earlier history there, and its write carries the version
-    header too. Each later record must follow the last one written. Each
-    line goes out in one write and a flush, so a run killed at any point
-    leaves whole lines; a write after `close` is a ValueError.
+    The first record must be generation 0, and its line carries the version
+    header too. Each later record must follow the last one written.
     """
 
-    def __init__(self, path: str | Path):
-        self._path = Path(path)
-        self._fh = None
-        self._last = -1
-
-    def __enter__(self) -> HistoryWriter:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
+    _last = -1
 
     def write(self, index: int, line: str) -> None:
         """Writes `line`, the record of generation `index`. A record out of
         order is a ValueError, and nothing is written; a first record other
         than generation 0 does not even create the file."""
         if index != self._last + 1:
-            if self._fh is None:
+            if self._last < 0:
                 raise ValueError(
                     f"a new history must start at generation 0, not {index}: "
                     "its references would name individuals no line defines"
                 )
             raise ValueError(f"{self._path} ends at generation {self._last}, not {index - 1}")
-        if self._fh is None:
-            self._fh = self._path.open("wb")
+        if index == 0:
             line = json.dumps({"schema_version": SCHEMA_VERSION}) + "\n" + line
-        self._fh.write(f"{line}\n".encode("utf-8"))
-        self._fh.flush()
+        self.write_line(line)
         self._last = index
 
 
@@ -238,17 +221,11 @@ def _ppa_section(best: Individual, reference: PpaMetrics | None) -> list[str]:
         lines.append("No synthesized PPA for the best individual.")
         return lines
     gen = outcome.ppa
-    lines.append(
-        f"PPA (generated): power={gen.power:.6g} area={gen.area:.6g} "
-        f"period={gen.effective_clock_period:.6g}"
-    )
+    lines.append(f"PPA (generated): {gen}")
     if reference is None:
         lines.append("Reference PPA unavailable; improvement percentages omitted.")
         return lines
-    lines.append(
-        f"PPA (reference): power={reference.power:.6g} area={reference.area:.6g} "
-        f"period={reference.effective_clock_period:.6g}"
-    )
+    lines.append(f"PPA (reference): {reference}")
     if gate_failed:
         return lines
     lines.append(f"Power improv. {_improvement(reference.power, gen.power):.1f}%")

@@ -360,7 +360,13 @@ def test_run_clears_the_artifacts_an_earlier_run_kept(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("simulator_command", "echo {bogus}"), ("pass_pattern", "(unclosed")]
+    "key, value",
+    [
+        ("simulator_command", "echo {bogus}"),
+        ("pass_pattern", "(unclosed"),
+        # sh would fail every simulation with "Unterminated quoted string"
+        ("simulator_command", 'echo "all tests passed'),
+    ],
 )
 @pytest.mark.parametrize("command", ["run", "validate-config"])
 def test_evaluator_that_cannot_run_is_one_error_line(tmp_path, capsys, key, value, command):

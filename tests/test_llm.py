@@ -564,7 +564,8 @@ def test_http_requires_endpoint_url():
 
 def test_transcript_records_and_redacts(tmp_path, monkeypatch):
     path = tmp_path / "transcripts.jsonl"
-    with TranscriptWriter(path, redact=["sk-secret-value"]) as writer:
+    with TranscriptWriter(path) as writer:
+        writer.redact("sk-secret-value")
         writer.record(
             bundle(user="the key is sk-secret-value ok"),
             CompletionResult(text="echo sk-secret-value back"),
@@ -655,6 +656,20 @@ def test_http_writes_one_transcript_entry_per_call(
         (entry,) = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert (entry["response"], entry["error"]) == (response, error)
         assert entry["attempt_count"] == attempts
+    finally:
+        endpoint.close()
+
+
+def test_http_provider_redacts_its_key_in_the_transcript(tmp_path, monkeypatch):
+    endpoint = _FakeEndpoint([(200, _ok("echo sk-secret-value back"))])
+    try:
+        monkeypatch.setenv("RTLEVO_TEST_KEY", "sk-secret-value")
+        cfg = ProviderConfig(endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY")
+        path = tmp_path / "t.jsonl"
+        with TranscriptWriter(path) as writer:
+            HttpChatProvider(cfg, transcript=writer).complete(bundle(user="sk-secret-value"))
+        (entry,) = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert (entry["user_text"], entry["response"]) == ("[REDACTED]", "echo [REDACTED] back")
     finally:
         endpoint.close()
 

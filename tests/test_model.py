@@ -14,6 +14,7 @@ from rtlevo.model import (
     EvalOutcome,
     GenerationRecord,
     Individual,
+    LineFile,
     PopulationLabel,
     PpaMetrics,
     ProblemSpec,
@@ -108,6 +109,26 @@ def test_classify_sim_pass_synth_fail_is_success():
     outcome = EvalOutcome(True, False, None, sim_log="ok", synth_log="synth died")
     ind = make_individual(outcome=outcome, fitness=-1.0e9)
     assert classify(ind) is PopulationLabel.SUCCESS
+
+
+def test_ppa_metrics_str_is_the_six_digit_triple():
+    ppa = PpaMetrics(power=0.00312345678, area=42.18, effective_clock_period=0.38)
+    assert str(ppa) == "power=0.00312346 area=42.18 period=0.38"
+
+
+def test_line_file_starts_new_and_refuses_a_line_after_close(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    path.write_text("an earlier run's line\n", encoding="utf-8")
+    closed = LineFile(path)
+    closed.close()
+    with pytest.raises(ValueError, match="closed file"):
+        closed.write_line("late")
+    assert path.read_text(encoding="utf-8") == "an earlier run's line\n"
+    with LineFile(path) as lines:
+        lines.write_line("first")
+        lines.write_line("second")
+    assert path.read_text(encoding="utf-8") == "first\nsecond\n"
+    lines.close()  # a second close is harmless
 
 
 def test_individual_json_roundtrip_with_neg_inf():
