@@ -1,5 +1,11 @@
 """Adaptive strategy selection: UCB scores, incremental averages, softmax sampling.
 
+The paper's rule is one weighted draw: each arm's UCB1 score (Auer et al.,
+2002), Q + c * sqrt(ln T / k), goes through a softmax at temperature T,
+and the arm is drawn with those probabilities. An untried arm (k = 0)
+scores +inf, so the softmax puts all its mass on the untried arms, equally;
+`select_strategy` draws uniformly among them instead of dividing by zero.
+
 Each population keeps its own independent state over its own strategy set;
 the engine is the single writer, so no locking is done here. The engine
 also supplies every input these functions assume: known arm names, a
@@ -83,8 +89,9 @@ def select_strategy(
     temperature: float,
     allowed: list[str] | None = None,
 ) -> str:
-    """Pick a strategy: untried ones first (uniformly), then softmax at
-    `temperature` over UCB scores with constant `exploration_c`.
+    """Pick a strategy: untried ones first (uniformly), then the paper's
+    draw, weighted by the softmax at `temperature` of the UCB scores with
+    constant `exploration_c`; `temperature` = inf draws uniformly.
 
     `allowed` restricts the choice to a subset of the state's strategies,
     e.g. when an operator is infeasible this generation. Deterministic given
@@ -96,11 +103,4 @@ def select_strategy(
         return untried[rng.randrange(len(untried))]
     total = state.total_pulls
     scores = [ucb_score(state.strategies[n], total, exploration_c) for n in names]
-    probs = softmax(scores, temperature)
-    draw = rng.random()
-    cumulative = 0.0
-    for name, p in zip(names, probs):
-        cumulative += p
-        if draw <= cumulative:
-            return name
-    return names[-1]
+    return rng.choices(names, softmax(scores, temperature))[0]

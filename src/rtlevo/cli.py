@@ -170,7 +170,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
 
     best = result.best
-    if result.found_correct and best is not None:
+    if result.found_correct:
         print(
             f"run complete: best individual id={best.id} "
             f"fitness={best.fitness} ({run_dir})"

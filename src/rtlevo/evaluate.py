@@ -18,6 +18,7 @@ and aborts the whole run instead.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import os
 import re
@@ -126,6 +127,8 @@ _SHELL_KEYWORDS = frozenset(
 )
 # reserved words whose clause, up to the next control operator, runs no command
 _SHELL_CLAUSE_KEYWORDS = frozenset({"for", "case", "select"})
+# a backslash escape or a closed quoted span, each one word piece to sh
+_QUOTED_RE = re.compile(r"\\.|'[^']*'|" r'"(?:\\.|[^"\\])*"')
 
 
 def _command_executables(template: str) -> list[str]:
@@ -134,9 +137,12 @@ def _command_executables(template: str) -> list[str]:
     and shell keywords. Operators inside quotes do not split commands. A
     template the shell cannot split, such as one with an unclosed quote, is
     a ValueError."""
-    # non-POSIX mode keeps quotes on their words, so a quoted ';' is never
-    # taken for an operator
-    lexer = shlex.shlex(template, posix=False, punctuation_chars=True)
+    # each escape and quoted span, also one that opens inside a word, is
+    # hidden from the split as \0<n>\0, so a quoted ';' or space splits
+    # nothing; non-POSIX mode keeps an unclosed quote on its word, and fails
+    spans, marks = _QUOTED_RE.findall(template), itertools.count()
+    hidden = _QUOTED_RE.sub(lambda m: f"\0{next(marks)}\0", template)
+    lexer = shlex.shlex(hidden, posix=False, punctuation_chars=True)
     lexer.whitespace_split = True
     names = []
     at_command = True
@@ -155,7 +161,7 @@ def _command_executables(template: str) -> list[str]:
             continue
         if not at_command or in_clause:
             continue
-        word = "".join(shlex.split(token))
+        word = "".join(shlex.split(re.sub(r"\0(\d+)\0", lambda m: spans[int(m[1])], token)))
         if word in _SHELL_CLAUSE_KEYWORDS:
             in_clause = True
         elif word in _SHELL_KEYWORDS or "=" in word:
@@ -290,12 +296,11 @@ def _stage(
     name: str, template: str, cfg: ToolchainConfig, clock_period: float, workdir: Path,
     keep_log: bool, **inputs: str,
 ) -> tuple[int, str]:
-    """Runs one tool stage: writes `inputs` (placeholder name to text) into
-    `workdir`, making it, then runs the template rendered at `clock_period`;
+    """Runs one tool stage: makes `workdir` and writes `inputs` (placeholder
+    name to text) into it, then runs the template rendered at `clock_period`;
     with `keep_log`, its captured output also goes to `{workdir}/{name}.log`."""
     mapping = _stage_mapping(cfg, clock_period, workdir)
-    if inputs:
-        workdir.mkdir(parents=True, exist_ok=True)
+    workdir.mkdir(parents=True, exist_ok=True)
     for placeholder, text in inputs.items():
         Path(mapping[placeholder]).write_text(text, encoding="utf-8")
     returncode, log = _run_shell(template.format_map(mapping), cfg.per_stage_timeout, workdir)
@@ -323,12 +328,12 @@ def simulate(
 def synthesize(
     code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path, keep_log: bool = False
 ) -> tuple[str, bool]:
-    """Runs the scripted synthesis flow at the problem's target clock on the
-    design simulation wrote, if any; the report is {out_report} when the
+    """Writes code into `workdir` and runs the scripted synthesis flow on it
+    at the problem's target clock; the report is {out_report} when the
     template writes it, captured output otherwise."""
-    inputs = {} if (workdir / "design.v").exists() else {"code_file": code}
     returncode, log = _stage(
-        "synth", cfg.synthesizer_command, cfg, spec.target_clock_period, workdir, keep_log, **inputs
+        "synth", cfg.synthesizer_command, cfg, spec.target_clock_period, workdir, keep_log,
+        code_file=code,
     )
     report_file, body = workdir / "synth.rpt", ""
     if report_file.exists():

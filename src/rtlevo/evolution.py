@@ -42,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
-import math
 import random
 import threading
 from collections.abc import Callable
@@ -115,27 +114,15 @@ class EvolutionConfig:
 
 
 def offspring_quota(fail_count: int, success_count: int, offspring_count: int) -> tuple[int, int]:
-    """Split the offspring budget proportionally to sub-population sizes.
-
-    Largest-remainder rounding keeps the quotas summing to the budget; an
-    exact remainder tie goes to the Fail side. The counts split a population
-    of at least one member, and the budget is at least one (EvolutionConfig).
-    """
-    if fail_count == 0:
-        return 0, offspring_count
-    if success_count == 0:
-        return offspring_count, 0
+    """Split the offspring budget λ proportionally to sub-population sizes:
+    the Fail side gets its exact share rounded half up, floor(λ·f/(f+s) + 1/2)
+    in integers, and the Success side the rest. The two exact shares sum to
+    λ, so their fractional parts are r and 1 - r: this is the paper's
+    largest-remainder split, with an exact tie going to Fail. The counts
+    split a population of at least one member (EvolutionConfig)."""
     total = fail_count + success_count
-    exact_fail = offspring_count * fail_count / total
-    exact_success = offspring_count * success_count / total
-    quota_fail = math.floor(exact_fail)
-    quota_success = math.floor(exact_success)
-    if quota_fail + quota_success < offspring_count:
-        if exact_fail - quota_fail >= exact_success - quota_success:
-            quota_fail += 1
-        else:
-            quota_success += 1
-    return quota_fail, quota_success
+    quota_fail = (2 * offspring_count * fail_count + total) // (2 * total)
+    return quota_fail, offspring_count - quota_fail
 
 
 def roulette_weights(subpop: list[Individual]) -> list[float]:
@@ -147,24 +134,19 @@ def roulette_weights(subpop: list[Individual]) -> list[float]:
 def select_parents(
     subpop: list[Individual], strategy: PromptStrategy, rng: random.Random
 ) -> list[Individual]:
-    """Draw `strategy.arity` parents: uniformly from a Fail sub-population,
-    fitness-proportionally (after the shift transform) from a Success one.
-    Two-parent draws are always distinct. The engine draws only from a
-    side its quota gives a slot, so `subpop` is never empty, and it
-    resamples Fusion when the side has fewer than two members."""
-    arity = strategy.arity
-    label = classify(subpop[0])
-    if label is PopulationLabel.FAIL:
-        pool = list(subpop)
-        chosen = []
-        for _ in range(arity):
-            idx = rng.randrange(len(pool))
-            chosen.append(pool.pop(idx) if arity > 1 else pool[idx])
-        return chosen
+    """Draw `strategy.arity` parents: one, uniformly, from a Fail
+    sub-population, whose operators all take one parent; fitness-
+    proportionally (after the shift transform) from a Success one, where
+    Fusion's two draws are without replacement, so distinct. The engine
+    draws only from a side its quota gives a slot, so `subpop` is never
+    empty, and it resamples Fusion when the side has fewer than two
+    members."""
+    if classify(subpop[0]) is PopulationLabel.FAIL:
+        return [subpop[rng.randrange(len(subpop))]]
     pool = list(subpop)
     weights = roulette_weights(pool)
     chosen = []
-    for _ in range(arity):
+    for _ in range(strategy.arity):
         idx = rng.choices(range(len(weights)), weights)[0]
         chosen.append(pool.pop(idx))
         weights.pop(idx)
@@ -182,18 +164,15 @@ def survivor_select(
     """Next population: per-metric best synthesized parents first (deduplicated),
     the rest by fitness rank over parents and offspring together."""
     elites: list[Individual] = []
-    if cfg.elite_per_metric > 0:
-        synthesized = [
-            p for p in parents if p.outcome is not None and p.outcome.ppa is not None
-        ]
-        for metric in ("power", "area", "effective_clock_period"):
-            ranked = sorted(
-                synthesized,
-                key=lambda p, m=metric: (getattr(p.outcome.ppa, m), -p.fitness, p.id),
-            )
-            for winner in ranked[: cfg.elite_per_metric]:
-                if all(winner.id != kept.id for kept in elites):
-                    elites.append(winner)
+    synthesized = [p for p in parents if p.outcome.ppa is not None]
+    for metric in ("power", "area", "effective_clock_period"):
+        ranked = sorted(
+            synthesized,
+            key=lambda p, m=metric: (getattr(p.outcome.ppa, m), -p.fitness, p.id),
+        )
+        for winner in ranked[: cfg.elite_per_metric]:
+            if all(winner.id != kept.id for kept in elites):
+                elites.append(winner)
     elite_ids = {kept.id for kept in elites}
     pool = [ind for ind in [*parents, *offspring] if ind.id not in elite_ids]
     pool.sort(key=_rank_key)

@@ -66,9 +66,10 @@ def compute_fitness(gen: PpaMetrics, ref: PpaMetrics, weights: FitnessWeights) -
 
 def fitness_of(outcome: EvalOutcome, ref: PpaMetrics, weights: FitnessWeights) -> float:
     """Fitness of an evaluation outcome: -inf on simulation failure, a finite
-    sentinel when synthesis produced no usable metrics, the PPA score otherwise."""
+    sentinel when synthesis produced no usable metrics, the PPA score otherwise.
+    An outcome carries PPA only when synthesis succeeded (EvalOutcome)."""
     if not outcome.sim_passed:
         return NEG_INF
-    if outcome.synth_succeeded and outcome.ppa is not None:
+    if outcome.ppa is not None:
         return compute_fitness(outcome.ppa, ref, weights)
     return SYNTH_FAIL_FITNESS

@@ -306,6 +306,8 @@ def test_preflight_missing_executable():
         ("X=1 tool 2>&1 | tee log; (other '{a;b}')", ["tool", "tee", "other"]),
         ("for x in a b; do tool $x; done", ["tool"]),
         ("case {clock_ns} in 1) tool;; *) other;; esac", ["tool", "other"]),
+        ('/opt/"my tools"/sim {code_file}', ["/opt/my tools/sim"]),
+        ("echo ';' next", ["echo"]),
     ],
 )
 def test_command_executables_splits_only_on_unquoted_operators(template, expected):

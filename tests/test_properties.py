@@ -1,5 +1,5 @@
 """Property tests of the search's invariants over generated inputs:
-offspring quotas, parent selection, survivor selection, bandit rewards,
+offspring quotas, operator draws, parent selection, survivor selection, bandit rewards,
 bandit scores frozen within a generation, the rules for on-demand
 critiques, the found-correct verdict, scripted replies that do not
 depend on call order, the history read back as written, the clipping of
@@ -7,7 +7,9 @@ stored logs and the config snapshot's round trip."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import random
 import statistics
 import tempfile
@@ -20,7 +22,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rtlevo.evaluate as evaluate_module
-from rtlevo.bandit import BanditState, record_reward
+from rtlevo.bandit import (
+    BanditState,
+    StrategyStats,
+    record_reward,
+    select_strategy,
+    softmax,
+    ucb_score,
+)
 from rtlevo.config import RunConfig, load_config, snapshot_dict
 from rtlevo.evaluate import (
     DEFAULT_PASS_PATTERN,
@@ -61,7 +70,7 @@ from rtlevo.model import (
     ProblemSpec,
     to_plain,
 )
-from rtlevo.prompts import PromptBundle, PromptStrategy
+from rtlevo.prompts import FAIL_STRATEGIES, SUCCESS_STRATEGIES, PromptBundle, PromptStrategy
 from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation, read_generations
 
 from test_acceptance import SPEC, StochasticWorld, _fail, _oracle_survivors, _success
@@ -81,19 +90,57 @@ def test_quotas_sum_to_budget_within_one_of_share(fail, success, budget):
     assert abs(quota_success - budget * success / (fail + success)) < 1
 
 
+def _quota_by_largest_remainder(fail_count, success_count, offspring_count):
+    """offspring_quota as it was computed before the rounded Fail share:
+    both sides floored, and the one seat left to the larger remainder,
+    Fail on a tie."""
+    if fail_count == 0:
+        return 0, offspring_count
+    if success_count == 0:
+        return offspring_count, 0
+    total = fail_count + success_count
+    exact_fail = offspring_count * fail_count / total
+    exact_success = offspring_count * success_count / total
+    quota_fail = math.floor(exact_fail)
+    quota_success = math.floor(exact_success)
+    if quota_fail + quota_success < offspring_count:
+        if exact_fail - quota_fail >= exact_success - quota_success:
+            quota_fail += 1
+        else:
+            quota_success += 1
+    return quota_fail, quota_success
+
+
+def test_quota_matches_largest_remainder_everywhere_up_to_sixty():
+    for fail, success, budget in itertools.product(range(61), range(61), range(1, 61)):
+        if fail + success:
+            assert offspring_quota(fail, success, budget) == _quota_by_largest_remainder(
+                fail, success, budget
+            ), (fail, success, budget)
+
+
 @given(
     fitnesses=st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=2, max_size=12),
-    passing=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fusion_parents_are_distinct(fitnesses, passing, seed):
-    if passing:
-        pop = [_success(i, f) for i, f in enumerate(fitnesses)]
-    else:
-        pop = [_fail(i) for i in range(len(fitnesses))]
+def test_fusion_parents_are_distinct(fitnesses, seed):
+    # Fusion is a Success-only operator
+    pop = [_success(i, f) for i, f in enumerate(fitnesses)]
     chosen = select_parents(pop, PromptStrategy.FUSION, random.Random(seed))
     assert len(chosen) == 2
     assert chosen[0].id != chosen[1].id
+
+
+@given(
+    size=st.integers(1, 12),
+    strategy=st.sampled_from(FAIL_STRATEGIES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fail_parent_is_one_uniform_pick(size, strategy, seed):
+    pop = [_fail(i) for i in range(size)]
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert select_parents(pop, strategy, rng) == [pop[reference.randrange(len(pop))]]
+    assert rng.getstate() == reference.getstate()
 
 
 def _roulette_by_loop(subpop, arity, rng):
@@ -128,6 +175,49 @@ def test_roulette_parents_match_the_cumulative_sum_loop(fitnesses, strategy, see
     chosen = select_parents(pop, strategy, rng)
     assert chosen == _roulette_by_loop(pop, strategy.arity, reference)
     # one draw per parent on both sides
+    assert rng.getstate() == reference.getstate()
+
+
+def _strategy_by_loop(state, rng, exploration_c, temperature, allowed=None):
+    """select_strategy as it drew before it called `random.choices`: the
+    first arm whose left-to-right cumulative softmax probability reaches
+    the draw, the last arm when rounding leaves the draw above them all."""
+    names = [n for n in state.strategies if allowed is None or n in allowed]
+    untried = [n for n in names if state.strategies[n].pull_count == 0]
+    if untried:
+        return untried[rng.randrange(len(untried))]
+    scores = [ucb_score(state.strategies[n], state.total_pulls, exploration_c) for n in names]
+    draw = rng.random()
+    cumulative = 0.0
+    for name, p in zip(names, softmax(scores, temperature)):
+        cumulative += p
+        if draw <= cumulative:
+            return name
+    return names[-1]
+
+
+_ARMS = [s.value for s in SUCCESS_STRATEGIES]
+
+
+@given(
+    stats=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.integers(0, 40)), min_size=len(_ARMS), max_size=len(_ARMS)
+    ),
+    allowed=st.none() | st.sets(st.sampled_from(_ARMS), min_size=1).map(sorted),
+    exploration_c=st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 10.0),
+    temperature=st.just(math.inf) | st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operator_draw_matches_the_cumulative_sum_loop(
+    stats, allowed, exploration_c, temperature, seed
+):
+    state = BanditState(
+        {name: StrategyStats(q, pulls) for name, (q, pulls) in zip(_ARMS, stats)}
+    )
+    rng, reference = random.Random(seed), random.Random(seed)
+    got = select_strategy(state, rng, exploration_c, temperature, allowed)
+    assert got == _strategy_by_loop(state, reference, exploration_c, temperature, allowed)
+    # one draw on both sides
     assert rng.getstate() == reference.getstate()
 
 
