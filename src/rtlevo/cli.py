@@ -19,13 +19,7 @@ from pathlib import Path
 import yaml
 
 from .config import EVALUATORS, PROVIDERS, RunConfig, kind_of, load_config, snapshot_dict
-from .evaluate import (
-    Evaluator,
-    SyntheticEvaluator,
-    ToolchainConfig,
-    ToolchainEvaluator,
-    ToolEnvironmentError,
-)
+from .evaluate import Evaluator, SyntheticEvaluator, ToolchainConfig, ToolchainEvaluator
 from .evolution import EvolutionEngine
 from .llm import (
     HttpChatProvider,
@@ -55,8 +49,10 @@ EXIT_FOUND = 0
 EXIT_ABORT = 1
 EXIT_NOT_FOUND = 2
 
-# every error the program raises on purpose, besides these two, is a RuntimeError
-_ABORT_ERRORS = (ConfigError, ToolEnvironmentError, RuntimeError)
+# every error the program raises on purpose is one of these (a
+# ToolEnvironmentError is an OSError), and so is an OSError from making the
+# run directory, such as an --out under a regular file
+_ABORT_ERRORS = (ConfigError, OSError, RuntimeError)
 
 
 def _build_provider(cfg: RunConfig, transcript: TranscriptWriter) -> Provider:
@@ -70,18 +66,6 @@ def _build_evaluator(cfg: RunConfig, workdir_root: Path | None) -> Evaluator:
     if isinstance(cfg.evaluator, ToolchainConfig):
         return ToolchainEvaluator(cfg.evaluator, workdir_root=workdir_root)
     return SyntheticEvaluator()
-
-
-@contextlib.contextmanager
-def _evaluator(cfg: RunConfig, workdir_root: Path | None):
-    """The evaluator `_build_evaluator` makes, which preflights the tools,
-    with its scratch directories removed on exit."""
-    evaluator = _build_evaluator(cfg, workdir_root)
-    try:
-        yield evaluator
-    finally:
-        if isinstance(evaluator, ToolchainEvaluator):
-            evaluator.cleanup()
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -133,12 +117,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         else contextlib.nullcontext()
     )
     artifacts_dir = run_dir / "artifacts"
-    with (
-        transcript,
-        history,
-        connections,
-        _evaluator(cfg, artifacts_dir if cfg.keep_artifacts else None) as evaluator,
-    ):
+    with transcript, history, connections:
+        evaluator = _build_evaluator(cfg, artifacts_dir if cfg.keep_artifacts else None)
         run_dir.mkdir(parents=True, exist_ok=True)
         for name in (GENERATIONS_FILE, TRANSCRIPTS_FILE, FINAL_REPORT_FILE):
             (run_dir / name).unlink(missing_ok=True)
@@ -200,8 +180,7 @@ def cmd_ref_ppa(args: argparse.Namespace) -> int:
     design = Path(args.design)
     if not design.is_file():
         raise ConfigError(f"reference design not found: {design}")
-    with _evaluator(cfg, None) as evaluator:
-        ppa = evaluator.reference_ppa(design.read_text(encoding="utf-8"), cfg.problem)
+    ppa = _build_evaluator(cfg, None).reference_ppa(design.read_text(encoding="utf-8"), cfg.problem)
     print(json.dumps(to_plain(ppa), sort_keys=True, indent=2))
     return EXIT_FOUND
 
@@ -210,8 +189,7 @@ def cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     # what `run` checks before it starts: the script, the API key, the tools
     _build_provider(cfg, TranscriptWriter(Path(cfg.output_dir) / TRANSCRIPTS_FILE))
-    with _evaluator(cfg, None):
-        pass
+    _build_evaluator(cfg, None)
     print(
         f"config OK: problem={cfg.problem.name!r} "
         f"provider={kind_of(cfg.provider, PROVIDERS)} "

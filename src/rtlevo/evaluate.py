@@ -17,6 +17,7 @@ and aborts the whole run instead.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import logging
@@ -28,9 +29,8 @@ import shutil
 import signal
 import subprocess
 import tempfile
-import threading
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -174,13 +174,13 @@ def _command_executables(template: str) -> list[str]:
 
 
 def preflight(cfg: ToolchainConfig) -> None:
-    """Checks every stage's template and executables, and the liberty file,
-    before any individual runs. A template the shell cannot split is a
-    ConfigError naming its key. A name not on PATH may still be a builtin
-    of `/bin/sh`, which runs the stages (`cd`, `read`), so the shell is
-    asked about those names, in one process."""
-    missing = []
-    for key in ("simulator_command", "synthesizer_command", "post_synth_command"):
+    """Checks every stage's template and executables, and the liberty file
+    when any stage names it, before any individual runs. A template the
+    shell cannot split is a ConfigError naming its key. A name not on PATH
+    may still be a builtin of `/bin/sh`, which runs the stages (`cd`,
+    `read`), so the shell is asked about those names, in one process."""
+    missing, keys = [], ("simulator_command", "synthesizer_command", "post_synth_command")
+    for key in keys:
         try:
             names = _command_executables(getattr(cfg, key))
         except ValueError as exc:
@@ -197,7 +197,7 @@ def preflight(cfg: ToolchainConfig) -> None:
             f"required executables not found on PATH: {', '.join(sorted(set(missing)))}"
         )
     # an empty liberty_path is Path("."), never a file
-    if "{liberty}" in cfg.synthesizer_command and not Path(cfg.liberty_path).is_file():
+    if any("{liberty}" in getattr(cfg, key) for key in keys) and not Path(cfg.liberty_path).is_file():
         raise ToolEnvironmentError(f"liberty file not readable: {cfg.liberty_path!r}")
 
 
@@ -373,46 +373,47 @@ class Evaluator(Protocol):
 
 
 class ToolchainEvaluator:
-    """Evaluates candidates with real tools, one scratch directory per id.
+    """Evaluates candidates with real tools, each evaluation in a directory
+    of its own.
 
-    The directories go under `workdir_root` when it is given (kept
-    artifacts, never removed, with each stage's output in `<stage>.log`).
-    Otherwise they go under a fresh `rtlevo-` directory of the evaluator's
-    own, made on first use inside `config.workdir_root` or the system temp
-    directory, which cleanup() removes.
+    With `workdir_root` given (kept artifacts), an individual's directory is
+    `<workdir_root>/ind_NNNNNN`, never removed, with each stage's output in
+    `<stage>.log`. Otherwise each evaluation, and each `reference_ppa` call,
+    runs in a fresh `rtlevo-` directory inside `config.workdir_root` or the
+    system temp directory, removed when it returns or raises; so at most
+    one such directory exists per evaluation running at once.
     """
 
     def __init__(self, config: ToolchainConfig, workdir_root: str | Path | None = None):
         self.config = config
         preflight(config)
-        self._kept = workdir_root is not None
-        self._root = Path(workdir_root) if self._kept else None
-        # evaluations run concurrently; the first of them makes the one directory
-        self._root_lock = threading.Lock()
+        self._artifacts = None if workdir_root is None else Path(workdir_root)
 
-    def _workdir(self, name: str) -> Path:
-        with self._root_lock:
-            if self._root is None:
-                parent = Path(self.config.workdir_root or tempfile.gettempdir())
-                parent.mkdir(parents=True, exist_ok=True)
-                self._root = Path(tempfile.mkdtemp(prefix="rtlevo-", dir=parent))
-        return self._root / name
+    @contextlib.contextmanager
+    def _workdir(self, name: str) -> Iterator[Path]:
+        if self._artifacts is not None:
+            yield self._artifacts / name
+            return
+        parent = Path(self.config.workdir_root or tempfile.gettempdir())
+        parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(
+            prefix="rtlevo-", dir=parent, ignore_cleanup_errors=True
+        ) as scratch:
+            yield Path(scratch)
 
     def outcome_for(self, code: str, spec: ProblemSpec, individual_id: int) -> EvalOutcome:
-        cfg, workdir = self.config, self._workdir(f"ind_{individual_id:06d}")
-        clock = spec.target_clock_period
-        passed, sim_log = simulate(code, spec, cfg, workdir, self._kept)
-        if not passed:
-            return EvalOutcome(sim_passed=False, synth_succeeded=False, ppa=None, sim_log=sim_log)
-        report, ok = synthesize(code, spec, cfg, workdir, self._kept)
-        post_synth = None
-        if ok and cfg.post_synth_command:
-            returncode, log = _stage(
-                "post_synth", cfg.post_synth_command, cfg, clock, workdir, self._kept
-            )
-            post_synth = _passed(returncode, log, cfg)
-            if not post_synth:
-                logger.warning("individual %d: gate-level re-sim failed\n%s", individual_id, log[-500:])
+        cfg, clock, keep = self.config, spec.target_clock_period, self._artifacts is not None
+        with self._workdir(f"ind_{individual_id:06d}") as workdir:
+            passed, sim_log = simulate(code, spec, cfg, workdir, keep)
+            if not passed:
+                return EvalOutcome(sim_passed=False, synth_succeeded=False, ppa=None, sim_log=sim_log)
+            report, ok = synthesize(code, spec, cfg, workdir, keep)
+            post_synth = None
+            if ok and cfg.post_synth_command:
+                returncode, log = _stage("post_synth", cfg.post_synth_command, cfg, clock, workdir, keep)
+                post_synth = _passed(returncode, log, cfg)
+                if not post_synth:
+                    logger.warning("individual %d: gate-level re-sim failed\n%s", individual_id, log[-500:])
         ppa = None
         if ok and post_synth is not False:
             try:
@@ -425,15 +426,12 @@ class ToolchainEvaluator:
         )
 
     def reference_ppa(self, code: str, spec: ProblemSpec) -> PpaMetrics:
-        report, ok = synthesize(code, spec, self.config, self._workdir("reference"))
+        with self._workdir("reference") as workdir:
+            report, ok = synthesize(code, spec, self.config, workdir)
         if not ok:
             logger.error("reference synthesis output (tail):\n%s", report[-2000:])
             raise RuntimeError("reference design failed to synthesize; problem is PPA-ineligible")
         return parse_ppa_report(report, self.config, spec.target_clock_period)
-
-    def cleanup(self) -> None:
-        if not self._kept and self._root is not None:
-            shutil.rmtree(self._root, ignore_errors=True)
 
 
 FAIL_MARKER = "BUG"

@@ -146,8 +146,10 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
     Only `SCHEMA_VERSION` reads; a header naming any other version is a
     RunDirError. The history reads into one `Individual` per id, shared by
     the records that mention it; a reference to an id no earlier entry
-    defines is corrupt. A last line with no newline that does not parse, as
-    a killed write leaves it, is dropped with a warning."""
+    defines is corrupt, and so is a record that does not follow the last
+    one, as the writer refuses it (`HistoryWriter`). A last line with no
+    newline that does not parse, as a killed write leaves it, is dropped
+    with a warning."""
     path = Path(run_dir) / GENERATIONS_FILE
     if not path.is_file():
         raise RunDirError(f"{path} not found; is this a run directory?")
@@ -177,7 +179,10 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
                     break
                 raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
             try:
-                records.append(_record(data, individuals))
+                record = _record(data, individuals)
+                if record.generation_index != len(records):
+                    raise ValueError(f"generation_index is {record.generation_index}, not {len(records)}")
+                records.append(record)
             except ValueError as exc:
                 raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
     if not records:

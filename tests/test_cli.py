@@ -9,7 +9,6 @@ import json
 import math
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 import warnings
@@ -672,26 +671,46 @@ def test_validate_config_leaves_no_directory_behind(tmp_path, capsys):
     assert not (tmp_path / "wr").exists()
 
 
-def test_parallel_toolchain_run_makes_one_scratch_directory(tmp_path, monkeypatch):
-    made = []
-    mkdtemp = tempfile.mkdtemp
-
-    def slow_mkdtemp(*args, **kwargs):
-        # widen the window in which a second lane could make its own
-        time.sleep(0.05)
-        made.append(mkdtemp(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(tempfile, "mkdtemp", slow_mkdtemp)
+def _parallel_toolchain_run(tmp_path, stage):
+    """A run of 3 generations of 4 individuals, evaluated at most 4 at
+    once, whose sim and synth stages each run `stage` first; returns the
+    number of individuals it evaluated."""
     overrides = {
-        **_toolchain(tmp_path),
+        **_toolchain(
+            tmp_path,
+            simulator_command=f"{stage}; echo all tests passed",
+            synthesizer_command=f"{stage}; printf 'Chip area: 90\\nTotal power: 0.9\\nWorst slack: 0\\n'",
+        ),
         "evolution.population_size": 4,
         "evolution.offspring_count": 4,
         "evolution.max_parallel_evaluations": 4,
     }
     config = write_setup(tmp_path, config_overrides=overrides)
     assert main(["run", "--config", str(config)]) == EXIT_FOUND
-    assert len(made) == 1 and Path(made[0]).name.startswith("rtlevo-")
+    records = read_generations(tmp_path / "run")
+    return len({ind.id for record in records for ind in record.population + record.offspring})
+
+
+def test_parallel_toolchain_run_gives_each_evaluation_its_own_scratch_directory(tmp_path):
+    seen = tmp_path / "seen"
+    evaluated = _parallel_toolchain_run(tmp_path, f"echo {{workdir}} >> {seen}")
+    workdirs = seen.read_text(encoding="utf-8").split()
+    # the sim and synth stages of one individual share its directory
+    assert len(workdirs) == 2 * evaluated and len(set(workdirs)) == evaluated
+    for workdir in workdirs:
+        assert Path(workdir).parent == tmp_path / "work" and Path(workdir).name.startswith("rtlevo-")
+    assert list((tmp_path / "work").iterdir()) == []
+
+
+def test_at_most_k_scratch_directories_exist_at_once(tmp_path):
+    # every directory under workdir_root, counted from inside each stage:
+    # one per evaluation in flight, however many individuals came before
+    counts = tmp_path / "counts"
+    stage = f"find {tmp_path / 'work'} -mindepth 1 -type d | wc -l >> {counts}; sleep 0.02"
+    evaluated = _parallel_toolchain_run(tmp_path, stage)
+    seen = [int(count) for count in counts.read_text(encoding="utf-8").split()]
+    assert len(seen) == 2 * evaluated
+    assert 1 <= min(seen) and max(seen) <= 4, seen
     assert list((tmp_path / "work").iterdir()) == []
 
 
@@ -729,6 +748,17 @@ def test_run_that_cannot_start_keeps_the_previous_run(tmp_path, capsys, monkeypa
         assert len(lines) == 1 and lines[0].startswith("error: ") and word in lines[0], lines
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
     assert main(["report", str(run_dir)]) == EXIT_FOUND
+
+
+@pytest.mark.parametrize("out", ["file", "file/run"], ids=["a_file", "under_a_file"])
+def test_run_directory_that_cannot_be_made_is_one_error_line(tmp_path, capsys, out):
+    config = write_setup(tmp_path)
+    (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / out)]) == EXIT_ABORT
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno "), lines
+    assert str(tmp_path / out) in lines[0]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "not a directory"
 
 
 @pytest.mark.parametrize("case", sorted(CANNOT_START))

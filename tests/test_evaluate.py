@@ -87,6 +87,10 @@ def fake_cfg(**overrides):
     return ToolchainConfig(**fields)
 
 
+# a stage that prints its workdir, then the files in it, then passes
+LIST_WORKDIR = "echo {workdir}; ls {workdir}; echo all tests passed"
+
+
 class RecordingProvider:
     """Captures each bundle and replies with a fixed string."""
 
@@ -322,12 +326,13 @@ def test_preflight_finds_shell_builtins(tmp_path):
 
 
 def test_preflight_checks_liberty_when_referenced(tmp_path):
-    cfg = fake_cfg(synthesizer_command="echo {liberty}", liberty_path="")
-    with pytest.raises(ToolEnvironmentError):
-        preflight(cfg)
     lib = tmp_path / "cells.lib"
     lib.write_text("library(t){}", encoding="utf-8")
-    preflight(fake_cfg(synthesizer_command="echo {liberty}", liberty_path=str(lib)))
+    # every stage that names the liberty file reads it
+    for key in ("synthesizer_command", "simulator_command", "post_synth_command"):
+        with pytest.raises(ToolEnvironmentError, match="liberty file not readable"):
+            preflight(fake_cfg(**{key: "cat {liberty}"}, liberty_path=""))
+        preflight(fake_cfg(**{key: "cat {liberty}"}, liberty_path=str(lib)))
 
 
 def test_toolchain_config_validation():
@@ -424,30 +429,40 @@ def test_toolchain_evaluator_preflights_post_synth_stage(tmp_path):
 
 def test_toolchain_cleanup_removes_scratch(tmp_path):
     parent = tmp_path / "scratch"
-    ev = ToolchainEvaluator(fake_cfg(workdir_root=str(parent)))
-    ev.outcome_for("x", SPEC, 5)
-    (own,) = parent.iterdir()
-    assert own.name.startswith("rtlevo-")
-    assert (own / "ind_000005" / "design.v").exists()
-    ev.cleanup()
-    assert not own.exists()
-    assert parent.is_dir()
+    ev = ToolchainEvaluator(fake_cfg(workdir_root=str(parent), simulator_command=LIST_WORKDIR))
+    outcome = ev.outcome_for("x", SPEC, 5)
+    # the stage ran in a directory of its own, directly under workdir_root
+    own, *listing = outcome.sim_log.splitlines()[:-1]
+    assert Path(own).parent == parent and Path(own).name.startswith("rtlevo-")
+    assert listing == ["design.v", "tb.v"]
+    assert not Path(own).exists()
+    assert parent.is_dir() and list(parent.iterdir()) == []
 
 
 def test_toolchain_cleanup_keeps_given_and_unrelated_files(tmp_path):
     parent = tmp_path / "work"
     parent.mkdir()
     (parent / "notes.txt").write_text("mine", encoding="utf-8")
-    ev = ToolchainEvaluator(fake_cfg(workdir_root=str(parent)))
-    ev.outcome_for("x", SPEC, 1)
-    ev.cleanup()
+    ev = ToolchainEvaluator(fake_cfg(workdir_root=str(parent), simulator_command=LIST_WORKDIR))
+    assert ev.outcome_for("x", SPEC, 1).sim_passed
     assert [p.name for p in parent.iterdir()] == ["notes.txt"]
 
     kept = tmp_path / "artifacts"
-    ev = ToolchainEvaluator(fake_cfg(), workdir_root=kept)
-    ev.outcome_for("x", SPEC, 1)
-    ev.cleanup()
+    ev = ToolchainEvaluator(fake_cfg(simulator_command=LIST_WORKDIR), workdir_root=kept)
+    outcome = ev.outcome_for("x", SPEC, 1)
+    assert outcome.sim_log.splitlines()[0] == str(kept / "ind_000001")
     assert (kept / "ind_000001" / "design.v").exists()
+
+
+def test_a_failed_stage_leaves_no_scratch_directory(tmp_path):
+    parent = tmp_path / "scratch"
+    cfg = fake_cfg(workdir_root=str(parent), simulator_command="sleep 5", per_stage_timeout=0.2)
+    assert "TIMEOUT:" in ToolchainEvaluator(cfg).outcome_for("x", SPEC, 1).sim_log
+    assert list(parent.iterdir()) == []
+    cfg = fake_cfg(workdir_root=str(parent), synthesizer_command="echo gone; exit 127")
+    with pytest.raises(ToolEnvironmentError):
+        ToolchainEvaluator(cfg).outcome_for("x", SPEC, 1)
+    assert list(parent.iterdir()) == []
 
 
 def test_kept_workdir_holds_each_stage_log_whole(tmp_path):
@@ -467,11 +482,11 @@ def test_kept_workdir_holds_each_stage_log_whole(tmp_path):
 
 def test_scratch_workdir_gets_no_stage_logs(tmp_path):
     parent = tmp_path / "scratch"
-    ev = ToolchainEvaluator(fake_cfg(workdir_root=str(parent)))
-    ev.outcome_for("x", SPEC, 1)
-    (own,) = parent.iterdir()
-    assert sorted(p.name for p in (own / "ind_000001").iterdir()) == ["design.v", "tb.v"]
-    ev.cleanup()
+    # synthesis lists the directory the simulation ran in
+    cfg = fake_cfg(workdir_root=str(parent), synthesizer_command=LIST_WORKDIR)
+    outcome = ToolchainEvaluator(cfg).outcome_for("x", SPEC, 1)
+    assert outcome.synth_log.splitlines()[1:-1] == ["design.v", "tb.v"]
+    assert list(parent.iterdir()) == []
 
 
 # --- synthetic evaluator ----------------------------------------------------

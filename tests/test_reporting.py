@@ -161,6 +161,21 @@ def test_read_corrupt_record_numbered(tmp_path):
     assert "record 0" in str(err.value)
 
 
+@pytest.mark.parametrize("index", [5, 1])
+def test_a_record_that_does_not_follow_the_last_is_corrupt(tmp_path, index):
+    # the writer refuses such a record; a history numbered 0, 1, 5 is hand-edited
+    path = tmp_path / GENERATIONS_FILE
+    records = two_records()
+    write_history(path, records + [dataclasses.replace(records[1], generation_index=2)])
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert '"generation_index": 2' in lines[3]
+    lines[3] = lines[3].replace('"generation_index": 2', f'"generation_index": {index}')
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(RunDirError) as err:
+        read_generations(tmp_path)
+    assert f"generation record 2 is corrupt: generation_index is {index}, not 2" in str(err.value)
+
+
 def test_read_bad_header(tmp_path):
     path = tmp_path / GENERATIONS_FILE
     path.write_text("not json\n", encoding="utf-8")
