@@ -29,7 +29,7 @@ from .llm import (
     TranscriptingProvider,
     TranscriptWriter,
 )
-from .model import ConfigError, PpaMetrics, build, to_plain
+from .model import ConfigError, ProblemSpec, build, to_plain
 from .prompts import build_initial_prompt
 from .reporting import (
     CONFIG_SNAPSHOT_FILE,
@@ -168,7 +168,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if snapshot_path.is_file():
         try:
             snapshot = yaml.safe_load(snapshot_path.read_text(encoding="utf-8"))
-            reference = build(PpaMetrics, snapshot["problem"]["reference_ppa"])
+            reference = build(ProblemSpec, snapshot["problem"], "problem").reference_ppa
         except (TypeError, KeyError, ValueError, yaml.YAMLError):
             logger.warning("config snapshot has no usable reference PPA")
     print(render_report(records, reference), end="")

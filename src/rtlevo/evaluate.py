@@ -176,25 +176,26 @@ def _command_executables(template: str) -> list[str]:
 def preflight(cfg: ToolchainConfig) -> None:
     """Checks every stage's template and executables, and the liberty file
     when any stage names it, before any individual runs. A template the
-    shell cannot split is a ConfigError naming its key. A name not on PATH
-    may still be a builtin of `/bin/sh`, which runs the stages (`cd`,
-    `read`), so the shell is asked about those names, in one process."""
+    shell cannot split is a ConfigError naming its key. A name with no "/"
+    not on PATH may still be a builtin of `/bin/sh`, which runs the stages
+    (`cd`, `read`), so the shell is asked about those names, in one process.
+    A relative path is missing: a stage runs in a fresh scratch directory."""
     missing, keys = [], ("simulator_command", "synthesizer_command", "post_synth_command")
     for key in keys:
         try:
             names = _command_executables(getattr(cfg, key))
         except ValueError as exc:
             raise ConfigError(f"evaluator.{key}: {exc}") from None
-        missing += [name for name in names if shutil.which(name) is None]
+        missing += [n for n in names if shutil.which(n) is None or "/" in n and n[0] != "/"]
     if missing:
         script = 'for name do command -v "$name" >/dev/null || echo "$name"; done'
-        shell = subprocess.run(
-            ["/bin/sh", "-c", script, "sh", *missing], capture_output=True, text=True
-        )
-        missing = shell.stdout.splitlines()
+        bare = [name for name in missing if "/" not in name]
+        shell = subprocess.run(["/bin/sh", "-c", script, "sh", *bare], capture_output=True, text=True)
+        missing = [name for name in missing if "/" in name] + shell.stdout.splitlines()
     if missing:
         raise ToolEnvironmentError(
-            f"required executables not found on PATH: {', '.join(sorted(set(missing)))}"
+            f"required executables not found on PATH: {', '.join(sorted(set(missing)))} "
+            "(a stage runs in a fresh scratch directory: give a tool off PATH as an absolute path)"
         )
     # an empty liberty_path is Path("."), never a file
     if any("{liberty}" in getattr(cfg, key) for key in keys) and not Path(cfg.liberty_path).is_file():

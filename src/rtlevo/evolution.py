@@ -221,15 +221,15 @@ class RunResult:
     history: list[GenerationRecord]
 
     @property
-    def best(self) -> Individual | None:
+    def best(self) -> Individual:
         """The all-time best, which the last record holds."""
-        return self.history[-1].best_so_far if self.history else None
+        return self.history[-1].best_so_far
 
     @property
     def found_correct(self) -> bool:
         """Whether some individual passed simulation: only those that failed
         it have fitness -inf, and the best outranks every other."""
-        return self.best is not None and self.best.fitness != NEG_INF
+        return self.best.fitness != NEG_INF
 
 
 class EvolutionEngine:
@@ -430,7 +430,7 @@ class EvolutionEngine:
         # in call-key order: slots were planned, and their critiques keyed, in slot order
         asked = tuple(Critique(ind.id, ind.feedback) for ind in critiqued.values())
         return self._emit(GenerationRecord(
-            generation, tuple(survivors), tuple(offspring), tuple(events), best, states, asked
+            generation, tuple(survivors), best, tuple(offspring), tuple(events), states, asked
         ))
 
     def result(self) -> RunResult:

@@ -404,8 +404,6 @@ class ScriptedProvider:
     earlier calls nor on the thread or order a call arrives in."""
 
     def __init__(self, entries: list[ScriptEntry]):
-        if not entries:
-            raise ValueError("scripted provider needs at least one entry")
         self._entries = tuple(entries)
 
     @classmethod

@@ -186,30 +186,34 @@ class GenerationRecord:
     """Immutable snapshot of one generation of the evolutionary loop.
 
     `population` is the population entering the next generation (for
-    generation 0, the initial population). `bandit_states` holds each
-    population's strategy statistics after this generation's rewards, keyed
-    by its label; the next generation selects its operators from them.
-    `critiques` are the critiques this generation asked for, in call-key
-    order; the critiqued individuals in `population` and `best_so_far`
-    carry them as their feedback.
+    generation 0, the initial population). It is never empty, and it,
+    `offspring` and the all-time `best_so_far` hold only evaluated
+    individuals. `bandit_states` holds each population's strategy statistics
+    after this generation's rewards, keyed by its label; the next generation
+    selects its operators from them. `critiques` are the critiques this
+    generation asked for, in call-key order; the critiqued individuals in
+    `population` and `best_so_far` carry them as their feedback.
     """
 
     generation_index: int
     population: tuple[Individual, ...]
+    best_so_far: Individual
     offspring: tuple[Individual, ...] = ()
     strategy_events: tuple[StrategyEvent, ...] = ()
-    best_so_far: Individual | None = None
     bandit_states: dict[str, BanditState] = field(default_factory=dict)
     critiques: tuple[Critique, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.generation_index < 0:
-            raise ValueError("GenerationRecord.generation_index must be >= 0")
+        if not self.population:
+            raise ValueError("GenerationRecord.population must not be empty")
+        for ind in (*self.population, *self.offspring, self.best_so_far):
+            if ind.outcome is None:
+                raise ValueError(f"GenerationRecord holds individual {ind.id}, which has no outcome")
 
     @property
     def success_count(self) -> int:
         """Members of `population` that passed simulation."""
-        return sum(1 for ind in self.population if ind.outcome and ind.outcome.sim_passed)
+        return sum(1 for ind in self.population if ind.outcome.sim_passed)
 
 
 # --- persistence ------------------------------------------------------------

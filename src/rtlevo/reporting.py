@@ -97,8 +97,7 @@ def append_generation(history: HistoryWriter, record: GenerationRecord) -> None:
     }
     line["population"] = [entry(ind) for ind in record.population]
     line["offspring"] = [entry(ind) for ind in record.offspring]
-    best = record.best_so_far
-    line["best_so_far"] = None if best is None else entry(best)
+    line["best_so_far"] = entry(record.best_so_far)
     history.write(record.generation_index, json.dumps(line, sort_keys=True))
 
 
@@ -134,8 +133,7 @@ def _record(data, individuals: dict[int, Individual]) -> GenerationRecord:
         if not isinstance(entries, list):
             raise ConfigError(f"{name}: expected a list, got {entries!r}")
         resolved[name] = tuple(resolve(e, f"{name}[{i}]") for i, e in enumerate(entries))
-    if data.get("best_so_far") is not None:
-        resolved["best_so_far"] = resolve(data["best_so_far"], "best_so_far")
+    resolved["best_so_far"] = resolve(data.get("best_so_far"), "best_so_far")
     return build(GenerationRecord, data, critiques=critiques, **resolved)
 
 
@@ -147,15 +145,16 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
     RunDirError. The history reads into one `Individual` per id, shared by
     the records that mention it; a reference to an id no earlier entry
     defines is corrupt, and so is a record that does not follow the last
-    one, as the writer refuses it (`HistoryWriter`). A last line with no
-    newline that does not parse, as a killed write leaves it, is dropped
+    one, as the writer refuses it (`HistoryWriter`), one that breaks a
+    `GenerationRecord` rule, and a line that is not UTF-8. A last line with
+    no newline that does not parse, as a killed write leaves it, is dropped
     with a warning."""
     path = Path(run_dir) / GENERATIONS_FILE
     if not path.is_file():
         raise RunDirError(f"{path} not found; is this a run directory?")
     records = []
     individuals: dict[int, Individual] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line)
@@ -168,9 +167,9 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
+                data = json.loads(line.decode("utf-8"))
             except ValueError as exc:
-                if not line.endswith("\n"):
+                if not line.endswith(b"\n"):
                     logger.warning(
                         "%s: dropped generation record %d, cut short by an interrupted write",
                         path,
@@ -209,7 +208,7 @@ def _synthesized_individuals(records: list[GenerationRecord]) -> list[Individual
     seen: dict[int, Individual] = {}
     for record in records:
         for ind in (*record.population, *record.offspring):
-            if ind.outcome is not None and ind.outcome.ppa is not None:
+            if ind.outcome.ppa is not None:
                 seen.setdefault(ind.id, ind)
     return sorted(seen.values(), key=lambda ind: ind.id)
 
@@ -219,10 +218,10 @@ def _ppa_section(best: Individual, reference: PpaMetrics | None) -> list[str]:
     outcome = best.outcome
     # checked first: the evaluator withholds PPA when the gate-level check
     # fails, though a record read from disk may hold both
-    gate_failed = outcome is not None and outcome.post_synth_functional is False
+    gate_failed = outcome.post_synth_functional is False
     if gate_failed:
         lines.append("Gate-level re-simulation failed; no improvement is claimed.")
-    if outcome is None or outcome.ppa is None:
+    if outcome.ppa is None:
         lines.append("No synthesized PPA for the best individual.")
         return lines
     gen = outcome.ppa
@@ -277,28 +276,25 @@ def render_report(records: list[GenerationRecord], reference: PpaMetrics | None)
     last = records[-1]
     lines = []
     best = last.best_so_far
-    if best is None:
-        lines.append("No best individual recorded.")
-    else:
-        lines.append(
-            f"Best individual: id={best.id} generation={best.generation_born} "
-            f"strategy={best.strategy or 'initial'} fitness={best.fitness}"
-        )
-        if best.fitness == float("-inf"):
-            lines.append("No functionally correct design found.")
-        lines.append("")
-        lines.append("Thought:")
-        lines.append(best.thought)
-        lines.append("")
-        lines.append("Code:")
-        lines.append(best.code.rstrip("\n"))
-        lines.append("")
-        lines.extend(_ppa_section(best, reference))
+    lines.append(
+        f"Best individual: id={best.id} generation={best.generation_born} "
+        f"strategy={best.strategy or 'initial'} fitness={best.fitness}"
+    )
+    if best.fitness == float("-inf"):
+        lines.append("No functionally correct design found.")
+    lines.append("")
+    lines.append("Thought:")
+    lines.append(best.thought)
+    lines.append("")
+    lines.append("Code:")
+    lines.append(best.code.rstrip("\n"))
+    lines.append("")
+    lines.extend(_ppa_section(best, reference))
     lines.append("")
     lines.append("Pass rate by generation:")
     for record in records:
         total = len(record.population)
-        rate = record.success_count / total * 100.0 if total else 0.0
+        rate = record.success_count / total * 100.0
         lines.append(
             f"  gen {record.generation_index:<3} "
             f"{record.success_count}/{total} ({rate:.1f}%)"

@@ -151,7 +151,15 @@ def test_report_renders_summary(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "snapshot", ["problem: [unclosed\n", "problem: {reference_ppa: {power: no}}\n", "[]\n"]
+    "snapshot",
+    [
+        "problem: [unclosed\n",
+        "problem: {reference_ppa: {power: no}}\n",
+        "[]\n",
+        # the config's rule: a reference PPA value is in (0, inf)
+        "problem: {description: add, circuit_kind: combinational, reference_ppa: "
+        "{power: 0.0, area: 95.0, effective_clock_period: 1.0}}\n",
+    ],
 )
 def test_report_without_a_usable_snapshot_omits_percentages(tmp_path, capsys, snapshot):
     config = write_setup(tmp_path)

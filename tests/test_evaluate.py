@@ -301,6 +301,18 @@ def test_preflight_missing_executable():
     assert "rtlevo-no-such-tool" in str(err.value)
 
 
+def test_preflight_refuses_a_relative_tool_path(tmp_path, monkeypatch):
+    # the script resolves from here, but a stage runs in a fresh scratch directory
+    tool = tmp_path / "tools" / "sim.sh"
+    tool.parent.mkdir()
+    tool.write_text("#!/bin/sh\necho all tests passed\n", encoding="utf-8")
+    tool.chmod(0o755)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ToolEnvironmentError, match="found on PATH: tools/sim.sh .*absolute path"):
+        preflight(fake_cfg(simulator_command="tools/sim.sh {code_file}"))
+    preflight(fake_cfg(simulator_command=f"{tool} {{code_file}}"))
+
+
 @pytest.mark.parametrize(
     "template, expected",
     [

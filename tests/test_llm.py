@@ -185,11 +185,6 @@ def test_scripted_from_file_names_the_entry_its_own_check_rejects(tmp_path):
     assert str(err.value) == f"script file {script}, entry 1: match 'call:x' must name a call key as call:G/N"
 
 
-def test_scripted_empty_rejected():
-    with pytest.raises(ValueError):
-        ScriptedProvider([])
-
-
 # --- fake chat endpoint -----------------------------------------------------
 
 

@@ -164,7 +164,8 @@ def test_generation_record_roundtrip_and_count_invariant():
     failed = make_individual(
         id=3, outcome=EvalOutcome(False, False, None, sim_log="fail"), fitness=NEG_INF
     )
-    assert GenerationRecord(generation_index=0, population=(*pop, failed)).success_count == 2
+    record = GenerationRecord(generation_index=0, population=(*pop, failed), best_so_far=pop[0])
+    assert record.success_count == 2
 
 
 # --- the one format: to_plain and build ------------------------------------
@@ -188,8 +189,8 @@ def outcomes(draw):
 
 
 @st.composite
-def individuals(draw):
-    outcome = draw(st.none() | outcomes())
+def individuals(draw, outcome=st.none() | outcomes()):
+    outcome = draw(outcome)
     if outcome is None:
         fitness = None
     else:
@@ -218,12 +219,12 @@ bandit_states = st.builds(
 def records(draw):
     return GenerationRecord(
         generation_index=draw(st.integers(0, 1000)),
-        population=tuple(draw(st.lists(individuals(), min_size=1, max_size=3))),
-        offspring=tuple(draw(st.lists(individuals(), max_size=2))),
+        population=tuple(draw(st.lists(individuals(outcomes()), min_size=1, max_size=3))),
+        offspring=tuple(draw(st.lists(individuals(outcomes()), max_size=2))),
         strategy_events=tuple(draw(st.lists(
             st.builds(StrategyEvent, st.sampled_from(PopulationLabel), texts, finite), max_size=2
         ))),
-        best_so_far=draw(st.none() | individuals()),
+        best_so_far=draw(individuals(outcomes())),
         bandit_states=draw(st.dictionaries(st.sampled_from(["fail", "success"]), bandit_states)),
     )
 

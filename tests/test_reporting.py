@@ -383,6 +383,12 @@ def _v3_history(tmp_path, edit=None, tail=""):
          "critiques[0].feedback: expected a string, got 3"),
         (lambda d: d["population"][1]["outcome"].update(sim_passed="no"),
          "population[1].outcome.sim_passed: expected true or false, got 'no'"),
+        # the engine writes no record it could not continue from
+        (lambda d: d.update(best_so_far=None), "best_so_far must be a mapping"),
+        (lambda d: d.update(population=[], offspring=d["population"][1:]),
+         "GenerationRecord.population must not be empty"),
+        (lambda d: d["population"][1].update(outcome=None, fitness=None),
+         "GenerationRecord holds individual 1, which has no outcome"),
     ],
 )
 def test_corrupt_v3_entry_names_record_and_key_path(tmp_path, edit, message):
@@ -468,6 +474,22 @@ def test_torn_last_line_is_dropped_with_a_warning(tmp_path, caplog):
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert "dropped generation record 2" in warnings[0].getMessage()
+
+
+@pytest.mark.parametrize("torn", [False, True])
+def test_a_line_that_is_not_utf8_is_corrupt_unless_torn(tmp_path, caplog, torn):
+    # only an outside edit writes such a line: json.dumps escapes every non-ASCII character
+    _v3_history(tmp_path)
+    with (tmp_path / GENERATIONS_FILE).open("ab") as fh:
+        fh.write(b'\xff\xfe{"x": 1}' + (b"" if torn else b"\n"))
+    if torn:
+        with caplog.at_level("WARNING"):
+            assert read_generations(tmp_path) == [generation_zero(), full_record()]
+        assert "dropped generation record 2" in caplog.text
+        return
+    with pytest.raises(RunDirError) as err:
+        read_generations(tmp_path)
+    assert "generation record 2 is corrupt" in str(err.value)
 
 
 @pytest.mark.parametrize("tail", [FULL_RECORD_LINE[:100] + "\n", FULL_RECORD_LINE[:100] + "\n{}\n"])
