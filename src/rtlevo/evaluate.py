@@ -61,6 +61,8 @@ LOG_CLIP_CHARS = LOG_HEAD_CHARS + 100 + FEEDBACK_LOG_TAIL_CHARS
 # that as its first and last CAPTURE_BYTES // 2 bytes around a cut marker,
 # so a runaway stage cannot fill memory and any ordinary report stays whole.
 CAPTURE_BYTES = 1 << 20
+# how often a quiet stage's shell is checked for exit (a leftover may hold its pipe)
+EXIT_POLL_SECONDS = 0.1
 
 DEFAULT_SIMULATOR_COMMAND = (
     "iverilog -g2012 -o {out_exe} {code_file} {testbench_file} && vvp {out_exe}"
@@ -135,8 +137,8 @@ def _command_executables(template: str) -> list[str]:
     """The executables a command template runs: the first word of each
     simple command, skipping assignments, placeholders, redirection targets
     and shell keywords. Operators inside quotes do not split commands. A
-    template the shell cannot split, such as one with an unclosed quote, is
-    a ValueError."""
+    template the shell cannot split, such as one with an unclosed quote, or
+    one whose command word is empty (`""`), is a ValueError."""
     # each escape and quoted span, also one that opens inside a word, is
     # hidden from the split as \0<n>\0, so a quoted ';' or space splits
     # nothing; non-POSIX mode keeps an unclosed quote on its word, and fails
@@ -162,6 +164,8 @@ def _command_executables(template: str) -> list[str]:
         if not at_command or in_clause:
             continue
         word = "".join(shlex.split(re.sub(r"\0(\d+)\0", lambda m: spans[int(m[1])], token)))
+        if not word:
+            raise ValueError("a command word is empty")
         if word in _SHELL_CLAUSE_KEYWORDS:
             in_clause = True
         elif word in _SHELL_KEYWORDS or "=" in word:
@@ -225,20 +229,26 @@ def _bounded(chunks: Iterable[bytes]) -> str:
 
 
 def _capture(proc: subprocess.Popen, deadline: float) -> tuple[str, bool]:
-    """The process's output, `_bounded`, read until EOF or the deadline;
-    True when the deadline came first."""
+    """The process's output, `_bounded`, read until EOF, the deadline, or an
+    empty pipe after the process exits; True when the deadline came first."""
     fd = proc.stdout.fileno()
     timed_out = False
 
     def chunks():
         nonlocal timed_out
+        wait = EXIT_POLL_SECONDS
         with selectors.DefaultSelector() as selector:
             selector.register(fd, selectors.EVENT_READ)
-            while (remaining := deadline - time.monotonic()) > 0 and selector.select(remaining):
-                chunk = os.read(fd, 1 << 16)
-                if not chunk:
+            while (remaining := deadline - time.monotonic()) > 0:
+                if selector.select(min(remaining, wait)):
+                    chunk = os.read(fd, 1 << 16)
+                    if not chunk:
+                        return
+                    yield chunk
+                elif wait == 0:
                     return
-                yield chunk
+                elif proc.poll() is not None:
+                    wait = 0  # drain what the shell wrote before it exited
         timed_out = True
 
     log = _bounded(chunks())
@@ -246,9 +256,13 @@ def _capture(proc: subprocess.Popen, deadline: float) -> tuple[str, bool]:
 
 
 def _run_shell(command: str, timeout: float, cwd: Path) -> tuple[int, str]:
-    """Runs `command` in a session of its own, whose processes are all
-    killed when the stage outlives `timeout`; its log keeps a bounded head
-    and tail (`_capture`)."""
+    """Runs `command` in a session of its own until its shell exits or
+    `timeout`; then every process left in its process group is killed (one
+    that detaches with `setsid` escapes). The log keeps a bounded head and
+    tail (`_capture`). Linux keeps a group's id, the shell's pid, out of
+    reuse while the group has a member, and an empty group is ignored; only
+    a new group leader that took the reaped shell's pid, which needs the pid
+    counter to wrap, could be hit."""
     with subprocess.Popen(
         command,
         shell=True,
@@ -266,11 +280,8 @@ def _run_shell(command: str, timeout: float, cwd: Path) -> tuple[int, str]:
                 except subprocess.TimeoutExpired:
                     timed_out = True
         finally:
-            if proc.returncode is None:
-                try:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
     if timed_out:
         return -1, f"{captured}\nTIMEOUT: stage exceeded {timeout:g}s and was killed"
     log = captured or f"(no output, exit status {proc.returncode})"
@@ -294,19 +305,18 @@ def _stage_mapping(cfg: ToolchainConfig, clock_period: float, workdir: Path) -> 
 
 
 def _stage(
-    name: str, template: str, cfg: ToolchainConfig, clock_period: float, workdir: Path,
-    keep_log: bool, **inputs: str,
+    name: str, template: str, cfg: ToolchainConfig, clock_period: float, workdir: Path, **inputs: str
 ) -> tuple[int, str]:
     """Runs one tool stage: makes `workdir` and writes `inputs` (placeholder
-    name to text) into it, then runs the template rendered at `clock_period`;
-    with `keep_log`, its captured output also goes to `{workdir}/{name}.log`."""
+    name to text) into it, then runs the template rendered at `clock_period`
+    and writes its captured output to `{workdir}/{name}.log`, which goes
+    with the directory when it is scratch."""
     mapping = _stage_mapping(cfg, clock_period, workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     for placeholder, text in inputs.items():
         Path(mapping[placeholder]).write_text(text, encoding="utf-8")
     returncode, log = _run_shell(template.format_map(mapping), cfg.per_stage_timeout, workdir)
-    if keep_log:
-        (workdir / f"{name}.log").write_text(log, encoding="utf-8")
+    (workdir / f"{name}.log").write_text(log, encoding="utf-8")
     return returncode, log
 
 
@@ -315,26 +325,21 @@ def _passed(returncode: int, log: str, cfg: ToolchainConfig) -> bool:
     return returncode == 0 and re.search(cfg.pass_pattern, log) is not None
 
 
-def simulate(
-    code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path, keep_log: bool = False
-) -> tuple[bool, str]:
+def simulate(code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path) -> tuple[bool, str]:
     """Writes code and the testbench into `workdir`, compiles and runs them."""
     inputs = {"code_file": code, "testbench_file": spec.testbench}
     returncode, log = _stage(
-        "sim", cfg.simulator_command, cfg, spec.target_clock_period, workdir, keep_log, **inputs
+        "sim", cfg.simulator_command, cfg, spec.target_clock_period, workdir, **inputs
     )
     return _passed(returncode, log, cfg), log
 
 
-def synthesize(
-    code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path, keep_log: bool = False
-) -> tuple[str, bool]:
+def synthesize(code: str, spec: ProblemSpec, cfg: ToolchainConfig, workdir: Path) -> tuple[str, bool]:
     """Writes code into `workdir` and runs the scripted synthesis flow on it
     at the problem's target clock; the report is {out_report} when the
     template writes it, captured output otherwise."""
     returncode, log = _stage(
-        "synth", cfg.synthesizer_command, cfg, spec.target_clock_period, workdir, keep_log,
-        code_file=code,
+        "synth", cfg.synthesizer_command, cfg, spec.target_clock_period, workdir, code_file=code
     )
     report_file, body = workdir / "synth.rpt", ""
     if report_file.exists():
@@ -375,14 +380,14 @@ class Evaluator(Protocol):
 
 class ToolchainEvaluator:
     """Evaluates candidates with real tools, each evaluation in a directory
-    of its own.
+    of its own, where each stage writes its output as `<stage>.log`.
 
     With `workdir_root` given (kept artifacts), an individual's directory is
-    `<workdir_root>/ind_NNNNNN`, never removed, with each stage's output in
-    `<stage>.log`. Otherwise each evaluation, and each `reference_ppa` call,
-    runs in a fresh `rtlevo-` directory inside `config.workdir_root` or the
-    system temp directory, removed when it returns or raises; so at most
-    one such directory exists per evaluation running at once.
+    `<workdir_root>/ind_NNNNNN`, never removed. Otherwise each evaluation,
+    and each `reference_ppa` call, runs in a fresh `rtlevo-` directory
+    inside `config.workdir_root` or the system temp directory, removed with
+    its logs when it returns or raises; so at most one such directory
+    exists per evaluation running at once.
     """
 
     def __init__(self, config: ToolchainConfig, workdir_root: str | Path | None = None):
@@ -403,15 +408,15 @@ class ToolchainEvaluator:
             yield Path(scratch)
 
     def outcome_for(self, code: str, spec: ProblemSpec, individual_id: int) -> EvalOutcome:
-        cfg, clock, keep = self.config, spec.target_clock_period, self._artifacts is not None
+        cfg, clock = self.config, spec.target_clock_period
         with self._workdir(f"ind_{individual_id:06d}") as workdir:
-            passed, sim_log = simulate(code, spec, cfg, workdir, keep)
+            passed, sim_log = simulate(code, spec, cfg, workdir)
             if not passed:
                 return EvalOutcome(sim_passed=False, synth_succeeded=False, ppa=None, sim_log=sim_log)
-            report, ok = synthesize(code, spec, cfg, workdir, keep)
+            report, ok = synthesize(code, spec, cfg, workdir)
             post_synth = None
             if ok and cfg.post_synth_command:
-                returncode, log = _stage("post_synth", cfg.post_synth_command, cfg, clock, workdir, keep)
+                returncode, log = _stage("post_synth", cfg.post_synth_command, cfg, clock, workdir)
                 post_synth = _passed(returncode, log, cfg)
                 if not post_synth:
                     logger.warning("individual %d: gate-level re-sim failed\n%s", individual_id, log[-500:])

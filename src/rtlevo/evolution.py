@@ -262,14 +262,14 @@ class EvolutionEngine:
         has no outcome yet; an unparsable response becomes a placeholder that
         arrives already scored and skips evaluation."""
         if slot.strategy is None:
-            bundle = build_initial_prompt(self.spec)
+            bundle = build_initial_prompt(self.spec, slot.key)
         else:
             parents = [
                 critiques[p.id].critiqued(self.spec, self.provider) if p.id in critiques else p
                 for p in slot.parents
             ]
-            bundle = build_evolutionary_prompt(slot.strategy, self.spec, parents)
-        text = self.provider.complete(dataclasses.replace(bundle, key=slot.key)).text
+            bundle = build_evolutionary_prompt(slot.strategy, self.spec, parents, slot.key)
+        text = self.provider.complete(bundle).text
         try:
             thought, code = parse_llm_response(text)
             feedback = outcome = fitness = None

@@ -64,11 +64,12 @@ SUCCESS_STRATEGIES: tuple[PromptStrategy, ...] = (
 class PromptBundle:
     """One ready-to-send prompt: system text, user text, and provenance.
 
-    `key` is (generation, n), set by the engine on every call it makes: n
-    numbers a generation's calls in slot order, each slot's critiques of
-    the parents it is the first to choose before its draft. A scripted
-    provider's `call:G/N` entries match it. Prompts built outside the
-    engine carry no key.
+    A draft's `parent_ids` are the `strategy.arity` parents the engine's
+    plan drew. `key` is (generation, n), given by the engine to every call
+    it makes when it builds the prompt: n numbers a generation's calls in
+    slot order, each slot's critiques of the parents it is the first to
+    choose before its draft. A scripted provider's `call:G/N` entries match
+    it. Prompts built outside the engine carry no key.
     """
 
     system_text: str
@@ -77,14 +78,6 @@ class PromptBundle:
     parent_ids: tuple[int, ...] = ()
     purpose: str = "generate"
     key: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.purpose == "generate":
-            arity = 0 if self.strategy is None else self.strategy.arity
-            if len(self.parent_ids) != arity:
-                raise ValueError(
-                    f"prompt for {self.strategy} needs {arity} parents, got {len(self.parent_ids)}"
-                )
 
 
 @functools.cache
@@ -106,13 +99,12 @@ def system_text() -> str:
     return _template("system").strip()
 
 
-def build_initial_prompt(spec: ProblemSpec) -> PromptBundle:
+def build_initial_prompt(spec: ProblemSpec, key: tuple[int, int] | None = None) -> PromptBundle:
     """The parent-free prompt used once per slot to create generation 0."""
     return PromptBundle(
         system_text=system_text(),
         user_text=render("initial", {"functional_description": spec.description}),
-        strategy=None,
-        parent_ids=(),
+        key=key,
     )
 
 
@@ -120,13 +112,13 @@ def build_evolutionary_prompt(
     strategy: PromptStrategy,
     spec: ProblemSpec,
     parents: list[Individual],
+    key: tuple[int, int] | None = None,
 ) -> PromptBundle:
     """A strategy prompt carrying each parent's thought, code and feedback
-    verbatim, for the `strategy.arity` parents the engine's plan draws."""
+    verbatim, for the `strategy.arity` parents the engine's plan draws.
+    Each parent is critiqued, or is a placeholder with its fixed feedback."""
     mapping = {"functional_description": spec.description}
     for n, parent in enumerate(parents, start=1):
-        if parent.feedback is None or not parent.feedback.strip():
-            raise ValueError(f"parent {parent.id} has no feedback; evaluate it first")
         mapping[f"parent_thought_{n}"] = parent.thought
         mapping[f"parent_code_{n}"] = parent.code
         mapping[f"parent_feedback_{n}"] = parent.feedback
@@ -135,6 +127,7 @@ def build_evolutionary_prompt(
         user_text=render(strategy.value, mapping),
         strategy=strategy,
         parent_ids=tuple(p.id for p in parents),
+        key=key,
     )
 
 

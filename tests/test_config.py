@@ -115,6 +115,17 @@ def test_description_file_resolved_relative_to_config(tmp_path):
     assert cfg.problem.description == "a four bit counter"
 
 
+def test_description_file_missing_names_key_and_path(tmp_path):
+    path = write_config(
+        tmp_path,
+        overrides={"problem.description_file": "problem.md"},
+        drop=("problem.description",),
+    )
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"problem.description_file: file not found: {tmp_path / 'problem.md'}"
+
+
 def test_description_inline_and_file_conflict(tmp_path):
     (tmp_path / "problem.md").write_text("x", encoding="utf-8")
     path = write_config(
@@ -294,6 +305,13 @@ def test_scripted_missing_file(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert "nope.yaml" in str(err.value)
+
+
+def test_scripted_empty_file_name_is_required(tmp_path):
+    path = write_config(tmp_path, overrides={"provider.script_file": ""})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == "provider.script_file is required"
 
 
 def test_http_provider_defaults_and_overrides(tmp_path):

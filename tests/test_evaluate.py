@@ -137,6 +137,12 @@ def test_parse_ppa_report_missing_power_names_field():
         parse_ppa_report(raw, fake_cfg(), 0.01)
 
 
+def test_parse_ppa_report_unparseable_value_names_field():
+    raw = "Chip area: 1.2.3\nPower: 1\nWorst slack: 0\n"
+    with pytest.raises(ReportError, match=r"^unparseable area value '1\.2\.3' in report$"):
+        parse_ppa_report(raw, fake_cfg(), 0.01)
+
+
 def test_parse_ppa_report_negative_area_rejected():
     cfg = fake_cfg(area_pattern=r"area:\s*(-?[0-9.]+)")
     raw = "area: -5\nPower: 1\nWorst slack: 0\n"
@@ -214,6 +220,35 @@ def test_timed_out_stage_leaves_no_process_behind(tmp_path):
     while _running(pid) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not _running(pid)
+
+
+def _gone(pid: int) -> bool:
+    deadline = time.monotonic() + 5
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not _running(pid)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_leftover_that_outlives_its_shell_is_killed(tmp_path):
+    returncode, log = _run_shell("sleep 30 >/dev/null 2>&1 & echo $! > pid", 10.0, tmp_path)
+    assert (returncode, log) == (0, "(no output, exit status 0)")
+    assert _gone(int((tmp_path / "pid").read_text()))
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_leftover_holding_the_pipe_does_not_hold_the_stage(tmp_path):
+    # the background sleep keeps the output pipe open after its shell exits
+    returncode, log = _run_shell("sleep 30 & echo $! > pid; echo started", 5.0, tmp_path)
+    assert (returncode, log) == (0, "started\n")
+    assert _gone(int((tmp_path / "pid").read_text()))
+
+
+def test_a_stage_that_closes_its_output_still_times_out(tmp_path):
+    # EOF comes at once, and the shell is still running at the deadline
+    returncode, log = _run_shell("exec >/dev/null 2>&1; sleep 5", 0.5, tmp_path)
+    assert returncode == -1
+    assert log == "\nTIMEOUT: stage exceeded 0.5s and was killed"
 
 
 def test_long_finite_output_keeps_its_true_last_line(tmp_path):
@@ -328,6 +363,12 @@ def test_preflight_refuses_a_relative_tool_path(tmp_path, monkeypatch):
 )
 def test_command_executables_splits_only_on_unquoted_operators(template, expected):
     assert _command_executables(template) == expected
+
+
+def test_preflight_refuses_an_empty_command_word_with_its_key():
+    with pytest.raises(ConfigError) as err:
+        preflight(fake_cfg(simulator_command='"" {code_file}'))
+    assert str(err.value) == "evaluator.simulator_command: a command word is empty"
 
 
 def test_preflight_finds_shell_builtins(tmp_path):
@@ -492,12 +533,12 @@ def test_kept_workdir_holds_each_stage_log_whole(tmp_path):
     assert (workdir / "post_synth.log").read_text(encoding="utf-8").startswith("gate level")
 
 
-def test_scratch_workdir_gets_no_stage_logs(tmp_path):
+def test_scratch_workdir_gets_stage_logs_and_is_removed(tmp_path):
     parent = tmp_path / "scratch"
     # synthesis lists the directory the simulation ran in
     cfg = fake_cfg(workdir_root=str(parent), synthesizer_command=LIST_WORKDIR)
     outcome = ToolchainEvaluator(cfg).outcome_for("x", SPEC, 1)
-    assert outcome.synth_log.splitlines()[1:-1] == ["design.v", "tb.v"]
+    assert outcome.synth_log.splitlines()[1:-1] == ["design.v", "sim.log", "tb.v"]
     assert list(parent.iterdir()) == []
 
 

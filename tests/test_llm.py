@@ -385,6 +385,19 @@ def test_http_malformed_body_is_protocol_error(monkeypatch):
         endpoint.close()
 
 
+def test_http_null_content_is_protocol_error(monkeypatch):
+    body = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+    endpoint = _FakeEndpoint([(200, json.dumps(body))])
+    try:
+        provider = _http_provider(endpoint, monkeypatch)
+        with pytest.raises(ProviderError) as err:
+            provider.complete(bundle())
+        assert err.value.kind == "protocol"
+        assert str(err.value) == "malformed response body: message content is not a string"
+    finally:
+        endpoint.close()
+
+
 def test_http_unexpected_status_is_protocol_error(monkeypatch, fast_backoff):
     endpoint = _FakeEndpoint([(418, "{}")])
     try:

@@ -11,7 +11,6 @@ from rtlevo.prompts import (
     FALLBACK_THOUGHT,
     SUCCESS_STRATEGIES,
     ParseError,
-    PromptBundle,
     PromptStrategy,
     build_evolutionary_prompt,
     build_initial_prompt,
@@ -79,6 +78,13 @@ def test_evolutionary_prompt_carries_parent_verbatim():
         assert bundle.strategy is strategy
 
 
+def test_prompt_builders_carry_the_call_key():
+    assert build_initial_prompt(SPEC).key is None
+    assert build_initial_prompt(SPEC, (0, 3)).key == (0, 3)
+    bundle = build_evolutionary_prompt(PromptStrategy.FIX, SPEC, [make_parent(1)], (2, 5))
+    assert bundle.key == (2, 5)
+
+
 def test_fusion_prompt_carries_both_parents():
     p1, p2 = make_parent(1), make_parent(2, feedback="lower the fanout")
     bundle = build_evolutionary_prompt(PromptStrategy.FUSION, SPEC, [p1, p2])
@@ -87,24 +93,6 @@ def test_fusion_prompt_carries_both_parents():
         assert parent.code in bundle.user_text
         assert parent.feedback in bundle.user_text
     assert bundle.parent_ids == (1, 2)
-
-
-def test_arity_mismatch_rejected():
-    with pytest.raises(ValueError):
-        build_evolutionary_prompt(PromptStrategy.FIX, SPEC, [make_parent(1), make_parent(2)])
-
-
-def test_missing_feedback_rejected():
-    parent = make_parent(1, feedback=" ")
-    with pytest.raises(ValueError):
-        build_evolutionary_prompt(PromptStrategy.FIX, SPEC, [parent])
-
-
-def test_bundle_parent_count_invariant():
-    with pytest.raises(ValueError):
-        PromptBundle(system_text="s", user_text="u", strategy=PromptStrategy.FUSION, parent_ids=(1,))
-    with pytest.raises(ValueError):
-        PromptBundle(system_text="s", user_text="u", strategy=None, parent_ids=(1,))
 
 
 THOUGHT_WORDS = "pipeline carry mux register latch tree shared gated balanced onehot".split()

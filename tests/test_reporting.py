@@ -389,6 +389,9 @@ def _v3_history(tmp_path, edit=None, tail=""):
          "GenerationRecord.population must not be empty"),
         (lambda d: d["population"][1].update(outcome=None, fitness=None),
          "GenerationRecord holds individual 1, which has no outcome"),
+        (lambda d: d.update(population={}), "population: expected a list, got {}"),
+        (lambda d: d["population"][1].update(parent_ids=5),
+         "population[1].parent_ids: expected a list, got 5"),
     ],
 )
 def test_corrupt_v3_entry_names_record_and_key_path(tmp_path, edit, message):
