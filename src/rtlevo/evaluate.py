@@ -61,7 +61,8 @@ LOG_CLIP_CHARS = LOG_HEAD_CHARS + 100 + FEEDBACK_LOG_TAIL_CHARS
 # that as its first and last CAPTURE_BYTES // 2 bytes around a cut marker,
 # so a runaway stage cannot fill memory and any ordinary report stays whole.
 CAPTURE_BYTES = 1 << 20
-# how often a quiet stage's shell is checked for exit (a leftover may hold its pipe)
+# how often a quiet stage's shell is checked for exit, and how long the pipe
+# is still read once it has exited (a `setsid` escapee may hold it open)
 EXIT_POLL_SECONDS = 0.1
 
 DEFAULT_SIMULATOR_COMMAND = (
@@ -228,40 +229,18 @@ def _bounded(chunks: Iterable[bytes]) -> str:
     return (head + tail).decode(errors="replace").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _capture(proc: subprocess.Popen, deadline: float) -> tuple[str, bool]:
-    """The process's output, `_bounded`, read until EOF, the deadline, or an
-    empty pipe after the process exits; True when the deadline came first."""
-    fd = proc.stdout.fileno()
-    timed_out = False
-
-    def chunks():
-        nonlocal timed_out
-        wait = EXIT_POLL_SECONDS
-        with selectors.DefaultSelector() as selector:
-            selector.register(fd, selectors.EVENT_READ)
-            while (remaining := deadline - time.monotonic()) > 0:
-                if selector.select(min(remaining, wait)):
-                    chunk = os.read(fd, 1 << 16)
-                    if not chunk:
-                        return
-                    yield chunk
-                elif wait == 0:
-                    return
-                elif proc.poll() is not None:
-                    wait = 0  # drain what the shell wrote before it exited
-        timed_out = True
-
-    log = _bounded(chunks())
-    return log, timed_out
-
-
 def _run_shell(command: str, timeout: float, cwd: Path) -> tuple[int, str]:
-    """Runs `command` in a session of its own until its shell exits or
-    `timeout`; then every process left in its process group is killed (one
-    that detaches with `setsid` escapes). The log keeps a bounded head and
-    tail (`_capture`). Linux keeps a group's id, the shell's pid, out of
-    reuse while the group has a member, and an empty group is ignored; only
-    a new group leader that took the reaped shell's pid, which needs the pid
+    """Runs `command` in a session of its own and ends the stage by one
+    rule. Its output is read until EOF or a deadline, `timeout` from the
+    start. The first pass that finds the shell exited kills every process
+    left in its process group, so killed leftovers close the pipe at once,
+    and moves the deadline to EXIT_POLL_SECONDS from then, so one that
+    detached with `setsid` holds the pipe no longer. The stage timed out
+    exactly when its shell is still running at the deadline. However the
+    stage ends, its group is killed. The log keeps a bounded head and tail
+    (`_bounded`). Linux keeps a group's id, the shell's pid, out of reuse
+    while the group has a member, and an empty group is ignored; only a
+    new group leader that took the reaped shell's pid, which needs the pid
     counter to wrap, could be hit."""
     with subprocess.Popen(
         command,
@@ -271,19 +250,35 @@ def _run_shell(command: str, timeout: float, cwd: Path) -> tuple[int, str]:
         stderr=subprocess.STDOUT,
         start_new_session=True,
     ) as proc:
-        try:
-            deadline = time.monotonic() + timeout
-            captured, timed_out = _capture(proc, deadline)
-            if not timed_out:
-                try:
-                    proc.wait(max(deadline - time.monotonic(), 0))
-                except subprocess.TimeoutExpired:
-                    timed_out = True
-        finally:
+        deadline = time.monotonic() + timeout
+
+        def kill_group() -> None:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
-    if timed_out:
-        return -1, f"{captured}\nTIMEOUT: stage exceeded {timeout:g}s and was killed"
+
+        def chunks() -> Iterator[bytes]:
+            nonlocal deadline
+            fd = proc.stdout.fileno()
+            with selectors.DefaultSelector() as selector:
+                selector.register(fd, selectors.EVENT_READ)
+                while (remaining := deadline - time.monotonic()) > 0:
+                    if selector.select(min(remaining, EXIT_POLL_SECONDS)):
+                        chunk = os.read(fd, 1 << 16)
+                        if not chunk:
+                            return
+                        yield chunk
+                    # returncode is None until a poll first finds the shell exited
+                    if proc.returncode is None and proc.poll() is not None:
+                        kill_group()
+                        deadline = time.monotonic() + EXIT_POLL_SECONDS
+
+        try:
+            captured = _bounded(chunks())
+            proc.wait(max(deadline - time.monotonic(), 0))
+        except subprocess.TimeoutExpired:
+            return -1, f"{captured}\nTIMEOUT: stage exceeded {timeout:g}s and was killed"
+        finally:
+            kill_group()
     log = captured or f"(no output, exit status {proc.returncode})"
     if proc.returncode == 127:
         raise ToolEnvironmentError(f"command not found while running: {command}\n{log}")

@@ -2,10 +2,14 @@
 feedback generation."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import shutil
+import signal
 import time
 from pathlib import Path
 
@@ -242,6 +246,43 @@ def test_a_leftover_holding_the_pipe_does_not_hold_the_stage(tmp_path):
     returncode, log = _run_shell("sleep 30 & echo $! > pid; echo started", 5.0, tmp_path)
     assert (returncode, log) == (0, "started\n")
     assert _gone(int((tmp_path / "pid").read_text()))
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_passing_design_whose_leftover_keeps_writing_passes(tmp_path):
+    # `yes` keeps the pipe full after its shell exits; it is killed then
+    cfg = fake_cfg(simulator_command="echo all tests passed; yes & echo $! > pid")
+    start = time.monotonic()
+    passed, log = simulate("x", SPEC, cfg, tmp_path)
+    assert time.monotonic() - start < 2
+    assert passed is True
+    assert log.startswith("all tests passed\n") and "TIMEOUT:" not in log
+    assert _gone(int((tmp_path / "pid").read_text()))
+
+
+@pytest.mark.skipif(
+    shutil.which("setsid") is None or not Path("/proc/self/stat").exists(),
+    reason="needs setsid and /proc",
+)
+def test_a_writer_that_left_the_session_holds_the_stage_briefly(tmp_path):
+    # `setsid yes` is out of the stage's process group, so killing the group
+    # misses it; the pipe is read for EXIT_POLL_SECONDS after the shell exits
+    start = time.monotonic()
+    try:
+        returncode, log = _run_shell(
+            "setsid yes & echo $! > pid; sleep 0.2; echo started", 10.0, tmp_path
+        )
+        elapsed = time.monotonic() - start
+    finally:
+        with contextlib.suppress(FileNotFoundError, ValueError, ProcessLookupError):
+            os.kill(int((tmp_path / "pid").read_text()), signal.SIGKILL)
+    assert returncode == 0 and "TIMEOUT:" not in log
+    assert elapsed < 2
+
+
+def test_what_a_leftover_writes_after_its_shell_exits_is_not_kept(tmp_path):
+    returncode, log = _run_shell("(sleep 1; echo late) & echo early", 5.0, tmp_path)
+    assert (returncode, log) == (0, "early\n")
 
 
 def test_a_stage_that_closes_its_output_still_times_out(tmp_path):
