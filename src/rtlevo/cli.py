@@ -30,7 +30,7 @@ from .llm import (
     TranscriptWriter,
 )
 from .model import ConfigError, ProblemSpec, build, to_plain
-from .prompts import build_initial_prompt
+from .prompts import build_initial_prompt, system_text
 from .reporting import (
     CONFIG_SNAPSHOT_FILE,
     FINAL_REPORT_FILE,
@@ -103,7 +103,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _dry_run(cfg)
 
     run_dir = Path(cfg.output_dir)
-    transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE)
+    transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, system_text())
     history = HistoryWriter(run_dir / GENERATIONS_FILE)
     # parse the script, read the API key and preflight the tools before
     # touching the run directory, so a run that cannot start leaves the
@@ -188,7 +188,8 @@ def cmd_ref_ppa(args: argparse.Namespace) -> int:
 def cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     # what `run` checks before it starts: the script, the API key, the tools
-    _build_provider(cfg, TranscriptWriter(Path(cfg.output_dir) / TRANSCRIPTS_FILE))
+    transcript = TranscriptWriter(Path(cfg.output_dir) / TRANSCRIPTS_FILE, system_text())
+    _build_provider(cfg, transcript)
     _build_evaluator(cfg, None)
     print(
         f"config OK: problem={cfg.problem.name!r} "

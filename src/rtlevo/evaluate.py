@@ -553,10 +553,15 @@ def generate_feedback(
 ) -> str:
     """Asks the provider to critique an evaluated individual; provider
     failures degrade to a deterministic non-empty summary. `key` is the
-    engine's call key for the feedback prompt (see PromptBundle.key)."""
+    engine's call key for the feedback prompt (see PromptBundle.key), and
+    the prompt names `ind` as its one parent."""
     prompt, stand_in = _critique_texts(ind, spec)
     bundle = PromptBundle(
-        system_text=system_text(), user_text=prompt, purpose="feedback", key=key
+        system_text=system_text(),
+        user_text=prompt,
+        parent_ids=(ind.id,),
+        purpose="feedback",
+        key=key,
     )
     try:
         text = provider.complete(bundle).text.strip()

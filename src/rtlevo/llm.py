@@ -3,13 +3,14 @@
 Both expose a single method, complete(bundle) -> CompletionResult, so the
 engine never knows which one it is talking to, and both fail with a
 ProviderError. Every call can be recorded, result or error, in a
-transcript for audit (`TranscriptWriter.call`), not replay: its entries
-carry no call key. Drafts and critiques are sampled alike, with the
-provider's one temperature and top_p. The HTTP client reads its API key
-from an environment variable once, when it is built, and registers it
-with its transcript, which redacts it, so the key is never persisted. It
-speaks HTTP/1.1 through the stdlib's `http.client`, keeping idle
-connections open for the next call.
+transcript (`TranscriptWriter.call`): the run's system prompt once, in its
+header, then one entry per call under the engine's call key, which joins
+it to its generation and individuals. Drafts and critiques are sampled
+alike, with the provider's one temperature and top_p. The HTTP client
+reads its API key from an environment variable once, when it is built,
+and registers it with its transcript, which redacts it, so the key is
+never persisted. It speaks HTTP/1.1 through the stdlib's `http.client`,
+keeping idle connections open for the next call.
 """
 
 from __future__ import annotations
@@ -116,20 +117,30 @@ class Provider(Protocol):
 
 
 class TranscriptWriter(LineFile):
-    """One JSON entry per completion call, a line of a .jsonl file in an
-    existing directory (`LineFile`: started new at the first entry).
+    """A run's transcript: one JSON entry per completion call, a line of a
+    .jsonl file in an existing directory (`LineFile`: started new at the
+    first entry, under the header `{"schema_version": 1, "system_text": ...}`
+    that holds `system_text`, the run's system prompt).
 
     A secret registered with `redact` (an API key value) never reaches
-    disk; any occurrence is replaced before writing.
+    disk; any occurrence in the header or an entry is replaced when the
+    line is written.
     """
 
-    def __init__(self, path: str | Path):
-        super().__init__(path)
+    SCHEMA_VERSION = 1
+
+    def __init__(self, path: str | Path, system_text: str):
+        super().__init__(path, {"schema_version": self.SCHEMA_VERSION, "system_text": system_text})
         self._redact: list[str] = []
 
     def redact(self, secret: str) -> None:
         if secret:
             self._redact.append(secret)
+
+    def encode(self, value: dict) -> str:
+        if self._redact:
+            value = {key: self._scrub(item) for key, item in value.items()}
+        return super().encode(value)
 
     def _scrub(self, value):
         if isinstance(value, str):
@@ -158,14 +169,17 @@ class TranscriptWriter(LineFile):
         error: str | None = None,
         attempt_count: int | None = None,
     ) -> None:
-        """Appends one entry; a failed call has no result, only its error
-        and, when known, its attempt count. An HTTP result's `latency` runs
-        from the call's start, waits for a request slot and retries included."""
+        """Appends one entry, under the bundle's call key (`null` for a
+        prompt built outside the engine); its `system_text` is written only
+        when it differs from the header's. A failed call has no result,
+        only its error and, when known, its attempt count. An HTTP result's
+        `latency` runs from the call's start, waits for a request slot and
+        retries included."""
         entry = {
+            "key": bundle.key,
             "purpose": bundle.purpose,
             "strategy": bundle.strategy.value if bundle.strategy else None,
             "parent_ids": list(bundle.parent_ids),
-            "system_text": bundle.system_text,
             "user_text": bundle.user_text,
             "response": result.text if result else None,
             "usage": result.usage if result else None,
@@ -173,9 +187,9 @@ class TranscriptWriter(LineFile):
             "attempt_count": result.attempt_count if result else attempt_count,
             "error": error,
         }
-        if self._redact:
-            entry = {key: self._scrub(value) for key, value in entry.items()}
-        self.write_line(json.dumps(entry, sort_keys=True, ensure_ascii=False))
+        if bundle.system_text != self._header["system_text"]:
+            entry["system_text"] = bundle.system_text
+        self.write_line(self.encode(entry))
 
 
 class TranscriptingProvider:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import json
 import math
 import threading
 import types
@@ -360,11 +361,14 @@ class LineFile:
 
     Each line goes out in one write and a flush under a lock, so a run
     killed at any point leaves whole lines and threads never interleave
-    theirs; a line after `close` is a ValueError.
+    theirs; a line after `close` is a ValueError. A `header`, when given,
+    is encoded (`encode`) when the first line is written and goes out in
+    that line's write, so the file never holds a header alone.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, header: dict | None = None):
         self._path = Path(path)
+        self._header = header
         self._lock = threading.Lock()
         self._fh = None
         self._closed = False
@@ -381,11 +385,17 @@ class LineFile:
             if self._fh is not None:
                 self._fh.close()
 
+    def encode(self, value: dict) -> str:
+        """`value` as one line of JSON, keys sorted."""
+        return json.dumps(value, sort_keys=True, ensure_ascii=False)
+
     def write_line(self, text: str) -> None:
         with self._lock:
             if self._closed:
                 raise ValueError(f"cannot write a line to closed file {self._path}")
             if self._fh is None:
+                if self._header is not None:
+                    text = f"{self.encode(self._header)}\n{text}"
                 self._fh = self._path.open("wb")
             self._fh.write(f"{text}\n".encode("utf-8"))
             self._fh.flush()

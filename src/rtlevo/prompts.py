@@ -65,10 +65,11 @@ class PromptBundle:
     """One ready-to-send prompt: system text, user text, and provenance.
 
     A draft's `parent_ids` are the `strategy.arity` parents the engine's
-    plan drew. `key` is (generation, n), given by the engine to every call
-    it makes when it builds the prompt: n numbers a generation's calls in
-    slot order, each slot's critiques of the parents it is the first to
-    choose before its draft. A scripted provider's `call:G/N` entries match
+    plan drew; a critique's are the one individual it critiques. `key` is
+    (generation, n), given by the engine to every call it makes when it
+    builds the prompt: n numbers a generation's calls in slot order, each
+    slot's critiques of the parents it is the first to choose before its
+    draft. A scripted provider's `call:G/N` entries match
     it. Prompts built outside the engine carry no key.
     """
 

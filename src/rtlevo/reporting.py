@@ -43,13 +43,16 @@ class RunDirError(RuntimeError):
 
 class HistoryWriter(LineFile):
     """A run's history file (`LineFile`: started new at its first line,
-    replacing any earlier history there).
+    replacing any earlier history there, under the version header).
 
-    The first record must be generation 0, and its line carries the version
-    header too. Each later record must follow the last one written.
+    The first record must be generation 0. Each later record must follow
+    the last one written.
     """
 
     _last = -1
+
+    def __init__(self, path: str | Path):
+        super().__init__(path, {"schema_version": SCHEMA_VERSION})
 
     def write(self, index: int, line: str) -> None:
         """Writes `line`, the record of generation `index`. A record out of
@@ -62,8 +65,6 @@ class HistoryWriter(LineFile):
                     "its references would name individuals no line defines"
                 )
             raise ValueError(f"{self._path} ends at generation {self._last}, not {index - 1}")
-        if index == 0:
-            line = json.dumps({"schema_version": SCHEMA_VERSION}) + "\n" + line
         self.write_line(line)
         self._last = index
 

@@ -23,9 +23,9 @@ from rtlevo.config import load_config
 from rtlevo.evolution import PLACEHOLDER_CODE, EvolutionEngine
 from rtlevo.llm import TranscriptWriter
 from rtlevo.model import MAX_WAIT_SECONDS
-from rtlevo.prompts import render_response
+from rtlevo.prompts import render_response, system_text
 from rtlevo.reporting import GENERATIONS_FILE, TRANSCRIPTS_FILE, read_generations
-from test_llm import _FakeEndpoint, _ok
+from test_llm import _FakeEndpoint, _ok, transcript_entries
 
 SCRIPT_OK = """\
 - match: strategy:initial
@@ -123,8 +123,7 @@ def test_run_final_report_contents(tmp_path):
 def test_run_transcript_covers_every_call(tmp_path):
     config = write_setup(tmp_path)
     main(["run", "--config", str(config)])
-    lines = (tmp_path / "run" / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()
-    records = [json.loads(line) for line in lines]
+    records = transcript_entries(tmp_path / "run" / "transcripts.jsonl", system_text())
     generates = [r for r in records if r["purpose"] == "generate"]
     feedbacks = [r for r in records if r["purpose"] == "feedback"]
     # 3 initial + 3 offspring x 2 generations
@@ -940,7 +939,11 @@ def test_every_finished_call_and_generation_is_a_whole_line_on_disk(
     assert main(["run", "--config", str(config)]) == EXIT_FOUND
     assert len(seen) == len(recorded) > 4 * 4
     for (generation, _), finished, transcript, history in seen:
-        assert finished == (0 if transcript is None else len(whole_lines(transcript)))
+        if transcript is None:
+            assert finished == 0
+        else:
+            whole_lines(transcript)
+            assert finished == len(transcript_entries(transcript, system_text()))
         # the calls of generation g come after the records of 0..g-1
         if generation == 0:
             assert history is None
@@ -948,8 +951,44 @@ def test_every_finished_call_and_generation_is_a_whole_line_on_disk(
             header, *records = whole_lines(history)
             assert header == {"schema_version": 3}
             assert [r["generation_index"] for r in records] == list(range(generation))
-    assert len(whole_lines(read(TRANSCRIPTS_FILE))) == len(recorded)
+    assert len(transcript_entries(read(TRANSCRIPTS_FILE), system_text())) == len(recorded)
     assert len(read_generations(run_dir)) == 4
+
+
+def _keyed_run(tmp_path, workers):
+    """A run at `workers`: its transcript's entries sorted by key, and its records."""
+    run_dir = tmp_path / f"run-{workers}"
+    config = write_setup(tmp_path, config_overrides={
+        "evolution.population_size": 5, "evolution.offspring_count": 4,
+        "evolution.max_generations": 4, "evolution.max_parallel_evaluations": workers,
+    })
+    assert main(["run", "--config", str(config), "--out", str(run_dir)]) == EXIT_FOUND
+    entries = transcript_entries(run_dir / TRANSCRIPTS_FILE, system_text())
+    keys = [tuple(entry["key"]) for entry in entries]
+    assert len(set(keys)) == len(keys)
+    return sorted(entries, key=lambda entry: entry["key"]), read_generations(run_dir)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_transcript_entries_join_the_history_by_key(tmp_path, capsys, workers):
+    entries, records = _keyed_run(tmp_path, workers)
+    expected = []
+    for record in records:
+        g = record.generation_index
+        calls = 5 if g == 0 else 4 + len(record.critiques)
+        expected += [[g, n] for n in range(calls)]
+        # each critique entry names the individual it critiques, in key order
+        critiqued = [
+            entry["parent_ids"]
+            for entry in entries
+            if entry["key"][0] == g and entry["purpose"] == "feedback"
+        ]
+        assert critiqued == [[c.id] for c in record.critiques]
+    assert sum(len(record.critiques) for record in records) > 0
+    assert [entry["key"] for entry in entries] == expected
+    if workers > 1:
+        sequential, _ = _keyed_run(tmp_path, 1)
+        assert entries == sequential
 
 
 @pytest.mark.parametrize(
@@ -1034,7 +1073,7 @@ def test_cli_imports_no_third_party_module_but_yaml():
 # of them changes the behaviour the demo pins down
 DEMO_DIGESTS = {
     "generations.jsonl": "f47f93d3c00d230a6492c0fa6f55a225f8d3d22545ff90f041a856273a0589d7",
-    "transcripts.jsonl": "ad0fbf0a818eecf7cf91e8833275b3386d818b331178d8d7a12cdead2591f0f6",
+    "transcripts.jsonl": "6a09eb36a68c2f3cd69a6ff61504549aec2a3e7eeb881451d87f1304053ffda1",
     "final_report.json": "ded93be4684818290129caaefe3a613d094fb94f8a3660595c34dff120d9d20d",
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
     "config_snapshot.yaml": "b167ceff9f16c2330c34e8e2a62be6fae108b384deb386bca9765981d4e28708",
@@ -1043,7 +1082,7 @@ DEMO_DIGESTS = {
 
 def _run_demo(out, workers, capsys):
     """Runs and reports the demo at `workers` through a copy of its config:
-    the sha256 of each output DEMO_DIGESTS pins, and the transcript's lines."""
+    the sha256 of each output DEMO_DIGESTS pins, and the transcript's entries."""
     demo = Path(__file__).resolve().parents[1] / "demo" / "config.yaml"
     raw = yaml.safe_load(demo.read_text(encoding="utf-8"))
     raw["evolution"]["max_parallel_evaluations"] = workers
@@ -1065,7 +1104,7 @@ def _run_demo(out, workers, capsys):
     assert f"\n  script_file: {script}\n" in snapshot
     masked = snapshot.replace(str(out), "<output_dir>").replace(str(script), "<script_file>")
     got["config_snapshot.yaml"] = hashlib.sha256(masked.encode()).hexdigest()
-    return got, (out / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()
+    return got, transcript_entries(out / "transcripts.jsonl", system_text())
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -1075,11 +1114,12 @@ def test_demo_outputs_are_pinned(tmp_path, capsys, workers):
         assert got == DEMO_DIGESTS
         return
     # the snapshot records the worker count, and transcript entries are
-    # written as calls complete; everything else is as at 1 worker
+    # written as calls complete; everything else is as at 1 worker, and
+    # sorted by key the entries are the one-worker entries
     pinned = ("generations.jsonl", "final_report.json", "report")
     assert {name: got[name] for name in pinned} == {name: DEMO_DIGESTS[name] for name in pinned}
     _, sequential = _run_demo(tmp_path / "sequential", 1, capsys)
-    assert sorted(transcript) == sorted(sequential)
+    assert sorted(transcript, key=lambda entry: entry["key"]) == sequential
 
 
 def test_report_on_an_earlier_schema_is_one_error_line(tmp_path, capsys):

@@ -28,9 +28,12 @@ from rtlevo.model import ConfigError
 from rtlevo.prompts import PromptBundle, PromptStrategy
 
 
+SYSTEM = "you are an engineer"
+
+
 def bundle(
     user="design a counter",
-    system="you are an engineer",
+    system=SYSTEM,
     strategy=None,
     parents=(),
     purpose="generate",
@@ -570,18 +573,26 @@ def test_http_requires_endpoint_url():
 # --- transcripts ------------------------------------------------------------
 
 
+def transcript_entries(source, system_text=SYSTEM):
+    """The entries of a transcript, its path or its bytes, after checking
+    that its first line is the schema-1 header holding `system_text`."""
+    data = source if isinstance(source, bytes) else source.read_bytes()
+    header, *lines = data.decode("utf-8").splitlines()
+    assert json.loads(header) == {"schema_version": 1, "system_text": system_text}
+    return [json.loads(line) for line in lines]
+
+
 def test_transcript_records_and_redacts(tmp_path, monkeypatch):
     path = tmp_path / "transcripts.jsonl"
-    with TranscriptWriter(path) as writer:
+    with TranscriptWriter(path, SYSTEM) as writer:
         writer.redact("sk-secret-value")
         writer.record(
             bundle(user="the key is sk-secret-value ok"),
             CompletionResult(text="echo sk-secret-value back"),
         )
         writer.record(bundle(purpose="feedback"), None, error="boom sk-secret-value")
-    raw = path.read_text(encoding="utf-8")
-    assert "sk-secret-value" not in raw
-    lines = [json.loads(line) for line in raw.splitlines()]
+    assert "sk-secret-value" not in path.read_text(encoding="utf-8")
+    lines = transcript_entries(path)
     assert len(lines) == 2
     assert lines[0]["user_text"] == "the key is [REDACTED] ok"
     assert lines[0]["response"] == "echo [REDACTED] back"
@@ -592,22 +603,22 @@ def test_transcript_records_and_redacts(tmp_path, monkeypatch):
 
 def test_transcript_record_after_close_is_refused(tmp_path):
     path = tmp_path / "transcripts.jsonl"
-    with TranscriptWriter(path) as writer:
+    with TranscriptWriter(path, SYSTEM) as writer:
         writer.record(bundle(), CompletionResult(text="first"))
     with pytest.raises(ValueError, match="closed file"):
         writer.record(bundle(), CompletionResult(text="late"))
-    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+    assert len(transcript_entries(path)) == 1
 
 
 def test_transcripting_provider_mirrors_success_and_failure(tmp_path):
     path = tmp_path / "t.jsonl"
     inner = ScriptedProvider([ScriptEntry("strategy:initial", "resp")])
-    with TranscriptWriter(path) as writer:
+    with TranscriptWriter(path, SYSTEM) as writer:
         provider = TranscriptingProvider(inner, writer)
         assert provider.complete(bundle()).text == "resp"
         with pytest.raises(ProviderError):
             provider.complete(bundle(purpose="feedback"))
-    lines = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
+    lines = transcript_entries(path)
     assert len(lines) == 2
     assert lines[0]["response"] == "resp"
     assert lines[0]["strategy"] is None
@@ -622,9 +633,9 @@ def test_transcript_failure_outside_provider_error_has_no_attempt_count(tmp_path
             raise RuntimeError("bug")
 
     path = tmp_path / "t.jsonl"
-    with TranscriptWriter(path) as writer, pytest.raises(RuntimeError):
+    with TranscriptWriter(path, SYSTEM) as writer, pytest.raises(RuntimeError):
         TranscriptingProvider(Broken(), writer).complete(bundle())
-    (entry,) = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
+    (entry,) = transcript_entries(path)
     assert (entry["error"], entry["attempt_count"]) == ("bug", None)
 
 
@@ -655,13 +666,13 @@ def test_http_writes_one_transcript_entry_per_call(
             endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY", max_retries=1
         )
         path = tmp_path / "t.jsonl"
-        with TranscriptWriter(path) as writer:
+        with TranscriptWriter(path, SYSTEM) as writer:
             provider = HttpChatProvider(cfg, transcript=writer)
             try:
                 provider.complete(bundle())
             except ProviderError:
                 assert error is not None
-        (entry,) = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        (entry,) = transcript_entries(path)
         assert (entry["response"], entry["error"]) == (response, error)
         assert entry["attempt_count"] == attempts
     finally:
@@ -674,12 +685,60 @@ def test_http_provider_redacts_its_key_in_the_transcript(tmp_path, monkeypatch):
         monkeypatch.setenv("RTLEVO_TEST_KEY", "sk-secret-value")
         cfg = ProviderConfig(endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY")
         path = tmp_path / "t.jsonl"
-        with TranscriptWriter(path) as writer:
+        with TranscriptWriter(path, SYSTEM) as writer:
             HttpChatProvider(cfg, transcript=writer).complete(bundle(user="sk-secret-value"))
-        (entry,) = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        (entry,) = transcript_entries(path)
         assert (entry["user_text"], entry["response"]) == ("[REDACTED]", "echo [REDACTED] back")
     finally:
         endpoint.close()
+
+
+def test_a_transcript_closed_before_its_first_entry_leaves_no_file(tmp_path):
+    path = tmp_path / "t.jsonl"
+    with TranscriptWriter(path, SYSTEM):
+        pass
+    assert not path.exists()
+
+
+def test_a_transcript_holds_its_header_then_one_line_per_entry(tmp_path):
+    path = tmp_path / "t.jsonl"
+    with TranscriptWriter(path, SYSTEM) as writer:
+        writer.record(keyed(0), CompletionResult(text="first"))
+        writer.record(bundle(), CompletionResult(text="second"))
+    first, second = transcript_entries(path)
+    # the system text lives in the header; a prompt built outside the engine has no key
+    assert "system_text" not in first and "system_text" not in second
+    assert (first["key"], first["response"]) == ([0, 0], "first")
+    assert (second["key"], second["response"]) == (None, "second")
+
+
+def test_an_entry_whose_system_text_differs_from_the_header_keeps_its_own(tmp_path):
+    path = tmp_path / "t.jsonl"
+    with TranscriptWriter(path, SYSTEM) as writer:
+        writer.record(bundle(system="you are a reviewer"), CompletionResult(text="ok"))
+    (entry,) = transcript_entries(path)
+    assert entry["system_text"] == "you are a reviewer"
+
+
+def test_an_api_key_in_the_system_text_is_redacted_in_the_header(tmp_path):
+    path = tmp_path / "t.jsonl"
+    system = "you are an engineer; key sk-secret-value"
+    with TranscriptWriter(path, system) as writer:
+        # registered after the writer exists, as an http provider does
+        writer.redact("sk-secret-value")
+        writer.record(bundle(system=system), CompletionResult(text="ok"))
+    assert "sk-secret-value" not in path.read_text(encoding="utf-8")
+    (entry,) = transcript_entries(path, "you are an engineer; key [REDACTED]")
+    assert "system_text" not in entry
+
+
+def test_a_failed_call_entry_carries_its_key(tmp_path):
+    path = tmp_path / "t.jsonl"
+    inner = ScriptedProvider([ScriptEntry("call:0/0", "resp")])
+    with TranscriptWriter(path, SYSTEM) as writer, pytest.raises(ProviderError):
+        TranscriptingProvider(inner, writer).complete(keyed(1, generation=2))
+    (entry,) = transcript_entries(path)
+    assert (entry["key"], entry["error"]) == ([2, 1], "no script entry matches prompt (generate)")
 
 
 def test_parallel_scripted_calls_thread_safe():
