@@ -2,7 +2,8 @@
 
 Exit codes for `run`: 0 when a functionally correct design was found,
 2 when the run finished without one, 1 on abort (bad config, broken tool
-environment, a failed provider call).
+environment, a provider call that fails with auth or unmatched, ten failed
+draft calls in a row).
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ def _build_provider(cfg: RunConfig, transcript: TranscriptWriter) -> Provider:
     return HttpChatProvider(cfg.provider, transcript=transcript)
 
 
-def _build_evaluator(cfg: RunConfig, workdir_root: Path | None) -> Evaluator:
+def _build_evaluator(cfg: RunConfig, artifacts_dir: Path | None) -> Evaluator:
     if isinstance(cfg.evaluator, ToolchainConfig):
-        return ToolchainEvaluator(cfg.evaluator, workdir_root=workdir_root)
+        return ToolchainEvaluator(cfg.evaluator, artifacts_dir=artifacts_dir)
     return SyntheticEvaluator()
 
 

@@ -377,18 +377,18 @@ class ToolchainEvaluator:
     """Evaluates candidates with real tools, each evaluation in a directory
     of its own, where each stage writes its output as `<stage>.log`.
 
-    With `workdir_root` given (kept artifacts), an individual's directory is
-    `<workdir_root>/ind_NNNNNN`, never removed. Otherwise each evaluation,
+    With `artifacts_dir` given (kept artifacts), an individual's directory is
+    `<artifacts_dir>/ind_NNNNNN`, never removed. Otherwise each evaluation,
     and each `reference_ppa` call, runs in a fresh `rtlevo-` directory
     inside `config.workdir_root` or the system temp directory, removed with
     its logs when it returns or raises; so at most one such directory
     exists per evaluation running at once.
     """
 
-    def __init__(self, config: ToolchainConfig, workdir_root: str | Path | None = None):
+    def __init__(self, config: ToolchainConfig, artifacts_dir: str | Path | None = None):
         self.config = config
         preflight(config)
-        self._artifacts = None if workdir_root is None else Path(workdir_root)
+        self._artifacts = None if artifacts_dir is None else Path(artifacts_dir)
 
     @contextlib.contextmanager
     def _workdir(self, name: str) -> Iterator[Path]:
@@ -551,10 +551,10 @@ def _critique_texts(ind: Individual, spec: ProblemSpec) -> tuple[str, str]:
 def generate_feedback(
     ind: Individual, spec: ProblemSpec, provider: Provider, key: tuple[int, int]
 ) -> str:
-    """Asks the provider to critique an evaluated individual; provider
-    failures degrade to a deterministic non-empty summary. `key` is the
-    engine's call key for the feedback prompt (see PromptBundle.key), and
-    the prompt names `ind` as its one parent."""
+    """Asks the provider to critique an evaluated individual; a provider
+    failure other than `auth` degrades to a deterministic non-empty
+    summary. `key` is the engine's call key for the feedback prompt (see
+    PromptBundle.key), and the prompt names `ind` as its one parent."""
     prompt, stand_in = _critique_texts(ind, spec)
     bundle = PromptBundle(
         system_text=system_text(),
@@ -566,6 +566,9 @@ def generate_feedback(
     try:
         text = provider.complete(bundle).text.strip()
     except ProviderError as exc:
+        # a rejected key fails the next draft too, so it ends the run here
+        if exc.kind == "auth":
+            raise
         logger.warning("feedback call failed (%s); using fallback text", str(exc))
         text = ""
     return text or stand_in

@@ -23,6 +23,10 @@ its slots before rewards and survivor selection; the critiqued parents
 replace their uncritiqued copies in the population, and the record lists
 the critiques it asked for.
 
+A draft call that still fails with a transient or protocol error after
+its retries fails only its slot, which becomes a placeholder; ten such
+slots in a row end the run. Any other provider error ends it at once.
+
 The engine keeps no state beside its history: each generation reads only
 the last record and writes the next. Its bandit states are the frozen
 scores; rewards land on copies, written into the new record.
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 from .bandit import BanditState, record_reward, select_strategy
 from .evaluate import Evaluator, critique, evaluate
 from .fitness import FitnessWeights
-from .llm import Provider
+from .llm import Provider, ProviderError
 from .model import (
     NEG_INF,
     ConfigError,
@@ -79,6 +83,17 @@ logger = logging.getLogger(__name__)
 
 PLACEHOLDER_CODE = "// placeholder: the response could not be parsed\n"
 PLACEHOLDER_THOUGHT = "(response could not be parsed)"
+
+# A draft call that still fails with one of these after its retries fails
+# only its slot: the endpoint is down or garbled for now. Any other kind
+# (auth, or a script with no reply) fails every later call too, so it ends
+# the run at once.
+SLOT_FAILING_KINDS = ("transient", "protocol")
+# The sim log of a slot whose draft call failed.
+CALL_FAILED_LOG = "draft call failed before simulation: "
+# The run ends once this many slots in a row, in slot order across
+# generations, failed their draft call.
+MAX_FAILED_SLOTS_IN_A_ROW = 10
 
 # Roulette weights are fitness shifted above zero; the epsilon keeps the
 # worst member selectable and makes the all-equal case exactly uniform.
@@ -179,6 +194,37 @@ def survivor_select(
     return elites + pool[: cfg.population_size - len(elites)]
 
 
+def _placeholder(rejected: str, sim_log: str) -> dict:
+    """The fields of an unusable draft: the placeholder code, feedback that
+    says what was `rejected`, and a failed outcome, already scored."""
+    return dict(
+        thought=PLACEHOLDER_THOUGHT,
+        code=PLACEHOLDER_CODE,
+        feedback=(
+            f"The previous {rejected}. Reply with a '## Thought' section and "
+            "exactly one fenced code block containing complete Verilog."
+        ),
+        outcome=EvalOutcome(sim_passed=False, synth_succeeded=False, ppa=None, sim_log=sim_log),
+        fitness=NEG_INF,
+    )
+
+
+def _failed_slots_in_a_row(record: GenerationRecord, streak: int) -> int:
+    """The count of slots in a row that failed their draft call, carried
+    from `streak` over the slots `record` created, in slot order. Raises
+    once it reaches MAX_FAILED_SLOTS_IN_A_ROW."""
+    created = record.offspring if record.generation_index else record.population
+    for ind in created:
+        failed = ind.code == PLACEHOLDER_CODE and ind.outcome.sim_log.startswith(CALL_FAILED_LOG)
+        streak = streak + 1 if failed else 0
+        if streak == MAX_FAILED_SLOTS_IN_A_ROW:
+            raise RuntimeError(
+                f"{streak} draft calls in a row failed, the last for individual {ind.id}: "
+                + ind.outcome.sim_log.removeprefix(CALL_FAILED_LOG)
+            )
+    return streak
+
+
 @dataclass(frozen=True)
 class _Slot:
     """One planned slot: the id it fills, the key of its draft call, and
@@ -259,8 +305,10 @@ class EvolutionEngine:
     def _draft(self, slot: _Slot, critiques: dict[int, _Critique]) -> Individual:
         """A slot's LLM half: its parents' critiques, from `critiques` by
         parent id, then its prompt, draft and parse. The drafted individual
-        has no outcome yet; an unparsable response becomes a placeholder that
-        arrives already scored and skips evaluation."""
+        has no outcome yet. An unparsable response, or a draft call that
+        failed with a SLOT_FAILING_KINDS error after its retries, becomes a
+        placeholder that arrives already scored and skips evaluation; any
+        other provider error ends the run."""
         if slot.strategy is None:
             bundle = build_initial_prompt(self.spec, slot.key)
         else:
@@ -269,29 +317,23 @@ class EvolutionEngine:
                 for p in slot.parents
             ]
             bundle = build_evolutionary_prompt(slot.strategy, self.spec, parents, slot.key)
-        text = self.provider.complete(bundle).text
         try:
-            thought, code = parse_llm_response(text)
-            feedback = outcome = fitness = None
+            thought, code = parse_llm_response(self.provider.complete(bundle).text)
+            fields = dict(thought=thought, code=code)
+        except ProviderError as exc:
+            if exc.kind not in SLOT_FAILING_KINDS:
+                raise
+            logger.warning("individual %d: draft call failed (%s)", slot.ind_id, str(exc))
+            fields = _placeholder(f"request failed: {exc}", f"{CALL_FAILED_LOG}{exc}")
         except ParseError as exc:
             logger.warning("individual %d: unusable response (%s)", slot.ind_id, str(exc))
-            thought, code, fitness = PLACEHOLDER_THOUGHT, PLACEHOLDER_CODE, NEG_INF
-            feedback = (
-                f"The previous response was rejected: {exc}. Reply with a "
-                "'## Thought' section and exactly one fenced code block "
-                "containing complete Verilog."
-            )
-            outcome = EvalOutcome(
-                sim_passed=False, synth_succeeded=False, ppa=None,
-                sim_log=f"response parsing failed before simulation: {exc}",
+            fields = _placeholder(
+                f"response was rejected: {exc}",
+                f"response parsing failed before simulation: {exc}",
             )
         return Individual(
             id=slot.ind_id,
-            thought=thought,
-            code=code,
-            feedback=feedback,
-            outcome=outcome,
-            fitness=fitness,
+            **fields,
             parent_ids=bundle.parent_ids,
             strategy=slot.strategy.value if slot.strategy else None,
             generation_born=slot.key[0],
@@ -437,10 +479,14 @@ class EvolutionEngine:
         return RunResult(history=list(self.history))
 
     def run(self) -> RunResult:
-        """Initialize, iterate max_generations times, return the all-time best."""
-        self.initialize()
+        """Initialize, iterate max_generations times, return the all-time best.
+        Ends the run, after the record that completes the streak, once
+        MAX_FAILED_SLOTS_IN_A_ROW slots in a row failed their draft call;
+        counted in slot order over the records, the point is the same at
+        any concurrency."""
+        streak = _failed_slots_in_a_row(self.initialize(), 0)
         for _ in range(self.cfg.max_generations):
-            self.run_generation()
+            streak = _failed_slots_in_a_row(self.run_generation(), streak)
         result = self.result()
         if not result.found_correct:
             logger.warning("no functionally correct design found in %s", self.spec.name)

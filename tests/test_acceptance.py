@@ -5,7 +5,7 @@ criterion 10 is skipped where no RTL toolchain is installed.
 """
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 import random
 import re
@@ -37,7 +37,7 @@ from rtlevo.evolution import (
     survivor_select,
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights, compute_fitness
-from rtlevo.llm import CompletionResult, ScriptedProvider, ScriptEntry
+from rtlevo.llm import ScriptedProvider, ScriptEntry
 from rtlevo.model import (
     NEG_INF,
     CircuitKind,
@@ -46,13 +46,9 @@ from rtlevo.model import (
     PpaMetrics,
     ProblemSpec,
 )
-from rtlevo.prompts import (
-    FALLBACK_THOUGHT,
-    ParseError,
-    PromptStrategy,
-    parse_llm_response,
-    render_response,
-)
+from rtlevo.prompts import FALLBACK_THOUGHT, ParseError, parse_llm_response, render_response
+
+from closed_world import ClosedWorld
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -346,64 +342,31 @@ def test_criterion_06_scripted_demo_determinism(tmp_path):
     ok(6, f"two demo executions wrote byte-identical run directories ({sizes})")
 
 
-# --- 7 and 8: the stochastic closed world ------------------------------------
-
-_PPA_IN_PROMPT = re.compile(r"// PPA: power=([0-9.]+) area=([0-9.]+) period=([0-9.]+)")
+# --- 7 and 8: the closed world ---------------------------------------------
 
 
-class StochasticWorld:
-    """Design world with tunable odds: initial designs fail with probability
-    0.7, Fix repairs with probability 0.5, operators on passing parents
-    perturb the parent's metrics multiplicatively."""
-
-    def __init__(self, seed: int, p_initial_fail: float = 0.7, p_fix_repair: float = 0.5):
-        self.rng = random.Random(seed)
-        self.p_initial_fail = p_initial_fail
-        self.p_fix_repair = p_fix_repair
-        self.counter = 0
-
-    def _fresh(self):
-        return (self.rng.uniform(0.8, 1.2), self.rng.uniform(80.0, 120.0), 1.0)
-
-    def _perturb(self, base):
-        return (
-            base[0] * self.rng.uniform(0.85, 1.05),
-            base[1] * self.rng.uniform(0.85, 1.05),
-            base[2],
+def closed_world_history(cfg, world, initialize_only=False):
+    """The history an engine run over `world()`, a fresh closed world,
+    writes: at one worker and again at four, which must write the same.
+    `initialize_only` stops each run after generation 0."""
+    histories = []
+    interval = sys.getswitchinterval()
+    for workers in (1, 4):
+        engine = EvolutionEngine(
+            SPEC, dataclasses.replace(cfg, max_parallel_evaluations=workers), world(),
+            SyntheticEvaluator(),
         )
-
-    def _emit(self, thought, fail=False, ppa=None):
-        self.counter += 1
-        code = f"module add2_{self.counter}; endmodule"
-        if fail:
-            code += "\n// BUG"
-        else:
-            power, area, period = ppa
-            code += f"\n// PPA: power={power:.6f} area={area:.6f} period={period:.6f}"
-        return CompletionResult(text=render_response(thought, code))
-
-    def complete(self, bundle):
-        if bundle.purpose == "feedback":
-            return CompletionResult(text="fb")
-        strategy = bundle.strategy
-        if strategy is None:
-            if self.rng.random() < self.p_initial_fail:
-                return self._emit("seed", fail=True)
-            return self._emit("seed", ppa=self._fresh())
-        markers = _PPA_IN_PROMPT.findall(bundle.user_text)
-        if strategy is PromptStrategy.FIX:
-            if self.rng.random() < self.p_fix_repair:
-                return self._emit("fixed", ppa=self._fresh())
-            return self._emit("still broken", fail=True)
-        if strategy is PromptStrategy.FUSION:
-            vals = [tuple(map(float, m)) for m in markers[:2]]
-            base = tuple(min(v[i] for v in vals) for i in range(3))
-            return self._emit("merged", ppa=self._perturb(base))
-        if not markers:
-            return self._emit("no insight", fail=True)
-        return self._emit("tweaked", ppa=self._perturb(tuple(map(float, markers[0]))))
+        # four workers switch threads often, so that calls arrive out of slot order
+        sys.setswitchinterval(1e-5 if workers > 1 else interval)
+        try:
+            histories.append([engine.initialize()] if initialize_only else engine.run().history)
+        finally:
+            sys.setswitchinterval(interval)
+    assert histories[0] == histories[1], "four workers wrote another history than one"
+    return histories[0]
 
 
+@pytest.mark.scheduling
 def test_criterion_07_pass_rate_lift():
     started = time.perf_counter()
     initial_rates = []
@@ -413,19 +376,20 @@ def test_criterion_07_pass_rate_lift():
             population_size=10, offspring_count=10, max_generations=10,
             elite_per_metric=1, rng_seed=trial,
         )
-        world = StochasticWorld(1000 + trial)
-        result = EvolutionEngine(SPEC, cfg, world, SyntheticEvaluator()).run()
-        initial_rates.append(result.history[0].success_count / 10.0)
-        final_rates.append(result.history[-1].success_count / 10.0)
+        history = closed_world_history(cfg, lambda: ClosedWorld(1000 + trial))
+        initial_rates.append(history[0].success_count / 10.0)
+        final_rates.append(history[-1].success_count / 10.0)
     mean_initial = sum(initial_rates) / len(initial_rates)
     mean_final = sum(final_rates) / len(final_rates)
     lift = (mean_final - mean_initial) * 100.0
     elapsed = time.perf_counter() - started
     assert lift >= 20.0, (mean_initial, mean_final)
     assert elapsed < 30.0
-    ok(7, f"mean pass rate {mean_initial:.0%} -> {mean_final:.0%} (+{lift:.0f}pp) over 20 runs, {elapsed:.1f}s")
+    ok(7, f"mean pass rate {mean_initial:.0%} -> {mean_final:.0%} (+{lift:.0f}pp) over 20 runs "
+          f"at 1 and at 4 workers, {elapsed:.1f}s")
 
 
+@pytest.mark.scheduling
 def test_criterion_08_evolution_beats_sampling():
     wins = 0
     for trial in range(20):
@@ -433,22 +397,21 @@ def test_criterion_08_evolution_beats_sampling():
             population_size=10, offspring_count=10, max_generations=9,
             elite_per_metric=1, rng_seed=trial,
         )  # 10 + 9 x 10 = 100 evaluations
-        evolved = EvolutionEngine(
-            SPEC, evo_cfg, StochasticWorld(2000 + trial), SyntheticEvaluator()
-        ).run()
+        evolved = closed_world_history(evo_cfg, lambda: ClosedWorld(2000 + trial))
         sample_cfg = EvolutionConfig(
             population_size=100, offspring_count=1, max_generations=1,
             elite_per_metric=0, rng_seed=trial,
         )
-        sampler = EvolutionEngine(
-            SPEC, sample_cfg, StochasticWorld(3000 + trial), SyntheticEvaluator()
+        # 100 independent first-draft evaluations
+        [record] = closed_world_history(
+            sample_cfg, lambda: ClosedWorld(3000 + trial), initialize_only=True
         )
-        record = sampler.initialize()  # 100 independent first-draft evaluations
         sample_best = max(ind.fitness for ind in record.population)
-        if evolved.best.fitness > sample_best:
+        if evolved[-1].best_so_far.fitness > sample_best:
             wins += 1
     assert wins >= 15, wins
-    ok(8, f"evolution beat 100 independent samples in {wins}/20 trials at equal budget")
+    ok(8, f"evolution beat 100 independent samples in {wins}/20 trials at equal budget, "
+          "at 1 and at 4 workers")
 
 
 # --- 9: parsing robustness ----------------------------------------------------
@@ -524,7 +487,7 @@ def test_criterion_10_real_toolchain_integration(tmp_path):
         liberty_path=str(liberty),
         per_stage_timeout=60.0,
     )
-    evaluator = ToolchainEvaluator(cfg, workdir_root=tmp_path)
+    evaluator = ToolchainEvaluator(cfg, artifacts_dir=tmp_path)
     outcome = evaluator.outcome_for(golden, spec, individual_id=0)
     assert outcome.sim_passed, outcome.sim_log
     assert outcome.synth_succeeded, outcome.synth_log

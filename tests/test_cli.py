@@ -20,8 +20,13 @@ import yaml
 from rtlevo import cli
 from rtlevo.cli import EXIT_ABORT, EXIT_FOUND, EXIT_NOT_FOUND, main
 from rtlevo.config import load_config
-from rtlevo.evolution import PLACEHOLDER_CODE, EvolutionEngine
-from rtlevo.llm import TranscriptWriter
+from rtlevo.evolution import (
+    CALL_FAILED_LOG,
+    MAX_FAILED_SLOTS_IN_A_ROW,
+    PLACEHOLDER_CODE,
+    EvolutionEngine,
+)
+from rtlevo.llm import ProviderError, TranscriptWriter
 from rtlevo.model import MAX_WAIT_SECONDS
 from rtlevo.prompts import render_response, system_text
 from rtlevo.reporting import GENERATIONS_FILE, TRANSCRIPTS_FILE, read_generations
@@ -709,6 +714,8 @@ def test_parallel_toolchain_run_gives_each_evaluation_its_own_scratch_directory(
     assert list((tmp_path / "work").iterdir()) == []
 
 
+# makes and removes directories from four threads
+@pytest.mark.scheduling
 def test_at_most_k_scratch_directories_exist_at_once(tmp_path):
     # every directory under workdir_root, counted from inside each stage:
     # one per evaluation in flight, however many individuals came before
@@ -856,6 +863,66 @@ def test_a_run_opens_each_file_once_and_closes_it_on_every_exit(
     assert len(read_generations(tmp_path / "run")) == (4 if ending == "found" else 1)
 
 
+def test_a_draft_call_the_endpoint_fails_becomes_a_failed_slot(tmp_path, monkeypatch, capsys):
+    code = "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0"
+    # the second draft of generation 0 gets a 503, and no retry
+    plan = [(200, _ok(render_response("chain", code))), (503, "{}")]
+    endpoint = _FakeEndpoint(plan + [(200, _ok(render_response("chain", code)))] * 20)
+    monkeypatch.setenv("RTLEVO_CLI_KEY", "sk-test")
+    config = write_setup(
+        tmp_path,
+        config_overrides={
+            "evolution.max_generations": 1,
+            "provider": {
+                "kind": "http",
+                "endpoint_url": endpoint.url,
+                "api_key_env_var": "RTLEVO_CLI_KEY",
+                "max_retries": 0,
+            },
+        },
+    )
+    try:
+        assert main(["run", "--config", str(config)]) == EXIT_FOUND
+    finally:
+        endpoint.close()
+    records = read_generations(tmp_path / "run")
+    assert len(records) == 2
+    failed = records[0].population[1]
+    assert failed.code == PLACEHOLDER_CODE
+    assert failed.outcome.sim_log.startswith(CALL_FAILED_LOG + "exhausted retries: HTTP 503")
+    entries = transcript_entries(tmp_path / "run" / TRANSCRIPTS_FILE, system_text())
+    [error] = [entry for entry in entries if entry["error"]]
+    assert error["key"] == [0, 1]
+
+
+class _DraftsDown:
+    """A provider whose draft calls fail from generation 1 on, as those of
+    an endpoint that went down after generation 0."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def complete(self, bundle):
+        if bundle.purpose == "generate" and bundle.key[0] >= 1:
+            raise ProviderError("transient", "exhausted retries: HTTP 503", attempt_count=4)
+        return self.inner.complete(bundle)
+
+
+def test_failed_draft_calls_in_a_row_end_the_run_with_one_error_line(
+    tmp_path, monkeypatch, capsys
+):
+    _wrap_script(monkeypatch, _DraftsDown)
+    config = write_setup(tmp_path, config_overrides={"evolution.max_generations": 6})
+    assert main(["run", "--config", str(config)]) == EXIT_ABORT
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {MAX_FAILED_SLOTS_IN_A_ROW} draft calls in a row failed, the last for "
+        "individual 12: exhausted retries: HTTP 503"
+    ]
+    # three slots a generation: the tenth failed slot in a row is generation 4's first
+    assert len(read_generations(tmp_path / "run")) == 5
+    assert not (tmp_path / "run" / "final_report.json").exists()
+
+
 def test_http_run_closes_its_kept_alive_connections(tmp_path, monkeypatch, capsys):
     code = "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0"
     endpoint = _FakeEndpoint([(200, _ok(render_response("chain", code)))] * 20, keep_alive=True)
@@ -969,7 +1036,8 @@ def _keyed_run(tmp_path, workers):
     return sorted(entries, key=lambda entry: entry["key"]), read_generations(run_dir)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+# at four workers the entries complete in scheduling order
+@pytest.mark.parametrize("workers", [1, pytest.param(4, marks=pytest.mark.scheduling)])
 def test_transcript_entries_join_the_history_by_key(tmp_path, capsys, workers):
     entries, records = _keyed_run(tmp_path, workers)
     expected = []

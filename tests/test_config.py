@@ -375,7 +375,7 @@ def test_toolchain_clock_is_problem_target(tmp_path):
     cfg = load_config(path)
     assert isinstance(cfg.evaluator, ToolchainConfig)
     assert cfg.evaluator.liberty_path == str(tmp_path / "cells.lib")
-    evaluator = ToolchainEvaluator(cfg.evaluator, workdir_root=tmp_path / "work")
+    evaluator = ToolchainEvaluator(cfg.evaluator, artifacts_dir=tmp_path / "work")
     outcome = evaluator.outcome_for("module add2; endmodule", cfg.problem, 0)
     # the synthesis clock is the problem's target, in ps for the template
     assert "clock_ps=2500\n" in outcome.synth_log

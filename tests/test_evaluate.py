@@ -233,6 +233,7 @@ def _gone(pid: int) -> bool:
     return not _running(pid)
 
 
+@pytest.mark.scheduling
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_a_leftover_that_outlives_its_shell_is_killed(tmp_path):
     returncode, log = _run_shell("sleep 30 >/dev/null 2>&1 & echo $! > pid", 10.0, tmp_path)
@@ -240,6 +241,7 @@ def test_a_leftover_that_outlives_its_shell_is_killed(tmp_path):
     assert _gone(int((tmp_path / "pid").read_text()))
 
 
+@pytest.mark.scheduling
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_a_leftover_holding_the_pipe_does_not_hold_the_stage(tmp_path):
     # the background sleep keeps the output pipe open after its shell exits
@@ -248,6 +250,7 @@ def test_a_leftover_holding_the_pipe_does_not_hold_the_stage(tmp_path):
     assert _gone(int((tmp_path / "pid").read_text()))
 
 
+@pytest.mark.scheduling
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_a_passing_design_whose_leftover_keeps_writing_passes(tmp_path):
     # `yes` keeps the pipe full after its shell exits; it is killed then
@@ -260,6 +263,7 @@ def test_a_passing_design_whose_leftover_keeps_writing_passes(tmp_path):
     assert _gone(int((tmp_path / "pid").read_text()))
 
 
+@pytest.mark.scheduling
 @pytest.mark.skipif(
     shutil.which("setsid") is None or not Path("/proc/self/stat").exists(),
     reason="needs setsid and /proc",
@@ -415,7 +419,7 @@ def test_preflight_refuses_an_empty_command_word_with_its_key():
 def test_preflight_finds_shell_builtins(tmp_path):
     # `cd` and `read` are builtins of /bin/sh, not files on PATH
     cfg = fake_cfg(simulator_command="cd {workdir} && read x < /dev/null; echo all tests passed")
-    ev = ToolchainEvaluator(cfg, workdir_root=tmp_path)
+    ev = ToolchainEvaluator(cfg, artifacts_dir=tmp_path)
     assert ev.outcome_for("module m; endmodule", SPEC, 1).sim_passed
 
 
@@ -438,7 +442,7 @@ def test_toolchain_config_validation():
 
 
 def test_toolchain_evaluator_full_outcome(tmp_path):
-    ev = ToolchainEvaluator(fake_cfg(), workdir_root=tmp_path)
+    ev = ToolchainEvaluator(fake_cfg(), artifacts_dir=tmp_path)
     outcome = ev.outcome_for("module m; endmodule", SPEC, individual_id=3)
     assert outcome.sim_passed is True
     assert outcome.synth_succeeded is True
@@ -449,7 +453,7 @@ def test_toolchain_evaluator_full_outcome(tmp_path):
 
 def test_toolchain_evaluator_sim_fail_short_circuits(tmp_path):
     cfg = fake_cfg(simulator_command="echo mismatch at vector 4 && false")
-    ev = ToolchainEvaluator(cfg, workdir_root=tmp_path)
+    ev = ToolchainEvaluator(cfg, artifacts_dir=tmp_path)
     outcome = ev.outcome_for("x", SPEC, 1)
     assert outcome.sim_passed is False
     assert outcome.synth_succeeded is False
@@ -459,7 +463,7 @@ def test_toolchain_evaluator_sim_fail_short_circuits(tmp_path):
 
 def test_toolchain_evaluator_synth_fail_keeps_sim_pass(tmp_path):
     cfg = fake_cfg(synthesizer_command="echo synthesis blew up && false")
-    ev = ToolchainEvaluator(cfg, workdir_root=tmp_path)
+    ev = ToolchainEvaluator(cfg, artifacts_dir=tmp_path)
     outcome = ev.outcome_for("x", SPEC, 1)
     assert outcome.sim_passed is True
     assert outcome.synth_succeeded is False
@@ -468,7 +472,7 @@ def test_toolchain_evaluator_synth_fail_keeps_sim_pass(tmp_path):
 
 def test_toolchain_evaluator_unparseable_report_withholds_ppa(tmp_path):
     cfg = fake_cfg(synthesizer_command="echo nothing useful here")
-    ev = ToolchainEvaluator(cfg, workdir_root=tmp_path)
+    ev = ToolchainEvaluator(cfg, artifacts_dir=tmp_path)
     outcome = ev.outcome_for("x", SPEC, 1)
     assert outcome.sim_passed is True
     assert outcome.synth_succeeded is True
@@ -477,13 +481,13 @@ def test_toolchain_evaluator_unparseable_report_withholds_ppa(tmp_path):
 
 def test_toolchain_post_synth_gate(tmp_path):
     ok_cfg = fake_cfg(post_synth_command="echo all tests passed")
-    ev = ToolchainEvaluator(ok_cfg, workdir_root=tmp_path / "ok")
+    ev = ToolchainEvaluator(ok_cfg, artifacts_dir=tmp_path / "ok")
     outcome = ev.outcome_for("x", SPEC, 1)
     assert outcome.post_synth_functional is True
     assert outcome.ppa is not None
 
     bad_cfg = fake_cfg(post_synth_command="echo netlist mismatch && false")
-    ev = ToolchainEvaluator(bad_cfg, workdir_root=tmp_path / "bad")
+    ev = ToolchainEvaluator(bad_cfg, artifacts_dir=tmp_path / "bad")
     outcome = ev.outcome_for("x", SPEC, 1)
     assert outcome.post_synth_functional is False
     assert outcome.ppa is None
@@ -491,12 +495,12 @@ def test_toolchain_post_synth_gate(tmp_path):
 
 
 def test_toolchain_reference_ppa_and_failure(tmp_path):
-    ev = ToolchainEvaluator(fake_cfg(), workdir_root=tmp_path / "r1")
+    ev = ToolchainEvaluator(fake_cfg(), artifacts_dir=tmp_path / "r1")
     ppa = ev.reference_ppa("module ref; endmodule", SPEC)
     assert ppa.area == 42.18
     bad = ToolchainEvaluator(
         fake_cfg(synthesizer_command="echo fatal && false"),
-        workdir_root=tmp_path / "r2",
+        artifacts_dir=tmp_path / "r2",
     )
     with pytest.raises(RuntimeError):
         bad.reference_ppa("module ref; endmodule", SPEC)
@@ -505,7 +509,7 @@ def test_toolchain_reference_ppa_and_failure(tmp_path):
 def test_toolchain_evaluator_preflights_on_construction(tmp_path):
     cfg = fake_cfg(simulator_command="rtlevo-no-such-tool {code_file}")
     with pytest.raises(ToolEnvironmentError):
-        ToolchainEvaluator(cfg, workdir_root=tmp_path)
+        ToolchainEvaluator(cfg, artifacts_dir=tmp_path)
 
 
 def test_toolchain_evaluator_preflights_post_synth_stage(tmp_path):
@@ -515,7 +519,7 @@ def test_toolchain_evaluator_preflights_post_synth_stage(tmp_path):
         post_synth_command="rtlevo-no-such-tool {workdir}",
     )
     with pytest.raises(ToolEnvironmentError) as err:
-        ToolchainEvaluator(cfg, workdir_root=tmp_path / "w")
+        ToolchainEvaluator(cfg, artifacts_dir=tmp_path / "w")
     assert "rtlevo-no-such-tool" in str(err.value)
     # raised before any individual ran
     assert not (tmp_path / "w").exists()
@@ -542,7 +546,7 @@ def test_toolchain_cleanup_keeps_given_and_unrelated_files(tmp_path):
     assert [p.name for p in parent.iterdir()] == ["notes.txt"]
 
     kept = tmp_path / "artifacts"
-    ev = ToolchainEvaluator(fake_cfg(simulator_command=LIST_WORKDIR), workdir_root=kept)
+    ev = ToolchainEvaluator(fake_cfg(simulator_command=LIST_WORKDIR), artifacts_dir=kept)
     outcome = ev.outcome_for("x", SPEC, 1)
     assert outcome.sim_log.splitlines()[0] == str(kept / "ind_000001")
     assert (kept / "ind_000001" / "design.v").exists()
@@ -564,7 +568,7 @@ def test_kept_workdir_holds_each_stage_log_whole(tmp_path):
         simulator_command="seq 1 3000; echo all tests passed",
         post_synth_command="echo gate level: all tests passed",
     )
-    ev = ToolchainEvaluator(cfg, workdir_root=tmp_path)
+    ev = ToolchainEvaluator(cfg, artifacts_dir=tmp_path)
     ind = evaluate(Individual(id=2, thought="t", code="x"), SPEC, ev, WEIGHTS)
     workdir = tmp_path / "ind_000002"
     sim_log = (workdir / "sim.log").read_text(encoding="utf-8")

@@ -17,6 +17,8 @@ import pytest
 
 from rtlevo.bandit import BanditState, record_reward, select_strategy
 from rtlevo.evolution import (
+    CALL_FAILED_LOG,
+    MAX_FAILED_SLOTS_IN_A_ROW,
     PLACEHOLDER_CODE,
     PLACEHOLDER_THOUGHT,
     EvolutionConfig,
@@ -44,6 +46,11 @@ from rtlevo.model import (
 )
 from rtlevo.prompts import FAIL_STRATEGIES, SUCCESS_STRATEGIES, PromptStrategy, render_response
 from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation, read_generations
+
+from closed_world import ClosedWorld
+
+# the engine runs here use up to 4 workers and jitter their calls
+pytestmark = pytest.mark.scheduling
 
 REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
 
@@ -1236,3 +1243,143 @@ def test_fix_reply_repeating_a_placeholder_becomes_a_placeholder():
             assert child.code == PLACEHOLDER_CODE
             assert "declares no module" in child.feedback
             assert child.fitness == NEG_INF
+
+
+# --- failed draft calls ------------------------------------------------------
+
+
+class FailingDrafts:
+    """Fails the draft calls whose key `fails` accepts with a ProviderError
+    of `kind`, as the http provider does once its retries are spent, and
+    passes every other call on."""
+
+    def __init__(self, inner, fails, kind="transient"):
+        self.inner = inner
+        self.fails = fails
+        self.kind = kind
+
+    def complete(self, bundle):
+        if bundle.purpose == "generate" and self.fails(bundle.key):
+            raise ProviderError(self.kind, "endpoint is down", attempt_count=4)
+        return self.inner.complete(bundle)
+
+
+class EvaluatedIds:
+    """SyntheticEvaluator verdicts; keeps the id of every individual it evaluates."""
+
+    def __init__(self):
+        self.ids = []
+        self.lock = threading.Lock()
+
+    def outcome_for(self, code, spec, individual_id=0):
+        with self.lock:
+            self.ids.append(individual_id)
+        return SyntheticEvaluator().outcome_for(code, spec, individual_id)
+
+    def reference_ppa(self, code, spec):
+        raise AssertionError("not used")
+
+
+def _first_draft_key_of_generation_one(cfg):
+    world = ClosedWorld(cfg.rng_seed)
+    EvolutionEngine(SPEC, cfg, world, SyntheticEvaluator()).run()
+    return min(bundle.key for bundle in world.drafts if bundle.key[0] == 1)
+
+
+@pytest.mark.parametrize("kind", ["transient", "protocol"])
+def test_a_failed_draft_call_fails_only_its_slot_at_any_worker_count(kind):
+    cfg = demo_cfg(population_size=5, offspring_count=5, max_generations=3)
+    failing = _first_draft_key_of_generation_one(cfg)
+    histories = []
+    for workers in (1, 4):
+        evaluator = EvaluatedIds()
+        provider = JitteredProvider(
+            FailingDrafts(ClosedWorld(cfg.rng_seed), lambda key: key == failing, kind),
+            f"{kind}/{workers}",
+        )
+        history = EvolutionEngine(
+            SPEC, dataclasses.replace(cfg, max_parallel_evaluations=workers), provider, evaluator
+        ).run().history
+        assert len(history) == 4
+        [(j, ind)] = [
+            (j, ind) for j, ind in enumerate(history[1].offspring)
+            if ind.outcome.sim_log.startswith(CALL_FAILED_LOG)
+        ]
+        # a placeholder, scored and unrewarded, that ran no tool stage
+        assert ind.code == PLACEHOLDER_CODE
+        assert ind.fitness == NEG_INF
+        assert ind.outcome.sim_log == CALL_FAILED_LOG + "endpoint is down"
+        assert "The previous request failed: endpoint is down." in ind.feedback
+        assert history[1].strategy_events[j].reward == 0.0
+        assert ind.id not in evaluator.ids
+        assert len(evaluator.ids) == 5 + 3 * 5 - 1
+        histories.append(history)
+    assert histories[0] == histories[1]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_an_auth_error_on_a_draft_ends_the_run(workers):
+    provider = FailingDrafts(ClosedWorld(5), lambda key: key == (0, 2), "auth")
+    engine = EvolutionEngine(
+        SPEC, demo_cfg(max_parallel_evaluations=workers), provider, SyntheticEvaluator()
+    )
+    with pytest.raises(ProviderError) as raised:
+        engine.run()
+    assert raised.value.kind == "auth"
+    assert engine.history == []
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize(
+    "size, failing_generations, records",
+    [
+        # nine failed slots in a row, then drafts that arrive
+        (MAX_FAILED_SLOTS_IN_A_ROW - 1, 1, None),
+        (MAX_FAILED_SLOTS_IN_A_ROW, 1, 1),
+        # a streak carries over from one generation to the next
+        (MAX_FAILED_SLOTS_IN_A_ROW // 2, 2, 2),
+    ],
+)
+def test_failed_slots_in_a_row_end_the_run_after_the_record_that_completes_them(
+    workers, size, failing_generations, records
+):
+    cfg = demo_cfg(
+        population_size=size, offspring_count=size, max_generations=3,
+        max_parallel_evaluations=workers,
+    )
+    provider = FailingDrafts(ClosedWorld(5), lambda key: key[0] < failing_generations)
+    engine = EvolutionEngine(SPEC, cfg, provider, SyntheticEvaluator())
+    if records is None:
+        assert len(engine.run().history) == 4
+        return
+    with pytest.raises(RuntimeError) as raised:
+        engine.run()
+    assert not isinstance(raised.value, ProviderError)
+    assert len(engine.history) == records
+    last = records * size - 1
+    assert str(raised.value) == (
+        f"{MAX_FAILED_SLOTS_IN_A_ROW} draft calls in a row failed, the last for "
+        f"individual {last}: endpoint is down"
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_an_auth_error_on_a_critique_ends_the_run(workers):
+    class CritiqueKeyRevoked:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, bundle):
+            if bundle.purpose == "feedback":
+                raise ProviderError("auth", "authentication rejected (HTTP 401)")
+            return self.inner.complete(bundle)
+
+    provider = CritiqueKeyRevoked(ScriptedProvider(demo_script()))
+    engine = EvolutionEngine(
+        SPEC, demo_cfg(max_parallel_evaluations=workers), provider, SyntheticEvaluator()
+    )
+    with pytest.raises(ProviderError) as raised:
+        engine.run()
+    assert raised.value.kind == "auth"
+    # generation 0 asks for no critique; generation 1's first one fails it
+    assert len(engine.history) == 1

@@ -48,6 +48,7 @@ from rtlevo.evolution import (
     PLACEHOLDER_CODE,
     EvolutionConfig,
     EvolutionEngine,
+    RunResult,
     offspring_quota,
     roulette_weights,
     select_parents,
@@ -55,7 +56,6 @@ from rtlevo.evolution import (
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights
 from rtlevo.llm import (
-    CompletionResult,
     ProviderConfig,
     ProviderError,
     ScriptConfig,
@@ -73,8 +73,12 @@ from rtlevo.model import (
 from rtlevo.prompts import FAIL_STRATEGIES, SUCCESS_STRATEGIES, PromptBundle, PromptStrategy
 from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation, read_generations
 
-from test_acceptance import SPEC, StochasticWorld, _fail, _oracle_survivors, _success
+from closed_world import ClosedWorld
+from test_acceptance import SPEC, _fail, _oracle_survivors, _success, closed_world_history
 from test_evolution import JitteredProvider
+
+# the engine runs here use 3 and 4 workers, and each rerun draws fresh examples
+pytestmark = pytest.mark.scheduling
 
 
 @given(
@@ -278,32 +282,9 @@ def test_incremental_reward_mean_equals_arithmetic_mean(pulls):
     assert state.strategies["improve"].pull_count == 0
 
 
-class _CritiquingWorld:
-    """StochasticWorld drafts, about one in eight of them unparsable, and a
-    distinct critique text per feedback call. Each reply draws from a
-    stream seeded by the call's key and prompt, so, like a scripted reply,
-    it does not depend on the order in which concurrent calls arrive."""
-
-    def __init__(self, seed):
-        self.seed = seed
-        self.world = StochasticWorld(seed)
-        self.critiques = 0
-        self.drafts = []
-        self.lock = threading.Lock()
-
-    def complete(self, bundle):
-        generation, n = bundle.key
-        with self.lock:
-            if bundle.purpose == "feedback":
-                self.critiques += 1
-                return CompletionResult(text=f"critique of call {generation}/{n}")
-            self.drafts.append(bundle)
-            rng = random.Random(f"{self.seed}/{generation}/{n}/{bundle.user_text}")
-            if rng.random() < 0.125:
-                return CompletionResult(text="no code block in this reply")
-            # the world draws from the call's stream and names its module by the call
-            self.world.rng, self.world.counter = rng, generation * 10_000 + n
-            return self.world.complete(bundle)
+def _world(seed):
+    """A closed world where about one draft in eight is unparsable."""
+    return ClosedWorld(seed, p_malformed=0.125)
 
 
 @settings(max_examples=25, deadline=None)
@@ -313,7 +294,7 @@ class _CritiquingWorld:
     workers=st.sampled_from([1, 3]),
 )
 def test_only_chosen_parents_are_critiqued_once(seed, population, workers):
-    provider = _CritiquingWorld(seed)
+    provider = _world(seed)
     critiqued: list[tuple[int, str]] = []
     original = evaluate_module.generate_feedback
 
@@ -369,7 +350,7 @@ def test_bandit_scores_are_frozen_within_a_generation(seed, population, workers)
         elite_per_metric=0, rng_seed=seed, max_parallel_evaluations=workers,
     )
     engine = EvolutionEngine(
-        SPEC, cfg, _CritiquingWorld(seed), SyntheticEvaluator(),
+        SPEC, cfg, _world(seed), SyntheticEvaluator(),
         record_sink=lambda record: written.append(to_plain(record.bandit_states)),
     )
     history = engine.run().history
@@ -396,7 +377,7 @@ def test_bandit_states_replay_zero_one_rewards(seed, population, offspring, gene
         population_size=population, offspring_count=offspring, max_generations=generations,
         elite_per_metric=0, rng_seed=seed, max_parallel_evaluations=workers,
     )
-    history = EvolutionEngine(SPEC, cfg, _CritiquingWorld(seed), SyntheticEvaluator()).run().history
+    history = EvolutionEngine(SPEC, cfg, _world(seed), SyntheticEvaluator()).run().history
     replayed = {
         label: BanditState.for_strategies(list(state.strategies))
         for label, state in history[0].bandit_states.items()
@@ -435,11 +416,10 @@ def test_found_correct_means_some_individual_passed(
         population_size=population, offspring_count=offspring, max_generations=generations,
         elite_per_metric=0, rng_seed=seed,
     )
-    world = StochasticWorld(seed, p_initial_fail, p_fix_repair)
-    result = EvolutionEngine(SPEC, cfg, world, SyntheticEvaluator()).run()
-    created = list(result.history[0].population)
-    created += [ind for record in result.history[1:] for ind in record.offspring]
-    assert result.found_correct == any(ind.outcome.sim_passed for ind in created)
+    history = closed_world_history(cfg, lambda: ClosedWorld(seed, p_initial_fail, p_fix_repair))
+    created = list(history[0].population)
+    created += [ind for record in history[1:] for ind in record.offspring]
+    assert RunResult(history).found_correct == any(ind.outcome.sim_passed for ind in created)
 
 
 _CALL_KEYS = st.tuples(st.integers(0, 2), st.integers(0, 4))
@@ -530,7 +510,7 @@ def test_history_reads_back_as_written_with_each_individual_once(
         elite_per_metric=min(elites, population // 3), rng_seed=seed,
         max_parallel_evaluations=workers,
     )
-    provider = JitteredProvider(_CritiquingWorld(seed), f"{seed}/{workers}")
+    provider = JitteredProvider(_world(seed), f"{seed}/{workers}")
     with tempfile.TemporaryDirectory() as run_dir:
         path = Path(run_dir) / GENERATIONS_FILE
         with HistoryWriter(path) as writer:
@@ -612,7 +592,7 @@ class _PaddedLogEvaluator:
 def test_critique_prompt_is_built_as_from_the_unclipped_outcome(workers):
     # at this seed both a failed simulation and a failed synthesis are critiqued
     seed = 9
-    provider = _CritiquingWorld(seed)
+    provider = _world(seed)
     sent: list[str] = []
     complete = provider.complete
 
