@@ -2,8 +2,8 @@
 
 Exit codes for `run`: 0 when a functionally correct design was found,
 2 when the run finished without one, 1 on abort (bad config, broken tool
-environment, a provider call that fails with auth or unmatched, ten failed
-draft calls in a row).
+environment, a provider call that fails with auth, a draft call that fails
+with unmatched, ten failed draft calls in a row).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ evaluation, bandit rewards, then survivor selection with per-metric elites.
 An individual's feedback is the critique its operator prompts carry. It is
 asked for once, by the first slot to need the individual as a parent,
 while any other slot that chose it waits for that call; individuals never
-chosen keep `feedback` None, and parse-failure placeholders carry a fixed
-text and are never critiqued.
+chosen keep `feedback` None, and placeholders (for a response that could
+not be parsed or a draft call that failed) carry a fixed text and are
+never critiqued.
 
 The engine thread plans every slot of a generation in slot order (quota,
 strategy from the frozen bandit scores, parents). Each slot then runs in
@@ -89,7 +90,10 @@ PLACEHOLDER_THOUGHT = "(response could not be parsed)"
 # (auth, or a script with no reply) fails every later call too, so it ends
 # the run at once.
 SLOT_FAILING_KINDS = ("transient", "protocol")
-# The sim log of a slot whose draft call failed.
+# The code, thought and sim log of a slot whose draft call failed. A reply
+# cannot carry this code, which declares no module, so it alone marks the slot.
+CALL_FAILED_CODE = "// placeholder: the draft call failed\n"
+CALL_FAILED_THOUGHT = "(draft call failed)"
 CALL_FAILED_LOG = "draft call failed before simulation: "
 # The run ends once this many slots in a row, in slot order across
 # generations, failed their draft call.
@@ -194,12 +198,13 @@ def survivor_select(
     return elites + pool[: cfg.population_size - len(elites)]
 
 
-def _placeholder(rejected: str, sim_log: str) -> dict:
-    """The fields of an unusable draft: the placeholder code, feedback that
-    says what was `rejected`, and a failed outcome, already scored."""
+def _placeholder(thought: str, code: str, rejected: str, sim_log: str) -> dict:
+    """The fields of an unusable draft: its placeholder thought and code,
+    feedback that says what was `rejected`, and a failed outcome, already
+    scored."""
     return dict(
-        thought=PLACEHOLDER_THOUGHT,
-        code=PLACEHOLDER_CODE,
+        thought=thought,
+        code=code,
         feedback=(
             f"The previous {rejected}. Reply with a '## Thought' section and "
             "exactly one fenced code block containing complete Verilog."
@@ -215,8 +220,7 @@ def _failed_slots_in_a_row(record: GenerationRecord, streak: int) -> int:
     once it reaches MAX_FAILED_SLOTS_IN_A_ROW."""
     created = record.offspring if record.generation_index else record.population
     for ind in created:
-        failed = ind.code == PLACEHOLDER_CODE and ind.outcome.sim_log.startswith(CALL_FAILED_LOG)
-        streak = streak + 1 if failed else 0
+        streak = streak + 1 if ind.code == CALL_FAILED_CODE else 0
         if streak == MAX_FAILED_SLOTS_IN_A_ROW:
             raise RuntimeError(
                 f"{streak} draft calls in a row failed, the last for individual {ind.id}: "
@@ -324,10 +328,14 @@ class EvolutionEngine:
             if exc.kind not in SLOT_FAILING_KINDS:
                 raise
             logger.warning("individual %d: draft call failed (%s)", slot.ind_id, str(exc))
-            fields = _placeholder(f"request failed: {exc}", f"{CALL_FAILED_LOG}{exc}")
+            fields = _placeholder(
+                CALL_FAILED_THOUGHT, CALL_FAILED_CODE,
+                f"request failed: {exc}", f"{CALL_FAILED_LOG}{exc}",
+            )
         except ParseError as exc:
             logger.warning("individual %d: unusable response (%s)", slot.ind_id, str(exc))
             fields = _placeholder(
+                PLACEHOLDER_THOUGHT, PLACEHOLDER_CODE,
                 f"response was rejected: {exc}",
                 f"response parsing failed before simulation: {exc}",
             )

@@ -147,9 +147,9 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
     the records that mention it; a reference to an id no earlier entry
     defines is corrupt, and so is a record that does not follow the last
     one, as the writer refuses it (`HistoryWriter`), one that breaks a
-    `GenerationRecord` rule, and a line that is not UTF-8. A last line with
-    no newline that does not parse, as a killed write leaves it, is dropped
-    with a warning."""
+    `GenerationRecord` rule, a line that is not UTF-8, and a blank line. A
+    last line with no newline that does not parse, as a killed write leaves
+    it, is dropped with a warning."""
     path = Path(run_dir) / GENERATIONS_FILE
     if not path.is_file():
         raise RunDirError(f"{path} not found; is this a run directory?")
@@ -165,8 +165,6 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
         if version != SCHEMA_VERSION:
             raise RunDirError(f"{path}: unsupported schema_version {version!r}")
         for i, line in enumerate(fh):
-            if not line.strip():
-                continue
             try:
                 data = json.loads(line.decode("utf-8"))
             except ValueError as exc:

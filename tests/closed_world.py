@@ -32,7 +32,7 @@ def _perturb(base, rng):
 class ClosedWorld:
     """Names each module by its call key and each critique by its call, so
     every parsable draft and every critique is a distinct text. Keeps the
-    draft prompts, in arrival order, and the critique count under `lock`."""
+    draft and the critique prompts, each in arrival order, under `lock`."""
 
     def __init__(self, seed, p_initial_fail=0.7, p_fix_repair=0.5, p_malformed=0.0):
         self.seed = seed
@@ -40,14 +40,14 @@ class ClosedWorld:
         self.p_fix_repair = p_fix_repair
         self.p_malformed = p_malformed
         self.drafts = []
-        self.critiques = 0
+        self.critiques = []
         self.lock = threading.Lock()
 
     def complete(self, bundle):
         generation, n = bundle.key
         with self.lock:
             if bundle.purpose == "feedback":
-                self.critiques += 1
+                self.critiques.append(bundle)
                 return CompletionResult(text=f"critique of call {generation}/{n}")
             self.drafts.append(bundle)
         rng = random.Random(f"{self.seed}/{generation}/{n}/{bundle.user_text}")

@@ -5,7 +5,6 @@ criterion 10 is skipped where no RTL toolchain is installed.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import re
@@ -37,32 +36,23 @@ from rtlevo.evolution import (
     survivor_select,
 )
 from rtlevo.fitness import SYNTH_FAIL_FITNESS, FitnessWeights, compute_fitness
-from rtlevo.llm import ScriptedProvider, ScriptEntry
-from rtlevo.model import (
-    NEG_INF,
-    CircuitKind,
-    EvalOutcome,
-    Individual,
-    PpaMetrics,
-    ProblemSpec,
-)
+from rtlevo.llm import ScriptedProvider
+from rtlevo.model import CircuitKind, PpaMetrics, ProblemSpec
 from rtlevo.prompts import FALLBACK_THOUGHT, ParseError, parse_llm_response, render_response
 
 from closed_world import ClosedWorld
+from support import (
+    REF,
+    SPEC,
+    demo_script,
+    fail_ind,
+    oracle_survivors,
+    run_at_one_and_four_workers,
+    success_ind,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
-
-SPEC = ProblemSpec(
-    name="add2",
-    description="a two bit adder named add2 with carry out",
-    testbench="",
-    reference_ppa=REF,
-    circuit_kind=CircuitKind.COMBINATIONAL,
-    target_clock_period=0.01,
-)
 
 
 def ok(n: int, message: str) -> None:
@@ -190,60 +180,6 @@ def test_criterion_04_bandit_adaptation():
 # --- 5: selection and elitism -------------------------------------------------
 
 
-def _fail(id, gen=0):
-    return Individual(
-        id=id, thought="t", code=f"c{id}", feedback="f",
-        outcome=EvalOutcome(False, False, None, sim_log="failed"),
-        fitness=NEG_INF, generation_born=gen,
-    )
-
-
-def _success(id, fitness, ppa=None, gen=0):
-    return Individual(
-        id=id, thought="t", code=f"c{id}", feedback="f",
-        outcome=EvalOutcome(True, ppa is not None, ppa, sim_log="all tests passed"),
-        fitness=fitness, generation_born=gen,
-    )
-
-
-def _oracle_survivors(parents, offspring, elite_n, pop_size):
-    def metric_key(ind, metric):
-        return (getattr(ind.outcome.ppa, metric), -ind.fitness, ind.id)
-
-    def rank_key(ind):
-        return (-ind.fitness, -ind.generation_born, ind.id)
-
-    elites = []
-    if elite_n > 0:
-        for metric in ("power", "area", "effective_clock_period"):
-            pool = [p for p in parents if p.outcome is not None and p.outcome.ppa is not None]
-            for _ in range(min(elite_n, len(pool))):
-                best = min(pool, key=lambda p: metric_key(p, metric))
-                pool.remove(best)
-                if best.id not in [e.id for e in elites]:
-                    elites.append(best)
-    taken = {e.id for e in elites}
-    rest = sorted(
-        (i for i in list(parents) + list(offspring) if i.id not in taken), key=rank_key
-    )
-    return elites + rest[: pop_size - len(elites)]
-
-
-def _scripted_world():
-    return [
-        ScriptEntry("call:0/0", render_response("a", "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0")),
-        ScriptEntry("call:0/1", render_response("b", "module add2; endmodule\n// PPA: power=0.95 area=98 period=1.0")),
-        ScriptEntry("strategy:initial", render_response("bad", "module add2; endmodule\n// BUG")),
-        ScriptEntry("strategy:fix", render_response("patch", "module add2; endmodule\n// PPA: power=0.8 area=90 period=1.0")),
-        ScriptEntry("strategy:simplify", render_response("shrink", "module add2; endmodule\n// PPA: power=0.7 area=80 period=1.0")),
-        ScriptEntry("strategy:explore", render_response("wild", "module add2; endmodule\n// BUG")),
-        ScriptEntry("strategy:refactor", render_response("rewrite", "module add2; endmodule\n// PPA: power=1.2 area=120 period=1.0")),
-        ScriptEntry("strategy:improve", render_response("tune", "module add2; endmodule\n// PPA: power=0.5 area=50 period=1.0")),
-        ScriptEntry("strategy:fusion", render_response("merge", "module add2; endmodule\n// PPA: power=0.4 area=40 period=1.0")),
-        ScriptEntry("purpose:feedback", "fb"),
-    ]
-
-
 def test_criterion_05_selection_and_elitism():
     rng = random.Random(404)
     for trial in range(1000):
@@ -255,15 +191,15 @@ def test_criterion_05_selection_and_elitism():
             shape = rng.randrange(3)
             i = next(next_id)
             if shape == 0:
-                return _fail(i, gen)
+                return fail_ind(i, gen)
             if shape == 1:
-                return _success(i, SYNTH_FAIL_FITNESS, None, gen)
+                return success_ind(i, SYNTH_FAIL_FITNESS, None, gen)
             ppa = PpaMetrics(
                 round(rng.uniform(0.1, 2.0), 1),
                 round(rng.uniform(10, 200), 0),
                 round(rng.uniform(0.1, 2.0), 1),
             )
-            return _success(i, round(rng.uniform(-1, 1), 1), ppa, gen)
+            return success_ind(i, round(rng.uniform(-1, 1), 1), ppa, gen)
 
         parents = [rand_ind(rng.randrange(0, 3)) for _ in range(pop_size)]
         offspring = [rand_ind(rng.randrange(1, 4)) for _ in range(rng.randrange(0, 8))]
@@ -285,7 +221,7 @@ def test_criterion_05_selection_and_elitism():
                 )
                 assert champ.id in got_ids, f"trial {trial} lost {metric} champion"
         # full agreement with the brute-force oracle
-        want = _oracle_survivors(parents, offspring, elite_n, pop_size)
+        want = oracle_survivors(parents, offspring, elite_n, pop_size)
         assert [i.id for i in got] == [i.id for i in want], f"trial {trial}"
 
     # best-so-far never decreases over a scripted 20-generation run
@@ -293,7 +229,7 @@ def test_criterion_05_selection_and_elitism():
         population_size=6, offspring_count=6, max_generations=20,
         elite_per_metric=1, rng_seed=7,
     )
-    provider = ScriptedProvider(_scripted_world())
+    provider = ScriptedProvider(demo_script())
     result = EvolutionEngine(SPEC, cfg, provider, SyntheticEvaluator()).run()
     assert len(result.history) == 21
     last = float("-inf")
@@ -345,27 +281,6 @@ def test_criterion_06_scripted_demo_determinism(tmp_path):
 # --- 7 and 8: the closed world ---------------------------------------------
 
 
-def closed_world_history(cfg, world, initialize_only=False):
-    """The history an engine run over `world()`, a fresh closed world,
-    writes: at one worker and again at four, which must write the same.
-    `initialize_only` stops each run after generation 0."""
-    histories = []
-    interval = sys.getswitchinterval()
-    for workers in (1, 4):
-        engine = EvolutionEngine(
-            SPEC, dataclasses.replace(cfg, max_parallel_evaluations=workers), world(),
-            SyntheticEvaluator(),
-        )
-        # four workers switch threads often, so that calls arrive out of slot order
-        sys.setswitchinterval(1e-5 if workers > 1 else interval)
-        try:
-            histories.append([engine.initialize()] if initialize_only else engine.run().history)
-        finally:
-            sys.setswitchinterval(interval)
-    assert histories[0] == histories[1], "four workers wrote another history than one"
-    return histories[0]
-
-
 @pytest.mark.scheduling
 def test_criterion_07_pass_rate_lift():
     started = time.perf_counter()
@@ -376,7 +291,7 @@ def test_criterion_07_pass_rate_lift():
             population_size=10, offspring_count=10, max_generations=10,
             elite_per_metric=1, rng_seed=trial,
         )
-        history = closed_world_history(cfg, lambda: ClosedWorld(1000 + trial))
+        history = run_at_one_and_four_workers(cfg, lambda: ClosedWorld(1000 + trial))[0].history
         initial_rates.append(history[0].success_count / 10.0)
         final_rates.append(history[-1].success_count / 10.0)
     mean_initial = sum(initial_rates) / len(initial_rates)
@@ -397,15 +312,15 @@ def test_criterion_08_evolution_beats_sampling():
             population_size=10, offspring_count=10, max_generations=9,
             elite_per_metric=1, rng_seed=trial,
         )  # 10 + 9 x 10 = 100 evaluations
-        evolved = closed_world_history(evo_cfg, lambda: ClosedWorld(2000 + trial))
+        evolved = run_at_one_and_four_workers(evo_cfg, lambda: ClosedWorld(2000 + trial))[0].history
         sample_cfg = EvolutionConfig(
             population_size=100, offspring_count=1, max_generations=1,
             elite_per_metric=0, rng_seed=trial,
         )
         # 100 independent first-draft evaluations
-        [record] = closed_world_history(
+        [record] = run_at_one_and_four_workers(
             sample_cfg, lambda: ClosedWorld(3000 + trial), initialize_only=True
-        )
+        )[0].history
         sample_best = max(ind.fitness for ind in record.population)
         if evolved[-1].best_so_far.fitness > sample_best:
             wins += 1

@@ -21,6 +21,7 @@ from rtlevo import cli
 from rtlevo.cli import EXIT_ABORT, EXIT_FOUND, EXIT_NOT_FOUND, main
 from rtlevo.config import load_config
 from rtlevo.evolution import (
+    CALL_FAILED_CODE,
     CALL_FAILED_LOG,
     MAX_FAILED_SLOTS_IN_A_ROW,
     PLACEHOLDER_CODE,
@@ -30,7 +31,8 @@ from rtlevo.llm import ProviderError, TranscriptWriter
 from rtlevo.model import MAX_WAIT_SECONDS
 from rtlevo.prompts import render_response, system_text
 from rtlevo.reporting import GENERATIONS_FILE, TRANSCRIPTS_FILE, read_generations
-from test_llm import _FakeEndpoint, _ok, transcript_entries
+
+from support import FakeEndpoint, completion_body, transcript_entries
 
 SCRIPT_OK = """\
 - match: strategy:initial
@@ -615,7 +617,7 @@ def test_infinite_operator_temperature_loads(tmp_path, capsys):
 
 def test_closed_edges_load_and_the_longest_timeouts_run(tmp_path, capsys, monkeypatch):
     code = "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0"
-    endpoint = _FakeEndpoint([(200, _ok(render_response("chain", code)))] * 20)
+    endpoint = FakeEndpoint([(200, completion_body(render_response("chain", code)))] * 20)
     monkeypatch.setenv("RTLEVO_CLI_KEY", "sk-test")
     edges = {
         "top_p": 1,
@@ -866,8 +868,8 @@ def test_a_run_opens_each_file_once_and_closes_it_on_every_exit(
 def test_a_draft_call_the_endpoint_fails_becomes_a_failed_slot(tmp_path, monkeypatch, capsys):
     code = "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0"
     # the second draft of generation 0 gets a 503, and no retry
-    plan = [(200, _ok(render_response("chain", code))), (503, "{}")]
-    endpoint = _FakeEndpoint(plan + [(200, _ok(render_response("chain", code)))] * 20)
+    plan = [(200, completion_body(render_response("chain", code))), (503, "{}")]
+    endpoint = FakeEndpoint(plan + [(200, completion_body(render_response("chain", code)))] * 20)
     monkeypatch.setenv("RTLEVO_CLI_KEY", "sk-test")
     config = write_setup(
         tmp_path,
@@ -888,7 +890,7 @@ def test_a_draft_call_the_endpoint_fails_becomes_a_failed_slot(tmp_path, monkeyp
     records = read_generations(tmp_path / "run")
     assert len(records) == 2
     failed = records[0].population[1]
-    assert failed.code == PLACEHOLDER_CODE
+    assert failed.code == CALL_FAILED_CODE
     assert failed.outcome.sim_log.startswith(CALL_FAILED_LOG + "exhausted retries: HTTP 503")
     entries = transcript_entries(tmp_path / "run" / TRANSCRIPTS_FILE, system_text())
     [error] = [entry for entry in entries if entry["error"]]
@@ -925,7 +927,7 @@ def test_failed_draft_calls_in_a_row_end_the_run_with_one_error_line(
 
 def test_http_run_closes_its_kept_alive_connections(tmp_path, monkeypatch, capsys):
     code = "module add2; endmodule\n// PPA: power=0.9 area=95 period=1.0"
-    endpoint = _FakeEndpoint([(200, _ok(render_response("chain", code)))] * 20, keep_alive=True)
+    endpoint = FakeEndpoint([(200, completion_body(render_response("chain", code)))] * 20, keep_alive=True)
     monkeypatch.setenv("RTLEVO_CLI_KEY", "sk-test")
     config = write_setup(
         tmp_path,
@@ -1093,6 +1095,18 @@ def test_bad_config_yaml_is_one_error_line(tmp_path, capsys, command):
     assert len(lines) == 1, lines
     assert lines[0].startswith("error: config is not valid YAML: ")
     assert "at line 3, column 1" in lines[0]
+
+
+def test_a_config_yaml_error_without_a_mark_is_one_error_line(tmp_path, capsys):
+    # PyYAML's reader rejects a control character before any line is parsed
+    config = tmp_path / "config.yaml"
+    config.write_text("a: 1\x07\n", encoding="utf-8")
+    assert main(["validate-config", "--config", str(config)]) == EXIT_ABORT
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(
+        "error: config is not valid YAML: unacceptable character #x0007: "
+    ), lines[0]
 
 
 @pytest.mark.parametrize("command", ["run", "validate-config"])

@@ -48,7 +48,7 @@ from rtlevo.model import (
     ProblemSpec,
 )
 
-REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
+from support import REF
 
 SPEC = ProblemSpec(
     name="add2",

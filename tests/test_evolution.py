@@ -17,7 +17,9 @@ import pytest
 
 from rtlevo.bandit import BanditState, record_reward, select_strategy
 from rtlevo.evolution import (
+    CALL_FAILED_CODE,
     CALL_FAILED_LOG,
+    CALL_FAILED_THOUGHT,
     MAX_FAILED_SLOTS_IN_A_ROW,
     PLACEHOLDER_CODE,
     PLACEHOLDER_THOUGHT,
@@ -31,54 +33,20 @@ from rtlevo.evolution import (
     survivor_select,
 )
 from rtlevo.evaluate import SyntheticEvaluator, ToolEnvironmentError
-from rtlevo.fitness import SYNTH_FAIL_FITNESS
 from rtlevo.llm import ProviderError, ScriptedProvider, ScriptEntry
-from rtlevo.model import (
-    NEG_INF,
-    CircuitKind,
-    ConfigError,
-    EvalOutcome,
-    Individual,
-    PopulationLabel,
-    PpaMetrics,
-    ProblemSpec,
-    to_plain,
-)
+from rtlevo.model import NEG_INF, ConfigError, EvalOutcome, PopulationLabel, PpaMetrics, to_plain
 from rtlevo.prompts import FAIL_STRATEGIES, SUCCESS_STRATEGIES, PromptStrategy, render_response
 from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation, read_generations
 
 from closed_world import ClosedWorld
-
-# the engine runs here use up to 4 workers and jitter their calls
-pytestmark = pytest.mark.scheduling
-
-REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
-
-SPEC = ProblemSpec(
-    name="add2",
-    description="a two bit adder named add2 with carry out",
-    testbench="",
-    reference_ppa=REF,
-    circuit_kind=CircuitKind.COMBINATIONAL,
-    target_clock_period=0.01,
+from support import (
+    SPEC,
+    demo_script,
+    fail_ind,
+    reply,
+    run_at_one_and_four_workers,
+    success_ind,
 )
-
-
-def fail_ind(id, gen=0):
-    return Individual(
-        id=id, thought="t", code=f"// broken {id}", feedback="fb",
-        outcome=EvalOutcome(False, False, None, sim_log="failed"),
-        fitness=NEG_INF, generation_born=gen,
-    )
-
-
-def success_ind(id, fitness, ppa=None, gen=0):
-    return Individual(
-        id=id, thought="t", code=f"// works {id}", feedback="fb",
-        outcome=EvalOutcome(True, ppa is not None, ppa, sim_log="all tests passed"),
-        fitness=fitness, generation_born=gen,
-    )
-
 
 # --- offspring quotas -------------------------------------------------------
 
@@ -96,22 +64,6 @@ def test_quota_remainder_tie_goes_to_fail():
 def test_quota_empty_side_takes_nothing():
     assert offspring_quota(0, 4, 10) == (0, 10)
     assert offspring_quota(4, 0, 10) == (10, 0)
-
-
-def test_quota_property_seeded():
-    rng = random.Random(202)
-    for _ in range(500):
-        fail = rng.randrange(0, 20)
-        success = rng.randrange(0, 20)
-        if fail + success == 0:
-            continue
-        budget = rng.randrange(1, 25)
-        qf, qs = offspring_quota(fail, success, budget)
-        assert qf >= 0 and qs >= 0
-        assert qf + qs == budget
-        if fail and success:
-            exact = budget * fail / (fail + success)
-            assert abs(qf - exact) < 1.0
 
 
 # --- parent selection -------------------------------------------------------
@@ -231,69 +183,6 @@ def test_no_elites_pure_rank():
     assert [ind.id for ind in out[:2]] == [5, 6]
 
 
-def oracle_survivors(parents, offspring, elite_n, pop_size):
-    """Brute-force restatement: explicit pairwise minimum search."""
-
-    def metric_key(ind, metric):
-        return (getattr(ind.outcome.ppa, metric), -ind.fitness, ind.id)
-
-    def rank_key(ind):
-        return (-ind.fitness, -ind.generation_born, ind.id)
-
-    elites = []
-    if elite_n > 0:
-        for metric in ("power", "area", "effective_clock_period"):
-            pool = [p for p in parents if p.outcome is not None and p.outcome.ppa is not None]
-            for _ in range(min(elite_n, len(pool))):
-                best = pool[0]
-                for cand in pool[1:]:
-                    if metric_key(cand, metric) < metric_key(best, metric):
-                        best = cand
-                pool.remove(best)
-                if best.id not in [e.id for e in elites]:
-                    elites.append(best)
-    taken = {e.id for e in elites}
-    rest = [i for i in list(parents) + list(offspring) if i.id not in taken]
-    ordered = []
-    while rest:
-        best = rest[0]
-        for cand in rest[1:]:
-            if rank_key(cand) < rank_key(best):
-                best = cand
-        ordered.append(best)
-        rest.remove(best)
-    return elites + ordered[: pop_size - len(elites)]
-
-
-def test_survivors_match_brute_force_oracle():
-    rng = random.Random(77)
-    for trial in range(300):
-        pop_size = rng.randrange(3, 9)
-        elite_n = rng.randrange(0, pop_size // 3 + 1)
-        next_id = 0
-
-        def random_ind(gen):
-            nonlocal next_id
-            next_id += 1
-            shape = rng.randrange(3)
-            if shape == 0:
-                return fail_ind(next_id, gen=gen)
-            if shape == 1:
-                return success_ind(next_id, SYNTH_FAIL_FITNESS, None, gen=gen)
-            ppa = PpaMetrics(
-                power=round(rng.uniform(0.1, 2.0), 1),
-                area=round(rng.uniform(10, 200), 0),
-                effective_clock_period=round(rng.uniform(0.1, 2.0), 1),
-            )
-            return success_ind(next_id, round(rng.uniform(-1, 1), 1), ppa, gen=gen)
-
-        parents = [random_ind(rng.randrange(0, 3)) for _ in range(pop_size)]
-        offspring = [random_ind(rng.randrange(1, 4)) for _ in range(rng.randrange(0, 8))]
-        got = survivor_select(parents, offspring, cfg_for(pop_size, elite=elite_n))
-        want = oracle_survivors(parents, offspring, elite_n, pop_size)
-        assert [i.id for i in got] == [i.id for i in want], f"trial {trial}"
-
-
 # --- config validation ------------------------------------------------------
 
 
@@ -314,33 +203,6 @@ def test_evolution_config_validation_names_fields():
 
 
 # --- the generation loop ----------------------------------------------------
-
-
-def reply(thought, code, ppa=None, bug=False):
-    body = code
-    if bug:
-        body += "\n// BUG"
-    if ppa:
-        power, area, period = ppa
-        body += f"\n// PPA: power={power} area={area} period={period}"
-    return render_response(thought, body)
-
-
-def demo_script():
-    """Small closed world: generation 0's first two drafts pass, the rest
-    fail, operators have fixed outcomes so every run is predictable."""
-    return [
-        ScriptEntry("call:0/0", reply("seed a", "module add2; endmodule", (0.9, 95, 1.0))),
-        ScriptEntry("call:0/1", reply("seed b", "module add2; endmodule", (0.95, 98, 1.0))),
-        ScriptEntry("strategy:initial", reply("seed bad", "module add2; endmodule", bug=True)),
-        ScriptEntry("strategy:fix", reply("patch", "module add2; endmodule", (0.8, 90, 1.0))),
-        ScriptEntry("strategy:simplify", reply("shrink", "module add2; endmodule", (0.7, 80, 1.0))),
-        ScriptEntry("strategy:explore", reply("wild", "module add2; endmodule", bug=True)),
-        ScriptEntry("strategy:refactor", reply("rewrite", "module add2; endmodule", (1.2, 120, 1.0))),
-        ScriptEntry("strategy:improve", reply("tune", "module add2; endmodule", (0.5, 50, 1.0))),
-        ScriptEntry("strategy:fusion", reply("merge", "module add2; endmodule", (0.4, 40, 1.0))),
-        ScriptEntry("purpose:feedback", "fb"),
-    ]
 
 
 def demo_cfg(**overrides):
@@ -567,57 +429,15 @@ def test_record_sink_streams_records():
     assert [r.generation_index for r in seen] == [0, 1, 2, 3]
 
 
-def test_parallel_evaluation_matches_sequential():
-    def run_with(workers):
-        provider = ScriptedProvider(demo_script())
-        result = EvolutionEngine(
-            SPEC,
-            demo_cfg(max_parallel_evaluations=workers),
-            provider,
-            SyntheticEvaluator(),
-        ).run()
-        return json.dumps([to_plain(r) for r in result.history], sort_keys=True)
-
-    # slots draft concurrently; a scripted reply is a function of its call,
-    # so the order the calls arrive in does not matter
-    assert run_with(1) == run_with(3)
-
-
-class JitteredProvider:
-    """Sleeps a seeded 0-5 ms before each call, so that concurrent slots
-    reach the inner provider in an order that changes from seed to seed."""
-
-    def __init__(self, inner, seed):
-        self.inner = inner
-        self.rng = random.Random(seed)
-        self.lock = threading.Lock()
-
-    def complete(self, bundle):
-        with self.lock:
-            delay = self.rng.uniform(0.0, 0.005)
-        time.sleep(delay)
-        return self.inner.complete(bundle)
-
-
+@pytest.mark.scheduling
 @pytest.mark.parametrize("jitter_seed", range(6))
 def test_concurrent_slots_replay_sequential_history_under_jitter(jitter_seed):
-    def run_with(workers):
-        provider = JitteredProvider(ScriptedProvider(demo_script()), f"{jitter_seed}/{workers}")
-        result = EvolutionEngine(
-            SPEC,
-            demo_cfg(max_parallel_evaluations=workers),
-            provider,
-            SyntheticEvaluator(),
-        ).run()
-        return json.dumps([to_plain(r) for r in result.history], sort_keys=True)
-
-    # more workers than cores, switching threads often
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        assert run_with(1) == run_with(4)
-    finally:
-        sys.setswitchinterval(interval)
+    # slots draft and evaluate concurrently; a scripted reply is a function
+    # of its call and a synthetic verdict of its design, so the order in
+    # which they arrive does not matter
+    run_at_one_and_four_workers(
+        demo_cfg(), lambda: ScriptedProvider(demo_script()), jitter_seed=jitter_seed
+    )
 
 
 class OverlapCounter:
@@ -649,6 +469,7 @@ class OverlapCounter:
                 self.in_flight -= 1
 
 
+@pytest.mark.scheduling
 def test_failed_slot_aborts_concurrent_generation():
     script = [
         ScriptEntry("call:0/0", reply("seed a", "module add2; endmodule", (0.9, 95, 1.0))),
@@ -693,6 +514,7 @@ class FailingFirstCritique:
             raise
 
 
+@pytest.mark.scheduling
 def test_keyed_call_whose_predecessor_never_comes_does_not_wait():
     provider = FailingFirstCritique(ScriptedProvider(demo_script()))
     engine = EvolutionEngine(
@@ -732,6 +554,7 @@ class FullDisk:
         raise OSError(28, "No space left on device")
 
 
+@pytest.mark.scheduling
 def test_failed_critique_is_asked_once_and_fails_every_slot_that_needs_it():
     provider = FullDisk()
     engine = EvolutionEngine(
@@ -783,6 +606,7 @@ class InterruptAtThirdCall:
         return self.inner.complete(bundle)
 
 
+@pytest.mark.scheduling
 @pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX SIGINT")
 def test_ctrl_c_starts_no_further_slot_of_a_concurrent_generation():
     provider = InterruptAtThirdCall(ScriptedProvider(demo_script()))
@@ -804,6 +628,7 @@ def test_ctrl_c_starts_no_further_slot_of_a_concurrent_generation():
     assert provider.calls <= 4
 
 
+@pytest.mark.scheduling
 @pytest.mark.parametrize("workers", [1, 2])
 def test_slot_drafts_overlap_up_to_the_worker_bound(workers):
     provider = OverlapCounter(ScriptedProvider(demo_script()), hold=workers > 1)
@@ -874,6 +699,7 @@ class PipelineProbe:
         return self.evaluator.reference_ppa(code, spec)
 
 
+@pytest.mark.scheduling
 @pytest.mark.parametrize("workers", [2, 3])
 def test_drafts_overlap_evaluations_within_the_worker_bound(workers):
     probe = PipelineProbe(hold=workers)
@@ -891,50 +717,6 @@ def test_one_worker_evaluates_inline_without_overlap():
     assert probe.evaluation_threads == {threading.get_ident()}
     assert probe.overlap == 0
     assert probe.peak_drafts == probe.peak_evaluations == 1
-
-
-class JitteredEvaluator:
-    """Sleeps a seeded 0-5 ms before each evaluation, so that evaluations
-    of concurrent slots finish in an order that changes from seed to seed."""
-
-    def __init__(self, seed):
-        self.inner = SyntheticEvaluator()
-        self.rng = random.Random(seed)
-        self.lock = threading.Lock()
-
-    def outcome_for(self, code, spec, individual_id=0):
-        with self.lock:
-            delay = self.rng.uniform(0.0, 0.005)
-        time.sleep(delay)
-        return self.inner.outcome_for(code, spec, individual_id)
-
-    def reference_ppa(self, code, spec):
-        return self.inner.reference_ppa(code, spec)
-
-
-@pytest.mark.parametrize("jitter_seed", range(6))
-def test_pipelined_slots_replay_sequential_history_under_evaluation_jitter(
-    tmp_path, jitter_seed
-):
-    def run_with(workers):
-        path = tmp_path / f"generations-{workers}.jsonl"
-        with HistoryWriter(path) as writer:
-            result = EvolutionEngine(
-                SPEC,
-                demo_cfg(max_parallel_evaluations=workers),
-                ScriptedProvider(demo_script()),
-                JitteredEvaluator(f"{jitter_seed}/{workers}"),
-                record_sink=lambda record: append_generation(writer, record),
-            ).run()
-        history = json.dumps([to_plain(r) for r in result.history], sort_keys=True)
-        return history, path.read_bytes()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        assert run_with(1) == run_with(4)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 class PaddedLogs:
@@ -1012,6 +794,7 @@ class FailingEvaluation:
         return self.inner.reference_ppa(code, spec)
 
 
+@pytest.mark.scheduling
 def test_failed_evaluation_aborts_after_every_stage_has_finished():
     cfg = demo_cfg(max_parallel_evaluations=2)
     # the second offspring of generation 1
@@ -1056,36 +839,15 @@ def per_critique_script():
     ]
 
 
+@pytest.mark.scheduling
 @pytest.mark.parametrize("jitter_seed", range(3))
-def test_one_shot_feedback_entries_replay_at_any_worker_count(tmp_path, jitter_seed):
-    def run_with(workers):
-        path = tmp_path / f"generations-{workers}.jsonl"
-        provider = JitteredProvider(
-            ScriptedProvider(per_critique_script()), f"{jitter_seed}/{workers}"
-        )
-        with HistoryWriter(path) as writer:
-            engine = EvolutionEngine(
-                SPEC,
-                demo_cfg(max_parallel_evaluations=workers),
-                provider,
-                SyntheticEvaluator(),
-                record_sink=lambda record: append_generation(writer, record),
-            )
-            # a slot left waiting on a critique would hang the run
-            runner = threading.Thread(target=engine.run, daemon=True)
-            runner.start()
-            runner.join(timeout=60)
-            assert not runner.is_alive()
-        return path.read_bytes()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        sequential = run_with(1)
-        assert b"critique " in sequential
-        assert run_with(4) == sequential
-    finally:
-        sys.setswitchinterval(interval)
+def test_one_shot_feedback_entries_replay_at_any_worker_count(jitter_seed):
+    # a slot left waiting on a critique would hang the run, which the
+    # harness fails after RUN_TIMEOUT
+    one, _ = run_at_one_and_four_workers(
+        demo_cfg(), lambda: ScriptedProvider(per_critique_script()), jitter_seed=jitter_seed
+    )
+    assert b"critique " in one.written
 
 
 class CallLog:
@@ -1102,27 +864,16 @@ class CallLog:
         return self.inner.complete(bundle)
 
 
-@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.scheduling
 @pytest.mark.parametrize("jitter_seed", range(3))
-def test_every_call_key_reaches_the_provider_once_at_any_worker_count(workers, jitter_seed):
-    def keys_with(workers):
-        provider = CallLog(
-            JitteredProvider(ScriptedProvider(per_critique_script()), f"{jitter_seed}/{workers}")
-        )
-        EvolutionEngine(
-            SPEC, demo_cfg(max_parallel_evaluations=workers), provider, SyntheticEvaluator()
-        ).run()
-        return [bundle.key for bundle in provider.bundles]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        keys = keys_with(workers)
-    finally:
-        sys.setswitchinterval(interval)
+def test_every_call_key_reaches_the_provider_once_at_any_worker_count(jitter_seed):
+    one, four = run_at_one_and_four_workers(
+        demo_cfg(), lambda: CallLog(ScriptedProvider(per_critique_script())), jitter_seed=jitter_seed
+    )
+    keys = [bundle.key for bundle in four.provider.bundles]
     # a critique that slots of two workers need is still asked for once
     assert len(keys) == len(set(keys))
-    assert set(keys) == set(keys_with(1))
+    assert set(keys) == {bundle.key for bundle in one.provider.bundles}
     assert set(CRITIQUE_KEYS) < set(keys)
 
 
@@ -1286,37 +1037,33 @@ def _first_draft_key_of_generation_one(cfg):
     return min(bundle.key for bundle in world.drafts if bundle.key[0] == 1)
 
 
+@pytest.mark.scheduling
 @pytest.mark.parametrize("kind", ["transient", "protocol"])
 def test_a_failed_draft_call_fails_only_its_slot_at_any_worker_count(kind):
     cfg = demo_cfg(population_size=5, offspring_count=5, max_generations=3)
     failing = _first_draft_key_of_generation_one(cfg)
-    histories = []
-    for workers in (1, 4):
-        evaluator = EvaluatedIds()
-        provider = JitteredProvider(
-            FailingDrafts(ClosedWorld(cfg.rng_seed), lambda key: key == failing, kind),
-            f"{kind}/{workers}",
-        )
-        history = EvolutionEngine(
-            SPEC, dataclasses.replace(cfg, max_parallel_evaluations=workers), provider, evaluator
-        ).run().history
-        assert len(history) == 4
-        [(j, ind)] = [
-            (j, ind) for j, ind in enumerate(history[1].offspring)
-            if ind.outcome.sim_log.startswith(CALL_FAILED_LOG)
-        ]
-        # a placeholder, scored and unrewarded, that ran no tool stage
-        assert ind.code == PLACEHOLDER_CODE
-        assert ind.fitness == NEG_INF
-        assert ind.outcome.sim_log == CALL_FAILED_LOG + "endpoint is down"
-        assert "The previous request failed: endpoint is down." in ind.feedback
-        assert history[1].strategy_events[j].reward == 0.0
-        assert ind.id not in evaluator.ids
-        assert len(evaluator.ids) == 5 + 3 * 5 - 1
-        histories.append(history)
-    assert histories[0] == histories[1]
+    runs = run_at_one_and_four_workers(
+        cfg,
+        lambda: FailingDrafts(ClosedWorld(cfg.rng_seed), lambda key: key == failing, kind),
+        EvaluatedIds,
+    )
+    history = runs[0].history
+    assert len(history) == 4
+    [(j, ind)] = [
+        (j, ind) for j, ind in enumerate(history[1].offspring) if ind.code == CALL_FAILED_CODE
+    ]
+    # a placeholder, scored and unrewarded, that ran no tool stage
+    assert ind.thought == CALL_FAILED_THOUGHT
+    assert ind.fitness == NEG_INF
+    assert ind.outcome.sim_log == CALL_FAILED_LOG + "endpoint is down"
+    assert "The previous request failed: endpoint is down." in ind.feedback
+    assert history[1].strategy_events[j].reward == 0.0
+    for run in runs:
+        assert ind.id not in run.evaluator.ids
+        assert len(run.evaluator.ids) == 5 + 3 * 5 - 1
 
 
+@pytest.mark.scheduling
 @pytest.mark.parametrize("workers", [1, 4])
 def test_an_auth_error_on_a_draft_ends_the_run(workers):
     provider = FailingDrafts(ClosedWorld(5), lambda key: key == (0, 2), "auth")
@@ -1329,6 +1076,7 @@ def test_an_auth_error_on_a_draft_ends_the_run(workers):
     assert engine.history == []
 
 
+@pytest.mark.scheduling
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize(
     "size, failing_generations, records",
@@ -1363,6 +1111,7 @@ def test_failed_slots_in_a_row_end_the_run_after_the_record_that_completes_them(
     )
 
 
+@pytest.mark.scheduling
 @pytest.mark.parametrize("workers", [1, 3])
 def test_an_auth_error_on_a_critique_ends_the_run(workers):
     class CritiqueKeyRevoked:

@@ -159,6 +159,7 @@ def test_parse_empty_code_block():
     "code",
     [
         "// placeholder: the response could not be parsed",
+        "// placeholder: the draft call failed",
         "assign sum = a + b;",
         "submodule_x u0(.a(a));  // modules are named, not declared",
     ],

@@ -12,16 +12,13 @@ import json
 import math
 import random
 import statistics
-import tempfile
 import threading
-from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import rtlevo.evaluate as evaluate_module
 from rtlevo.bandit import (
     BanditState,
     StrategyStats,
@@ -47,7 +44,6 @@ from rtlevo.evaluate import (
 from rtlevo.evolution import (
     PLACEHOLDER_CODE,
     EvolutionConfig,
-    EvolutionEngine,
     RunResult,
     offspring_quota,
     roulette_weights,
@@ -68,16 +64,13 @@ from rtlevo.model import (
     EvalOutcome,
     PpaMetrics,
     ProblemSpec,
-    to_plain,
 )
 from rtlevo.prompts import FAIL_STRATEGIES, SUCCESS_STRATEGIES, PromptBundle, PromptStrategy
-from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation, read_generations
 
 from closed_world import ClosedWorld
-from test_acceptance import SPEC, _fail, _oracle_survivors, _success, closed_world_history
-from test_evolution import JitteredProvider
+from support import SPEC, fail_ind, oracle_survivors, run_at_one_and_four_workers, success_ind
 
-# the engine runs here use 3 and 4 workers, and each rerun draws fresh examples
+# the engine runs here compare one worker with four, and each rerun draws fresh examples
 pytestmark = pytest.mark.scheduling
 
 
@@ -129,7 +122,7 @@ def test_quota_matches_largest_remainder_everywhere_up_to_sixty():
 )
 def test_fusion_parents_are_distinct(fitnesses, seed):
     # Fusion is a Success-only operator
-    pop = [_success(i, f) for i, f in enumerate(fitnesses)]
+    pop = [success_ind(i, f) for i, f in enumerate(fitnesses)]
     chosen = select_parents(pop, PromptStrategy.FUSION, random.Random(seed))
     assert len(chosen) == 2
     assert chosen[0].id != chosen[1].id
@@ -141,7 +134,7 @@ def test_fusion_parents_are_distinct(fitnesses, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_fail_parent_is_one_uniform_pick(size, strategy, seed):
-    pop = [_fail(i) for i in range(size)]
+    pop = [fail_ind(i) for i in range(size)]
     rng, reference = random.Random(seed), random.Random(seed)
     assert select_parents(pop, strategy, rng) == [pop[reference.randrange(len(pop))]]
     assert rng.getstate() == reference.getstate()
@@ -174,7 +167,7 @@ def _roulette_by_loop(subpop, arity, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_roulette_parents_match_the_cumulative_sum_loop(fitnesses, strategy, seed):
-    pop = [_success(i, f) for i, f in enumerate(fitnesses)]
+    pop = [success_ind(i, f) for i, f in enumerate(fitnesses)]
     rng, reference = random.Random(seed), random.Random(seed)
     chosen = select_parents(pop, strategy, rng)
     assert chosen == _roulette_by_loop(pop, strategy.arity, reference)
@@ -239,10 +232,10 @@ _member = st.tuples(
 def _individual(id, member):
     shape, power, area, period, fitness, gen = member
     if shape == "fail":
-        return _fail(id, gen)
+        return fail_ind(id, gen)
     if shape == "no_ppa":
-        return _success(id, SYNTH_FAIL_FITNESS, None, gen)
-    return _success(id, fitness, PpaMetrics(power, area, period), gen)
+        return success_ind(id, SYNTH_FAIL_FITNESS, None, gen)
+    return success_ind(id, fitness, PpaMetrics(power, area, period), gen)
 
 
 @given(data=st.data())
@@ -257,7 +250,7 @@ def test_survivor_select_matches_brute_force_oracle(data):
         elite_per_metric=elite_n, rng_seed=0,
     )
     got = survivor_select(parents, offspring, cfg)
-    want = _oracle_survivors(parents, offspring, elite_n, pop_size)
+    want = oracle_survivors(parents, offspring, elite_n, pop_size)
     assert [i.id for i in got] == [i.id for i in want]
 
 
@@ -288,74 +281,48 @@ def _world(seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    population=st.integers(2, 6),
-    workers=st.sampled_from([1, 3]),
-)
-def test_only_chosen_parents_are_critiqued_once(seed, population, workers):
-    provider = _world(seed)
-    critiqued: list[tuple[int, str]] = []
-    original = evaluate_module.generate_feedback
-
-    def recording(ind, *args, **kwargs):
-        text = original(ind, *args, **kwargs)
-        with provider.lock:
-            critiqued.append((ind.id, text))
-        return text
-
+@given(seed=st.integers(0, 10_000), population=st.integers(2, 6))
+def test_only_chosen_parents_are_critiqued_once(seed, population):
     cfg = EvolutionConfig(
         population_size=population, offspring_count=population, max_generations=4,
-        elite_per_metric=0, rng_seed=seed, max_parallel_evaluations=workers,
+        elite_per_metric=0, rng_seed=seed,
     )
-    evaluate_module.generate_feedback = recording
-    try:
-        result = EvolutionEngine(SPEC, cfg, provider, SyntheticEvaluator()).run()
-    finally:
-        evaluate_module.generate_feedback = original
-
-    feedback_of = dict(critiqued)
-    # no individual is critiqued twice
-    assert len(feedback_of) == len(critiqued) == provider.critiques
-    created = list(result.history[0].population)
-    created += [ind for record in result.history[1:] for ind in record.offspring]
-    by_id = {ind.id: ind for ind in created}
-    placeholders = {ind.id for ind in created if ind.code == PLACEHOLDER_CODE}
-    chosen = {pid for bundle in provider.drafts for pid in bundle.parent_ids}
-    # exactly the evaluated individuals chosen as parents are critiqued
-    assert set(feedback_of) == chosen - placeholders
-    # every parent in a draft prompt carries non-empty feedback
-    for bundle in provider.drafts:
-        for pid in bundle.parent_ids:
-            text = feedback_of.get(pid) or by_id[pid].feedback
-            assert text and text.strip()
-            assert text in bundle.user_text
-    # evaluated individuals never chosen keep no feedback
-    for record in result.history:
-        for ind in [*record.population, *record.offspring]:
-            if ind.id not in chosen and ind.id not in placeholders:
-                assert ind.feedback is None
+    for run in run_at_one_and_four_workers(cfg, lambda: _world(seed)):
+        world, history = run.provider, run.history
+        asked = [critique for record in history for critique in record.critiques]
+        feedback_of = {critique.id: critique.feedback for critique in asked}
+        # no individual is critiqued twice
+        assert len(feedback_of) == len(asked) == len(world.critiques)
+        created = list(history[0].population)
+        created += [ind for record in history[1:] for ind in record.offspring]
+        by_id = {ind.id: ind for ind in created}
+        placeholders = {ind.id for ind in created if ind.code == PLACEHOLDER_CODE}
+        chosen = {pid for bundle in world.drafts for pid in bundle.parent_ids}
+        # exactly the evaluated individuals chosen as parents are critiqued
+        assert set(feedback_of) == chosen - placeholders
+        # every parent in a draft prompt carries non-empty feedback
+        for bundle in world.drafts:
+            for pid in bundle.parent_ids:
+                text = feedback_of.get(pid) or by_id[pid].feedback
+                assert text and text.strip()
+                assert text in bundle.user_text
+        # evaluated individuals never chosen keep no feedback
+        for record in history:
+            for ind in [*record.population, *record.offspring]:
+                if ind.id not in chosen and ind.id not in placeholders:
+                    assert ind.feedback is None
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    population=st.integers(2, 6),
-    workers=st.sampled_from([1, 4]),
-)
-def test_bandit_scores_are_frozen_within_a_generation(seed, population, workers):
-    written = []
+@given(seed=st.integers(0, 10_000), population=st.integers(2, 6))
+def test_bandit_scores_are_frozen_within_a_generation(seed, population):
     cfg = EvolutionConfig(
         population_size=population, offspring_count=population, max_generations=3,
-        elite_per_metric=0, rng_seed=seed, max_parallel_evaluations=workers,
+        elite_per_metric=0, rng_seed=seed,
     )
-    engine = EvolutionEngine(
-        SPEC, cfg, _world(seed), SyntheticEvaluator(),
-        record_sink=lambda record: written.append(to_plain(record.bandit_states)),
-    )
-    history = engine.run().history
-    # later generations selected from these states and left them as written
-    assert [to_plain(record.bandit_states) for record in history] == written
+    # the harness also checks that later generations selected from the
+    # states each record was written with and left them as written
+    history = run_at_one_and_four_workers(cfg, lambda: _world(seed))[0].history
     for last, record in zip(history, history[1:]):
         passed = last.success_count
         quotas = offspring_quota(len(last.population) - passed, passed, cfg.offspring_count)
@@ -370,14 +337,13 @@ def test_bandit_scores_are_frozen_within_a_generation(seed, population, workers)
     population=st.integers(1, 6),
     offspring=st.integers(1, 6),
     generations=st.integers(1, 4),
-    workers=st.sampled_from([1, 3]),
 )
-def test_bandit_states_replay_zero_one_rewards(seed, population, offspring, generations, workers):
+def test_bandit_states_replay_zero_one_rewards(seed, population, offspring, generations):
     cfg = EvolutionConfig(
         population_size=population, offspring_count=offspring, max_generations=generations,
-        elite_per_metric=0, rng_seed=seed, max_parallel_evaluations=workers,
+        elite_per_metric=0, rng_seed=seed,
     )
-    history = EvolutionEngine(SPEC, cfg, _world(seed), SyntheticEvaluator()).run().history
+    history = run_at_one_and_four_workers(cfg, lambda: _world(seed))[0].history
     replayed = {
         label: BanditState.for_strategies(list(state.strategies))
         for label, state in history[0].bandit_states.items()
@@ -416,7 +382,9 @@ def test_found_correct_means_some_individual_passed(
         population_size=population, offspring_count=offspring, max_generations=generations,
         elite_per_metric=0, rng_seed=seed,
     )
-    history = closed_world_history(cfg, lambda: ClosedWorld(seed, p_initial_fail, p_fix_repair))
+    history = run_at_one_and_four_workers(
+        cfg, lambda: ClosedWorld(seed, p_initial_fail, p_fix_repair)
+    )[0].history
     created = list(history[0].population)
     created += [ind for record in history[1:] for ind in record.offspring]
     assert RunResult(history).found_correct == any(ind.outcome.sim_passed for ind in created)
@@ -500,29 +468,19 @@ def test_scripted_replies_do_not_depend_on_call_order(entries, bundles, order):
     offspring=st.integers(1, 6),
     generations=st.integers(1, 4),
     elites=st.integers(0, 2),
-    workers=st.sampled_from([1, 3]),
 )
 def test_history_reads_back_as_written_with_each_individual_once(
-    seed, population, offspring, generations, elites, workers
+    seed, population, offspring, generations, elites
 ):
     cfg = EvolutionConfig(
         population_size=population, offspring_count=offspring, max_generations=generations,
         elite_per_metric=min(elites, population // 3), rng_seed=seed,
-        max_parallel_evaluations=workers,
     )
-    provider = JitteredProvider(_world(seed), f"{seed}/{workers}")
-    with tempfile.TemporaryDirectory() as run_dir:
-        path = Path(run_dir) / GENERATIONS_FILE
-        with HistoryWriter(path) as writer:
-            engine = EvolutionEngine(
-                SPEC, cfg, provider, SyntheticEvaluator(),
-                record_sink=lambda record: append_generation(writer, record),
-            )
-            history = engine.run().history
-        assert read_generations(run_dir) == history
-        text = path.read_text(encoding="utf-8")
-    created = list(history[0].population)
-    created += [ind for record in history[1:] for ind in record.offspring]
+    # the harness reads each run's history back and compares it
+    one, _ = run_at_one_and_four_workers(cfg, lambda: _world(seed))
+    text = one.written.decode("utf-8")
+    created = list(one.history[0].population)
+    created += [ind for record in one.history[1:] for ind in record.offspring]
     # a code string is written once per individual that has it: placeholders
     # share theirs, every other draft is unique
     for code in {ind.code for ind in created}:
@@ -588,42 +546,29 @@ class _PaddedLogEvaluator:
         return self.inner.reference_ppa(code, spec)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_critique_prompt_is_built_as_from_the_unclipped_outcome(workers):
+def test_critique_prompt_is_built_as_from_the_unclipped_outcome():
     # at this seed both a failed simulation and a failed synthesis are critiqued
     seed = 9
-    provider = _world(seed)
-    sent: list[str] = []
-    complete = provider.complete
-
-    def recording(bundle):
-        if bundle.purpose == "feedback":
-            with provider.lock:
-                sent.append(bundle.user_text)
-        return complete(bundle)
-
-    provider.complete = recording
-    evaluator = _PaddedLogEvaluator()
     cfg = EvolutionConfig(
-        population_size=5, offspring_count=5, max_generations=4,
-        elite_per_metric=1, rng_seed=seed, max_parallel_evaluations=workers,
+        population_size=5, offspring_count=5, max_generations=4, elite_per_metric=1, rng_seed=seed
     )
-    result = EvolutionEngine(SPEC, cfg, provider, evaluator).run()
-
-    created = list(result.history[0].population)
-    created += [ind for record in result.history[1:] for ind in record.offspring]
-    evaluated = [ind for ind in created if ind.code != PLACEHOLDER_CODE]
-    assert all(len(ind.outcome.sim_log) <= LOG_CLIP_CHARS for ind in evaluated)
-    # each design's code is unique, so a prompt names the individual it critiques
-    critiqued = [ind for ind in evaluated if f"Design code:\n{ind.code}\n\n" in "".join(sent)]
-    assert len(critiqued) == len(sent) > 0
-    unclipped = sorted(
-        _critique_texts(dataclasses.replace(ind, outcome=evaluator.outcomes[ind.id]), SPEC)[0]
-        for ind in critiqued
-    )
-    assert sorted(sent) == unclipped
-    assert any("Simulation log (tail):" in text for text in sent)
-    assert any("synthesis produced no usable PPA report" in text for text in sent)
+    for run in run_at_one_and_four_workers(cfg, lambda: _world(seed), _PaddedLogEvaluator):
+        sent = [bundle.user_text for bundle in run.provider.critiques]
+        created = list(run.history[0].population)
+        created += [ind for record in run.history[1:] for ind in record.offspring]
+        evaluated = [ind for ind in created if ind.code != PLACEHOLDER_CODE]
+        assert all(len(ind.outcome.sim_log) <= LOG_CLIP_CHARS for ind in evaluated)
+        # each design's code is unique, so a prompt names the individual it critiques
+        critiqued = [ind for ind in evaluated if f"Design code:\n{ind.code}\n\n" in "".join(sent)]
+        assert len(critiqued) == len(sent) > 0
+        outcomes = run.evaluator.outcomes
+        unclipped = sorted(
+            _critique_texts(dataclasses.replace(ind, outcome=outcomes[ind.id]), SPEC)[0]
+            for ind in critiqued
+        )
+        assert sorted(sent) == unclipped
+        assert any("Simulation log (tail):" in text for text in sent)
+        assert any("synthesis produced no usable PPA report" in text for text in sent)
 
 
 _POSITIVE = st.floats(min_value=1e-9, max_value=1e9)

@@ -28,7 +28,7 @@ from rtlevo.reporting import (
     render_report,
 )
 
-REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
+from support import REF
 
 
 def write_history(path, records):
@@ -498,6 +498,14 @@ def test_a_line_that_is_not_utf8_is_corrupt_unless_torn(tmp_path, caplog, torn):
 @pytest.mark.parametrize("tail", [FULL_RECORD_LINE[:100] + "\n", FULL_RECORD_LINE[:100] + "\n{}\n"])
 def test_cut_line_with_a_newline_is_corrupt(tmp_path, tail):
     _v3_history(tmp_path, tail=tail)
+    with pytest.raises(RunDirError) as err:
+        read_generations(tmp_path)
+    assert "generation record 2 is corrupt" in str(err.value)
+
+
+def test_a_blank_line_is_corrupt(tmp_path):
+    # no writer leaves one, so it is a line the writer cannot have written
+    _v3_history(tmp_path, tail="\n")
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
     assert "generation record 2 is corrupt" in str(err.value)
