@@ -197,13 +197,14 @@ def _run(cfg, provider, evaluator, initialize_only, jitter=None):
 
 
 def run_at_one_and_four_workers(cfg, provider, evaluator=SyntheticEvaluator, *, jitter_seed=0,
-                                initialize_only=False):
+                                initialize_only=False, workers=4):
     """Runs an engine for `cfg` over a fresh `provider()` and `evaluator()`
-    at one worker, and again at four under KeyedJitter and a short switch
-    interval. Asserts that both runs made the same history and wrote the
-    same generations.jsonl, byte for byte, and that the file reads back as
-    the history. Returns both runs, one worker's first. `initialize_only`
-    stops each run after generation 0."""
+    at one worker, and again at `workers` (four unless a test names another
+    count) under KeyedJitter and a short switch interval. Asserts that both
+    runs made the same history and wrote the same generations.jsonl, byte
+    for byte, and that the file reads back as the history. Returns both
+    runs, one worker's first. `initialize_only` stops each run after
+    generation 0."""
     one = _run(
         dataclasses.replace(cfg, max_parallel_evaluations=1), provider(), evaluator(),
         initialize_only,
@@ -212,12 +213,12 @@ def run_at_one_and_four_workers(cfg, provider, evaluator=SyntheticEvaluator, *, 
     sys.setswitchinterval(SWITCH_INTERVAL)
     try:
         four = _run(
-            dataclasses.replace(cfg, max_parallel_evaluations=4), provider(), evaluator(),
+            dataclasses.replace(cfg, max_parallel_evaluations=workers), provider(), evaluator(),
             initialize_only, jitter=f"{cfg.rng_seed}/{jitter_seed}",
         )
     finally:
         sys.setswitchinterval(interval)
-    assert four.history == one.history, "four workers wrote another history than one"
+    assert four.history == one.history, f"{workers} workers wrote another history than one"
     assert four.written == one.written
     with tempfile.TemporaryDirectory() as run_dir:
         (Path(run_dir) / GENERATIONS_FILE).write_bytes(one.written)

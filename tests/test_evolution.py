@@ -440,6 +440,34 @@ def test_concurrent_slots_replay_sequential_history_under_jitter(jitter_seed):
     )
 
 
+class SlowEvaluations:
+    """SyntheticEvaluator verdicts, each after a sleep of 0-5 ms drawn from
+    the individual's id: ten times the harness's jitter, so that an
+    evaluation outlasts the draft calls of later slots, the lanes draft
+    ahead of it, and evaluations of concurrent slots finish out of order."""
+
+    def __init__(self):
+        self.inner = SyntheticEvaluator()
+
+    def outcome_for(self, code, spec, individual_id=0):
+        time.sleep(random.Random(f"evaluation/{individual_id}").uniform(0.0, 0.005))
+        return self.inner.outcome_for(code, spec, individual_id)
+
+    def reference_ppa(self, code, spec):
+        return self.inner.reference_ppa(code, spec)
+
+
+@pytest.mark.scheduling
+@pytest.mark.parametrize("jitter_seed", range(6))
+def test_pipelined_slots_replay_sequential_history_under_evaluation_jitter(jitter_seed):
+    # each slot hands its draft to an evaluation and takes the next slot;
+    # results still join in slot order, whichever evaluation ends first
+    run_at_one_and_four_workers(
+        demo_cfg(), lambda: ScriptedProvider(demo_script()), SlowEvaluations,
+        jitter_seed=jitter_seed,
+    )
+
+
 class OverlapCounter:
     """Counts draft calls in flight. With `hold`, the first draft call waits
     (up to a timeout) for a second one to arrive, so overlap is observed
@@ -865,10 +893,12 @@ class CallLog:
 
 
 @pytest.mark.scheduling
+@pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("jitter_seed", range(3))
-def test_every_call_key_reaches_the_provider_once_at_any_worker_count(jitter_seed):
+def test_every_call_key_reaches_the_provider_once_at_any_worker_count(workers, jitter_seed):
     one, four = run_at_one_and_four_workers(
-        demo_cfg(), lambda: CallLog(ScriptedProvider(per_critique_script())), jitter_seed=jitter_seed
+        demo_cfg(), lambda: CallLog(ScriptedProvider(per_critique_script())),
+        jitter_seed=jitter_seed, workers=workers,
     )
     keys = [bundle.key for bundle in four.provider.bundles]
     # a critique that slots of two workers need is still asked for once

@@ -546,13 +546,17 @@ class _PaddedLogEvaluator:
         return self.inner.reference_ppa(code, spec)
 
 
-def test_critique_prompt_is_built_as_from_the_unclipped_outcome():
+@pytest.mark.parametrize("workers", [1, 3])
+def test_critique_prompt_is_built_as_from_the_unclipped_outcome(workers):
     # at this seed both a failed simulation and a failed synthesis are critiqued
     seed = 9
     cfg = EvolutionConfig(
         population_size=5, offspring_count=5, max_generations=4, elite_per_metric=1, rng_seed=seed
     )
-    for run in run_at_one_and_four_workers(cfg, lambda: _world(seed), _PaddedLogEvaluator):
+    runs = run_at_one_and_four_workers(
+        cfg, lambda: _world(seed), _PaddedLogEvaluator, workers=workers
+    )
+    for run in runs:
         sent = [bundle.user_text for bundle in run.provider.critiques]
         created = list(run.history[0].population)
         created += [ind for record in run.history[1:] for ind in record.offspring]
