@@ -31,7 +31,7 @@ from .llm import (
     TranscriptWriter,
 )
 from .model import ConfigError, ProblemSpec, build, to_plain
-from .prompts import build_initial_prompt, system_text
+from .prompts import build_initial_prompt, system_text, system_texts
 from .reporting import (
     CONFIG_SNAPSHOT_FILE,
     FINAL_REPORT_FILE,
@@ -85,8 +85,11 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _dry_run(cfg: RunConfig) -> int:
     bundle = build_initial_prompt(cfg.problem)
-    print("# system prompt")
+    print("# system prompt of every draft")
     print(bundle.system_text)
+    print()
+    print("# system prompt of every critique")
+    print(system_text("feedback"))
     print()
     print("# initial prompt (user)")
     print(bundle.user_text)
@@ -104,7 +107,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _dry_run(cfg)
 
     run_dir = Path(cfg.output_dir)
-    transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, system_text())
+    transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, system_texts())
     history = HistoryWriter(run_dir / GENERATIONS_FILE)
     # parse the script, read the API key and preflight the tools before
     # touching the run directory, so a run that cannot start leaves the
@@ -189,7 +192,7 @@ def cmd_ref_ppa(args: argparse.Namespace) -> int:
 def cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     # what `run` checks before it starts: the script, the API key, the tools
-    transcript = TranscriptWriter(Path(cfg.output_dir) / TRANSCRIPTS_FILE, system_text())
+    transcript = TranscriptWriter(Path(cfg.output_dir) / TRANSCRIPTS_FILE, system_texts())
     _build_provider(cfg, transcript)
     _build_evaluator(cfg, None)
     print(
@@ -220,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--dry-run",
         action="store_true",
-        help="print the generation-0 prompts and exit without calling any provider",
+        help=(
+            "print the system prompts and the generation-0 prompt, "
+            "and exit without calling any provider"
+        ),
     )
     run_p.set_defaults(func=cmd_run)
 

@@ -3,14 +3,14 @@
 Both expose a single method, complete(bundle) -> CompletionResult, so the
 engine never knows which one it is talking to, and both fail with a
 ProviderError. Every call can be recorded, result or error, in a
-transcript (`TranscriptWriter.call`): the run's system prompt once, in its
-header, then one entry per call under the engine's call key, which joins
-it to its generation and individuals. Drafts and critiques are sampled
-alike, with the provider's one temperature and top_p. The HTTP client
-reads its API key from an environment variable once, when it is built,
-and registers it with its transcript, which redacts it, so the key is
-never persisted. It speaks HTTP/1.1 through the stdlib's `http.client`,
-keeping idle connections open for the next call.
+transcript (`TranscriptWriter.call`): each call purpose's system prompt
+once, in its header, then one entry per call under the engine's call key,
+which joins it to its generation and individuals. Drafts and critiques
+are sampled alike, with the provider's one temperature and top_p. The
+HTTP client reads its API key from an environment variable once, when it
+is built, and registers it with its transcript, which redacts it, so the
+key is never persisted. It speaks HTTP/1.1 through the stdlib's
+`http.client`, keeping idle connections open for the next call.
 """
 
 from __future__ import annotations
@@ -119,18 +119,19 @@ class Provider(Protocol):
 class TranscriptWriter(LineFile):
     """A run's transcript: one JSON entry per completion call, a line of a
     .jsonl file in an existing directory (`LineFile`: started new at the
-    first entry, under the header `{"schema_version": 1, "system_text": ...}`
-    that holds `system_text`, the run's system prompt).
+    first entry, under the header `{"schema_version": 2, "system_text":
+    {purpose: text}}` that holds `system_texts`, each call purpose's system
+    prompt).
 
     A secret registered with `redact` (an API key value) never reaches
     disk; any occurrence in the header or an entry is replaced when the
     line is written.
     """
 
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
-    def __init__(self, path: str | Path, system_text: str):
-        super().__init__(path, {"schema_version": self.SCHEMA_VERSION, "system_text": system_text})
+    def __init__(self, path: str | Path, system_texts: dict[str, str]):
+        super().__init__(path, {"schema_version": self.SCHEMA_VERSION, "system_text": system_texts})
         self._redact: list[str] = []
 
     def redact(self, secret: str) -> None:
@@ -139,10 +140,12 @@ class TranscriptWriter(LineFile):
 
     def encode(self, value: dict) -> str:
         if self._redact:
-            value = {key: self._scrub(item) for key, item in value.items()}
+            value = self._scrub(value)
         return super().encode(value)
 
     def _scrub(self, value):
+        if isinstance(value, dict):
+            return {key: self._scrub(item) for key, item in value.items()}
         if isinstance(value, str):
             for secret in self._redact:
                 value = value.replace(secret, "[REDACTED]")
@@ -171,10 +174,10 @@ class TranscriptWriter(LineFile):
     ) -> None:
         """Appends one entry, under the bundle's call key (`null` for a
         prompt built outside the engine); its `system_text` is written only
-        when it differs from the header's. A failed call has no result,
-        only its error and, when known, its attempt count. An HTTP result's
-        `latency` runs from the call's start, waits for a request slot and
-        retries included."""
+        when it differs from the header's for its purpose. A failed call
+        has no result, only its error and, when known, its attempt count.
+        An HTTP result's `latency` runs from the call's start, waits for a
+        request slot and retries included, in whole microseconds."""
         entry = {
             "key": bundle.key,
             "purpose": bundle.purpose,
@@ -183,11 +186,11 @@ class TranscriptWriter(LineFile):
             "user_text": bundle.user_text,
             "response": result.text if result else None,
             "usage": result.usage if result else None,
-            "latency": result.latency if result else None,
+            "latency": round(result.latency, 6) if result else None,
             "attempt_count": result.attempt_count if result else attempt_count,
             "error": error,
         }
-        if bundle.system_text != self._header["system_text"]:
+        if bundle.system_text != self._header["system_text"].get(bundle.purpose):
             entry["system_text"] = bundle.system_text
         self.write_line(self.encode(entry))
 

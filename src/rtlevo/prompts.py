@@ -2,8 +2,12 @@
 
 Templates are plain text files with named placeholders in the packaged
 `templates/` directory, each read once, on first use; `render` fills one
-in and `system_text` gives the shared system prompt. Available
-placeholders:
+in. Each call purpose has its own system prompt (`system_text`): a draft
+(`generate`) is sent `system.txt`, which asks for a Thought and one
+fenced code block, and a critique (`feedback`) is sent
+`feedback_system.txt`, which asks for plain prose. A draft's user text is
+`initial.txt` or its operator's template; a critique's is built in
+`evaluate`. Available placeholders:
 
     {functional_description}                    the problem statement
     {parent_thought_N} {parent_code_N}
@@ -96,14 +100,23 @@ def render(name: str, mapping: dict[str, str]) -> str:
         ) from None
 
 
-def system_text() -> str:
-    return _template("system").strip()
+_SYSTEM_TEMPLATES = {"generate": "system", "feedback": "feedback_system"}
+
+
+def system_text(purpose: str) -> str:
+    """The system prompt of every call made for `purpose`."""
+    return _template(_SYSTEM_TEMPLATES[purpose]).strip()
+
+
+def system_texts() -> dict[str, str]:
+    """Each call purpose's system prompt, keyed by purpose."""
+    return {purpose: system_text(purpose) for purpose in _SYSTEM_TEMPLATES}
 
 
 def build_initial_prompt(spec: ProblemSpec, key: tuple[int, int] | None = None) -> PromptBundle:
     """The parent-free prompt used once per slot to create generation 0."""
     return PromptBundle(
-        system_text=system_text(),
+        system_text=system_text("generate"),
         user_text=render("initial", {"functional_description": spec.description}),
         key=key,
     )
@@ -124,7 +137,7 @@ def build_evolutionary_prompt(
         mapping[f"parent_code_{n}"] = parent.code
         mapping[f"parent_feedback_{n}"] = parent.feedback
     return PromptBundle(
-        system_text=system_text(),
+        system_text=system_text("generate"),
         user_text=render(strategy.value, mapping),
         strategy=strategy,
         parent_ids=tuple(p.id for p in parents),

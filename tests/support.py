@@ -230,6 +230,8 @@ def run_at_one_and_four_workers(cfg, provider, evaluator=SyntheticEvaluator, *, 
 # --- a local chat endpoint ---------------------------------------------------
 
 SYSTEM = "you are an engineer"
+# each call purpose's system prompt, as a transcript header holds them
+SYSTEMS = {"generate": SYSTEM, "feedback": "you are a reviewer"}
 
 
 class FakeEndpoint:
@@ -313,10 +315,10 @@ def completion_body(text):
     return json.dumps({"choices": [{"message": {"content": text}}]})
 
 
-def transcript_entries(source, system_text=SYSTEM):
+def transcript_entries(source, system_texts=SYSTEMS):
     """The entries of a transcript, its path or its bytes, after checking
-    that its first line is the schema-1 header holding `system_text`."""
+    that its first line is the schema-2 header holding `system_texts`."""
     data = source if isinstance(source, bytes) else source.read_bytes()
     header, *lines = data.decode("utf-8").splitlines()
-    assert json.loads(header) == {"schema_version": 1, "system_text": system_text}
+    assert json.loads(header) == {"schema_version": 2, "system_text": system_texts}
     return [json.loads(line) for line in lines]

@@ -29,7 +29,7 @@ from rtlevo.evolution import (
 )
 from rtlevo.llm import ProviderError, TranscriptWriter
 from rtlevo.model import MAX_WAIT_SECONDS
-from rtlevo.prompts import render_response, system_text
+from rtlevo.prompts import render_response, system_texts
 from rtlevo.reporting import GENERATIONS_FILE, TRANSCRIPTS_FILE, read_generations
 
 from support import FakeEndpoint, completion_body, transcript_entries
@@ -130,7 +130,7 @@ def test_run_final_report_contents(tmp_path):
 def test_run_transcript_covers_every_call(tmp_path):
     config = write_setup(tmp_path)
     main(["run", "--config", str(config)])
-    records = transcript_entries(tmp_path / "run" / "transcripts.jsonl", system_text())
+    records = transcript_entries(tmp_path / "run" / "transcripts.jsonl", system_texts())
     generates = [r for r in records if r["purpose"] == "generate"]
     feedbacks = [r for r in records if r["purpose"] == "feedback"]
     # 3 initial + 3 offspring x 2 generations
@@ -236,6 +236,9 @@ def test_dry_run_prints_prompts_and_touches_nothing(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "no provider was called" in out
     assert "add2" in out  # problem description is embedded
+    # both system prompts, each under its own heading
+    assert f"# system prompt of every draft\n{system_texts()['generate']}\n" in out
+    assert f"# system prompt of every critique\n{system_texts()['feedback']}\n" in out
     assert not (tmp_path / "run").exists()
 
 
@@ -892,7 +895,7 @@ def test_a_draft_call_the_endpoint_fails_becomes_a_failed_slot(tmp_path, monkeyp
     failed = records[0].population[1]
     assert failed.code == CALL_FAILED_CODE
     assert failed.outcome.sim_log.startswith(CALL_FAILED_LOG + "exhausted retries: HTTP 503")
-    entries = transcript_entries(tmp_path / "run" / TRANSCRIPTS_FILE, system_text())
+    entries = transcript_entries(tmp_path / "run" / TRANSCRIPTS_FILE, system_texts())
     [error] = [entry for entry in entries if entry["error"]]
     assert error["key"] == [0, 1]
 
@@ -1012,7 +1015,7 @@ def test_every_finished_call_and_generation_is_a_whole_line_on_disk(
             assert finished == 0
         else:
             whole_lines(transcript)
-            assert finished == len(transcript_entries(transcript, system_text()))
+            assert finished == len(transcript_entries(transcript, system_texts()))
         # the calls of generation g come after the records of 0..g-1
         if generation == 0:
             assert history is None
@@ -1020,7 +1023,7 @@ def test_every_finished_call_and_generation_is_a_whole_line_on_disk(
             header, *records = whole_lines(history)
             assert header == {"schema_version": 3}
             assert [r["generation_index"] for r in records] == list(range(generation))
-    assert len(transcript_entries(read(TRANSCRIPTS_FILE), system_text())) == len(recorded)
+    assert len(transcript_entries(read(TRANSCRIPTS_FILE), system_texts())) == len(recorded)
     assert len(read_generations(run_dir)) == 4
 
 
@@ -1032,7 +1035,7 @@ def _keyed_run(tmp_path, workers):
         "evolution.max_generations": 4, "evolution.max_parallel_evaluations": workers,
     })
     assert main(["run", "--config", str(config), "--out", str(run_dir)]) == EXIT_FOUND
-    entries = transcript_entries(run_dir / TRANSCRIPTS_FILE, system_text())
+    entries = transcript_entries(run_dir / TRANSCRIPTS_FILE, system_texts())
     keys = [tuple(entry["key"]) for entry in entries]
     assert len(set(keys)) == len(keys)
     return sorted(entries, key=lambda entry: entry["key"]), read_generations(run_dir)
@@ -1155,7 +1158,7 @@ def test_cli_imports_no_third_party_module_but_yaml():
 # of them changes the behaviour the demo pins down
 DEMO_DIGESTS = {
     "generations.jsonl": "f47f93d3c00d230a6492c0fa6f55a225f8d3d22545ff90f041a856273a0589d7",
-    "transcripts.jsonl": "6a09eb36a68c2f3cd69a6ff61504549aec2a3e7eeb881451d87f1304053ffda1",
+    "transcripts.jsonl": "37ea674a84d40dee293c5a3340a3a4982e6958f475a6c4e30f5094042240688a",
     "final_report.json": "ded93be4684818290129caaefe3a613d094fb94f8a3660595c34dff120d9d20d",
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
     "config_snapshot.yaml": "b167ceff9f16c2330c34e8e2a62be6fae108b384deb386bca9765981d4e28708",
@@ -1186,12 +1189,14 @@ def _run_demo(out, workers, capsys):
     assert f"\n  script_file: {script}\n" in snapshot
     masked = snapshot.replace(str(out), "<output_dir>").replace(str(script), "<script_file>")
     got["config_snapshot.yaml"] = hashlib.sha256(masked.encode()).hexdigest()
-    return got, transcript_entries(out / "transcripts.jsonl", system_text())
+    return got, transcript_entries(out / "transcripts.jsonl", system_texts())
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_demo_outputs_are_pinned(tmp_path, capsys, workers):
     got, transcript = _run_demo(tmp_path / "demo", workers, capsys)
+    # every call was sent its purpose's system prompt, which the header holds
+    assert not any("system_text" in entry for entry in transcript)
     if workers == 1:
         assert got == DEMO_DIGESTS
         return

@@ -47,6 +47,7 @@ from rtlevo.model import (
     PpaMetrics,
     ProblemSpec,
 )
+from rtlevo.prompts import system_text
 
 from support import REF
 
@@ -664,6 +665,16 @@ def test_feedback_prompt_for_failure_carries_context():
     assert SPEC.description in sent.user_text
     assert "// broken" in sent.user_text
     assert "expected carry 1 got 0" in sent.user_text
+
+
+def test_a_critique_is_sent_the_prose_system_prompt():
+    provider = RecordingProvider("the carry bit is inverted")
+    for ind in (failing_individual(), passing_individual(), synth_failed_individual()):
+        generate_feedback(ind, SPEC, provider, KEY)
+    assert len(provider.bundles) == 3
+    for sent in provider.bundles:
+        assert sent.system_text == system_text("feedback")
+        assert "```" not in sent.system_text and "## Code" not in sent.system_text
 
 
 def test_feedback_prompt_for_success_carries_both_ppa():

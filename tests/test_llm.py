@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -26,18 +27,18 @@ from rtlevo.llm import (
 from rtlevo.model import ConfigError
 from rtlevo.prompts import PromptBundle, PromptStrategy
 
-from support import SYSTEM, FakeEndpoint, completion_body, transcript_entries
+from support import SYSTEMS, FakeEndpoint, completion_body, transcript_entries
 
 
 def bundle(
     user="design a counter",
-    system=SYSTEM,
+    system=None,
     strategy=None,
     parents=(),
     purpose="generate",
 ):
     return PromptBundle(
-        system_text=system,
+        system_text=SYSTEMS[purpose] if system is None else system,
         user_text=user,
         strategy=strategy,
         parent_ids=tuple(parents),
@@ -495,7 +496,7 @@ def test_http_requires_endpoint_url():
 
 def test_transcript_records_and_redacts(tmp_path, monkeypatch):
     path = tmp_path / "transcripts.jsonl"
-    with TranscriptWriter(path, SYSTEM) as writer:
+    with TranscriptWriter(path, SYSTEMS) as writer:
         writer.redact("sk-secret-value")
         writer.record(
             bundle(user="the key is sk-secret-value ok"),
@@ -514,7 +515,7 @@ def test_transcript_records_and_redacts(tmp_path, monkeypatch):
 
 def test_transcript_record_after_close_is_refused(tmp_path):
     path = tmp_path / "transcripts.jsonl"
-    with TranscriptWriter(path, SYSTEM) as writer:
+    with TranscriptWriter(path, SYSTEMS) as writer:
         writer.record(bundle(), CompletionResult(text="first"))
     with pytest.raises(ValueError, match="closed file"):
         writer.record(bundle(), CompletionResult(text="late"))
@@ -524,7 +525,7 @@ def test_transcript_record_after_close_is_refused(tmp_path):
 def test_transcripting_provider_mirrors_success_and_failure(tmp_path):
     path = tmp_path / "t.jsonl"
     inner = ScriptedProvider([ScriptEntry("strategy:initial", "resp")])
-    with TranscriptWriter(path, SYSTEM) as writer:
+    with TranscriptWriter(path, SYSTEMS) as writer:
         provider = TranscriptingProvider(inner, writer)
         assert provider.complete(bundle()).text == "resp"
         with pytest.raises(ProviderError):
@@ -544,7 +545,7 @@ def test_transcript_failure_outside_provider_error_has_no_attempt_count(tmp_path
             raise RuntimeError("bug")
 
     path = tmp_path / "t.jsonl"
-    with TranscriptWriter(path, SYSTEM) as writer, pytest.raises(RuntimeError):
+    with TranscriptWriter(path, SYSTEMS) as writer, pytest.raises(RuntimeError):
         TranscriptingProvider(Broken(), writer).complete(bundle())
     (entry,) = transcript_entries(path)
     assert (entry["error"], entry["attempt_count"]) == ("bug", None)
@@ -577,7 +578,7 @@ def test_http_writes_one_transcript_entry_per_call(
             endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY", max_retries=1
         )
         path = tmp_path / "t.jsonl"
-        with TranscriptWriter(path, SYSTEM) as writer:
+        with TranscriptWriter(path, SYSTEMS) as writer:
             provider = HttpChatProvider(cfg, transcript=writer)
             try:
                 provider.complete(bundle())
@@ -596,7 +597,7 @@ def test_http_provider_redacts_its_key_in_the_transcript(tmp_path, monkeypatch):
         monkeypatch.setenv("RTLEVO_TEST_KEY", "sk-secret-value")
         cfg = ProviderConfig(endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY")
         path = tmp_path / "t.jsonl"
-        with TranscriptWriter(path, SYSTEM) as writer:
+        with TranscriptWriter(path, SYSTEMS) as writer:
             HttpChatProvider(cfg, transcript=writer).complete(bundle(user="sk-secret-value"))
         (entry,) = transcript_entries(path)
         assert (entry["user_text"], entry["response"]) == ("[REDACTED]", "echo [REDACTED] back")
@@ -604,16 +605,37 @@ def test_http_provider_redacts_its_key_in_the_transcript(tmp_path, monkeypatch):
         endpoint.close()
 
 
+def test_an_http_entry_latency_is_in_whole_microseconds(tmp_path, monkeypatch):
+    endpoint = FakeEndpoint([(200, completion_body("fine"))])
+    # the call starts at 10 s and ends a third of a second later
+    clock = iter([10.0, 10.0 + 1 / 3])
+    monkeypatch.setattr(
+        llm, "time", types.SimpleNamespace(monotonic=lambda: next(clock), sleep=time.sleep)
+    )
+    try:
+        monkeypatch.setenv("RTLEVO_TEST_KEY", "sk-secret-value")
+        cfg = ProviderConfig(endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY")
+        scripted = ScriptedProvider([ScriptEntry("strategy:initial", "resp")])
+        path = tmp_path / "t.jsonl"
+        with TranscriptWriter(path, SYSTEMS) as writer:
+            HttpChatProvider(cfg, transcript=writer).complete(bundle())
+            TranscriptingProvider(scripted, writer).complete(bundle())
+        http, script = transcript_entries(path)
+        assert (http["latency"], script["latency"]) == (0.333333, 0.0)
+    finally:
+        endpoint.close()
+
+
 def test_a_transcript_closed_before_its_first_entry_leaves_no_file(tmp_path):
     path = tmp_path / "t.jsonl"
-    with TranscriptWriter(path, SYSTEM):
+    with TranscriptWriter(path, SYSTEMS):
         pass
     assert not path.exists()
 
 
 def test_a_transcript_holds_its_header_then_one_line_per_entry(tmp_path):
     path = tmp_path / "t.jsonl"
-    with TranscriptWriter(path, SYSTEM) as writer:
+    with TranscriptWriter(path, SYSTEMS) as writer:
         writer.record(keyed(0), CompletionResult(text="first"))
         writer.record(bundle(), CompletionResult(text="second"))
     first, second = transcript_entries(path)
@@ -625,28 +647,38 @@ def test_a_transcript_holds_its_header_then_one_line_per_entry(tmp_path):
 
 def test_an_entry_whose_system_text_differs_from_the_header_keeps_its_own(tmp_path):
     path = tmp_path / "t.jsonl"
-    with TranscriptWriter(path, SYSTEM) as writer:
-        writer.record(bundle(system="you are a reviewer"), CompletionResult(text="ok"))
-    (entry,) = transcript_entries(path)
-    assert entry["system_text"] == "you are a reviewer"
+    with TranscriptWriter(path, SYSTEMS) as writer:
+        # an entry is compared with its own purpose's prompt: the critique
+        # prompt sent with a draft is not the draft's
+        writer.record(bundle(system=SYSTEMS["feedback"]), CompletionResult(text="draft"))
+        writer.record(bundle(purpose="feedback"), CompletionResult(text="critique"))
+        writer.record(
+            bundle(purpose="feedback", system="you are a linter"), CompletionResult(text="lint")
+        )
+    draft, critique, linted = transcript_entries(path)
+    assert draft["system_text"] == SYSTEMS["feedback"]
+    assert "system_text" not in critique
+    assert linted["system_text"] == "you are a linter"
 
 
 def test_an_api_key_in_the_system_text_is_redacted_in_the_header(tmp_path):
-    path = tmp_path / "t.jsonl"
-    system = "you are an engineer; key sk-secret-value"
-    with TranscriptWriter(path, system) as writer:
-        # registered after the writer exists, as an http provider does
-        writer.redact("sk-secret-value")
-        writer.record(bundle(system=system), CompletionResult(text="ok"))
-    assert "sk-secret-value" not in path.read_text(encoding="utf-8")
-    (entry,) = transcript_entries(path, "you are an engineer; key [REDACTED]")
-    assert "system_text" not in entry
+    for purpose in SYSTEMS:
+        path = tmp_path / f"{purpose}.jsonl"
+        system = f"{SYSTEMS[purpose]}; key sk-secret-value"
+        with TranscriptWriter(path, {**SYSTEMS, purpose: system}) as writer:
+            # registered after the writer exists, as an http provider does
+            writer.redact("sk-secret-value")
+            writer.record(bundle(system=system, purpose=purpose), CompletionResult(text="ok"))
+        assert "sk-secret-value" not in path.read_text(encoding="utf-8")
+        redacted = {**SYSTEMS, purpose: f"{SYSTEMS[purpose]}; key [REDACTED]"}
+        (entry,) = transcript_entries(path, redacted)
+        assert "system_text" not in entry
 
 
 def test_a_failed_call_entry_carries_its_key(tmp_path):
     path = tmp_path / "t.jsonl"
     inner = ScriptedProvider([ScriptEntry("call:0/0", "resp")])
-    with TranscriptWriter(path, SYSTEM) as writer, pytest.raises(ProviderError):
+    with TranscriptWriter(path, SYSTEMS) as writer, pytest.raises(ProviderError):
         TranscriptingProvider(inner, writer).complete(keyed(1, generation=2))
     (entry,) = transcript_entries(path)
     assert (entry["key"], entry["error"]) == ([2, 1], "no script entry matches prompt (generate)")

@@ -17,6 +17,8 @@ from rtlevo.prompts import (
     parse_llm_response,
     render,
     render_response,
+    system_text,
+    system_texts,
 )
 
 SPEC = ProblemSpec(
@@ -64,6 +66,17 @@ def test_initial_prompt_embeds_description():
     # the output-format contract asks for exactly one fenced block
     assert "```" in bundle.system_text
     assert "## Thought" in bundle.system_text
+
+
+def test_each_call_purpose_has_its_own_system_prompt():
+    draft = build_initial_prompt(SPEC).system_text
+    evolved = build_evolutionary_prompt(PromptStrategy.FIX, SPEC, [make_parent(1)]).system_text
+    assert draft == evolved == system_text("generate")
+    # a critique asks for prose: no code block, no response format, few tokens
+    critique = system_text("feedback")
+    assert "```" not in critique and "## Code" not in critique
+    assert len(critique) <= 60
+    assert system_texts() == {"generate": draft, "feedback": critique}
 
 
 def test_evolutionary_prompt_carries_parent_verbatim():
