@@ -61,16 +61,15 @@ def ucb_score(stats: StrategyStats, total_pulls: int, exploration_c: float) -> f
     return stats.q_value + exploration_c * math.sqrt(math.log(total_pulls) / stats.pull_count)
 
 
-def record_reward(state: BanditState, strategy: str, reward: float) -> BanditState:
+def record_reward(state: BanditState, strategy: str, reward: float) -> None:
     """Credit one reward to a strategy via the incremental average update.
 
     After the update Q equals the exact arithmetic mean of all rewards the
-    strategy has received. Returns the (mutated) state for convenience.
+    strategy has received.
     """
     stats = state.strategies[strategy]
     stats.pull_count += 1
     stats.q_value += (reward - stats.q_value) / stats.pull_count
-    return state
 
 
 def softmax(scores: list[float], temperature: float) -> list[float]:

@@ -30,7 +30,9 @@ slots in a row end the run. Any other provider error ends it at once.
 
 The engine keeps no state beside its history: each generation reads only
 the last record and writes the next. Its bandit states are the frozen
-scores; rewards land on copies, written into the new record.
+scores; each slot's reward lands, in slot order, on a copy of its
+population's state, written into the new record. The record stores no
+reward: each follows from the offspring and its parents.
 
 Determinism: ids follow from the generation index, each offspring slot
 gets its own RNG stream keyed by (seed, generation, slot), results join in
@@ -66,7 +68,6 @@ from .model import (
     Individual,
     PopulationLabel,
     ProblemSpec,
-    StrategyEvent,
     check_range,
     classify,
 )
@@ -469,18 +470,15 @@ class EvolutionEngine:
         critiqued = {ind_id: shared.result for ind_id, shared in critiques.items()}
         parents = [critiqued.get(p.id, p) for p in parents]
         states = {name: state.copy() for name, state in last.bandit_states.items()}
-        events = []
         for child, slot in zip(offspring, slots):
-            reward = self._reward_for(slot, child)
-            record_reward(states[slot.label.value], slot.strategy.value, reward)
-            events.append(StrategyEvent(slot.label, slot.strategy.value, reward))
+            record_reward(states[slot.label.value], slot.strategy.value, self._reward_for(slot, child))
         survivors = survivor_select(parents, offspring, self.cfg)
         best = critiqued.get(last.best_so_far.id, last.best_so_far)
         best = min([best, *offspring], key=_rank_key)
         # in call-key order: slots were planned, and their critiques keyed, in slot order
         asked = tuple(Critique(ind.id, ind.feedback) for ind in critiqued.values())
         return self._emit(GenerationRecord(
-            generation, tuple(survivors), best, tuple(offspring), tuple(events), states, asked
+            generation, tuple(survivors), best, tuple(offspring), states, asked
         ))
 
     def result(self) -> RunResult:

@@ -166,15 +166,6 @@ def classify(ind: Individual) -> PopulationLabel:
 
 
 @dataclass(frozen=True)
-class StrategyEvent:
-    """One operator application: which population's bandit chose which strategy, and its reward."""
-
-    label: PopulationLabel
-    strategy: str
-    reward: float
-
-
-@dataclass(frozen=True)
 class Critique:
     """The feedback one generation asked for on an earlier individual."""
 
@@ -191,7 +182,10 @@ class GenerationRecord:
     `offspring` and the all-time `best_so_far` hold only evaluated
     individuals. `bandit_states` holds each population's strategy statistics
     after this generation's rewards, keyed by its label; the next generation
-    selects its operators from them. `critiques` are the critiques this
+    selects its operators from them. The rewards are not stored: each
+    offspring's follows from its outcome and its parents' (a Fail-population
+    child earns 1.0 by passing simulation, a Success-population child by
+    beating its best parent's fitness). `critiques` are the critiques this
     generation asked for, in call-key order; the critiqued individuals in
     `population` and `best_so_far` carry them as their feedback.
     """
@@ -200,7 +194,6 @@ class GenerationRecord:
     population: tuple[Individual, ...]
     best_so_far: Individual
     offspring: tuple[Individual, ...] = ()
-    strategy_events: tuple[StrategyEvent, ...] = ()
     bandit_states: dict[str, BanditState] = field(default_factory=dict)
     critiques: tuple[Critique, ...] = ()
 

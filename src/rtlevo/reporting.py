@@ -23,7 +23,7 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 # the record fields that hold individuals, in the order they are scanned
 INDIVIDUAL_FIELDS = ("population", "offspring", "best_so_far")
 

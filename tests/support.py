@@ -1,7 +1,7 @@
 """What the test modules share: the two-bit adder problem, individuals of
-each population, the brute-force survivor oracle, the scripted demo
-world, a local chat endpoint, and the one harness that checks an engine
-run does not depend on thread scheduling."""
+each population, the brute-force survivor oracle, the reward oracle, the
+scripted demo world, a local chat endpoint, and the one harness that
+checks an engine run does not depend on thread scheduling."""
 from __future__ import annotations
 
 import dataclasses
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from rtlevo.bandit import record_reward
 from rtlevo.evaluate import SyntheticEvaluator
 from rtlevo.evolution import EvolutionEngine
 from rtlevo.llm import ScriptEntry
@@ -25,8 +26,10 @@ from rtlevo.model import (
     EvalOutcome,
     GenerationRecord,
     Individual,
+    PopulationLabel,
     PpaMetrics,
     ProblemSpec,
+    classify,
 )
 from rtlevo.prompts import render_response
 from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation, read_generations
@@ -84,6 +87,36 @@ def oracle_survivors(parents, offspring, elite_n, pop_size):
         (i for i in list(parents) + list(offspring) if i.id not in taken), key=rank_key
     )
     return elites + rest[: pop_size - len(elites)]
+
+
+def expected_reward(child, parents):
+    """The reward restated: the parents' simulation verdict names the
+    population the child's slot drew from; a Fail-population child earns
+    1.0 by passing simulation, a Success-population child by beating its
+    best parent's fitness, and any other child 0.0."""
+    if classify(parents[0]) is PopulationLabel.FAIL:
+        improved = child.outcome.sim_passed
+    else:
+        improved = child.fitness > max(p.fitness for p in parents)
+    return 1.0 if improved else 0.0
+
+
+def derived_rewards(last, record):
+    """(population label, strategy, reward) for each offspring of `record`,
+    in offspring order, its parents read from `last`, the record before."""
+    by_id = {ind.id: ind for ind in last.population}
+    for child in record.offspring:
+        parents = [by_id[pid] for pid in child.parent_ids]
+        yield classify(parents[0]).value, child.strategy, expected_reward(child, parents)
+
+
+def replay_rewards(last, record):
+    """`last`'s bandit states with `record`'s derived rewards credited, in
+    offspring order, to copies of them."""
+    states = {label: state.copy() for label, state in last.bandit_states.items()}
+    for label, strategy, reward in derived_rewards(last, record):
+        record_reward(states[label], strategy, reward)
+    return states
 
 
 def reply(thought, code, ppa=None, bug=False):

@@ -1021,7 +1021,7 @@ def test_every_finished_call_and_generation_is_a_whole_line_on_disk(
             assert history is None
         else:
             header, *records = whole_lines(history)
-            assert header == {"schema_version": 3}
+            assert header == {"schema_version": 4}
             assert [r["generation_index"] for r in records] == list(range(generation))
     assert len(transcript_entries(read(TRANSCRIPTS_FILE), system_texts())) == len(recorded)
     assert len(read_generations(run_dir)) == 4
@@ -1157,9 +1157,9 @@ def test_cli_imports_no_third_party_module_but_yaml():
 # of its config_snapshot.yaml with the two paths in it masked; a change to any
 # of them changes the behaviour the demo pins down
 DEMO_DIGESTS = {
-    "generations.jsonl": "f47f93d3c00d230a6492c0fa6f55a225f8d3d22545ff90f041a856273a0589d7",
+    "generations.jsonl": "80bf92902abcab82e801362e1230faef02d2eb86870c96c6f095eea72012375b",
     "transcripts.jsonl": "37ea674a84d40dee293c5a3340a3a4982e6958f475a6c4e30f5094042240688a",
-    "final_report.json": "ded93be4684818290129caaefe3a613d094fb94f8a3660595c34dff120d9d20d",
+    "final_report.json": "cd094b5b8ee16fe81a5fdf8e13526a4a1ebba441cd379007c0284369ecd2a58e",
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
     "config_snapshot.yaml": "b167ceff9f16c2330c34e8e2a62be6fae108b384deb386bca9765981d4e28708",
 }
@@ -1213,14 +1213,14 @@ def test_report_on_an_earlier_schema_is_one_error_line(tmp_path, capsys):
     main(["run", "--config", str(write_setup(tmp_path))])
     path = tmp_path / "run" / "generations.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines()
-    lines[0] = json.dumps({"schema_version": 2})
+    lines[0] = json.dumps({"schema_version": 3})
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["report", str(tmp_path / "run")]) == EXIT_ABORT
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    assert "unsupported schema_version 2" in err[0]
+    assert "unsupported schema_version 3" in err[0]
     assert captured.out == ""
 
 

@@ -42,7 +42,9 @@ from closed_world import ClosedWorld
 from support import (
     SPEC,
     demo_script,
+    derived_rewards,
     fail_ind,
+    replay_rewards,
     reply,
     run_at_one_and_four_workers,
     success_ind,
@@ -232,7 +234,6 @@ def test_run_shape_and_found_correct():
     assert len(result.history[0].offspring) == 0
     for record in result.history[1:]:
         assert len(record.offspring) == 4
-        assert len(record.strategy_events) == 4
 
 
 def test_best_so_far_fitness_never_decreases():
@@ -255,19 +256,14 @@ def test_ids_unique_and_contiguous():
 
 
 def test_rewards_match_offspring_outcomes():
-    result = run_demo(max_generations=4)
-    for g in range(1, len(result.history)):
-        prev = {ind.id: ind for ind in result.history[g - 1].population}
-        record = result.history[g]
-        assert len(record.offspring) == len(record.strategy_events)
-        for child, event in zip(record.offspring, record.strategy_events):
-            assert event.strategy == child.strategy
-            if event.label is PopulationLabel.FAIL:
-                expected = 1.0 if child.outcome.sim_passed else 0.0
-            else:
-                baseline = max(prev[pid].fitness for pid in child.parent_ids)
-                expected = 1.0 if child.fitness > baseline else 0.0
-            assert event.reward == expected, (g, child.id, event.strategy)
+    history = run_demo(max_generations=4).history
+    seen = set()
+    for last, record in zip(history, history[1:]):
+        # the engine credited, in slot order, the rewards the rule restates
+        assert record.bandit_states == replay_rewards(last, record)
+        seen.update((label, reward) for label, _, reward in derived_rewards(last, record))
+    # each population's children both earned and missed a reward
+    assert seen == {(label.value, reward) for label in PopulationLabel for reward in (0.0, 1.0)}
 
 
 def test_each_population_draws_only_its_own_operators():
@@ -280,10 +276,14 @@ def test_each_population_draws_only_its_own_operators():
         assert list(history[0].bandit_states[label.value].strategies) == [
             s.value for s in strategies
         ]
-    events = [e for record in history for e in record.strategy_events]
-    assert {e.label for e in events} == set(operators)
-    for event in events:
-        assert PromptStrategy(event.strategy) in operators[event.label]
+    drawn = [
+        (PopulationLabel(label), strategy)
+        for last, record in zip(history, history[1:])
+        for label, strategy, _ in derived_rewards(last, record)
+    ]
+    assert {label for label, _ in drawn} == set(operators)
+    for label, strategy in drawn:
+        assert PromptStrategy(strategy) in operators[label]
 
 
 def test_bandit_pull_totals_cover_all_offspring():
@@ -1087,7 +1087,12 @@ def test_a_failed_draft_call_fails_only_its_slot_at_any_worker_count(kind):
     assert ind.fitness == NEG_INF
     assert ind.outcome.sim_log == CALL_FAILED_LOG + "endpoint is down"
     assert "The previous request failed: endpoint is down." in ind.feedback
-    assert history[1].strategy_events[j].reward == 0.0
+    label, strategy, reward = list(derived_rewards(history[0], history[1]))[j]
+    assert reward == 0.0
+    # its operator still counts the pull
+    assert history[1].bandit_states == replay_rewards(history[0], history[1])
+    pulls = [record.bandit_states[label].strategies[strategy].pull_count for record in history[:2]]
+    assert pulls[1] > pulls[0]
     for run in runs:
         assert ind.id not in run.evaluator.ids
         assert len(run.evaluator.ids) == 5 + 3 * 5 - 1

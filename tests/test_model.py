@@ -18,7 +18,6 @@ from rtlevo.model import (
     PopulationLabel,
     PpaMetrics,
     ProblemSpec,
-    StrategyEvent,
     build,
     classify,
     to_plain,
@@ -152,7 +151,6 @@ def test_generation_record_roundtrip_and_count_invariant():
         generation_index=3,
         population=pop,
         offspring=(make_individual(id=2, strategy="improve", parent_ids=(0,)),),
-        strategy_events=(StrategyEvent(PopulationLabel.SUCCESS, "improve", 1.0),),
         best_so_far=pop[0],
         bandit_states={"fail": BanditState(strategies={})},
     )
@@ -221,9 +219,6 @@ def records(draw):
         generation_index=draw(st.integers(0, 1000)),
         population=tuple(draw(st.lists(individuals(outcomes()), min_size=1, max_size=3))),
         offspring=tuple(draw(st.lists(individuals(outcomes()), max_size=2))),
-        strategy_events=tuple(draw(st.lists(
-            st.builds(StrategyEvent, st.sampled_from(PopulationLabel), texts, finite), max_size=2
-        ))),
         best_so_far=draw(individuals(outcomes())),
         bandit_states=draw(st.dictionaries(st.sampled_from(["fail", "success"]), bandit_states)),
     )

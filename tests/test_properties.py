@@ -6,6 +6,7 @@ depend on call order, the history read back as written, the clipping of
 stored logs and the config snapshot's round trip."""
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -68,7 +69,15 @@ from rtlevo.model import (
 from rtlevo.prompts import FAIL_STRATEGIES, SUCCESS_STRATEGIES, PromptBundle, PromptStrategy
 
 from closed_world import ClosedWorld
-from support import SPEC, fail_ind, oracle_survivors, run_at_one_and_four_workers, success_ind
+from support import (
+    SPEC,
+    derived_rewards,
+    fail_ind,
+    oracle_survivors,
+    replay_rewards,
+    run_at_one_and_four_workers,
+    success_ind,
+)
 
 # the engine runs here compare one worker with four, and each rerun draws fresh examples
 pytestmark = pytest.mark.scheduling
@@ -343,24 +352,20 @@ def test_bandit_states_replay_zero_one_rewards(seed, population, offspring, gene
         population_size=population, offspring_count=offspring, max_generations=generations,
         elite_per_metric=0, rng_seed=seed,
     )
+    # both runs made this history, so each check holds at k = 1 and k = 4
     history = run_at_one_and_four_workers(cfg, lambda: _world(seed))[0].history
-    replayed = {
-        label: BanditState.for_strategies(list(state.strategies))
-        for label, state in history[0].bandit_states.items()
-    }
-    wins = {(label, name): 0 for label, state in replayed.items() for name in state.strategies}
-    for record in history:
-        for event in record.strategy_events:
-            # a float, so the history writes 1.0 and 0.0
-            assert type(event.reward) is float and event.reward in (0.0, 1.0)
-            record_reward(replayed[event.label.value], event.strategy, event.reward)
-            wins[event.label.value, event.strategy] += event.reward == 1.0
-        assert record.bandit_states == replayed
+    for state in history[0].bandit_states.values():
+        assert state.total_pulls == 0
+    wins = collections.Counter()
+    for last, record in zip(history, history[1:]):
+        assert record.bandit_states == replay_rewards(last, record)
+        for label, strategy, reward in derived_rewards(last, record):
+            wins[label, strategy] += reward
     # so each arm's Q is its success rate
-    for (label, name), won in wins.items():
-        stats = replayed[label].strategies[name]
-        if stats.pull_count:
-            assert stats.q_value == pytest.approx(won / stats.pull_count, abs=1e-12)
+    for label, state in history[-1].bandit_states.items():
+        for name, stats in state.strategies.items():
+            if stats.pull_count:
+                assert stats.q_value == pytest.approx(wins[label, name] / stats.pull_count, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,9 +13,7 @@ from rtlevo.model import (
     EvalOutcome,
     GenerationRecord,
     Individual,
-    PopulationLabel,
     PpaMetrics,
-    StrategyEvent,
     to_plain,
 )
 from rtlevo.reporting import (
@@ -60,7 +58,6 @@ def record(gen, population, best, offspring=()):
         generation_index=gen,
         population=tuple(population),
         offspring=tuple(offspring),
-        strategy_events=(),
         best_so_far=best,
         bandit_states={
             "fail": BanditState(strategies={}),
@@ -117,7 +114,7 @@ def test_append_writes_header_once(tmp_path):
     write_history(path, two_records())
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
-    assert json.loads(lines[0]) == {"schema_version": 3}
+    assert json.loads(lines[0]) == {"schema_version": 4}
 
 
 def test_new_history_must_start_at_generation_0(tmp_path):
@@ -143,7 +140,7 @@ def test_an_empty_history_file_is_new(tmp_path, earlier):
         assert path.read_bytes() == before
         # the writer replaces what the file held
         append_generation(history, records[0])
-    assert path.read_text(encoding="utf-8").splitlines()[0] == '{"schema_version": 3}'
+    assert path.read_text(encoding="utf-8").splitlines()[0] == '{"schema_version": 4}'
     assert [to_plain(r) for r in read_generations(tmp_path)] == [to_plain(r) for r in records[:1]]
 
 
@@ -155,7 +152,7 @@ def test_read_missing_file(tmp_path):
 
 def test_read_corrupt_record_numbered(tmp_path):
     path = tmp_path / GENERATIONS_FILE
-    path.write_text('{"schema_version": 3}\n{"nope": true}\n', encoding="utf-8")
+    path.write_text('{"schema_version": 4}\n{"nope": true}\n', encoding="utf-8")
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
     assert "record 0" in str(err.value)
@@ -185,8 +182,8 @@ def test_read_bad_header(tmp_path):
 
 def test_read_unsupported_version(tmp_path):
     path = tmp_path / GENERATIONS_FILE
-    # schemas 1 and 2 were written by earlier versions of the program
-    for version in (1, 2, 99):
+    # schemas 1 to 3 were written by earlier versions of the program
+    for version in (1, 2, 3, 99):
         path.write_text(f'{{"schema_version": {version}}}\n{FULL_RECORD_LINE}\n', encoding="utf-8")
         with pytest.raises(RunDirError) as err:
             read_generations(tmp_path)
@@ -195,7 +192,7 @@ def test_read_unsupported_version(tmp_path):
 
 def test_read_empty_history(tmp_path):
     path = tmp_path / GENERATIONS_FILE
-    path.write_text('{"schema_version": 3}\n', encoding="utf-8")
+    path.write_text('{"schema_version": 4}\n', encoding="utf-8")
     with pytest.raises(RunDirError):
         read_generations(tmp_path)
 
@@ -271,7 +268,7 @@ def test_report_band_membership():
 
 # --- the one format ---------------------------------------------------------
 
-# `full_record()`, a record with every field set, as schema 3 writes it after
+# `full_record()`, a record with every field set, as schema 4 writes it after
 # `generation_zero()`, from the dataclass fields; a renamed field changes it. Individual 0 was written in
 # full in generation 0, so here it is a reference and its critique.
 FULL_RECORD_LINE = (
@@ -283,8 +280,7 @@ FULL_RECORD_LINE = (
     '"outcome": {"post_synth_functional": false, "ppa": {"area": 80.0, '
     '"effective_clock_period": 1.0, "power": 0.7}, "sim_log": "all tests passed", '
     '"sim_passed": true, "synth_log": "Chip area: 80", "synth_succeeded": true}, '
-    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}], '
-    '"strategy_events": [{"label": "fail", "reward": 1.0, "strategy": "fix"}]}'
+    '"parent_ids": [0], "strategy": "fix", "thought": "\\u0394: ripple \\u2192 lookahead"}]}'
 )
 
 
@@ -316,10 +312,8 @@ def full_record():
         fitness=0.25, parent_ids=(0,), strategy="fix", generation_born=1,
     )
     return GenerationRecord(
-        generation_index=1, population=(failed, child), offspring=(child,),
-        strategy_events=(StrategyEvent(PopulationLabel.FAIL, "fix", 1.0),),
-        best_so_far=child, bandit_states={"fail": state},
-        critiques=(Critique(0, "carry is lost"),),
+        generation_index=1, population=(failed, child), offspring=(child,), best_so_far=child,
+        bandit_states={"fail": state}, critiques=(Critique(0, "carry is lost"),),
     )
 
 
@@ -355,9 +349,9 @@ def test_append_out_of_order_raises_and_writes_nothing(tmp_path):
     assert path.read_bytes() == before
 
 
-def _v3_history(tmp_path, edit=None, tail=""):
-    """generation_zero() and full_record() written as schema 3, the second
-    line edited by `edit`, then `tail` appended as it is."""
+def _full_history(tmp_path, edit=None, tail=""):
+    """generation_zero() and full_record() as the writer writes them, the
+    second line edited by `edit`, then `tail` appended as it is."""
     path = tmp_path / GENERATIONS_FILE
     write_history(path, [generation_zero()])
     data = json.loads(FULL_RECORD_LINE)
@@ -395,7 +389,7 @@ def _v3_history(tmp_path, edit=None, tail=""):
     ],
 )
 def test_corrupt_v3_entry_names_record_and_key_path(tmp_path, edit, message):
-    _v3_history(tmp_path, edit)
+    _full_history(tmp_path, edit)
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
     assert "generation record 1 is corrupt: " + message in str(err.value)
@@ -422,12 +416,13 @@ def _full_at(data, where):
          "population[1].outcome.sim_passed: expected true or false, got 'no'"),
         (lambda d: _full_at(d, "offspring[0]").update(parent_ids=[0.5]),
          "offspring[0].parent_ids[0]: expected an integer, got 0.5"),
-        (lambda d: d["strategy_events"][0].update(label="neutral"),
-         "strategy_events[0].label: 'neutral' is not a valid PopulationLabel"),
         (lambda d: _full_at(d, "best_so_far")["outcome"].pop("sim_log"),
          "best_so_far.outcome.sim_log is required"),
         (lambda d: _full_at(d, "population[0]").update(extra=1),
          "unknown key(s) in population[0]: extra"),
+        # schema 3 stored each offspring's reward, which follows from it and its parents
+        (lambda d: d.update(strategy_events=[{"label": "fail", "reward": 1.0, "strategy": "fix"}]),
+         "unknown key(s) in record: strategy_events"),
         # float() and str() would read these
         (lambda d: _full_at(d, "offspring[0]")["outcome"]["ppa"].update(power="0.5"),
          "offspring[0].outcome.ppa.power: expected a number, got '0.5'"),
@@ -444,7 +439,7 @@ def _full_at(data, where):
     ],
 )
 def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
-    _v3_history(tmp_path, edit)
+    _full_history(tmp_path, edit)
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
     assert "generation record 1 is corrupt: " + message in str(err.value)
@@ -463,7 +458,7 @@ def test_corrupt_value_names_record_and_key_path(tmp_path, edit, message):
     ],
 )
 def test_failed_entry_check_names_record_and_entry(tmp_path, edit, message):
-    _v3_history(tmp_path, edit)
+    _full_history(tmp_path, edit)
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
     assert "generation record 1 is corrupt: " + message in str(err.value)
@@ -471,7 +466,7 @@ def test_failed_entry_check_names_record_and_entry(tmp_path, edit, message):
 
 def test_torn_last_line_is_dropped_with_a_warning(tmp_path, caplog):
     # a write killed partway through leaves a last line with no newline
-    _v3_history(tmp_path, tail=FULL_RECORD_LINE[:100])
+    _full_history(tmp_path, tail=FULL_RECORD_LINE[:100])
     with caplog.at_level("WARNING"):
         assert read_generations(tmp_path) == [generation_zero(), full_record()]
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
@@ -482,7 +477,7 @@ def test_torn_last_line_is_dropped_with_a_warning(tmp_path, caplog):
 @pytest.mark.parametrize("torn", [False, True])
 def test_a_line_that_is_not_utf8_is_corrupt_unless_torn(tmp_path, caplog, torn):
     # only an outside edit writes such a line: json.dumps escapes every non-ASCII character
-    _v3_history(tmp_path)
+    _full_history(tmp_path)
     with (tmp_path / GENERATIONS_FILE).open("ab") as fh:
         fh.write(b'\xff\xfe{"x": 1}' + (b"" if torn else b"\n"))
     if torn:
@@ -497,7 +492,7 @@ def test_a_line_that_is_not_utf8_is_corrupt_unless_torn(tmp_path, caplog, torn):
 
 @pytest.mark.parametrize("tail", [FULL_RECORD_LINE[:100] + "\n", FULL_RECORD_LINE[:100] + "\n{}\n"])
 def test_cut_line_with_a_newline_is_corrupt(tmp_path, tail):
-    _v3_history(tmp_path, tail=tail)
+    _full_history(tmp_path, tail=tail)
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
     assert "generation record 2 is corrupt" in str(err.value)
@@ -505,7 +500,7 @@ def test_cut_line_with_a_newline_is_corrupt(tmp_path, tail):
 
 def test_a_blank_line_is_corrupt(tmp_path):
     # no writer leaves one, so it is a line the writer cannot have written
-    _v3_history(tmp_path, tail="\n")
+    _full_history(tmp_path, tail="\n")
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
     assert "generation record 2 is corrupt" in str(err.value)
