@@ -15,6 +15,7 @@ import json
 import logging
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import yaml
@@ -30,7 +31,7 @@ from .llm import (
     TranscriptingProvider,
     TranscriptWriter,
 )
-from .model import ConfigError, ProblemSpec, build, to_plain
+from .model import ConfigError, GenerationRecord, ProblemSpec, build, to_plain
 from .prompts import build_initial_prompt, system_text, system_texts
 from .reporting import (
     CONFIG_SNAPSHOT_FILE,
@@ -101,6 +102,18 @@ def _dry_run(cfg: RunConfig) -> int:
     return EXIT_FOUND
 
 
+def _progress(record: GenerationRecord, elapsed: float) -> None:
+    """Logs one line for a finished generation: its pass count, the best
+    fitness so far, its draft and critique calls, and the run's elapsed
+    time."""
+    drafts = record.offspring if record.generation_index else record.population
+    logger.info(
+        "generation %d: %d/%d passed, best fitness %.6g, %d drafts, %d critiques, %.2f s elapsed",
+        record.generation_index, record.success_count, len(record.population),
+        record.best_so_far.fitness, len(drafts), len(record.critiques), elapsed,
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     if args.dry_run:
@@ -132,12 +145,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         (run_dir / CONFIG_SNAPSHOT_FILE).write_text(
             yaml.safe_dump(snapshot_dict(cfg), sort_keys=True), encoding="utf-8"
         )
+        started = time.monotonic()
+
+        def sink(record: GenerationRecord) -> None:
+            append_generation(history, record)
+            _progress(record, time.monotonic() - started)
+
         result = EvolutionEngine(
-            cfg.problem,
-            cfg.evolution,
-            provider,
-            evaluator,
-            record_sink=lambda record: append_generation(history, record),
+            cfg.problem, cfg.evolution, provider, evaluator, record_sink=sink
         ).run()
 
     final = {

@@ -51,10 +51,10 @@ from .prompts import PromptBundle, system_text
 logger = logging.getLogger(__name__)
 
 FEEDBACK_LOG_TAIL_CHARS = 4000
-# A stored sim or synth log longer than LOG_CLIP_CHARS keeps its first
-# LOG_HEAD_CHARS characters, one cut marker line and, for the one log a
-# critique of its outcome quotes (`_critiqued_log`), the tail that feedback
-# reads; a clipped log is never longer than LOG_CLIP_CHARS.
+# An outcome stores only the one log a critique of it quotes
+# (`_critiqued_log`), and every other log as "". Longer than LOG_CLIP_CHARS,
+# that log keeps its first LOG_HEAD_CHARS characters, one cut marker line
+# and the tail that feedback reads, so it is never longer than LOG_CLIP_CHARS.
 LOG_HEAD_CHARS = 1000
 LOG_CLIP_CHARS = LOG_HEAD_CHARS + 100 + FEEDBACK_LOG_TAIL_CHARS
 # A stage's output or report is kept whole up to CAPTURE_BYTES, and beyond
@@ -64,6 +64,9 @@ CAPTURE_BYTES = 1 << 20
 # how often a quiet stage's shell is checked for exit, and how long the pipe
 # is still read once it has exited (a `setsid` escapee may hold it open)
 EXIT_POLL_SECONDS = 0.1
+# the line between a synthesis report and the output of a failed gate-level
+# re-simulation, which the synth log of such an outcome ends in
+POST_SYNTH_LOG_HEADER = "\n[gate-level re-simulation output]\n"
 
 DEFAULT_SIMULATOR_COMMAND = (
     "iverilog -g2012 -o {out_exe} {code_file} {testbench_file} && vvp {out_exe}"
@@ -409,12 +412,14 @@ class ToolchainEvaluator:
             if not passed:
                 return EvalOutcome(sim_passed=False, synth_succeeded=False, ppa=None, sim_log=sim_log)
             report, ok = synthesize(code, spec, cfg, workdir)
-            post_synth = None
+            post_synth, synth_log = None, report
             if ok and cfg.post_synth_command:
                 returncode, log = _stage("post_synth", cfg.post_synth_command, cfg, clock, workdir)
                 post_synth = _passed(returncode, log, cfg)
                 if not post_synth:
-                    logger.warning("individual %d: gate-level re-sim failed\n%s", individual_id, log[-500:])
+                    logger.warning("individual %d: gate-level re-sim failed", individual_id)
+                    # its critique quotes the re-simulation's output
+                    synth_log = report + POST_SYNTH_LOG_HEADER + log
         ppa = None
         if ok and post_synth is not False:
             try:
@@ -423,7 +428,7 @@ class ToolchainEvaluator:
                 logger.warning("individual %d: %s; withholding PPA", individual_id, str(exc))
         return EvalOutcome(
             sim_passed=True, synth_succeeded=ok, ppa=ppa,
-            sim_log=sim_log, synth_log=report, post_synth_functional=post_synth,
+            sim_log=sim_log, synth_log=synth_log, post_synth_functional=post_synth,
         )
 
     def reference_ppa(self, code: str, spec: ProblemSpec) -> PpaMetrics:
@@ -478,28 +483,30 @@ class SyntheticEvaluator:
         return ppa
 
 
-def clip_log(log: str, tail_chars: int = FEEDBACK_LOG_TAIL_CHARS) -> str:
-    """`log` as an outcome stores it: whole when it holds at most
-    LOG_CLIP_CHARS characters; otherwise stripped, and cut to its first
-    LOG_HEAD_CHARS characters, a marker line and its last `tail_chars`
-    (at most FEEDBACK_LOG_TAIL_CHARS) characters, which is all `_log_tail`
-    reads of it."""
+def clip_log(log: str) -> str:
+    """The log a critique quotes, as its outcome stores it: whole when it
+    holds at most LOG_CLIP_CHARS characters; otherwise stripped, and cut to
+    its first LOG_HEAD_CHARS characters, a marker line and its last
+    FEEDBACK_LOG_TAIL_CHARS characters, which is all `_log_tail` reads of
+    it."""
     if len(log) <= LOG_CLIP_CHARS:
         return log
     text = log.strip()
     if len(text) <= LOG_CLIP_CHARS:
         return text
-    cut = len(text) - LOG_HEAD_CHARS - tail_chars
-    return text[:LOG_HEAD_CHARS] + _cut_marker(cut, "characters") + text[len(text) - tail_chars:]
+    cut = len(text) - LOG_HEAD_CHARS - FEEDBACK_LOG_TAIL_CHARS
+    return text[:LOG_HEAD_CHARS] + _cut_marker(cut, "characters") + text[-FEEDBACK_LOG_TAIL_CHARS:]
 
 
 def _critiqued_log(outcome: EvalOutcome) -> str | None:
     """The name of the one log a critique of `outcome` quotes: a failed
-    simulation's sim log, or the synth log of a pass without PPA. A pass
-    with PPA is critiqued from its numbers alone, so None."""
+    simulation's sim log, or the synth log of a pass without PPA or whose
+    gate-level re-simulation failed (that synth log ends in the
+    re-simulation's output). A pass with PPA is critiqued from its numbers
+    alone, so None."""
     if not outcome.sim_passed:
         return "sim_log"
-    if outcome.ppa is None:
+    if outcome.ppa is None or outcome.post_synth_functional is False:
         return "synth_log"
     return None
 
@@ -525,6 +532,21 @@ def _critique_texts(ind: Individual, spec: ProblemSpec) -> tuple[str, str]:
             f"{_log_tail(outcome.sim_log, FEEDBACK_LOG_TAIL_CHARS)}\n"
         )
         return prompt, "Simulation failed. Log tail:\n" + _log_tail(outcome.sim_log, 500)
+    if outcome.post_synth_functional is False:
+        prompt = (
+            "A Verilog design passed its testbench and synthesized, but the "
+            "gate-level re-simulation of its synthesized netlist failed, so the "
+            "netlist does not behave like the RTL. Analyze the log and write "
+            "concise feedback on what in the design synthesizes differently "
+            "from how it simulates and how to fix it.\n\n"
+            f"{design}Synthesis report and gate-level re-simulation log (tail):\n"
+            f"{_log_tail(outcome.synth_log, FEEDBACK_LOG_TAIL_CHARS)}\n"
+        )
+        stand_in = (
+            "Simulation passed but the gate-level re-simulation of the synthesized "
+            "netlist failed. Log tail:\n" + _log_tail(outcome.synth_log, 500)
+        )
+        return prompt, stand_in
     if quoted == "synth_log":
         ppa_lines = "synthesis produced no usable PPA report\n" + _log_tail(
             outcome.synth_log, FEEDBACK_LOG_TAIL_CHARS
@@ -594,14 +616,15 @@ def evaluate(
     weights: FitnessWeights,
 ) -> Individual:
     """Runs the tools on one individual and returns it with outcome and
-    fitness filled in, its logs clipped (`clip_log`): only the log a
-    critique quotes keeps its tail. Its feedback stays unset: the engine
-    asks for a critique only when the individual is first chosen as a
-    parent."""
+    fitness filled in. The outcome keeps only the log a critique of it
+    quotes (`_critiqued_log`), clipped by `clip_log`, and every other log
+    as "": a pass with PPA keeps neither. Its feedback stays unset: the
+    engine asks for a critique only when the individual is first chosen as
+    a parent."""
     outcome = evaluator.outcome_for(ind.code, spec, ind.id)
     quoted = _critiqued_log(outcome)
     sim_log, synth_log = (
-        clip_log(getattr(outcome, name), FEEDBACK_LOG_TAIL_CHARS if name == quoted else 0)
+        clip_log(getattr(outcome, name)) if name == quoted else ""
         for name in ("sim_log", "synth_log")
     )
     if (sim_log, synth_log) != (outcome.sim_log, outcome.synth_log):

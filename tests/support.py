@@ -1,7 +1,8 @@
 """What the test modules share: the two-bit adder problem, individuals of
-each population, the brute-force survivor oracle, the reward oracle, the
-scripted demo world, a local chat endpoint, and the one harness that
-checks an engine run does not depend on thread scheduling."""
+each population, an evaluator of one fixed outcome, the brute-force
+survivor oracle, the reward oracle, the scripted demo world, a local chat
+endpoint, and the one harness that checks an engine run does not depend
+on thread scheduling."""
 from __future__ import annotations
 
 import dataclasses
@@ -60,6 +61,19 @@ def success_ind(id, fitness, ppa=None, gen=0):
         outcome=EvalOutcome(True, ppa is not None, ppa, sim_log="all tests passed"),
         fitness=fitness, generation_born=gen,
     )
+
+
+class FixedOutcome:
+    """An evaluator whose every outcome is the given one."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def outcome_for(self, code, spec, individual_id=0):
+        return self.outcome
+
+    def reference_ppa(self, code, spec):
+        raise AssertionError("not used")
 
 
 def oracle_survivors(parents, offspring, elite_n, pop_size):

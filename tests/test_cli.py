@@ -6,7 +6,9 @@ import dataclasses
 import gc
 import hashlib
 import json
+import logging
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -1157,9 +1159,9 @@ def test_cli_imports_no_third_party_module_but_yaml():
 # of its config_snapshot.yaml with the two paths in it masked; a change to any
 # of them changes the behaviour the demo pins down
 DEMO_DIGESTS = {
-    "generations.jsonl": "80bf92902abcab82e801362e1230faef02d2eb86870c96c6f095eea72012375b",
+    "generations.jsonl": "4cac4446f9d69f72c3c70398a1c01fd8e9228edd5e4b75b861c0e39a9ed8b7cb",
     "transcripts.jsonl": "37ea674a84d40dee293c5a3340a3a4982e6958f475a6c4e30f5094042240688a",
-    "final_report.json": "cd094b5b8ee16fe81a5fdf8e13526a4a1ebba441cd379007c0284369ecd2a58e",
+    "final_report.json": "3f6446b037af1557c08475e7b31444e6973e070b602f2afe1b55398bd3f2a80a",
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
     "config_snapshot.yaml": "b167ceff9f16c2330c34e8e2a62be6fae108b384deb386bca9765981d4e28708",
 }
@@ -1207,6 +1209,27 @@ def test_demo_outputs_are_pinned(tmp_path, capsys, workers):
     assert {name: got[name] for name in pinned} == {name: DEMO_DIGESTS[name] for name in pinned}
     _, sequential = _run_demo(tmp_path / "sequential", 1, capsys)
     assert sorted(transcript, key=lambda entry: entry["key"]) == sequential
+
+
+def test_a_run_logs_one_progress_line_per_generation(tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="rtlevo.cli")
+    got, _ = _run_demo(tmp_path / "demo", 1, capsys)
+    assert got == DEMO_DIGESTS
+    lines = [record.getMessage() for record in caplog.records if record.name == "rtlevo.cli"]
+    expected = [
+        "generation 0: 1/6 passed, best fitness 0.075, 6 drafts, 0 critiques",
+        "generation 1: 3/6 passed, best fitness 0.26, 6 drafts, 4 critiques",
+        "generation 2: 6/6 passed, best fitness 0.425, 6 drafts, 4 critiques",
+        "generation 3: 6/6 passed, best fitness 0.425, 6 drafts, 2 critiques",
+    ]
+    assert len(lines) == len(expected)
+    for line, counts in zip(lines, expected):
+        assert re.fullmatch(re.escape(counts) + r", \d+\.\d\d s elapsed", line), line
+    # the counts are the records': passes, best fitness and critiques
+    for line, record in zip(lines, read_generations(tmp_path / "demo")):
+        assert f" {record.success_count}/{len(record.population)} passed" in line
+        assert f"best fitness {record.best_so_far.fitness:.6g}," in line
+        assert f" {len(record.critiques)} critiques" in line
 
 
 def test_report_on_an_earlier_schema_is_one_error_line(tmp_path, capsys):

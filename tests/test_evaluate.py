@@ -49,7 +49,7 @@ from rtlevo.model import (
 )
 from rtlevo.prompts import system_text
 
-from support import REF
+from support import REF, FixedOutcome
 
 SPEC = ProblemSpec(
     name="add2",
@@ -495,6 +495,31 @@ def test_toolchain_post_synth_gate(tmp_path):
     assert outcome.synth_succeeded is True
 
 
+def test_a_failed_gate_level_resimulation_is_critiqued_from_its_output(tmp_path):
+    cfg = fake_cfg(post_synth_command="echo netlist mismatch at a=3 b=1 && false")
+    ev = ToolchainEvaluator(cfg, artifacts_dir=tmp_path)
+    done = evaluate(Individual(id=11, thought="t", code="module add2; endmodule"), SPEC, ev, WEIGHTS)
+    outcome = done.outcome
+    assert outcome.post_synth_functional is False and outcome.ppa is None
+    # the stored synth log is the report, then the re-simulation's output
+    assert outcome.sim_log == ""
+    assert outcome.synth_log.startswith("Chip area for module top: 42.18")
+    assert outcome.synth_log.endswith(
+        "\n[gate-level re-simulation output]\nnetlist mismatch at a=3 b=1\n"
+    )
+    provider = RecordingProvider()
+    generate_feedback(done, SPEC, provider, KEY)
+    prompt = provider.bundles[0].user_text
+    assert "netlist mismatch at a=3 b=1" in prompt
+    assert "gate-level re-simulation of its synthesized netlist failed" in prompt
+    assert "no usable PPA report" not in prompt
+    assert generate_feedback(done, SPEC, FailingProvider(), KEY) == (
+        "Simulation passed but the gate-level re-simulation of the synthesized netlist failed. "
+        "Log tail:\nChip area for module top: 42.18\nTotal power: 0.0031\nWorst slack: -0.37\n"
+        "\n[gate-level re-simulation output]\nnetlist mismatch at a=3 b=1"
+    )
+
+
 def test_toolchain_reference_ppa_and_failure(tmp_path):
     ev = ToolchainEvaluator(fake_cfg(), artifacts_dir=tmp_path / "r1")
     ppa = ev.reference_ppa("module ref; endmodule", SPEC)
@@ -746,19 +771,6 @@ def test_feedback_scripted_passthrough():
 # --- evaluate() composition -------------------------------------------------
 
 
-class FixedOutcome:
-    """An evaluator whose every outcome is the given one."""
-
-    def __init__(self, outcome):
-        self.outcome = outcome
-
-    def outcome_for(self, code, spec, individual_id=0):
-        return self.outcome
-
-    def reference_ppa(self, code, spec):
-        raise AssertionError("not used")
-
-
 def test_evaluate_fills_outcome_and_fitness_only():
     ind = Individual(
         id=7,
@@ -805,29 +817,38 @@ def test_evaluate_keeps_short_logs_and_clips_long_ones():
     sim_log = "  compiling\n" + "cycle ok\n" * 3000 + "FAIL: 1+1 != 2\n\n"
     synth_log = "Chip area: 80\n" * 1000
     sim_text, synth_text = sim_log.strip(), synth_log.strip()
-    # a long log keeps its head, a marker and the tail a critique quotes
-    sim_tail = sim_text[:1000] + f"\n[... {len(sim_text) - 5000} characters cut ...]\n" + sim_text[-4000:]
-    synth_tail = (
+    # a long log a critique quotes keeps its head, a marker and the tail it quotes
+    sim_kept = sim_text[:1000] + f"\n[... {len(sim_text) - 5000} characters cut ...]\n" + sim_text[-4000:]
+    synth_kept = (
         synth_text[:1000] + f"\n[... {len(synth_text) - 5000} characters cut ...]\n" + synth_text[-4000:]
     )
-    # and a long log that no critique of its outcome quotes keeps no tail
-    sim_head = sim_text[:1000] + f"\n[... {len(sim_text) - 1000} characters cut ...]\n"
-    synth_head = synth_text[:1000] + f"\n[... {len(synth_text) - 1000} characters cut ...]\n"
     ppa = PpaMetrics(power=0.8, area=80.0, effective_clock_period=1.0)
     cases = [
-        # a failed simulation: its critique quotes the sim log
-        (EvalOutcome(False, False, None, sim_log=sim_log, synth_log=synth_log), sim_tail, synth_head),
-        # a pass without PPA: its critique quotes the synth log
-        (EvalOutcome(True, False, None, sim_log=sim_log, synth_log=synth_log), sim_head, synth_tail),
-        (EvalOutcome(True, True, None, sim_log=sim_log, synth_log=synth_log), sim_head, synth_tail),
-        # a pass with PPA: its critique quotes neither
-        (EvalOutcome(True, True, ppa, sim_log=sim_log, synth_log=synth_log), sim_head, synth_head),
+        # a failed simulation: its critique quotes the sim log alone
+        (EvalOutcome(False, False, None, sim_log=sim_log, synth_log=synth_log), sim_kept, ""),
+        (EvalOutcome(False, False, None, sim_log="FAIL", synth_log="report"), "FAIL", ""),
+        # a pass without PPA: its critique quotes the synth log alone
+        (EvalOutcome(True, False, None, sim_log=sim_log, synth_log=synth_log), "", synth_kept),
+        (EvalOutcome(True, True, None, sim_log=sim_log, synth_log=synth_log), "", synth_kept),
+        (EvalOutcome(True, True, None, sim_log="passed", synth_log="no area"), "", "no area"),
+        # a failed gate-level re-simulation: its synth log, which ends in that output
+        (
+            EvalOutcome(
+                True, True, None, sim_log="passed", synth_log=synth_log, post_synth_functional=False
+            ),
+            "", synth_kept,
+        ),
+        # a pass with PPA: its critique quotes neither, so neither is stored
+        (EvalOutcome(True, True, ppa, sim_log=sim_log, synth_log=synth_log), "", ""),
+        (EvalOutcome(True, True, ppa, sim_log="passed", synth_log="area 80"), "", ""),
     ]
-    for outcome, sim_kept, synth_kept in cases:
+    for outcome, sim_stored, synth_stored in cases:
         done = evaluate(ind, SPEC, FixedOutcome(outcome), WEIGHTS).outcome
-        assert (done.sim_log, done.synth_log) == (sim_kept, synth_kept)
+        assert (done.sim_log, done.synth_log) == (sim_stored, synth_stored)
         assert max(len(done.sim_log), len(done.synth_log)) <= LOG_CLIP_CHARS
-        assert dataclasses.replace(done, sim_log=sim_log, synth_log=synth_log) == outcome
+        assert dataclasses.replace(done, sim_log=sim_log, synth_log=synth_log) == dataclasses.replace(
+            outcome, sim_log=sim_log, synth_log=synth_log
+        )
 
 
 def test_critique_fills_feedback_with_keyed_call():

@@ -789,6 +789,8 @@ def test_history_keeps_only_the_log_tails_a_critique_quotes(tmp_path):
             tail = f"[end of {log} log {ind.id}]"
             assert (tail in text) == (log == kind), (ind.id, log, kind)
             assert getattr(outcome, f"{log}_log").endswith(tail) == (log == kind)
+            # a log that no critique of its outcome quotes is not stored
+            assert (getattr(outcome, f"{log}_log") == "") == (log != kind)
     assert kinds == {"sim", "synth", None}
 
 

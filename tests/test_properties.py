@@ -2,8 +2,8 @@
 offspring quotas, operator draws, parent selection, survivor selection, bandit rewards,
 bandit scores frozen within a generation, the rules for on-demand
 critiques, the found-correct verdict, scripted replies that do not
-depend on call order, the history read back as written, the clipping of
-stored logs and the config snapshot's round trip."""
+depend on call order, the history read back as written, the one log an
+outcome stores and the config snapshot's round trip."""
 from __future__ import annotations
 
 import collections
@@ -39,8 +39,10 @@ from rtlevo.evaluate import (
     SyntheticEvaluatorConfig,
     ToolchainConfig,
     _critique_texts,
+    _critiqued_log,
     _log_tail,
     clip_log,
+    evaluate,
 )
 from rtlevo.evolution import (
     PLACEHOLDER_CODE,
@@ -63,6 +65,7 @@ from rtlevo.model import (
     MAX_WAIT_SECONDS,
     CircuitKind,
     EvalOutcome,
+    Individual,
     PpaMetrics,
     ProblemSpec,
 )
@@ -71,6 +74,7 @@ from rtlevo.prompts import FAIL_STRATEGIES, SUCCESS_STRATEGIES, PromptBundle, Pr
 from closed_world import ClosedWorld
 from support import (
     SPEC,
+    FixedOutcome,
     derived_rewards,
     fail_ind,
     oracle_survivors,
@@ -514,16 +518,36 @@ def test_clipped_log_reads_as_the_whole_log(log):
     if clipped not in (log, log.strip()):
         cut = len(log.strip()) - LOG_HEAD_CHARS - FEEDBACK_LOG_TAIL_CHARS
         assert clipped.count(f"\n[... {cut} characters cut ...]\n") == 1
-    # a log that no critique of its outcome quotes keeps no tail: a long
-    # one is its head and the marker alone
-    headed = clip_log(log, 0)
-    assert clip_log(headed, 0) == headed
-    if clipped in (log, log.strip()):
-        assert headed == clipped
-    else:
-        text = log.strip()
-        marker = f"\n[... {len(text) - LOG_HEAD_CHARS} characters cut ...]\n"
-        assert headed == text[:LOG_HEAD_CHARS] + marker
+
+
+@given(
+    sim_passed=st.booleans(),
+    synth_succeeded=st.booleans(),
+    ppa=st.sampled_from([None, PpaMetrics(power=0.8, area=90.0, effective_clock_period=1.0)]),
+    post_synth=st.sampled_from([None, True, False]),
+    sim_log=_logs(),
+    synth_log=_logs(),
+)
+# whitespace-only logs, one long and one short
+@example(False, False, None, None, " \n" * 4000, " ")
+@example(True, True, None, False, "\t", "\n" * 6000)
+def test_an_outcome_stores_only_the_log_its_critique_quotes(
+    sim_passed, synth_succeeded, ppa, post_synth, sim_log, synth_log
+):
+    outcome = EvalOutcome(
+        sim_passed, synth_succeeded or ppa is not None, ppa,
+        sim_log=sim_log, synth_log=synth_log, post_synth_functional=post_synth,
+    )
+    ind = Individual(id=1, thought="t", code="module add2; endmodule")
+    done = evaluate(ind, SPEC, FixedOutcome(outcome), FitnessWeights(0.5, 0.5, 0.0))
+    quoted = _critiqued_log(outcome)
+    for name in ("sim_log", "synth_log"):
+        stored = clip_log(getattr(outcome, name)) if name == quoted else ""
+        assert getattr(done.outcome, name) == stored
+    assert dataclasses.replace(done.outcome, sim_log=sim_log, synth_log=synth_log) == outcome
+    # the prompt and the stand-in read as from the whole outcome
+    whole = dataclasses.replace(done, outcome=outcome)
+    assert _critique_texts(done, SPEC) == _critique_texts(whole, SPEC)
 
 
 class _PaddedLogEvaluator:
