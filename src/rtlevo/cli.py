@@ -31,7 +31,7 @@ from .llm import (
     TranscriptingProvider,
     TranscriptWriter,
 )
-from .model import ConfigError, GenerationRecord, ProblemSpec, build, to_plain
+from .model import ConfigError, GenerationRecord, to_plain
 from .prompts import build_initial_prompt, system_text, system_texts
 from .reporting import (
     CONFIG_SNAPSHOT_FILE,
@@ -40,8 +40,11 @@ from .reporting import (
     SCHEMA_VERSION,
     TRANSCRIPTS_FILE,
     HistoryWriter,
+    RunDirError,
+    RunPrompts,
     append_generation,
     read_generations,
+    read_problem,
     render_report,
 )
 
@@ -179,16 +182,50 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_NOT_FOUND
 
 
+def _print_call(run_dir: Path, call: str) -> None:
+    """Prints the call keyed `call`, written G/N: its purpose, operator and
+    parents, its system and user prompts, and its reply or error."""
+    try:
+        key = tuple(int(part) for part in call.split("/"))
+    except ValueError:
+        key = ()
+    if len(key) != 2 or min(key) < 0:
+        raise ConfigError(f"--call must name a call key as G/N, got {call!r}")
+    prompts = RunPrompts(run_dir)
+    user = prompts.text(key)
+    entry = prompts.entries[key]
+    purpose = entry["purpose"]
+    about = [purpose]
+    if purpose == "generate":
+        about.append(f"strategy {entry['strategy'] or 'initial'}")
+    if entry["parent_ids"]:
+        about.append("parents " + ", ".join(map(str, entry["parent_ids"])))
+    print(f"# call {call}: {'; '.join(about)}")
+    print("# system prompt")
+    print(entry.get("system_text", prompts.header["system_text"].get(purpose)))
+    print()
+    print("# user prompt")
+    print(user.rstrip("\n"))
+    print()
+    if entry["error"] is None:
+        print("# reply")
+        print(entry["response"].rstrip("\n"))
+    else:
+        print("# error")
+        print(entry["error"])
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
+    if args.call is not None:
+        _print_call(run_dir, args.call)
+        return EXIT_FOUND
     records = read_generations(run_dir)
     reference = None
-    snapshot_path = run_dir / CONFIG_SNAPSHOT_FILE
-    if snapshot_path.is_file():
+    if (run_dir / CONFIG_SNAPSHOT_FILE).is_file():
         try:
-            snapshot = yaml.safe_load(snapshot_path.read_text(encoding="utf-8"))
-            reference = build(ProblemSpec, snapshot["problem"], "problem").reference_ppa
-        except (TypeError, KeyError, ValueError, yaml.YAMLError):
+            reference = read_problem(run_dir).reference_ppa
+        except RunDirError:
             logger.warning("config snapshot has no usable reference PPA")
     print(render_report(records, reference), end="")
     return EXIT_FOUND
@@ -247,6 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_p = sub.add_parser("report", help="render the summary of a finished run directory")
     report_p.add_argument("run_dir", help="run directory written by `rtlevo run`")
+    report_p.add_argument(
+        "--call",
+        metavar="G/N",
+        help=(
+            "print the prompt and reply of the call keyed G/N (call N of generation G), "
+            "its prompt rebuilt from the run directory, in place of the summary"
+        ),
+    )
     report_p.set_defaults(func=cmd_report)
 
     ref_p = sub.add_parser(

@@ -46,7 +46,7 @@ from .model import (
     ProblemSpec,
     check_range,
 )
-from .prompts import PromptBundle, system_text
+from .prompts import PromptBundle, render, system_text
 
 logger = logging.getLogger(__name__)
 
@@ -518,56 +518,40 @@ def _log_tail(log: str, tail_chars: int) -> str:
     return "..." + text[-tail_chars:]
 
 
-def _critique_texts(ind: Individual, spec: ProblemSpec) -> tuple[str, str]:
-    """The critique prompt for an evaluated individual, and the stand-in
-    its feedback takes when the call fails or replies with nothing."""
+def critique_texts(
+    ind: Individual, spec: ProblemSpec, templates: dict[str, str] | None = None
+) -> tuple[str, str]:
+    """The critique prompt for an evaluated individual, rendered from
+    `templates` when given (see `prompts.render`), and the stand-in its
+    feedback takes when the call fails or replies with nothing."""
     outcome = ind.outcome
     quoted = _critiqued_log(outcome)
-    design = f"Task description:\n{spec.description}\n\nDesign code:\n{ind.code}\n\n"
+    mapping = {"functional_description": spec.description, "design_code": ind.code}
+    if quoted is not None:
+        mapping["log_tail"] = _log_tail(getattr(outcome, quoted), FEEDBACK_LOG_TAIL_CHARS)
     if quoted == "sim_log":
-        prompt = (
-            "A Verilog design failed its testbench. Analyze the error log and "
-            "write concise bug-fixing feedback (what is wrong and how to fix it).\n\n"
-            f"{design}Simulation log (tail):\n"
-            f"{_log_tail(outcome.sim_log, FEEDBACK_LOG_TAIL_CHARS)}\n"
-        )
-        return prompt, "Simulation failed. Log tail:\n" + _log_tail(outcome.sim_log, 500)
-    if outcome.post_synth_functional is False:
-        prompt = (
-            "A Verilog design passed its testbench and synthesized, but the "
-            "gate-level re-simulation of its synthesized netlist failed, so the "
-            "netlist does not behave like the RTL. Analyze the log and write "
-            "concise feedback on what in the design synthesizes differently "
-            "from how it simulates and how to fix it.\n\n"
-            f"{design}Synthesis report and gate-level re-simulation log (tail):\n"
-            f"{_log_tail(outcome.synth_log, FEEDBACK_LOG_TAIL_CHARS)}\n"
-        )
+        name = "critique_sim_failed"
+        stand_in = "Simulation failed. Log tail:\n" + _log_tail(outcome.sim_log, 500)
+    elif outcome.post_synth_functional is False:
+        name = "critique_gate_failed"
         stand_in = (
             "Simulation passed but the gate-level re-simulation of the synthesized "
             "netlist failed. Log tail:\n" + _log_tail(outcome.synth_log, 500)
         )
-        return prompt, stand_in
-    if quoted == "synth_log":
-        ppa_lines = "synthesis produced no usable PPA report\n" + _log_tail(
-            outcome.synth_log, FEEDBACK_LOG_TAIL_CHARS
-        )
+    elif quoted == "synth_log":
+        name = "critique_no_ppa"
         stand_in = "Simulation passed but synthesis produced no usable PPA report."
     else:
+        name = "critique_ppa"
         gen, ref = outcome.ppa, spec.reference_ppa
-        ppa_lines = f"generated: {gen}\nreference: {ref}"
+        mapping.update(generated_ppa=str(gen), reference_ppa=str(ref))
         stand_in = (
             "Design is functionally correct. "
             f"PPA vs reference: power {gen.power:.6g} / {ref.power:.6g}, "
             f"area {gen.area:.6g} / {ref.area:.6g}, "
             f"period {gen.effective_clock_period:.6g} / {ref.effective_clock_period:.6g}."
         )
-    prompt = (
-        "A Verilog design passed its testbench. Review its PPA against the "
-        "reference design and suggest concrete improvements (smaller area, "
-        "lower power, better timing) that preserve functionality.\n\n"
-        f"{design}PPA results:\n{ppa_lines}\n"
-    )
-    return prompt, stand_in
+    return render(name, mapping, templates), stand_in
 
 
 def generate_feedback(
@@ -579,7 +563,7 @@ def generate_feedback(
     other than `auth` degrades to a deterministic non-empty summary.
     `key` is the engine's call key for the feedback prompt (see
     PromptBundle.key), and the prompt names `ind` as its one parent."""
-    prompt, stand_in = _critique_texts(ind, spec)
+    prompt, stand_in = critique_texts(ind, spec)
     bundle = PromptBundle(
         system_text=system_text("feedback"),
         user_text=prompt,

@@ -4,8 +4,9 @@ Both expose a single method, complete(bundle) -> CompletionResult, so the
 engine never knows which one it is talking to, and both fail with a
 ProviderError. Every call can be recorded, result or error, in a
 transcript (`TranscriptWriter.call`): each call purpose's system prompt
-once, in its header, then one entry per call under the engine's call key,
-which joins it to its generation and individuals. Drafts and critiques
+and every prompt template once, in its header, then one entry per call
+under the engine's call key, which joins it to its generation and
+individuals, with its prompt's digest in place of its text. Drafts and critiques
 are sampled alike, with the provider's one temperature and top_p. The
 HTTP client reads its API key from an environment variable once, when it
 is built, and registers it with its transcript, which redacts it, so the
@@ -32,7 +33,7 @@ from typing import Callable, Protocol
 
 from . import __version__
 from .model import MAX_WAIT_SECONDS, ConfigError, LineFile, build, check_range, read_yaml
-from .prompts import PromptBundle, render_response
+from .prompts import PromptBundle, prompt_digest, render_response, user_templates
 
 logger = logging.getLogger(__name__)
 
@@ -119,19 +120,29 @@ class Provider(Protocol):
 class TranscriptWriter(LineFile):
     """A run's transcript: one JSON entry per completion call, a line of a
     .jsonl file in an existing directory (`LineFile`: started new at the
-    first entry, under the header `{"schema_version": 2, "system_text":
-    {purpose: text}}` that holds `system_texts`, each call purpose's system
-    prompt).
+    first entry, under the header `{"schema_version": 3, "system_text":
+    {purpose: text}, "templates": {name: text}}` that holds `system_texts`,
+    each call purpose's system prompt, and `prompts.user_templates()`, the
+    text of every user-prompt template).
+
+    An entry under an engine call key stores its prompt as `user_sha256`,
+    its `prompts.prompt_digest`; the run directory rebuilds the text
+    (`reporting.prompt_text`). An entry with no key keeps its `user_text`.
 
     A secret registered with `redact` (an API key value) never reaches
     disk; any occurrence in the header or an entry is replaced when the
     line is written.
     """
 
-    SCHEMA_VERSION = 2
+    SCHEMA_VERSION = 3
 
     def __init__(self, path: str | Path, system_texts: dict[str, str]):
-        super().__init__(path, {"schema_version": self.SCHEMA_VERSION, "system_text": system_texts})
+        header = {
+            "schema_version": self.SCHEMA_VERSION,
+            "system_text": system_texts,
+            "templates": user_templates(),
+        }
+        super().__init__(path, header)
         self._redact: list[str] = []
 
     def redact(self, secret: str) -> None:
@@ -173,8 +184,9 @@ class TranscriptWriter(LineFile):
         attempt_count: int | None = None,
     ) -> None:
         """Appends one entry, under the bundle's call key (`null` for a
-        prompt built outside the engine); its `system_text` is written only
-        when it differs from the header's for its purpose. A failed call
+        prompt built outside the engine), with its prompt's digest for a
+        keyed bundle and its text otherwise; its `system_text` is written
+        only when it differs from the header's for its purpose. A failed call
         has no result, only its error and, when known, its attempt count.
         An HTTP result's `latency` runs from the call's start, waits for a
         request slot and retries included, in whole microseconds."""
@@ -183,13 +195,16 @@ class TranscriptWriter(LineFile):
             "purpose": bundle.purpose,
             "strategy": bundle.strategy.value if bundle.strategy else None,
             "parent_ids": list(bundle.parent_ids),
-            "user_text": bundle.user_text,
             "response": result.text if result else None,
             "usage": result.usage if result else None,
             "latency": round(result.latency, 6) if result else None,
             "attempt_count": result.attempt_count if result else attempt_count,
             "error": error,
         }
+        if bundle.key is None:
+            entry["user_text"] = bundle.user_text
+        else:
+            entry["user_sha256"] = prompt_digest(bundle.user_text)
         if bundle.system_text != self._header["system_text"].get(bundle.purpose):
             entry["system_text"] = bundle.system_text
         self.write_line(self.encode(entry))

@@ -6,18 +6,32 @@ in. Each call purpose has its own system prompt (`system_text`): a draft
 (`generate`) is sent `system.txt`, which asks for a Thought and one
 fenced code block, and a critique (`feedback`) is sent
 `feedback_system.txt`, which asks for plain prose. A draft's user text is
-`initial.txt` or its operator's template; a critique's is built in
-`evaluate`. Available placeholders:
+`initial.txt` or its operator's template, with these placeholders:
 
     {functional_description}                    the problem statement
     {parent_thought_N} {parent_code_N}
     {parent_feedback_N}                         N = 1..arity of the strategy
+
+A critique's user text is one of four templates, picked in `evaluate` by
+what the critiqued individual's outcome shows:
+
+    critique_sim_failed.txt   a failed simulation
+    critique_gate_failed.txt  a failed gate-level re-simulation
+    critique_no_ppa.txt       a pass whose synthesis gave no usable PPA
+    critique_ppa.txt          a pass with PPA
+
+Each takes {functional_description} and {design_code}, the critiqued
+code; `critique_ppa.txt` also {generated_ppa} and {reference_ppa}, and
+the other three {log_tail}, the tail of the log they quote.
+`user_templates` gives the text of every user-prompt template, which a
+transcript's header holds, so a run directory rebuilds each prompt.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import hashlib
 import logging
 import re
 from dataclasses import dataclass
@@ -85,19 +99,47 @@ class PromptBundle:
     key: tuple[int, int] | None = None
 
 
+# every template a call's user text is rendered from, as a transcript's header holds them
+USER_TEMPLATES = (
+    "initial",
+    *(strategy.value for strategy in PromptStrategy),
+    "critique_sim_failed",
+    "critique_gate_failed",
+    "critique_no_ppa",
+    "critique_ppa",
+)
+
+
 @functools.cache
 def _template(name: str) -> str:
     return (resources.files("rtlevo") / "templates" / f"{name}.txt").read_text(encoding="utf-8")
 
 
-def render(name: str, mapping: dict[str, str]) -> str:
-    """The template `name` with its placeholders filled from `mapping`."""
+def render(name: str, mapping: dict[str, str], templates: dict[str, str] | None = None) -> str:
+    """The template `name`, from `templates` when given and else the
+    packaged one, with its placeholders filled from `mapping`. A template
+    `templates` lacks, or one naming a placeholder `mapping` lacks, is a
+    KeyError."""
+    text = _template(name) if templates is None else templates.get(name)
+    if text is None:
+        raise KeyError(f"no template {name!r}")
     try:
-        return _template(name).format_map(mapping)
+        return text.format_map(mapping)
     except KeyError as exc:
         raise KeyError(
             f"template {name!r} references unknown placeholder {exc.args[0]!r}"
         ) from None
+
+
+def user_templates() -> dict[str, str]:
+    """The text of every user-prompt template, keyed by name."""
+    return {name: _template(name) for name in USER_TEMPLATES}
+
+
+def prompt_digest(text: str) -> str:
+    """The first 16 hex digits of the SHA-256 of `text` in UTF-8, which a
+    transcript entry stores in place of its prompt."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 _SYSTEM_TEMPLATES = {"generate": "system", "feedback": "feedback_system"}
@@ -113,11 +155,16 @@ def system_texts() -> dict[str, str]:
     return {purpose: system_text(purpose) for purpose in _SYSTEM_TEMPLATES}
 
 
-def build_initial_prompt(spec: ProblemSpec, key: tuple[int, int] | None = None) -> PromptBundle:
-    """The parent-free prompt used once per slot to create generation 0."""
+def build_initial_prompt(
+    spec: ProblemSpec,
+    key: tuple[int, int] | None = None,
+    templates: dict[str, str] | None = None,
+) -> PromptBundle:
+    """The parent-free prompt used once per slot to create generation 0,
+    rendered from `templates` when given (see `render`)."""
     return PromptBundle(
         system_text=system_text("generate"),
-        user_text=render("initial", {"functional_description": spec.description}),
+        user_text=render("initial", {"functional_description": spec.description}, templates),
         key=key,
     )
 
@@ -127,10 +174,12 @@ def build_evolutionary_prompt(
     spec: ProblemSpec,
     parents: list[Individual],
     key: tuple[int, int] | None = None,
+    templates: dict[str, str] | None = None,
 ) -> PromptBundle:
     """A strategy prompt carrying each parent's thought, code and feedback
-    verbatim, for the `strategy.arity` parents the engine's plan draws.
-    Each parent is critiqued, or is a placeholder with its fixed feedback."""
+    verbatim, for the `strategy.arity` parents the engine's plan draws,
+    rendered from `templates` when given (see `render`). Each parent is
+    critiqued, or is a placeholder with its fixed feedback."""
     mapping = {"functional_description": spec.description}
     for n, parent in enumerate(parents, start=1):
         mapping[f"parent_thought_{n}"] = parent.thought
@@ -138,7 +187,7 @@ def build_evolutionary_prompt(
         mapping[f"parent_feedback_{n}"] = parent.feedback
     return PromptBundle(
         system_text=system_text("generate"),
-        user_text=render(strategy.value, mapping),
+        user_text=render(strategy.value, mapping, templates),
         strategy=strategy,
         parent_ids=tuple(p.id for p in parents),
         key=key,

@@ -1,4 +1,5 @@
-"""Reading a run directory back and rendering the human-readable summary."""
+"""Reading a run directory back, rebuilding its prompts, and rendering
+the human-readable summary."""
 
 from __future__ import annotations
 
@@ -6,8 +7,11 @@ import dataclasses
 import json
 import logging
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
+from .evaluate import critique_texts
+from .llm import TranscriptWriter
 from .model import (
     ConfigError,
     Critique,
@@ -15,11 +19,14 @@ from .model import (
     Individual,
     LineFile,
     PpaMetrics,
+    ProblemSpec,
     build,
     read_value,
+    read_yaml,
     require_map,
     to_plain,
 )
+from .prompts import PromptStrategy, build_evolutionary_prompt, build_initial_prompt, prompt_digest
 
 logger = logging.getLogger(__name__)
 
@@ -138,6 +145,34 @@ def _record(data, individuals: dict[int, Individual]) -> GenerationRecord:
     return build(GenerationRecord, data, critiques=critiques, **resolved)
 
 
+def _json_lines(path: Path, version: int, what: str) -> Iterator:
+    """The header of a JSONL run file, which must name `version`, then each
+    line after it, parsed; `what` names a line in messages. A last line
+    with no newline that does not parse, as a killed write leaves it, is
+    dropped with a warning; any other line that does not parse, a line
+    that is not UTF-8 included, is a RunDirError naming it."""
+    if not path.is_file():
+        raise RunDirError(f"{path} not found; is this a run directory?")
+    with path.open("rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+            found = header["schema_version"]
+        except (ValueError, TypeError, KeyError):
+            raise RunDirError(f"{path}: missing or corrupt schema header") from None
+        if found != version:
+            raise RunDirError(f"{path}: unsupported schema_version {found!r}")
+        yield header
+        for i, line in enumerate(fh):
+            try:
+                data = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                if not line.endswith(b"\n"):
+                    logger.warning("%s: dropped %s %d, cut short by an interrupted write", path, what, i)
+                    return
+                raise RunDirError(f"{path}: {what} {i} is corrupt: {exc}") from None
+            yield data
+
+
 def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
     """Every record of a run's history, read with the loader that reads the
     config; a corrupt record is a RunDirError naming it and its key path.
@@ -151,41 +186,110 @@ def read_generations(run_dir: str | Path) -> list[GenerationRecord]:
     last line with no newline that does not parse, as a killed write leaves
     it, is dropped with a warning."""
     path = Path(run_dir) / GENERATIONS_FILE
-    if not path.is_file():
-        raise RunDirError(f"{path} not found; is this a run directory?")
+    lines = _json_lines(path, SCHEMA_VERSION, "generation record")
+    next(lines)
     records = []
     individuals: dict[int, Individual] = {}
-    with path.open("rb") as fh:
-        header_line = fh.readline()
+    for i, data in enumerate(lines):
         try:
-            header = json.loads(header_line)
-            version = header["schema_version"]
-        except (ValueError, TypeError, KeyError):
-            raise RunDirError(f"{path}: missing or corrupt schema header") from None
-        if version != SCHEMA_VERSION:
-            raise RunDirError(f"{path}: unsupported schema_version {version!r}")
-        for i, line in enumerate(fh):
-            try:
-                data = json.loads(line.decode("utf-8"))
-            except ValueError as exc:
-                if not line.endswith(b"\n"):
-                    logger.warning(
-                        "%s: dropped generation record %d, cut short by an interrupted write",
-                        path,
-                        i,
-                    )
-                    break
-                raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
-            try:
-                record = _record(data, individuals)
-                if record.generation_index != len(records):
-                    raise ValueError(f"generation_index is {record.generation_index}, not {len(records)}")
-                records.append(record)
-            except ValueError as exc:
-                raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
+            record = _record(data, individuals)
+            if record.generation_index != len(records):
+                raise ValueError(f"generation_index is {record.generation_index}, not {len(records)}")
+            records.append(record)
+        except ValueError as exc:
+            raise RunDirError(f"{path}: generation record {i} is corrupt: {exc}") from None
     if not records:
         raise RunDirError(f"{path}: contains no generation records")
     return records
+
+
+def read_problem(run_dir: str | Path) -> ProblemSpec:
+    """The problem a run searched, from its config snapshot, read under the
+    config's rules; a missing or unusable snapshot is a RunDirError."""
+    path = Path(run_dir) / CONFIG_SNAPSHOT_FILE
+    if not path.is_file():
+        raise RunDirError(f"{path} not found; is this a run directory?")
+    try:
+        return build(ProblemSpec, read_yaml(path, str(path))["problem"], "problem")
+    except (TypeError, KeyError, ValueError) as exc:
+        raise RunDirError(f"{path}: no usable problem: {exc}") from None
+
+
+class RunPrompts:
+    """The calls a run made, from its transcript, and the prompt of each,
+    rebuilt from the run directory: the history with each record's
+    critiques applied, the problem in its config snapshot, and the
+    templates in its transcript's header (`llm.TranscriptWriter`).
+
+    Only transcript schema 3 reads; a header naming another version, such
+    as the schema 1 or 2 that stored each prompt's text, is a RunDirError.
+    A last line with no newline that does not parse is dropped with a
+    warning, as in the history. `entries` holds every entry with a call
+    key, by key."""
+
+    def __init__(self, run_dir: str | Path):
+        self._path = Path(run_dir) / TRANSCRIPTS_FILE
+        lines = _json_lines(self._path, TranscriptWriter.SCHEMA_VERSION, "transcript entry")
+        self.header = next(lines)
+        self.entries: dict[tuple[int, int], dict] = {}
+        for i, entry in enumerate(lines):
+            key = entry.get("key", ()) if isinstance(entry, dict) else ()
+            # an entry with no key holds a prompt built outside the engine
+            if key is None:
+                continue
+            if not isinstance(key, list):
+                raise RunDirError(f"{self._path}: transcript entry {i} is corrupt: it has no call key")
+            self.entries[tuple(key)] = entry
+        self.records = read_generations(run_dir)
+        self.spec = read_problem(run_dir)
+
+    def text(self, key: tuple[int, int]) -> str:
+        """The user prompt of the call `key`, checked against the digest
+        its entry stores. A key with no entry, a prompt that cannot be
+        rebuilt, and one whose digest differs are each a RunDirError."""
+        where = f"{self._path}: call {key[0]}/{key[1]}"
+        entry = self.entries.get(key)
+        if entry is None:
+            raise RunDirError(f"{where}: the transcript has no entry for this call")
+        if key[0] >= len(self.records):
+            raise RunDirError(f"{where}: the history holds no record of generation {key[0]}")
+        try:
+            prompt = self._rebuild(key[0], entry)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise RunDirError(f"{where}: its prompt cannot be rebuilt: {exc!r}") from None
+        if prompt_digest(prompt) != entry.get("user_sha256"):
+            raise RunDirError(
+                f"{where}: the prompt rebuilt from the run directory does not match "
+                f"its digest {entry.get('user_sha256')}"
+            )
+        return prompt
+
+    def _rebuild(self, generation: int, entry: dict) -> str:
+        """A draft of generation 0 is the initial prompt. Any other call
+        names individuals of the population that generation drew from, the
+        last record's: a critique its one parent, as stored, and a draft
+        its operator's parents, with the critiques its own record asked
+        for applied."""
+        templates = self.header["templates"]
+        if entry["purpose"] == "generate" and entry["strategy"] is None:
+            return build_initial_prompt(self.spec, templates=templates).user_text
+        drawn = {ind.id: ind for ind in self.records[generation - 1].population}
+        if entry["purpose"] == "feedback":
+            [ind_id] = entry["parent_ids"]
+            return critique_texts(drawn[ind_id], self.spec, templates)[0]
+        feedback = {c.id: c.feedback for c in self.records[generation].critiques}
+        parents = [
+            dataclasses.replace(drawn[i], feedback=feedback[i]) if i in feedback else drawn[i]
+            for i in entry["parent_ids"]
+        ]
+        strategy = PromptStrategy(entry["strategy"])
+        return build_evolutionary_prompt(strategy, self.spec, parents, templates=templates).user_text
+
+
+def prompt_text(run_dir: str | Path, key: tuple[int, int]) -> str:
+    """The user prompt of the call `key` of the run in `run_dir`, rebuilt
+    and checked against its digest (`RunPrompts.text`)."""
+    return RunPrompts(run_dir).text(key)
 
 
 def generation_bands(last_generation: int) -> list[tuple[int, int]]:

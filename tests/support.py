@@ -1,8 +1,9 @@
 """What the test modules share: the two-bit adder problem, individuals of
 each population, an evaluator of one fixed outcome, the brute-force
-survivor oracle, the reward oracle, the scripted demo world, a local chat
-endpoint, and the one harness that checks an engine run does not depend
-on thread scheduling."""
+survivor oracle, the reward oracle, the scripted demo world, a provider
+whose chosen draft calls fail, a local chat endpoint, the one harness that
+checks an engine run does not depend on thread scheduling, and the
+readers of a transcript."""
 from __future__ import annotations
 
 import dataclasses
@@ -20,7 +21,7 @@ from pathlib import Path
 from rtlevo.bandit import record_reward
 from rtlevo.evaluate import SyntheticEvaluator
 from rtlevo.evolution import EvolutionEngine
-from rtlevo.llm import ScriptEntry
+from rtlevo.llm import ProviderError, ScriptEntry
 from rtlevo.model import (
     NEG_INF,
     CircuitKind,
@@ -32,8 +33,14 @@ from rtlevo.model import (
     ProblemSpec,
     classify,
 )
-from rtlevo.prompts import render_response
-from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation, read_generations
+from rtlevo.prompts import render_response, user_templates
+from rtlevo.reporting import (
+    GENERATIONS_FILE,
+    HistoryWriter,
+    RunPrompts,
+    append_generation,
+    read_generations,
+)
 
 REF = PpaMetrics(power=1.0, area=100.0, effective_clock_period=1.0)
 
@@ -170,6 +177,22 @@ SWITCH_INTERVAL = 1e-5
 JITTER_SECONDS = 0.0005
 # A run that has not ended by then is taken to hang.
 RUN_TIMEOUT = 60.0
+
+
+class FailingDrafts:
+    """Fails the draft calls whose key `fails` accepts with a ProviderError
+    of `kind`, as the http provider does once its retries are spent, and
+    passes every other call on."""
+
+    def __init__(self, inner, fails, kind="transient"):
+        self.inner = inner
+        self.fails = fails
+        self.kind = kind
+
+    def complete(self, bundle):
+        if bundle.purpose == "generate" and self.fails(bundle.key):
+            raise ProviderError(self.kind, "endpoint is down", attempt_count=4)
+        return self.inner.complete(bundle)
 
 
 class KeyedJitter:
@@ -364,8 +387,19 @@ def completion_body(text):
 
 def transcript_entries(source, system_texts=SYSTEMS):
     """The entries of a transcript, its path or its bytes, after checking
-    that its first line is the schema-2 header holding `system_texts`."""
+    that its first line is the schema-3 header holding `system_texts` and
+    the text of every user-prompt template."""
     data = source if isinstance(source, bytes) else source.read_bytes()
     header, *lines = data.decode("utf-8").splitlines()
-    assert json.loads(header) == {"schema_version": 2, "system_text": system_texts}
+    assert json.loads(header) == {
+        "schema_version": 3, "system_text": system_texts, "templates": user_templates()
+    }
     return [json.loads(line) for line in lines]
+
+
+def rebuild_every_prompt(run_dir):
+    """Rebuilds the prompt of every entry of a run's transcript from the run
+    directory, each checked against its digest (a mismatch raises
+    RunDirError), and returns the prompts by call key."""
+    prompts = RunPrompts(run_dir)
+    return {key: prompts.text(key) for key in prompts.entries}

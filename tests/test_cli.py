@@ -34,7 +34,7 @@ from rtlevo.model import MAX_WAIT_SECONDS
 from rtlevo.prompts import render_response, system_texts
 from rtlevo.reporting import GENERATIONS_FILE, TRANSCRIPTS_FILE, read_generations
 
-from support import FakeEndpoint, completion_body, transcript_entries
+from support import FakeEndpoint, completion_body, rebuild_every_prompt, transcript_entries
 
 SCRIPT_OK = """\
 - match: strategy:initial
@@ -1160,7 +1160,7 @@ def test_cli_imports_no_third_party_module_but_yaml():
 # of them changes the behaviour the demo pins down
 DEMO_DIGESTS = {
     "generations.jsonl": "4cac4446f9d69f72c3c70398a1c01fd8e9228edd5e4b75b861c0e39a9ed8b7cb",
-    "transcripts.jsonl": "37ea674a84d40dee293c5a3340a3a4982e6958f475a6c4e30f5094042240688a",
+    "transcripts.jsonl": "fd182aa84279e241b802efa1cb48a51d08b0bed3b0392b96f22ddef667839fad",
     "final_report.json": "3f6446b037af1557c08475e7b31444e6973e070b602f2afe1b55398bd3f2a80a",
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
     "config_snapshot.yaml": "b167ceff9f16c2330c34e8e2a62be6fae108b384deb386bca9765981d4e28708",
@@ -1209,6 +1209,105 @@ def test_demo_outputs_are_pinned(tmp_path, capsys, workers):
     assert {name: got[name] for name in pinned} == {name: DEMO_DIGESTS[name] for name in pinned}
     _, sequential = _run_demo(tmp_path / "sequential", 1, capsys)
     assert sorted(transcript, key=lambda entry: entry["key"]) == sequential
+
+
+def test_every_demo_prompt_rebuilds_and_report_prints_a_call(tmp_path, capsys):
+    demo = tmp_path / "demo"
+    _, transcript = _run_demo(demo, 1, capsys)
+    prompts = rebuild_every_prompt(demo)
+    assert len(prompts) == len(transcript) == 34
+    entries = {tuple(entry["key"]): entry for entry in transcript}
+    # call 1/0 critiques individual 4, and call 1/7 drafts from it with that critique
+    assert (entries[1, 0]["purpose"], entries[1, 0]["parent_ids"]) == ("feedback", [4])
+    assert entries[1, 0]["response"] in prompts[1, 7]
+    assert main(["report", str(demo), "--call", "1/7"]) == EXIT_FOUND
+    # the prompt and the reply are printed without their trailing newlines
+    prompt, reply = prompts[1, 7].rstrip("\n"), entries[1, 7]["response"].rstrip("\n")
+    assert capsys.readouterr().out == (
+        "# call 1/7: generate; strategy improve; parents 4\n"
+        f"# system prompt\n{system_texts()['generate']}\n\n"
+        f"# user prompt\n{prompt}\n\n"
+        f"# reply\n{reply}\n"
+    )
+    assert main(["report", str(demo), "--call", "1/0"]) == EXIT_FOUND
+    assert capsys.readouterr().out.startswith(
+        "# call 1/0: feedback; parents 4\n"
+        f"# system prompt\n{system_texts()['feedback']}\n\n"
+        "# user prompt\nA Verilog design failed its testbench."
+    )
+
+
+def _edit_transcript(run_dir, edit_header=None, tail=None):
+    """Rewrites a run's transcript with `edit_header` applied to its header
+    and `tail` in place of its last line."""
+    path = run_dir / TRANSCRIPTS_FILE
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    data = json.loads(header)
+    if edit_header is not None:
+        edit_header(data)
+    if tail is not None:
+        lines[-1] = tail
+    path.write_text(json.dumps(data) + "\n" + "".join(lines), encoding="utf-8")
+
+
+def _one_error_line(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == EXIT_ABORT
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert captured.out == ""
+    return err[0]
+
+
+def test_a_template_edited_after_the_run_fails_its_calls_digest_check(tmp_path, capsys):
+    demo = tmp_path / "demo"
+    _, transcript = _run_demo(demo, 1, capsys)
+    [digest] = [entry["user_sha256"] for entry in transcript if entry["key"] == [1, 7]]
+
+    def edit(header):
+        improve = header["templates"]["improve"]
+        assert "general enhancements" in improve
+        header["templates"]["improve"] = improve.replace("general", "broad", 1)
+
+    _edit_transcript(demo, edit)
+    line = _one_error_line(capsys, ["report", str(demo), "--call", "1/7"])
+    assert line == (
+        f"error: {demo / TRANSCRIPTS_FILE}: call 1/7: the prompt rebuilt from the run "
+        f"directory does not match its digest {digest}"
+    )
+    # a call rendered from another template still rebuilds
+    assert main(["report", str(demo), "--call", "1/0"]) == EXIT_FOUND
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_report_call_refuses_a_transcript_of_an_earlier_schema(tmp_path, capsys, version):
+    demo = tmp_path / "demo"
+    _run_demo(demo, 1, capsys)
+    _edit_transcript(demo, lambda header: header.update(schema_version=version))
+    line = _one_error_line(capsys, ["report", str(demo), "--call", "0/0"])
+    assert line.endswith(f"transcripts.jsonl: unsupported schema_version {version}")
+
+
+def test_report_call_drops_a_torn_last_entry_with_a_warning(tmp_path, capsys, caplog):
+    demo = tmp_path / "demo"
+    _, transcript = _run_demo(demo, 1, capsys)
+    last = transcript[-1]
+    _edit_transcript(demo, tail=json.dumps(last)[:80])
+    with caplog.at_level(logging.WARNING):
+        assert main(["report", str(demo), "--call", "1/7"]) == EXIT_FOUND
+    assert "dropped transcript entry 33, cut short by an interrupted write" in caplog.text
+    key = "/".join(map(str, last["key"]))
+    line = _one_error_line(capsys, ["report", str(demo), "--call", key])
+    assert line.endswith(f"call {key}: the transcript has no entry for this call")
+
+
+@pytest.mark.parametrize("call", ["1", "1/2/3", "a/b", "1/-1", ""])
+def test_report_call_with_a_malformed_key_is_one_error_line(tmp_path, capsys, call):
+    demo = tmp_path / "demo"
+    _run_demo(demo, 1, capsys)
+    line = _one_error_line(capsys, ["report", str(demo), "--call", call])
+    assert line == f"error: --call must name a call key as G/N, got {call!r}"
 
 
 def test_a_run_logs_one_progress_line_per_generation(tmp_path, capsys, caplog):

@@ -41,6 +41,7 @@ from rtlevo.reporting import GENERATIONS_FILE, HistoryWriter, append_generation,
 from closed_world import ClosedWorld
 from support import (
     SPEC,
+    FailingDrafts,
     demo_script,
     derived_rewards,
     fail_ind,
@@ -1029,22 +1030,6 @@ def test_fix_reply_repeating_a_placeholder_becomes_a_placeholder():
 
 
 # --- failed draft calls ------------------------------------------------------
-
-
-class FailingDrafts:
-    """Fails the draft calls whose key `fails` accepts with a ProviderError
-    of `kind`, as the http provider does once its retries are spent, and
-    passes every other call on."""
-
-    def __init__(self, inner, fails, kind="transient"):
-        self.inner = inner
-        self.fails = fails
-        self.kind = kind
-
-    def complete(self, bundle):
-        if bundle.purpose == "generate" and self.fails(bundle.key):
-            raise ProviderError(self.kind, "endpoint is down", attempt_count=4)
-        return self.inner.complete(bundle)
 
 
 class EvaluatedIds:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from rtlevo.llm import (
     TranscriptWriter,
 )
 from rtlevo.model import ConfigError
-from rtlevo.prompts import PromptBundle, PromptStrategy
+from rtlevo.prompts import PromptBundle, PromptStrategy, prompt_digest
 
 from support import SYSTEMS, FakeEndpoint, completion_body, transcript_entries
 
@@ -511,6 +512,21 @@ def test_transcript_records_and_redacts(tmp_path, monkeypatch):
     assert lines[0]["error"] is None
     assert lines[1]["response"] is None
     assert lines[1]["error"] == "boom [REDACTED]"
+
+
+def test_a_keyed_entry_stores_its_prompts_digest_and_neither_its_text_nor_a_secret(tmp_path):
+    path = tmp_path / "transcripts.jsonl"
+    prompt = "the key is sk-secret-value ok"
+    with TranscriptWriter(path, SYSTEMS) as writer:
+        writer.redact("sk-secret-value")
+        writer.record(keyed(0, user=prompt), CompletionResult(text="fine"))
+    written = path.read_text(encoding="utf-8")
+    assert "sk-secret-value" not in written and "the key is" not in written
+    (entry,) = transcript_entries(path)
+    assert "user_text" not in entry
+    # the digest is of the prompt as sent, before redaction
+    digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
+    assert entry["user_sha256"] == prompt_digest(prompt) == digest
 
 
 def test_transcript_record_after_close_is_refused(tmp_path):

@@ -38,7 +38,7 @@ from rtlevo.evaluate import (
     SyntheticEvaluator,
     SyntheticEvaluatorConfig,
     ToolchainConfig,
-    _critique_texts,
+    critique_texts,
     _critiqued_log,
     _log_tail,
     clip_log,
@@ -547,7 +547,7 @@ def test_an_outcome_stores_only_the_log_its_critique_quotes(
     assert dataclasses.replace(done.outcome, sim_log=sim_log, synth_log=synth_log) == outcome
     # the prompt and the stand-in read as from the whole outcome
     whole = dataclasses.replace(done, outcome=outcome)
-    assert _critique_texts(done, SPEC) == _critique_texts(whole, SPEC)
+    assert critique_texts(done, SPEC) == critique_texts(whole, SPEC)
 
 
 class _PaddedLogEvaluator:
@@ -596,7 +596,7 @@ def test_critique_prompt_is_built_as_from_the_unclipped_outcome(workers):
         assert len(critiqued) == len(sent) > 0
         outcomes = run.evaluator.outcomes
         unclipped = sorted(
-            _critique_texts(dataclasses.replace(ind, outcome=outcomes[ind.id]), SPEC)[0]
+            critique_texts(dataclasses.replace(ind, outcome=outcomes[ind.id]), SPEC)[0]
             for ind in critiqued
         )
         assert sorted(sent) == unclipped

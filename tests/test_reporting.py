@@ -5,8 +5,11 @@ import dataclasses
 import json
 
 import pytest
+import yaml
 
 from rtlevo.bandit import BanditState, StrategyStats, record_reward
+from rtlevo.evolution import CALL_FAILED_CODE, PLACEHOLDER_CODE, EvolutionConfig
+from rtlevo.llm import TranscriptingProvider, TranscriptWriter
 from rtlevo.model import (
     NEG_INF,
     Critique,
@@ -16,8 +19,11 @@ from rtlevo.model import (
     PpaMetrics,
     to_plain,
 )
+from rtlevo.prompts import system_texts
 from rtlevo.reporting import (
+    CONFIG_SNAPSHOT_FILE,
     GENERATIONS_FILE,
+    TRANSCRIPTS_FILE,
     HistoryWriter,
     RunDirError,
     append_generation,
@@ -26,7 +32,14 @@ from rtlevo.reporting import (
     render_report,
 )
 
-from support import REF
+from closed_world import ClosedWorld
+from support import (
+    REF,
+    SPEC,
+    FailingDrafts,
+    rebuild_every_prompt,
+    run_at_one_and_four_workers,
+)
 
 
 def write_history(path, records):
@@ -504,3 +517,77 @@ def test_a_blank_line_is_corrupt(tmp_path):
     with pytest.raises(RunDirError) as err:
         read_generations(tmp_path)
     assert "generation record 2 is corrupt" in str(err.value)
+
+
+# --- prompts rebuilt from the run directory ----------------------------------
+
+
+class _TranscribedWorlds:
+    """A provider factory for `run_at_one_and_four_workers`: each provider
+    is a fresh `world()` whose calls are transcribed into a run directory
+    of its own under `root`, which also gets SPEC's config snapshot. Keeps
+    the directories, the worlds and the writers in the order it made them."""
+
+    def __init__(self, root, world):
+        self.root = root
+        self.world = world
+        self.made = []
+
+    def __call__(self):
+        run_dir = self.root / f"run-{len(self.made)}"
+        run_dir.mkdir()
+        snapshot = yaml.safe_dump({"problem": to_plain(SPEC)})
+        (run_dir / CONFIG_SNAPSHOT_FILE).write_text(snapshot, encoding="utf-8")
+        world = self.world()
+        writer = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, system_texts())
+        self.made.append((run_dir, world, writer))
+        return TranscriptingProvider(world, writer)
+
+
+def _rebuilt_runs(tmp_path, cfg, world):
+    """The prompts rebuilt from each run directory of an engine run at one
+    and at four workers, checked against what the world was sent, with the
+    history each run wrote."""
+    worlds = _TranscribedWorlds(tmp_path, world)
+    try:
+        runs = run_at_one_and_four_workers(cfg, worlds)
+    finally:
+        for _, _, writer in worlds.made:
+            writer.close()
+    rebuilt = []
+    for run, (run_dir, closed, _) in zip(runs, worlds.made):
+        (run_dir / GENERATIONS_FILE).write_bytes(run.written)
+        prompts = rebuild_every_prompt(run_dir)
+        inner = getattr(closed, "inner", closed)
+        sent = {bundle.key: bundle.user_text for bundle in [*inner.drafts, *inner.critiques]}
+        assert {key: prompts[key] for key in sent} == sent
+        rebuilt.append((prompts, run.history))
+    # sorted by key, the entries at four workers are the one-worker entries
+    assert rebuilt[0][0] == rebuilt[1][0]
+    return rebuilt
+
+
+@pytest.mark.scheduling
+def test_every_prompt_of_a_closed_world_run_rebuilds_at_one_and_four_workers(tmp_path):
+    cfg = EvolutionConfig(population_size=5, offspring_count=5, max_generations=3, rng_seed=3)
+    for prompts, history in _rebuilt_runs(tmp_path, cfg, lambda: ClosedWorld(3)):
+        critiques = sum(len(record.critiques) for record in history)
+        assert critiques > 0
+        assert len(prompts) == 5 + 3 * 5 + critiques
+
+
+@pytest.mark.scheduling
+def test_prompts_with_placeholder_and_failed_call_parents_rebuild(tmp_path):
+    # at this seed generation 0's second draft call fails, a fifth of the
+    # replies do not parse, and both kinds of placeholder become parents
+    cfg = EvolutionConfig(population_size=5, offspring_count=5, max_generations=3, rng_seed=2)
+    runs = _rebuilt_runs(
+        tmp_path,
+        cfg,
+        lambda: FailingDrafts(ClosedWorld(2, p_malformed=0.2), lambda key: key == (0, 1)),
+    )
+    for prompts, history in runs:
+        codes = {ind.id: ind.code for record in history for ind in record.population}
+        parents = [codes[i] for record in history[1:] for ind in record.offspring for i in ind.parent_ids]
+        assert CALL_FAILED_CODE in parents and PLACEHOLDER_CODE in parents
+        assert (0, 1) in prompts
