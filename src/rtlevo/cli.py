@@ -32,7 +32,7 @@ from .llm import (
     TranscriptWriter,
 )
 from .model import ConfigError, GenerationRecord, to_plain
-from .prompts import build_initial_prompt, system_text, system_texts
+from .prompts import build_initial_prompt, system_text
 from .reporting import (
     CONFIG_SNAPSHOT_FILE,
     FINAL_REPORT_FILE,
@@ -83,12 +83,11 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg,
         evolution=evolution,
         output_dir=str(args.out) if args.out else cfg.output_dir,
-        keep_artifacts=bool(args.keep_artifacts) or cfg.keep_artifacts,
     )
 
 
 def _dry_run(cfg: RunConfig) -> int:
-    bundle = build_initial_prompt(cfg.problem)
+    bundle = build_initial_prompt(cfg.problem, (0, 0))
     print("# system prompt of every draft")
     print(bundle.system_text)
     print()
@@ -109,11 +108,10 @@ def _progress(record: GenerationRecord, elapsed: float) -> None:
     """Logs one line for a finished generation: its pass count, the best
     fitness so far, its draft and critique calls, and the run's elapsed
     time."""
-    drafts = record.offspring if record.generation_index else record.population
     logger.info(
         "generation %d: %d/%d passed, best fitness %.6g, %d drafts, %d critiques, %.2f s elapsed",
         record.generation_index, record.success_count, len(record.population),
-        record.best_so_far.fitness, len(drafts), len(record.critiques), elapsed,
+        record.best_so_far.fitness, len(record.drafts), len(record.critiques), elapsed,
     )
 
 
@@ -123,7 +121,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _dry_run(cfg)
 
     run_dir = Path(cfg.output_dir)
-    transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, system_texts())
+    transcript = TranscriptWriter(run_dir / TRANSCRIPTS_FILE)
     history = HistoryWriter(run_dir / GENERATIONS_FILE)
     # parse the script, read the API key and preflight the tools before
     # touching the run directory, so a run that cannot start leaves the
@@ -138,7 +136,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     artifacts_dir = run_dir / "artifacts"
     with transcript, history, connections:
-        evaluator = _build_evaluator(cfg, artifacts_dir if cfg.keep_artifacts else None)
+        evaluator = _build_evaluator(cfg, artifacts_dir if args.keep_artifacts else None)
         run_dir.mkdir(parents=True, exist_ok=True)
         for name in (GENERATIONS_FILE, TRANSCRIPTS_FILE, FINAL_REPORT_FILE):
             (run_dir / name).unlink(missing_ok=True)
@@ -184,7 +182,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _print_call(run_dir: Path, call: str) -> None:
     """Prints the call keyed `call`, written G/N: its purpose, operator and
-    parents, its system and user prompts, and its reply or error."""
+    parents, its system prompt (the transcript header's for its purpose)
+    and user prompt, and its reply or error."""
     try:
         key = tuple(int(part) for part in call.split("/"))
     except ValueError:
@@ -202,7 +201,7 @@ def _print_call(run_dir: Path, call: str) -> None:
         about.append("parents " + ", ".join(map(str, entry["parent_ids"])))
     print(f"# call {call}: {'; '.join(about)}")
     print("# system prompt")
-    print(entry.get("system_text", prompts.header["system_text"].get(purpose)))
+    print(prompts.header["system_text"].get(purpose))
     print()
     print("# user prompt")
     print(user.rstrip("\n"))
@@ -244,7 +243,7 @@ def cmd_ref_ppa(args: argparse.Namespace) -> int:
 def cmd_validate_config(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     # what `run` checks before it starts: the script, the API key, the tools
-    transcript = TranscriptWriter(Path(cfg.output_dir) / TRANSCRIPTS_FILE, system_texts())
+    transcript = TranscriptWriter(Path(cfg.output_dir) / TRANSCRIPTS_FILE)
     _build_provider(cfg, transcript)
     _build_evaluator(cfg, None)
     print(

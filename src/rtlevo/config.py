@@ -57,7 +57,6 @@ class RunConfig:
     provider: ProviderConfig | ScriptConfig
     evaluator: ToolchainConfig | SyntheticEvaluatorConfig
     output_dir: str = "runs/latest"
-    keep_artifacts: bool = False
 
 
 def kind_of(section, kinds: dict) -> str:

@@ -46,7 +46,7 @@ from .model import (
     ProblemSpec,
     check_range,
 )
-from .prompts import PromptBundle, render, system_text
+from .prompts import PromptBundle, render
 
 logger = logging.getLogger(__name__)
 
@@ -558,14 +558,14 @@ def generate_feedback(
     ind: Individual, spec: ProblemSpec, provider: Provider, key: tuple[int, int]
 ) -> str:
     """Asks the provider to critique an evaluated individual, in prose:
-    the call is sent the critique system prompt (`feedback_system.txt`),
-    not the drafting one, so it asks for no design. A provider failure
-    other than `auth` degrades to a deterministic non-empty summary.
+    the call's purpose, `feedback`, sends it the critique system prompt
+    (`feedback_system.txt`), not the drafting one, so it asks for no
+    design. A provider failure other than `auth` degrades to a
+    deterministic non-empty summary.
     `key` is the engine's call key for the feedback prompt (see
     PromptBundle.key), and the prompt names `ind` as its one parent."""
     prompt, stand_in = critique_texts(ind, spec)
     bundle = PromptBundle(
-        system_text=system_text("feedback"),
         user_text=prompt,
         parent_ids=(ind.id,),
         purpose="feedback",

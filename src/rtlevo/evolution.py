@@ -217,10 +217,9 @@ def _placeholder(thought: str, code: str, rejected: str, sim_log: str) -> dict:
 
 def _failed_slots_in_a_row(record: GenerationRecord, streak: int) -> int:
     """The count of slots in a row that failed their draft call, carried
-    from `streak` over the slots `record` created, in slot order. Raises
+    from `streak` over the slots `record` drafted, in slot order. Raises
     once it reaches MAX_FAILED_SLOTS_IN_A_ROW."""
-    created = record.offspring if record.generation_index else record.population
-    for ind in created:
+    for ind in record.drafts:
         streak = streak + 1 if ind.code == CALL_FAILED_CODE else 0
         if streak == MAX_FAILED_SLOTS_IN_A_ROW:
             raise RuntimeError(

@@ -4,14 +4,15 @@ Both expose a single method, complete(bundle) -> CompletionResult, so the
 engine never knows which one it is talking to, and both fail with a
 ProviderError. Every call can be recorded, result or error, in a
 transcript (`TranscriptWriter.call`): each call purpose's system prompt
-and every prompt template once, in its header, then one entry per call
-under the engine's call key, which joins it to its generation and
-individuals, with its prompt's digest in place of its text. Drafts and critiques
-are sampled alike, with the provider's one temperature and top_p. The
-HTTP client reads its API key from an environment variable once, when it
-is built, and registers it with its transcript, which redacts it, so the
-key is never persisted. It speaks HTTP/1.1 through the stdlib's
-`http.client`, keeping idle connections open for the next call.
+and every prompt template once, in its header, then one entry of one
+shape per call, under the engine's call key, which joins it to its
+generation and individuals, with its prompt's digest in place of its
+text. Drafts and critiques are sampled alike, with the provider's one
+temperature and top_p. The HTTP client reads its API key from an
+environment variable once, when it is built, and registers it with its
+transcript, which redacts it, so the key is never persisted. It speaks
+HTTP/1.1 through the stdlib's `http.client`, keeping idle connections
+open for the next call.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Protocol
 
 from . import __version__
 from .model import MAX_WAIT_SECONDS, ConfigError, LineFile, build, check_range, read_yaml
-from .prompts import PromptBundle, prompt_digest, render_response, user_templates
+from .prompts import PromptBundle, prompt_digest, render_response, system_texts, user_templates
 
 logger = logging.getLogger(__name__)
 
@@ -121,13 +122,14 @@ class TranscriptWriter(LineFile):
     """A run's transcript: one JSON entry per completion call, a line of a
     .jsonl file in an existing directory (`LineFile`: started new at the
     first entry, under the header `{"schema_version": 3, "system_text":
-    {purpose: text}, "templates": {name: text}}` that holds `system_texts`,
-    each call purpose's system prompt, and `prompts.user_templates()`, the
-    text of every user-prompt template).
+    {purpose: text}, "templates": {name: text}}` that holds
+    `prompts.system_texts()`, each call purpose's system prompt, and
+    `prompts.user_templates()`, the text of every user-prompt template).
 
-    An entry under an engine call key stores its prompt as `user_sha256`,
-    its `prompts.prompt_digest`; the run directory rebuilds the text
-    (`reporting.prompt_text`). An entry with no key keeps its `user_text`.
+    Every entry has the same keys: the call key, its purpose, operator and
+    parents, its result or error, and its prompt as `user_sha256`, its
+    `prompts.prompt_digest`; the run directory rebuilds the text
+    (`rtlevo report --call`).
 
     A secret registered with `redact` (an API key value) never reaches
     disk; any occurrence in the header or an entry is replaced when the
@@ -136,10 +138,10 @@ class TranscriptWriter(LineFile):
 
     SCHEMA_VERSION = 3
 
-    def __init__(self, path: str | Path, system_texts: dict[str, str]):
+    def __init__(self, path: str | Path):
         header = {
             "schema_version": self.SCHEMA_VERSION,
-            "system_text": system_texts,
+            "system_text": system_texts(),
             "templates": user_templates(),
         }
         super().__init__(path, header)
@@ -183,11 +185,9 @@ class TranscriptWriter(LineFile):
         error: str | None = None,
         attempt_count: int | None = None,
     ) -> None:
-        """Appends one entry, under the bundle's call key (`null` for a
-        prompt built outside the engine), with its prompt's digest for a
-        keyed bundle and its text otherwise; its `system_text` is written
-        only when it differs from the header's for its purpose. A failed call
-        has no result, only its error and, when known, its attempt count.
+        """Appends one entry, under the bundle's call key, with its prompt's
+        digest; its system prompt is the header's for its purpose. A failed
+        call has no result, only its error and, when known, its attempt count.
         An HTTP result's `latency` runs from the call's start, waits for a
         request slot and retries included, in whole microseconds."""
         entry = {
@@ -200,13 +200,8 @@ class TranscriptWriter(LineFile):
             "latency": round(result.latency, 6) if result else None,
             "attempt_count": result.attempt_count if result else attempt_count,
             "error": error,
+            "user_sha256": prompt_digest(bundle.user_text),
         }
-        if bundle.key is None:
-            entry["user_text"] = bundle.user_text
-        else:
-            entry["user_sha256"] = prompt_digest(bundle.user_text)
-        if bundle.system_text != self._header["system_text"].get(bundle.purpose):
-            entry["system_text"] = bundle.system_text
         self.write_line(self.encode(entry))
 
 

@@ -209,6 +209,12 @@ class GenerationRecord:
         """Members of `population` that passed simulation."""
         return sum(1 for ind in self.population if ind.outcome.sim_passed)
 
+    @property
+    def drafts(self) -> tuple[Individual, ...]:
+        """The individuals this generation drafted, in slot order:
+        generation 0's initial population, any later one's offspring."""
+        return self.offspring if self.generation_index else self.population
+
 
 # --- persistence ------------------------------------------------------------
 
@@ -354,12 +360,12 @@ class LineFile:
 
     Each line goes out in one write and a flush under a lock, so a run
     killed at any point leaves whole lines and threads never interleave
-    theirs; a line after `close` is a ValueError. A `header`, when given,
-    is encoded (`encode`) when the first line is written and goes out in
-    that line's write, so the file never holds a header alone.
+    theirs; a line after `close` is a ValueError. The `header` is encoded
+    (`encode`) when the first line is written and goes out in that line's
+    write, so the file never holds a header alone.
     """
 
-    def __init__(self, path: str | Path, header: dict | None = None):
+    def __init__(self, path: str | Path, header: dict):
         self._path = Path(path)
         self._header = header
         self._lock = threading.Lock()
@@ -387,8 +393,7 @@ class LineFile:
             if self._closed:
                 raise ValueError(f"cannot write a line to closed file {self._path}")
             if self._fh is None:
-                if self._header is not None:
-                    text = f"{self.encode(self._header)}\n{text}"
+                text = f"{self.encode(self._header)}\n{text}"
                 self._fh = self._path.open("wb")
             self._fh.write(f"{text}\n".encode("utf-8"))
             self._fh.flush()

@@ -80,23 +80,27 @@ SUCCESS_STRATEGIES: tuple[PromptStrategy, ...] = (
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """One ready-to-send prompt: system text, user text, and provenance.
+    """One ready-to-send prompt: user text and provenance, and the system
+    text of its purpose (`system_text`).
 
     A draft's `parent_ids` are the `strategy.arity` parents the engine's
     plan drew; a critique's are the one individual it critiques. `key` is
     (generation, n), given by the engine to every call it makes when it
     builds the prompt: n numbers a generation's calls in slot order, each
     slot's critiques of the parents it is the first to choose before its
-    draft. A scripted provider's `call:G/N` entries match
-    it. Prompts built outside the engine carry no key.
+    draft. A scripted provider's `call:G/N` entries match it.
     """
 
-    system_text: str
     user_text: str
+    key: tuple[int, int]
     strategy: PromptStrategy | None = None
     parent_ids: tuple[int, ...] = ()
     purpose: str = "generate"
-    key: tuple[int, int] | None = None
+
+    @property
+    def system_text(self) -> str:
+        """The system prompt of every call made for this bundle's purpose."""
+        return system_text(self.purpose)
 
 
 # every template a call's user text is rendered from, as a transcript's header holds them
@@ -157,13 +161,12 @@ def system_texts() -> dict[str, str]:
 
 def build_initial_prompt(
     spec: ProblemSpec,
-    key: tuple[int, int] | None = None,
+    key: tuple[int, int],
     templates: dict[str, str] | None = None,
 ) -> PromptBundle:
     """The parent-free prompt used once per slot to create generation 0,
-    rendered from `templates` when given (see `render`)."""
+    for the call `key`, rendered from `templates` when given (see `render`)."""
     return PromptBundle(
-        system_text=system_text("generate"),
         user_text=render("initial", {"functional_description": spec.description}, templates),
         key=key,
     )
@@ -173,20 +176,19 @@ def build_evolutionary_prompt(
     strategy: PromptStrategy,
     spec: ProblemSpec,
     parents: list[Individual],
-    key: tuple[int, int] | None = None,
+    key: tuple[int, int],
     templates: dict[str, str] | None = None,
 ) -> PromptBundle:
     """A strategy prompt carrying each parent's thought, code and feedback
-    verbatim, for the `strategy.arity` parents the engine's plan draws,
-    rendered from `templates` when given (see `render`). Each parent is
-    critiqued, or is a placeholder with its fixed feedback."""
+    verbatim, for the `strategy.arity` parents the engine's plan draws and
+    the call `key`, rendered from `templates` when given (see `render`).
+    Each parent is critiqued, or is a placeholder with its fixed feedback."""
     mapping = {"functional_description": spec.description}
     for n, parent in enumerate(parents, start=1):
         mapping[f"parent_thought_{n}"] = parent.thought
         mapping[f"parent_code_{n}"] = parent.code
         mapping[f"parent_feedback_{n}"] = parent.feedback
     return PromptBundle(
-        system_text=system_text("generate"),
         user_text=render(strategy.value, mapping, templates),
         strategy=strategy,
         parent_ids=tuple(p.id for p in parents),

@@ -224,8 +224,8 @@ class RunPrompts:
     Only transcript schema 3 reads; a header naming another version, such
     as the schema 1 or 2 that stored each prompt's text, is a RunDirError.
     A last line with no newline that does not parse is dropped with a
-    warning, as in the history. `entries` holds every entry with a call
-    key, by key."""
+    warning, as in the history. `entries` holds every entry by its call
+    key; an entry without one is corrupt."""
 
     def __init__(self, run_dir: str | Path):
         self._path = Path(run_dir) / TRANSCRIPTS_FILE
@@ -233,10 +233,7 @@ class RunPrompts:
         self.header = next(lines)
         self.entries: dict[tuple[int, int], dict] = {}
         for i, entry in enumerate(lines):
-            key = entry.get("key", ()) if isinstance(entry, dict) else ()
-            # an entry with no key holds a prompt built outside the engine
-            if key is None:
-                continue
+            key = entry.get("key") if isinstance(entry, dict) else None
             if not isinstance(key, list):
                 raise RunDirError(f"{self._path}: transcript entry {i} is corrupt: it has no call key")
             self.entries[tuple(key)] = entry
@@ -254,7 +251,7 @@ class RunPrompts:
         if key[0] >= len(self.records):
             raise RunDirError(f"{where}: the history holds no record of generation {key[0]}")
         try:
-            prompt = self._rebuild(key[0], entry)
+            prompt = self._rebuild(key, entry)
         except (KeyError, ValueError, TypeError) as exc:
             raise RunDirError(f"{where}: its prompt cannot be rebuilt: {exc!r}") from None
         if prompt_digest(prompt) != entry.get("user_sha256"):
@@ -264,15 +261,15 @@ class RunPrompts:
             )
         return prompt
 
-    def _rebuild(self, generation: int, entry: dict) -> str:
+    def _rebuild(self, key: tuple[int, int], entry: dict) -> str:
         """A draft of generation 0 is the initial prompt. Any other call
         names individuals of the population that generation drew from, the
         last record's: a critique its one parent, as stored, and a draft
         its operator's parents, with the critiques its own record asked
         for applied."""
-        templates = self.header["templates"]
+        generation, templates = key[0], self.header["templates"]
         if entry["purpose"] == "generate" and entry["strategy"] is None:
-            return build_initial_prompt(self.spec, templates=templates).user_text
+            return build_initial_prompt(self.spec, key, templates).user_text
         drawn = {ind.id: ind for ind in self.records[generation - 1].population}
         if entry["purpose"] == "feedback":
             [ind_id] = entry["parent_ids"]
@@ -283,13 +280,7 @@ class RunPrompts:
             for i in entry["parent_ids"]
         ]
         strategy = PromptStrategy(entry["strategy"])
-        return build_evolutionary_prompt(strategy, self.spec, parents, templates=templates).user_text
-
-
-def prompt_text(run_dir: str | Path, key: tuple[int, int]) -> str:
-    """The user prompt of the call `key` of the run in `run_dir`, rebuilt
-    and checked against its digest (`RunPrompts.text`)."""
-    return RunPrompts(run_dir).text(key)
+        return build_evolutionary_prompt(strategy, self.spec, parents, key, templates).user_text
 
 
 def generation_bands(last_generation: int) -> list[tuple[int, int]]:

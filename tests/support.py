@@ -33,7 +33,7 @@ from rtlevo.model import (
     ProblemSpec,
     classify,
 )
-from rtlevo.prompts import render_response, user_templates
+from rtlevo.prompts import render_response, system_texts, user_templates
 from rtlevo.reporting import (
     GENERATIONS_FILE,
     HistoryWriter,
@@ -299,9 +299,13 @@ def run_at_one_and_four_workers(cfg, provider, evaluator=SyntheticEvaluator, *, 
 
 # --- a local chat endpoint ---------------------------------------------------
 
-SYSTEM = "you are an engineer"
 # each call purpose's system prompt, as a transcript header holds them
-SYSTEMS = {"generate": SYSTEM, "feedback": "you are a reviewer"}
+SYSTEMS = system_texts()
+# the keys of every transcript entry
+ENTRY_KEYS = {
+    "key", "purpose", "strategy", "parent_ids", "response", "usage", "latency",
+    "attempt_count", "error", "user_sha256",
+}
 
 
 class FakeEndpoint:
@@ -385,14 +389,15 @@ def completion_body(text):
     return json.dumps({"choices": [{"message": {"content": text}}]})
 
 
-def transcript_entries(source, system_texts=SYSTEMS):
+def transcript_entries(source):
     """The entries of a transcript, its path or its bytes, after checking
-    that its first line is the schema-3 header holding `system_texts` and
-    the text of every user-prompt template."""
+    that its first line is the schema-3 header holding each call purpose's
+    system prompt (`system_texts()`) and the text of every user-prompt
+    template (`user_templates()`)."""
     data = source if isinstance(source, bytes) else source.read_bytes()
     header, *lines = data.decode("utf-8").splitlines()
     assert json.loads(header) == {
-        "schema_version": 3, "system_text": system_texts, "templates": user_templates()
+        "schema_version": 3, "system_text": SYSTEMS, "templates": user_templates()
     }
     return [json.loads(line) for line in lines]
 

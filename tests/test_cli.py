@@ -34,7 +34,13 @@ from rtlevo.model import MAX_WAIT_SECONDS
 from rtlevo.prompts import render_response, system_texts
 from rtlevo.reporting import GENERATIONS_FILE, TRANSCRIPTS_FILE, read_generations
 
-from support import FakeEndpoint, completion_body, rebuild_every_prompt, transcript_entries
+from support import (
+    ENTRY_KEYS,
+    FakeEndpoint,
+    completion_body,
+    rebuild_every_prompt,
+    transcript_entries,
+)
 
 SCRIPT_OK = """\
 - match: strategy:initial
@@ -132,7 +138,7 @@ def test_run_final_report_contents(tmp_path):
 def test_run_transcript_covers_every_call(tmp_path):
     config = write_setup(tmp_path)
     main(["run", "--config", str(config)])
-    records = transcript_entries(tmp_path / "run" / "transcripts.jsonl", system_texts())
+    records = transcript_entries(tmp_path / "run" / "transcripts.jsonl")
     generates = [r for r in records if r["purpose"] == "generate"]
     feedbacks = [r for r in records if r["purpose"] == "feedback"]
     # 3 initial + 3 offspring x 2 generations
@@ -364,6 +370,14 @@ def test_keep_artifacts_keeps_stage_logs(tmp_path):
     assert not (first / "post_synth.log").exists()
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_a_config_naming_keep_artifacts_is_one_error_line(tmp_path, capsys, command):
+    config = write_setup(tmp_path, config_overrides={"keep_artifacts": True})
+    line = _one_error_line(capsys, [command, "--config", str(config)])
+    assert line.startswith("error: unknown key(s) in config: keep_artifacts; allowed: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_clears_the_artifacts_an_earlier_run_kept(tmp_path):
     # the first synthesizer writes its report file, the second prints to stdout
     writes = "printf 'Chip area: 5\\nTotal power: 0.5\\nWorst slack: 0\\n' > {out_report}"
@@ -503,8 +517,8 @@ def test_snapshot_reloads_http_toolchain(tmp_path, monkeypatch):
         # int() would truncate these to 5 and 3
         ({"evolution.population_size": 5.9}, "evolution.population_size"),
         ({"evolution.offspring_count": 3.9}, "evolution.offspring_count"),
-        # bool() would read any non-empty string as true
-        ({"keep_artifacts": "no"}, "keep_artifacts"),
+        # not a setting: --keep-artifacts is the only way to keep tool artifacts
+        ({"keep_artifacts": False}, "keep_artifacts"),
         # critiques sample like drafts, with provider.temperature and top_p
         (
             {"provider": {"kind": "http", "endpoint_url": "http://x/v1", "feedback_temperature": 0.3}},
@@ -897,7 +911,7 @@ def test_a_draft_call_the_endpoint_fails_becomes_a_failed_slot(tmp_path, monkeyp
     failed = records[0].population[1]
     assert failed.code == CALL_FAILED_CODE
     assert failed.outcome.sim_log.startswith(CALL_FAILED_LOG + "exhausted retries: HTTP 503")
-    entries = transcript_entries(tmp_path / "run" / TRANSCRIPTS_FILE, system_texts())
+    entries = transcript_entries(tmp_path / "run" / TRANSCRIPTS_FILE)
     [error] = [entry for entry in entries if entry["error"]]
     assert error["key"] == [0, 1]
 
@@ -1017,7 +1031,7 @@ def test_every_finished_call_and_generation_is_a_whole_line_on_disk(
             assert finished == 0
         else:
             whole_lines(transcript)
-            assert finished == len(transcript_entries(transcript, system_texts()))
+            assert finished == len(transcript_entries(transcript))
         # the calls of generation g come after the records of 0..g-1
         if generation == 0:
             assert history is None
@@ -1025,7 +1039,7 @@ def test_every_finished_call_and_generation_is_a_whole_line_on_disk(
             header, *records = whole_lines(history)
             assert header == {"schema_version": 4}
             assert [r["generation_index"] for r in records] == list(range(generation))
-    assert len(transcript_entries(read(TRANSCRIPTS_FILE), system_texts())) == len(recorded)
+    assert len(transcript_entries(read(TRANSCRIPTS_FILE))) == len(recorded)
     assert len(read_generations(run_dir)) == 4
 
 
@@ -1037,7 +1051,7 @@ def _keyed_run(tmp_path, workers):
         "evolution.max_generations": 4, "evolution.max_parallel_evaluations": workers,
     })
     assert main(["run", "--config", str(config), "--out", str(run_dir)]) == EXIT_FOUND
-    entries = transcript_entries(run_dir / TRANSCRIPTS_FILE, system_texts())
+    entries = transcript_entries(run_dir / TRANSCRIPTS_FILE)
     keys = [tuple(entry["key"]) for entry in entries]
     assert len(set(keys)) == len(keys)
     return sorted(entries, key=lambda entry: entry["key"]), read_generations(run_dir)
@@ -1163,7 +1177,7 @@ DEMO_DIGESTS = {
     "transcripts.jsonl": "fd182aa84279e241b802efa1cb48a51d08b0bed3b0392b96f22ddef667839fad",
     "final_report.json": "3f6446b037af1557c08475e7b31444e6973e070b602f2afe1b55398bd3f2a80a",
     "report": "b4ab1ca3e08aab9fb06aa8a05c6bc21abcd0b5473e675e75bb5380f97c8226da",
-    "config_snapshot.yaml": "b167ceff9f16c2330c34e8e2a62be6fae108b384deb386bca9765981d4e28708",
+    "config_snapshot.yaml": "03894bf755d2646111290343aa254f2287ade042542a219fe108823dbeaf3431",
 }
 
 
@@ -1191,14 +1205,15 @@ def _run_demo(out, workers, capsys):
     assert f"\n  script_file: {script}\n" in snapshot
     masked = snapshot.replace(str(out), "<output_dir>").replace(str(script), "<script_file>")
     got["config_snapshot.yaml"] = hashlib.sha256(masked.encode()).hexdigest()
-    return got, transcript_entries(out / "transcripts.jsonl", system_texts())
+    return got, transcript_entries(out / "transcripts.jsonl")
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_demo_outputs_are_pinned(tmp_path, capsys, workers):
     got, transcript = _run_demo(tmp_path / "demo", workers, capsys)
-    # every call was sent its purpose's system prompt, which the header holds
-    assert not any("system_text" in entry for entry in transcript)
+    # every call was sent its purpose's system prompt, which the header
+    # holds, and every entry has the same keys
+    assert all(entry.keys() == ENTRY_KEYS for entry in transcript)
     if workers == 1:
         assert got == DEMO_DIGESTS
         return
@@ -1300,6 +1315,14 @@ def test_report_call_drops_a_torn_last_entry_with_a_warning(tmp_path, capsys, ca
     key = "/".join(map(str, last["key"]))
     line = _one_error_line(capsys, ["report", str(demo), "--call", key])
     assert line.endswith(f"call {key}: the transcript has no entry for this call")
+
+
+def test_report_call_refuses_a_transcript_entry_without_a_call_key(tmp_path, capsys):
+    demo = tmp_path / "demo"
+    _, transcript = _run_demo(demo, 1, capsys)
+    _edit_transcript(demo, tail=json.dumps({**transcript[-1], "key": None}) + "\n")
+    line = _one_error_line(capsys, ["report", str(demo), "--call", "0/0"])
+    assert line == f"error: {demo / TRANSCRIPTS_FILE}: transcript entry 33 is corrupt: it has no call key"
 
 
 @pytest.mark.parametrize("call", ["1", "1/2/3", "a/b", "1/-1", ""])

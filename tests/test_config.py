@@ -70,7 +70,6 @@ def test_defaults_fill_in(tmp_path):
     assert ev.max_parallel_evaluations == 1
     assert cfg.problem.target_clock_period == 0.01
     assert cfg.output_dir == "runs/latest"
-    assert cfg.keep_artifacts is False
 
 
 def test_missing_evolution_section_is_fine(tmp_path):
@@ -155,8 +154,6 @@ def test_bad_population_size_names_field(tmp_path):
         ("evolution.population_size", 5.9),
         ("evolution.max_generations", True),
         ("evolution.rng_seed", float("inf")),
-        ("keep_artifacts", "false"),
-        ("keep_artifacts", 1),
         ("evolution.offspring_count", "4"),
     ],
 )
@@ -170,14 +167,10 @@ def test_non_integral_int_and_non_boolean_bool_rejected(tmp_path, key, value):
 def test_integral_values_still_load(tmp_path):
     path = write_config(
         tmp_path,
-        overrides={
-            "evolution.population_size": 6.0,
-            "keep_artifacts": True,
-        },
+        overrides={"evolution.population_size": 6.0},
     )
     cfg = load_config(path)
     assert cfg.evolution.population_size == 6
-    assert cfg.keep_artifacts is True
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import base64
-import dataclasses
 import hashlib
 import json
 import os
@@ -28,19 +27,19 @@ from rtlevo.llm import (
 from rtlevo.model import ConfigError
 from rtlevo.prompts import PromptBundle, PromptStrategy, prompt_digest
 
-from support import SYSTEMS, FakeEndpoint, completion_body, transcript_entries
+from support import ENTRY_KEYS, SYSTEMS, FakeEndpoint, completion_body, transcript_entries
 
 
 def bundle(
     user="design a counter",
-    system=None,
+    key=(0, 0),
     strategy=None,
     parents=(),
     purpose="generate",
 ):
     return PromptBundle(
-        system_text=SYSTEMS[purpose] if system is None else system,
         user_text=user,
+        key=key,
         strategy=strategy,
         parent_ids=tuple(parents),
         purpose=purpose,
@@ -119,10 +118,6 @@ def test_scripted_unmatched_vs_exhausted():
         assert provider.complete(bundle(strategy=PromptStrategy.FIX, parents=(1,))).text == "x"
 
 
-def keyed(slot, generation=0, **kwargs):
-    return dataclasses.replace(bundle(**kwargs), key=(generation, slot))
-
-
 def test_scripted_call_matcher_matches_the_call_key():
     provider = ScriptedProvider(
         [
@@ -132,14 +127,14 @@ def test_scripted_call_matcher_matches_the_call_key():
             ScriptEntry("call:0/2", "shadowed by the entry above"),
         ]
     )
-    assert provider.complete(keyed(1)).text == "second call"
-    assert provider.complete(keyed(1, purpose="feedback")).text == "second call"
-    assert provider.complete(keyed(0, generation=2)).text == "generation 2"
-    # first match wins; an unkeyed call matches no call: entry
-    for call in (keyed(0), keyed(1, generation=1), keyed(2), bundle()):
-        assert provider.complete(call).text == "any draft"
+    assert provider.complete(bundle(key=(0, 1))).text == "second call"
+    assert provider.complete(bundle(key=(0, 1), purpose="feedback")).text == "second call"
+    assert provider.complete(bundle(key=(2, 0))).text == "generation 2"
+    # first match wins
+    for key in ((0, 0), (1, 1), (0, 2)):
+        assert provider.complete(bundle(key=key)).text == "any draft"
     with pytest.raises(ProviderError) as err:
-        provider.complete(keyed(3, purpose="feedback"))
+        provider.complete(bundle(key=(0, 3), purpose="feedback"))
     assert err.value.kind == "unmatched"
 
 
@@ -213,7 +208,7 @@ def test_http_success_payload_shape(monkeypatch):
     endpoint = FakeEndpoint([(200, completion_body("module m; endmodule"))])
     try:
         provider = _http_provider(endpoint, monkeypatch)
-        result = provider.complete(bundle(user="hello", system="sys"))
+        result = provider.complete(bundle(user="hello"))
         assert result.text == "module m; endmodule"
         assert result.attempt_count == 1
         assert result.latency >= 0.0
@@ -224,7 +219,7 @@ def test_http_success_payload_shape(monkeypatch):
         assert payload["temperature"] == 1.0
         assert payload["top_p"] == 0.95
         assert payload["messages"] == [
-            {"role": "system", "content": "sys"},
+            {"role": "system", "content": SYSTEMS["generate"]},
             {"role": "user", "content": "hello"},
         ]
     finally:
@@ -497,17 +492,13 @@ def test_http_requires_endpoint_url():
 
 def test_transcript_records_and_redacts(tmp_path, monkeypatch):
     path = tmp_path / "transcripts.jsonl"
-    with TranscriptWriter(path, SYSTEMS) as writer:
+    with TranscriptWriter(path) as writer:
         writer.redact("sk-secret-value")
-        writer.record(
-            bundle(user="the key is sk-secret-value ok"),
-            CompletionResult(text="echo sk-secret-value back"),
-        )
+        writer.record(bundle(), CompletionResult(text="echo sk-secret-value back"))
         writer.record(bundle(purpose="feedback"), None, error="boom sk-secret-value")
     assert "sk-secret-value" not in path.read_text(encoding="utf-8")
     lines = transcript_entries(path)
     assert len(lines) == 2
-    assert lines[0]["user_text"] == "the key is [REDACTED] ok"
     assert lines[0]["response"] == "echo [REDACTED] back"
     assert lines[0]["error"] is None
     assert lines[1]["response"] is None
@@ -517,9 +508,9 @@ def test_transcript_records_and_redacts(tmp_path, monkeypatch):
 def test_a_keyed_entry_stores_its_prompts_digest_and_neither_its_text_nor_a_secret(tmp_path):
     path = tmp_path / "transcripts.jsonl"
     prompt = "the key is sk-secret-value ok"
-    with TranscriptWriter(path, SYSTEMS) as writer:
+    with TranscriptWriter(path) as writer:
         writer.redact("sk-secret-value")
-        writer.record(keyed(0, user=prompt), CompletionResult(text="fine"))
+        writer.record(bundle(user=prompt), CompletionResult(text="fine"))
     written = path.read_text(encoding="utf-8")
     assert "sk-secret-value" not in written and "the key is" not in written
     (entry,) = transcript_entries(path)
@@ -531,7 +522,7 @@ def test_a_keyed_entry_stores_its_prompts_digest_and_neither_its_text_nor_a_secr
 
 def test_transcript_record_after_close_is_refused(tmp_path):
     path = tmp_path / "transcripts.jsonl"
-    with TranscriptWriter(path, SYSTEMS) as writer:
+    with TranscriptWriter(path) as writer:
         writer.record(bundle(), CompletionResult(text="first"))
     with pytest.raises(ValueError, match="closed file"):
         writer.record(bundle(), CompletionResult(text="late"))
@@ -541,7 +532,7 @@ def test_transcript_record_after_close_is_refused(tmp_path):
 def test_transcripting_provider_mirrors_success_and_failure(tmp_path):
     path = tmp_path / "t.jsonl"
     inner = ScriptedProvider([ScriptEntry("strategy:initial", "resp")])
-    with TranscriptWriter(path, SYSTEMS) as writer:
+    with TranscriptWriter(path) as writer:
         provider = TranscriptingProvider(inner, writer)
         assert provider.complete(bundle()).text == "resp"
         with pytest.raises(ProviderError):
@@ -561,7 +552,7 @@ def test_transcript_failure_outside_provider_error_has_no_attempt_count(tmp_path
             raise RuntimeError("bug")
 
     path = tmp_path / "t.jsonl"
-    with TranscriptWriter(path, SYSTEMS) as writer, pytest.raises(RuntimeError):
+    with TranscriptWriter(path) as writer, pytest.raises(RuntimeError):
         TranscriptingProvider(Broken(), writer).complete(bundle())
     (entry,) = transcript_entries(path)
     assert (entry["error"], entry["attempt_count"]) == ("bug", None)
@@ -594,7 +585,7 @@ def test_http_writes_one_transcript_entry_per_call(
             endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY", max_retries=1
         )
         path = tmp_path / "t.jsonl"
-        with TranscriptWriter(path, SYSTEMS) as writer:
+        with TranscriptWriter(path) as writer:
             provider = HttpChatProvider(cfg, transcript=writer)
             try:
                 provider.complete(bundle())
@@ -613,10 +604,11 @@ def test_http_provider_redacts_its_key_in_the_transcript(tmp_path, monkeypatch):
         monkeypatch.setenv("RTLEVO_TEST_KEY", "sk-secret-value")
         cfg = ProviderConfig(endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY")
         path = tmp_path / "t.jsonl"
-        with TranscriptWriter(path, SYSTEMS) as writer:
+        with TranscriptWriter(path) as writer:
             HttpChatProvider(cfg, transcript=writer).complete(bundle(user="sk-secret-value"))
         (entry,) = transcript_entries(path)
-        assert (entry["user_text"], entry["response"]) == ("[REDACTED]", "echo [REDACTED] back")
+        assert entry["user_sha256"] == prompt_digest("sk-secret-value")
+        assert entry["response"] == "echo [REDACTED] back"
     finally:
         endpoint.close()
 
@@ -633,7 +625,7 @@ def test_an_http_entry_latency_is_in_whole_microseconds(tmp_path, monkeypatch):
         cfg = ProviderConfig(endpoint_url=endpoint.url, api_key_env_var="RTLEVO_TEST_KEY")
         scripted = ScriptedProvider([ScriptEntry("strategy:initial", "resp")])
         path = tmp_path / "t.jsonl"
-        with TranscriptWriter(path, SYSTEMS) as writer:
+        with TranscriptWriter(path) as writer:
             HttpChatProvider(cfg, transcript=writer).complete(bundle())
             TranscriptingProvider(scripted, writer).complete(bundle())
         http, script = transcript_entries(path)
@@ -644,58 +636,44 @@ def test_an_http_entry_latency_is_in_whole_microseconds(tmp_path, monkeypatch):
 
 def test_a_transcript_closed_before_its_first_entry_leaves_no_file(tmp_path):
     path = tmp_path / "t.jsonl"
-    with TranscriptWriter(path, SYSTEMS):
+    with TranscriptWriter(path):
         pass
     assert not path.exists()
 
 
 def test_a_transcript_holds_its_header_then_one_line_per_entry(tmp_path):
     path = tmp_path / "t.jsonl"
-    with TranscriptWriter(path, SYSTEMS) as writer:
-        writer.record(keyed(0), CompletionResult(text="first"))
-        writer.record(bundle(), CompletionResult(text="second"))
+    with TranscriptWriter(path) as writer:
+        writer.record(bundle(), CompletionResult(text="first"))
+        writer.record(bundle(key=(0, 1), purpose="feedback"), None, error="failed")
+    # the header holds `system_texts()` and `user_templates()`, and a success
+    # and a failure, a draft and a critique, have one shape and no system text
     first, second = transcript_entries(path)
-    # the system text lives in the header; a prompt built outside the engine has no key
-    assert "system_text" not in first and "system_text" not in second
+    assert first.keys() == second.keys() == ENTRY_KEYS
     assert (first["key"], first["response"]) == ([0, 0], "first")
-    assert (second["key"], second["response"]) == (None, "second")
+    assert (second["key"], second["error"]) == ([0, 1], "failed")
 
 
-def test_an_entry_whose_system_text_differs_from_the_header_keeps_its_own(tmp_path):
-    path = tmp_path / "t.jsonl"
-    with TranscriptWriter(path, SYSTEMS) as writer:
-        # an entry is compared with its own purpose's prompt: the critique
-        # prompt sent with a draft is not the draft's
-        writer.record(bundle(system=SYSTEMS["feedback"]), CompletionResult(text="draft"))
-        writer.record(bundle(purpose="feedback"), CompletionResult(text="critique"))
-        writer.record(
-            bundle(purpose="feedback", system="you are a linter"), CompletionResult(text="lint")
-        )
-    draft, critique, linted = transcript_entries(path)
-    assert draft["system_text"] == SYSTEMS["feedback"]
-    assert "system_text" not in critique
-    assert linted["system_text"] == "you are a linter"
-
-
-def test_an_api_key_in_the_system_text_is_redacted_in_the_header(tmp_path):
+def test_an_api_key_in_the_system_text_is_redacted_in_the_header(tmp_path, monkeypatch):
     for purpose in SYSTEMS:
         path = tmp_path / f"{purpose}.jsonl"
         system = f"{SYSTEMS[purpose]}; key sk-secret-value"
-        with TranscriptWriter(path, {**SYSTEMS, purpose: system}) as writer:
+        monkeypatch.setattr(llm, "system_texts", lambda: {**SYSTEMS, purpose: system})
+        with TranscriptWriter(path) as writer:
             # registered after the writer exists, as an http provider does
             writer.redact("sk-secret-value")
-            writer.record(bundle(system=system, purpose=purpose), CompletionResult(text="ok"))
-        assert "sk-secret-value" not in path.read_text(encoding="utf-8")
-        redacted = {**SYSTEMS, purpose: f"{SYSTEMS[purpose]}; key [REDACTED]"}
-        (entry,) = transcript_entries(path, redacted)
-        assert "system_text" not in entry
+            writer.record(bundle(purpose=purpose), CompletionResult(text="ok"))
+        written = path.read_text(encoding="utf-8")
+        assert "sk-secret-value" not in written
+        header = json.loads(written.splitlines()[0])
+        assert header["system_text"] == {**SYSTEMS, purpose: f"{SYSTEMS[purpose]}; key [REDACTED]"}
 
 
 def test_a_failed_call_entry_carries_its_key(tmp_path):
     path = tmp_path / "t.jsonl"
     inner = ScriptedProvider([ScriptEntry("call:0/0", "resp")])
-    with TranscriptWriter(path, SYSTEMS) as writer, pytest.raises(ProviderError):
-        TranscriptingProvider(inner, writer).complete(keyed(1, generation=2))
+    with TranscriptWriter(path) as writer, pytest.raises(ProviderError):
+        TranscriptingProvider(inner, writer).complete(bundle(key=(2, 1)))
     (entry,) = transcript_entries(path)
     assert (entry["key"], entry["error"]) == ([2, 1], "no script entry matches prompt (generate)")
 
@@ -709,7 +687,7 @@ def test_parallel_scripted_calls_thread_safe():
     lock = threading.Lock()
 
     def worker(i):
-        result = provider.complete(keyed(i))
+        result = provider.complete(bundle(key=(0, i)))
         with lock:
             seen[i] = result.text
 

@@ -118,15 +118,16 @@ def test_ppa_metrics_str_is_the_six_digit_triple():
 def test_line_file_starts_new_and_refuses_a_line_after_close(tmp_path):
     path = tmp_path / "lines.jsonl"
     path.write_text("an earlier run's line\n", encoding="utf-8")
-    closed = LineFile(path)
+    closed = LineFile(path, {"schema_version": 1})
     closed.close()
     with pytest.raises(ValueError, match="closed file"):
         closed.write_line("late")
     assert path.read_text(encoding="utf-8") == "an earlier run's line\n"
-    with LineFile(path) as lines:
+    with LineFile(path, {"schema_version": 1}) as lines:
         lines.write_line("first")
         lines.write_line("second")
-    assert path.read_text(encoding="utf-8") == "first\nsecond\n"
+    # the header goes out with the first line
+    assert path.read_text(encoding="utf-8") == '{"schema_version": 1}\nfirst\nsecond\n'
     lines.close()  # a second close is harmless
 
 

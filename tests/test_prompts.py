@@ -11,6 +11,7 @@ from rtlevo.prompts import (
     FALLBACK_THOUGHT,
     SUCCESS_STRATEGIES,
     ParseError,
+    PromptBundle,
     PromptStrategy,
     build_evolutionary_prompt,
     build_initial_prompt,
@@ -59,7 +60,7 @@ def test_arity():
 
 
 def test_initial_prompt_embeds_description():
-    bundle = build_initial_prompt(SPEC)
+    bundle = build_initial_prompt(SPEC, (0, 0))
     assert SPEC.description in bundle.user_text
     assert bundle.strategy is None
     assert bundle.parent_ids == ()
@@ -69,9 +70,9 @@ def test_initial_prompt_embeds_description():
 
 
 def test_each_call_purpose_has_its_own_system_prompt():
-    draft = build_initial_prompt(SPEC).system_text
-    evolved = build_evolutionary_prompt(PromptStrategy.FIX, SPEC, [make_parent(1)]).system_text
-    assert draft == evolved == system_text("generate")
+    draft = build_initial_prompt(SPEC, (0, 0)).system_text
+    evolved = build_evolutionary_prompt(PromptStrategy.FIX, SPEC, [make_parent(1)], (1, 0))
+    assert draft == evolved.system_text == system_text("generate")
     # a critique asks for prose: no code block, no response format, few tokens
     critique = system_text("feedback")
     assert "```" not in critique and "## Code" not in critique
@@ -82,7 +83,7 @@ def test_each_call_purpose_has_its_own_system_prompt():
 def test_evolutionary_prompt_carries_parent_verbatim():
     parent = make_parent(7)
     for strategy in (PromptStrategy.FIX, PromptStrategy.IMPROVE, PromptStrategy.SIMPLIFY):
-        bundle = build_evolutionary_prompt(strategy, SPEC, [parent])
+        bundle = build_evolutionary_prompt(strategy, SPEC, [parent], (1, 0))
         assert parent.thought in bundle.user_text
         assert parent.code in bundle.user_text
         assert parent.feedback in bundle.user_text
@@ -92,15 +93,24 @@ def test_evolutionary_prompt_carries_parent_verbatim():
 
 
 def test_prompt_builders_carry_the_call_key():
-    assert build_initial_prompt(SPEC).key is None
     assert build_initial_prompt(SPEC, (0, 3)).key == (0, 3)
     bundle = build_evolutionary_prompt(PromptStrategy.FIX, SPEC, [make_parent(1)], (2, 5))
     assert bundle.key == (2, 5)
 
 
+def test_a_bundle_is_keyed_and_sent_its_purposes_system_prompt():
+    with pytest.raises(TypeError):
+        PromptBundle(user_text="design an adder")
+    with pytest.raises(TypeError):
+        PromptBundle(user_text="design an adder", key=(0, 0), system_text="you are a linter")
+    for purpose in ("generate", "feedback"):
+        bundle = PromptBundle(user_text="design an adder", key=(0, 0), purpose=purpose)
+        assert bundle.system_text == system_text(purpose)
+
+
 def test_fusion_prompt_carries_both_parents():
     p1, p2 = make_parent(1), make_parent(2, feedback="lower the fanout")
-    bundle = build_evolutionary_prompt(PromptStrategy.FUSION, SPEC, [p1, p2])
+    bundle = build_evolutionary_prompt(PromptStrategy.FUSION, SPEC, [p1, p2], (1, 0))
     for parent in (p1, p2):
         assert parent.thought in bundle.user_text
         assert parent.code in bundle.user_text

@@ -424,12 +424,11 @@ def _bundles(draw):
     else:
         purpose = "feedback"
     return PromptBundle(
-        system_text="you are an engineer",
         user_text=f"design {draw(st.sampled_from(_TOPICS))}",
+        key=draw(_CALL_KEYS),
         strategy=strategy,
         parent_ids=tuple(range(strategy.arity if strategy else 0)),
         purpose=purpose,
-        key=draw(st.none() | _CALL_KEYS),
     )
 
 
@@ -442,7 +441,7 @@ def _bundles(draw):
 # an entry that one call could use up would give the second pass another reply
 @example(
     entries=[ScriptEntry("purpose:generate", "reply 0"), ScriptEntry("adder", "reply 1")],
-    bundles=[PromptBundle("you are an engineer", "design an adder")],
+    bundles=[PromptBundle("design an adder", (0, 0))],
     order=random.Random(0),
 )
 def test_scripted_replies_do_not_depend_on_call_order(entries, bundles, order):
@@ -664,7 +663,7 @@ def _run_configs(draw, directory, provider_kind, evaluator_kind):
         evaluator = SyntheticEvaluatorConfig()
     return RunConfig(
         problem, evolution, provider, evaluator,
-        output_dir=draw(st.text()), keep_artifacts=draw(st.booleans()),
+        output_dir=draw(st.text()),
     )
 
 

@@ -19,7 +19,6 @@ from rtlevo.model import (
     PpaMetrics,
     to_plain,
 )
-from rtlevo.prompts import system_texts
 from rtlevo.reporting import (
     CONFIG_SNAPSHOT_FILE,
     GENERATIONS_FILE,
@@ -34,11 +33,13 @@ from rtlevo.reporting import (
 
 from closed_world import ClosedWorld
 from support import (
+    ENTRY_KEYS,
     REF,
     SPEC,
     FailingDrafts,
     rebuild_every_prompt,
     run_at_one_and_four_workers,
+    transcript_entries,
 )
 
 
@@ -436,7 +437,9 @@ def _full_at(data, where):
         # schema 3 stored each offspring's reward, which follows from it and its parents
         (lambda d: d.update(strategy_events=[{"label": "fail", "reward": 1.0, "strategy": "fix"}]),
          "unknown key(s) in record: strategy_events"),
-        # float() and str() would read these
+        # bool(), float() and str() would read these
+        (lambda d: _full_at(d, "population[1]")["outcome"].update(synth_succeeded=1),
+         "population[1].outcome.synth_succeeded: expected true or false, got 1"),
         (lambda d: _full_at(d, "offspring[0]")["outcome"]["ppa"].update(power="0.5"),
          "offspring[0].outcome.ppa.power: expected a number, got '0.5'"),
         (lambda d: _full_at(d, "best_so_far")["outcome"]["ppa"].update(area=True),
@@ -539,7 +542,7 @@ class _TranscribedWorlds:
         snapshot = yaml.safe_dump({"problem": to_plain(SPEC)})
         (run_dir / CONFIG_SNAPSHOT_FILE).write_text(snapshot, encoding="utf-8")
         world = self.world()
-        writer = TranscriptWriter(run_dir / TRANSCRIPTS_FILE, system_texts())
+        writer = TranscriptWriter(run_dir / TRANSCRIPTS_FILE)
         self.made.append((run_dir, world, writer))
         return TranscriptingProvider(world, writer)
 
@@ -547,7 +550,8 @@ class _TranscribedWorlds:
 def _rebuilt_runs(tmp_path, cfg, world):
     """The prompts rebuilt from each run directory of an engine run at one
     and at four workers, checked against what the world was sent, with the
-    history each run wrote."""
+    history each run wrote. Every transcript entry, a draft or a critique,
+    a reply or a failure, has the same keys."""
     worlds = _TranscribedWorlds(tmp_path, world)
     try:
         runs = run_at_one_and_four_workers(cfg, worlds)
@@ -556,6 +560,8 @@ def _rebuilt_runs(tmp_path, cfg, world):
             writer.close()
     rebuilt = []
     for run, (run_dir, closed, _) in zip(runs, worlds.made):
+        entries = transcript_entries(run_dir / TRANSCRIPTS_FILE)
+        assert all(entry.keys() == ENTRY_KEYS for entry in entries)
         (run_dir / GENERATIONS_FILE).write_bytes(run.written)
         prompts = rebuild_every_prompt(run_dir)
         inner = getattr(closed, "inner", closed)
